@@ -21,8 +21,8 @@ kernel-eligible and close to benign-run throughput.  Three measurements:
    ``benchmarks/check_regression.py`` fails a run that regresses it by
    more than 25 %.
 4. **Adaptive-adversary overhead headline** — the same per-round comparison
-   with an adaptive :class:`BridgeLossStrategy` consulted every round (live
-   spanning-forest + cut-edge analysis), sticky in
+   with an adaptive :class:`BridgeLossStrategy` consulted every round (one
+   linear low-link cut-edge pass over the live CSR), sticky in
    ``BENCH_HOSTILE_ADAPTIVE.json`` under its own regression guard.
 """
 
@@ -240,8 +240,8 @@ def _write_baseline(catalog: list[dict], degradation: list[dict], overhead: dict
     )
 
 
-#: Adaptive-overhead comparison: the bridge-loss adversary recomputes a
-#: spanning forest and its cut edges from the live topology every round.
+#: Adaptive-overhead comparison: the bridge-loss adversary recomputes the
+#: cut edges of the live topology every round.
 ADAPTIVE_MODEL = FaultModel(strategy=BridgeLossStrategy(probability=0.5))
 
 
@@ -268,8 +268,9 @@ def _write_adaptive_baseline(overhead: dict) -> None:
             {
                 "description": (
                     "E20 adaptive-adversary overhead: per-round kernel slowdown of "
-                    "a BridgeLossStrategy run (live spanning-forest + cut-edge "
-                    "analysis every round) versus the identical benign run at n=48."
+                    "a BridgeLossStrategy run (one linear low-link cut-edge pass "
+                    "over the live CSR every round) versus the identical benign "
+                    "run at n=48."
                 ),
                 "overhead": overhead,
                 "headline": {

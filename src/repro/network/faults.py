@@ -179,9 +179,10 @@ def _live_edge_row_ints(
 ) -> tuple[np.ndarray, list[int]]:
     """The round's live subgraph, packed and as python-int adjacency rows.
 
-    Edges with a down endpoint are excluded; the packed matrix feeds
+    Only :class:`BudgetedLossStrategy` needs these, for its BFS spanning
+    forest.  Edges with a down endpoint are excluded; the packed matrix feeds
     :func:`~repro.network.dynamics.spanning_structure` and the int rows
-    drive the arbitrary-precision mask BFS used for bridge checks.
+    let :func:`_forest_edges` drop its repair edges.
     """
     live = ~down[senders] & ~down[receivers]
     s = senders[live].astype(np.int64)
@@ -223,30 +224,62 @@ def _forest_edges(packed: np.ndarray, rows: list[int], n: int) -> list[tuple[int
     return edges
 
 
-def _is_bridge(rows: list[int], u: int, v: int) -> bool:
-    """Whether live edge ``(u, v)`` is a bridge: does removing it disconnect
-    ``v`` from ``u``?  Arbitrary-precision mask BFS from ``u``."""
-    target = 1 << v
-    reached = 1 << u
-    frontier = reached
-    while frontier:
-        grown = 0
-        m = frontier
-        while m:
-            lsb = m & -m
-            i = lsb.bit_length() - 1
-            m ^= lsb
-            row = rows[i]
-            if i == u:
-                row &= ~(1 << v)
-            elif i == v:
-                row &= ~(1 << u)
-            grown |= row
-        frontier = grown & ~reached
-        reached |= frontier
-        if reached & target:
-            return False
-    return True
+def _bridges(
+    indices: np.ndarray, indptr: np.ndarray, down: np.ndarray, n: int
+) -> list[tuple[int, int]]:
+    """Cut edges of the round's live subgraph, as sorted ``(u, v)`` with u < v.
+
+    One iterative low-link DFS (Tarjan) over the canonical CSR, linear in
+    ``n + edges``: tree edge ``(p, u)`` is a bridge exactly when no back
+    edge from ``u``'s subtree reaches ``p`` or above (``low[u] > order[p]``).
+    Edges with a down endpoint are skipped.  The parent is skipped by
+    vertex, which is exact because the canonical CSR has no parallel edges.
+    The loop runs over plain python ints from one ``tolist`` per array.
+    """
+    neighbours = indices.tolist()
+    start = indptr.tolist()
+    dead = down.tolist()
+    cursor = start[:-1]  # next unexplored CSR slot per vertex
+    order = [0] * n  # discovery time, 0 = unvisited
+    low = [0] * n
+    parent = [-1] * n
+    clock = 0
+    bridges: list[tuple[int, int]] = []
+    for root in range(n):
+        if order[root] or dead[root]:
+            continue
+        clock += 1
+        order[root] = low[root] = clock
+        stack = [root]
+        while stack:
+            u = stack[-1]
+            i = cursor[u]
+            end = start[u + 1]
+            while i < end:
+                v = neighbours[i]
+                i += 1
+                if dead[v] or v == parent[u]:
+                    continue
+                if order[v]:
+                    if order[v] < low[u]:
+                        low[u] = order[v]
+                    continue
+                cursor[u] = i
+                parent[v] = u
+                clock += 1
+                order[v] = low[v] = clock
+                stack.append(v)
+                break
+            else:
+                stack.pop()
+                p = parent[u]
+                if p >= 0:
+                    if low[u] < low[p]:
+                        low[p] = low[u]
+                    if low[u] > order[p]:
+                        bridges.append((p, u) if p < u else (u, p))
+    bridges.sort()
+    return bridges
 
 
 def _edge_positions_lost(
@@ -266,10 +299,11 @@ class BridgeLossStrategy(FaultStrategy):
     """Erase bridges: each round, every cut edge of the live subgraph is
     independently lost with ``probability``.
 
-    Bridges are found by checking each spanning-forest edge of the live
-    subgraph (non-tree edges are never bridges); a hit erases both directed
-    copies of the link for the round.  This is the worst place a given loss
-    rate can land — a lost bridge partitions the round's graph.
+    Bridges are found by one linear low-link DFS over the round's CSR
+    (:func:`_bridges`), skipping edges with a down endpoint.  One Bernoulli
+    is drawn per bridge in sorted ``(u, v)`` order, and a hit erases both
+    directed copies of the link for the round.  This is the worst place a
+    given loss rate can land — a lost bridge partitions the round's graph.
     """
 
     probability: float = 1.0
@@ -291,12 +325,7 @@ class _BoundBridgeLoss(BoundStrategy):
 
     def plan_round(self, round_index, senders, receivers, indptr, down, rng):
         n = self.n
-        packed, rows = _live_edge_row_ints(senders, receivers, down, n)
-        bridges = [
-            (u, v)
-            for u, v in _forest_edges(packed, rows, n)
-            if _is_bridge(rows, u, v)
-        ]
+        bridges = _bridges(senders, indptr, down, n)
         if not bridges:
             return None, ()
         hit = rng.random(len(bridges)) < self.strategy.probability
