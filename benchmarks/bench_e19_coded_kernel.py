@@ -15,7 +15,7 @@ kernel (measured at commit 4cf8fd3 on the same machine/workload/seed —
 seeds, so the comparison times implementations, not trajectories.
 
 The *gating* assertions are (a) byte-identical metrics kernel vs mask at
-n = 256 and across all three engines at n = 64, (b) a lenient 2.5x
+n = 256, (b) a lenient 2.5x
 engine-isolated floor vs the mask engine so shared CI runners cannot flake
 the build while a disabled batched path (~1x) still fails, and (c) the
 n = 512 scale point executes a fixed round budget on the kernel engine.
@@ -74,11 +74,6 @@ def test_e19_engines_identical_metrics():
     assert dataclasses.asdict(kernel.metrics) == dataclasses.asdict(mask.metrics)
     for kernel_node, mask_node in zip(kernel.nodes, mask.nodes):
         assert kernel_node.known_token_ids() == mask_node.known_token_ids()
-    # All three engines, at a size where the legacy engine is still quick.
-    small = {engine: _one_run(engine, n=64) for engine in ("kernel", "mask", "legacy")}
-    reference = dataclasses.asdict(small["kernel"].metrics)
-    assert dataclasses.asdict(small["mask"].metrics) == reference
-    assert dataclasses.asdict(small["legacy"].metrics) == reference
 
 
 def test_e19_coded_kernel_speedup(benchmark):

@@ -8,7 +8,7 @@ kernel-eligible and close to benign-run throughput.  Three measurements:
    runs token forwarding on the kernel engine (``RunResult.engine ==
    "kernel"``), recording survivors, surviving completion rate, and
    completion rounds.  A hostile entry that silently fell back to the mask
-   or legacy engine would betray an eligibility regression.
+   engine would betray an eligibility regression.
 2. **Degradation curves into the failure regime** — three protocols (token
    forwarding, random forward, indexed broadcast) swept over loss
    intensities deliberately extended past the point where runs stop

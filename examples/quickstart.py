@@ -4,9 +4,9 @@ Runs the paper's headline comparison at a small scale: every node starts
 with one token, an adaptive adversary rewires the (always connected) network
 every round, and we compare random linear network coding against the
 knowledge-based token-forwarding baseline.  A second section demonstrates
-execution-engine selection: the same run on the vectorised kernel engine,
-the per-node mask engine and the original legacy engine — identical
-results, very different wall-clock.
+execution-engine selection: the same run on the vectorised kernel engine
+and the per-node mask engine — identical results, very different
+wall-clock.
 
 Run with:  python examples/quickstart.py
 """
@@ -29,12 +29,11 @@ from repro import (
 
 
 def engine_selection_demo() -> None:
-    """One protocol, three engines: same metrics, different speed.
+    """One protocol, two engines: same metrics, different speed.
 
-    ``engine="auto"`` (the default) picks the most specialised engine that
-    applies — the packed-array kernel engine for protocols that ship a
-    RoundKernel, the mask engine otherwise, the legacy networkx engine for
-    protocols that override ``known_token_ids``.
+    ``engine="auto"`` (the default) picks the packed-array kernel engine
+    for protocols that ship a RoundKernel and the per-node mask engine
+    otherwise.
     """
     from repro.network import ShiftedRingAdversary
 
@@ -43,7 +42,7 @@ def engine_selection_demo() -> None:
     placement = one_token_per_node(n, 8, np.random.default_rng(0))
 
     print(f"\nengine selection (token forwarding, n = k = {n}, shifted rings):")
-    for engine in ("kernel", "mask", "legacy"):
+    for engine in ("kernel", "mask"):
         start = time.perf_counter()
         result = run_dissemination(
             TokenForwardingNode,

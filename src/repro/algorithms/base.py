@@ -183,17 +183,16 @@ class ProtocolNode(abc.ABC):
 
         The frozenset of known ids is only materialised if the adversary
         reads ``known_token_ids``; the count and membership accessors the
-        in-repo adversaries use are O(1) suppliers.  Subclasses that
-        override :meth:`known_token_ids` fall back to supplier-only views
-        so the advertised set stays authoritative.
+        in-repo adversaries use are O(1) suppliers over ``known``, the
+        authoritative knowledge record (the runner rejects node classes
+        that override :meth:`known_token_ids`).
         """
-        default_ids = type(self).known_token_ids is ProtocolNode.known_token_ids
         return NodeStateView(
             uid=self.uid,
             rank=self.coded_rank(),
             known_supplier=self.known_token_ids,
-            known_count=len(self.known) if default_ids else None,
-            membership=self.known.__contains__ if default_ids else None,
+            known_count=len(self.known),
+            membership=self.known.__contains__,
         )
 
     # ------------------------------------------------------------------
@@ -205,7 +204,8 @@ class ProtocolNode(abc.ABC):
         Called once by the runner after :meth:`setup`.  Returns False (and
         leaves tracking off) for subclasses that override
         :meth:`known_token_ids`, since the ``known`` dict is then not
-        guaranteed to be the authoritative knowledge record.
+        guaranteed to be the authoritative knowledge record; the runner
+        rejects such protocols on every engine.
         """
         if type(self).known_token_ids is not ProtocolNode.known_token_ids:
             return False

@@ -1,6 +1,6 @@
 """REP3xx: the engine matrix and GF(2) representation contracts.
 
-The three execution engines stay byte-identical only while kernels hold
+The two execution engines stay byte-identical only while kernels hold
 up their end: a registered kernel declares what it ``supports()`` and can
 materialise per-node state back with ``to_nodes()``; kernel modules keep
 per-node message/subspace objects *off* the hot path (whole-network state

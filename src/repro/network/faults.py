@@ -57,9 +57,9 @@ stream, and each round proceeds through a :class:`RoundFaultPlan`:
    endpoints, partition-crossing edges, lost edges and collided edges
    removed, duplicated edges repeated adjacently.
 
-All three engines consume the same effective CSR (and the identical draw
+Both engines consume the same effective CSR (and the identical draw
 order), which is what keeps faulted :class:`~repro.simulation.metrics.RunMetrics`
-byte-identical across kernel / mask / legacy.  Because strategies may crash
+byte-identical across kernel and mask.  Because strategies may crash
 nodes mid-`bind_edges`, engines must read ``plan.down`` only *after*
 ``bind_edges`` has run.
 """

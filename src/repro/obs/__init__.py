@@ -2,8 +2,8 @@
 
 ``run_dissemination(trace=TraceRecorder(...))`` collects columnar
 per-round records (knowledge popcounts, GF(2) ranks, fault events,
-counter deltas) whose *content* is byte-identical across the kernel /
-mask / legacy engines; ``python -m repro.obs`` summarises, diffs and
+counter deltas) whose *content* is byte-identical across the kernel
+and mask engines; ``python -m repro.obs`` summarises, diffs and
 profiles the saved ``.npz`` artifacts.  See :mod:`repro.obs.trace` for
 the schema and :mod:`repro.obs.clock` for the sanctioned wall-clock seam.
 """

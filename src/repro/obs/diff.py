@@ -7,7 +7,7 @@ comparison: :func:`diff_traces` walks the content arrays round-major and
 reports the earliest diverging round, the field, and (for per-node
 columns) the lowest diverging node uid.  Context — engine name, phase
 timings, source digest — never participates, so a kernel trace diffs
-clean against a legacy trace of the same seeded run.
+clean against a mask trace of the same seeded run.
 """
 
 from __future__ import annotations

@@ -23,7 +23,7 @@ array                     shape / dtype              meaning
 ========================  =========================  ==========================
 
 Trace *content* — every array above plus the manifest's ``content``
-section — is engine-invariant: kernel, mask and legacy runs of the same
+section — is engine-invariant: kernel and mask runs of the same
 seeded instance produce byte-identical content (a much stronger standing
 parity artifact than final ``RunMetrics``; pinned by
 ``tests/test_obs_trace.py``).  Wall-clock phase timings and the engine

@@ -1,4 +1,4 @@
-"""Simulation engine: round executors (kernel/mask/legacy), metrics, harness."""
+"""Simulation engine: round executors (kernel/mask), metrics, harness."""
 
 from .experiments import (
     Measurement,

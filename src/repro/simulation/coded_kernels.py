@@ -27,7 +27,7 @@ Three kernels ship here:
 
 Equivalence contract: for identical seeds these kernels produce
 byte-identical :class:`~repro.simulation.metrics.RunMetrics` with the mask
-and legacy engines — every rng draw happens against the same per-node
+engine — every rng draw happens against the same per-node
 generator in the same order, composed masks are XORs of bit-identical basis
 rows in the same order, and innovative/decode flags replicate the per-node
 ``Subspace`` semantics exactly (``tests/test_coded_kernels.py``).
@@ -46,7 +46,7 @@ receiver's generation are rejected (the ``num_coefficients`` check).
 Mixed-span decodes can therefore yield *foreign* tokens — wrong payloads
 for placement ids, or ids outside the placement entirely — which are
 learned and marked delivered just like the object ``_learn_token`` path, so
-faulted runs stay byte-identical across all three engines.
+faulted runs stay byte-identical across both engines.
 """
 
 from __future__ import annotations
@@ -196,7 +196,7 @@ class IndexedBroadcastKernel(RoundKernel):
     def supports(cls, config) -> bool:
         # The batch requires GF(2).  The deterministic variant is fine — over
         # GF(2) only coefficient parities matter (the large-field pipeline of
-        # Theorem 6.1 sets field_order accordingly and lands on legacy/mask).
+        # Theorem 6.1 sets field_order accordingly and lands on mask).
         return config.field_order == 2
 
     def __init__(self, config, placement, token_index, nodes):

@@ -420,7 +420,7 @@ def register_kernel(node_class: type):
 
     Registration is by *exact* class identity: a subclass may change
     behaviour arbitrarily, so it never inherits its parent's kernel (it
-    runs on the mask or legacy engine until it registers its own).
+    runs on the mask engine until it registers its own).
     """
 
     def decorator(kernel_cls: type[RoundKernel]) -> type[RoundKernel]:

@@ -16,7 +16,7 @@ The runner also enforces the message budget, tracks metrics, detects
 completion (every node can output every token), and verifies payload
 correctness at the end.
 
-Three execution engines implement the identical round semantics:
+Two execution engines implement the identical round semantics:
 
 * **kernel** (default whenever the protocol ships a
   :class:`~repro.simulation.kernels.RoundKernel`) — whole-network state
@@ -25,26 +25,24 @@ Three execution engines implement the identical round semantics:
   ``deliver_all``, with no per-node Python objects on the hot path; the
   final state is materialised back into ordinary nodes.  See
   :mod:`repro.simulation.kernels`.
-* **mask** — topologies are mask-native
+* **mask** — the per-node object loop below.  Topologies are mask-native
   :class:`~repro.network.topology.Topology` objects validated once per
   distinct object (identity-cached, so static and T-stable adversaries are
   checked once per topology instead of once per round); node state
   snapshots are lazy views; per-node knowledge is an incrementally-
-  maintained integer ``knowledge_mask`` so the completion check, progress
-  tracking and useless-delivery fingerprints are O(1)-O(n) mask
-  operations; and delivery reads cached per-node neighbour tuples.
-* **legacy** — the original ``networkx``/frozenset data flow (fresh graph
-  validation every round, eager frozenset snapshots, O(n*k) set-inclusion
-  completion check).  Kept for custom protocols whose ``known_token_ids``
-  overrides opt them out of mask tracking, and as the measured baseline of
-  ``benchmarks/bench_e16_round_engine.py``.
+  maintained integer ``knowledge_mask`` so the completion check is an
+  O(k/64) mask comparison per still-incomplete node; and progress, trace
+  counts and useless-delivery fingerprints read ``len(node.known)``.
 
-Under ``engine="auto"`` the most specialised applicable engine wins:
-kernel when the factory is a registered node class, the configuration is
-supported and the adversary is not omniscient; else mask when every node
-supports knowledge-mask tracking; else legacy.  All engines deliver each
-node's inbox in ascending neighbour-uid order and produce identical
-metrics for identical seeds (verified by tests).
+Under ``engine="auto"`` the kernel engine runs when the factory is a
+registered node class, the configuration is supported and the kernel
+offers the views the adversary and fault strategy need; otherwise the
+mask engine runs.  Both engines deliver each node's inbox in ascending
+neighbour-uid order and produce identical metrics and trace content for
+identical seeds (verified by tests).  Both rely on the ``known`` dict
+being each node's authoritative knowledge record, so a node class that
+overrides :meth:`~repro.algorithms.base.ProtocolNode.known_token_ids` is
+rejected before round 0.
 """
 
 from __future__ import annotations
@@ -52,14 +50,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
-import networkx as nx
 import numpy as np
 
 from ..algorithms.base import ProtocolConfig, ProtocolFactory, ProtocolNode
 from ..network.adversary import Adversary
 from ..network.faults import BoundFaults, FaultModel, SpanGuard, StateView
-from ..network.graphs import validate_topology
-from ..network.topology import Topology, TopologyValidationCache
+from ..network.topology import TopologyValidationCache
 from ..obs.profiler import NULL_PROFILER
 from ..obs.trace import TraceRecorder
 from ..tokens.message import Message
@@ -84,13 +80,13 @@ class RunResult:
         True iff at completion every node output every token with the right
         payload.  ``None`` when the run did not complete within its limit.
     topologies:
-        The recorded topology sequence (only if ``record_topologies``):
-        :class:`~repro.network.topology.Topology` objects on the kernel and
-        mask engines, ``networkx`` graphs on the legacy engine.  Both
-        satisfy the stability checkers in :mod:`repro.network.stability`.
+        The recorded topology sequence (only if ``record_topologies``), as
+        validated :class:`~repro.network.topology.Topology` objects on
+        both engines; the stability checkers in
+        :mod:`repro.network.stability` consume them directly.
     engine:
-        Which execution engine actually ran: ``"kernel"``, ``"mask"`` or
-        ``"legacy"`` (resolves the ``engine="auto"`` choice for callers).
+        Which execution engine actually ran: ``"kernel"`` or ``"mask"``
+        (resolves the ``engine="auto"`` choice for callers).
     """
 
     metrics: RunMetrics
@@ -135,10 +131,6 @@ def build_nodes(
     return nodes
 
 
-def _legacy_fingerprint(node: ProtocolNode) -> tuple[int, int]:
-    return (len(node.known_token_ids()), node.coded_rank())
-
-
 def _coded_span_guard(nodes: Sequence[ProtocolNode]) -> SpanGuard | None:
     """The Byzantine verification oracle, when the protocol supports one.
 
@@ -169,20 +161,6 @@ def _substitute_wire(nodes, outgoing, overrides) -> None:
             outgoing[uid] = nodes[uid].generation.message_from_mask(uid, mask)
 
 
-def _nx_csr(nx_view, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending-neighbour CSR adjacency of a legacy networkx round graph."""
-    neighbour_lists = [sorted(nx_view.neighbors(uid)) for uid in range(n)]
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    for uid, neighbours in enumerate(neighbour_lists):
-        indptr[uid + 1] = indptr[uid] + len(neighbours)
-    indices = np.fromiter(
-        (v for neighbours in neighbour_lists for v in neighbours),
-        dtype=np.int64,
-        count=int(indptr[-1]),
-    )
-    return indices, indptr
-
-
 def _check_correctness(nodes: Sequence[ProtocolNode], placement: TokenPlacement) -> bool:
     expected = placement.by_id()
     for node in nodes:
@@ -192,6 +170,221 @@ def _check_correctness(nodes: Sequence[ProtocolNode], placement: TokenPlacement)
             if got is None or got.payload != token.payload:
                 return False
     return True
+
+
+def _finish_run(
+    metrics: RunMetrics,
+    bound: BoundFaults | None,
+    completed: np.ndarray,
+    nodes: Sequence[ProtocolNode],
+    placement: TokenPlacement,
+) -> bool | None:
+    """Apply the end-of-run rules both engines share; return ``correct``.
+
+    ``completed`` flags the nodes that know every placement token.  On a
+    faulted run it fills in the survivor metrics and judges correctness
+    over the survivors; on a benign run over the whole population.
+    Correctness is ``None`` when the relevant population never completed.
+    """
+    if bound is None:
+        if metrics.completion_round is None:
+            return None
+        return _check_correctness(nodes, placement)
+    survivors = bound.survivor_indices
+    metrics.survivors = int(survivors.size)
+    metrics.completed_survivors = int(completed[survivors].sum())
+    metrics.recoveries, metrics.reconvergence_rounds = bound.recovery_metrics(
+        metrics.rounds_executed, metrics.survivor_completion_round
+    )
+    if bound.model.quorum is not None:
+        metrics.fake_nodes = len(bound.model.quorum.fake)
+    if metrics.survivor_completion_round is None:
+        return None
+    return _check_correctness([nodes[u] for u in survivors.tolist()], placement)
+
+
+def _run_object_rounds(
+    nodes: list[ProtocolNode],
+    config: ProtocolConfig,
+    adversary: Adversary,
+    metrics: RunMetrics,
+    full_mask: int,
+    *,
+    max_rounds: int,
+    stop_at_completion: bool,
+    record_topologies: bool,
+    track_progress: bool,
+    bound: BoundFaults | None,
+    trace: TraceRecorder | None,
+) -> list:
+    """Execute rounds on per-node objects: the mask engine's round loop.
+
+    The object twin of :func:`~repro.simulation.kernels.run_kernel_rounds`.
+    ``full_mask`` is the knowledge mask of a node that knows every
+    placement token.  Returns the recorded topologies.
+    """
+    n = config.n
+    topologies: list = []
+    profiler = NULL_PROFILER if trace is None else trace.profiler
+    incomplete = {uid for uid, node in enumerate(nodes) if node.knowledge_mask() != full_mask}
+
+    # Single-slot identity-keyed validation cache (shared helper with the
+    # kernel engine): static and T-stable topologies are validated once per
+    # object instead of once per round; mutable nx graphs are re-validated
+    # every time.
+    validation_cache = TopologyValidationCache()
+
+    # Optional shared coordinator hook (see algorithms/tstable.py): a single
+    # object shared by all nodes that may observe the round topology.  This is
+    # the documented structured-simulation shortcut for the patch-sharing
+    # algorithm; ordinary protocols have no coordinator.  It consumes the
+    # ``networkx`` projection, cached per Topology object, so T-stable blocks
+    # materialise it once.
+    coordinator = getattr(nodes[0], "shared_coordinator", None) if nodes else None
+
+    def compose(round_index, plan) -> list:
+        with profiler.span("compose"):
+            outgoing = [node.compose(round_index) for node in nodes]
+        if plan is not None and plan.substitute:
+            _substitute_wire(nodes, outgoing, plan.substitute)
+        return outgoing
+
+    for round_index in range(max_rounds):
+        plan = bound.begin_round(round_index) if bound is not None else None
+        states = [node.state_view() for node in nodes]
+
+        # An omniscient adversary chooses after seeing the composed
+        # messages; every other adversary chooses before nodes compose.
+        if adversary.sees_messages:
+            outgoing = compose(round_index, plan)
+            graph = adversary.choose_topology(round_index, n, states, outgoing)
+        else:
+            graph = adversary.choose_topology(round_index, n, states)
+        topology = validation_cache.validated(graph, n)
+        if coordinator is not None:
+            coordinator.on_topology(round_index, topology.to_nx(), nodes)
+        if not adversary.sees_messages:
+            outgoing = compose(round_index, plan)
+
+        if record_topologies:
+            topologies.append(topology)
+
+        if plan is not None:
+            # Compose already ran, so the transmission mask exists before
+            # the faults are drawn — collisions need to know who occupies
+            # the air, and a wants_state strategy sees the same
+            # post-compose snapshot the trace layer extracts.
+            active = np.fromiter(
+                (message is not None for message in outgoing), dtype=bool, count=n
+            )
+            state = None
+            if bound.wants_state:
+                state = StateView(
+                    np.fromiter((len(node.known) for node in nodes), dtype=np.int64, count=n),
+                    np.fromiter((node.coded_rank() for node in nodes), dtype=np.int64, count=n),
+                )
+            # The adaptive strategy is consulted in here and may crash
+            # nodes mid-round: ``plan.down`` is final only afterwards, so
+            # the accounting below must wait for this call — the same
+            # ordering the kernel engine uses.
+            base_indices, base_indptr = topology.csr_adjacency()
+            with profiler.span("faults"):
+                eff_indices, eff_indptr = plan.bind_edges(
+                    base_indices, base_indptr, active=active, state=state
+                )
+
+        # Budget enforcement and broadcast accounting.  A crashed node's
+        # radio is off: it still composes (identical rng consumption keeps
+        # engine parity) but transmits nothing and counts as silent.
+        for uid, message in enumerate(outgoing):
+            if message is None or (plan is not None and plan.down[uid]):
+                metrics.record_silence()
+                continue
+            if not isinstance(message, Message):
+                raise TypeError(
+                    f"protocol composed a non-Message object: {type(message)!r}"
+                )
+            config.budget.check(message)
+            metrics.record_broadcast(message.size_bits)
+
+        if plan is not None:
+            # Faulted delivery runs over the plan's effective CSR — shared
+            # verbatim with the kernel engine, which is what keeps faulted
+            # metrics byte-identical across the engines.
+            stats = plan.account(active & ~plan.down)
+            metrics.dropped_deliveries += stats.dropped
+            metrics.duplicated_deliveries += stats.duplicated
+            metrics.corrupted_deliveries += stats.corrupted
+            metrics.collided_deliveries += stats.collided
+            metrics.deliveries += stats.discarded
+
+        # Delivery: each node receives its neighbours' messages in ascending
+        # neighbour-uid order.  Benign rounds read the neighbour tuples
+        # cached on the Topology object, so a static or T-stable topology
+        # pays the per-bit mask iteration once per object/block.
+        with profiler.span("deliver"):
+            if plan is None:
+                senders = map(topology.neighbors_tuple, range(n))
+            else:
+                flat, bounds = eff_indices.tolist(), eff_indptr.tolist()
+                senders = (flat[bounds[uid] : bounds[uid + 1]] for uid in range(n))
+            for node, neighbours in zip(nodes, senders):
+                inbox = [
+                    message
+                    for message in map(outgoing.__getitem__, neighbours)
+                    if message is not None
+                ]
+                if inbox:
+                    before = (len(node.known), node.coded_rank())
+                    node.deliver(round_index, inbox)
+                    metrics.deliveries += len(inbox)
+                    if (len(node.known), node.coded_rank()) == before:
+                        metrics.useless_deliveries += len(inbox)
+                else:
+                    node.deliver(round_index, inbox)
+
+        if coordinator is not None:
+            coordinator.after_round(round_index, topology.to_nx(), nodes)
+
+        metrics.rounds_executed = round_index + 1
+
+        if track_progress:
+            counts = [len(node.known) for node in nodes]
+            metrics.progress.append((round_index + 1, min(counts), float(np.mean(counts))))
+
+        if trace is not None:
+            trace.observe_round(
+                round_index,
+                metrics,
+                np.fromiter((len(node.known) for node in nodes), dtype=np.int64, count=n),
+                np.fromiter((node.coded_rank() for node in nodes), dtype=np.int64, count=n),
+                plan,
+            )
+
+        if metrics.completion_round is None:
+            # Incremental completion: only nodes still missing tokens are
+            # re-examined, each with one O(k/64) mask comparison.
+            incomplete = {uid for uid in incomplete if nodes[uid].knowledge_mask() != full_mask}
+            if not incomplete:
+                metrics.completion_round = round_index + 1
+
+        if bound is None:
+            done = metrics.completion_round is not None
+        else:
+            # Under crash faults the whole population may never complete;
+            # the faulted stop rule is survivor completion (identical to
+            # population completion when nothing crashes).  The survivor
+            # set is queried per round: adaptive strategies shrink it.
+            if metrics.survivor_completion_round is None and all(
+                nodes[uid].knowledge_mask() == full_mask
+                for uid in bound.survivor_indices.tolist()
+            ):
+                metrics.survivor_completion_round = round_index + 1
+            done = metrics.survivor_completion_round is not None
+
+        if done and (stop_at_completion or all(node.finished() for node in nodes)):
+            break
+    return topologies
 
 
 def run_dissemination(
@@ -235,13 +428,14 @@ def run_dissemination(
     track_progress:
         Record per-round (min, mean) known-token counts in the metrics.
     engine:
-        ``"auto"`` (the most specialised applicable engine: kernel, else
-        mask, else legacy), ``"kernel"`` (require a registered
+        ``"auto"`` (kernel when applicable, else mask), ``"kernel"``
+        (require a registered
         :class:`~repro.simulation.kernels.RoundKernel`; raises if the
-        protocol has none, or if the adversary is omniscient and the kernel
-        does not support message views), ``"mask"`` (require the mask fast
-        path; raises if a node opts out), or ``"legacy"`` (force the
-        original nx/frozenset data flow).
+        protocol has none, or if the adversary or fault strategy needs
+        message or state views the kernel does not offer) or ``"mask"``
+        (the per-node object loop, which runs every protocol).  Every
+        engine raises ``ValueError`` before round 0 for a node class that
+        overrides ``known_token_ids()``.
     faults:
         Optional :class:`~repro.network.faults.FaultModel` — the hostile
         axis orthogonal to ``adversary``: per-edge loss/duplication,
@@ -267,16 +461,13 @@ def run_dissemination(
         ``RunMetrics`` with and without a recorder attached, and the
         recorded trace *content* is byte-identical across engines.
     """
-    if engine not in ("auto", "mask", "legacy", "kernel"):
-        raise ValueError(
-            f"engine must be 'auto', 'mask', 'legacy' or 'kernel', got {engine!r}"
-        )
+    if engine not in ("auto", "kernel", "mask"):
+        raise ValueError(f"engine must be 'auto', 'kernel' or 'mask', got {engine!r}")
     adversary.reset()
     rng = np.random.default_rng(seed)
     nodes = build_nodes(factory, config, placement, rng)
     all_token_ids = placement.all_ids()
     metrics = RunMetrics()
-    topologies: list = []
 
     # Fault binding happens after node construction and only for an active
     # model, so the node rng streams — and benign runs entirely — stay
@@ -300,15 +491,14 @@ def run_dissemination(
     if max_rounds is None:
         max_rounds = 20 * config.n * max(1, config.k) + 200
 
-    # Fast-path setup: a stable token-id -> bit-index mapping shared by all
-    # nodes.  Nodes whose class overrides known_token_ids() decline tracking,
-    # which drops the whole run to the legacy engine under "auto".
+    # A stable token-id -> bit-index mapping shared by all nodes.  Nodes
+    # whose class overrides known_token_ids() decline tracking: their
+    # ``known`` dict is not authoritative, which neither engine can run.
     token_index = {tid: i for i, tid in enumerate(sorted(all_token_ids))}
-    mask_ready = all(node.enable_mask_tracking(token_index) for node in nodes)
-    if engine == "mask" and not mask_ready:
+    if not all(node.enable_mask_tracking(token_index) for node in nodes):
         raise ValueError(
-            "engine='mask' requires every node to support knowledge-mask "
-            "tracking (a node class overriding known_token_ids() opted out)"
+            "every node must support knowledge-mask tracking; a node class "
+            "overriding known_token_ids() is not supported"
         )
 
     # Kernel engine dispatch: the factory must *be* a registered node class
@@ -336,15 +526,9 @@ def run_dissemination(
                 "views, so state-aware (wants_state) fault strategies are "
                 "not supported; use engine='mask'"
             )
-        if not mask_ready:
-            raise ValueError(
-                "engine='kernel' requires every node to support knowledge-mask "
-                "tracking"
-            )
     use_kernel = engine == "kernel" or (
         engine == "auto"
         and kernel_cls is not None
-        and mask_ready
         and (not adversary.sees_messages or kernel_cls.supports_message_views)
         and (not wants_state or kernel_cls.supports_state_views)
     )
@@ -357,16 +541,12 @@ def run_dissemination(
             # auto falls back to the mask engine, an explicit request fails.
             if engine == "kernel":
                 raise ValueError(str(exc)) from exc
-    profiler = NULL_PROFILER if trace is None else trace.profiler
+    run_engine = "mask" if kernel is None else "kernel"
+    if trace is not None:
+        trace.begin_run(
+            config=config, seed=seed, engine=run_engine, factory=factory, faults=faults
+        )
     if kernel is not None:
-        if trace is not None:
-            trace.begin_run(
-                config=config,
-                seed=seed,
-                engine="kernel",
-                factory=factory,
-                faults=faults,
-            )
         topologies = kernels.run_kernel_rounds(
             kernel,
             config,
@@ -379,363 +559,34 @@ def run_dissemination(
             faults=bound,
             trace=trace,
         )
-        if bound is not None:
-            complete = kernel.completed_flags()
-            metrics.survivors = int(bound.survivor_indices.size)
-            metrics.completed_survivors = int(
-                complete[bound.survivor_indices].sum()
-            )
-            metrics.recoveries, metrics.reconvergence_rounds = (
-                bound.recovery_metrics(
-                    metrics.rounds_executed, metrics.survivor_completion_round
-                )
-            )
-            if bound.model.quorum is not None:
-                metrics.fake_nodes = len(bound.model.quorum.fake)
+        profiler = NULL_PROFILER if trace is None else trace.profiler
         with profiler.span("materialise"):
             kernel.to_nodes(nodes)
-        if bound is None:
-            correct = (
-                _check_correctness(nodes, placement)
-                if metrics.completion_round is not None
-                else None
-            )
-        else:
-            survivors = [nodes[i] for i in bound.survivor_indices.tolist()]
-            correct = (
-                _check_correctness(survivors, placement)
-                if metrics.survivor_completion_round is not None
-                else None
-            )
-        return RunResult(
-            metrics=metrics,
-            nodes=nodes,
-            correct=correct,
-            topologies=topologies,
-            engine="kernel",
-        )
-
-    use_mask = mask_ready and engine != "legacy"
-    full_mask = (1 << len(token_index)) - 1
-    incomplete = set(range(config.n)) if use_mask else set()
-    if use_mask:
-        incomplete = {uid for uid in incomplete if nodes[uid].knowledge_mask() != full_mask}
-
-    # Single-slot identity-keyed validation cache (shared helper with the
-    # kernel engine): static and T-stable topologies are validated once per
-    # object instead of once per round; mutable nx graphs are re-validated
-    # every time, exactly as the legacy engine treats them.
-    validation_cache = TopologyValidationCache()
-
-    def _round_views(graph) -> tuple[Topology | None, nx.Graph | None]:
-        """Validate the round graph once, in the active engine's representation."""
-        if use_mask:
-            return validation_cache.validated(graph, config.n), None
-        # Legacy engine: full networkx validation every round.
-        nx_view = graph.to_nx() if isinstance(graph, Topology) else graph
-        validate_topology(nx_view, config.n)
-        return None, nx_view
-
-    # Optional shared coordinator hook (see algorithms/tstable.py): a single
-    # object shared by all nodes that may observe the round topology.  This is
-    # the documented structured-simulation shortcut for the patch-sharing
-    # algorithm; ordinary protocols have no coordinator.  It consumes the
-    # ``networkx`` projection (cached per Topology object, so T-stable blocks
-    # materialise it once; on the legacy engine it is the adversary's own
-    # graph, the same object ``after_round`` sees).
-    coordinator = getattr(nodes[0], "shared_coordinator", None) if nodes else None
-
-    if trace is not None:
-        trace.begin_run(
-            config=config,
-            seed=seed,
-            engine="mask" if use_mask else "legacy",
-            factory=factory,
-            faults=faults,
-        )
-
-    for round_index in range(max_rounds):
-        plan = bound.begin_round(round_index) if bound is not None else None
-        states = [node.state_view() for node in nodes]
-        if not use_mask:
-            # Legacy data flow: eager frozenset snapshots, as the seed
-            # implementation materialised them.
-            for state in states:
-                state.known_token_ids
-
-        if adversary.sees_messages:
-            with profiler.span("compose"):
-                outgoing = [node.compose(round_index) for node in nodes]
-            if plan is not None and plan.substitute:
-                _substitute_wire(nodes, outgoing, plan.substitute)
-            graph = adversary.choose_topology(round_index, config.n, states, outgoing)
-            topology, nx_view = _round_views(graph)
-            if coordinator is not None:
-                coordinator.on_topology(
-                    round_index, topology.to_nx() if use_mask else nx_view, nodes
-                )
-        else:
-            graph = adversary.choose_topology(round_index, config.n, states)
-            topology, nx_view = _round_views(graph)
-            if coordinator is not None:
-                coordinator.on_topology(
-                    round_index, topology.to_nx() if use_mask else nx_view, nodes
-                )
-            with profiler.span("compose"):
-                outgoing = [node.compose(round_index) for node in nodes]
-            if plan is not None and plan.substitute:
-                _substitute_wire(nodes, outgoing, plan.substitute)
-
-        if record_topologies:
-            topologies.append(topology if use_mask else nx_view)
-
-        eff_indices: np.ndarray | None = None
-        eff_indptr: np.ndarray | None = None
-        active: np.ndarray | None = None
-        if plan is not None:
-            if use_mask:
-                base_indices, base_indptr = topology.csr_adjacency()
-            else:
-                base_indices, base_indptr = _nx_csr(nx_view, config.n)
-            # Compose already ran, so the transmission mask exists before
-            # the faults are drawn — collisions need to know who occupies
-            # the air, and a wants_state strategy sees the same
-            # post-compose snapshot the trace layer extracts.
-            active = np.fromiter(
-                (message is not None for message in outgoing),
-                dtype=bool,
-                count=config.n,
-            )
-            state = None
-            if bound.wants_state:
-                state = StateView(
-                    np.fromiter(
-                        (
-                            (
-                                len(node.known)
-                                if use_mask
-                                else len(node.known_token_ids())
-                            )
-                            for node in nodes
-                        ),
-                        dtype=np.int64,
-                        count=config.n,
-                    ),
-                    np.fromiter(
-                        (node.coded_rank() for node in nodes),
-                        dtype=np.int64,
-                        count=config.n,
-                    ),
-                )
-            # The adaptive strategy is consulted in here and may crash
-            # nodes mid-round: ``plan.down`` is final only afterwards, so
-            # the accounting below must wait for this call — the same
-            # ordering the kernel engine uses.
-            with profiler.span("faults"):
-                eff_indices, eff_indptr = plan.bind_edges(
-                    base_indices, base_indptr, active=active, state=state
-                )
-
-        # Budget enforcement and broadcast accounting.  A crashed node's
-        # radio is off: it still composes (identical rng consumption keeps
-        # engine parity) but transmits nothing and counts as silent.
-        for uid, message in enumerate(outgoing):
-            if message is None or (plan is not None and plan.down[uid]):
-                metrics.record_silence()
-                continue
-            if not isinstance(message, Message):
-                raise TypeError(
-                    f"protocol composed a non-Message object: {type(message)!r}"
-                )
-            config.budget.check(message)
-            metrics.record_broadcast(message.size_bits)
-
-        # Delivery: each node receives its neighbours' messages, in ascending
-        # neighbour-uid order on both engines.
-        if plan is not None:
-            # Faulted delivery runs over the plan's effective CSR — shared
-            # verbatim with the kernel engine, which is what keeps faulted
-            # metrics byte-identical across all three engines.
-            sending = active & ~plan.down
-            stats = plan.account(sending)
-            metrics.dropped_deliveries += stats.dropped
-            metrics.duplicated_deliveries += stats.duplicated
-            metrics.corrupted_deliveries += stats.corrupted
-            metrics.collided_deliveries += stats.collided
-            metrics.deliveries += stats.discarded
-            with profiler.span("deliver"):
-                for uid, node in enumerate(nodes):
-                    start, stop = int(eff_indptr[uid]), int(eff_indptr[uid + 1])
-                    inbox = [
-                        outgoing[v]
-                        for v in eff_indices[start:stop].tolist()
-                        if outgoing[v] is not None
-                    ]
-                    if inbox:
-                        before = (
-                            (len(node.known), node.coded_rank())
-                            if use_mask
-                            else _legacy_fingerprint(node)
-                        )
-                        node.deliver(round_index, inbox)
-                        metrics.deliveries += len(inbox)
-                        after = (
-                            (len(node.known), node.coded_rank())
-                            if use_mask
-                            else _legacy_fingerprint(node)
-                        )
-                        if after == before:
-                            metrics.useless_deliveries += len(inbox)
-                    else:
-                        node.deliver(round_index, inbox)
-        elif use_mask:
-            # The neighbour tuples are cached on the Topology object, so a
-            # static or T-stable topology pays the per-bit mask iteration
-            # once per object/block instead of once per round.
-            with profiler.span("deliver"):
-                for uid, node in enumerate(nodes):
-                    inbox = [
-                        message
-                        for message in map(
-                            outgoing.__getitem__, topology.neighbors_tuple(uid)
-                        )
-                        if message is not None
-                    ]
-                    if inbox:
-                        before = (len(node.known), node.coded_rank())
-                        node.deliver(round_index, inbox)
-                        metrics.deliveries += len(inbox)
-                        if (len(node.known), node.coded_rank()) == before:
-                            metrics.useless_deliveries += len(inbox)
-                    else:
-                        node.deliver(round_index, inbox)
-        else:
-            with profiler.span("deliver"):
-                for uid, node in enumerate(nodes):
-                    inbox = [
-                        outgoing[neighbour]
-                        for neighbour in sorted(nx_view.neighbors(uid))
-                        if outgoing[neighbour] is not None
-                    ]
-                    # The fingerprint (a coded_rank() call) is only needed
-                    # for nodes that actually receive messages this round;
-                    # deliver() only mutates the receiving node, so taking
-                    # it lazily right before the call is equivalent to the
-                    # old eager pass.
-                    if inbox:
-                        before = _legacy_fingerprint(node)
-                        node.deliver(round_index, inbox)
-                        metrics.deliveries += len(inbox)
-                        if _legacy_fingerprint(node) == before:
-                            metrics.useless_deliveries += len(inbox)
-                    else:
-                        node.deliver(round_index, inbox)
-
-        if coordinator is not None:
-            coordinator.after_round(
-                round_index,
-                topology.to_nx() if use_mask else nx_view,
-                nodes,
-            )
-
-        metrics.rounds_executed = round_index + 1
-
-        if track_progress:
-            counts = (
-                [len(node.known) for node in nodes]
-                if use_mask
-                else [len(node.known_token_ids()) for node in nodes]
-            )
-            metrics.progress.append(
-                (round_index + 1, min(counts), float(np.mean(counts)))
-            )
-
-        if trace is not None:
-            trace.observe_round(
-                round_index,
-                metrics,
-                np.fromiter(
-                    (
-                        (len(node.known) if use_mask else len(node.known_token_ids()))
-                        for node in nodes
-                    ),
-                    dtype=np.int64,
-                    count=config.n,
-                ),
-                np.fromiter(
-                    (node.coded_rank() for node in nodes),
-                    dtype=np.int64,
-                    count=config.n,
-                ),
-                plan,
-            )
-
-        if metrics.completion_round is None:
-            if use_mask:
-                # Incremental completion: only nodes still missing tokens are
-                # re-examined, each with one O(k/64) mask comparison.
-                for uid in [u for u in incomplete if nodes[u].knowledge_mask() == full_mask]:
-                    incomplete.discard(uid)
-                if not incomplete:
-                    metrics.completion_round = round_index + 1
-            else:
-                if all(all_token_ids <= node.known_token_ids() for node in nodes):
-                    metrics.completion_round = round_index + 1
-
-        if bound is None:
-            done = metrics.completion_round is not None
-        else:
-            # Under crash faults the whole population may never complete;
-            # the faulted stop rule is survivor completion (identical to
-            # population completion when nothing crashes).  The survivor
-            # set is queried per round: adaptive strategies shrink it.
-            if metrics.survivor_completion_round is None:
-                survivor_uids = bound.survivor_indices.tolist()
-                if use_mask:
-                    survivors_done = all(
-                        nodes[u].knowledge_mask() == full_mask for u in survivor_uids
-                    )
-                else:
-                    survivors_done = all(
-                        all_token_ids <= nodes[u].known_token_ids()
-                        for u in survivor_uids
-                    )
-                if survivors_done:
-                    metrics.survivor_completion_round = round_index + 1
-            done = metrics.survivor_completion_round is not None
-
-        if done:
-            if stop_at_completion or all(node.finished() for node in nodes):
-                break
-
-    correct: bool | None = None
-    if bound is None:
-        if metrics.completion_round is not None:
-            correct = _check_correctness(nodes, placement)
+        completed = kernel.completed_flags()
     else:
-        survivor_uids = bound.survivor_indices.tolist()
-        metrics.survivors = len(survivor_uids)
-        if use_mask:
-            metrics.completed_survivors = sum(
-                1 for u in survivor_uids if nodes[u].knowledge_mask() == full_mask
-            )
-        else:
-            metrics.completed_survivors = sum(
-                1 for u in survivor_uids if all_token_ids <= nodes[u].known_token_ids()
-            )
-        metrics.recoveries, metrics.reconvergence_rounds = bound.recovery_metrics(
-            metrics.rounds_executed, metrics.survivor_completion_round
+        full_mask = (1 << len(token_index)) - 1
+        topologies = _run_object_rounds(
+            nodes,
+            config,
+            adversary,
+            metrics,
+            full_mask,
+            max_rounds=max_rounds,
+            stop_at_completion=stop_at_completion,
+            record_topologies=record_topologies,
+            track_progress=track_progress,
+            bound=bound,
+            trace=trace,
         )
-        if bound.model.quorum is not None:
-            metrics.fake_nodes = len(bound.model.quorum.fake)
-        if metrics.survivor_completion_round is not None:
-            correct = _check_correctness(
-                [nodes[u] for u in survivor_uids], placement
-            )
+        completed = np.fromiter(
+            (node.knowledge_mask() == full_mask for node in nodes),
+            dtype=bool,
+            count=config.n,
+        )
     return RunResult(
         metrics=metrics,
         nodes=nodes,
-        correct=correct,
+        correct=_finish_run(metrics, bound, completed, nodes, placement),
         topologies=topologies,
-        engine="mask" if use_mask else "legacy",
+        engine=run_engine,
     )

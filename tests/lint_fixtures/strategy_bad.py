@@ -2,7 +2,7 @@
 
 ``plan_round`` receives the bound model's seeded generator every round;
 a strategy that conjures its own unseeded stream breaks the byte-identical
-replay contract the three engines are checked against.
+replay contract the two engines are checked against.
 """
 
 import numpy as np

@@ -2,8 +2,8 @@
 
 The coded kernels (:mod:`repro.simulation.coded_kernels`) run whole-network
 rounds on the batched GF(2) elimination core; these tests pin byte-identical
-:class:`~repro.simulation.metrics.RunMetrics` across the kernel / mask /
-legacy engines for
+:class:`~repro.simulation.metrics.RunMetrics` across the kernel and mask
+engines for
 
 * indexed broadcast — randomized *and* deterministic-schedule — over the
   whole dynamic-scenario catalog and the hand-written adversaries,
@@ -43,7 +43,7 @@ from repro.simulation.kernels import (
 )
 from tests.conftest import make_config
 
-ENGINES = ("kernel", "mask", "legacy")
+ENGINES = ("kernel", "mask")
 
 
 def _run_all_engines(factory, config, adversary_factory, *, seed=3, **kwargs):
@@ -67,10 +67,9 @@ def _assert_identical(results, expect_kernel=True):
     kernel = results["kernel"]
     if expect_kernel:
         assert kernel.engine == "kernel"
-    reference = dataclasses.asdict(kernel.metrics)
-    for engine in ("mask", "legacy"):
-        assert dataclasses.asdict(results[engine].metrics) == reference, engine
-    for kernel_node, mask_node in zip(kernel.nodes, results["mask"].nodes):
+    mask = results["mask"]
+    assert dataclasses.asdict(mask.metrics) == dataclasses.asdict(kernel.metrics)
+    for kernel_node, mask_node in zip(kernel.nodes, mask.nodes):
         assert list(kernel_node.known) == list(mask_node.known)
     return kernel
 
@@ -248,7 +247,7 @@ class TestCodedEngineSelection:
 
     def test_greedy_forward_does_not_fall_past_mask_under_auto(self):
         # Even when the kernel declines (degenerate phase windows), auto must
-        # resolve to the mask engine, never legacy.
+        # resolve to the mask engine.
         config = make_config(8, extra={"gather_rounds": 0})
         assert kernel_for(GreedyForwardNode, config) is None
         placement = standard_instance(8, 8, 8, seed=1)

@@ -1,8 +1,8 @@
 """Contract, invariant, and engine-parity tests for the fault axis.
 
 The fault layer (:mod:`repro.network.faults`) edits every round's canonical
-CSR adjacency into an *effective* CSR shared verbatim by the kernel / mask /
-legacy engines; these tests pin
+CSR adjacency into an *effective* CSR shared verbatim by the kernel and mask
+engines; these tests pin
 
 * :class:`FaultModel` validation and the benign no-op guarantee (a model
   with no active axis leaves runs bit-identical to ``faults=None``),
@@ -11,9 +11,9 @@ legacy engines; these tests pin
   crashed endpoints never appear — and on the :class:`SpanGuard` — malformed
   Byzantine vectors are provably outside the source span and can never
   raise a ``GF2Basis`` / ``GF2BasisBatch`` rank past it,
-* byte-identical :class:`~repro.simulation.metrics.RunMetrics` across all
-  three engines for every hostile scenario-catalog entry, with the kernel
-  engine actually selected (no legacy fallback),
+* byte-identical :class:`~repro.simulation.metrics.RunMetrics` across both
+  engines for every hostile scenario-catalog entry, with the kernel
+  engine actually selected (no mask fallback),
 * the ``wire_message`` kernel hook keeping message-inspecting (omniscient)
   adversaries kernel-eligible, alone and combined with faults,
 * ``lifeline=False`` churn monotonicity and the derived crash schedules.
@@ -60,7 +60,7 @@ from repro.simulation.coded_kernels import GreedyForwardKernel
 from repro.simulation.kernels import _neighbor_or
 from tests.conftest import make_config
 
-ENGINES = ("kernel", "mask", "legacy")
+ENGINES = ("kernel", "mask")
 
 
 def _run_all_engines(factory, config, scenario_name, fault_model, *, seed=3, **kwargs):
@@ -85,10 +85,9 @@ def _assert_identical(results, expect_kernel=True):
     kernel = results["kernel"]
     if expect_kernel:
         assert kernel.engine == "kernel"
-    reference = dataclasses.asdict(kernel.metrics)
-    for engine in ("mask", "legacy"):
-        assert dataclasses.asdict(results[engine].metrics) == reference, engine
-    for kernel_node, mask_node in zip(kernel.nodes, results["mask"].nodes):
+    mask = results["mask"]
+    assert dataclasses.asdict(mask.metrics) == dataclasses.asdict(kernel.metrics)
+    for kernel_node, mask_node in zip(kernel.nodes, mask.nodes):
         assert kernel_node.known_token_ids() == mask_node.known_token_ids()
     return kernel
 

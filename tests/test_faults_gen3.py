@@ -24,7 +24,7 @@ What this module pins, on top of the first/second-generation coverage in
 * per-round trace columns — ``collided_deliveries`` sums to the final
   metric, ``honest_survivors`` tracks the honest-quorum population, and
   the four third-generation catalog entries keep byte-identical trace
-  *content* across all three engines.
+  *content* across both engines.
 """
 
 from __future__ import annotations
@@ -59,7 +59,7 @@ from repro.simulation import RunMetrics, run_dissemination, standard_instance
 from repro.simulation.kernels import KERNEL_REGISTRY, TokenForwardingKernel
 from tests.conftest import make_config
 
-ENGINES = ("kernel", "mask", "legacy")
+ENGINES = ("kernel", "mask")
 
 GEN3_ENTRIES = (
     "collision_waypoint",
@@ -362,16 +362,12 @@ class TestStateAwareStrategies:
             run("kernel")
         fallback = run("auto")
         assert fallback.engine == "mask"
-        legacy = run("legacy")
-        assert dataclasses.asdict(fallback.metrics) == dataclasses.asdict(
-            legacy.metrics
-        )
         # With the gate back in place the same run is kernel-eligible again.
         monkeypatch.undo()
         kernel = run("auto")
         assert kernel.engine == "kernel"
         assert dataclasses.asdict(kernel.metrics) == dataclasses.asdict(
-            legacy.metrics
+            fallback.metrics
         )
 
 
@@ -459,4 +455,4 @@ class TestGen3TraceSchema:
             if engine == "kernel":
                 assert result.engine == "kernel", name
             digests[engine] = recorder.to_trace().content_digest()
-        assert digests["kernel"] == digests["mask"] == digests["legacy"], name
+        assert digests["kernel"] == digests["mask"], name

@@ -4,7 +4,7 @@ The kernel engine (packed knowledge matrices, CSR delivery, whole-network
 compose/deliver array ops — see :mod:`repro.simulation.kernels`) implements
 the identical round semantics as the mask engine; these tests pin metric
 and knowledge equivalence across protocol/adversary pairs, the ``auto``
-selection rules (kernel > mask > legacy), the packed-adjacency / CSR
+selection rules (kernel > mask), the packed-adjacency / CSR
 representations on :class:`~repro.network.topology.Topology`, and the
 ``to_nodes`` materialisation that keeps ``RunResult.nodes`` usable.
 """

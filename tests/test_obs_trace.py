@@ -7,7 +7,7 @@ The standing guarantees pinned here:
    without one, clocked or not.
 2. **Determinism** — two same-seed runs record byte-identical trace
    content (equal ``content_digest()``).
-3. **Cross-engine identity** — kernel, mask and legacy runs of the same
+3. **Cross-engine identity** — kernel and mask runs of the same
    seeded instance produce byte-identical trace *content*; only the
    manifest's context section (engine name, timings) differs.  This is a
    per-round strengthening of the end-of-run ``RunMetrics`` parity the
@@ -45,7 +45,7 @@ from repro.scenarios import fault_model_for, make_scenario
 from repro.simulation import run_dissemination, standard_instance
 from tests.conftest import make_config
 
-ENGINES = ("kernel", "mask", "legacy")
+ENGINES = ("kernel", "mask")
 
 
 def _traced_run(
@@ -164,12 +164,11 @@ def test_trace_content_identical_across_engines(factory, scenario, n, fault_scen
         _, traces[engine] = _traced_run(
             factory, n, scenario, engine=engine, faults=faults
         )
-    kernel, mask, legacy = (traces[e] for e in ENGINES)
+    kernel, mask = (traces[e] for e in ENGINES)
     assert kernel.content_digest() == mask.content_digest()
-    assert kernel.content_digest() == legacy.content_digest()
     # context still tells the runs apart
     assert {traces[e].context["engine"] for e in ENGINES} == set(ENGINES)
-    assert diff_traces(kernel, legacy).identical
+    assert diff_traces(kernel, mask).identical
 
 
 def test_down_bitmap_and_partition_columns_record_fault_state():

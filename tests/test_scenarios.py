@@ -118,7 +118,7 @@ def test_adversary_replays_identical_sequence_across_resets_and_engines(
     config = make_config(N)
     placement = standard_instance(N, N, 8, seed=0)
     adversary = adversary_factory()
-    engines = ["mask", "legacy"] if adversary.sees_messages else ["kernel", "mask", "legacy"]
+    engines = ["kernel", "mask"]
 
     sequences = {}
     for engine in engines:
