@@ -28,9 +28,14 @@ Three layers:
   derived from each window's intersection).
 * :class:`ScheduleAdversary` bridges any process into
   :func:`~repro.simulation.runner.run_dissemination`: topologies are served
-  from buffered batches as :meth:`Topology.from_packed` views, marked
-  ``pre_validated`` when the process guarantees legality, with a cheap
-  ``reset()`` for sweep reuse.
+  from buffered batches built by :meth:`Topology.from_packed_batch` (every
+  round's CSR arrays pre-filled), marked ``pre_validated`` when the process
+  guarantees legality, with a cheap ``reset()`` for sweep reuse.
+
+The catalog's hot pipeline — :class:`EdgeMarkovProcess` →
+:class:`ConnectivityPatcher` → :class:`ScheduleAdversary` — works one batch
+at a time: the only per-round Python left is the edge-Markov chain step
+(one ``rng.random`` draw per round, which fixes the schedule's draw order).
 
 The named scenario catalog built on top of these pieces lives in
 :mod:`repro.scenarios`.
@@ -44,7 +49,7 @@ from typing import Sequence
 import numpy as np
 
 from .adversary import Adversary
-from .topology import Topology
+from .topology import Topology, unpack_adjacency
 
 __all__ = [
     "DynamicsProcess",
@@ -56,6 +61,7 @@ __all__ = [
     "ConnectivityPatcher",
     "TIntervalEnforcer",
     "ScheduleAdversary",
+    "batch_component_labels",
     "pack_dense_adjacency",
     "packed_components",
     "packed_is_connected",
@@ -149,6 +155,48 @@ def packed_is_connected(packed: np.ndarray, n: int) -> bool:
         frontier = grown & ~reached
         reached |= frontier
     return reached == full
+
+
+def batch_component_labels(edges: np.ndarray, rounds: int, n: int) -> np.ndarray:
+    """Connected-component labels of every round of a batch, in one pass.
+
+    ``edges`` are the ascending flat positions ``(r * n + u) * n + v`` of a
+    symmetric batch's adjacency bits — ``np.flatnonzero`` of
+    :func:`~repro.network.topology.unpack_adjacency`.  Returns a
+    ``(rounds, n)`` ``int64`` array holding, for each node, the lowest
+    member of its component in that round — so the component
+    representatives of :func:`packed_components` are exactly the nodes
+    labelled with themselves, in ascending order.
+
+    Nodes are numbered globally as ``r * n + u`` and the whole batch is
+    labelled at once by hooking and pointer jumping: each pass hooks the
+    larger of two roots joined by an edge under the smaller one
+    (``np.minimum.at``), then jumps ``parent = parent[parent]`` until every
+    node points at its root.  Parents only ever decrease, so a root is the
+    minimum of its tree, and the passes stop once no edge joins two roots.
+    Both directions of every edge are kept, so the first pass, where every
+    node is still a root, needs no root lookup.
+    """
+    src = edges // n
+    dst = edges - src * n + (src - src % n)  # node v of the same round
+    parent = np.arange(rounds * n, dtype=np.int64)
+    np.minimum.at(parent, dst, src)
+    while True:
+        while True:
+            grand = parent[parent]
+            if np.array_equal(grand, parent):
+                break
+            parent = grand
+        root_src, root_dst = parent[src], parent[dst]
+        split = np.flatnonzero(root_src != root_dst)
+        if not split.size:
+            break
+        src, dst = src[split], dst[split]
+        root_src, root_dst = root_src[split], root_dst[split]
+        np.minimum.at(
+            parent, np.maximum(root_src, root_dst), np.minimum(root_src, root_dst)
+        )
+    return parent.reshape(rounds, n) - (np.arange(rounds, dtype=np.int64) * n)[:, None]
 
 
 def _set_edge(packed: np.ndarray, u: int, v: int) -> None:
@@ -259,15 +307,14 @@ class DynamicsProcess(abc.ABC):
     def topologies(self, rounds: int) -> list[Topology]:
         """Materialise the next ``rounds`` rounds as :class:`Topology` objects.
 
-        Convenience for analysis and tests (the engines consume schedules
-        through :class:`ScheduleAdversary` instead).  Topologies are marked
+        This is how :class:`ScheduleAdversary` pulls the schedule it serves
+        to the engines: one :meth:`Topology.from_packed_batch` call per
+        batch, every round's CSR arrays pre-filled.  Topologies are marked
         ``pre_validated`` exactly when the process guarantees legality.
         """
-        batch = self.next_batch(rounds)
-        return [
-            Topology.from_packed(self.n, batch[i], pre_validated=self.guarantees_connected)
-            for i in range(batch.shape[0])
-        ]
+        return Topology.from_packed_batch(
+            self.n, self.next_batch(rounds), pre_validated=self.guarantees_connected
+        )
 
     def _empty_batch(self, rounds: int) -> np.ndarray:
         return np.zeros((rounds, self.n, self.words), dtype=np.uint64)
@@ -288,8 +335,14 @@ class EdgeMarkovProcess(DynamicsProcess):
     iid at that density (override with ``initial_density``), so the schedule
     starts in stationarity.
 
-    Per round the whole edge set updates as three vectorised operations over
-    the ``n (n - 1) / 2`` pair slots — no per-edge Python.
+    A batch is built in two steps, both vectorised over the
+    ``n (n - 1) / 2`` pair slots (ordered like ``np.triu_indices(n, 1)``).
+    Per round, one ``rng.random`` draw over every slot advances all chains
+    at once, and the round's present slots are kept as an index array.
+    Then the set slots of the whole batch are mapped to their ``(u, v)``
+    pairs and scattered into a ``(rounds, n, n)`` bool array in two flat
+    writes (upper and lower triangle), which is packed.  Between batches
+    the process holds only the present slots and ``n`` row offsets.
     """
 
     def __init__(
@@ -308,30 +361,56 @@ class EdgeMarkovProcess(DynamicsProcess):
         self.p_death = float(p_death)
         if initial_density is None:
             total = self.p_birth + self.p_death
-            initial_density = self.p_birth / total if total > 0 else 0.0
+            # repro: allow[REP402] scalar ratio of two Python floats, no uint64 operands
+            initial_density = float(self.p_birth / total) if total > 0 else 0.0
         if not 0.0 <= initial_density <= 1.0:
             raise ValueError(f"initial_density must be in [0, 1], got {initial_density}")
         self.initial_density = float(initial_density)
         self.seed = seed
-        self._iu = np.triu_indices(self.n, 1)
+        row = np.arange(self.n, dtype=np.int64)
+        #: Slot of pair ``(u, u + 1)``: row ``u``'s first slot.
+        self._row_start = row * self.n - row * (row + 1) // 2
+        self._slots = self.n * (self.n - 1) // 2
         self.reset()
 
     def reset(self) -> None:
         self._rng = np.random.default_rng(self.seed)
-        self._edges = self._rng.random(self._iu[0].size) < self.initial_density
+        self._present = np.flatnonzero(self._rng.random(self._slots) < self.initial_density)
 
     def next_batch(self, rounds: int) -> np.ndarray:
         n = self.n
-        rows, cols = self._iu
-        dense = np.zeros((rounds, n, n), dtype=bool)
-        edges = self._edges
+        upper, lower = self._advance(rounds)
+        dense = np.zeros(rounds * n * n, dtype=bool)
+        dense[upper] = True
+        dense[lower] = True
+        return pack_dense_adjacency(dense.reshape(rounds, n, n))
+
+    def _advance(self, rounds: int) -> tuple[np.ndarray, np.ndarray]:
+        """Step every chain ``rounds`` times; return the flat positions, in a
+        ``(rounds, n, n)`` array, of the upper and lower bit of every set pair.
+
+        A separate method so that its temporaries are freed before the
+        caller allocates the dense batch.
+        """
+        n, slots = self.n, self._slots
+        draw = np.empty(slots)
+        alive = np.empty(slots, dtype=bool)
+        present = self._present
+        per_round = [np.empty(0, dtype=np.intp)]  # keeps rounds == 0 concatenable
         for r in range(rounds):
-            draw = self._rng.random(edges.size)
-            edges = np.where(edges, draw >= self.p_death, draw < self.p_birth)
-            dense[r, rows, cols] = edges
-        self._edges = edges
-        dense |= dense.transpose(0, 2, 1)
-        return pack_dense_adjacency(dense)
+            self._rng.random(out=draw)
+            # repro: allow[REP401] one chain step per round; the draw order is the schedule
+            np.less(draw, self.p_birth, out=alive)
+            alive[present] = draw[present] >= self.p_death
+            # repro: allow[REP401] one chain step per round; the draw order is the schedule
+            present = np.flatnonzero(alive)
+            per_round.append(present + r * slots)
+        self._present = present
+        round_index, slot = np.divmod(np.concatenate(per_round), slots)
+        u = np.searchsorted(self._row_start, slot, side="right") - 1
+        v = slot - self._row_start[u] + u + 1
+        offset = round_index * (n * n)
+        return offset + u * n + v, offset + v * n + u
 
 
 class RandomWaypointProcess(DynamicsProcess):
@@ -372,23 +451,26 @@ class RandomWaypointProcess(DynamicsProcess):
         r2 = self.radius * self.radius
         dense = np.zeros((rounds, n, n), dtype=bool)
         pos, way = self._pos, self._way
+        # Motion is sequential (arrivals draw fresh waypoints), so this is a
+        # per-round loop of whole-network array operations.
         for r in range(rounds):
             delta = way - pos
+            # repro: allow[REP401] one motion step per round over all nodes
             dist = np.hypot(delta[:, 0], delta[:, 1])
             arrived = dist <= self.speed
-            step = np.divide(
-                self.speed, dist, out=np.zeros_like(dist), where=dist > 0
-            )
+            # repro: allow[REP401] one motion step per round over all nodes
+            step = np.divide(self.speed, dist, out=np.zeros_like(dist), where=dist > 0)
+            # repro: allow[REP401] one motion step per round over all nodes
             pos = np.where(arrived[:, None], way, pos + delta * step[:, None])
             count = int(arrived.sum())
             if count:
                 way = way.copy()
                 way[arrived] = self._rng.random((count, 2)) * self.area
             diff = pos[:, None, :] - pos[None, :, :]
-            adjacency = (diff * diff).sum(axis=-1) <= r2
-            np.fill_diagonal(adjacency, False)
-            dense[r] = adjacency
+            dense[r] = (diff * diff).sum(axis=-1) <= r2
         self._pos, self._way = pos, way
+        diagonal = np.arange(n)
+        dense[:, diagonal, diagonal] = False
         return pack_dense_adjacency(dense)
 
 
@@ -548,17 +630,23 @@ class DegreeBoundedRewiringProcess(DynamicsProcess):
         self._degrees[y] += 1
 
     def next_batch(self, rounds: int) -> np.ndarray:
-        batch = self._empty_batch(rounds)
-        one = np.uint64(1)
-        for r in range(rounds):
+        # The rewiring itself is sequential Python; each round only snapshots
+        # its edge list (always n edges), and one scatter writes the batch.
+        snapshots = []
+        for _ in range(rounds):
             for _ in range(self.rewires_per_round):
                 self._rewire_once()
-            pairs = np.asarray(self._edges, dtype=np.int64)
-            rows = np.concatenate([pairs[:, 0], pairs[:, 1]])
-            cols = np.concatenate([pairs[:, 1], pairs[:, 0]])
-            np.bitwise_or.at(
-                batch[r], (rows, cols >> 6), one << (cols & np.int64(63)).astype(np.uint64)
-            )
+            snapshots.append(list(self._edges))
+        pairs = np.asarray(snapshots, dtype=np.int64).reshape(rounds, self.n, 2)
+        round_index = np.repeat(np.arange(rounds, dtype=np.int64), 2 * self.n)
+        rows = np.concatenate([pairs[..., 0], pairs[..., 1]], axis=1).ravel()
+        cols = np.concatenate([pairs[..., 1], pairs[..., 0]], axis=1).ravel()
+        batch = self._empty_batch(rounds)
+        np.bitwise_or.at(
+            batch,
+            (round_index, rows, cols >> 6),
+            np.uint64(1) << (cols & np.int64(63)).astype(np.uint64),
+        )
         return batch
 
 
@@ -634,6 +722,14 @@ class ConnectivityPatcher(DynamicsProcess):
     minimum number of edges that restores connectivity, deterministic in
     the round graph.  Rounds that are already connected pass through
     bit-identical.
+
+    A batch is repaired as a whole: it is unpacked once, one
+    :func:`batch_component_labels` pass labels every round's components,
+    and the repair edges of all rounds are written into the packed batch
+    with two fancy-indexed ORs (one per edge direction).
+    :meth:`topologies` hands the patched batch's set-bit positions (the
+    unpacked ones plus the repair edges) to :meth:`Topology.from_packed_batch`,
+    so the batch is unpacked once on its way to the engines' CSR arrays.
     """
 
     guarantees_connected = True
@@ -649,16 +745,34 @@ class ConnectivityPatcher(DynamicsProcess):
         return self.inner.rounds_remaining()
 
     def next_batch(self, rounds: int) -> np.ndarray:
+        return self._patched_batch(rounds)[0]
+
+    def topologies(self, rounds: int) -> list[Topology]:
+        batch, edges = self._patched_batch(rounds)
+        return Topology.from_packed_batch(self.n, batch, pre_validated=True, edges=edges)
+
+    def _patched_batch(self, rounds: int) -> tuple[np.ndarray, np.ndarray]:
+        """The patched batch and the ascending flat positions of its set bits."""
+        n = self.n
         batch = self.inner.next_batch(rounds)
-        for r in range(rounds):
-            components = packed_components(batch[r], self.n)
-            if len(components) > 1:
-                representatives = [
-                    (component & -component).bit_length() - 1 for component in components
-                ]
-                for a, b in zip(representatives, representatives[1:]):
-                    _set_edge(batch[r], a, b)
-        return batch
+        edges = np.flatnonzero(unpack_adjacency(batch, n))
+        labels = batch_component_labels(edges, batch.shape[0], n)
+        # Representatives as global ids r * n + u, ascending; consecutive
+        # representatives of the same round are joined by a repair edge.
+        representatives = np.flatnonzero(labels == np.arange(n))
+        first, second = representatives[:-1], representatives[1:]
+        same_round = first // n == second // n
+        first, second = first[same_round], second[same_round]
+        round_index, a = np.divmod(first, n)
+        b = second - round_index * n
+        # Each representative starts at most one repair edge and ends at
+        # most one, so neither write repeats an (round, row, word) index.
+        one = np.uint64(1)
+        batch[round_index, a, b >> 6] |= one << (b & 63).astype(np.uint64)
+        batch[round_index, b, a >> 6] |= one << (a & 63).astype(np.uint64)
+        # Repair edges join different components, so none is already set.
+        repair = np.sort(np.concatenate([first * n + b, (round_index * n + b) * n + a]))
+        return batch, np.insert(edges, np.searchsorted(edges, repair), repair)
 
 
 class TIntervalEnforcer(DynamicsProcess):
@@ -731,17 +845,23 @@ class TIntervalEnforcer(DynamicsProcess):
 # the bridge into the engines
 # ----------------------------------------------------------------------
 
+#: Rounds a :class:`ScheduleAdversary` pulls from its process at a time.
+SCHEDULE_BATCH_ROUNDS = 64
+
 
 class ScheduleAdversary(Adversary):
     """Serve a :class:`DynamicsProcess` schedule to ``run_dissemination``.
 
-    Topologies are pulled from the process in buffered batches
-    (``batch_rounds`` at a time, amortising the vectorised generation) and
-    handed to the engine as :meth:`Topology.from_packed` objects —
-    ``pre_validated`` whenever the process guarantees connectivity, so a
-    transformed schedule pays zero per-round validation, while a raw
-    process's rounds are validated (and rejected if disconnected) exactly
-    like any hand-written adversary's.
+    Topologies are pulled from the process in batches of
+    :data:`SCHEDULE_BATCH_ROUNDS` rounds through
+    :meth:`DynamicsProcess.topologies`, amortising the vectorised
+    generation.  That builds each batch's :class:`Topology` objects with
+    one :meth:`Topology.from_packed_batch` call, which also fills every
+    round's CSR arrays at once, so neither engine rebuilds them per round.
+    The topologies are ``pre_validated`` whenever the process guarantees
+    connectivity, so a transformed schedule pays zero per-round
+    validation, while a raw process's rounds are validated (and rejected
+    if disconnected) exactly like any hand-written adversary's.
 
     ``reset()`` rewinds the process and the buffer, so one adversary object
     is cheaply reusable across sweep repetitions.  The round index must not
@@ -754,14 +874,7 @@ class ScheduleAdversary(Adversary):
     cycling :class:`PrecomputedSchedule`).
     """
 
-    def __init__(
-        self,
-        schedule: DynamicsProcess | np.ndarray | Sequence[Topology],
-        *,
-        batch_rounds: int = 64,
-    ):
-        if batch_rounds < 1:
-            raise ValueError(f"batch_rounds must be >= 1, got {batch_rounds}")
+    def __init__(self, schedule: DynamicsProcess | np.ndarray | Sequence[Topology]):
         if isinstance(schedule, DynamicsProcess):
             process = schedule
         elif isinstance(schedule, np.ndarray):
@@ -769,22 +882,21 @@ class ScheduleAdversary(Adversary):
         else:
             process = PrecomputedSchedule.from_topologies(list(schedule))
         self.process = process
-        self._batch_rounds = int(batch_rounds)
-        self._batch: np.ndarray | None = None
+        self._batch: list[Topology] = []
         self._offset = 0
         self._served = 0
         self._last: Topology | None = None
 
     def reset(self) -> None:
         self.process.reset()
-        self._batch = None
+        self._batch = []
         self._offset = 0
         self._served = 0
         self._last = None
 
     def _next_topology(self) -> Topology:
-        if self._batch is None or self._offset == self._batch.shape[0]:
-            pull = self._batch_rounds
+        if self._offset == len(self._batch):
+            pull = SCHEDULE_BATCH_ROUNDS
             remaining = self.process.rounds_remaining()
             if remaining is not None:
                 # Clamp to what a finite schedule still holds, so a short
@@ -792,13 +904,11 @@ class ScheduleAdversary(Adversary):
                 # request past true exhaustion (pull stays >= 1) surfaces the
                 # process's own descriptive error.
                 pull = max(1, min(pull, remaining))
-            self._batch = self.process.next_batch(pull)
+            self._batch = self.process.topologies(pull)
             self._offset = 0
-        packed = self._batch[self._offset]
+        topology = self._batch[self._offset]
         self._offset += 1
-        return Topology.from_packed(
-            self.process.n, packed, pre_validated=self.process.guarantees_connected
-        )
+        return topology
 
     def choose_topology(self, round_index, n, states, messages=None) -> Topology:
         if n != self.process.n:

@@ -54,6 +54,7 @@ import numpy as np
 __all__ = [
     "Topology",
     "TopologyValidationCache",
+    "unpack_adjacency",
     "as_topology",
     "path_topology",
     "ring_topology",
@@ -77,6 +78,42 @@ def _iter_bits(mask: int) -> Iterator[int]:
         lsb = mask & -mask
         yield lsb.bit_length() - 1
         mask ^= lsb
+
+
+def unpack_adjacency(packed: np.ndarray, n: int) -> np.ndarray:
+    """Unpack ``(..., n, words)`` ``uint64`` adjacency rows into ``(..., n, n)`` bools.
+
+    The inverse of the packed layout (bit ``v`` of row ``u`` at word
+    ``v // 64``, LSB first).  The result is a bool view of the unpacked
+    bytes, so ``np.flatnonzero`` takes its bool fast path.
+    """
+    packed = np.ascontiguousarray(packed)
+    return np.unpackbits(
+        packed.view(np.uint8), axis=-1, count=n, bitorder="little"
+    ).view(bool)
+
+
+def _batch_csr(
+    edges: np.ndarray, rounds: int, n: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The CSR arrays of every round of a batch, from its set-bit positions.
+
+    ``edges`` are the ascending flat positions ``(r * n + u) * n + v`` of
+    the batch's adjacency bits.  Returns ``(indices, indptr, bounds)``:
+    round ``r``'s neighbour indices are ``indices[bounds[r]:bounds[r + 1]]``,
+    indexed by its row offsets ``indptr[r]`` (each row of ``indptr`` starts
+    at 0).  Both CSR arrays are read-only.
+    """
+    rows = edges // n  # global row id r * n + u
+    indices = edges - rows * n
+    indptr = np.zeros((rounds, n + 1), dtype=np.int64)
+    counts = np.bincount(rows, minlength=rounds * n).reshape(rounds, n)
+    np.cumsum(counts, axis=1, out=indptr[:, 1:])
+    bounds = np.zeros(rounds + 1, dtype=np.int64)
+    np.cumsum(indptr[:, -1], out=bounds[1:])
+    indices.flags.writeable = False
+    indptr.flags.writeable = False
+    return indices, indptr, bounds
 
 
 class Topology:
@@ -191,6 +228,36 @@ class Topology:
         return cls(n, packed=packed, pre_validated=pre_validated)
 
     @classmethod
+    def from_packed_batch(
+        cls,
+        n: int,
+        batch: np.ndarray,
+        *,
+        pre_validated: bool = False,
+        edges: np.ndarray | None = None,
+    ) -> list["Topology"]:
+        """One topology per round of a packed ``(rounds, n, words)`` batch.
+
+        The CSR arrays of every round are built together: one unpack, one
+        ``flatnonzero`` and one ``(rounds, n + 1)`` offset cumsum for the
+        whole batch.  Each round's topology gets its read-only slice
+        pre-filled, so :meth:`csr_adjacency` costs the engines nothing.
+        ``pre_validated`` has the meaning of :meth:`from_packed`, for every
+        round.  A caller that already holds the batch's set-bit positions —
+        ``np.flatnonzero(unpack_adjacency(batch, n))`` — passes them as
+        ``edges`` and skips the unpack.
+        """
+        if edges is None:
+            edges = np.flatnonzero(unpack_adjacency(batch, n))
+        indices, indptr, bounds = _batch_csr(edges, batch.shape[0], n)
+        topologies = []
+        for index in range(batch.shape[0]):
+            topology = cls(n, packed=batch[index], pre_validated=pre_validated)
+            topology._csr = (indices[bounds[index] : bounds[index + 1]], indptr[index])
+            topologies.append(topology)
+        return topologies
+
+    @classmethod
     def from_nx(cls, graph: nx.Graph) -> "Topology":
         """Convert a ``networkx`` graph on node set ``0..n-1``.
 
@@ -277,20 +344,14 @@ class Topology:
         are the neighbours of ``u`` in ascending order.  This is what lets
         the kernel engine deliver a whole round with one fancy-index gather
         and one ``np.bitwise_or.reduceat`` instead of per-node Python loops.
-        Cached per object, like :meth:`packed_adjacency`.
+        Cached per object, like :meth:`packed_adjacency`, and read-only:
+        topologies built by :meth:`from_packed_batch` share one batch-wide
+        ``indices`` array, so an in-place write would corrupt other rounds.
         """
         if self._csr is None:
-            packed = self.packed_adjacency()
-            bits = np.unpackbits(
-                packed.view(np.uint8).reshape(self.n, -1),
-                axis=1,
-                count=self.n,
-                bitorder="little",
-            ).view(bool)  # flatnonzero's bool fast path skips a != 0 temp
-            indices = np.flatnonzero(bits) % self.n
-            indptr = np.zeros(self.n + 1, dtype=np.int64)
-            np.cumsum(bits.sum(axis=1, dtype=np.int64), out=indptr[1:])
-            self._csr = (indices, indptr)
+            edges = np.flatnonzero(unpack_adjacency(self.packed_adjacency(), self.n))
+            indices, indptr, _ = _batch_csr(edges, 1, self.n)
+            self._csr = (indices, indptr[0])
         return self._csr
 
     def has_edge(self, u: int, v: int) -> bool:

@@ -30,6 +30,7 @@ from repro.network import (
     ring_topology,
     spanning_structure,
 )
+from repro.network.dynamics import SCHEDULE_BATCH_ROUNDS
 from repro.network.stability import is_t_interval_connected, max_interval_connectivity
 from repro.simulation import run_dissemination, standard_instance
 from tests.conftest import make_config
@@ -109,6 +110,7 @@ class TestRawProcesses:
     def test_batches_are_legal_and_resume(self, n):
         for process in _processes(n, seed=3):
             first = process.next_batch(4)
+            assert process.next_batch(0).shape == (0, n, process.words)
             second = process.next_batch(3)
             assert first.shape == (4, n, process.words)
             assert second.shape == (3, n, process.words)
@@ -229,11 +231,13 @@ class TestTransformers:
 
 class TestScheduleAdversary:
     def test_serves_process_rounds_in_order(self):
+        # Long enough to cross two batch boundaries.
+        rounds = 2 * SCHEDULE_BATCH_ROUNDS + 7
         process = ConnectivityPatcher(EdgeMarkovProcess(10, seed=1))
-        expected = process.topologies(7)
+        expected = process.topologies(rounds)
         process.reset()
-        adversary = ScheduleAdversary(process, batch_rounds=3)
-        served = [adversary.choose_topology(r, 10, []) for r in range(7)]
+        adversary = ScheduleAdversary(process)
+        served = [adversary.choose_topology(r, 10, []) for r in range(rounds)]
         assert [t.masks for t in served] == [t.masks for t in expected]
 
     def test_pre_validated_only_for_guaranteed_processes(self):
@@ -258,7 +262,7 @@ class TestScheduleAdversary:
         process = ConnectivityPatcher(EdgeMarkovProcess(6, seed=1))
         recorded = process.topologies(5)
         strict = PrecomputedSchedule.from_topologies(recorded, cycle=False)
-        adversary = ScheduleAdversary(strict, batch_rounds=64)
+        adversary = ScheduleAdversary(strict)
         served = [adversary.choose_topology(r, 6, []) for r in range(5)]
         assert [t.masks for t in served] == [t.masks for t in recorded]
         with pytest.raises(ValueError, match="exhausted"):

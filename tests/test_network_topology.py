@@ -241,3 +241,49 @@ class TestPackedSetAlgebra:
         expected = dict(topology.to_nx().degree())
         assert [expected[u] for u in range(n)] == degrees.tolist()
         assert [topology.degree_of(u) for u in range(n)] == degrees.tolist()
+
+
+class TestCsrAdjacency:
+    @staticmethod
+    def _batch(n: int, rounds: int, seed: int) -> np.ndarray:
+        return np.stack(
+            [
+                random_connected_topology(n, np.random.default_rng(seed + r), 0.2)
+                .packed_adjacency()
+                for r in range(rounds)
+            ]
+        )
+
+    @pytest.mark.parametrize("n", [1, 2, 24, 64, 65, 130])
+    def test_batch_builder_matches_per_round_neighbours(self, n):
+        batch = self._batch(n, 5, seed=n)
+        topologies = Topology.from_packed_batch(n, batch, pre_validated=True)
+        assert len(topologies) == 5
+        for packed, topology in zip(batch, topologies):
+            assert np.array_equal(topology.packed_adjacency(), packed)
+            assert topology._valid
+            indices, indptr = topology.csr_adjacency()
+            assert indptr.shape == (n + 1,) and indptr[0] == 0
+            assert indptr[-1] == indices.size
+            for u in range(n):
+                assert tuple(indices[indptr[u] : indptr[u + 1]]) == topology.neighbors_tuple(u)
+
+    def test_batch_topologies_are_private_copies(self):
+        batch = self._batch(10, 3, seed=0)
+        topologies = Topology.from_packed_batch(10, batch)
+        before = [t.masks for t in Topology.from_packed_batch(10, batch)]
+        batch[:] = 0
+        assert [t.masks for t in topologies] == before
+
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_cached_csr_arrays_are_read_only(self, batched):
+        if batched:
+            topology = Topology.from_packed_batch(12, self._batch(12, 3, seed=1))[1]
+        else:
+            topology = random_connected_topology(12, np.random.default_rng(1), 0.2)
+        indices, indptr = topology.csr_adjacency()
+        assert not indices.flags.writeable and not indptr.flags.writeable
+        with pytest.raises(ValueError):
+            indices[0] = 0
+        with pytest.raises(ValueError):
+            indptr[1] += 1

@@ -10,7 +10,10 @@ parameters rather than hand-picked cases:
   round, never drops below ``min_active`` live nodes, and keeps inactive
   nodes fully isolated;
 * :class:`EdgeMarkovProcess` hovers at its stationary edge density
-  ``p_birth / (p_birth + p_death)``.
+  ``p_birth / (p_birth + p_death)``;
+* the batched component labeller agrees with the scalar mask BFS
+  :func:`packed_components` on every round, and :class:`ConnectivityPatcher`
+  connects every round with exactly ``components - 1`` new edges.
 """
 
 from __future__ import annotations
@@ -21,10 +24,19 @@ from hypothesis import strategies as st
 
 from repro.network import (
     ChurnProcess,
+    ConnectivityPatcher,
     EdgeMarkovProcess,
+    PrecomputedSchedule,
     RandomWaypointProcess,
     TIntervalEnforcer,
 )
+from repro.network.dynamics import (
+    batch_component_labels,
+    pack_dense_adjacency,
+    packed_components,
+    packed_is_connected,
+)
+from repro.network.topology import unpack_adjacency
 from repro.network.stability import is_t_interval_connected
 
 
@@ -97,3 +109,68 @@ class TestEdgeMarkovStationarity:
         # ~47k correlated pair-round samples with mixing time 1/(pb+pd) <= 7
         # rounds: 0.1 absolute tolerance is many standard deviations out.
         assert abs(density - stationary) < 0.1
+
+
+@st.composite
+def _symmetric_batches(draw):
+    """A random symmetric packed batch, edgeless and complete rounds included."""
+    n = draw(st.sampled_from([1, 2, 63, 64, 65, 130]))
+    densities = draw(
+        st.lists(
+            st.one_of(
+                st.just(0.0),
+                st.just(1.0),
+                st.floats(min_value=0.0, max_value=3.0 / n),
+                st.floats(min_value=0.0, max_value=1.0),
+            ),
+            min_size=1,
+            max_size=5,
+        )
+    )
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**16)))
+    dense = rng.random((len(densities), n, n)) < np.asarray(densities)[:, None, None]
+    dense = np.triu(dense, 1)
+    return n, pack_dense_adjacency(dense | dense.transpose(0, 2, 1))
+
+
+class TestBatchLabellerOracle:
+    """The batched labeller and the patcher against the scalar mask BFS."""
+
+    @given(case=_symmetric_batches())
+    @settings(max_examples=60, deadline=None)
+    def test_labels_match_scalar_components(self, case):
+        n, batch = case
+        edges = np.flatnonzero(unpack_adjacency(batch, n))
+        labels = batch_component_labels(edges, batch.shape[0], n)
+        assert labels.shape == (batch.shape[0], n)
+        for packed, round_labels in zip(batch, labels):
+            expected = np.empty(n, dtype=np.int64)
+            for component in packed_components(packed, n):
+                lowest = (component & -component).bit_length() - 1
+                members = [u for u in range(n) if (component >> u) & 1]
+                expected[members] = lowest
+            assert round_labels.tolist() == expected.tolist()
+
+    @given(case=_symmetric_batches())
+    @settings(max_examples=60, deadline=None)
+    def test_patcher_adds_exactly_the_repair_path(self, case):
+        n, batch = case
+        process = ConnectivityPatcher(PrecomputedSchedule(batch))
+        patched = process.next_batch(batch.shape[0])
+        process.reset()
+        # The topologies path reuses the patcher's set-bit positions for the
+        # CSR arrays; they must agree with the patched rows.
+        for topology, fixed in zip(process.topologies(batch.shape[0]), patched):
+            assert np.array_equal(topology.packed_adjacency(), fixed)
+            indices, indptr = topology.csr_adjacency()
+            for u in range(n):
+                assert tuple(indices[indptr[u] : indptr[u + 1]]) == topology.neighbors_tuple(u)
+        for raw, fixed in zip(batch, patched):
+            components = packed_components(raw, n)
+            assert packed_is_connected(fixed, n)
+            assert np.array_equal(fixed & raw, raw)
+            added = int(np.bitwise_count(fixed).sum() - np.bitwise_count(raw).sum())
+            assert added == 2 * (len(components) - 1)
+            representatives = [(c & -c).bit_length() - 1 for c in components]
+            for a, b in zip(representatives, representatives[1:]):
+                assert (int(fixed[a, b >> 6]) >> (b & 63)) & 1
