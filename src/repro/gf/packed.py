@@ -10,10 +10,10 @@ network-coded round become a handful of numpy passes:
 1. **compose** — one random (or pre-committed) pick matrix combined against
    all bases at once (:meth:`GF2BasisBatch.compose_random` /
    :meth:`GF2BasisBatch.combine_sorted`);
-2. **insert** — word-parallel XOR elimination of one incoming vector per
-   node, executed in lockstep across the network
-   (:meth:`GF2BasisBatch.insert_batch`), with vectorised innovative-flag
-   extraction;
+2. **insert** — a round's whole inbox in one call
+   (:meth:`GF2BasisBatch.insert_batch`): word-parallel XOR elimination over
+   a local block of the receiving bases, one lockstep step per inbox depth
+   for every node still holding a vector at that depth;
 3. **decode readiness** — incremental coefficient-rank counters via stacked
    projection bases (:meth:`GF2BasisBatch.coefficient_ranks`), plus a final
    vectorised Gauss-Jordan :meth:`GF2BasisBatch.decode_payload_masks_batch`
@@ -94,6 +94,22 @@ def _lowest_bits(vectors: np.ndarray) -> np.ndarray:
     return np.where(any_nonzero, low, -1)
 
 
+def _sorted_positions(leads: np.ndarray, ranks: np.ndarray, words: int) -> np.ndarray:
+    """Row index -> descending-leading-bit position, per basis (0 if unused).
+
+    A row's position is the number of its basis' pivots above its lead: the
+    rank minus a cumsum over a pivot bitmap.
+    """
+    m, width = leads.shape
+    held = np.arange(width)[None, :] < ranks[:, None]
+    bits = words * 64
+    flat = leads + (np.arange(m) * bits)[:, None]
+    pivots = np.zeros(m * bits, dtype=np.int64)
+    pivots[flat[held]] = 1
+    at_or_below = np.cumsum(pivots.reshape(m, bits), axis=1).ravel()
+    return np.where(held, ranks[:, None] - at_or_below.take(flat), 0)
+
+
 def masks_to_packed(masks: Sequence[int], words: int) -> np.ndarray:
     """Pack Python integer bit masks into an ``(m, words)`` uint64 array."""
     if not masks:
@@ -141,12 +157,13 @@ class GF2BasisBatch:
       select-and-XOR passes reduce over the contiguous trailing axis);
       column ``j`` of basis ``u`` is the ``j``-th *inserted*
       (post-reduction) basis row, bit-identical to the ``j``-th value added
-      to ``GF2Basis._rows``.
+      to ``GF2Basis._rows``.  Columns at or above the rank are zero.
     * ``ranks`` — per-basis rank.
-    * pivot table — per basis, leading-bit -> row index (or -1).
+    * leads — per basis, row index -> the row's leading (pivot) bit.
     * sorted order — per basis, row index -> descending-leading-bit position,
-      maintained incrementally so composing against ``basis_masks()`` order
-      (what the per-node code does) is a gather, not a sort.
+      recomputed for the touched bases after each insert call so composing
+      against ``basis_masks()`` order (what the per-node code does) is a
+      gather, not a sort.
     """
 
     def __init__(self, n: int, length: int, *, span_cap: int | None = None):
@@ -163,10 +180,10 @@ class GF2BasisBatch:
         # axis is what lets numpy SIMD-vectorise the select-and-XOR passes.
         self.rows = np.zeros((n, self.words, self._capacity), dtype=np.uint64)
         self._rank = np.zeros(n, dtype=np.int64)
-        self._pivot_row = np.full((n, max(1, length)), -1, dtype=np.int64)
-        #: Leading bit of each stored row (-1 for unused slots): the pivot
-        #: positions the reduction pass tests the incoming vectors against.
-        self._lead = np.full((n, self._capacity), -1, dtype=np.int64)
+        #: Leading bit of each stored row: the pivot positions the reduction
+        #: step tests incoming vectors against.  Unused slots hold 0; their
+        #: row columns are zero, so testing them selects nothing.
+        self._lead = np.zeros((n, self._capacity), dtype=np.int64)
         #: row index -> position in descending-leading-bit order (valid for
         #: row indices < rank; other entries are garbage and masked on use).
         self._pos = np.zeros((n, self._capacity), dtype=np.int64)
@@ -194,7 +211,7 @@ class GF2BasisBatch:
             [self.rows, np.zeros((self.n, self.words, extra), dtype=np.uint64)], axis=2
         )
         self._lead = np.concatenate(
-            [self._lead, np.full((self.n, extra), -1, dtype=np.int64)], axis=1
+            [self._lead, np.zeros((self.n, extra), dtype=np.int64)], axis=1
         )
         self._pos = np.concatenate(
             [self._pos, np.zeros((self.n, extra), dtype=np.int64)], axis=1
@@ -216,153 +233,128 @@ class GF2BasisBatch:
     # insertion
     # ------------------------------------------------------------------
     def insert_batch(self, node_ids: np.ndarray, vectors: np.ndarray) -> np.ndarray:
-        """Insert one vector per listed basis, in lockstep; return innovative flags.
+        """Insert vectors into the listed bases in order; return innovative flags.
 
-        ``vectors`` is ``(len(node_ids), words)`` uint64.  Exactly replicates
-        ``GF2Basis.insert`` per (node, vector) pair: the mutually-reduced
-        invariant makes this two vectorised passes —
+        ``vectors`` is ``(len(node_ids), words)`` uint64.  ``node_ids`` may
+        repeat: a basis' entries insert in listed order, each exactly as
+        ``GF2Basis.insert`` would (how a round's whole inbox is delivered in
+        one call).
 
-        1. *reduce*: the pivot rows to XOR into each vector are selected by
-           the vector's bits at its basis' pivot positions (rows carry no
-           foreign pivot bits, so no reduction chain exists), and
-        2. *back-eliminate*: each surviving vector's new leading bit is
-           cleared from the rows that carry it
-
-        — with no data-dependent inner loop.
-
-        ``node_ids`` *may* repeat: repeated entries insert into the same
-        basis in listed order (how a round's whole inbox is delivered in one
-        call).  Full reduction yields the canonical residual — it depends
-        only on the span and pivot set, not on the row representatives — so
-        one shared pass 1 against the pre-call basis is exact, and a later
-        duplicate only needs fixing up against the rows its own basis gained
-        *within* this call (a short wave loop over collision depth).
+        Every receiving basis is gathered once into a local
+        ``(U, words, width)`` block, ordered by descending inbox size so the
+        bases still holding a ``d``-th vector form a prefix ``[:K_d]``.  The
+        loop then runs once per inbox depth ``d``: the prefix's ``d``-th
+        vectors take one elimination step each (:meth:`_eliminate_step`),
+        all bases at once.  Afterwards the block is written back with one
+        scatter and the sorted-order table is recomputed.  That is the
+        scalar insert order vectorised across bases at equal depth, so each
+        basis ends as the unique mutually-reduced basis of its span, rows in
+        insertion order.
         """
         node_ids = np.asarray(node_ids, dtype=np.int64)
-        m = node_ids.size
-        innovative = np.zeros(m, dtype=bool)
-        if m == 0:
-            return innovative
+        innovative = np.zeros(node_ids.size, dtype=bool)
         # Saturation short-circuit: a full-rank basis cannot grow, so the
         # incoming vector necessarily reduces to zero.
         open_sel = np.flatnonzero(self._rank[node_ids] < self.span_cap)
         if open_sel.size == 0:
             return innovative
-        nodes = node_ids[open_sel]
-        v = vectors[open_sel].astype(np.uint64, copy=True)
-        width = int(self._rank[nodes].max())
-        if width:
-            # Pass 1 — reduce: select each basis' rows whose pivot bit is set
-            # in the incoming vector, XOR them all in at once.  When the
-            # batch covers the whole network in uid order (a common delivery
-            # shape), row access is a view, not a large gather.
-            whole = nodes.size == self.n and bool((nodes == np.arange(self.n)).all())
-            leads = self._lead[:, :width] if whole else self._lead[nodes, :width]
-            rows = self.rows[:, :, :width] if whole else self.rows[nodes][:, :, :width]
-            valid = leads >= 0
-            safe = np.where(valid, leads, 0)
-            a = np.arange(nodes.size)
-            bits = (
-                v[a[:, None], safe >> 6] >> (safe & 63).astype(np.uint64)
-            ) & np.uint64(1)
-            picked = (bits.astype(bool) & valid).astype(np.uint64)
-            if picked.any():
-                # Multiply-then-reduce over the contiguous row axis: the
-                # branch-free form numpy vectorises best.
-                v ^= np.bitwise_xor.reduce(rows * picked[:, None, :], axis=2)
-        lead = _leading_bits(v)
-        pending = np.flatnonzero(lead >= 0)
-        start_rank = self._rank[nodes].copy()
-        while pending.size:
-            # First listed occurrence per basis appends this wave; later
-            # duplicates are reduced against every row their basis gained in
-            # this call (those rows are mutually reduced with the whole
-            # basis, so one pass restores the canonical residual) and
-            # re-enter the next wave.  Wave count = max per-basis number of
-            # innovative vectors, not inbox depth.
-            _, first = np.unique(nodes[pending], return_index=True)
-            if first.size == pending.size:
-                ready = pending
-                rest = pending[:0]
-            else:
-                mask = np.zeros(pending.size, dtype=bool)
-                mask[first] = True
-                ready, rest = pending[mask], pending[~mask]
-            # Defensive cap clamp (mirrors the scalar short-circuit; a true
-            # span_cap makes residuals vanish before this can trigger).
-            fits = self._rank[nodes[ready]] < self.span_cap
-            ready = ready[fits]
-            if ready.size:
-                self._append_rows(nodes[ready], v[ready], lead[ready])
-                innovative[open_sel[ready]] = True
-            if rest.size == 0:
-                break
-            rest_nodes = nodes[rest]
-            low = start_rank[rest]
-            high = self._rank[rest_nodes]
-            added_width = int((high - low).max())
-            if added_width:
-                slots = low[:, None] + np.arange(added_width)[None, :]
-                in_window = slots < high[:, None]
-                safe_slots = np.where(in_window, slots, 0)
-                added_leads = self._lead[rest_nodes[:, None], safe_slots]
-                safe_leads = np.where(in_window, added_leads, 0)
-                hit = (
-                    v[rest[:, None], safe_leads >> 6]
-                    >> (safe_leads & 63).astype(np.uint64)
-                ) & np.uint64(1)
-                picked = (hit.astype(bool) & in_window).astype(np.uint64)
-                if picked.any():
-                    window = self.rows[
-                        rest_nodes[:, None, None],
-                        np.arange(self.words)[None, :, None],
-                        safe_slots[:, None, :],
-                    ]
-                    v[rest] ^= np.bitwise_xor.reduce(
-                        window * picked[:, None, :], axis=2
-                    )
-            lead[rest] = _leading_bits(v[rest])
-            pending = rest[lead[rest] >= 0]
+        nodes, slot, counts = np.unique(
+            node_ids[open_sel], return_inverse=True, return_counts=True
+        )
+        # Each pair's depth is its occurrence index within its basis' inbox.
+        grouped = np.argsort(slot, kind="stable")
+        depth = np.empty_like(slot)
+        starts = np.repeat(np.cumsum(counts) - counts, counts)
+        depth[grouped] = np.arange(slot.size) - starts
+        # Pairs depth-major, and within a depth bases by descending inbox
+        # size: the bases holding a d-th vector are the block prefix [:K_d].
+        pair = open_sel[np.lexsort((slot, -counts[slot], depth))]
+        v_all = np.ascontiguousarray(vectors[pair], dtype=np.uint64)
+        bounds = np.concatenate(([0], np.cumsum(np.bincount(depth)))).tolist()
+        by_size = np.argsort(-counts, kind="stable")
+        nodes, counts = nodes[by_size], counts[by_size]
+        rank = self._rank[nodes]
+        start_width = int(rank.max())
+        width = min(int((rank + counts).max()), self.span_cap)
+        block = np.zeros((nodes.size, self.words, width), dtype=np.uint64)
+        leads = np.zeros((nodes.size, width), dtype=np.int64)
+        block[:, :, :start_width] = self.rows[nodes, :, :start_width]
+        leads[:, :start_width] = self._lead[nodes, :start_width]
+        appended = []
+        for d in range(len(bounds) - 1):
+            start, stop = bounds[d], bounds[d + 1]
+            size = stop - start
+            # Each depth adds at most one row per basis, so rows sit below
+            # start_width + d.
+            grown = self._eliminate_step(
+                block[:size], leads[:size], rank[:size], v_all[start:stop],
+                min(width, start_width + d),
+            )
+            # repro: allow[REP401] one step per inbox depth (<= max in-degree), batched over bases
+            appended.append(start + np.flatnonzero(grown))
+        added = np.concatenate(appended)
+        if added.size == 0:
+            return innovative
+        innovative[pair[added]] = True
+        if int(rank.max()) > self._capacity:
+            self._grow(int(rank.max()))
+        width = min(width, self._capacity)
+        self.rows[nodes, :, :width] = block[:, :, :width]
+        self._lead[nodes, :width] = leads[:, :width]
+        self._rank[nodes] = rank
+        self._pos[nodes, :width] = _sorted_positions(leads[:, :width], rank, self.words)
+        # Projections take each new row as inserted (before later
+        # back-elimination), per basis in insertion order.
+        for k, projection in self._projections.items():
+            projection.insert_batch(
+                node_ids[pair[added]], self._truncated(v_all[added], k)
+            )
         return innovative
 
-    def _append_rows(self, nodes: np.ndarray, v: np.ndarray, lead: np.ndarray) -> None:
-        """Store fully-reduced rows as new basis rows (one per listed node)."""
-        r = self._rank[nodes]
-        width = int(r.max())
-        slots = np.arange(width)[None, :] if width else None
-        if width:
-            # Pass 2 — back-eliminate: clear each new pivot bit from the rows
-            # that carry it, preserving the mutually-reduced invariant.  Only
-            # the word holding the pivot bit is gathered.
-            carrier_word = self.rows[nodes[:, None], (lead >> 6)[:, None], slots]
-            carrier = (carrier_word >> (lead & 63).astype(np.uint64)[:, None]) & np.uint64(1)
-            hits = carrier.astype(bool) & (slots < r[:, None])
-            hit_rows, hit_cols = np.nonzero(hits)
-            if hit_rows.size:
-                self.rows[nodes[hit_rows], :, hit_cols] ^= v[hit_rows]
-        if width + 1 > self._capacity:
-            self._grow(width + 1)
-        self.rows[nodes, :, r] = v
-        self._pivot_row[nodes, lead] = r
-        # Sorted-order maintenance: the new row's descending-lead position is
-        # the number of existing leads above it; rows at or below that
-        # position shift down by one.
-        if width:
-            position = (
-                (self._lead[nodes, :width] > lead[:, None]) & (slots < r[:, None])
-            ).sum(axis=1)
-        else:
-            position = np.zeros(nodes.size, dtype=np.int64)
-        self._lead[nodes, r] = lead
-        if width:
-            # Only row indices < rank hold meaningful positions; the shift
-            # never needs to touch slots beyond the current maximum rank.
-            pos_rows = self._pos[nodes, :width]
-            self._pos[nodes, :width] = pos_rows + (pos_rows >= position[:, None])
-        self._pos[nodes, r] = position
-        self._rank[nodes] = r + 1
-        for k, projection in self._projections.items():
-            projection.insert_batch(nodes, self._truncated(v, k))
+    def _eliminate_step(
+        self,
+        block: np.ndarray,
+        leads: np.ndarray,
+        rank: np.ndarray,
+        v: np.ndarray,
+        width: int,
+    ) -> np.ndarray:
+        """One ``GF2Basis.insert`` per basis of a block, all bases at once.
+
+        ``block`` / ``leads`` / ``rank`` hold ``K`` bases' rows, row leading
+        bits and ranks (rows in columns below ``width``), ``v`` one incoming
+        vector per basis.  All are updated in place: ``v`` is fully reduced,
+        an innovative one is back-eliminated from its basis and appended as
+        a new row.  Returns which bases grew.
+        """
+        rows = block[:, :, :width]
+        # Reduce: the rows to XOR in are selected by the vector's bits at the
+        # basis' pivot positions (mutually-reduced rows carry no foreign
+        # pivot bit, so there is no reduction chain).  Unused columns hold
+        # zero rows, so their lead entries select nothing.
+        bits = np.unpackbits(v.view(np.uint8), axis=1, bitorder="little")
+        # A flat take: cheaper than take_along_axis's two-array index.
+        row_start = np.arange(v.shape[0])[:, None] * bits.shape[1]
+        picked = bits.ravel().take(leads[:, :width] + row_start)
+        v ^= np.bitwise_xor.reduce(rows * picked[:, None, :], axis=2)
+        lead = _leading_bits(v)
+        grown = (lead >= 0) & (rank < self.span_cap)
+        if not grown.any():
+            return grown
+        # Back-eliminate: clear each new pivot bit from the rows of its basis
+        # that carry it, one masked XOR over the whole slice.
+        safe = np.maximum(lead, 0)
+        carrier_word = rows[np.arange(lead.size), safe >> 6]
+        shift = (safe & 63).astype(np.uint64)
+        # ``& grown`` isolates the pivot bit for grown bases, 0 elsewhere.
+        carrier = (carrier_word >> shift[:, None]) & grown[:, None]
+        rows ^= v[:, :, None] * carrier[:, None, :]
+        g = np.flatnonzero(grown)
+        r = rank[g]
+        block[g, :, r] = v[g]
+        leads[g, r] = lead[g]
+        rank[g] = r + 1
+        return grown
 
     def lift_masks(self, per_node_masks: Sequence[Sequence[int]]) -> None:
         """Replay per-node mask sequences (e.g. existing ``GF2Basis`` rows).
@@ -372,17 +364,11 @@ class GF2BasisBatch:
         """
         if len(per_node_masks) != self.n:
             raise ValueError(f"need {self.n} mask sequences, got {len(per_node_masks)}")
-        depth = max((len(masks) for masks in per_node_masks), default=0)
-        for j in range(depth):
-            # repro: allow[REP401] loop is over basis depth (<= rank), each pass batches all n nodes
-            nodes = np.array(
-                [u for u, masks in enumerate(per_node_masks) if len(masks) > j],
-                dtype=np.int64,
-            )
-            vectors = masks_to_packed(
-                [per_node_masks[u][j] for u in nodes.tolist()], self.words
-            )
-            self.insert_batch(nodes, vectors)
+        nodes = np.repeat(np.arange(self.n), [len(masks) for masks in per_node_masks])
+        vectors = masks_to_packed(
+            [mask for masks in per_node_masks for mask in masks], self.words
+        )
+        self.insert_batch(nodes, vectors)
 
     # ------------------------------------------------------------------
     # composition
@@ -531,12 +517,11 @@ class GF2BasisBatch:
         projection = self._projections.get(k)
         if projection is None:
             projection = GF2BasisBatch(self.n, k)
-            for j in range(int(self._rank.max()) if self.n else 0):
-                # repro: allow[REP401] replay is per depth level; every insert batches all live nodes
-                nodes = np.flatnonzero(self._rank > j)
-                projection.insert_batch(
-                    nodes, self._truncated(self.rows[nodes, :, j], k)
-                )
+            held = np.arange(self._capacity)[None, :] < self._rank[:, None]
+            projection.insert_batch(
+                np.repeat(np.arange(self.n), self._rank),
+                self._truncated(self.rows.transpose(0, 2, 1)[held], k),
+            )
             self._projections[k] = projection
         return projection._rank
 

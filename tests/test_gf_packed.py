@@ -52,7 +52,7 @@ def insert_sequences(draw):
                     st.integers(min_value=0, max_value=(1 << length) - 1),
                 ),
                 min_size=1,
-                max_size=3 * n,  # duplicates exercise the fused wave loop
+                max_size=3 * n,  # duplicates exercise the depth-major loop
             ),
             min_size=1,
             max_size=12,
@@ -143,33 +143,106 @@ class TestBatchedEliminationEquivalence:
         assert (batch.ranks <= cap).all()
         assert (batch.ranks == reference.ranks).all()
 
+    def test_deep_inbox_grows_capacity_within_one_call(self, rng):
+        # One basis receives 40 rows in a single call, past the initial
+        # capacity of 16, interleaved with shallower inboxes; a cached
+        # projection is fed the same rows.
+        n, length = 3, 120
+
+        def draw():
+            return int.from_bytes(rng.bytes(15), "little")
+
+        first = [(uid, draw()) for uid in (0, 1, 2, 0)]
+        deep = [(0, draw()) for _ in range(40)]
+        deep += [(1, draw()) for _ in range(5)] + [(2, draw()) for _ in range(20)]
+        deep = [deep[i] for i in rng.permutation(len(deep))]
+        batch, scalars = _apply_sequence(n, length, [first])
+        batch.coefficient_ranks(70)
+        for uid, mask in deep:
+            scalars[uid].insert(mask)
+        nodes = np.array([uid for uid, _ in deep], dtype=np.int64)
+        batch.insert_batch(nodes, masks_to_packed([m for _, m in deep], batch.words))
+        assert int(batch.ranks[0]) > 16
+        ranks = batch.coefficient_ranks(70)
+        for uid in range(n):
+            assert int(batch.ranks[uid]) == scalars[uid].rank
+            assert batch.row_masks(uid) == list(scalars[uid]._rows.values())
+            assert batch.basis_masks(uid) == scalars[uid].basis_masks()
+            assert int(ranks[uid]) == scalars[uid].coefficient_rank(70)
+
+    def test_span_cap_reached_midway_through_one_inbox(self, rng):
+        # Basis 0 starts at rank <= 2 and then receives all 6 sources and
+        # 4 more combinations in one call: it hits the cap inside its inbox,
+        # and everything after that point must read as non-innovative.
+        length, cap = 40, 6
+        sources = [int(rng.integers(1, 1 << length)) for _ in range(cap)]
+
+        def combo():
+            mask = 0
+            for source in sources:
+                if rng.random() < 0.5:
+                    mask ^= source
+            return mask
+
+        calls = [
+            [(0, combo()), (1, combo()), (0, combo())],
+            [(0, s) for s in sources]
+            + [(0, combo()) for _ in range(4)]
+            + [(1, combo()) for _ in range(3)],
+            [(0, combo()), (1, combo())],
+        ]
+        capped = GF2BasisBatch(2, length, span_cap=cap)
+        reference = GF2BasisBatch(2, length)
+        scalars = [GF2Basis(length) for _ in range(2)]
+        for call in calls:
+            nodes = np.array([uid for uid, _ in call], dtype=np.int64)
+            vectors = masks_to_packed([mask for _, mask in call], capped.words)
+            flags = capped.insert_batch(nodes, vectors).tolist()
+            assert flags == reference.insert_batch(nodes, vectors).tolist()
+            assert flags == [scalars[uid].insert(mask) for uid, mask in call]
+        assert int(capped.ranks[0]) == cap
+        for uid in range(2):
+            assert int(capped.ranks[uid]) == scalars[uid].rank
+            assert capped.row_masks(uid) == list(scalars[uid]._rows.values())
+            assert capped.basis_masks(uid) == scalars[uid].basis_masks()
+
+
+def _assert_stream_parity(rng, max_count, replace):
+    """Interleave inserts and composes on a batch and scalar ``Subspace`` twins."""
+    n, length = 6, 33
+    batch = GF2BasisBatch(n, length)
+    subspaces = [Subspace(get_field(2), length) for _ in range(n)]
+    rngs_batch = list(np.random.default_rng(7).spawn(n))
+    rngs_scalar = list(np.random.default_rng(7).spawn(n))
+    for _ in range(25):
+        count = int(rng.integers(1, max_count + 1))
+        nodes = rng.choice(n, size=count, replace=replace)
+        masks = [int(rng.integers(0, 1 << length)) for _ in range(count)]
+        batch.insert_batch(nodes, masks_to_packed(masks, batch.words))
+        for uid, mask in zip(nodes.tolist(), masks):
+            subspaces[uid].insert(mask)
+        active, picks = batch.draw_random_picks(rngs_batch)
+        combined = packed_to_masks(batch.combine_sorted(picks))
+        for uid in range(n):
+            expected = subspaces[uid].random_combination_mask(rngs_scalar[uid])
+            if expected is None:
+                assert not active[uid]
+            else:
+                assert active[uid]
+                assert combined[uid] == expected
+
 
 class TestComposeParity:
     def test_random_combination_stream_parity(self, rng):
         # Same spawned generators, same insert sequences -> the batch and the
         # scalar Subspace emit identical combination masks (shared buffered
         # pick protocol), interleaved with further inserts.
-        n, length = 6, 33
-        batch = GF2BasisBatch(n, length)
-        subspaces = [Subspace(get_field(2), length) for _ in range(n)]
-        rngs_batch = list(np.random.default_rng(7).spawn(n))
-        rngs_scalar = list(np.random.default_rng(7).spawn(n))
-        for _ in range(25):
-            count = int(rng.integers(1, n + 1))
-            nodes = rng.choice(n, size=count, replace=False)
-            masks = [int(rng.integers(0, 1 << length)) for _ in range(count)]
-            batch.insert_batch(nodes, masks_to_packed(masks, batch.words))
-            for uid, mask in zip(nodes.tolist(), masks):
-                subspaces[uid].insert(mask)
-            active, picks = batch.draw_random_picks(rngs_batch)
-            combined = packed_to_masks(batch.combine_sorted(picks))
-            for uid in range(n):
-                expected = subspaces[uid].random_combination_mask(rngs_scalar[uid])
-                if expected is None:
-                    assert not active[uid]
-                else:
-                    assert active[uid]
-                    assert combined[uid] == expected
+        _assert_stream_parity(rng, max_count=6, replace=False)
+
+    def test_stream_parity_with_repeated_receivers(self, rng):
+        # Several rows per basis in one call: the sorted-order table after a
+        # multi-row insert must still map picks onto the scalar order.
+        _assert_stream_parity(rng, max_count=18, replace=True)
 
     def test_combine_sorted_subset_matches_full(self, rng):
         n, length = 8, 45
