@@ -4,7 +4,10 @@ Every catalog scenario runs with :class:`TokenForwardingNode` and
 :class:`IndexedBroadcastNode` on both the kernel and the mask engine, and
 the protocols that only run on per-node objects (priority forward,
 T-stable patches, the counting reduction's attempts and centralized
-coding) run on the mask engine over a few scenarios.  Each run must
+coding) run on the mask engine over a few scenarios.  The omniscient
+cases pin the Section 6 round order -- state snapshot, compose, then the
+adversary reads the composed messages -- with a content-sensitive
+:class:`OmniscientBottleneckAdversary` under a few fault models.  Each run must
 reproduce the full ``RunMetrics.to_dict()``, the correctness verdict and
 the trace ``content_digest()`` recorded in ``pinned_runs.json``.
 
@@ -29,10 +32,11 @@ from repro.algorithms import (
     make_tstable_factory,
 )
 from repro.algorithms.base import ProtocolConfig
+from repro.network import OmniscientBottleneckAdversary
 from repro.obs import TraceRecorder
 from repro.scenarios import fault_model_for, list_scenarios, make_scenario
 from repro.simulation import run_dissemination, standard_instance
-from repro.tokens import MessageBudget
+from repro.tokens import CodedMessage, MessageBudget
 from tests.conftest import make_config
 
 FIXTURE = Path(__file__).with_name("pinned_runs.json")
@@ -47,6 +51,31 @@ OBJECT_SCENARIOS = ("edge_markov_stable4", "lossy_edge_markov", "crash_churn_mar
 #: The counting reduction's guesses for ``n_true = N``: too small, too
 #: small, too small, then the first power of two that fits.
 COUNTING_GUESSES = (2, 4, 8, 16)
+#: Fault models (named by the catalog entry that carries them) the
+#: omniscient adversary runs under; ``benign`` is no fault model at all.
+OMNISCIENT_FAULTS = ("benign", "lossy_edge_markov", "byzantine_replay_t4")
+OMNISCIENT_MASK_ONLY = {"PriorityForwardNode": PriorityForwardNode}
+
+
+def _useful_crossing(sender: int, receiver: int, message) -> bool:
+    """A content-sensitive usefulness oracle for the omniscient adversary.
+
+    A forwarded batch counts as useful when it carries a token whose
+    origin shares the receiver's parity; a coded message when its
+    coefficient mask has the receiver's bit (mod the coefficient count);
+    any other message when its size and the receiver differ mod 3.  The
+    verdict depends on exactly what each node composed, so any change
+    to what the adversary is shown moves the pins.
+    """
+    if message is None:
+        return False
+    tokens = getattr(message, "tokens", None)
+    if tokens is not None:
+        return any(token.token_id.origin % 2 == receiver % 2 for token in tokens)
+    if isinstance(message, CodedMessage):
+        width = max(1, message.num_coefficients)
+        return bool((message.coefficient_mask() >> (receiver % width)) & 1)
+    return message.size_bits % 3 != receiver % 3
 
 
 def _counting_config(guess: int) -> ProtocolConfig:
@@ -82,6 +111,17 @@ def _cases() -> list[tuple[str, str]]:
         for scenario in OBJECT_SCENARIOS
         for name in _object_cases()
     ]
+    cases += [
+        (f"omniscient/{faults}/{name}", engine)
+        for faults in OMNISCIENT_FAULTS
+        for name in CATALOG_FACTORIES
+        for engine in ("kernel", "mask")
+    ]
+    cases += [
+        (f"omniscient/{faults}/{name}", "mask")
+        for faults in OMNISCIENT_FAULTS
+        for name in OMNISCIENT_MASK_ONLY
+    ]
     return cases
 
 
@@ -89,19 +129,28 @@ def _run(key: str, engine: str) -> dict:
     family, scenario, name = key.split("/")
     if family == "catalog":
         factory, config = CATALOG_FACTORIES[name], make_config(N, K)
+    elif family == "omniscient":
+        factory = CATALOG_FACTORIES.get(name) or OMNISCIENT_MASK_ONLY[name]
+        config = make_config(N, K)
     else:
         build, config = _object_cases()[name]
         factory = build()
+    if family == "omniscient":
+        adversary = OmniscientBottleneckAdversary(usefulness_fn=_useful_crossing)
+        faults = None if scenario == "benign" else fault_model_for(scenario, N, seed=SEED)
+    else:
+        adversary = make_scenario(scenario, N, seed=SEED)
+        faults = fault_model_for(scenario, N, seed=SEED)
     trace = TraceRecorder()
     result = run_dissemination(
         factory,
         config,
         standard_instance(N, K, config.token_bits, seed=SEED),
-        make_scenario(scenario, N, seed=SEED),
+        adversary,
         seed=SEED,
         engine=engine,
         max_rounds=MAX_ROUNDS,
-        faults=fault_model_for(scenario, N, seed=SEED),
+        faults=faults,
         trace=trace,
     )
     assert result.engine == engine
