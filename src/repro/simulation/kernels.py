@@ -1,62 +1,55 @@
-"""Vectorised kernel engine: whole-network rounds as packed numpy array ops.
+"""The round kernels and the one round loop that drives them.
 
-The mask engine (PR 2) removed the per-round graph and snapshot overhead but
-still executes O(n) Python-object calls per round: one ``compose`` and one
-``deliver`` per node, per-bit neighbour iteration during delivery, one
-``_learn_token`` per received token.  For protocols whose per-node state is
-small and regular, that Python dispatch *is* the remaining cost.
+A :class:`RoundKernel` holds the whole network's protocol state and exposes
+the per-round hooks :func:`run_rounds` calls: ``compose_all`` (every node's
+broadcast at once, as ``active``/``sizes`` arrays), ``deliver_all`` (the
+round's inboxes over CSR adjacency, returning per-node change flags) and the
+read-outs the adversary, the fault plan, the trace and the stop rule need.
+:func:`run_rounds` owns everything else exactly once: topology choice and
+validation, the Section 6 omniscient order, fault binding and accounting,
+the budget check, delivery and useless-delivery counting, progress, the
+trace and the (survivor) stop rule.
 
-This module adds a third execution engine in which a protocol ships a
-:class:`RoundKernel`: whole-network state lives in packed numpy arrays — an
-``(n, ceil(k/64))`` ``uint64`` knowledge matrix, send/size/delivered arrays
-— and one round is
+Two kernel families run through that loop:
 
-1. ``compose_all`` — every node's broadcast selected at once,
-2. masked adjacency propagation — one fancy-index gather over the
-   topology's CSR neighbour arrays plus one ``np.bitwise_or.reduceat``,
-3. ``deliver_all`` — the whole network's knowledge updated in a handful of
-   array operations,
+* the **packed kernels** here and in
+  :mod:`repro.simulation.coded_kernels` (the ``"kernel"`` engine) keep the
+  state in numpy arrays — an ``(n, ceil(k/64))`` ``uint64`` knowledge
+  matrix, or one batched GF(2) elimination core
+  (:class:`~repro.gf.packed.GF2BasisBatch`) for the coded protocols — and
+  build no per-node Python objects on the hot path:
 
-with no per-node Python objects on the hot path.  The engine drives
-adversaries (through lazy :class:`~repro.network.adversary.NodeStateView`
-sequences), budget accounting, metrics, and incremental completion exactly
-as the mask engine does: kernel and mask runs report byte-identical
-:class:`~repro.simulation.metrics.RunMetrics` for identical seeds (the node
-rng streams come from the same ``rng.spawn`` order, and every random draw
-is performed against the same per-node generator in the same order).
+  - :class:`TokenForwardingKernel` / :class:`PipelinedTokenForwardingKernel`
+    — token selection, delivery and phase commits are packed-array ops;
+  - :class:`RandomForwardKernel` — per-node ``rng.choice`` draws are kept
+    (bit-exact stream compatibility), state is integer bit masks;
+  - :class:`IndexedBroadcastKernel` / :class:`NaiveCodedKernel` /
+    :class:`GreedyForwardKernel` — the network-coded protocols;
 
-Kernels ship for the forwarding family here and for the coding family in
-:mod:`repro.simulation.coded_kernels`:
+* the **object kernel** (:class:`~repro.simulation.runner.ObjectKernel`,
+  the ``"mask"`` engine) wraps the per-node protocol objects and runs every
+  protocol.
 
-* :class:`TokenForwardingKernel` / :class:`PipelinedTokenForwardingKernel`
-  — fully vectorised: token selection, delivery and phase commits are
-  packed-array operations;
-* :class:`RandomForwardKernel` — per-node ``rng.choice`` draws are kept
-  (bit-exact stream compatibility) but state is integer bit masks and all
-  metrics bookkeeping is vectorised;
-* :class:`IndexedBroadcastKernel` / :class:`NaiveCodedKernel` /
-  :class:`GreedyForwardKernel` — the network-coded protocols, whose
-  subspaces live in one batched GF(2) elimination core
-  (:class:`~repro.gf.packed.GF2BasisBatch`) with no per-node
-  :class:`~repro.coding.subspace.Subspace` objects on the hot path.
-
-A finished run is materialised back into ordinary protocol nodes by
-:meth:`RoundKernel.to_nodes`, so ``RunResult.nodes``, the correctness check
-and post-hoc inspection keep working unchanged.
+Packed and object kernels report byte-identical
+:class:`~repro.simulation.metrics.RunMetrics` and trace content for
+identical seeds: the node rng streams come from the same ``rng.spawn``
+order, and every random draw is made against the same per-node generator in
+the same order.  A finished packed run is written back into ordinary
+protocol nodes by :meth:`RoundKernel.to_nodes`, so ``RunResult.nodes`` and
+the correctness check work unchanged.
 
 Custom protocols can register their own kernels with
 :func:`register_kernel`; ``run_dissemination(engine="auto")`` picks the
-kernel engine whenever the factory is a registered node class, the
-configuration is supported, and the adversary is not omniscient
-(``sees_messages`` adversaries must inspect per-node message objects,
-which the kernel engine deliberately never builds).
+packed kernel whenever the factory is a registered node class, the
+configuration is supported and the kernel offers the message and state
+views the adversary and fault strategy need.
 """
 
 from __future__ import annotations
 
 import abc
 from collections.abc import Sequence as _SequenceABC
-from typing import Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -87,7 +80,7 @@ __all__ = [
     "GreedyForwardKernel",
     "kernel_for",
     "register_kernel",
-    "run_kernel_rounds",
+    "run_rounds",
 ]
 
 
@@ -186,64 +179,31 @@ def _neighbor_or(send: np.ndarray, indices: np.ndarray, indptr: np.ndarray) -> n
     return inbox
 
 
-class _KernelStateViews(_SequenceABC):
-    """Lazy per-round state-view sequence handed to adaptive adversaries.
+class _LazySequence(_SequenceABC):
+    """A length-``n`` read-only sequence whose items are built on access.
 
-    Views are built on demand, so oblivious adversaries (which never read
-    node state) cost zero per-node work per round, while adaptive ones see
-    exactly the accessors the mask engine provides.
+    The adversary's per-round state and message views: an oblivious
+    adversary never reads them, so they cost no per-node work, and one
+    that inspects a handful of nodes pays for a handful of items.
     """
 
-    __slots__ = ("_kernel",)
+    __slots__ = ("_n", "_item")
 
-    def __init__(self, kernel: "RoundKernel"):
-        self._kernel = kernel
+    def __init__(self, n: int, item: Callable[[int], object]):
+        self._n = n
+        self._item = item
 
     def __len__(self) -> int:
-        return self._kernel.n
+        return self._n
 
     def __getitem__(self, index):
         if isinstance(index, slice):
-            return [self[i] for i in range(*index.indices(self._kernel.n))]
-        n = self._kernel.n
+            return [self._item(i) for i in range(*index.indices(self._n))]
         if index < 0:
-            index += n
-        if not 0 <= index < n:
+            index += self._n
+        if not 0 <= index < self._n:
             raise IndexError(index)
-        return self._kernel.state_view(index)
-
-
-class _KernelMessageViews(_SequenceABC):
-    """Lazy per-round message sequence for omniscient adversaries.
-
-    Built only when ``adversary.sees_messages`` and the kernel opts in via
-    ``supports_message_views``: each access materialises one node's wire
-    message object on demand (``None`` for silent nodes), so adversaries
-    that inspect a handful of messages cost a handful of constructions —
-    not n Message objects per round.
-    """
-
-    __slots__ = ("_kernel", "_round", "_active")
-
-    def __init__(self, kernel: "RoundKernel", round_index: int, active: np.ndarray):
-        self._kernel = kernel
-        self._round = round_index
-        self._active = active
-
-    def __len__(self) -> int:
-        return self._kernel.n
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self[i] for i in range(*index.indices(self._kernel.n))]
-        n = self._kernel.n
-        if index < 0:
-            index += n
-        if not 0 <= index < n:
-            raise IndexError(index)
-        if not self._active[index]:
-            return None
-        return self._kernel.wire_message(index, self._round)
+        return self._item(index)
 
 
 # ----------------------------------------------------------------------
@@ -252,13 +212,12 @@ class _KernelMessageViews(_SequenceABC):
 
 
 class RoundKernel(abc.ABC):
-    """Whole-network packed state plus the three per-round hooks.
+    """Whole-network protocol state plus the per-round hooks of :func:`run_rounds`.
 
     A kernel is constructed from the freshly built (and mask-enabled) node
-    objects, lifts their initial state into packed arrays, executes rounds
-    through :meth:`compose_all` / :meth:`deliver_all`, and finally writes
-    the terminal state back into the same node objects via
-    :meth:`to_nodes`.
+    objects, executes rounds through :meth:`compose_all` /
+    :meth:`deliver_all`, and finally leaves its terminal state in the same
+    node objects via :meth:`to_nodes`.
     """
 
     #: Message class name used in budget-violation errors.
@@ -322,12 +281,12 @@ class RoundKernel(abc.ABC):
     ) -> np.ndarray:
         """Deliver the round over CSR adjacency; return per-node change flags.
 
-        ``indices`` / ``indptr`` are the topology's CSR neighbour arrays
-        (ascending neighbour uid per node — the engines' delivery order),
-        ``active`` the compose flags and ``counts`` the per-node number of
-        broadcasting neighbours.  The returned boolean array must be True
+        ``indices`` / ``indptr`` are the round's effective CSR neighbour
+        arrays (ascending neighbour uid per node — the delivery order),
+        ``active`` the sending flags and ``counts`` the per-node number of
+        sending neighbours.  The returned boolean array must be True
         exactly where the node's ``(len(known), coded_rank)`` fingerprint
-        changed — the mask engine's useless-delivery criterion.
+        changed — the useless-delivery criterion.
         """
 
     @abc.abstractmethod
@@ -376,7 +335,7 @@ class RoundKernel(abc.ABC):
 
     def state_views(self) -> Sequence[NodeStateView]:
         """Lazy sequence of this round's state views."""
-        return _KernelStateViews(self)
+        return _LazySequence(self.n, self.state_view)
 
     def wire_message(self, uid: int, round_index: int):
         """Materialise node ``uid``'s wire message for the *current* round.
@@ -385,7 +344,7 @@ class RoundKernel(abc.ABC):
         active nodes, and only when ``supports_message_views`` is True.
         Must rebuild exactly the Message object the node class would have
         composed (same content, same ordering), so omniscient adversaries
-        see identical messages on the kernel and object engines.
+        see identical messages on every engine.
         """
         raise RuntimeError(
             f"{type(self).__name__} does not build per-node message views"
@@ -393,7 +352,14 @@ class RoundKernel(abc.ABC):
 
     def message_views(self, round_index: int, active: np.ndarray) -> Sequence:
         """Lazy sequence of this round's wire messages (None = silent)."""
-        return _KernelMessageViews(self, round_index, active)
+        return _LazySequence(
+            self.n,
+            lambda uid: self.wire_message(uid, round_index) if active[uid] else None,
+        )
+
+    def message_name_of(self, uid: int) -> str:
+        """Class name of node ``uid``'s message this round (budget errors)."""
+        return self.message_name
 
     def set_wire_overrides(self, overrides: Mapping[int, int]) -> None:
         """Substitute listed senders' wire vectors for the current round.
@@ -401,12 +367,16 @@ class RoundKernel(abc.ABC):
         The Byzantine-replay hook: ``overrides`` maps uid -> GF(2) vector
         mask; every copy the node delivers this round (and its message
         view) carries the substituted vector instead of the honest
-        composition.  Only coded kernels can represent this.
+        composition.  Only the coded kernels and the object kernel can
+        represent this.
         """
         raise RuntimeError(
             f"{type(self).__name__} cannot substitute wire vectors; "
             "rerun with engine='mask'"
         )
+
+    def on_topology(self, round_index: int, topology) -> None:
+        """Called once the round's base topology is validated (default: no-op)."""
 
     def to_nodes(self, nodes: Sequence[ProtocolNode]) -> None:
         """Write the terminal packed state back into the node objects."""
@@ -453,7 +423,7 @@ def kernel_for(factory, config: ProtocolConfig) -> type[RoundKernel] | None:
 # ----------------------------------------------------------------------
 
 
-def run_kernel_rounds(
+def run_rounds(
     kernel: RoundKernel,
     config: ProtocolConfig,
     adversary: Adversary,
@@ -466,27 +436,32 @@ def run_kernel_rounds(
     faults=None,
     trace=None,
 ) -> list:
-    """Execute rounds on a kernel; mirrors the mask engine's round semantics.
+    """Execute the synchronous rounds of one run on ``kernel``.
 
-    Per round: lazy state views -> ``choose_topology`` -> identity-cached
-    validation -> ``compose_all`` -> vectorised budget/broadcast accounting
-    -> CSR delivery (gather + ``reduceat``) -> vectorised useless-delivery
-    and completion bookkeeping.  Returns the recorded topologies.
+    The one round loop, for packed and object kernels alike.  Per round
+    (Section 4.1): the adversary fixes ``G(t)`` from lazy state views, the
+    topology is validated (identity-cached) and handed to
+    :meth:`RoundKernel.on_topology`, ``compose_all`` runs, then budget and
+    broadcast accounting, CSR delivery through ``deliver_all`` and the
+    useless-delivery, progress, trace and completion bookkeeping.  An
+    omniscient (``sees_messages``) adversary instead chooses after
+    ``compose_all`` and is shown the composed messages (Section 6); its
+    state views are built *before* composing, because a kernel may change
+    node state inside ``compose_all`` (the coded kernels' flood ->
+    broadcast transition) and the adversary must not see that.  Returns the
+    recorded topologies.
 
     ``faults`` (a :class:`~repro.network.faults.BoundFaults`) edits the
     round's CSR into its effective form — crashed endpoints and lost edges
-    removed, duplicated edges repeated — before delivery, and switches the
-    stop rule to *survivor* completion (population completion may be
-    unreachable once a token holder crashes).  Omniscient adversaries are
-    supported when the kernel opts in via ``supports_message_views``: the
-    round then composes first and hands the adversary a lazy message-view
-    sequence, exactly like the object engines.
+    removed, duplicated edges repeated — before delivery, substitutes
+    Byzantine senders' wire vectors, and switches the stop rule to
+    *survivor* completion (population completion may be unreachable once a
+    token holder crashes).
 
     ``trace`` (a :class:`~repro.obs.trace.TraceRecorder`, already bound via
-    ``begin_run``) receives one vectorised ``observe_round`` per executed
-    round — whole-network count/rank arrays straight from the kernel, no
-    per-node Python — and its phase profiler is installed on the kernel so
-    coded internals (insert/decode) report into the same report.
+    ``begin_run``) receives one ``observe_round`` per executed round, and
+    its phase profiler is installed on the kernel so coded internals
+    (insert/decode) report into the same report.
     """
     n = config.n
     limit = config.budget.limit_bits
@@ -495,35 +470,26 @@ def run_kernel_rounds(
     profiler = NULL_PROFILER if trace is None else trace.profiler
     kernel.profiler = profiler
 
+    def compose(round_index, plan):
+        with profiler.span("compose"):
+            active, sizes = kernel.compose_all(round_index)
+        if plan is not None and plan.substitute:
+            kernel.set_wire_overrides(plan.substitute)
+        return active, sizes
+
     for round_index in range(max_rounds):
         plan = faults.begin_round(round_index) if faults is not None else None
         if adversary.sees_messages:
-            # Omniscient order, as the object engines run it: compose first,
-            # then show the adversary the (lazily materialised) messages.
-            # The state views must be materialised *before* composing: the
-            # object engines capture rank/count by value at snapshot time,
-            # and coded kernels mutate their group state (flood ->
-            # broadcast transition) inside ``compose_all`` — a lazy view
-            # read after compose would leak that transition into the
-            # adversary's split.
             states = [kernel.state_view(uid) for uid in range(n)]
-            with profiler.span("compose"):
-                active, sizes = kernel.compose_all(round_index)
-            if plan is not None and plan.substitute:
-                kernel.set_wire_overrides(plan.substitute)
+            active, sizes = compose(round_index, plan)
             messages = kernel.message_views(round_index, active)
             graph = adversary.choose_topology(round_index, n, states, messages)
-            topology = cache.validated(graph, n)
         else:
-            # Oblivious/adaptive order: the adversary reads state before
-            # compose, so the lazy sequence costs zero for oblivious ones.
-            states = kernel.state_views()
-            graph = adversary.choose_topology(round_index, n, states)
-            topology = cache.validated(graph, n)
-            with profiler.span("compose"):
-                active, sizes = kernel.compose_all(round_index)
-            if plan is not None and plan.substitute:
-                kernel.set_wire_overrides(plan.substitute)
+            graph = adversary.choose_topology(round_index, n, kernel.state_views())
+        topology = cache.validated(graph, n)
+        kernel.on_topology(round_index, topology)
+        if not adversary.sees_messages:
+            active, sizes = compose(round_index, plan)
         if record_topologies:
             topologies.append(topology)
 
@@ -533,8 +499,8 @@ def run_kernel_rounds(
             # nodes mid-round: ``plan.down`` is final only afterwards, so
             # the sending mask must be computed below, not before.  The
             # compose-time ``active`` mask feeds the collision rule, and a
-            # wants_state strategy sees the same post-compose count/rank
-            # snapshot the object engines extract.
+            # wants_state strategy sees the post-compose count/rank
+            # snapshot the trace layer extracts.
             state = None
             if faults.wants_state:
                 state = StateView(kernel.known_counts(), kernel.coded_ranks())
@@ -543,6 +509,8 @@ def run_kernel_rounds(
                     indices, indptr, active=active, state=state
                 )
 
+        # A crashed node's radio is off: it still composes (identical rng
+        # consumption on every kernel) but transmits nothing.
         sending = active if plan is None else active & ~plan.down
         broadcasts = int(sending.sum())
         metrics.silent_rounds += n - broadcasts
@@ -550,8 +518,9 @@ def run_kernel_rounds(
             sent_sizes = sizes if plan is None else np.where(sending, sizes, 0)
             max_bits = int(sent_sizes.max())
             if max_bits > limit:
+                name = kernel.message_name_of(int(np.argmax(sent_sizes)))
                 raise MessageSizeExceeded(
-                    f"{kernel.message_name} is {max_bits} bits, exceeding the "
+                    f"{name} is {max_bits} bits, exceeding the "
                     f"budget of {limit} bits (b={config.budget.b}, "
                     f"slack={config.budget.slack})"
                 )
@@ -874,7 +843,7 @@ class RandomForwardKernel(RoundKernel):
 
     The protocol's randomness (``rng.choice`` over the node's tokens in
     insertion order) must replay the exact per-node generator streams of
-    the object engines, so composition keeps one small draw per informed
+    the object kernel, so composition keeps one small draw per informed
     node; everything else — knowledge (per-node int bit masks plus
     insertion-order index lists), sizes, delivery counting, completion —
     avoids Message/Token objects entirely.
@@ -931,7 +900,7 @@ class RandomForwardKernel(RoundKernel):
             return None
         # ``chosen`` preserves the node's pick order (insertion-order
         # indexing plus the same rng.choice draw), so the message matches
-        # the object engines token-for-token.
+        # the object kernel token-for-token.
         return TokenForwardMessage(
             sender=uid, tokens=tuple(self.tokens[i] for i in chosen)
         )

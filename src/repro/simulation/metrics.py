@@ -125,17 +125,6 @@ class RunMetrics:
             return None
         return (self.completed_survivors or 0) / self.survivors
 
-    def record_broadcast(self, size_bits: int) -> None:
-        """Account one broadcast of the given size."""
-        self.broadcasts += 1
-        self.total_message_bits += size_bits
-        if size_bits > self.max_message_bits:
-            self.max_message_bits = size_bits
-
-    def record_silence(self) -> None:
-        """Account one node staying silent for one round."""
-        self.silent_rounds += 1
-
     def to_dict(self) -> dict:
         """Every field plus the derived properties, as JSON-safe values.
 

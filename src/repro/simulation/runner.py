@@ -1,4 +1,4 @@
-"""The synchronous round executor for the dynamic network model.
+"""The dissemination runner: build the nodes, pick a kernel, run the rounds.
 
 One round (Section 4.1), for an adaptive adversary:
 
@@ -12,35 +12,28 @@ Omniscient adversaries (``sees_messages``) are instead shown the composed
 messages before choosing the topology, which models "knowing all the
 randomness in advance" operationally (Section 6).
 
-The runner also enforces the message budget, tracks metrics, detects
-completion (every node can output every token), and verifies payload
-correctness at the end.
+:func:`run_dissemination` builds the protocol nodes and the optional fault
+binding, chooses a :class:`~repro.simulation.kernels.RoundKernel` and hands
+it to :func:`~repro.simulation.kernels.run_rounds`, the one round loop: it
+enforces the message budget, applies the faults, tracks metrics and the
+trace, and detects completion (every node can output every token).  The
+runner then verifies payload correctness.  Two kernel families exist:
 
-Two execution engines implement the identical round semantics:
+* **kernel** — a registered packed kernel (see
+  :mod:`repro.simulation.kernels`): whole-network state in numpy arrays,
+  materialised back into the nodes at the end;
+* **mask** — :class:`ObjectKernel` over the per-node protocol objects,
+  which runs every protocol.  Each node's knowledge is an incrementally
+  maintained integer ``knowledge_mask``, so the completion check is one
+  O(k/64) mask comparison per still-incomplete node.
 
-* **kernel** (default whenever the protocol ships a
-  :class:`~repro.simulation.kernels.RoundKernel`) — whole-network state
-  lives in packed numpy arrays and one round is ``compose_all`` -> masked
-  adjacency propagation (CSR gather + ``bitwise_or.reduceat``) ->
-  ``deliver_all``, with no per-node Python objects on the hot path; the
-  final state is materialised back into ordinary nodes.  See
-  :mod:`repro.simulation.kernels`.
-* **mask** — the per-node object loop below.  Topologies are mask-native
-  :class:`~repro.network.topology.Topology` objects validated once per
-  distinct object (identity-cached, so static and T-stable adversaries are
-  checked once per topology instead of once per round); node state
-  snapshots are lazy views; per-node knowledge is an incrementally-
-  maintained integer ``knowledge_mask`` so the completion check is an
-  O(k/64) mask comparison per still-incomplete node; and progress, trace
-  counts and useless-delivery fingerprints read ``len(node.known)``.
-
-Under ``engine="auto"`` the kernel engine runs when the factory is a
+Under ``engine="auto"`` the packed kernel runs when the factory is a
 registered node class, the configuration is supported and the kernel
 offers the views the adversary and fault strategy need; otherwise the
-mask engine runs.  Both engines deliver each node's inbox in ascending
+object kernel runs.  Both deliver each node's inbox in ascending
 neighbour-uid order and produce identical metrics and trace content for
-identical seeds (verified by tests).  Both rely on the ``known`` dict
-being each node's authoritative knowledge record, so a node class that
+identical seeds (pinned by tests).  Both rely on the ``known`` dict being
+each node's authoritative knowledge record, so a node class that
 overrides :meth:`~repro.algorithms.base.ProtocolNode.known_token_ids` is
 rejected before round 0.
 """
@@ -54,8 +47,7 @@ import numpy as np
 
 from ..algorithms.base import ProtocolConfig, ProtocolFactory, ProtocolNode
 from ..network.adversary import Adversary
-from ..network.faults import BoundFaults, FaultModel, SpanGuard, StateView
-from ..network.topology import TopologyValidationCache
+from ..network.faults import BoundFaults, FaultModel, SpanGuard
 from ..obs.profiler import NULL_PROFILER
 from ..obs.trace import TraceRecorder
 from ..tokens.message import Message
@@ -63,7 +55,7 @@ from ..tokens.token import TokenPlacement
 from . import kernels
 from .metrics import RunMetrics
 
-__all__ = ["RunResult", "run_dissemination", "build_nodes"]
+__all__ = ["ObjectKernel", "RunResult", "run_dissemination", "build_nodes"]
 
 
 @dataclass
@@ -154,13 +146,6 @@ def _coded_span_guard(nodes: Sequence[ProtocolNode]) -> SpanGuard | None:
     return SpanGuard(generation.vector_length, sources)
 
 
-def _substitute_wire(nodes, outgoing, overrides) -> None:
-    """Replace Byzantine senders' composed messages on the wire (replay mode)."""
-    for uid, mask in overrides.items():
-        if outgoing[uid] is not None:
-            outgoing[uid] = nodes[uid].generation.message_from_mask(uid, mask)
-
-
 def _check_correctness(nodes: Sequence[ProtocolNode], placement: TokenPlacement) -> bool:
     expected = placement.by_id()
     for node in nodes:
@@ -203,188 +188,105 @@ def _finish_run(
     return _check_correctness([nodes[u] for u in survivors.tolist()], placement)
 
 
-def _run_object_rounds(
-    nodes: list[ProtocolNode],
-    config: ProtocolConfig,
-    adversary: Adversary,
-    metrics: RunMetrics,
-    full_mask: int,
-    *,
-    max_rounds: int,
-    stop_at_completion: bool,
-    record_topologies: bool,
-    track_progress: bool,
-    bound: BoundFaults | None,
-    trace: TraceRecorder | None,
-) -> list:
-    """Execute rounds on per-node objects: the mask engine's round loop.
+class ObjectKernel(kernels.RoundKernel):
+    """The round kernel over per-node protocol objects (the mask engine).
 
-    The object twin of :func:`~repro.simulation.kernels.run_kernel_rounds`.
-    ``full_mask`` is the knowledge mask of a node that knows every
-    placement token.  Returns the recorded topologies.
+    ``compose_all`` and ``deliver_all`` call each node's ``compose`` and
+    ``deliver``; every read-out comes straight from the nodes, so the
+    kernel runs any protocol and has nothing to materialise.  A T-stable
+    ``shared_coordinator`` (see :mod:`repro.algorithms.tstable`) sees each
+    round's base topology before compose and updates the nodes after
+    delivery.
     """
-    n = config.n
-    topologies: list = []
-    profiler = NULL_PROFILER if trace is None else trace.profiler
-    incomplete = {uid for uid, node in enumerate(nodes) if node.knowledge_mask() != full_mask}
 
-    # Single-slot identity-keyed validation cache (shared helper with the
-    # kernel engine): static and T-stable topologies are validated once per
-    # object instead of once per round; mutable nx graphs are re-validated
-    # every time.
-    validation_cache = TopologyValidationCache()
+    supports_message_views = True
 
-    # Optional shared coordinator hook (see algorithms/tstable.py): a single
-    # object shared by all nodes that may observe the round topology.  This is
-    # the documented structured-simulation shortcut for the patch-sharing
-    # algorithm; ordinary protocols have no coordinator.  It consumes the
-    # ``networkx`` projection, cached per Topology object, so T-stable blocks
-    # materialise it once.
-    coordinator = getattr(nodes[0], "shared_coordinator", None) if nodes else None
+    def __init__(self, config, placement, token_index, nodes):
+        super().__init__(config, placement, token_index, nodes)
+        self.nodes = nodes
+        self.full_mask = (1 << self.k) - 1
+        self._incomplete = {
+            uid for uid, node in enumerate(nodes) if node.knowledge_mask() != self.full_mask
+        }
+        self._coordinator = getattr(nodes[0], "shared_coordinator", None) if nodes else None
+        self._topology = None
+        self._outgoing: list = []
+        self._sizes: np.ndarray | None = None
 
-    def compose(round_index, plan) -> list:
-        with profiler.span("compose"):
-            outgoing = [node.compose(round_index) for node in nodes]
-        if plan is not None and plan.substitute:
-            _substitute_wire(nodes, outgoing, plan.substitute)
-        return outgoing
+    def on_topology(self, round_index, topology):
+        self._topology = topology
+        if self._coordinator is not None:
+            self._coordinator.on_topology(round_index, topology.to_nx(), self.nodes)
 
-    for round_index in range(max_rounds):
-        plan = bound.begin_round(round_index) if bound is not None else None
-        states = [node.state_view() for node in nodes]
+    def compose_all(self, round_index):
+        self._outgoing = outgoing = [node.compose(round_index) for node in self.nodes]
+        for message in outgoing:
+            if message is not None and not isinstance(message, Message):
+                raise TypeError(f"protocol composed a non-Message object: {type(message)!r}")
+        active = np.fromiter((m is not None for m in outgoing), dtype=bool, count=self.n)
+        sizes = (0 if m is None else m.size_bits for m in outgoing)
+        self._sizes = np.fromiter(sizes, dtype=np.int64, count=self.n)
+        return active, self._sizes
 
-        # An omniscient adversary chooses after seeing the composed
-        # messages; every other adversary chooses before nodes compose.
-        if adversary.sees_messages:
-            outgoing = compose(round_index, plan)
-            graph = adversary.choose_topology(round_index, n, states, outgoing)
-        else:
-            graph = adversary.choose_topology(round_index, n, states)
-        topology = validation_cache.validated(graph, n)
-        if coordinator is not None:
-            coordinator.on_topology(round_index, topology.to_nx(), nodes)
-        if not adversary.sees_messages:
-            outgoing = compose(round_index, plan)
+    def set_wire_overrides(self, overrides):
+        for uid, mask in overrides.items():
+            if self._outgoing[uid] is not None:
+                message = self.nodes[uid].generation.message_from_mask(uid, mask)
+                self._outgoing[uid] = message
+                self._sizes[uid] = message.size_bits
 
-        if record_topologies:
-            topologies.append(topology)
+    def wire_message(self, uid, round_index):
+        return self._outgoing[uid]
 
-        if plan is not None:
-            # Compose already ran, so the transmission mask exists before
-            # the faults are drawn — collisions need to know who occupies
-            # the air, and a wants_state strategy sees the same
-            # post-compose snapshot the trace layer extracts.
-            active = np.fromiter(
-                (message is not None for message in outgoing), dtype=bool, count=n
-            )
-            state = None
-            if bound.wants_state:
-                state = StateView(
-                    np.fromiter((len(node.known) for node in nodes), dtype=np.int64, count=n),
-                    np.fromiter((node.coded_rank() for node in nodes), dtype=np.int64, count=n),
-                )
-            # The adaptive strategy is consulted in here and may crash
-            # nodes mid-round: ``plan.down`` is final only afterwards, so
-            # the accounting below must wait for this call — the same
-            # ordering the kernel engine uses.
-            base_indices, base_indptr = topology.csr_adjacency()
-            with profiler.span("faults"):
-                eff_indices, eff_indptr = plan.bind_edges(
-                    base_indices, base_indptr, active=active, state=state
-                )
+    def message_name_of(self, uid):
+        return type(self._outgoing[uid]).__name__
 
-        # Budget enforcement and broadcast accounting.  A crashed node's
-        # radio is off: it still composes (identical rng consumption keeps
-        # engine parity) but transmits nothing and counts as silent.
-        for uid, message in enumerate(outgoing):
-            if message is None or (plan is not None and plan.down[uid]):
-                metrics.record_silence()
-                continue
-            if not isinstance(message, Message):
-                raise TypeError(
-                    f"protocol composed a non-Message object: {type(message)!r}"
-                )
-            config.budget.check(message)
-            metrics.record_broadcast(message.size_bits)
+    def deliver_all(self, round_index, indices, indptr, active, counts):
+        """Deliver each inbox in ascending sender-uid order, empty ones too."""
+        changed = np.zeros(self.n, dtype=bool)
+        outgoing = self._outgoing
+        flat, bounds = indices.tolist(), indptr.tolist()
+        for uid, node in enumerate(self.nodes):
+            inbox = [
+                message
+                for message in map(outgoing.__getitem__, flat[bounds[uid] : bounds[uid + 1]])
+                if message is not None
+            ]
+            before = (len(node.known), node.coded_rank())
+            node.deliver(round_index, inbox)
+            changed[uid] = (len(node.known), node.coded_rank()) != before
+        if self._coordinator is not None:
+            self._coordinator.after_round(round_index, self._topology.to_nx(), self.nodes)
+        return changed
 
-        if plan is not None:
-            # Faulted delivery runs over the plan's effective CSR — shared
-            # verbatim with the kernel engine, which is what keeps faulted
-            # metrics byte-identical across the engines.
-            stats = plan.account(active & ~plan.down)
-            metrics.dropped_deliveries += stats.dropped
-            metrics.duplicated_deliveries += stats.duplicated
-            metrics.corrupted_deliveries += stats.corrupted
-            metrics.collided_deliveries += stats.collided
-            metrics.deliveries += stats.discarded
+    def _known_counts_now(self):
+        counts = (len(node.known) for node in self.nodes)
+        return np.fromiter(counts, dtype=np.int64, count=self.n)
 
-        # Delivery: each node receives its neighbours' messages in ascending
-        # neighbour-uid order.  Benign rounds read the neighbour tuples
-        # cached on the Topology object, so a static or T-stable topology
-        # pays the per-bit mask iteration once per object/block.
-        with profiler.span("deliver"):
-            if plan is None:
-                senders = map(topology.neighbors_tuple, range(n))
-            else:
-                flat, bounds = eff_indices.tolist(), eff_indptr.tolist()
-                senders = (flat[bounds[uid] : bounds[uid + 1]] for uid in range(n))
-            for node, neighbours in zip(nodes, senders):
-                inbox = [
-                    message
-                    for message in map(outgoing.__getitem__, neighbours)
-                    if message is not None
-                ]
-                if inbox:
-                    before = (len(node.known), node.coded_rank())
-                    node.deliver(round_index, inbox)
-                    metrics.deliveries += len(inbox)
-                    if (len(node.known), node.coded_rank()) == before:
-                        metrics.useless_deliveries += len(inbox)
-                else:
-                    node.deliver(round_index, inbox)
+    #: Read fresh on every call: a coordinator updates nodes between rounds.
+    known_counts = _known_counts_now
 
-        if coordinator is not None:
-            coordinator.after_round(round_index, topology.to_nx(), nodes)
+    def coded_ranks(self):
+        ranks = (node.coded_rank() for node in self.nodes)
+        return np.fromiter(ranks, dtype=np.int64, count=self.n)
 
-        metrics.rounds_executed = round_index + 1
+    def completed_flags(self):
+        full = self.full_mask
+        return np.fromiter(
+            (node.knowledge_mask() == full for node in self.nodes), dtype=bool, count=self.n
+        )
 
-        if track_progress:
-            counts = [len(node.known) for node in nodes]
-            metrics.progress.append((round_index + 1, min(counts), float(np.mean(counts))))
+    def all_complete(self):
+        # Incremental: only nodes still missing tokens are re-examined.
+        nodes, full = self.nodes, self.full_mask
+        self._incomplete = {uid for uid in self._incomplete if nodes[uid].knowledge_mask() != full}
+        return not self._incomplete
 
-        if trace is not None:
-            trace.observe_round(
-                round_index,
-                metrics,
-                np.fromiter((len(node.known) for node in nodes), dtype=np.int64, count=n),
-                np.fromiter((node.coded_rank() for node in nodes), dtype=np.int64, count=n),
-                plan,
-            )
+    def finished_all(self):
+        return all(node.finished() for node in self.nodes)
 
-        if metrics.completion_round is None:
-            # Incremental completion: only nodes still missing tokens are
-            # re-examined, each with one O(k/64) mask comparison.
-            incomplete = {uid for uid in incomplete if nodes[uid].knowledge_mask() != full_mask}
-            if not incomplete:
-                metrics.completion_round = round_index + 1
-
-        if bound is None:
-            done = metrics.completion_round is not None
-        else:
-            # Under crash faults the whole population may never complete;
-            # the faulted stop rule is survivor completion (identical to
-            # population completion when nothing crashes).  The survivor
-            # set is queried per round: adaptive strategies shrink it.
-            if metrics.survivor_completion_round is None and all(
-                nodes[uid].knowledge_mask() == full_mask
-                for uid in bound.survivor_indices.tolist()
-            ):
-                metrics.survivor_completion_round = round_index + 1
-            done = metrics.survivor_completion_round is not None
-
-        if done and (stop_at_completion or all(node.finished() for node in nodes)):
-            break
-    return topologies
+    def state_view(self, uid):
+        return self.nodes[uid].state_view()
 
 
 def run_dissemination(
@@ -429,11 +331,12 @@ def run_dissemination(
         Record per-round (min, mean) known-token counts in the metrics.
     engine:
         ``"auto"`` (kernel when applicable, else mask), ``"kernel"``
-        (require a registered
+        (require a registered packed
         :class:`~repro.simulation.kernels.RoundKernel`; raises if the
         protocol has none, or if the adversary or fault strategy needs
         message or state views the kernel does not offer) or ``"mask"``
-        (the per-node object loop, which runs every protocol).  Every
+        (the :class:`ObjectKernel` over per-node objects, which runs every
+        protocol).  Every
         engine raises ``ValueError`` before round 0 for a node class that
         overrides ``known_token_ids()``.
     faults:
@@ -501,10 +404,10 @@ def run_dissemination(
             "overriding known_token_ids() is not supported"
         )
 
-    # Kernel engine dispatch: the factory must *be* a registered node class
-    # (exact identity, so subclasses never inherit a kernel), the kernel must
-    # support this configuration, and the adversary must not demand to see
-    # per-node message objects the kernel engine never builds.
+    # Packed-kernel dispatch: the factory must *be* a registered node class
+    # (exact identity, so subclasses never inherit a kernel), the kernel
+    # must support this configuration, and it must offer the message and
+    # state views the adversary and fault strategy read.
     kernel_cls = kernels.kernel_for(factory, config)
     wants_state = bound is not None and bound.wants_state
     if engine == "kernel":
@@ -538,51 +441,32 @@ def run_dissemination(
             kernel = kernel_cls(config, placement, token_index, nodes)
         except kernels.KernelUnsupported as exc:
             # Node-level preconditions can only be checked post-construction;
-            # auto falls back to the mask engine, an explicit request fails.
+            # auto falls back to the object kernel, an explicit request fails.
             if engine == "kernel":
                 raise ValueError(str(exc)) from exc
     run_engine = "mask" if kernel is None else "kernel"
+    if kernel is None:
+        kernel = ObjectKernel(config, placement, token_index, nodes)
     if trace is not None:
         trace.begin_run(
             config=config, seed=seed, engine=run_engine, factory=factory, faults=faults
         )
-    if kernel is not None:
-        topologies = kernels.run_kernel_rounds(
-            kernel,
-            config,
-            adversary,
-            metrics,
-            max_rounds=max_rounds,
-            stop_at_completion=stop_at_completion,
-            record_topologies=record_topologies,
-            track_progress=track_progress,
-            faults=bound,
-            trace=trace,
-        )
-        profiler = NULL_PROFILER if trace is None else trace.profiler
-        with profiler.span("materialise"):
-            kernel.to_nodes(nodes)
-        completed = kernel.completed_flags()
-    else:
-        full_mask = (1 << len(token_index)) - 1
-        topologies = _run_object_rounds(
-            nodes,
-            config,
-            adversary,
-            metrics,
-            full_mask,
-            max_rounds=max_rounds,
-            stop_at_completion=stop_at_completion,
-            record_topologies=record_topologies,
-            track_progress=track_progress,
-            bound=bound,
-            trace=trace,
-        )
-        completed = np.fromiter(
-            (node.knowledge_mask() == full_mask for node in nodes),
-            dtype=bool,
-            count=config.n,
-        )
+    topologies = kernels.run_rounds(
+        kernel,
+        config,
+        adversary,
+        metrics,
+        max_rounds=max_rounds,
+        stop_at_completion=stop_at_completion,
+        record_topologies=record_topologies,
+        track_progress=track_progress,
+        faults=bound,
+        trace=trace,
+    )
+    profiler = NULL_PROFILER if trace is None else trace.profiler
+    with profiler.span("materialise"):
+        kernel.to_nodes(nodes)
+    completed = kernel.completed_flags()
     return RunResult(
         metrics=metrics,
         nodes=nodes,

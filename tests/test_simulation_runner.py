@@ -27,7 +27,13 @@ from repro.simulation import (
     standard_instance,
     sweep,
 )
-from repro.tokens import MessageBudget, Token, TokenForwardMessage, one_token_per_node
+from repro.tokens import (
+    MessageBudget,
+    MessageSizeExceeded,
+    Token,
+    TokenForwardMessage,
+    one_token_per_node,
+)
 from tests.conftest import make_config
 
 
@@ -48,6 +54,16 @@ class OversizedNode(ProtocolNode):
         # Send all known tokens repeated many times to blow the budget.
         tokens = tuple(list(self.known.values()) * 200)
         return TokenForwardMessage(sender=self.uid, tokens=tokens)
+
+    def deliver(self, round_index, messages):
+        return None
+
+
+class NonMessageNode(ProtocolNode):
+    """A protocol that composes something that is not a ``Message``."""
+
+    def compose(self, round_index):
+        return tuple(self.known.values())
 
     def deliver(self, round_index, messages):
         return None
@@ -79,9 +95,17 @@ class TestRunner:
     def test_budget_violation_raises(self, rng):
         config = make_config(6, b=16)
         placement = one_token_per_node(6, 8, rng)
-        with pytest.raises(Exception):
+        with pytest.raises(MessageSizeExceeded, match="TokenForwardMessage"):
             run_dissemination(
                 OversizedNode, config, placement, RandomConnectedAdversary(seed=1), max_rounds=5
+            )
+
+    def test_non_message_composition_raises(self, rng):
+        config = make_config(6)
+        placement = one_token_per_node(6, 8, rng)
+        with pytest.raises(TypeError, match="non-Message"):
+            run_dissemination(
+                NonMessageNode, config, placement, RandomConnectedAdversary(seed=1), max_rounds=5
             )
 
     def test_reproducibility_same_seed(self, rng):
@@ -159,13 +183,8 @@ class TestRunner:
 
 
 class TestMetricsUnit:
-    def test_record_broadcast(self):
-        m = RunMetrics()
-        m.record_broadcast(10)
-        m.record_broadcast(30)
-        assert m.broadcasts == 2
-        assert m.total_message_bits == 40
-        assert m.max_message_bits == 30
+    def test_average_message_bits(self):
+        m = RunMetrics(broadcasts=2, total_message_bits=40, max_message_bits=30)
         assert m.average_message_bits == 20
 
     def test_empty_metrics_safe(self):
