@@ -4,7 +4,10 @@ Every catalog scenario runs with :class:`TokenForwardingNode` and
 :class:`IndexedBroadcastNode` on both the kernel and the mask engine, and
 the protocols that only run on per-node objects (priority forward,
 T-stable patches, the counting reduction's attempts and centralized
-coding) run on the mask engine over a few scenarios.  The omniscient
+coding) run on the mask engine over a few scenarios.  The paper's
+Section 7 and T-stable baselines (greedy-forward, naive coded, random
+forward, pipelined forwarding) run over the object scenarios and a
+healing partition.  The omniscient
 cases pin the Section 6 round order -- state snapshot, compose, then the
 adversary reads the composed messages -- with a content-sensitive
 :class:`OmniscientBottleneckAdversary` under a few fault models.  Each run must
@@ -26,8 +29,12 @@ import pytest
 
 from repro.algorithms import (
     CentralizedCodedNode,
+    GreedyForwardNode,
     IndexedBroadcastNode,
+    NaiveCodedNode,
+    PipelinedTokenForwardingNode,
     PriorityForwardNode,
+    RandomForwardNode,
     TokenForwardingNode,
     make_tstable_factory,
 )
@@ -55,6 +62,26 @@ COUNTING_GUESSES = (2, 4, 8, 16)
 #: omniscient adversary runs under; ``benign`` is no fault model at all.
 OMNISCIENT_FAULTS = ("benign", "lossy_edge_markov", "byzantine_replay_t4")
 OMNISCIENT_MASK_ONLY = {"PriorityForwardNode": PriorityForwardNode}
+#: The Section 7 and T-stable baselines, pinned over ``PROTOCOL_SCENARIOS``
+#: and every omniscient fault model on ``PROTOCOL_ENGINES``.  Greedy-forward
+#: gathers for only 4 rounds and both coded protocols get a wider budget, so
+#: the runs reach their elect, coded-broadcast and decode phases within
+#: ``MAX_ROUNDS``.
+PROTOCOL_FACTORIES = {
+    f.__name__: f
+    for f in (
+        GreedyForwardNode,
+        NaiveCodedNode,
+        RandomForwardNode,
+        PipelinedTokenForwardingNode,
+    )
+}
+PROTOCOL_CONFIGS = {
+    "GreedyForwardNode": make_config(N, K, b=64, extra={"gather_rounds": 4}),
+    "NaiveCodedNode": make_config(N, K, b=96),
+}
+PROTOCOL_SCENARIOS = OBJECT_SCENARIOS + ("partition_heal_waypoint",)
+PROTOCOL_ENGINES = ("kernel", "mask")
 
 
 def _useful_crossing(sender: int, receiver: int, message) -> bool:
@@ -122,6 +149,18 @@ def _cases() -> list[tuple[str, str]]:
         for faults in OMNISCIENT_FAULTS
         for name in OMNISCIENT_MASK_ONLY
     ]
+    cases += [
+        (f"protocol/{scenario}/{name}", engine)
+        for scenario in PROTOCOL_SCENARIOS
+        for name in PROTOCOL_FACTORIES
+        for engine in PROTOCOL_ENGINES
+    ]
+    cases += [
+        (f"omniscient/{faults}/{name}", engine)
+        for faults in OMNISCIENT_FAULTS
+        for name in PROTOCOL_FACTORIES
+        for engine in PROTOCOL_ENGINES
+    ]
     return cases
 
 
@@ -129,9 +168,13 @@ def _run(key: str, engine: str) -> dict:
     family, scenario, name = key.split("/")
     if family == "catalog":
         factory, config = CATALOG_FACTORIES[name], make_config(N, K)
-    elif family == "omniscient":
-        factory = CATALOG_FACTORIES.get(name) or OMNISCIENT_MASK_ONLY[name]
-        config = make_config(N, K)
+    elif family in ("omniscient", "protocol"):
+        factory = (
+            CATALOG_FACTORIES.get(name)
+            or OMNISCIENT_MASK_ONLY.get(name)
+            or PROTOCOL_FACTORIES[name]
+        )
+        config = PROTOCOL_CONFIGS.get(name) or make_config(N, K)
     else:
         build, config = _object_cases()[name]
         factory = build()
