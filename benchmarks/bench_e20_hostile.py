@@ -10,9 +10,10 @@ kernel-eligible and close to benign-run throughput.  Three measurements:
    completion rounds.  A hostile entry that silently fell back to the mask
    engine would betray an eligibility regression.
 2. **Degradation curves into the failure regime** — three protocols (token
-   forwarding, random forward, indexed broadcast) swept over loss
-   intensities deliberately extended past the point where runs stop
-   completing, recording partial ``surviving_rate`` points and
+   forwarding, random forward, indexed broadcast; ``engine="auto"``, so
+   random forward, which has no packed kernel, runs on the mask engine)
+   swept over loss intensities deliberately extended past the point where
+   runs stop completing, recording partial ``surviving_rate`` points and
    ``completion_round = None`` instead of asserting success.  At least one
    swept point must show ``surviving_rate < 1.0``.
 3. **Fault overhead headline** — per-round kernel wall time with a
@@ -78,7 +79,7 @@ def _run(factory, n, k, scenario, faults, seed=0):
     adversary = make_scenario(scenario, n, seed=seed)
     start = time.perf_counter()
     result = run_dissemination(
-        factory, config, placement, adversary, seed=seed, engine="kernel",
+        factory, config, placement, adversary, seed=seed, engine="auto",
         faults=faults, max_rounds=MAX_ROUNDS, track_progress=True,
     )
     return result, time.perf_counter() - start

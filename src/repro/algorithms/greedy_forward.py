@@ -33,27 +33,7 @@ from .base import ProtocolConfig, ProtocolNode
 from .blocks import block_bits, decode_block, encode_block, max_tokens_per_block
 from .random_forward import GatherState
 
-__all__ = ["GreedyForwardNode", "resolved_phase_windows"]
-
-
-def resolved_phase_windows(config: ProtocolConfig) -> tuple[int, int, int]:
-    """The (gather, elect, broadcast) window lengths a node derives from config.
-
-    Single source of truth for the phase defaults: the node's constructor
-    and :meth:`~repro.simulation.coded_kernels.GreedyForwardKernel.supports`
-    must agree on them, or the kernel's phase arithmetic would diverge from
-    the object engines'.
-    """
-    n = config.n
-    return (
-        config.extra_int("gather_rounds", n),
-        config.extra_int("elect_rounds", n),
-        # The coded broadcast of up to ~b/2 blocks needs O(n + #blocks)
-        # rounds; with q = 2 the hidden constant is ~2 (each crossing
-        # succeeds with probability 1/2), so the default window is
-        # 2(n + #blocks) plus slack.
-        config.extra_int("broadcast_rounds", 2 * n + 2 * min(config.b, n) + 16),
-    )
+__all__ = ["GreedyForwardNode"]
 
 
 class GreedyForwardNode(ProtocolNode):
@@ -64,13 +44,20 @@ class GreedyForwardNode(ProtocolNode):
     * ``gather_rounds`` — length of the random-forward window (default ``n``).
     * ``elect_rounds`` — length of the leader-election flood (default ``n``).
     * ``broadcast_rounds`` — length of the coded broadcast window
-      (default ``n + min(b, n)``).
+      (default ``2 (n + min(b, n)) + 16``).
     """
 
     def __init__(self, uid: int, config: ProtocolConfig, rng: np.random.Generator):
         super().__init__(uid, config, rng)
-        self.gather_rounds, self.elect_rounds, self.broadcast_rounds = (
-            resolved_phase_windows(config)
+        n = config.n
+        self.gather_rounds = config.extra_int("gather_rounds", n)
+        self.elect_rounds = config.extra_int("elect_rounds", n)
+        # The coded broadcast of up to ~b/2 blocks needs O(n + #blocks)
+        # rounds; with q = 2 the hidden constant is ~2 (each crossing
+        # succeeds with probability 1/2), so the default window is
+        # 2(n + #blocks) plus slack.
+        self.broadcast_rounds = config.extra_int(
+            "broadcast_rounds", 2 * n + 2 * min(config.b, n) + 16
         )
         self.iteration_length = (
             self.gather_rounds + self.elect_rounds + self.broadcast_rounds

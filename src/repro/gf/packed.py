@@ -8,7 +8,7 @@ per-node rank / pivot-table / sorted-order vectors, so the three steps of a
 network-coded round become a handful of numpy passes:
 
 1. **compose** — one random (or pre-committed) pick matrix combined against
-   all bases at once (:meth:`GF2BasisBatch.compose_random` /
+   all bases at once (:meth:`GF2BasisBatch.draw_random_picks` /
    :meth:`GF2BasisBatch.combine_sorted`);
 2. **insert** — a round's whole inbox in one call
    (:meth:`GF2BasisBatch.insert_batch`): word-parallel XOR elimination over
@@ -23,7 +23,7 @@ The batch is *bit-exact* with the per-node implementation: feeding the same
 insert sequence to a :class:`GF2Basis` and to one row of the batch yields the
 same basis rows, the same innovative flags, the same coefficient ranks and
 the same decoded payloads (hypothesis-tested in ``tests/test_gf_packed.py``).
-That is what lets the coded kernels replay the object engines' rng streams
+That is what lets the coded kernel replay the object engines' rng streams
 verbatim — a composed combination is the XOR of the *same* basis rows in the
 same sorted order the per-node code uses.
 
@@ -420,11 +420,9 @@ class GF2BasisBatch:
         return combined
 
     def draw_random_picks(
-        self,
-        rngs: Sequence[np.random.Generator],
-        node_ids: np.ndarray | None = None,
+        self, rngs: Sequence[np.random.Generator]
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Draw every (listed) basis' random non-zero pick vector at once.
+        """Draw every non-empty basis' random non-zero pick vector at once.
 
         Replays ``Subspace.draw_pick_mask`` bit-for-bit: pick bits come from
         a per-basis buffer refilled with ``rng.bytes(PICK_REFILL_BYTES)``
@@ -440,7 +438,7 @@ class GF2BasisBatch:
         picks = np.zeros((self.n, max(1, max_rank)), dtype=np.uint8)
         if max_rank == 0:
             return active, picks
-        uids = np.flatnonzero(ranks > 0) if node_ids is None else np.asarray(node_ids)
+        uids = np.flatnonzero(ranks > 0)
         ranks_list = ranks.tolist()
         buffers = self._pick_buffer
         counts = self._pick_bits
@@ -450,8 +448,6 @@ class GF2BasisBatch:
         drawn: list[bytes] = []
         for uid in uids.tolist():
             r = ranks_list[uid]
-            if r == 0:
-                continue
             buffer = buffers[uid]
             bits = counts[uid]
             low = (1 << r) - 1
@@ -481,23 +477,6 @@ class GF2BasisBatch:
             )
             picks[drawn_uids] = rows
         return active, picks
-
-    def compose_random(
-        self,
-        rngs: Sequence[np.random.Generator],
-        node_ids: np.ndarray | None = None,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Draw and combine every basis' random non-zero combination at once.
-
-        ``(active, combined)``: ``active[u]`` is False for empty (or
-        unlisted) bases, whose ``combined`` rows are zero.
-        """
-        active, picks = self.draw_random_picks(rngs, node_ids)
-        if not active.any():
-            return active, np.zeros((self.n, self.words), dtype=np.uint64)
-        combined = self.combine_sorted(picks, node_ids)
-        combined[~active] = 0
-        return active, combined
 
     # ------------------------------------------------------------------
     # queries

@@ -12,23 +12,28 @@ trace and the (survivor) stop rule.
 
 Two kernel families run through that loop:
 
-* the **packed kernels** here and in
-  :mod:`repro.simulation.coded_kernels` (the ``"kernel"`` engine) keep the
-  state in numpy arrays — an ``(n, ceil(k/64))`` ``uint64`` knowledge
-  matrix, or one batched GF(2) elimination core
-  (:class:`~repro.gf.packed.GF2BasisBatch`) for the coded protocols — and
-  build no per-node Python objects on the hot path:
-
-  - :class:`TokenForwardingKernel` / :class:`PipelinedTokenForwardingKernel`
-    — token selection, delivery and phase commits are packed-array ops;
-  - :class:`RandomForwardKernel` — per-node ``rng.choice`` draws are kept
-    (bit-exact stream compatibility), state is integer bit masks;
-  - :class:`IndexedBroadcastKernel` / :class:`NaiveCodedKernel` /
-    :class:`GreedyForwardKernel` — the network-coded protocols;
-
 * the **object kernel** (:class:`~repro.simulation.runner.ObjectKernel`,
   the ``"mask"`` engine) wraps the per-node protocol objects and runs every
-  protocol.
+  protocol;
+* the **packed kernels** (the ``"kernel"`` engine) keep one protocol's
+  whole-network state in numpy arrays and build no per-node Python objects
+  on the hot path.  There are two:
+
+  - :class:`TokenForwardingKernel` — phase-based flooding forwarding over an
+    ``(n, ceil(k/64))`` ``uint64`` knowledge matrix; token selection,
+    delivery and phase commits are packed-array ops;
+  - :class:`~repro.simulation.coded_kernels.IndexedBroadcastKernel` — RLNC
+    indexed broadcast on one batched GF(2) elimination core
+    (:class:`~repro.gf.packed.GF2BasisBatch`).
+
+A packed kernel is a second implementation of its protocol, with its own
+parity tests, wire messages, state views and ``to_nodes``.  The rule for
+keeping one: **a packed kernel stays only if it is ≥2× faster than mask on
+a run of ≥1 s at a size some bench or test uses.**  The run length is the
+mask engine's wall time.  Both kernels above clear it by more than 5× on
+the perfbench workloads they serve; every other protocol (greedy-forward,
+naive coded, random forward, pipelined forwarding, ...) runs on the object
+kernel alone.
 
 Packed and object kernels report byte-identical
 :class:`~repro.simulation.metrics.RunMetrics` and trace content for
@@ -54,12 +59,7 @@ from typing import Callable, Iterator, Mapping, Sequence
 import numpy as np
 
 from ..algorithms.base import ProtocolConfig, ProtocolNode
-from ..algorithms.random_forward import RandomForwardNode
-from ..algorithms.token_forwarding import (
-    PipelinedTokenForwardingNode,
-    TokenForwardingNode,
-    tokens_per_message,
-)
+from ..algorithms.token_forwarding import TokenForwardingNode, tokens_per_message
 from ..network.adversary import Adversary, NodeStateView
 from ..network.faults import StateView
 from ..network.topology import TopologyValidationCache, _iter_bits
@@ -73,11 +73,7 @@ __all__ = [
     "KernelUnsupported",
     "RoundKernel",
     "TokenForwardingKernel",
-    "PipelinedTokenForwardingKernel",
-    "RandomForwardKernel",
     "IndexedBroadcastKernel",
-    "NaiveCodedKernel",
-    "GreedyForwardKernel",
     "kernel_for",
     "register_kernel",
     "run_rounds",
@@ -304,7 +300,7 @@ class RoundKernel(abc.ABC):
 
         The trace recorder's rank column.  Forwarding kernels have no
         coded state — their nodes' ``coded_rank()`` is 0 — so the default
-        is the zero vector; coded kernels override with their batched
+        is the zero vector; the coded kernel overrides it with its batched
         GF(2) ranks.
         """
         return np.zeros(self.n, dtype=np.int64)
@@ -367,8 +363,8 @@ class RoundKernel(abc.ABC):
         The Byzantine-replay hook: ``overrides`` maps uid -> GF(2) vector
         mask; every copy the node delivers this round (and its message
         view) carries the substituted vector instead of the honest
-        composition.  Only the coded kernels and the object kernel can
-        represent this.
+        composition.  Only the indexed-broadcast kernel and the object
+        kernel can represent this.
         """
         raise RuntimeError(
             f"{type(self).__name__} cannot substitute wire vectors; "
@@ -447,7 +443,7 @@ def run_rounds(
     omniscient (``sees_messages``) adversary instead chooses after
     ``compose_all`` and is shown the composed messages (Section 6); its
     state views are built *before* composing, because a kernel may change
-    node state inside ``compose_all`` (the coded kernels' flood ->
+    node state inside ``compose_all`` (a multi-phase coded node's flood ->
     broadcast transition) and the adversary must not see that.  Returns the
     recorded topologies.
 
@@ -597,14 +593,29 @@ def run_rounds(
 
 
 # ----------------------------------------------------------------------
-# packed forwarding kernels
+# packed token forwarding
 # ----------------------------------------------------------------------
 
 
-class _PackedKnowledgeKernel(RoundKernel):
-    """Shared plumbing for kernels whose knowledge is a packed bit matrix."""
+@register_kernel(TokenForwardingNode)
+class TokenForwardingKernel(RoundKernel):
+    """Phase-based flooding forwarding as packed array ops.
+
+    Knowledge is one packed ``(n, ceil(k/64))`` bit matrix.  Per round: one
+    ``_select_lowest_bits`` pass picks every node's ``batch`` smallest
+    known-but-undelivered tokens (identical to the per-node sorted-pending
+    prefix), delivery is one gather + OR-reduce, and the consistent
+    phase-boundary commit is a second selection pass OR-ed into the packed
+    ``delivered`` matrix.
+
+    A node's broadcast only changes when its pending set does, so the
+    selection is cached row-wise and recomputed for *dirty* rows only
+    (knowledge grew, or a phase commit touched the node) — the array twin
+    of the node-level memoised ``compose``.
+    """
 
     message_name = "TokenForwardMessage"
+    supports_message_views = True
 
     def __init__(self, config, placement, token_index, nodes):
         super().__init__(config, placement, token_index, nodes)
@@ -620,65 +631,6 @@ class _PackedKnowledgeKernel(RoundKernel):
             for tid in node.known:
                 bit = token_index[tid]
                 self.known[uid, bit >> 6] |= np.uint64(1 << (bit & 63))
-        self._send: np.ndarray | None = None
-
-    # ------------------------------------------------------------------
-    def _absorb(self, indices: np.ndarray, indptr: np.ndarray) -> np.ndarray:
-        """OR the neighbours' send rows into ``known``; return change flags."""
-        inbox = _neighbor_or(self._send, indices, indptr)
-        new = self.known | inbox
-        changed = (new != self.known).any(axis=1)
-        self.known = new
-        self._counts_cache = None
-        return changed
-
-    def _known_counts_now(self) -> np.ndarray:
-        return _popcount_rows(self.known)
-
-    def all_complete(self) -> bool:
-        return bool((self.known == self.full).all())
-
-    # ------------------------------------------------------------------
-    def _knows(self, uid: int, token_id) -> bool:
-        bit = self.token_index.get(token_id)
-        if bit is None:
-            return False
-        return bool((int(self.known[uid, bit >> 6]) >> (bit & 63)) & 1)
-
-    def _known_ids(self, uid: int) -> list:
-        return [self.tokens[i].token_id for i in _row_bits(self.known[uid])]
-
-    def state_view(self, uid: int) -> NodeStateView:
-        counts = self.known_counts()
-        return NodeStateView(
-            uid=uid,
-            rank=0,
-            known_supplier=lambda: self._known_ids(uid),
-            known_count=int(counts[uid]),
-            membership=lambda token_id: self._knows(uid, token_id),
-        )
-
-
-@register_kernel(TokenForwardingNode)
-class TokenForwardingKernel(_PackedKnowledgeKernel):
-    """Phase-based flooding forwarding as packed array ops.
-
-    Per round: one ``_select_lowest_bits`` pass picks every node's
-    ``batch`` smallest known-but-undelivered tokens (identical to the
-    per-node sorted-pending prefix), delivery is one gather + OR-reduce,
-    and the consistent phase-boundary commit is a second selection pass
-    OR-ed into the packed ``delivered`` matrix.
-
-    A node's broadcast only changes when its pending set does, so the
-    selection is cached row-wise and recomputed for *dirty* rows only
-    (knowledge grew, or a phase commit touched the node) — the array twin
-    of the node-level memoised ``compose``.
-    """
-
-    supports_message_views = True
-
-    def __init__(self, config, placement, token_index, nodes):
-        super().__init__(config, placement, token_index, nodes)
         self.phase_length = config.extra_int("phase_length", config.n)
         self.delivered = np.zeros_like(self.known)
         self._sizes = np.zeros(self.n, dtype=np.int64)
@@ -706,7 +658,11 @@ class TokenForwardingKernel(_PackedKnowledgeKernel):
         )
 
     def deliver_all(self, round_index, indices, indptr, active, counts):
-        changed = self._absorb(indices, indptr)
+        inbox = _neighbor_or(self._send, indices, indptr)
+        new = self.known | inbox
+        changed = (new != self.known).any(axis=1)
+        self.known = new
+        self._counts_cache = None
         self._dirty |= changed
         if (round_index + 1) % self.phase_length == 0:
             commit, _ = _select_lowest_bits(
@@ -715,6 +671,32 @@ class TokenForwardingKernel(_PackedKnowledgeKernel):
             self.delivered |= commit
             self._dirty |= commit.any(axis=1)
         return changed
+
+    # ------------------------------------------------------------------
+    def _known_counts_now(self) -> np.ndarray:
+        return _popcount_rows(self.known)
+
+    def all_complete(self) -> bool:
+        return bool((self.known == self.full).all())
+
+    def _knows(self, uid: int, token_id) -> bool:
+        bit = self.token_index.get(token_id)
+        if bit is None:
+            return False
+        return bool((int(self.known[uid, bit >> 6]) >> (bit & 63)) & 1)
+
+    def _known_ids(self, uid: int) -> list:
+        return [self.tokens[i].token_id for i in _row_bits(self.known[uid])]
+
+    def state_view(self, uid: int) -> NodeStateView:
+        counts = self.known_counts()
+        return NodeStateView(
+            uid=uid,
+            rank=0,
+            known_supplier=lambda: self._known_ids(uid),
+            known_count=int(counts[uid]),
+            membership=lambda token_id: self._knows(uid, token_id),
+        )
 
     def to_nodes(self, nodes):
         for uid, node in enumerate(nodes):
@@ -734,244 +716,12 @@ class TokenForwardingKernel(_PackedKnowledgeKernel):
             node._invalidate_compose_cache()
 
 
-@register_kernel(PipelinedTokenForwardingNode)
-class PipelinedTokenForwardingKernel(_PackedKnowledgeKernel):
-    """Pipelined sweep forwarding with an ``(n, k)`` send-count matrix.
-
-    Every node's "fewest-sends-first, then smallest id" candidate order is
-    one ``argpartition`` over the key matrix ``send_count * k + index``
-    (exactly the per-node sort key, flattened into a single integer), so
-    composing the whole network is O(n k) with no Python per node.
-    """
-
-    _BIG = np.int64(1) << np.int64(62)
-    supports_message_views = True
-
-    def __init__(self, config, placement, token_index, nodes):
-        super().__init__(config, placement, token_index, nodes)
-        self.send_counts = np.zeros((self.n, max(1, self.k)), dtype=np.int64)
-        self._cols = np.arange(max(1, self.k), dtype=np.int64)
-        self._view_chosen: np.ndarray | None = None
-        self._view_valid: np.ndarray | None = None
-
-    def compose_all(self, round_index):
-        active = self.known.any(axis=1)
-        self._send = np.zeros_like(self.known)
-        sizes = np.zeros(self.n, dtype=np.int64)
-        self._view_chosen = None
-        self._view_valid = None
-        if self.k == 0 or not active.any():
-            return active, sizes
-        known_bool = (
-            np.unpackbits(
-                self.known.view(np.uint8).reshape(self.n, -1),
-                axis=1,
-                count=self.k,
-                bitorder="little",
-            )
-            .astype(bool)
-        )
-        keys = np.where(
-            known_bool, self.send_counts[:, : self.k] * self.k + self._cols[: self.k], self._BIG
-        )
-        take = min(self.batch, self.k)
-        part = np.argpartition(keys, take - 1, axis=1)[:, :take]
-        part_keys = np.take_along_axis(keys, part, axis=1)
-        order = np.argsort(part_keys, axis=1)
-        chosen = np.take_along_axis(part, order, axis=1)
-        chosen_keys = np.take_along_axis(part_keys, order, axis=1)
-        valid = chosen_keys < self._BIG
-        sizes = np.where(valid, self.costs[chosen], 0).sum(axis=1)
-        rows = np.broadcast_to(np.arange(self.n)[:, None], chosen.shape)
-        r, c = rows[valid], chosen[valid]
-        # (r, c) pairs are unique (distinct columns per row), so plain fancy
-        # increments are safe; bit scatter needs or.at (several chosen bits
-        # can land in the same packed word of the same row).
-        self.send_counts[r, c] += 1
-        np.bitwise_or.at(
-            self._send,
-            (r, c >> 6),
-            np.uint64(1) << (c & np.int64(63)).astype(np.uint64),
-        )
-        self._view_chosen = chosen
-        self._view_valid = valid
-        return active, sizes
-
-    def wire_message(self, uid, round_index):
-        # The node composes in (send_count, id) key order — exactly the
-        # key-sorted ``chosen`` row, NOT ascending id, so the view is
-        # rebuilt from the per-round selection arrays.
-        if self._view_chosen is None:
-            return TokenForwardMessage(sender=uid, tokens=())
-        row = self._view_chosen[uid]
-        keep = self._view_valid[uid]
-        return TokenForwardMessage(
-            sender=uid,
-            tokens=tuple(self.tokens[int(c)] for c, ok in zip(row, keep) if ok),
-        )
-
-    def deliver_all(self, round_index, indices, indptr, active, counts):
-        return self._absorb(indices, indptr)
-
-    def to_nodes(self, nodes):
-        for uid, node in enumerate(nodes):
-            bits = list(_row_bits(self.known[uid]))
-            node.known.clear()
-            node.known.update(
-                {self.tokens[i].token_id: self.tokens[i] for i in bits}
-            )
-            counts_row = self.send_counts[uid]
-            node._send_counts = {
-                self.tokens[i].token_id: int(counts_row[i])
-                for i in bits
-                if counts_row[i] > 0
-            }
-            buckets: dict[int, list] = {}
-            for i in bits:  # ascending id order within each bucket
-                buckets.setdefault(int(counts_row[i]), []).append(self.tokens[i])
-            node._buckets = buckets
-
-
 # ----------------------------------------------------------------------
-# random forwarding kernel
+# the coded kernel (registered on import; see coded_kernels.py)
 # ----------------------------------------------------------------------
 
-
-@register_kernel(RandomForwardNode)
-class RandomForwardKernel(RoundKernel):
-    """Random forwarding with integer-mask state and vectorised accounting.
-
-    The protocol's randomness (``rng.choice`` over the node's tokens in
-    insertion order) must replay the exact per-node generator streams of
-    the object kernel, so composition keeps one small draw per informed
-    node; everything else — knowledge (per-node int bit masks plus
-    insertion-order index lists), sizes, delivery counting, completion —
-    avoids Message/Token objects entirely.
-    """
-
-    message_name = "TokenForwardMessage"
-    supports_message_views = True
-
-    def __init__(self, config, placement, token_index, nodes):
-        super().__init__(config, placement, token_index, nodes)
-        self.batch = tokens_per_message(config)
-        self.rngs = [node.rng for node in nodes]
-        self.costs = [t.token_id.bits + t.size_bits for t in self.tokens]
-        self.full = (1 << self.k) - 1
-        self.known_int: list[int] = []
-        self.order: list[list[int]] = []
-        for node in nodes:
-            indexes = [token_index[tid] for tid in node.known]  # insertion order
-            mask = 0
-            for i in indexes:
-                mask |= 1 << i
-            self.order.append(indexes)
-            self.known_int.append(mask)
-        self._incomplete = {
-            uid for uid in range(self.n) if self.known_int[uid] != self.full
-        }
-        self._chosen: list[list[int] | None] = [None] * self.n
-
-    def compose_all(self, round_index):
-        active = np.zeros(self.n, dtype=bool)
-        sizes = np.zeros(self.n, dtype=np.int64)
-        chosen_lists: list[list[int] | None] = [None] * self.n
-        costs = self.costs
-        batch = self.batch
-        for uid in range(self.n):
-            order = self.order[uid]
-            count = len(order)
-            if count == 0:
-                continue
-            if count <= batch:
-                chosen = order[:]  # copy: receivers append to order in-place
-            else:
-                picks = self.rngs[uid].choice(count, size=batch, replace=False)
-                chosen = [order[int(i)] for i in picks]
-            chosen_lists[uid] = chosen
-            active[uid] = True
-            sizes[uid] = sum(costs[i] for i in chosen)
-        self._chosen = chosen_lists
-        return active, sizes
-
-    def wire_message(self, uid, round_index):
-        chosen = self._chosen[uid]
-        if chosen is None:
-            return None
-        # ``chosen`` preserves the node's pick order (insertion-order
-        # indexing plus the same rng.choice draw), so the message matches
-        # the object kernel token-for-token.
-        return TokenForwardMessage(
-            sender=uid, tokens=tuple(self.tokens[i] for i in chosen)
-        )
-
-    def deliver_all(self, round_index, indices, indptr, active, counts):
-        changed = np.zeros(self.n, dtype=bool)
-        chosen = self._chosen
-        for uid in range(self.n):
-            start, stop = int(indptr[uid]), int(indptr[uid + 1])
-            if start == stop:
-                continue
-            mask = self.known_int[uid]
-            before = mask
-            order = self.order[uid]
-            for v in indices[start:stop]:
-                tokens = chosen[v]
-                if tokens is None:
-                    continue
-                for i in tokens:
-                    if not (mask >> i) & 1:
-                        mask |= 1 << i
-                        order.append(i)
-            if mask != before:
-                self.known_int[uid] = mask
-                changed[uid] = True
-        self._counts_cache = None
-        return changed
-
-    def _known_counts_now(self) -> np.ndarray:
-        return np.fromiter(
-            (len(order) for order in self.order), dtype=np.int64, count=self.n
-        )
-
-    def all_complete(self) -> bool:
-        full = self.full
-        known = self.known_int
-        self._incomplete = {uid for uid in self._incomplete if known[uid] != full}
-        return not self._incomplete
-
-    def state_view(self, uid: int) -> NodeStateView:
-        order = self.order[uid]
-        return NodeStateView(
-            uid=uid,
-            rank=0,
-            known_supplier=lambda: [self.tokens[i].token_id for i in order],
-            known_count=len(order),
-            membership=lambda token_id: self._knows(uid, token_id),
-        )
-
-    def _knows(self, uid: int, token_id) -> bool:
-        bit = self.token_index.get(token_id)
-        return bit is not None and bool((self.known_int[uid] >> bit) & 1)
-
-    def to_nodes(self, nodes):
-        for uid, node in enumerate(nodes):
-            node.known.clear()
-            for i in self.order[uid]:  # preserve learn order: compose draws
-                token = self.tokens[i]  # index the dict-ordered token list
-                node.known[token.token_id] = token
-
-
-# ----------------------------------------------------------------------
-# coded kernels (registered on import; see coded_kernels.py)
-# ----------------------------------------------------------------------
-
-# The network-coding kernels ride the batched GF(2) elimination core of
-# repro.gf.packed and live in their own module; importing it here registers
-# them and keeps the historical import path
+# The indexed-broadcast kernel rides the batched GF(2) elimination core of
+# repro.gf.packed and lives in its own module; importing it here registers
+# it and keeps the historical import path
 # ``repro.simulation.kernels.IndexedBroadcastKernel`` working.
-from .coded_kernels import (  # noqa: E402  (registration import)
-    GreedyForwardKernel,
-    IndexedBroadcastKernel,
-    NaiveCodedKernel,
-)
+from .coded_kernels import IndexedBroadcastKernel  # noqa: E402  (registration import)

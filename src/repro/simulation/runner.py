@@ -20,8 +20,9 @@ trace, and detects completion (every node can output every token).  The
 runner then verifies payload correctness.  Two kernel families exist:
 
 * **kernel** — a registered packed kernel (see
-  :mod:`repro.simulation.kernels`): whole-network state in numpy arrays,
-  materialised back into the nodes at the end;
+  :mod:`repro.simulation.kernels`; token forwarding and indexed broadcast
+  have one): whole-network state in numpy arrays, materialised back into
+  the nodes at the end;
 * **mask** — :class:`ObjectKernel` over the per-node protocol objects,
   which runs every protocol.  Each node's knowledge is an incrementally
   maintained integer ``knowledge_mask``, so the completion check is one

@@ -1,18 +1,13 @@
-"""Engine-equivalence and contract tests for the coded round kernels.
+"""Engine-equivalence and contract tests for the coded round kernel.
 
-The coded kernels (:mod:`repro.simulation.coded_kernels`) run whole-network
-rounds on the batched GF(2) elimination core; these tests pin byte-identical
-:class:`~repro.simulation.metrics.RunMetrics` across the kernel and mask
-engines for
-
-* indexed broadcast — randomized *and* deterministic-schedule — over the
-  whole dynamic-scenario catalog and the hand-written adversaries,
-* the naive coded algorithm and greedy-forward over representative
-  adversaries,
-
-plus the engine-selection rules the new kernels add and the ``to_nodes``
-materialisation guarantees (knowledge, delivered sets, post-run compose
-stream parity for indexed broadcast).
+The indexed-broadcast kernel (:mod:`repro.simulation.coded_kernels`) runs
+whole-network rounds on the batched GF(2) elimination core; these tests pin
+byte-identical :class:`~repro.simulation.metrics.RunMetrics` across the
+kernel and mask engines for indexed broadcast — randomized *and*
+deterministic-schedule — over the whole dynamic-scenario catalog and the
+hand-written adversaries, plus the coded engine-selection rules (the other
+coded protocols run on the mask engine) and the ``to_nodes``
+materialisation guarantees (post-run compose stream parity).
 """
 
 from __future__ import annotations
@@ -36,11 +31,7 @@ from repro.network import (
 )
 from repro.scenarios import SCENARIOS, scenario_for
 from repro.simulation import kernel_for, run_dissemination, standard_instance
-from repro.simulation.kernels import (
-    GreedyForwardKernel,
-    IndexedBroadcastKernel,
-    NaiveCodedKernel,
-)
+from repro.simulation.kernels import IndexedBroadcastKernel
 from tests.conftest import make_config
 
 ENGINES = ("kernel", "mask")
@@ -153,101 +144,31 @@ class TestIndexedBroadcastAcrossScenarios:
         _assert_identical(results)
 
 
-class TestNaiveCodedKernel:
-    @pytest.mark.parametrize(
-        "adversary_factory",
-        [
-            lambda: RandomConnectedAdversary(seed=7),
-            lambda: ShiftedRingAdversary(),
-            lambda: StaticAdversary(ring_topology(9)),
-            scenario_for("edge_markov", 9, seed=4),
-        ],
-        ids=["random-connected", "shifted-ring", "static-ring", "edge-markov"],
-    )
-    def test_engine_equivalence(self, adversary_factory):
-        config = make_config(9)
-        results = _run_all_engines(NaiveCodedNode, config, adversary_factory)
-        kernel = _assert_identical(results)
-        assert kernel.completed and kernel.correct
-        for kernel_node, mask_node in zip(kernel.nodes, results["mask"].nodes):
-            assert kernel_node.delivered == mask_node.delivered
-            assert kernel_node._candidate_ids == mask_node._candidate_ids
-
-    def test_mid_flood_round_limit_equivalence(self):
-        # Stopping inside a flood window exercises the packed candidate
-        # state (and its to_nodes materialisation) mid-phase.
-        config = make_config(9)
-        results = _run_all_engines(
-            NaiveCodedNode,
-            config,
-            lambda: RandomConnectedAdversary(seed=5),
-            max_rounds=5,
-        )
-        _assert_identical(results)
-
-
-class TestGreedyForwardKernel:
-    @pytest.mark.parametrize(
-        "adversary_factory",
-        [
-            lambda: RandomConnectedAdversary(seed=7),
-            lambda: ShiftedRingAdversary(),
-            lambda: BottleneckAdversary(),
-            scenario_for("waypoint_radio", 10, seed=4),
-        ],
-        ids=["random-connected", "shifted-ring", "bottleneck", "waypoint"],
-    )
-    def test_engine_equivalence(self, adversary_factory):
-        config = make_config(10)
-        results = _run_all_engines(GreedyForwardNode, config, adversary_factory)
-        kernel = _assert_identical(results)
-        assert kernel.completed and kernel.correct
-        for kernel_node, mask_node in zip(kernel.nodes, results["mask"].nodes):
-            assert kernel_node.delivered == mask_node.delivered
-
-    def test_exhaustion_parity_past_completion(self):
-        # Run until every node terminates locally: the elect flood must
-        # report zero remaining tokens and exhaust all nodes on both engines.
-        config = make_config(8)
-        placement = standard_instance(8, 8, 8, seed=3)
-        runs = {
-            engine: run_dissemination(
-                GreedyForwardNode,
-                config,
-                placement,
-                RandomConnectedAdversary(seed=3),
-                seed=3,
-                engine=engine,
-                stop_at_completion=False,
-                max_rounds=900,
-            )
-            for engine in ("kernel", "mask")
-        }
-        assert dataclasses.asdict(runs["kernel"].metrics) == dataclasses.asdict(
-            runs["mask"].metrics
-        )
-        for kernel_node, mask_node in zip(runs["kernel"].nodes, runs["mask"].nodes):
-            assert kernel_node._exhausted == mask_node._exhausted
-
-
 class TestCodedEngineSelection:
-    def test_auto_prefers_kernel_for_all_coded_protocols(self):
-        for factory in (IndexedBroadcastNode, NaiveCodedNode, GreedyForwardNode):
-            config = make_config(8)
-            placement = standard_instance(8, 8, 8, seed=1)
-            result = run_dissemination(
-                factory,
-                config,
-                placement,
-                RandomConnectedAdversary(seed=1),
-                seed=1,
-                engine="auto",
-            )
-            assert result.engine == "kernel", factory
+    @pytest.mark.parametrize(
+        "factory,engine",
+        [
+            (IndexedBroadcastNode, "kernel"),
+            (NaiveCodedNode, "mask"),
+            (GreedyForwardNode, "mask"),
+        ],
+    )
+    def test_auto_engine_for_coded_protocols(self, factory, engine):
+        config = make_config(8)
+        placement = standard_instance(8, 8, 8, seed=1)
+        result = run_dissemination(
+            factory,
+            config,
+            placement,
+            RandomConnectedAdversary(seed=1),
+            seed=1,
+            engine="auto",
+        )
+        assert result.engine == engine
+        assert result.completed and result.correct
 
     def test_greedy_forward_does_not_fall_past_mask_under_auto(self):
-        # Even when the kernel declines (degenerate phase windows), auto must
-        # resolve to the mask engine.
+        # Degenerate phase windows still resolve to the mask engine.
         config = make_config(8, extra={"gather_rounds": 0})
         assert kernel_for(GreedyForwardNode, config) is None
         placement = standard_instance(8, 8, 8, seed=1)
@@ -280,8 +201,6 @@ class TestCodedEngineSelection:
 
     def test_non_gf2_fields_fall_back(self):
         assert kernel_for(IndexedBroadcastNode, make_config(8, field_order=3)) is None
-        assert kernel_for(NaiveCodedNode, make_config(8, field_order=3)) is None
-        assert kernel_for(GreedyForwardKernel.node_class, make_config(8, field_order=5)) is None
 
     def test_non_canonical_indexing_falls_back_to_mask(self):
         # index_of mappings that are not a bijection onto 0..k-1 decline the
@@ -315,5 +234,5 @@ class TestCodedEngineSelection:
 
     def test_registered_kernels_resolve(self):
         assert kernel_for(IndexedBroadcastNode, make_config(8)) is IndexedBroadcastKernel
-        assert kernel_for(NaiveCodedNode, make_config(8)) is NaiveCodedKernel
-        assert kernel_for(GreedyForwardNode, make_config(8)) is GreedyForwardKernel
+        assert kernel_for(NaiveCodedNode, make_config(8)) is None
+        assert kernel_for(GreedyForwardNode, make_config(8)) is None

@@ -52,11 +52,9 @@ from repro.network import (
 from repro.scenarios import fault_model_for, hostile_scenarios, make_scenario
 from repro.simulation import (
     RunMetrics,
-    build_nodes,
     run_dissemination,
     standard_instance,
 )
-from repro.simulation.coded_kernels import GreedyForwardKernel
 from repro.simulation.kernels import _neighbor_or
 from tests.conftest import make_config
 
@@ -345,22 +343,31 @@ class TestHostileCatalogParity:
 
 
 class TestCodingFamilyHostileParity:
-    """The whole coding family runs every hostile entry on the kernel engine
-    — no ``KernelUnsupported`` fallback — byte-identical to the object
-    engines, including the crash–recovery and partition scenarios whose
-    stale-state rejoins force concurrent broadcast generations."""
+    """The multi-phase coded protocols run every hostile entry on the mask
+    engine (``auto`` finds no packed kernel for them), including the
+    crash–recovery and partition scenarios whose stale-state rejoins force
+    concurrent broadcast generations and mixed-span decodes; recovering
+    forwarding runs report the same recovery metrics on both engines."""
 
     @pytest.mark.parametrize("name", hostile_scenarios())
     @pytest.mark.parametrize("factory", [NaiveCodedNode, GreedyForwardNode])
-    def test_coded_parity_across_engines(self, name, factory):
+    def test_coded_runs_every_hostile_entry(self, name, factory):
         n, k = 16, 12
         config = make_config(n=n, k=k)
-        results = _run_all_engines(
-            factory, config, name, fault_model_for(name, n, seed=5),
+        placement = standard_instance(n, k, config.token_bits, seed=3)
+        result = run_dissemination(
+            factory,
+            config,
+            placement,
+            make_scenario(name, n, seed=5),
+            seed=3,
+            engine="auto",
+            faults=fault_model_for(name, n, seed=5),
             max_rounds=6 * n,
+            track_progress=True,
         )
-        kernel = _assert_identical(results)
-        assert kernel.metrics.survivors is not None
+        assert result.engine == "mask"
+        assert result.metrics.survivors is not None
 
     def test_recovery_metrics_populated_on_recovering_run(self):
         n, k = 16, 12
@@ -406,38 +413,11 @@ class TestTrailingEmptySegmentRegressions:
         indptr = np.array([0, 0, 0], dtype=np.int64)
         assert _neighbor_or(send, indices, indptr).tolist() == [[0], [0]]
 
-    def test_greedy_elect_keeps_last_key_before_trailing_empty(self):
-        # Elect-flood twin of the _neighbor_or regression: node 2 is the
-        # last non-empty segment and its final neighbour (node 1) holds the
-        # strictly largest (count, uid) key; the crashed top node leaves a
-        # trailing empty segment.  The clamped reduceat dropped node 1's
-        # key, electing the wrong leader.
-        n = 4
-        config = make_config(n)
-        placement = standard_instance(n, n, 8, seed=1)
-        token_index = {tid: i for i, tid in enumerate(sorted(placement.all_ids()))}
-        nodes = build_nodes(
-            GreedyForwardNode, config, placement, np.random.default_rng(0)
-        )
-        for node in nodes:
-            node.enable_mask_tracking(token_index)
-        kernel = GreedyForwardKernel(config, placement, token_index, nodes)
-        kernel.lead_count = np.array([0, 7, 0, 0], dtype=np.int64)
-        kernel.lead_uid = np.arange(n, dtype=np.int64)
-        round_index = kernel.gather_rounds  # first elect round
-        kernel.compose_all(round_index)
-        indices = np.array([1, 0, 0, 1], dtype=np.int64)
-        indptr = np.array([0, 1, 2, 4, 4], dtype=np.int64)
-        kernel.deliver_all(round_index, indices, indptr, None, None)
-        assert kernel.lead_count[2] == 7
-        assert kernel.lead_uid[2] == 1
-
-    @pytest.mark.parametrize("factory", [TokenForwardingNode, GreedyForwardNode])
+    @pytest.mark.parametrize("factory", [TokenForwardingNode])
     def test_parity_with_top_uid_crashed(self, factory):
         # The top uid is dead from round 0, so every round's effective CSR
         # ends in an empty segment while the penultimate node keeps degree
-        # >= 2 — exercising both the _neighbor_or propagation (forwarding)
-        # and the maximum.reduceat elect flood (greedy coded).
+        # >= 2 — exercising the _neighbor_or propagation.
         n, k = 12, 10
         config = make_config(n=n, k=k)
         results = _run_all_engines(

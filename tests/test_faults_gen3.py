@@ -37,11 +37,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.algorithms import (
-    GreedyForwardNode,
-    NaiveCodedNode,
-    TokenForwardingNode,
-)
+from repro.algorithms import IndexedBroadcastNode, TokenForwardingNode
 from repro.network import (
     CollisionModel,
     FaultModel,
@@ -392,14 +388,13 @@ class TestRegistryWideViewSupport:
             assert kernel_cls.supports_message_views, node_cls.__name__
             assert kernel_cls.supports_state_views, node_cls.__name__
 
-    @pytest.mark.parametrize("factory", [NaiveCodedNode, GreedyForwardNode])
-    def test_coded_omniscient_adversary_stays_on_kernel(self, factory):
+    def test_coded_omniscient_adversary_stays_on_kernel(self):
         n, k = 12, 10
         config = make_config(n=n, k=k)
         placement = standard_instance(n, k, config.token_bits, seed=3)
         results = {
             engine: run_dissemination(
-                factory,
+                IndexedBroadcastNode,
                 config,
                 placement,
                 OmniscientBottleneckAdversary(usefulness_fn=_forwarded_something),

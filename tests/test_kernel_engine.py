@@ -33,7 +33,6 @@ from repro.network import (
     OmniscientBottleneckAdversary,
     PathShuffleAdversary,
     RandomConnectedAdversary,
-    ShiftedRingAdversary,
     StaticAdversary,
     TStableAdversary,
     Topology,
@@ -41,10 +40,8 @@ from repro.network import (
 )
 from repro.simulation import kernel_for, run_dissemination, standard_instance
 from repro.simulation.kernels import (
-    GreedyForwardKernel,
+    KERNEL_REGISTRY,
     IndexedBroadcastKernel,
-    NaiveCodedKernel,
-    RandomForwardKernel,
     TokenForwardingKernel,
 )
 from tests.conftest import make_config
@@ -60,15 +57,6 @@ def _run(factory, config, adversary, *, engine, seed=3, **kwargs):
 PAIRS = [
     pytest.param(
         TokenForwardingNode, lambda: BottleneckAdversary(), 12, id="forwarding-bottleneck"
-    ),
-    pytest.param(
-        PipelinedTokenForwardingNode,
-        lambda: TStableAdversary(PathShuffleAdversary(seed=5), 4),
-        12,
-        id="pipelined-tstable-shuffle",
-    ),
-    pytest.param(
-        RandomForwardNode, lambda: ShiftedRingAdversary(), 10, id="random-shifted-ring"
     ),
     pytest.param(
         IndexedBroadcastNode,
@@ -162,29 +150,6 @@ class TestToNodesParity:
             # broadcast the object-engine node would.
             assert kernel_node.compose(next_round) == mask_node.compose(next_round)
 
-    def test_pipelined_send_counts_materialised(self):
-        config = make_config(10)
-        adversary = lambda: TStableAdversary(PathShuffleAdversary(seed=9), 4)  # noqa: E731
-        kernel = _run(PipelinedTokenForwardingNode, config, adversary(), engine="kernel")
-        mask = _run(PipelinedTokenForwardingNode, config, adversary(), engine="mask")
-        next_round = kernel.metrics.rounds_executed
-        for kernel_node, mask_node in zip(kernel.nodes, mask.nodes):
-            assert kernel_node._send_counts == mask_node._send_counts
-            assert kernel_node.compose(next_round) == mask_node.compose(next_round)
-
-    def test_random_forward_preserves_learn_order(self):
-        # RandomForwardNode.compose draws over known tokens in insertion
-        # order, so to_nodes must reproduce the exact dict order for the
-        # materialised nodes to stay stream-compatible.
-        config = make_config(10)
-        kernel = _run(RandomForwardNode, config, ShiftedRingAdversary(), engine="kernel")
-        mask = _run(RandomForwardNode, config, ShiftedRingAdversary(), engine="mask")
-        for kernel_node, mask_node in zip(kernel.nodes, mask.nodes):
-            assert list(kernel_node.known) == list(mask_node.known)
-        next_round = kernel.metrics.rounds_executed
-        for kernel_node, mask_node in zip(kernel.nodes, mask.nodes):
-            assert kernel_node.compose(next_round) == mask_node.compose(next_round)
-
     def test_correctness_check_runs_on_materialised_payloads(self):
         config = make_config(9)
         placement = standard_instance(9, 9, 8, seed=5)
@@ -234,29 +199,28 @@ class TestEngineSelection:
         # Every in-repo kernel now ships wire_message; exercise the gate by
         # withdrawing the opt-in, as a third-party kernel without the hook
         # would present itself.
-        monkeypatch.setattr(NaiveCodedKernel, "supports_message_views", False)
+        monkeypatch.setattr(IndexedBroadcastKernel, "supports_message_views", False)
         config = make_config(8)
         with pytest.raises(ValueError, match="sees_messages"):
             _run(
-                NaiveCodedNode,
+                IndexedBroadcastNode,
                 config,
                 OmniscientBottleneckAdversary(),
                 engine="kernel",
             )
         fallback = _run(
-            NaiveCodedNode, config, OmniscientBottleneckAdversary(), engine="auto"
+            IndexedBroadcastNode, config, OmniscientBottleneckAdversary(), engine="auto"
         )
         assert fallback.engine == "mask"
 
     def test_auto_with_omniscient_adversary_uses_message_views(self):
         # Kernels with wire_message stay kernel-eligible under omniscient
-        # adversaries — including the coded kernels, which rebuild their
-        # flood/broadcast wire messages on demand.
+        # adversaries — including the coded kernel, which rebuilds its wire
+        # messages from the round's combination on demand.
         assert TokenForwardingKernel.supports_message_views is True
-        assert NaiveCodedKernel.supports_message_views is True
-        assert GreedyForwardKernel.supports_message_views is True
+        assert IndexedBroadcastKernel.supports_message_views is True
         config = make_config(8)
-        for factory in (TokenForwardingNode, NaiveCodedNode, GreedyForwardNode):
+        for factory in (TokenForwardingNode, IndexedBroadcastNode):
             result = _run(
                 factory, config, OmniscientBottleneckAdversary(), engine="auto"
             )
@@ -275,7 +239,6 @@ class TestEngineSelection:
 
     def test_kernel_for_screens_configurations(self):
         assert kernel_for(TokenForwardingNode, make_config(8)) is TokenForwardingKernel
-        assert kernel_for(RandomForwardNode, make_config(8)) is RandomForwardKernel
         assert kernel_for(TweakedForwardingNode, make_config(8)) is None
         assert kernel_for(lambda uid, config, rng: None, make_config(8)) is None
         assert (
@@ -288,11 +251,26 @@ class TestEngineSelection:
         assert kernel_for(IndexedBroadcastNode, make_config(8, field_order=3)) is None
         config = make_config(8, extra={"deterministic_schedule": object()})
         assert kernel_for(IndexedBroadcastNode, config) is IndexedBroadcastKernel
-        assert kernel_for(NaiveCodedNode, make_config(8)) is NaiveCodedKernel
-        assert kernel_for(NaiveCodedNode, make_config(8, field_order=3)) is None
-        assert kernel_for(GreedyForwardNode, make_config(8)) is GreedyForwardKernel
-        assert kernel_for(GreedyForwardNode, make_config(8, field_order=5)) is None
         assert kernel_for(PriorityForwardNode, make_config(8)) is None
+
+    def test_only_forwarding_and_indexed_broadcast_have_kernels(self):
+        assert KERNEL_REGISTRY == {
+            TokenForwardingNode: TokenForwardingKernel,
+            IndexedBroadcastNode: IndexedBroadcastKernel,
+        }
+        retired = (
+            GreedyForwardNode,
+            NaiveCodedNode,
+            RandomForwardNode,
+            PipelinedTokenForwardingNode,
+        )
+        config = make_config(8)
+        for factory in retired:
+            assert kernel_for(factory, config) is None
+            result = _run(factory, config, BottleneckAdversary(), engine="auto", max_rounds=5)
+            assert result.engine == "mask"
+            with pytest.raises(ValueError, match="RoundKernel"):
+                _run(factory, config, BottleneckAdversary(), engine="kernel")
 
     def test_node_level_precondition_falls_back_under_auto(self, monkeypatch):
         # Forcing GenerationState off the mask-native pipeline is only

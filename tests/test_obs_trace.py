@@ -26,11 +26,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.algorithms import (
-    GreedyForwardNode,
-    IndexedBroadcastNode,
-    TokenForwardingNode,
-)
+from repro.algorithms import IndexedBroadcastNode, TokenForwardingNode
 from repro.network.faults import FaultModel
 from repro.obs import (
     ManualClock,
@@ -138,13 +134,6 @@ CROSS_ENGINE_CASES = [
         IndexedBroadcastNode, "hostile_mix", 12, None, id="coded-hostile-mix"
     ),
     pytest.param(
-        GreedyForwardNode,
-        "partition_heal_waypoint",
-        12,
-        None,
-        id="greedy-partition",
-    ),
-    pytest.param(
         TokenForwardingNode,
         "crash_recover_churn",
         12,
@@ -175,7 +164,7 @@ def test_down_bitmap_and_partition_columns_record_fault_state():
     n = 12
     faults = fault_model_for("partition_heal_waypoint", n, seed=3)
     _, trace = _traced_run(
-        GreedyForwardNode,
+        IndexedBroadcastNode,
         n,
         "partition_heal_waypoint",
         engine="kernel",

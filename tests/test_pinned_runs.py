@@ -6,10 +6,10 @@ the protocols that only run on per-node objects (priority forward,
 T-stable patches, the counting reduction's attempts and centralized
 coding) run on the mask engine over a few scenarios.  The paper's
 Section 7 and T-stable baselines (greedy-forward, naive coded, random
-forward, pipelined forwarding) run over the object scenarios and a
-healing partition.  The omniscient
-cases pin the Section 6 round order -- state snapshot, compose, then the
-adversary reads the composed messages -- with a content-sensitive
+forward, pipelined forwarding) run on the mask engine over the object
+scenarios and a healing partition.  The omniscient cases pin the Section 6
+round order -- state snapshot, compose, then the adversary reads the
+composed messages -- with a content-sensitive
 :class:`OmniscientBottleneckAdversary` under a few fault models.  Each run must
 reproduce the full ``RunMetrics.to_dict()``, the correctness verdict and
 the trace ``content_digest()`` recorded in ``pinned_runs.json``.
@@ -63,10 +63,10 @@ COUNTING_GUESSES = (2, 4, 8, 16)
 OMNISCIENT_FAULTS = ("benign", "lossy_edge_markov", "byzantine_replay_t4")
 OMNISCIENT_MASK_ONLY = {"PriorityForwardNode": PriorityForwardNode}
 #: The Section 7 and T-stable baselines, pinned over ``PROTOCOL_SCENARIOS``
-#: and every omniscient fault model on ``PROTOCOL_ENGINES``.  Greedy-forward
-#: gathers for only 4 rounds and both coded protocols get a wider budget, so
-#: the runs reach their elect, coded-broadcast and decode phases within
-#: ``MAX_ROUNDS``.
+#: and every omniscient fault model, on the mask engine (they have no packed
+#: kernel).  Greedy-forward gathers for only 4 rounds and both coded
+#: protocols get a wider budget, so the runs reach their elect,
+#: coded-broadcast and decode phases within ``MAX_ROUNDS``.
 PROTOCOL_FACTORIES = {
     f.__name__: f
     for f in (
@@ -81,7 +81,6 @@ PROTOCOL_CONFIGS = {
     "NaiveCodedNode": make_config(N, K, b=96),
 }
 PROTOCOL_SCENARIOS = OBJECT_SCENARIOS + ("partition_heal_waypoint",)
-PROTOCOL_ENGINES = ("kernel", "mask")
 
 
 def _useful_crossing(sender: int, receiver: int, message) -> bool:
@@ -150,16 +149,14 @@ def _cases() -> list[tuple[str, str]]:
         for name in OMNISCIENT_MASK_ONLY
     ]
     cases += [
-        (f"protocol/{scenario}/{name}", engine)
+        (f"protocol/{scenario}/{name}", "mask")
         for scenario in PROTOCOL_SCENARIOS
         for name in PROTOCOL_FACTORIES
-        for engine in PROTOCOL_ENGINES
     ]
     cases += [
-        (f"omniscient/{faults}/{name}", engine)
+        (f"omniscient/{faults}/{name}", "mask")
         for faults in OMNISCIENT_FAULTS
         for name in PROTOCOL_FACTORIES
-        for engine in PROTOCOL_ENGINES
     ]
     return cases
 

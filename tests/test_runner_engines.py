@@ -24,6 +24,7 @@ from repro.algorithms import (
     GreedyForwardNode,
     IndexedBroadcastNode,
     NaiveCodedNode,
+    PipelinedTokenForwardingNode,
     PriorityForwardNode,
     RandomForwardNode,
     TokenForwardingNode,
@@ -62,9 +63,6 @@ PAIRS = [
         lambda: RandomConnectedAdversary(seed=7),
         10,
         id="rlnc-random-connected",
-    ),
-    pytest.param(
-        GreedyForwardNode, lambda: PathShuffleAdversary(seed=5), 10, id="greedy-path-shuffle"
     ),
 ]
 
@@ -193,6 +191,7 @@ PROBED = [
     pytest.param(GreedyForwardNode, 0, id="greedy"),
     pytest.param(NaiveCodedNode, 0, id="naive-coded"),
     pytest.param(RandomForwardNode, 0, id="random-forward"),
+    pytest.param(PipelinedTokenForwardingNode, 0, id="pipelined-forward"),
     pytest.param(PriorityForwardNode, 64, id="priority-forward"),
     pytest.param(CentralizedCodedNode, 16, id="centralized"),
     pytest.param(None, 0, id="tstable-patches"),
