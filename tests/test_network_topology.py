@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import networkx as nx
 import numpy as np
 import pytest
@@ -179,6 +181,81 @@ class TestBuilderTwins:
         mask = shifted_ring_topology(9, round_index)
         legacy = graphs.shifted_ring(9, round_index)
         assert _edge_set(mask) == _edge_set(legacy)
+
+
+def _edge_digest(topology) -> str:
+    return hashlib.sha256(repr(sorted(topology.edges)).encode()).hexdigest()
+
+
+#: sha256 of each builder's sorted edge list, recorded while the builders were
+#: still checked edge-for-edge against independent networkx generators.  A
+#: moved digest means an adversary built on the builder now plays different
+#: topologies (or draws its RNG in a different order).
+_BUILDER_CASES = {
+    "path-3-0-2-4-1": lambda: path_topology(5, [3, 0, 2, 4, 1]),
+    **{f"ring-{n}": (lambda n=n: ring_topology(n)) for n in (1, 2, 3, 8)},
+    **{f"star-7-{c}": (lambda c=c: star_topology(7, c)) for c in (0, 3, 6)},
+    "complete-6": lambda: complete_topology(6),
+    **{
+        f"split-10-4-{b}": (lambda b=b: split_topology(10, range(4), bridge_pairs=b))
+        for b in (1, 3)
+    },
+    **{
+        f"random-tree-12-{s}": (
+            lambda s=s: random_tree_topology(12, np.random.default_rng(s))
+        )
+        for s in range(5)
+    },
+    **{
+        f"random-connected-14-{s}": (
+            lambda s=s: random_connected_topology(
+                14, np.random.default_rng(s), extra_edge_prob=0.15
+            )
+        )
+        for s in range(5)
+    },
+    **{
+        f"shifted-ring-9-{r}": (lambda r=r: shifted_ring_topology(9, r))
+        for r in (0, 1, 5, 17)
+    },
+}
+
+_BUILDER_DIGESTS = {
+    "path-3-0-2-4-1": "a55da29fa53d3168154d4442af271c220098250b2b332de45680035a63fb5ce6",
+    "ring-1": "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
+    "ring-2": "4c461d4a0ab0fe42d5dfe0398002bac0ee02261aa3b5641fe9d4d1f8d99633a3",
+    "ring-3": "5b88a470c3dc1111275c72f04c1c6add35f56e1115c9af8b601f521bb39b60c6",
+    "ring-8": "74565e38d175231e03dd1d83ec94c0421470e5eb1e51a1f2721f68130618cb41",
+    "star-7-0": "4af98321751319bbf40e17f632b0584dc67aa2f516888d5153eb9b399f1b8a7e",
+    "star-7-3": "e28553de99fa3ce144cb40c7fb1ed8090652488f3b62c7bb9c7b5710f4d7498f",
+    "star-7-6": "1ebd531ffdde3b24221a588ceea7af2cbca3e25c882ebfb391c9b8164c7c3812",
+    "complete-6": "834403c8d06a480340fc0475bd1a981400f08589fbf40572c2b6640d7e5170ab",
+    "split-10-4-1": "72b7a666ad33992f65213933eecfde8bf053ab87001d1781dd934ef617e4b6c0",
+    "split-10-4-3": "f0cc9ebd055fd6b0a369ddeb125c6a54a8371172ece37986b47a40c2596b0864",
+    "random-tree-12-0": "212354722622d949e81301476d211336ee67346765ff57f4df334ebc315acca3",
+    "random-tree-12-1": "cca859f45d9e78bb69b2e19673ef0cb99b02c204698daea11e7071b9d8d3cf45",
+    "random-tree-12-2": "43a3a7bd487f14522d9c055dc6d8b35d7f9bb963cae33d57f128081d7a26a40e",
+    "random-tree-12-3": "fe68a742a3f35819b45bf36ab18df63d11d017ac64faccbb10e7c0c3cd6a9a5f",
+    "random-tree-12-4": "cf1bdbe41a9f81f5f2ca50e6bea92fbb1614e5d1a9181fde719a3910d5019f51",
+    "random-connected-14-0": "83263163dda7c80e3f4e9a0a2080c6e3fc605b05a102d9a5f19e97e955e4d771",
+    "random-connected-14-1": "4748ea8cdc0174bcd1e455d9bd3a6de542c51d24035234c5f7cc46e2cc9ea707",
+    "random-connected-14-2": "b0dabd07eb00b30b79d0e5dce72b9baaac3fc2a18ce38d5e0cc090e7de36b16d",
+    "random-connected-14-3": "b8d832c888fc8c24f36b94dd0bc5df49180241f4d987958947d0a188ff99b07f",
+    "random-connected-14-4": "cf4b842b97f9d97dca1fb4992f7355d84c4bfda676dc8258577e7418c0ff023a",
+    "shifted-ring-9-0": "e69033c06648077dfd8a33a23383ce26a1d553f88104acf6fb8ac7d6acd35bd9",
+    "shifted-ring-9-1": "274c21f44635d4f6110d0a5c5260b646a34c7b81cb49754ac8a8c816025f7cc6",
+    "shifted-ring-9-5": "274c21f44635d4f6110d0a5c5260b646a34c7b81cb49754ac8a8c816025f7cc6",
+    "shifted-ring-9-17": "779734e36db87d0d80a1e827c7883566b7e8e4400d2c8d9f79d1c26610fe14fe",
+}
+
+
+class TestBuilderPins:
+    @pytest.mark.parametrize("case", sorted(_BUILDER_CASES))
+    def test_edge_digest(self, case):
+        assert _edge_digest(_BUILDER_CASES[case]()) == _BUILDER_DIGESTS[case]
+
+    def test_every_case_pinned(self):
+        assert set(_BUILDER_CASES) == set(_BUILDER_DIGESTS)
 
 
 class TestStructuralIdentity:
