@@ -9,14 +9,16 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.network import compute_patches, random_connected_graph
+from repro.network import compute_patches, random_connected_topology
 
 from common import print_rows, sweep_map
 
 
 def _decompose(n: int, radius: int, seed: int = 0):
     rng = np.random.default_rng(seed)
-    graph = random_connected_graph(n, np.random.default_rng(seed + 1), extra_edge_prob=0.02)
+    graph = random_connected_topology(
+        n, np.random.default_rng(seed + 1), extra_edge_prob=0.02
+    ).to_nx()
     return compute_patches(graph, radius=radius, rng=rng)
 
 

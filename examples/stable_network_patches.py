@@ -22,7 +22,7 @@ from repro import (
     run_dissemination,
 )
 from repro.algorithms import make_tstable_factory
-from repro.network import compute_patches, random_connected_graph
+from repro.network import compute_patches, random_connected_topology
 from repro.simulation import format_table
 
 
@@ -31,7 +31,7 @@ def main() -> None:
     d = 8
 
     # First, show what a patch decomposition looks like on one stable topology.
-    graph = random_connected_graph(n, np.random.default_rng(1), extra_edge_prob=0.03)
+    graph = random_connected_topology(n, np.random.default_rng(1), extra_edge_prob=0.03).to_nx()
     decomposition = compute_patches(graph, radius=3, rng=np.random.default_rng(2))
     print(f"Patch decomposition of one stable topology (n={n}, D=3):")
     for patch in decomposition.patches:

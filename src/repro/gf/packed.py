@@ -14,15 +14,15 @@ network-coded round become a handful of numpy passes:
    (:meth:`GF2BasisBatch.insert_batch`): word-parallel XOR elimination over
    a local block of the receiving bases, one lockstep step per inbox depth
    for every node still holding a vector at that depth;
-3. **decode readiness** — incremental coefficient-rank counters via stacked
-   projection bases (:meth:`GF2BasisBatch.coefficient_ranks`), plus a final
-   vectorised Gauss-Jordan :meth:`GF2BasisBatch.decode_payload_masks_batch`
-   producing every node's payload masks at once.
+3. **decode** — a final vectorised Gauss-Jordan
+   :meth:`GF2BasisBatch.decode_payload_masks_batch` producing every node's
+   payload masks at once (a basis can decode once its rank reaches the
+   generation size ``k``: all traffic lives in the source span).
 
 The batch is *bit-exact* with the per-node implementation: feeding the same
 insert sequence to a :class:`GF2Basis` and to one row of the batch yields the
-same basis rows, the same innovative flags, the same coefficient ranks and
-the same decoded payloads (hypothesis-tested in ``tests/test_gf_packed.py``).
+same basis rows, the same innovative flags, the same ranks and the same
+decoded payloads (hypothesis-tested in ``tests/test_gf_packed.py``).
 That is what lets the coded kernel replay the object engines' rng streams
 verbatim — a composed combination is the XOR of the *same* basis rows in the
 same sorted order the per-node code uses.
@@ -190,7 +190,6 @@ class GF2BasisBatch:
         #: Per-basis buffered compose pick bits (value, bit count).
         self._pick_buffer = [0] * n
         self._pick_bits = [0] * n
-        self._projections: dict[int, "GF2BasisBatch"] = {}
 
     # ------------------------------------------------------------------
     # bookkeeping
@@ -303,12 +302,6 @@ class GF2BasisBatch:
         self._lead[nodes, :width] = leads[:, :width]
         self._rank[nodes] = rank
         self._pos[nodes, :width] = _sorted_positions(leads[:, :width], rank, self.words)
-        # Projections take each new row as inserted (before later
-        # back-elimination), per basis in insertion order.
-        for k, projection in self._projections.items():
-            projection.insert_batch(
-                node_ids[pair[added]], self._truncated(v_all[added], k)
-            )
         return innovative
 
     def _eliminate_step(
@@ -481,29 +474,6 @@ class GF2BasisBatch:
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
-    def coefficient_ranks(self, k: int) -> np.ndarray:
-        """Rank of every basis projected onto its first ``k`` coordinates.
-
-        Incremental exactly like ``GF2Basis.coefficient_rank``: the stacked
-        projection for each queried ``k`` is materialised once (replaying the
-        stored rows in insertion order) and fed one masked row per subsequent
-        innovative insert.
-        """
-        if k <= 0:
-            return np.zeros(self.n, dtype=np.int64)
-        if k >= self.length:
-            return self._rank.copy()
-        projection = self._projections.get(k)
-        if projection is None:
-            projection = GF2BasisBatch(self.n, k)
-            held = np.arange(self._capacity)[None, :] < self._rank[:, None]
-            projection.insert_batch(
-                np.repeat(np.arange(self.n), self._rank),
-                self._truncated(self.rows.transpose(0, 2, 1)[held], k),
-            )
-            self._projections[k] = projection
-        return projection._rank
-
     def row_masks(self, uid: int) -> list[int]:
         """Basis ``uid``'s rows as Python integer masks, in insertion order."""
         r = int(self._rank[uid])

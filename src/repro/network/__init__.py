@@ -1,16 +1,19 @@
 """The dynamic network model substrate (Kuhn–Lynch–Oshman style).
 
-Topology generators, adversaries (oblivious / adaptive / omniscient,
-optionally T-stable), the packed-native dynamics subsystem (edge-Markov /
-mobility / churn / rewiring schedule processes, connectivity and T-interval
-transformers, ``ScheduleAdversary``), stability checkers, the composable
+Mask-native round topologies (:class:`Topology` — the one type an
+adversary returns each round — and its builders), adversaries (oblivious /
+adaptive / omniscient, optionally T-stable), the packed-native dynamics
+subsystem (edge-Markov / mobility / churn / rewiring schedule processes,
+connectivity and T-interval transformers, ``ScheduleAdversary``),
+stability checkers over ``Topology`` sequences, the composable
 fault-injection layer (:mod:`repro.network.faults`: per-edge loss and
 duplication, crashes with optional recovery, partitions, adaptive and
 protocol-state-aware :class:`~repro.network.faults.FaultStrategy`
 adversaries, Byzantine coded senders, radio-collision rounds, honest/fake
-quorum membership), and the
-graph-patching machinery of Section 8.1.  The named scenario catalog built
-on the dynamics layer lives in :mod:`repro.scenarios`.
+quorum membership), and the graph-patching machinery of Section 8.1
+(``networkx`` graphs, reached through :meth:`Topology.to_nx`).  The named
+scenario catalog built on the dynamics layer lives in
+:mod:`repro.scenarios`.
 """
 
 from .adversary import (
@@ -61,21 +64,6 @@ from .dynamics import (
     packed_components,
     packed_is_connected,
     spanning_structure,
-)
-from .graphs import (
-    binary_tree_graph,
-    complete_graph,
-    dumbbell_graph,
-    path_graph,
-    random_connected_graph,
-    random_matching_plus_path,
-    random_tree,
-    ring_graph,
-    rotating_star,
-    shifted_ring,
-    split_graph,
-    star_graph,
-    validate_topology,
 )
 from .mis import MisResult, greedy_mis, is_maximal_independent_set, luby_mis
 from .topology import (
@@ -157,10 +145,7 @@ __all__ = [
     "StaticAdversary",
     "TStableAdversary",
     "TokenIsolationAdversary",
-    "binary_tree_graph",
-    "complete_graph",
     "compute_patches",
-    "dumbbell_graph",
     "greedy_mis",
     "is_maximal_independent_set",
     "is_t_interval_connected",
@@ -169,16 +154,6 @@ __all__ = [
     "make_adversary",
     "max_interval_connectivity",
     "max_stability",
-    "path_graph",
     "power_graph",
-    "random_connected_graph",
-    "random_matching_plus_path",
-    "random_tree",
-    "ring_graph",
-    "rotating_star",
-    "shifted_ring",
-    "split_graph",
     "stable_intersection",
-    "star_graph",
-    "validate_topology",
 ]

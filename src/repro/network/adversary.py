@@ -20,13 +20,14 @@ Concrete adversaries include the oblivious random/periodic families, the
 worst-case adaptive "bottleneck" adversaries used in the KLO lower-bound
 constructions, and wrappers adding T-stability.
 
-Performance: the in-repo adversaries emit mask-native
-:class:`~repro.network.topology.Topology` objects (per-node neighbour
-bitmasks) — the bottleneck/split cliques are two mask fills instead of
-O(n^2) edge insertions — and read the cheap ``known_count`` / ``knows``
-accessors of the (lazy) state views.  Custom adversaries may keep returning
-``networkx.Graph``; the runner coerces through
-:func:`~repro.network.topology.as_topology`.
+Every adversary returns a mask-native
+:class:`~repro.network.topology.Topology` (per-node neighbour bitmasks) —
+the bottleneck/split cliques are two mask fills instead of O(n^2) edge
+insertions — and reads the cheap ``known_count`` / ``knows`` accessors of
+the (lazy) state views.  Custom adversaries build their topologies with the
+builders of :mod:`repro.network.topology` or
+:meth:`~repro.network.topology.Topology.from_edges`; the runner rejects any
+other return type through :func:`~repro.network.topology.as_topology`.
 """
 
 from __future__ import annotations
@@ -34,10 +35,8 @@ from __future__ import annotations
 import abc
 from typing import Callable, Iterable, Mapping, Sequence
 
-import networkx as nx
 import numpy as np
 
-from . import graphs
 from .topology import (
     Topology,
     as_topology,
@@ -171,7 +170,7 @@ class Adversary(abc.ABC):
         n: int,
         states: Sequence[NodeStateView],
         messages: Sequence[object] | None = None,
-    ) -> Topology | nx.Graph:
+    ) -> Topology:
         """Return the connected round-``round_index`` communication graph.
 
         ``messages`` is only provided to adversaries with ``sees_messages``.
@@ -186,14 +185,14 @@ class StaticAdversary(Adversary):
 
     def __init__(
         self,
-        graph_factory: Callable[[int], Topology | nx.Graph] | Topology | nx.Graph,
+        graph_factory: Callable[[int], Topology] | Topology,
     ):
         self._factory = graph_factory
         self._cached: Topology | None = None
 
     def choose_topology(self, round_index, n, states, messages=None) -> Topology:
         if self._cached is None:
-            if isinstance(self._factory, (Topology, nx.Graph)):
+            if isinstance(self._factory, Topology):
                 graph = self._factory
             else:
                 graph = self._factory(n)
@@ -210,18 +209,17 @@ class StaticAdversary(Adversary):
 class ObliviousSequenceAdversary(Adversary):
     """Plays a pre-determined (round-indexed) sequence of topologies.
 
-    The user-supplied ``topology_fn`` may return either a
-    :class:`~repro.network.topology.Topology` or a ``networkx.Graph``; the
-    result is passed through unconverted (the runner adapts it).
+    ``topology_fn(n, round_index)`` returns the round's
+    :class:`~repro.network.topology.Topology`, which is validated here.
     """
 
-    def __init__(self, topology_fn: Callable[[int, int], Topology | nx.Graph]):
+    def __init__(self, topology_fn: Callable[[int, int], Topology]):
         self._topology_fn = topology_fn
 
-    def choose_topology(self, round_index, n, states, messages=None):
-        graph = self._topology_fn(n, round_index)
-        graphs.validate_topology(graph, n)
-        return graph
+    def choose_topology(self, round_index, n, states, messages=None) -> Topology:
+        topology = as_topology(self._topology_fn(n, round_index))
+        topology.validate(n)
+        return topology
 
 
 class RandomConnectedAdversary(Adversary):
@@ -402,7 +400,7 @@ class TStableAdversary(Adversary):
             raise ValueError(f"stability T must be >= 1, got {stability}")
         self.inner = inner
         self.stability = stability
-        self._current: Topology | nx.Graph | None = None
+        self._current: Topology | None = None
         self._current_block = -1
 
     @property

@@ -17,32 +17,24 @@ really produces T-stable sequences, that the
 T-interval-connected schedules, and they let the experiment harness
 sanity-check recorded runs.
 
-Representation: every checker coerces its inputs through
-:func:`~repro.network.topology.as_topology` and then works on the stacked
+Representation: every checker takes a sequence of
+:class:`~repro.network.topology.Topology` objects, exactly as the engines
+record them (each input is checked through
+:func:`~repro.network.topology.as_topology`), and works on the stacked
 ``(rounds, n, ceil(n/64))`` packed ``uint64`` adjacency matrices — block
 equality is one array comparison, a window intersection is one
 ``np.bitwise_and.reduce``, and connectivity is a word-parallel mask BFS —
-instead of materialising a frozenset of edge pairs per round.  Inputs may
-mix ``networkx`` graphs (on node set ``0..n-1``) and mask-native
-:class:`~repro.network.topology.Topology` objects, exactly as the engines
-record them.
+instead of materialising a frozenset of edge pairs per round.
 """
 
 from __future__ import annotations
 
-from typing import Sequence, Union
+from typing import Sequence
 
-import networkx as nx
 import numpy as np
 
 from .dynamics import packed_is_connected
 from .topology import Topology, as_topology
-
-#: The checkers accept any mix of ``networkx`` graphs and mask-native
-#: :class:`~repro.network.topology.Topology` objects (the representation the
-#: runner records on its fast paths); ``networkx`` inputs must live on node
-#: set ``0..n-1`` (what every in-repo generator produces).
-GraphLike = Union[nx.Graph, Topology]
 
 __all__ = [
     "is_t_stable",
@@ -53,19 +45,19 @@ __all__ = [
 ]
 
 
-def _packed_stack(topologies: Sequence[GraphLike]) -> tuple[int, np.ndarray]:
-    """Coerce a sequence to one ``(rounds, n, words)`` packed uint64 stack."""
-    coerced = [as_topology(graph) for graph in topologies]
-    n = coerced[0].n
-    for topology in coerced[1:]:
+def _packed_stack(topologies: Sequence[Topology]) -> tuple[int, np.ndarray]:
+    """Stack a sequence into one ``(rounds, n, words)`` packed uint64 array."""
+    checked = [as_topology(graph) for graph in topologies]
+    n = checked[0].n
+    for topology in checked[1:]:
         if topology.n != n:
             raise ValueError(
                 f"mixed node counts in topology sequence: {topology.n} != {n}"
             )
-    return n, np.stack([topology.packed_adjacency() for topology in coerced])
+    return n, np.stack([topology.packed_adjacency() for topology in checked])
 
 
-def is_t_stable(topologies: Sequence[GraphLike], stability: int) -> bool:
+def is_t_stable(topologies: Sequence[Topology], stability: int) -> bool:
     """True iff the sequence is T-stable for ``T = stability``.
 
     The blocks are aligned at round 0, matching how the simulator applies
@@ -87,17 +79,14 @@ def _stack_is_t_stable(stack: np.ndarray, stability: int) -> bool:
     return True
 
 
-def stable_intersection(topologies: Sequence[GraphLike]) -> Topology:
+def stable_intersection(topologies: Sequence[Topology]) -> Topology:
     """The graph of edges present in *every* topology of the sequence.
 
     Returns a mask-native :class:`~repro.network.topology.Topology` (one
     ``np.bitwise_and.reduce`` over the packed stack — the n-ary twin of
-    :meth:`Topology.intersection`).  It duck-types the ``networkx`` read
-    surface (``edges``/``nodes``/``neighbors``/...) and converts via
-    ``to_nx()`` where a real ``networkx.Graph`` is needed.  The result is
-    frequently disconnected — that is the quantity T-interval connectivity
-    asks about — so probe it with :meth:`Topology.is_connected`, not
-    ``validate``.
+    :meth:`Topology.intersection`).  The result is frequently disconnected
+    — that is the quantity T-interval connectivity asks about — so probe it
+    with :meth:`Topology.is_connected`, not ``validate``.
     """
     if not topologies:
         raise ValueError("need at least one topology")
@@ -105,7 +94,7 @@ def stable_intersection(topologies: Sequence[GraphLike]) -> Topology:
     return Topology.from_packed(n, np.bitwise_and.reduce(stack, axis=0))
 
 
-def is_t_interval_connected(topologies: Sequence[GraphLike], interval: int) -> bool:
+def is_t_interval_connected(topologies: Sequence[Topology], interval: int) -> bool:
     """True iff every window of ``interval`` rounds has a common connected spanning subgraph."""
     if interval < 1:
         raise ValueError(f"interval must be >= 1, got {interval}")
@@ -126,7 +115,7 @@ def _stack_is_interval_connected(stack: np.ndarray, n: int, interval: int) -> bo
     return True
 
 
-def max_stability(topologies: Sequence[GraphLike]) -> int:
+def max_stability(topologies: Sequence[Topology]) -> int:
     """Largest ``T`` such that the sequence is T-stable (aligned blocks)."""
     if not topologies:
         return 0
@@ -138,7 +127,7 @@ def max_stability(topologies: Sequence[GraphLike]) -> int:
     return best
 
 
-def max_interval_connectivity(topologies: Sequence[GraphLike]) -> int:
+def max_interval_connectivity(topologies: Sequence[Topology]) -> int:
     """Largest ``T`` such that the sequence is T-interval connected."""
     if not topologies:
         return 0

@@ -1,9 +1,9 @@
 """Mask-native round topologies: per-node neighbour bitmasks.
 
-The round engine spends most of its non-protocol time on topology work:
-building a fresh ``networkx.Graph`` every round, re-checking connectivity,
-and iterating adjacency dicts during delivery.  Just as the GF(2) coding
-layer became fast by representing coded vectors as single Python ints (see
+Most of a round engine's non-protocol time is topology work: building
+each round's graph, checking its connectivity, and iterating adjacency
+during delivery.  Just as the GF(2) coding layer became fast by
+representing coded vectors as single Python ints (see
 :mod:`repro.coding.subspace`), the topology layer becomes fast by
 representing a round graph as ``n`` integer bitmasks: bit ``v`` of
 ``masks[u]`` is set iff ``{u, v}`` is an edge.  On that representation
@@ -17,13 +17,13 @@ representing a round graph as ``n`` integer bitmasks: bit ``v`` of
 :class:`Topology` is immutable and hashable (structural hash over the mask
 rows), which is what lets the runner validate each *distinct* topology once
 instead of once per round (:class:`TopologyValidationCache` packages that
-single-slot identity cache for every engine).  It also duck-types the small
-slice of the ``networkx.Graph`` API the rest of the code base reads
-(``nodes``, ``edges``, ``neighbors``, ``has_edge``,
-``number_of_nodes/edges``), so adversaries can emit it natively while
-stability checkers and tests keep working unchanged; ``to_nx``/``from_nx``
-convert (and cache) the full ``networkx`` projection for consumers that
-need real graph algorithms (e.g. the Section 8.1 patch decomposition).
+single-slot identity cache for every engine).  It is the only type an
+adversary may return for a round (:func:`as_topology` enforces that).  It
+offers the small read surface the rest of the code base needs (``nodes``,
+``edges``, ``neighbors``, ``has_edge``, ``number_of_nodes/edges``, named
+after their ``networkx.Graph`` counterparts); ``to_nx`` builds (and caches)
+a ``networkx`` projection only for consumers that need real graph
+algorithms (the Section 8.1 patch decomposition).
 
 Three derived adjacency representations are cached per object for the
 round engines:
@@ -37,11 +37,6 @@ round engines:
 * :meth:`Topology.csr_adjacency` — the flattened neighbour-index /
   offset (CSR) arrays that turn whole-network delivery into one numpy
   gather plus one ``reduceat``.
-
-The mask-native builders below are edge-identical twins of the
-``networkx`` generators in :mod:`repro.network.graphs` — including their
-RNG draw sequences — so switching an adversary to the mask path never
-changes which topology it plays (verified by tests).
 """
 
 from __future__ import annotations
@@ -152,10 +147,9 @@ class Topology:
         if (masks is None) == (packed is None):
             raise ValueError("give exactly one of masks / packed")
         if masks is not None:
-            # Coerce rows to Python ints: numpy integers (e.g. node labels
-            # drawn from a Generator, reaching here via from_nx/from_edges
-            # shifts) would silently wrap at 64 bits and lack
-            # arbitrary-precision bit ops.
+            # Coerce rows to Python ints: numpy integers (e.g. rows shifted
+            # from node labels drawn from a Generator) would silently wrap at
+            # 64 bits and lack arbitrary-precision bit ops.
             self._masks: tuple[int, ...] | None = tuple(int(mask) for mask in masks)
             if len(self._masks) != n:
                 raise ValueError(f"need {n} mask rows, got {len(self._masks)}")
@@ -257,25 +251,6 @@ class Topology:
             topologies.append(topology)
         return topologies
 
-    @classmethod
-    def from_nx(cls, graph: nx.Graph) -> "Topology":
-        """Convert a ``networkx`` graph on node set ``0..n-1``.
-
-        Self-loops are preserved (as a diagonal bit) so that validation can
-        reject them exactly like the ``networkx`` validator did.
-        """
-        n = graph.number_of_nodes()
-        if set(graph.nodes) != set(range(n)):
-            raise ValueError(
-                f"topology must have node set 0..{n - 1}, got {sorted(graph.nodes)[:10]}..."
-            )
-        masks = [0] * n
-        for u, v in graph.edges:
-            u, v = int(u), int(v)  # node labels may be numpy ints
-            masks[u] |= 1 << v
-            masks[v] |= 1 << u
-        return cls(n, masks)
-
     def to_nx(self) -> nx.Graph:
         """The ``networkx`` projection (built once and cached; do not mutate)."""
         if self._nx is None:
@@ -286,7 +261,7 @@ class Topology:
         return self._nx
 
     # ------------------------------------------------------------------
-    # the networkx-compatible read surface
+    # the read surface
     # ------------------------------------------------------------------
     @property
     def nodes(self) -> range:
@@ -454,10 +429,11 @@ class Topology:
     def validate(self, n: int | None = None) -> None:
         """Check the legality of this object as a round topology.
 
+        A legal round topology (Section 4.1) spans exactly the nodes
+        ``0..n-1``, is symmetric and self-loop free, and is connected.
         Raises ``ValueError`` on a wrong node count, self-loops, asymmetric
         rows (only reachable by hand-built masks), out-of-range neighbour
-        bits, or disconnectedness — mirroring
-        :func:`repro.network.graphs.validate_topology`.
+        bits, or disconnectedness.
 
         Topologies that are valid by construction — built by the mask-native
         builders below, or already validated once (the object is immutable)
@@ -483,24 +459,22 @@ class Topology:
         self._valid = True
 
 
-def as_topology(graph: "Topology | nx.Graph", n: int | None = None) -> Topology:
-    """Coerce a round graph to :class:`Topology` (the adversary adapter).
+def as_topology(graph: object, n: int | None = None) -> Topology:
+    """Check that a round graph is a :class:`Topology` (the adversary gate).
 
-    ``Topology`` inputs pass through unchanged (preserving their identity,
-    which the runner's validation cache keys on); ``networkx`` graphs are
-    converted.  ``n``, when given, is checked against the node count.
+    Adversaries return ``Topology`` objects; anything else raises
+    ``TypeError``.  The input is returned unchanged (its identity is what
+    the runner's validation cache keys on).  ``n``, when given, is checked
+    against the node count.
     """
-    if isinstance(graph, Topology):
-        topology = graph
-    elif isinstance(graph, nx.Graph):
-        topology = Topology.from_nx(graph)
-    else:
+    if not isinstance(graph, Topology):
         raise TypeError(
-            f"adversary returned {type(graph).__name__}; expected Topology or networkx.Graph"
+            f"adversary returned {type(graph).__name__}; expected Topology "
+            "(build one with the topology builders or Topology.from_edges)"
         )
-    if n is not None and topology.n != n:
-        raise ValueError(f"topology must have node set 0..{n - 1}, got 0..{topology.n - 1}")
-    return topology
+    if n is not None and graph.n != n:
+        raise ValueError(f"topology must have node set 0..{n - 1}, got 0..{graph.n - 1}")
+    return graph
 
 
 class TopologyValidationCache:
@@ -509,31 +483,28 @@ class TopologyValidationCache:
     Static and T-stable adversaries return the same topology object round
     after round, so remembering only the most recent one already gives the
     once-per-topology (instead of once-per-round) validation win without
-    pinning every per-round topology of a long run.  Only immutable
-    :class:`Topology` objects are cached by identity — an adversary may
-    legally mutate and re-return one ``networkx.Graph`` between rounds, so
-    nx inputs are re-converted and re-validated every time.  Shared by the
-    mask and kernel engines.
+    pinning every per-round topology of a long run.  Topologies are
+    immutable, so caching by identity is sound.  Shared by the mask and
+    kernel engines.
     """
 
     __slots__ = ("_last",)
 
     def __init__(self) -> None:
-        self._last: tuple[Topology, Topology] | None = None
+        self._last: Topology | None = None
 
-    def validated(self, graph: "Topology | nx.Graph", n: int) -> Topology:
-        """Coerce ``graph`` to a :class:`Topology` validated for ``n`` nodes."""
-        if self._last is not None and self._last[0] is graph:
-            return self._last[1]
+    def validated(self, graph: object, n: int) -> Topology:
+        """Check that ``graph`` is a :class:`Topology` legal for ``n`` nodes."""
+        if graph is self._last:
+            return graph
         topology = as_topology(graph, n)
         topology.validate(n)
-        if isinstance(graph, Topology):
-            self._last = (graph, topology)
+        self._last = topology
         return topology
 
 
 # ----------------------------------------------------------------------
-# mask-native builders (edge-identical twins of repro.network.graphs)
+# mask-native builders
 # ----------------------------------------------------------------------
 #
 # Every builder below produces a legal round topology by construction
@@ -627,7 +598,14 @@ def clique_pair_topology(
 
 
 def split_topology(n: int, informed: Iterable[int], bridge_pairs: int = 1) -> Topology:
-    """Mask-native twin of :func:`repro.network.graphs.split_graph`."""
+    """Connect an informed group and an uninformed group with few bridges.
+
+    Each side is a clique (information mixes freely within a side) and
+    ``bridge_pairs`` edges cross the cut, pairing the ``i``-th informed and
+    uninformed nodes cyclically (at least one bridge when both sides are
+    non-empty).  Adaptive adversaries use this to slow the spread of a token
+    or coded direction to the minimum connectivity allows.
+    """
     informed_list = sorted({v for v in informed if 0 <= v < n})
     informed_set = set(informed_list)
     uninformed = [v for v in range(n) if v not in informed_set]
@@ -641,7 +619,11 @@ def split_topology(n: int, informed: Iterable[int], bridge_pairs: int = 1) -> To
 
 
 def random_tree_topology(n: int, rng: np.random.Generator) -> Topology:
-    """A random tree drawing the same RNG sequence as ``graphs.random_tree``."""
+    """A random labelled tree by random attachment.
+
+    Draws one permutation of the nodes, then attaches its ``i``-th node to a
+    uniformly chosen earlier one (one ``rng.integers`` per edge, in order).
+    """
     masks = [0] * n
     if n <= 1:
         return Topology(n, masks, pre_validated=True)
@@ -657,7 +639,13 @@ def random_tree_topology(n: int, rng: np.random.Generator) -> Topology:
 def random_connected_topology(
     n: int, rng: np.random.Generator, extra_edge_prob: float = 0.1
 ) -> Topology:
-    """Random spanning tree plus iid extra edges (twin of ``graphs.random_connected_graph``)."""
+    """A random spanning tree plus random extra edges.
+
+    After :func:`random_tree_topology`, draws a Poisson number of extra
+    edges with mean ``extra_edge_prob * n(n-1)/2`` and adds each as a
+    uniformly random node pair (self-pairs and repeats add nothing), so
+    sparse graphs never materialise all ``O(n^2)`` pairs.
+    """
     if not 0 <= extra_edge_prob <= 1:
         raise ValueError(f"extra_edge_prob must be in [0,1], got {extra_edge_prob}")
     tree = random_tree_topology(n, rng)
@@ -676,7 +664,11 @@ def random_connected_topology(
 
 
 def shifted_ring_topology(n: int, round_index: int) -> Topology:
-    """Mask-native twin of ``graphs.shifted_ring``.
+    """A ring re-labelled by a round-dependent rotation and stride.
+
+    Nodes change neighbours every round while the graph stays one cycle: a
+    simple fully dynamic adversary that defeats naive pipelining.  Falls
+    back to a path for ``n < 3``.
 
     Built fully vectorised in packed form — a fresh per-round ring is the
     kernel engine's hottest topology workload, and a Python per-node edge

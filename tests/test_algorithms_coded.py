@@ -26,7 +26,6 @@ from repro.network import (
     RandomTreeAdversary,
     StaticAdversary,
     TokenIsolationAdversary,
-    path_graph,
 )
 from repro.simulation import run_dissemination
 from repro.tokens import MessageBudget, make_tokens, one_token_per_node, place_tokens

@@ -18,7 +18,7 @@ from repro.network import (
     RandomConnectedAdversary,
     StaticAdversary,
     TStableAdversary,
-    path_graph,
+    path_topology,
 )
 from repro.simulation import build_nodes, run_dissemination
 from repro.tokens import MessageBudget, one_token_per_node
@@ -42,7 +42,7 @@ class TestFloodingTokenForwarding:
         lambda: RandomConnectedAdversary(seed=1),
         lambda: PathShuffleAdversary(seed=2),
         lambda: BottleneckAdversary(),
-        lambda: StaticAdversary(path_graph),
+        lambda: StaticAdversary(path_topology),
     ])
     def test_completes_and_correct_under_every_adversary(self, rng, adversary_factory):
         config = make_config(10)
@@ -107,7 +107,7 @@ class TestPipelinedForwarding:
         config = make_config(n, d=8, b=24)
         placement = one_token_per_node(n, 8, rng)
         result = run_dissemination(
-            PipelinedTokenForwardingNode, config, placement, StaticAdversary(path_graph)
+            PipelinedTokenForwardingNode, config, placement, StaticAdversary(path_topology)
         )
         assert result.completed and result.correct
         # Pipelined flooding on a static path: O(n + k d / b), far below n*k.

@@ -3,7 +3,7 @@
 :class:`repro.gf.packed.GF2BasisBatch` promises bit-exactness with the
 scalar :class:`repro.gf.gf2.GF2Basis` / :class:`repro.coding.subspace.Subspace`
 implementations: the same insert sequence yields the same innovative flags,
-ranks, basis rows (values *and* orders), coefficient ranks, decoded payload
+ranks, basis rows (values *and* orders), decoded payload
 masks, and — through the shared buffered pick protocol — the same composed
 combinations from the same rng streams.  That contract is what lets the
 coded kernels replace per-node subspaces without changing a single metric.
@@ -74,13 +74,10 @@ class TestBatchedEliminationEquivalence:
 
     @given(insert_sequences(), st.integers(min_value=1, max_value=80))
     @settings(max_examples=60, deadline=None)
-    def test_coefficient_ranks_and_decode(self, sequence, k):
+    def test_decode_matches_scalar(self, sequence, k):
         n, length, calls = sequence
         batch, scalars = _apply_sequence(n, length, calls)
         k = min(k, length)
-        ranks = batch.coefficient_ranks(k)
-        for uid in range(n):
-            assert int(ranks[uid]) == scalars[uid].coefficient_rank(k)
         ok, payloads = batch.decode_payload_masks_batch(k)
         for uid in range(n):
             expected = scalars[uid].decode_payload_masks(k)
@@ -89,25 +86,6 @@ class TestBatchedEliminationEquivalence:
             else:
                 assert ok[uid]
                 assert packed_to_masks(payloads[uid]) == expected
-
-    @given(insert_sequences())
-    @settings(max_examples=30, deadline=None)
-    def test_incremental_coefficient_ranks(self, sequence):
-        # Querying early then continuing must match the scalar incremental
-        # projection maintenance.
-        n, length, calls = sequence
-        k = max(1, length // 2)
-        batch = GF2BasisBatch(n, length)
-        scalars = [GF2Basis(length) for _ in range(n)]
-        for call in calls:
-            nodes = np.array([uid for uid, _ in call], dtype=np.int64)
-            masks = [mask for _, mask in call]
-            batch.insert_batch(nodes, masks_to_packed(masks, batch.words))
-            for uid, mask in call:
-                scalars[uid].insert(mask)
-            ranks = batch.coefficient_ranks(k)
-            for uid in range(n):
-                assert int(ranks[uid]) == scalars[uid].coefficient_rank(k)
 
     def test_lift_masks_replays_existing_bases(self, rng):
         length = 50
@@ -145,8 +123,7 @@ class TestBatchedEliminationEquivalence:
 
     def test_deep_inbox_grows_capacity_within_one_call(self, rng):
         # One basis receives 40 rows in a single call, past the initial
-        # capacity of 16, interleaved with shallower inboxes; a cached
-        # projection is fed the same rows.
+        # capacity of 16, interleaved with shallower inboxes.
         n, length = 3, 120
 
         def draw():
@@ -157,18 +134,15 @@ class TestBatchedEliminationEquivalence:
         deep += [(1, draw()) for _ in range(5)] + [(2, draw()) for _ in range(20)]
         deep = [deep[i] for i in rng.permutation(len(deep))]
         batch, scalars = _apply_sequence(n, length, [first])
-        batch.coefficient_ranks(70)
         for uid, mask in deep:
             scalars[uid].insert(mask)
         nodes = np.array([uid for uid, _ in deep], dtype=np.int64)
         batch.insert_batch(nodes, masks_to_packed([m for _, m in deep], batch.words))
         assert int(batch.ranks[0]) > 16
-        ranks = batch.coefficient_ranks(70)
         for uid in range(n):
             assert int(batch.ranks[uid]) == scalars[uid].rank
             assert batch.row_masks(uid) == list(scalars[uid]._rows.values())
             assert batch.basis_masks(uid) == scalars[uid].basis_masks()
-            assert int(ranks[uid]) == scalars[uid].coefficient_rank(70)
 
     def test_span_cap_reached_midway_through_one_inbox(self, rng):
         # Basis 0 starts at rank <= 2 and then receives all 6 sources and

@@ -18,11 +18,21 @@ from repro.network import (
     StaticAdversary,
     TStableAdversary,
     TokenIsolationAdversary,
+    Topology,
     make_adversary,
-    path_graph,
-    validate_topology,
+    path_topology,
 )
 from repro.network.stability import is_t_stable
+
+
+def assert_legal(topology, n):
+    """A legal round topology, checked with networkx as an independent oracle."""
+    assert isinstance(topology, Topology)
+    topology.validate(n)
+    graph = topology.to_nx()
+    assert set(graph.nodes) == set(range(n))
+    assert nx.number_of_selfloops(graph) == 0
+    assert nx.is_connected(graph)
 
 
 def make_states(n, informed=None, informed_ids=frozenset({("t", 0)})):
@@ -35,27 +45,34 @@ def make_states(n, informed=None, informed_ids=frozenset({("t", 0)})):
 
 class TestStaticAndOblivious:
     def test_static_adversary_same_graph_every_round(self):
-        adv = StaticAdversary(path_graph)
+        adv = StaticAdversary(path_topology)
         g1 = adv.choose_topology(0, 6, make_states(6))
         g2 = adv.choose_topology(5, 6, make_states(6))
         assert set(g1.edges) == set(g2.edges)
 
     def test_static_adversary_accepts_explicit_graph(self):
-        graph = path_graph(4)
+        graph = path_topology(4)
         adv = StaticAdversary(graph)
         assert set(adv.choose_topology(0, 4, make_states(4)).edges) == set(graph.edges)
 
     def test_oblivious_sequence_uses_round_index(self):
-        adv = ObliviousSequenceAdversary(lambda n, r: path_graph(n, order=list(range(n))[::-1] if r % 2 else None))
+        adv = ObliviousSequenceAdversary(
+            lambda n, r: path_topology(n, order=[(v + r) % n for v in range(n)])
+        )
         g0 = adv.choose_topology(0, 5, make_states(5))
         g1 = adv.choose_topology(1, 5, make_states(5))
-        assert nx.is_connected(g0) and nx.is_connected(g1)
+        assert_legal(g0, 5)
+        assert_legal(g1, 5)
+        assert set(g0.edges) != set(g1.edges)
+        nx_sequence = ObliviousSequenceAdversary(lambda n, r: path_topology(n).to_nx())
+        with pytest.raises(TypeError, match="expected Topology"):
+            nx_sequence.choose_topology(0, 5, make_states(5))
 
     @pytest.mark.parametrize("cls", [RandomConnectedAdversary, RandomTreeAdversary, PathShuffleAdversary])
     def test_random_adversaries_always_connected(self, cls):
         adv = cls(seed=3)
         for r in range(10):
-            validate_topology(adv.choose_topology(r, 12, make_states(12)), 12)
+            assert_legal(adv.choose_topology(r, 12, make_states(12)), 12)
 
     @pytest.mark.parametrize("cls", [RandomConnectedAdversary, RandomTreeAdversary, PathShuffleAdversary])
     def test_reset_reproduces_sequence(self, cls):
@@ -69,7 +86,7 @@ class TestStaticAndOblivious:
         for cls in (RotatingStarAdversary, ShiftedRingAdversary):
             adv = cls()
             for r in range(6):
-                validate_topology(adv.choose_topology(r, 9, make_states(9)), 9)
+                assert_legal(adv.choose_topology(r, 9, make_states(9)), 9)
 
 
 class TestAdaptiveAdversaries:
@@ -77,7 +94,7 @@ class TestAdaptiveAdversaries:
         adv = BottleneckAdversary()
         states = make_states(10, informed={0, 1, 2, 3, 4})
         g = adv.choose_topology(0, 10, states)
-        validate_topology(g, 10)
+        assert_legal(g, 10)
         rich = {0, 1, 2, 3, 4}
         cut_edges = [(u, v) for u, v in g.edges if (u in rich) != (v in rich)]
         assert len(cut_edges) == 1
@@ -85,7 +102,7 @@ class TestAdaptiveAdversaries:
     def test_bottleneck_small_networks(self):
         adv = BottleneckAdversary()
         for n in (1, 2):
-            validate_topology(adv.choose_topology(0, n, make_states(n)), n)
+            assert_legal(adv.choose_topology(0, n, make_states(n)), n)
 
     def test_bottleneck_rejects_zero_bridges(self):
         with pytest.raises(ValueError):
@@ -99,7 +116,7 @@ class TestAdaptiveAdversaries:
         ]
         adv = TokenIsolationAdversary(target)
         g = adv.choose_topology(0, 9, states)
-        validate_topology(g, 9)
+        assert_legal(g, 9)
         holders = {0, 1, 2}
         cut = [(u, v) for u, v in g.edges if (u in holders) != (v in holders)]
         assert len(cut) == 1
@@ -115,7 +132,7 @@ class TestAdaptiveAdversaries:
         assert adv.sees_messages
         # Without a usefulness function it degenerates but still returns a legal graph.
         g = adv.choose_topology(0, 8, make_states(8, informed={0, 1}), messages=[None] * 8)
-        validate_topology(g, 8)
+        assert_legal(g, 8)
 
     def test_omniscient_picks_useless_bridge(self):
         # Usefulness oracle: message from node u is useful only to receivers
@@ -127,7 +144,7 @@ class TestAdaptiveAdversaries:
         adv = OmniscientBottleneckAdversary(usefulness_fn=useless)
         states = make_states(8, informed={4, 5, 6, 7})
         g = adv.choose_topology(0, 8, states, messages=list(range(8)))
-        validate_topology(g, 8)
+        assert_legal(g, 8)
 
 
 class TestTStableWrapper:
@@ -174,7 +191,7 @@ class TestFactory:
     def test_every_named_adversary_builds_and_runs(self, name):
         adv = make_adversary(name, seed=1)
         for r in range(3):
-            validate_topology(adv.choose_topology(r, 7, make_states(7)), 7)
+            assert_legal(adv.choose_topology(r, 7, make_states(7)), 7)
 
     def test_factory_stability_wrapping(self):
         adv = make_adversary("path_shuffle", stability=6, seed=0)

@@ -15,42 +15,42 @@ from repro.network import (
     luby_mis,
     max_interval_connectivity,
     max_stability,
-    path_graph,
+    path_topology,
     power_graph,
-    random_connected_graph,
-    ring_graph,
+    random_connected_topology,
+    ring_topology,
     stable_intersection,
-    star_graph,
+    star_topology,
 )
 
 
 class TestStabilityMeasures:
     def test_constant_sequence_is_stable_for_all_t(self):
-        g = path_graph(6)
+        g = path_topology(6)
         seq = [g] * 8
         assert is_t_stable(seq, 1)
         assert is_t_stable(seq, 4)
         assert max_stability(seq) == 8
 
     def test_alternating_sequence_only_1_stable(self):
-        seq = [path_graph(5), star_graph(5), path_graph(5), star_graph(5)]
+        seq = [path_topology(5), star_topology(5), path_topology(5), star_topology(5)]
         assert is_t_stable(seq, 1)
         assert not is_t_stable(seq, 2)
         assert max_stability(seq) == 1
 
     def test_block_stable_sequence(self):
-        a, b = path_graph(5), star_graph(5)
+        a, b = path_topology(5), star_topology(5)
         seq = [a, a, a, b, b, b]
         assert is_t_stable(seq, 3)
         assert not is_t_stable(seq, 2)  # blocks [a,a],[a,b] differ internally
 
     def test_invalid_stability_raises(self):
         with pytest.raises(ValueError):
-            is_t_stable([path_graph(3)], 0)
+            is_t_stable([path_topology(3)], 0)
 
     def test_stable_intersection(self):
-        a = path_graph(4)          # 0-1-2-3
-        b = ring_graph(4)          # cycle
+        a = path_topology(4)  # 0-1-2-3
+        b = ring_topology(4)  # cycle
         common = stable_intersection([a, b])
         assert set(map(frozenset, common.edges)) == {
             frozenset({0, 1}),
@@ -63,20 +63,20 @@ class TestStabilityMeasures:
             stable_intersection([])
 
     def test_interval_connectivity_static(self):
-        seq = [ring_graph(6)] * 5
+        seq = [ring_topology(6)] * 5
         assert is_t_interval_connected(seq, 5)
         assert max_interval_connectivity(seq) == 5
 
     def test_interval_connectivity_fails_without_common_subgraph(self):
         # Two edge-disjoint spanning trees: their intersection is disconnected.
-        a = path_graph(4, order=[0, 1, 2, 3])
-        b = path_graph(4, order=[1, 3, 0, 2])
+        a = path_topology(4, order=[0, 1, 2, 3])
+        b = path_topology(4, order=[1, 3, 0, 2])
         assert is_t_interval_connected([a], 1)
         assert not is_t_interval_connected([a, b], 2)
 
     def test_t_stable_blocks_are_interval_connected_within_a_block(self):
-        a = random_connected_graph(10, np.random.default_rng(0))
-        b = random_connected_graph(10, np.random.default_rng(1))
+        a = random_connected_topology(10, np.random.default_rng(0))
+        b = random_connected_topology(10, np.random.default_rng(1))
         seq = [a] * 4 + [b] * 4
         assert is_t_stable(seq, 4)
         # Within one aligned block the topology is literally constant, hence
@@ -88,7 +88,7 @@ class TestStabilityMeasures:
 class TestMis:
     def test_luby_produces_maximal_independent_set(self, rng):
         for seed in range(3):
-            g = random_connected_graph(20, np.random.default_rng(seed))
+            g = random_connected_topology(20, np.random.default_rng(seed)).to_nx()
             result = luby_mis(g, rng)
             assert is_maximal_independent_set(g, result.members)
 
@@ -104,27 +104,27 @@ class TestMis:
         assert result.members == frozenset(range(5))
 
     def test_luby_round_count_logarithmic_ish(self, rng):
-        g = random_connected_graph(60, np.random.default_rng(3))
+        g = random_connected_topology(60, np.random.default_rng(3)).to_nx()
         result = luby_mis(g, rng)
         assert result.rounds <= 30
 
     def test_greedy_mis_maximal_independent(self):
         for seed in range(3):
-            g = random_connected_graph(25, np.random.default_rng(seed))
+            g = random_connected_topology(25, np.random.default_rng(seed)).to_nx()
             result = greedy_mis(g)
             assert is_maximal_independent_set(g, result.members)
 
     def test_greedy_mis_deterministic(self):
-        g = random_connected_graph(15, np.random.default_rng(5))
+        g = random_connected_topology(15, np.random.default_rng(5)).to_nx()
         assert greedy_mis(g).members == greedy_mis(g).members
 
     def test_greedy_mis_on_star_prefers_low_id(self):
-        g = star_graph(6, center=0)
+        g = star_topology(6, center=0).to_nx()
         result = greedy_mis(g)
         assert result.members == frozenset({0})
 
     def test_is_maximal_independent_set_detects_violations(self):
-        g = path_graph(4)
+        g = path_topology(4).to_nx()
         assert not is_maximal_independent_set(g, {0, 1})     # not independent
         assert not is_maximal_independent_set(g, {0})        # not maximal
         assert is_maximal_independent_set(g, {0, 2})          # wait: 3 uncovered? 2-3 edge covers 3
@@ -133,17 +133,17 @@ class TestMis:
 
 class TestPowerGraphAndPatches:
     def test_power_graph_distance_2(self):
-        g = path_graph(5)
+        g = path_topology(5).to_nx()
         p = power_graph(g, 2)
         assert p.has_edge(0, 2)
         assert not p.has_edge(0, 3)
 
     def test_power_graph_invalid_distance(self):
         with pytest.raises(ValueError):
-            power_graph(path_graph(3), 0)
+            power_graph(path_topology(3).to_nx(), 0)
 
     def test_patches_cover_all_nodes_exactly_once(self, rng):
-        g = random_connected_graph(30, np.random.default_rng(2))
+        g = random_connected_topology(30, np.random.default_rng(2)).to_nx()
         decomposition = compute_patches(g, radius=2, rng=rng)
         seen = []
         for patch in decomposition.patches:
@@ -151,7 +151,7 @@ class TestPowerGraphAndPatches:
         assert sorted(seen) == list(range(30))
 
     def test_patch_leaders_form_independent_set_in_power_graph(self, rng):
-        g = random_connected_graph(24, np.random.default_rng(4))
+        g = random_connected_topology(24, np.random.default_rng(4)).to_nx()
         radius = 2
         decomposition = compute_patches(g, radius=radius, rng=rng)
         powered = power_graph(g, radius)
@@ -162,21 +162,21 @@ class TestPowerGraphAndPatches:
                     assert not powered.has_edge(u, v)
 
     def test_patch_diameter_bound(self, rng):
-        g = random_connected_graph(30, np.random.default_rng(6))
+        g = random_connected_topology(30, np.random.default_rng(6)).to_nx()
         radius = 3
         decomposition = compute_patches(g, radius=radius, rng=rng)
         for patch in decomposition.patches:
             assert patch.height <= radius  # tree depth <= D (Section 8.1 item 2)
 
     def test_patches_are_connected_subgraphs(self, rng):
-        g = random_connected_graph(30, np.random.default_rng(7))
+        g = random_connected_topology(30, np.random.default_rng(7)).to_nx()
         decomposition = compute_patches(g, radius=2, rng=rng)
         for patch in decomposition.patches:
             sub = g.subgraph(patch.members)
             assert nx.is_connected(sub)
 
     def test_patch_tree_parents_are_edges(self, rng):
-        g = random_connected_graph(20, np.random.default_rng(8))
+        g = random_connected_topology(20, np.random.default_rng(8)).to_nx()
         decomposition = compute_patches(g, radius=2, rng=rng)
         for patch in decomposition.patches:
             for node, parent in patch.parent.items():
@@ -184,7 +184,7 @@ class TestPowerGraphAndPatches:
                     assert g.has_edge(node, parent)
 
     def test_patch_children_consistent_with_parents(self, rng):
-        g = random_connected_graph(18, np.random.default_rng(9))
+        g = random_connected_topology(18, np.random.default_rng(9)).to_nx()
         decomposition = compute_patches(g, radius=2, rng=rng)
         for patch in decomposition.patches:
             kids = patch.children()
@@ -193,7 +193,7 @@ class TestPowerGraphAndPatches:
                     assert patch.parent[child] == node
 
     def test_patch_of_and_membership(self, rng):
-        g = random_connected_graph(15, np.random.default_rng(10))
+        g = random_connected_topology(15, np.random.default_rng(10)).to_nx()
         decomposition = compute_patches(g, radius=2, rng=rng)
         membership = decomposition.membership()
         for node in range(15):
@@ -202,13 +202,13 @@ class TestPowerGraphAndPatches:
             decomposition.patch_of(99)
 
     def test_deterministic_patching_needs_no_rng(self):
-        g = random_connected_graph(20, np.random.default_rng(11))
+        g = random_connected_topology(20, np.random.default_rng(11)).to_nx()
         decomposition = compute_patches(g, radius=2, deterministic=True)
         seen = sorted(v for p in decomposition.patches for v in p.members)
         assert seen == list(range(20))
 
     def test_randomized_patching_requires_rng(self):
-        g = path_graph(6)
+        g = path_topology(6).to_nx()
         with pytest.raises(ValueError):
             compute_patches(g, radius=1)
 
@@ -223,7 +223,7 @@ class TestPowerGraphAndPatches:
     def test_min_patch_size_reasonable_on_path(self, rng):
         # On a long path with radius D, patches have at least ~D/2 nodes
         # (Section 8.1 item 3) except possibly tiny boundary effects.
-        g = path_graph(40)
+        g = path_topology(40).to_nx()
         radius = 4
         decomposition = compute_patches(g, radius=radius, rng=rng)
         assert decomposition.min_patch_size >= radius // 2

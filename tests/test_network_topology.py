@@ -8,7 +8,6 @@ import networkx as nx
 import numpy as np
 import pytest
 
-from repro.network import graphs
 from repro.network.topology import (
     Topology,
     as_topology,
@@ -30,38 +29,30 @@ def _edge_set(graph) -> set[frozenset]:
 
 class TestRoundTrip:
     @pytest.mark.parametrize("seed", range(5))
-    def test_from_nx_to_nx_round_trip(self, seed):
-        rng = np.random.default_rng(seed)
-        graph = graphs.random_connected_graph(17, rng, extra_edge_prob=0.2)
-        topology = Topology.from_nx(graph)
+    def test_from_edges_to_nx_round_trip(self, seed):
+        graph = nx.gnp_random_graph(17, 0.2, seed=seed)
+        topology = Topology.from_edges(17, graph.edges)
         back = topology.to_nx()
         assert set(back.nodes) == set(graph.nodes)
         assert _edge_set(back) == _edge_set(graph)
 
-    def test_to_nx_from_nx_round_trip(self):
+    def test_to_nx_from_edges_round_trip(self):
         topology = split_topology(11, informed=range(5), bridge_pairs=2)
-        again = Topology.from_nx(topology.to_nx())
+        again = Topology.from_edges(11, topology.to_nx().edges)
         assert again == topology
         assert hash(again) == hash(topology)
 
-    def test_from_nx_numpy_labels_above_64_nodes(self):
+    def test_from_edges_numpy_labels_above_64_nodes(self):
         # Regression: numpy-int node labels must not wrap the row shifts at
         # 64 bits (mask rows are arbitrary-precision Python ints).
         n = 80
-        graph = nx.Graph()
-        graph.add_nodes_from(np.arange(n))
-        for u in np.arange(n - 1):
-            graph.add_edge(u, u + np.int64(1))
-        topology = Topology.from_nx(graph)
+        edges = [(u, u + np.int64(1)) for u in np.arange(n - 1)]
+        topology = Topology.from_edges(n, edges)
         assert all(isinstance(mask, int) for mask in topology.masks)
         assert topology.is_connected()
-        assert _edge_set(topology.to_nx()) == _edge_set(graph)
-
-    def test_from_nx_rejects_wrong_node_labels(self):
-        graph = nx.path_graph(4)
-        graph = nx.relabel_nodes(graph, {3: 7})
-        with pytest.raises(ValueError, match="node set"):
-            Topology.from_nx(graph)
+        assert _edge_set(topology.to_nx()) == {
+            frozenset((int(u), int(v))) for u, v in edges
+        }
 
     def test_read_surface_matches_nx(self):
         topology = clique_pair_topology(9, range(4), range(4, 9), [(0, 4)])
@@ -83,7 +74,7 @@ class TestConnectivity:
         n = int(rng.integers(2, 40))
         p = float(rng.uniform(0.02, 0.25))
         graph = nx.gnp_random_graph(n, p, seed=int(rng.integers(0, 2**31)))
-        topology = Topology.from_nx(graph)
+        topology = Topology.from_edges(n, graph.edges)
         assert topology.is_connected() == nx.is_connected(graph)
 
     def test_trivial_sizes(self):
@@ -93,6 +84,7 @@ class TestConnectivity:
 
     def test_validate_accepts_legal_topology(self):
         ring_topology(8).validate(8)
+        Topology(1, [0]).validate(1)
 
     def test_validate_rejects_wrong_n(self):
         with pytest.raises(ValueError, match="node set"):
@@ -121,66 +113,101 @@ class TestAdapter:
         assert as_topology(topology) is topology
         assert as_topology(topology, 5) is topology
 
-    def test_nx_graph_converted(self):
-        graph = graphs.ring_graph(6)
-        topology = as_topology(graph, 6)
-        assert isinstance(topology, Topology)
-        assert _edge_set(topology) == _edge_set(graph)
-
     def test_wrong_type_rejected(self):
         with pytest.raises(TypeError, match="expected Topology"):
             as_topology([(0, 1)])
+        with pytest.raises(TypeError, match="returned Graph; .*Topology.from_edges"):
+            as_topology(nx.path_graph(3), 3)
 
     def test_wrong_n_rejected(self):
         with pytest.raises(ValueError, match="node set"):
             as_topology(complete_topology(5), 6)
 
 
-class TestBuilderTwins:
-    """The mask builders are edge-identical to the networkx generators,
-    including RNG draw sequences — what lets adversaries switch representation
-    without changing which topology they play."""
+class TestBuilderStructure:
+    """Each builder's shape, checked with networkx as an independent oracle
+    on the ``to_nx()`` projection."""
 
-    def test_path_twin(self):
-        order = [3, 0, 2, 4, 1]
-        assert _edge_set(path_topology(5, order)) == _edge_set(graphs.path_graph(5, order))
+    @pytest.mark.parametrize("n", [2, 3, 7, 16])
+    def test_path_is_connected_tree(self, n):
+        graph = path_topology(n).to_nx()
+        assert nx.is_tree(graph)
+        assert nx.diameter(graph) == n - 1
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 8])
-    def test_ring_twin(self, n):
-        assert _edge_set(ring_topology(n)) == _edge_set(graphs.ring_graph(n))
+    def test_path_with_custom_order(self):
+        graph = path_topology(4, order=[3, 1, 0, 2]).to_nx()
+        assert _edge_set(graph) == {frozenset(e) for e in [(3, 1), (1, 0), (0, 2)]}
 
-    @pytest.mark.parametrize("center", [0, 3, 6])
-    def test_star_twin(self, center):
-        assert _edge_set(star_topology(7, center)) == _edge_set(graphs.star_graph(7, center))
+    def test_path_rejects_bad_order(self):
+        with pytest.raises(ValueError):
+            path_topology(3, order=[0, 1, 1])
 
-    def test_complete_twin(self):
-        assert _edge_set(complete_topology(6)) == _edge_set(graphs.complete_graph(6))
+    @pytest.mark.parametrize("n", [3, 5, 10])
+    def test_ring_degree_two(self, n):
+        graph = ring_topology(n).to_nx()
+        assert nx.is_connected(graph)
+        assert all(d == 2 for _, d in graph.degree)
 
-    def test_split_twin(self):
-        for bridge_pairs in (1, 3):
-            mask = split_topology(10, range(4), bridge_pairs=bridge_pairs)
-            legacy = graphs.split_graph(10, range(4), bridge_pairs=bridge_pairs)
-            assert _edge_set(mask) == _edge_set(legacy)
+    def test_ring_small_n_falls_back(self):
+        assert nx.is_tree(ring_topology(2).to_nx())
+        assert ring_topology(2).number_of_edges() == 1
 
-    @pytest.mark.parametrize("seed", range(5))
-    def test_random_tree_twin_same_rng_sequence(self, seed):
-        mask = random_tree_topology(12, np.random.default_rng(seed))
-        legacy = graphs.random_tree(12, np.random.default_rng(seed))
-        assert _edge_set(mask) == _edge_set(legacy)
+    @pytest.mark.parametrize("n,center", [(5, 0), (5, 3), (8, 7)])
+    def test_star_structure(self, n, center):
+        graph = star_topology(n, center).to_nx()
+        assert nx.is_tree(graph)
+        assert graph.degree[center] == n - 1
+        assert all(graph.degree[v] == 1 for v in range(n) if v != center)
 
-    @pytest.mark.parametrize("seed", range(5))
-    def test_random_connected_twin_same_rng_sequence(self, seed):
-        mask = random_connected_topology(14, np.random.default_rng(seed), extra_edge_prob=0.15)
-        legacy = graphs.random_connected_graph(
-            14, np.random.default_rng(seed), extra_edge_prob=0.15
-        )
-        assert _edge_set(mask) == _edge_set(legacy)
+    def test_star_bad_center(self):
+        with pytest.raises(ValueError):
+            star_topology(4, center=4)
 
-    @pytest.mark.parametrize("round_index", [0, 1, 5, 17])
-    def test_shifted_ring_twin(self, round_index):
-        mask = shifted_ring_topology(9, round_index)
-        legacy = graphs.shifted_ring(9, round_index)
-        assert _edge_set(mask) == _edge_set(legacy)
+    def test_complete_graph_edges(self):
+        graph = complete_topology(6).to_nx()
+        assert graph.number_of_edges() == 15
+        assert nx.number_of_selfloops(graph) == 0
+
+    def test_random_tree_is_tree(self, rng):
+        for n in (2, 5, 20):
+            assert nx.is_tree(random_tree_topology(n, rng).to_nx())
+
+    def test_random_connected_is_connected(self, rng):
+        for _ in range(5):
+            topology = random_connected_topology(15, rng, extra_edge_prob=0.1)
+            topology.validate(15)
+            graph = topology.to_nx()
+            assert nx.is_connected(graph)
+            assert nx.number_of_selfloops(graph) == 0
+
+    def test_random_connected_rejects_bad_prob(self, rng):
+        with pytest.raises(ValueError):
+            random_connected_topology(5, rng, extra_edge_prob=1.5)
+
+    def test_random_tree_reproducible(self):
+        first = random_tree_topology(12, np.random.default_rng(7))
+        second = random_tree_topology(12, np.random.default_rng(7))
+        assert first == second
+
+    def test_shifted_ring_always_connected(self):
+        for r in range(10):
+            graph = shifted_ring_topology(9, r).to_nx()
+            assert nx.is_connected(graph)
+            assert all(d == 2 for _, d in graph.degree)
+
+    def test_shifted_ring_changes_edges(self):
+        edges = {frozenset(_edge_set(shifted_ring_topology(11, r))) for r in range(4)}
+        assert len(edges) > 1
+
+    def test_split_bridges(self):
+        informed = {0, 1, 2}
+        graph = split_topology(10, informed).to_nx()
+        assert nx.is_connected(graph)
+        cut = [(u, v) for u, v in graph.edges if (u in informed) != (v in informed)]
+        assert len(cut) == 1
+
+    def test_split_all_informed_is_complete(self):
+        assert split_topology(5, set(range(5))).to_nx().number_of_edges() == 10
 
 
 def _edge_digest(topology) -> str:

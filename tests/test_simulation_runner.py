@@ -13,7 +13,7 @@ from repro.network import (
     RandomConnectedAdversary,
     StaticAdversary,
     TStableAdversary,
-    path_graph,
+    path_topology,
 )
 from repro.network.stability import is_t_stable
 from repro.simulation import (
@@ -162,7 +162,7 @@ class TestRunner:
         config = make_config(9)
         placement = one_token_per_node(9, 8, rng)
         result = run_dissemination(
-            TokenForwardingNode, config, placement, StaticAdversary(path_graph)
+            TokenForwardingNode, config, placement, StaticAdversary(path_topology)
         )
         assert result.completed and result.correct
 
