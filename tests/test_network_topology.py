@@ -10,6 +10,7 @@ import pytest
 
 from repro.network.topology import (
     Topology,
+    TopologyValidationCache,
     as_topology,
     clique_pair_topology,
     complete_topology,
@@ -208,6 +209,62 @@ class TestBuilderStructure:
 
     def test_split_all_informed_is_complete(self):
         assert split_topology(5, set(range(5))).to_nx().number_of_edges() == 10
+
+
+class TestNetworkxGenerators:
+    """The deterministic builders equal networkx's own generators edge for
+    edge (node ``i`` of the networkx graph is node ``i`` of the topology)."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 8])
+    def test_path_matches_nx_path_graph(self, n):
+        assert _edge_set(path_topology(n)) == _edge_set(nx.path_graph(n))
+
+    @pytest.mark.parametrize("n", [3, 4, 8])
+    def test_ring_matches_nx_cycle_graph(self, n):
+        assert _edge_set(ring_topology(n)) == _edge_set(nx.cycle_graph(n))
+
+    @pytest.mark.parametrize("center", [0, 3, 6])
+    def test_star_matches_relabelled_nx_star_graph(self, center):
+        # nx.star_graph(6) is centred on node 0; swap labels 0 and ``center``.
+        graph = nx.relabel_nodes(nx.star_graph(6), {0: center, center: 0})
+        assert _edge_set(star_topology(7, center)) == _edge_set(graph)
+
+    @pytest.mark.parametrize("n", [1, 2, 6])
+    def test_complete_matches_nx_complete_graph(self, n):
+        assert _edge_set(complete_topology(n)) == _edge_set(nx.complete_graph(n))
+
+
+class TestValidationCache:
+    def test_repeated_object_validated_once(self, monkeypatch):
+        calls = []
+        original = Topology.validate
+
+        def counting(self, n=None):
+            calls.append(self)
+            return original(self, n)
+
+        monkeypatch.setattr(Topology, "validate", counting)
+        cache = TopologyValidationCache()
+        first = Topology.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+        for _ in range(3):
+            assert cache.validated(first, 4) is first
+        assert calls == [first]
+        second = Topology.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+        assert cache.validated(second, 4) is second
+        assert calls == [first, second]
+
+    def test_new_disconnected_object_rejected_after_cached_one(self):
+        cache = TopologyValidationCache()
+        cache.validated(ring_topology(6), 6)
+        disconnected = Topology.from_edges(6, [(0, 1), (1, 2), (3, 4), (4, 5)])
+        with pytest.raises(ValueError, match="connected"):
+            cache.validated(disconnected, 6)
+
+    def test_non_topology_rejected_after_cached_one(self):
+        cache = TopologyValidationCache()
+        cache.validated(ring_topology(6), 6)
+        with pytest.raises(TypeError, match="expected Topology"):
+            cache.validated(nx.cycle_graph(6), 6)
 
 
 def _edge_digest(topology) -> str:

@@ -128,6 +128,32 @@ class TestTopologyTypeGate:
             _run(TokenForwardingNode, make_config(10), adversary, engine=engine)
         assert adversary.rounds == [0]
 
+    @pytest.mark.parametrize("engine", ["kernel", "mask"])
+    def test_disconnected_topology_after_reused_one_rejected(self, engine):
+        # The validation cache skips only the very object it last validated;
+        # a fresh illegal topology after rounds of a reused one still fails.
+        with pytest.raises(ValueError, match="connected"):
+            _run(
+                TokenForwardingNode,
+                make_config(10),
+                ReusedThenDisconnectedAdversary(),
+                engine=engine,
+            )
+
+
+class ReusedThenDisconnectedAdversary(Adversary):
+    """Returns one path object for rounds 0-2, then a disconnected graph."""
+
+    def __init__(self):
+        self._path: Topology | None = None
+
+    def choose_topology(self, round_index, n, states, messages=None):
+        if round_index >= 3:
+            return Topology.from_edges(n, [(u, u + 1) for u in range(n - 2)])
+        if self._path is None:
+            self._path = Topology.from_edges(n, [(u, u + 1) for u in range(n - 1)])
+        return self._path
+
 
 # ----------------------------------------------------------------------
 # the mask engine's bookkeeping against an independent rebuild
