@@ -4,7 +4,7 @@ Regenerates the baseline curve: completion rounds of the phase-based
 knowledge-based token-forwarding algorithm against the adaptive bottleneck
 adversary, swept over n (with k = n, d = log n-ish) and over b, compared to
 the predicted nkd/b + n.  Both sweeps run on the process-parallel
-``measure_sweep`` harness with cross-run memoisation.
+``measure_sweep`` harness.
 """
 
 from __future__ import annotations

@@ -3,9 +3,8 @@
 Sweeps n (with k = n) under the adaptive bottleneck adversary and checks the
 completion rounds grow ~linearly, using messages of ~k lg q + d bits.
 
-The sweep runs on the process-parallel harness (`measure_sweep`) and, thanks
-to the mask-native GF(2) fast path, now reaches n = 96 in seconds — the seed
-implementation capped out around n = 48.
+The sweep runs on the process-parallel harness (`measure_sweep`) and
+reaches n = 96 in seconds on the mask-native GF(2) fast path.
 """
 
 from __future__ import annotations

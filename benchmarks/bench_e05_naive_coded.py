@@ -20,8 +20,8 @@ def _config(point):
 
 
 def _measure(factory):
-    # One point per protocol, still routed through the memoised harness so
-    # repeated suite runs replay the measurement from the sweep cache.
+    # One point per protocol, measured through the same seeded harness as
+    # the multi-point sweeps.
     [point] = measure_sweep(factory, [{}], _config, BottleneckAdversary, repetitions=1)
     return point.measurement
 

@@ -101,7 +101,8 @@ def test_e06_stability_sweep(benchmark):
     # full T^2-vs-T round separation additionally requires the (bT)-bit
     # super-block packing of Section 8.3, which this bench reports through
     # the predicted columns and which is checked as a formula-level property
-    # in tests/test_analysis_and_integration.py (see EXPERIMENTS.md).
+    # in tests/test_analysis_and_integration.py
+    # (``test_tstable_t_squared_speedup``).
     meta_rounds = [r["coding_meta_rounds (rounds/T)"] for r in rows]
     print(f"meta-rounds per topology change: {meta_rounds}")
     assert max(meta_rounds) <= 2 * min(meta_rounds)

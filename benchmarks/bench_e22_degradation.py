@@ -10,8 +10,8 @@ three orthogonal third-generation axes into one degradation *surface*:
   point; completion and the surviving rate run over the honest quorum).
 
 Every grid point is one seeded kernel-engine token-forwarding run on the
-edge-Markov scenario, fanned out through ``sweep_map`` (parallel and
-memoised like every other sweep bench).  The surface is recorded to
+edge-Markov scenario, fanned out through ``sweep_map`` (in parallel, like
+every other sweep bench).  The surface is recorded to
 ``BENCH_DEGRADATION.json``; its headline — the mean surviving completion
 rate over the whole grid — is sticky and guarded by
 ``benchmarks/check_regression.py``: an engine change that silently makes

@@ -1,8 +1,7 @@
 """Shared helpers for the benchmark suite.
 
 Every benchmark regenerates one "table/figure" of the paper — here, one
-theorem/lemma/claim (see DESIGN.md section 4 and EXPERIMENTS.md).  Each
-bench:
+theorem/lemma/claim, named in the bench module's docstring.  Each bench:
 
 1. runs a small parameter sweep with the simulator,
 2. prints the measured rows next to the paper's predicted leading-order
@@ -17,24 +16,18 @@ dozen.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
-import numpy as np
-
-from repro import __version__
 from repro.algorithms.base import ProtocolConfig, ProtocolFactory
 from repro.network import Adversary
 from repro.obs.provenance import tree_digest
 from repro.simulation import (
-    SweepCache,
     SweepPoint,
     SweepTask,
-    measure,
+    parallel_map,
     run_dissemination,
     standard_instance,
     sweep_tasks,
@@ -45,34 +38,11 @@ __all__ = [
     "make_config",
     "record_headline",
     "run_once",
-    "measure_rounds",
     "measure_sweep",
     "sweep_map",
     "print_rows",
-    "sweep_cache_dir",
     "sweep_workers",
 ]
-
-
-#: Default location of the cross-run sweep memo (persisted by CI via
-#: ``actions/cache``; safe to delete at any time).
-_DEFAULT_CACHE_DIR = Path(__file__).resolve().parent.parent / ".benchmarks" / "sweep-cache"
-
-
-def sweep_cache_dir() -> Path | None:
-    """Directory holding the benchmark suite's sweep memo files.
-
-    ``REPRO_SWEEP_CACHE`` overrides the location; set it to ``0``/``off`` to
-    disable caching entirely (e.g. when timing cold runs).  Caching never
-    changes measurements — entries are keyed by a digest of everything that
-    determines the result, salted with ``repro.__version__``.
-    """
-    raw = os.environ.get("REPRO_SWEEP_CACHE")
-    if raw is None:
-        return _DEFAULT_CACHE_DIR
-    if raw.strip().lower() in ("", "0", "off", "none"):
-        return None
-    return Path(raw)
 
 
 _SOURCE_DIGEST: str | None = None
@@ -81,13 +51,12 @@ _SOURCE_DIGEST: str | None = None
 def _source_digest() -> str:
     """Content hash of every tracked python source under src/ and benchmarks/.
 
-    Cache entries key factories and point functions by *pickle reference*
-    (module + qualname), which does not change when a function body changes —
-    so the memo files themselves are salted with the source tree content and
-    any code edit starts a fresh memo.  This is the local twin of the CI
-    ``actions/cache`` key's ``hashFiles('src/**', 'benchmarks/**')``, built
-    on the same :func:`repro.obs.provenance.tree_digest` primitive that
-    stamps trace manifests.
+    Stamps headline measurements only: :func:`record_headline` writes it
+    into each headline file, and ``benchmarks/check_regression.py`` skips a
+    figure whose stamp differs from the current tree, so a figure measured
+    on other code is never compared.  Built on the same
+    :func:`repro.obs.provenance.tree_digest` primitive that stamps trace
+    manifests.
     """
     global _SOURCE_DIGEST
     if _SOURCE_DIGEST is None:
@@ -120,8 +89,7 @@ def record_headline(name: str, value: float, *, larger_is_better: bool = True) -
                 "larger_is_better": larger_is_better,
                 # Stamp the measurement with the source-tree content so the
                 # regression check never compares figures measured on a
-                # different version of the code (same rule as the sweep
-                # cache keying).
+                # different version of the code.
                 "source_digest": _source_digest(),
             },
             indent=1,
@@ -180,21 +148,6 @@ def run_once(
     return run_dissemination(factory, config, placement, adversary_factory(), seed=seed)
 
 
-def measure_rounds(
-    factory: ProtocolFactory,
-    config: ProtocolConfig,
-    adversary_factory: Callable[[], Adversary],
-    repetitions: int = 2,
-    seed: int = 0,
-    k: int | None = None,
-):
-    """Mean completion rounds over a couple of seeded repetitions."""
-    placement = standard_instance(config.n, k if k is not None else config.k, config.token_bits, seed=seed)
-    return measure(
-        factory, config, placement, adversary_factory, repetitions=repetitions, base_seed=seed + 1
-    )
-
-
 def measure_sweep(
     factory: ProtocolFactory | None,
     points: Sequence[Mapping[str, object]],
@@ -219,8 +172,7 @@ def measure_sweep(
     functions, ``functools.partial`` of those).  Each point is a self-seeded
     :class:`~repro.simulation.SweepTask`, so the sweep gives identical
     measurements serial or parallel; workers default to
-    :func:`sweep_workers`, and results are memoised across runs in
-    :func:`sweep_cache_dir`.
+    :func:`sweep_workers`.
     """
     if (factory is None) == (factory_for is None):
         raise ValueError("pass exactly one of factory / factory_for")
@@ -247,17 +199,11 @@ def measure_sweep(
         for point in points
     ]
     workers = sweep_workers() if max_workers is None else max_workers
-    cache_dir = sweep_cache_dir()
-    cache = (
-        SweepCache(cache_dir / f"measurements-{_source_digest()}.json")
-        if cache_dir is not None
-        else None
-    )
-    return sweep_tasks(tasks, max_workers=workers, cache=cache)
+    return sweep_tasks(tasks, max_workers=workers)
 
 
 def _call_with_point(payload: tuple[Callable, Mapping[str, object]]):
-    """Top-level apply helper so ``ProcessPoolExecutor.map`` can pickle it."""
+    """Top-level apply helper so worker processes can unpickle it."""
     fn, point = payload
     return fn(**point)
 
@@ -268,58 +214,18 @@ def sweep_map(
     *,
     max_workers: int | None = None,
 ) -> list:
-    """Evaluate ``fn(**point)`` at every point, in parallel and memoised.
+    """Evaluate ``fn(**point)`` at every point, fanned out over workers.
 
     The :func:`measure_sweep` twin for benches whose per-point result is not
     a completion-rounds :class:`~repro.simulation.Measurement` (custom run
     drivers, analysis formulas, decomposition statistics).  ``fn`` must be a
-    module-level function (pickled by reference into the workers) returning
-    JSON-serialisable data, and must be deterministic in its keyword
-    arguments — that is what makes the cross-run memo in
-    :func:`sweep_cache_dir` safe.  Results come back in point order.
+    module-level function (pickled by reference into the workers).  Results
+    come back in point order, exactly as ``fn`` returned them; workers
+    default to :func:`sweep_workers`.
     """
-    fn_digest = SweepTask._identity_digest(fn)
-    keys = [
-        hashlib.sha256(
-            "|".join(
-                [__version__, fn_digest, json.dumps(point, sort_keys=True, default=repr)]
-            ).encode()
-        ).hexdigest()
-        for point in points
-    ]
-
-    cache_dir = sweep_cache_dir()
-    entries: dict[str, object] = {}
-    cache_path = None
-    if cache_dir is not None:
-        cache_path = cache_dir / f"points-{_source_digest()}.json"
-        if cache_path.exists():
-            try:
-                entries = json.loads(cache_path.read_text())
-            except (OSError, json.JSONDecodeError):
-                entries = {}
-
-    results: list = [entries.get(key) for key in keys]
-    pending = [index for index, result in enumerate(results) if result is None]
-
-    if pending:
-        workers = sweep_workers() if max_workers is None else max_workers
-        payloads = [(fn, dict(points[index])) for index in pending]
-        if workers > 1 and len(pending) > 1:
-            with ProcessPoolExecutor(max_workers=workers) as executor:
-                computed = list(executor.map(_call_with_point, payloads))
-        else:
-            computed = [_call_with_point(payload) for payload in payloads]
-        for index, value in zip(pending, computed):
-            results[index] = value
-            entries[keys[index]] = value
-        if cache_path is not None:
-            cache_path.parent.mkdir(parents=True, exist_ok=True)
-            tmp = cache_path.with_suffix(".json.tmp")
-            tmp.write_text(json.dumps(entries, indent=1, sort_keys=True))
-            tmp.replace(cache_path)
-
-    return results
+    workers = sweep_workers() if max_workers is None else max_workers
+    payloads = [(fn, dict(point)) for point in points]
+    return parallel_map(_call_with_point, payloads, max_workers=workers)
 
 
 def print_rows(title: str, rows: list[dict]) -> None:

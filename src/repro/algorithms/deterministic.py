@@ -4,8 +4,9 @@ The deterministic algorithms replace the per-round fresh randomness of RLNC
 by a pre-committed coefficient schedule over a large field (Section 6).
 The schedule plays the role of the non-uniform advice / lexicographically
 first good matrix; see :mod:`repro.coding.deterministic` for the
-quantitative side (field size, witness counting) and DESIGN.md for the
-substitution note.
+quantitative side (field size, witness counting) and for the substitution:
+the schedule is drawn from a seeded PRF over the large field instead of
+computing the lexicographically-first provably-good matrix.
 
 This module provides convenience constructors that wire a
 :class:`~repro.coding.deterministic.DeterministicSchedule` into the indexed

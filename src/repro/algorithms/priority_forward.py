@@ -9,7 +9,7 @@ flooding, and broadcast the corresponding blocks with network-coded indexed
 broadcast; broadcast tokens leave consideration and the loop repeats.
 Lemma 7.4 shows ``O((1 + kd/b^2) log n)`` iterations suffice.
 
-Implementation notes (documented in DESIGN.md / EXPERIMENTS.md):
+Implementation notes (where this deviates from the paper's pseudo-code):
 
 * We implement the variant the paper describes *before* its final
   log-factor optimisation: the ``Theta(b)`` smallest block priorities are

@@ -22,7 +22,7 @@ halves the number of non-sensing nodes — giving Lemma 8.1's
 ``O((n + bT^2) log n)`` bound and, through the Section 8.3 reductions, the
 ``T^2`` dissemination speedup of Theorem 2.4.
 
-Simulation fidelity (documented substitution, see DESIGN.md):
+Simulation fidelity (a substitution for the message-level share steps):
 
 The patch computation and the intra-patch aggregation are *structured*
 rather than message-by-message: a shared :class:`PatchShareCoordinator`

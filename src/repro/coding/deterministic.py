@@ -19,8 +19,7 @@ playing the role of the advice matrix of Corollary 6.2.  Computing the
 lexicographically-first provably-good matrix is super-polynomial (as the
 paper itself notes); our substitute draws the schedule from a seeded PRF
 over the required large field and exposes a verifier that checks it against
-a battery of adversarial strategies on small instances (see DESIGN.md,
-substitutions table).
+a battery of adversarial strategies on small instances.
 
 The mask-native GF(2) fast path of the coding layer does not apply here:
 Theorem 6.1 needs the huge fields ``q = n^{Omega(k)}``, so the deterministic

@@ -13,10 +13,9 @@ We provide:
   *rounds* it takes is observable and can be charged ``D log n`` as in the
   paper;
 * :func:`greedy_mis` — a deterministic MIS by lowest-identifier greedy,
-  standing in for the Panconesi–Srinivasan algorithm (see DESIGN.md
-  substitutions; only the MIS *output* affects dissemination correctness,
-  the deterministic running time is accounted symbolically in
-  ``analysis.bounds``);
+  substituted for the Panconesi–Srinivasan algorithm: only the MIS
+  *output* affects dissemination correctness, and the deterministic
+  running time is accounted symbolically in ``analysis.bounds``;
 * :func:`is_maximal_independent_set` — verification helper used by tests.
 """
 

@@ -2,16 +2,14 @@
 
 from .experiments import (
     Measurement,
-    SweepCache,
     SweepPoint,
     SweepTask,
     fit_power_law,
     format_table,
     measure,
-    ratio_table,
+    parallel_map,
     run_sweep_task,
     standard_instance,
-    sweep,
     sweep_tasks,
 )
 from .kernels import RoundKernel, kernel_for, register_kernel
@@ -23,7 +21,6 @@ __all__ = [
     "RoundKernel",
     "RunMetrics",
     "RunResult",
-    "SweepCache",
     "SweepPoint",
     "SweepTask",
     "build_nodes",
@@ -31,11 +28,10 @@ __all__ = [
     "format_table",
     "kernel_for",
     "measure",
+    "parallel_map",
     "register_kernel",
-    "ratio_table",
     "run_dissemination",
     "run_sweep_task",
     "standard_instance",
-    "sweep",
     "sweep_tasks",
 ]

@@ -5,37 +5,26 @@ a parameter (``n``, ``b``, ``T``, ...), averaging completion rounds over a
 few seeds, and fitting power laws / comparing ratios.  This module holds
 the shared machinery so each benchmark file stays declarative.
 
-Two sweep execution modes are provided:
-
-* :func:`sweep` — the classic callable-per-point runner, optionally fanned
-  out over a process pool when the runner is picklable;
-* :func:`sweep_tasks` — a declarative, fully picklable description
-  (:class:`SweepTask`) of each point that always parallelises cleanly and
-  can be memoised in a :class:`SweepCache` (a JSON file keyed by factory,
-  configuration, adversary and seeds).
-
-Per-point seeding is self-contained in both modes, so serial and parallel
-execution produce bit-identical :class:`Measurement` values.
+Every sweep fans out through one primitive, :func:`parallel_map`: an
+order-preserving map of a module-level function over points, serial for
+one worker or one point.  :func:`sweep_tasks` maps :func:`run_sweep_task`
+over declarative, picklable :class:`SweepTask` points.  Each task seeds
+its own randomness, so serial and parallel execution produce bit-identical
+:class:`Measurement` values.  Nothing is memoised: every sweep recomputes.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 import math
-import pickle
 import statistics
-import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
-from pathlib import Path
-from typing import Callable, Iterable, Mapping, Sequence
+from dataclasses import dataclass, field
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from ..algorithms.base import ProtocolConfig, ProtocolFactory
 from ..network.adversary import Adversary
-from ..tokens.message import MessageBudget
 from ..tokens.token import TokenPlacement, make_tokens, one_token_per_node, place_tokens
 from .runner import RunResult, run_dissemination
 
@@ -43,17 +32,14 @@ __all__ = [
     "Measurement",
     "SweepPoint",
     "SweepTask",
-    "SweepCache",
     "measure",
     "standard_instance",
-    "sweep",
+    "parallel_map",
     "sweep_tasks",
     "run_sweep_task",
     "fit_power_law",
-    "ratio_table",
     "format_table",
 ]
-
 
 @dataclass(frozen=True)
 class Measurement:
@@ -140,45 +126,23 @@ def measure(
     )
 
 
-def sweep(
-    points: Iterable[Mapping[str, object]],
-    runner: Callable[[Mapping[str, object]], Measurement],
+def parallel_map(
+    fn: Callable[[object], object],
+    items: Sequence[object],
     *,
     max_workers: int | None = None,
-) -> list[SweepPoint]:
-    """Evaluate ``runner`` at every parameter point.
+) -> list:
+    """``[fn(item) for item in items]``, fanned out over worker processes.
 
-    With ``max_workers > 1`` the points are fanned out over a process pool
-    (results keep the input order, and each point seeds its own randomness,
-    so the measurements are identical to a serial run).  A runner that
-    cannot be pickled — e.g. a lambda closing over local state — falls back
-    to the serial path with a warning; use :func:`sweep_tasks` for sweeps
-    that must parallelise.
+    The one fan-out primitive of the sweep harness.  ``fn`` must be a
+    module-level function (pickled by reference into the workers) and the
+    items picklable.  Results keep the input order.  ``None`` or
+    ``max_workers <= 1``, or a single item, runs serially in this process.
     """
-    point_list = [dict(p) for p in points]
-    if max_workers is not None and max_workers > 1 and len(point_list) > 1:
-        try:
-            pickle.dumps(runner)
-            picklable = True
-        except Exception:
-            picklable = False
-            warnings.warn(
-                "sweep(): runner is not picklable; running serially. "
-                "Use sweep_tasks() for guaranteed parallel execution.",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-        if picklable:
-            with ProcessPoolExecutor(max_workers=max_workers) as executor:
-                measurements = list(executor.map(runner, point_list))
-            return [
-                SweepPoint(parameters=parameters, measurement=measurement)
-                for parameters, measurement in zip(point_list, measurements)
-            ]
-    return [
-        SweepPoint(parameters=parameters, measurement=runner(parameters))
-        for parameters in point_list
-    ]
+    if max_workers is None or max_workers <= 1 or len(items) <= 1:
+        return [fn(item) for item in items]
+    with ProcessPoolExecutor(max_workers=max_workers) as executor:
+        return list(executor.map(fn, items))
 
 
 @dataclass(frozen=True)
@@ -189,8 +153,8 @@ class SweepTask:
     the shared configuration, the adversary, and every seed involved — the
     instance seed that places the tokens and the base seed that drives the
     repetitions.  Running the same task twice (in any process) therefore
-    yields the same :class:`Measurement`, which is also what makes the
-    results cacheable.
+    yields the same :class:`Measurement`, which is what makes serial and
+    parallel sweeps agree.
     """
 
     factory: ProtocolFactory
@@ -203,52 +167,6 @@ class SweepTask:
     repetitions: int = 3
     base_seed: int = 1
     max_rounds: int | None = None
-
-    @staticmethod
-    def _identity_digest(obj: object) -> str:
-        """An identity string for a task component that never collides silently.
-
-        Pickle is content-faithful where repr is not: classes and top-level
-        functions pickle by reference (stable across runs), ``partial``
-        pickles with its bound arguments, and configs pickle with their full
-        ``extra`` payloads (``repr`` would truncate large numpy arrays into
-        identical '...' strings).  Unpicklable objects (lambdas, closures)
-        fall back to ``repr``, whose embedded object address makes the key
-        unstable — such tasks simply never hit the cache, which is safe,
-        rather than sharing a truncated key, which would serve wrong
-        measurements.
-        """
-        try:
-            return hashlib.sha256(pickle.dumps(obj)).hexdigest()
-        except Exception:
-            return repr(obj)
-
-    def cache_key(self) -> str:
-        """A stable digest of everything that determines the measurement.
-
-        ``parameters`` is display metadata and deliberately excluded.  The
-        package version is salted in so behaviour-changing releases (which
-        shift RNG streams and round counts even for identical tasks)
-        invalidate previously cached measurements; bump
-        ``repro.__version__`` when protocol behaviour changes.
-        """
-        from .. import __version__
-
-        material = "|".join(
-            [
-                __version__,
-                self._identity_digest(self.factory),
-                self._identity_digest(self.config),
-                self._identity_digest(self.adversary_factory),
-                str(self.instance_k),
-                str(self.instance_seed),
-                str(self.copies),
-                str(self.repetitions),
-                str(self.base_seed),
-                str(self.max_rounds),
-            ]
-        )
-        return hashlib.sha256(material.encode()).hexdigest()
 
 
 def run_sweep_task(task: SweepTask) -> Measurement:
@@ -271,96 +189,17 @@ def run_sweep_task(task: SweepTask) -> Measurement:
     )
 
 
-class SweepCache:
-    """A JSON-file-backed memo of sweep measurements.
-
-    Entries are keyed by :meth:`SweepTask.cache_key` — a digest of (factory,
-    config, adversary, seeds) — so re-running a benchmark only recomputes
-    points whose definition changed.  The file is human-readable JSON, one
-    entry per key, safe to delete at any time.
-    """
-
-    def __init__(self, path: str | Path):
-        self.path = Path(path)
-        self._entries: dict[str, dict] = {}
-        if self.path.exists():
-            try:
-                self._entries = json.loads(self.path.read_text())
-            except (OSError, json.JSONDecodeError):
-                self._entries = {}
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def get(self, key: str) -> Measurement | None:
-        """The cached measurement for ``key``, or None."""
-        entry = self._entries.get(key)
-        if entry is None:
-            return None
-        try:
-            return Measurement(**entry)
-        except TypeError:
-            return None
-
-    def put(self, key: str, measurement: Measurement) -> None:
-        """Record a measurement (call :meth:`save` to persist)."""
-        self._entries[key] = asdict(measurement)
-
-    def save(self) -> None:
-        """Write the cache file atomically."""
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = self.path.with_suffix(self.path.suffix + ".tmp")
-        tmp.write_text(json.dumps(self._entries, indent=1, sort_keys=True))
-        tmp.replace(self.path)
-
-
 def sweep_tasks(
     tasks: Sequence[SweepTask],
     *,
     max_workers: int | None = None,
-    cache: SweepCache | str | Path | None = None,
 ) -> list[SweepPoint]:
-    """Evaluate declarative sweep tasks, optionally in parallel and cached.
+    """Measure every task through :func:`parallel_map`, in task order.
 
-    Parameters
-    ----------
-    tasks:
-        The points to evaluate.  Order is preserved in the result.
-    max_workers:
-        ``None`` or ``<= 1`` runs serially; larger values fan the uncached
-        tasks out over a :class:`~concurrent.futures.ProcessPoolExecutor`.
-        Each task is fully self-seeded, so the measurements are identical
-        either way.
-    cache:
-        A :class:`SweepCache` (or a path to create one) consulted before
-        running and updated (and saved) afterwards.
+    Each task is fully self-seeded, so the measurements are identical
+    whatever ``max_workers`` is.
     """
-    if cache is not None and not isinstance(cache, SweepCache):
-        cache = SweepCache(cache)
-
-    measurements: list[Measurement | None] = [None] * len(tasks)
-    pending: list[int] = []
-    for index, task in enumerate(tasks):
-        if cache is not None:
-            hit = cache.get(task.cache_key())
-            if hit is not None:
-                measurements[index] = hit
-                continue
-        pending.append(index)
-
-    if pending:
-        if max_workers is not None and max_workers > 1 and len(pending) > 1:
-            with ProcessPoolExecutor(max_workers=max_workers) as executor:
-                computed = list(executor.map(run_sweep_task, [tasks[i] for i in pending]))
-        else:
-            computed = [run_sweep_task(tasks[i]) for i in pending]
-        for index, measurement in zip(pending, computed):
-            measurements[index] = measurement
-            if cache is not None:
-                cache.put(tasks[index].cache_key(), measurement)
-        if cache is not None:
-            cache.save()
-
+    measurements = parallel_map(run_sweep_task, tasks, max_workers=max_workers)
     return [
         SweepPoint(parameters=dict(task.parameters), measurement=measurement)
         for task, measurement in zip(tasks, measurements)
@@ -380,28 +219,6 @@ def fit_power_law(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, floa
     log_y = np.log(np.asarray(ys, dtype=float))
     alpha, log_c = np.polyfit(log_x, log_y, 1)
     return float(alpha), float(math.exp(log_c))
-
-
-def ratio_table(
-    sweep_points: Sequence[SweepPoint],
-    baseline_points: Sequence[SweepPoint],
-) -> list[dict]:
-    """Combine two sweeps over the same parameters into speedup ratios."""
-    rows = []
-    for ours, base in zip(sweep_points, baseline_points):
-        if ours.parameters != base.parameters:
-            raise ValueError("sweeps are not aligned on the same parameter points")
-        speedup = (
-            base.measurement.rounds_mean / ours.measurement.rounds_mean
-            if ours.measurement.rounds_mean
-            else float("inf")
-        )
-        row = dict(ours.parameters)
-        row["rounds"] = ours.measurement.rounds_mean
-        row["baseline_rounds"] = base.measurement.rounds_mean
-        row["speedup"] = round(speedup, 2)
-        rows.append(row)
-    return rows
 
 
 def format_table(rows: Sequence[Mapping[str, object]], title: str = "") -> str:

@@ -1,21 +1,12 @@
-"""Tests for the process-parallel sweep executor and its JSON result cache."""
+"""Tests for the process-parallel sweep primitive and the task sweep on it."""
 
 from __future__ import annotations
 
-import json
+import os
 
-import pytest
-
-from repro.algorithms import IndexedBroadcastNode, TokenForwardingNode
-from repro.network import BottleneckAdversary, RandomConnectedAdversary
-from repro.simulation import (
-    Measurement,
-    SweepCache,
-    SweepTask,
-    run_sweep_task,
-    sweep,
-    sweep_tasks,
-)
+from repro.algorithms import IndexedBroadcastNode
+from repro.network import BottleneckAdversary
+from repro.simulation import SweepTask, parallel_map, run_sweep_task, sweep_tasks
 
 from tests.conftest import make_config
 
@@ -33,15 +24,36 @@ def _tasks(ns=(6, 10), repetitions=2):
     ]
 
 
-def run_point(parameters):
-    """Module-level runner (picklable) for the classic sweep() API."""
-    task = SweepTask(
-        factory=TokenForwardingNode,
-        config=make_config(int(parameters["n"])),
-        adversary_factory=RandomConnectedAdversary,
-        repetitions=2,
-    )
-    return run_sweep_task(task)
+def square(x):
+    """Module-level point function (picklable by reference)."""
+    return x * x
+
+
+def pid_of(_item):
+    """The process that evaluated the item."""
+    return os.getpid()
+
+
+class TestParallelMap:
+    def test_keeps_input_order_serial_and_parallel(self):
+        items = [5, 3, 8, 1, 7]
+        expected = [25, 9, 64, 1, 49]
+        assert parallel_map(square, items) == expected
+        assert parallel_map(square, items, max_workers=1) == expected
+        assert parallel_map(square, items, max_workers=2) == expected
+
+    def test_one_worker_runs_in_this_process(self):
+        for workers in (None, 0, 1):
+            assert set(parallel_map(pid_of, [1, 2, 3], max_workers=workers)) == {os.getpid()}
+
+    def test_single_item_runs_in_this_process(self):
+        assert parallel_map(pid_of, [1], max_workers=4) == [os.getpid()]
+
+    def test_many_workers_leave_this_process(self):
+        assert os.getpid() not in parallel_map(pid_of, [1, 2], max_workers=2)
+
+    def test_empty_items(self):
+        assert parallel_map(square, [], max_workers=2) == []
 
 
 class TestParallelMatchesSerial:
@@ -52,106 +64,13 @@ class TestParallelMatchesSerial:
         assert [p.parameters for p in serial] == [p.parameters for p in parallel]
         assert [p.measurement for p in serial] == [p.measurement for p in parallel]
 
-    def test_sweep_runner_api_parallel(self):
-        points = [{"n": 6}, {"n": 9}]
-        serial = sweep(points, run_point)
-        parallel = sweep(points, run_point, max_workers=2)
-        assert [p.measurement for p in serial] == [p.measurement for p in parallel]
-
-    def test_sweep_unpicklable_runner_falls_back_to_serial(self):
-        seen = []
-
-        def runner(parameters):  # closure: not picklable by reference
-            seen.append(parameters["n"])
-            return run_point(parameters)
-
-        results = sweep([{"n": 6}], runner, max_workers=4)
-        assert seen == [6]
-        assert len(results) == 1
+    def test_sweep_tasks_wrap_each_task_in_order(self):
+        tasks = _tasks(ns=(10, 6, 8), repetitions=1)
+        points = sweep_tasks(tasks)
+        assert [p.parameters for p in points] == [{"n": 10}, {"n": 6}, {"n": 8}]
+        assert [p.measurement for p in points] == [run_sweep_task(t) for t in tasks]
+        assert all(p.measurement.repetitions == 1 for p in points)
 
     def test_task_is_deterministic(self):
         task = _tasks(ns=(8,))[0]
         assert run_sweep_task(task) == run_sweep_task(task)
-
-
-class TestSweepCache:
-    def test_cache_round_trip(self, tmp_path):
-        path = tmp_path / "cache.json"
-        tasks = _tasks()
-        first = sweep_tasks(tasks, cache=path)
-        assert path.exists()
-        entries = json.loads(path.read_text())
-        assert len(entries) == len(tasks)
-
-        # Second run must be served from the cache: poison run_sweep_task via
-        # a task whose config would crash if executed.
-        cached = sweep_tasks(tasks, cache=SweepCache(path))
-        assert [p.measurement for p in first] == [p.measurement for p in cached]
-
-    def test_cache_hit_skips_execution(self, tmp_path, monkeypatch):
-        path = tmp_path / "cache.json"
-        tasks = _tasks(ns=(6,))
-        sweep_tasks(tasks, cache=path)
-
-        import repro.simulation.experiments as experiments
-
-        def boom(task):
-            raise AssertionError("cache miss: run_sweep_task should not run")
-
-        monkeypatch.setattr(experiments, "run_sweep_task", boom)
-        results = sweep_tasks(tasks, cache=path)
-        assert isinstance(results[0].measurement, Measurement)
-
-    def test_key_distinguishes_seeds_and_protocols(self):
-        base = _tasks(ns=(6,))[0]
-        other_seed = SweepTask(
-            factory=base.factory,
-            config=base.config,
-            adversary_factory=base.adversary_factory,
-            repetitions=base.repetitions,
-            base_seed=base.base_seed + 1,
-        )
-        other_factory = SweepTask(
-            factory=TokenForwardingNode,
-            config=base.config,
-            adversary_factory=base.adversary_factory,
-            repetitions=base.repetitions,
-        )
-        keys = {base.cache_key(), other_seed.cache_key(), other_factory.cache_key()}
-        assert len(keys) == 3
-
-    def test_key_never_collides_for_distinct_lambdas(self):
-        # Lambdas share a qualname; the key must not treat them as the same
-        # adversary (an unstable key — never a silent wrong cache hit).
-        base = _tasks(ns=(6,))[0]
-        adversaries = [lambda: BottleneckAdversary(), lambda: BottleneckAdversary()]
-        a, b = (
-            SweepTask(
-                factory=base.factory,
-                config=base.config,
-                adversary_factory=adversary,
-            )
-            for adversary in adversaries
-        )
-        assert a.cache_key() != b.cache_key()
-
-    def test_partial_arguments_distinguish_keys(self):
-        import functools
-
-        base = _tasks(ns=(6,))[0]
-        a, b = (
-            SweepTask(
-                factory=base.factory,
-                config=base.config,
-                adversary_factory=functools.partial(RandomConnectedAdversary, seed=seed),
-            )
-            for seed in (1, 2)
-        )
-        assert a.cache_key() != b.cache_key()
-
-    def test_corrupt_cache_file_is_ignored(self, tmp_path):
-        path = tmp_path / "cache.json"
-        path.write_text("{not json")
-        results = sweep_tasks(_tasks(ns=(6,)), cache=path)
-        assert len(results) == 1
-        assert json.loads(path.read_text())  # rewritten as valid JSON
