@@ -29,7 +29,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from ..network.adversary import NodeStateView
-from ..tokens.message import Message, MessageBudget, uid_bits
+from ..tokens.message import Message, MessageBudget, TokenForwardMessage, uid_bits
 from ..tokens.token import Token, TokenId
 
 __all__ = [
@@ -125,6 +125,11 @@ class ProtocolNode(abc.ABC):
     maintained by :meth:`_learn_token`.  The mask is what makes the
     runner's per-round completion / progress / useless-delivery accounting
     O(1) per node instead of O(k) frozenset rebuilding.
+
+    Forwarding messages get a mask too (:meth:`TokenForwardMessage.token_mask`,
+    built once per message against the same index), so
+    :meth:`_learn_message` skips a message that brings nothing new with one
+    mask test instead of one :meth:`_learn_token` call per carried token.
     """
 
     def __init__(self, uid: int, config: ProtocolConfig, rng: np.random.Generator):
@@ -248,6 +253,23 @@ class ProtocolNode(abc.ABC):
             self._mask_synced += 1
         self.known[token.token_id] = token
         return True
+
+    def _learn_message(self, message: TokenForwardMessage) -> None:
+        """Record every token a forwarding message carries.
+
+        O(1) when the message brings nothing new: with the mask in sync, a
+        message whose token mask lies inside the knowledge mask is skipped.
+        Otherwise (tracking off or out of sync, a token missing from the
+        index, or a new token) every token goes through :meth:`_learn_token`,
+        so subclass overrides still fire.
+        """
+        index = self._token_index
+        if index is not None and self._mask_synced == len(self.known):
+            carried = message.token_mask(index)
+            if carried is not None and not carried & ~self._knowledge_mask:
+                return
+        for token in message.tokens:
+            self._learn_token(token)
 
 
 #: A protocol factory builds one node instance given (uid, config, rng).

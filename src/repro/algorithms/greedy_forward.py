@@ -27,7 +27,7 @@ import numpy as np
 
 from ..coding.rlnc import Generation, GenerationState
 from ..gf import field_bits
-from ..tokens.message import CodedMessage, ControlMessage, Message, TokenForwardMessage
+from ..tokens.message import CodedMessage, Message, TokenForwardMessage
 from ..tokens.token import TokenId
 from .base import ProtocolConfig, ProtocolNode
 from .blocks import block_bits, decode_block, encode_block, max_tokens_per_block
@@ -209,11 +209,9 @@ class GreedyForwardNode(ProtocolNode):
                 state = self._generation_from_message(message)
                 if message.num_coefficients == state.generation.k:
                     state.receive(message)
-            elif isinstance(message, (TokenForwardMessage, ControlMessage)):
-                # Stragglers from a neighbour still in its gather window.
-                if isinstance(message, TokenForwardMessage):
-                    for token in message.tokens:
-                        self._learn_token(token)
+            elif isinstance(message, TokenForwardMessage):
+                # A straggler from a neighbour still in its gather window.
+                self._learn_message(message)
         if offset == self.broadcast_rounds - 1:
             self._finish_broadcast()
 

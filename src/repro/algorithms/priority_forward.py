@@ -211,8 +211,7 @@ class PriorityForwardNode(ProtocolNode):
         if phase == "spread":
             for message in messages:
                 if isinstance(message, TokenForwardMessage):
-                    for token in message.tokens:
-                        self._learn_token(token)
+                    self._learn_message(message)
             return
         if phase == "flood":
             for message in messages:

@@ -53,8 +53,7 @@ class RandomForwardNode(ProtocolNode):
     def deliver(self, round_index: int, messages: Sequence[Message]) -> None:
         for message in messages:
             if isinstance(message, TokenForwardMessage):
-                for token in message.tokens:
-                    self._learn_token(token)
+                self._learn_message(message)
 
 
 @dataclass
@@ -141,8 +140,7 @@ class GatherState:
         """Process the round's inbound messages."""
         for message in messages:
             if isinstance(message, TokenForwardMessage):
-                for token in message.tokens:
-                    self.owner._learn_token(token)
+                self.owner._learn_message(message)
             elif isinstance(message, ControlMessage):
                 count = int(message.fields.get("count", 0))  # type: ignore[arg-type]
                 leader = int(message.fields.get("leader", 0))  # type: ignore[arg-type]

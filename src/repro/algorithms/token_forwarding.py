@@ -121,13 +121,17 @@ class TokenForwardingNode(ProtocolNode):
         self._compose_cache = message
         return message
 
+    def _learn_token(self, token: Token) -> bool:
+        if super()._learn_token(token):
+            bisect.insort(self._sorted_known, token, key=_token_sort_key)
+            self._compose_cache = _STALE
+            return True
+        return False
+
     def deliver(self, round_index: int, messages: Sequence[Message]) -> None:
         for message in messages:
             if isinstance(message, TokenForwardMessage):
-                for token in message.tokens:
-                    if self._learn_token(token):
-                        bisect.insort(self._sorted_known, token, key=_token_sort_key)
-                        self._compose_cache = _STALE
+                self._learn_message(message)
         # At a phase boundary, commit the smallest pending tokens as delivered.
         # All nodes see the same global minimum set after a full flooding
         # phase, so the delivered sets stay consistent across nodes.
@@ -213,5 +217,4 @@ class PipelinedTokenForwardingNode(ProtocolNode):
     def deliver(self, round_index: int, messages: Sequence[Message]) -> None:
         for message in messages:
             if isinstance(message, TokenForwardMessage):
-                for token in message.tokens:
-                    self._learn_token(token)
+                self._learn_message(message)

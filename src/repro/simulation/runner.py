@@ -26,7 +26,11 @@ runner then verifies payload correctness.  Two kernel families exist:
 * **mask** — :class:`ObjectKernel` over the per-node protocol objects,
   which runs every protocol.  Each node's knowledge is an incrementally
   maintained integer ``knowledge_mask``, so the completion check is one
-  O(k/64) mask comparison per still-incomplete node.
+  O(k/64) mask comparison per still-incomplete node, and the per-node and
+  whole-network completion read-outs share one shrinking set of
+  incomplete nodes.  A forwarding message gets a token mask once per
+  broadcast, so a node skips a message that brings nothing new in O(1)
+  instead of looking up each carried token.
 
 Under ``engine="auto"`` the packed kernel runs when the factory is a
 registered node class, the configuration is supported and the kernel
@@ -206,9 +210,12 @@ class ObjectKernel(kernels.RoundKernel):
         super().__init__(config, placement, token_index, nodes)
         self.nodes = nodes
         self.full_mask = (1 << self.k) - 1
+        #: Nodes missing a token as of the last refresh.  Knowledge only
+        #: grows, so the set only shrinks; deliveries mark it stale.
         self._incomplete = {
             uid for uid, node in enumerate(nodes) if node.knowledge_mask() != self.full_mask
         }
+        self._incomplete_stale = False
         self._coordinator = getattr(nodes[0], "shared_coordinator", None) if nodes else None
         self._topology = None
         self._outgoing: list = []
@@ -221,13 +228,16 @@ class ObjectKernel(kernels.RoundKernel):
 
     def compose_all(self, round_index):
         self._outgoing = outgoing = [node.compose(round_index) for node in self.nodes]
-        for message in outgoing:
-            if message is not None and not isinstance(message, Message):
-                raise TypeError(f"protocol composed a non-Message object: {type(message)!r}")
-        active = np.fromiter((m is not None for m in outgoing), dtype=bool, count=self.n)
-        sizes = (0 if m is None else m.size_bits for m in outgoing)
-        self._sizes = np.fromiter(sizes, dtype=np.int64, count=self.n)
-        return active, self._sizes
+        active = [False] * self.n
+        sizes = [0] * self.n
+        for uid, message in enumerate(outgoing):
+            if message is not None:
+                if not isinstance(message, Message):
+                    raise TypeError(f"protocol composed a non-Message object: {type(message)!r}")
+                active[uid] = True
+                sizes[uid] = message.size_bits
+        self._sizes = np.array(sizes, dtype=np.int64)
+        return np.array(active, dtype=bool), self._sizes
 
     def set_wire_overrides(self, overrides):
         for uid, mask in overrides.items():
@@ -258,6 +268,7 @@ class ObjectKernel(kernels.RoundKernel):
             changed[uid] = (len(node.known), node.coded_rank()) != before
         if self._coordinator is not None:
             self._coordinator.after_round(round_index, self._topology.to_nx(), self.nodes)
+        self._incomplete_stale = True
         return changed
 
     def _known_counts_now(self):
@@ -271,17 +282,24 @@ class ObjectKernel(kernels.RoundKernel):
         ranks = (node.coded_rank() for node in self.nodes)
         return np.fromiter(ranks, dtype=np.int64, count=self.n)
 
+    def _still_incomplete(self):
+        # Incremental: only nodes still missing tokens are re-examined, at
+        # most once per delivery however many read-outs follow it.
+        if self._incomplete_stale:
+            nodes, full = self.nodes, self.full_mask
+            self._incomplete = {
+                uid for uid in self._incomplete if nodes[uid].knowledge_mask() != full
+            }
+            self._incomplete_stale = False
+        return self._incomplete
+
     def completed_flags(self):
-        full = self.full_mask
-        return np.fromiter(
-            (node.knowledge_mask() == full for node in self.nodes), dtype=bool, count=self.n
-        )
+        flags = np.ones(self.n, dtype=bool)
+        flags[list(self._still_incomplete())] = False
+        return flags
 
     def all_complete(self):
-        # Incremental: only nodes still missing tokens are re-examined.
-        nodes, full = self.nodes, self.full_mask
-        self._incomplete = {uid for uid in self._incomplete if nodes[uid].knowledge_mask() != full}
-        return not self._incomplete
+        return not self._still_incomplete()
 
     def finished_all(self):
         return all(node.finished() for node in self.nodes)

@@ -121,6 +121,28 @@ class TokenForwardMessage(Message):
             object.__setattr__(self, "_size_bits", cached)
         return cached
 
+    def token_mask(self, token_index: Mapping[TokenId, int]) -> int | None:
+        """The carried tokens as a bitmask over ``token_index``.
+
+        None when a carried token is missing from the index.  Computed once
+        per message and index: every receiver of a broadcast shares the
+        run's index, so the mask is built once, not once per receiver.  The
+        cache is keyed by the index object, so a mask built for another
+        index is never reused.
+        """
+        cached = self.__dict__.get("_token_mask")
+        if cached is not None and cached[0] is token_index:
+            return cached[1]
+        mask = 0
+        for token in self.tokens:
+            bit = token_index.get(token.token_id)
+            if bit is None:
+                object.__setattr__(self, "_token_mask", (token_index, None))
+                return None
+            mask |= 1 << bit
+        object.__setattr__(self, "_token_mask", (token_index, mask))
+        return mask
+
 
 class CodedMessage(Message):
     """A random-linear-network-coding message.

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.algorithms import (
     GatherState,
@@ -20,8 +22,8 @@ from repro.network import (
     TStableAdversary,
     path_topology,
 )
-from repro.simulation import build_nodes, run_dissemination
-from repro.tokens import MessageBudget, one_token_per_node
+from repro.simulation import build_nodes, run_dissemination, standard_instance
+from repro.tokens import MessageBudget, Token, TokenForwardMessage, TokenId, one_token_per_node
 from repro.analysis import token_forwarding_rounds
 from tests.conftest import make_config
 
@@ -193,3 +195,101 @@ class TestRandomForward:
         leaders = {g.elected_leader() for g in gathers}
         assert leaders == {2}
         assert all(g.elected_count() == 4 for g in gathers)
+
+
+def _forwarding_state(node) -> dict:
+    """Everything a forwarding node's future behaviour depends on."""
+    if isinstance(node, TokenForwardingNode):
+        return {
+            "known": node.known,
+            "delivered": node.delivered,
+            "sorted_pending": node._sorted_known,
+        }
+    return {"known": node.known, "send_counts": node._send_counts, "buckets": node._buckets}
+
+
+class TestMessageSkip:
+    """``_learn_message`` skips a message that brings nothing new by one mask
+    test; a node doing so must stay indistinguishable from one that learns
+    every carried token one by one (mask tracking off)."""
+
+    PLACEMENT = standard_instance(6, 8, 8, seed=0)
+    INDEX = {tid: bit for bit, tid in enumerate(sorted(PLACEMENT.all_ids()))}
+
+    def _pair(self, node_class, initial):
+        config = make_config(6, k=8, b=64, extra={"phase_length": 3})
+        tracked, untracked = (
+            node_class(0, config, np.random.default_rng(0)) for _ in range(2)
+        )
+        for node in (tracked, untracked):
+            node.setup(initial)
+        # As the runner does: install the index, then sync the mask once.
+        assert tracked.enable_mask_tracking(self.INDEX)
+        tracked.knowledge_mask()
+        return tracked, untracked
+
+    @pytest.mark.parametrize(
+        "node_class", [TokenForwardingNode, PipelinedTokenForwardingNode]
+    )
+    @given(data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_per_token_learning(self, node_class, data):
+        tokens = self.PLACEMENT.tokens
+        # A token missing from the run's index disables the fast path.
+        foreign = Token(TokenId(origin=99, sequence=0), payload=1, size_bits=8)
+        pool = list(tokens) + [foreign]
+        initial = data.draw(st.lists(st.sampled_from(tokens), unique=True))
+        tracked, untracked = self._pair(node_class, initial)
+        sent: list[TokenForwardMessage] = []
+        # phase_length 3: rounds 2, 5 and 8 commit a phase.
+        for round_index in range(data.draw(st.integers(1, 9))):
+            assert tracked.compose(round_index) == untracked.compose(round_index)
+            inbox = []
+            for _ in range(data.draw(st.integers(0, 4))):
+                if sent and data.draw(st.booleans()):
+                    # Re-delivered: fully known after its first delivery.
+                    inbox.append(data.draw(st.sampled_from(sent)))
+                else:
+                    # Possibly partly known, possibly repeating a token.
+                    carried = data.draw(st.lists(st.sampled_from(pool), max_size=5))
+                    inbox.append(TokenForwardMessage(sender=1, tokens=tuple(carried)))
+            sent.extend(inbox)
+            tracked.deliver(round_index, inbox)
+            untracked.deliver(round_index, inbox)
+            assert _forwarding_state(tracked) == _forwarding_state(untracked)
+        assert tracked.compose(99) == untracked.compose(99)
+        assert _forwarding_state(tracked) == _forwarding_state(untracked)
+        assert untracked.enable_mask_tracking(self.INDEX)
+        assert tracked.knowledge_mask() == untracked.knowledge_mask()
+
+    @pytest.mark.parametrize(
+        "node_class", [TokenForwardingNode, PipelinedTokenForwardingNode]
+    )
+    def test_known_message_touches_no_token(self, node_class, monkeypatch):
+        tokens = self.PLACEMENT.tokens
+        tracked, untracked = self._pair(node_class, tokens[:4])
+        known = TokenForwardMessage(sender=1, tokens=tuple(tokens[1:3]))
+        learned: list[Token] = []
+        original = node_class._learn_token
+
+        def counting(node, token):
+            learned.append(token)
+            return original(node, token)
+
+        monkeypatch.setattr(node_class, "_learn_token", counting)
+        tracked.deliver(0, [known, known])
+        assert learned == []
+        untracked.deliver(0, [known])
+        assert learned == list(known.tokens)
+        partly_new = TokenForwardMessage(sender=1, tokens=tuple(tokens[3:6]))
+        tracked.deliver(0, [partly_new])
+        assert learned[2:] == list(partly_new.tokens)
+
+    def test_token_mask_is_cached_per_index(self):
+        tokens = self.PLACEMENT.tokens
+        message = TokenForwardMessage(sender=1, tokens=(tokens[0], tokens[2], tokens[0]))
+        assert message.token_mask(self.INDEX) == 0b101
+        reversed_index = {tid: 7 - bit for tid, bit in self.INDEX.items()}
+        assert message.token_mask(reversed_index) == 0b10100000
+        assert message.token_mask(self.INDEX) == 0b101
+        assert message.token_mask({tokens[0].token_id: 0}) is None

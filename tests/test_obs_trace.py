@@ -140,6 +140,13 @@ CROSS_ENGINE_CASES = [
         "crash_recover_churn",
         id="forwarding-crash-recover",
     ),
+    pytest.param(
+        TokenForwardingNode,
+        "lossy_edge_markov",
+        12,
+        "lossy_edge_markov",
+        id="forwarding-lossy",
+    ),
 ]
 
 

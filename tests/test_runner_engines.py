@@ -42,7 +42,8 @@ from repro.network.adversary import Adversary
 from repro.network.stability import is_t_stable
 from repro.scenarios import fault_model_for, make_scenario
 from repro.simulation import run_dissemination, standard_instance
-from repro.simulation.runner import build_nodes
+from repro.simulation import runner
+from repro.simulation.runner import ObjectKernel, build_nodes
 from tests.conftest import make_config
 
 
@@ -163,9 +164,10 @@ class ReusedThenDisconnectedAdversary(Adversary):
 class ProbingAdversary(Adversary):
     """Delegates to ``inner`` and, at every round's topology choice (that
     is, after the previous round's deliveries), checks each node's
-    ``knowledge_mask()`` against a mask rebuilt from its ``known`` dict and
-    records whether every node's ``known_token_ids()`` covers every
-    placement id.  Shares no code with the runner's mask bookkeeping."""
+    ``knowledge_mask()`` against a mask rebuilt from its ``known`` dict,
+    and the object kernel's ``completed_flags()`` against whether each
+    node's ``known_token_ids()`` covers every placement id; records whether
+    every node's does.  Shares no code with the runner's mask bookkeeping."""
 
     def __init__(self, inner, nodes, placement):
         self.inner = inner
@@ -173,6 +175,8 @@ class ProbingAdversary(Adversary):
         self.ids = placement.all_ids()
         self.index = {tid: bit for bit, tid in enumerate(sorted(self.ids))}
         self.all_complete: list[bool] = []
+        #: The run's ObjectKernel, installed when the runner builds it.
+        self.kernel: ObjectKernel | None = None
 
     @property
     def sees_messages(self) -> bool:  # type: ignore[override]
@@ -186,9 +190,10 @@ class ProbingAdversary(Adversary):
         for node in self.nodes:
             rebuilt = sum(1 << self.index[tid] for tid in node.known if tid in self.index)
             assert node.knowledge_mask() == rebuilt, node.uid
-        self.all_complete.append(
-            all(self.ids <= node.known_token_ids() for node in self.nodes)
-        )
+        complete = [self.ids <= node.known_token_ids() for node in self.nodes]
+        assert self.kernel is not None
+        assert self.kernel.completed_flags().tolist() == complete
+        self.all_complete.append(all(complete))
 
     def choose_topology(self, round_index, n, states, *messages):
         self.check()
@@ -212,7 +217,7 @@ class TestMaskTrackingInvariant:
     @pytest.mark.parametrize("scenario", ["edge_markov_stable4", "crash_recover_churn"])
     @pytest.mark.parametrize("protocol,b", PROBED)
     def test_masks_and_completion_round_match_an_independent_rebuild(
-        self, protocol, b, scenario
+        self, protocol, b, scenario, monkeypatch
     ):
         n, k = 12, 10
         config = make_config(n, k, b=b or None, stability=4)
@@ -225,6 +230,13 @@ class TestMaskTrackingInvariant:
             return nodes[-1]
 
         probe = ProbingAdversary(make_scenario(scenario, n, seed=1), nodes, placement)
+
+        class RecordingKernel(ObjectKernel):
+            def __init__(self, *args):
+                super().__init__(*args)
+                probe.kernel = self
+
+        monkeypatch.setattr(runner, "ObjectKernel", RecordingKernel)
         result = run_dissemination(
             factory,
             config,
