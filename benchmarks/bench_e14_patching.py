@@ -16,10 +16,8 @@ from common import print_rows, sweep_map
 
 def _decompose(n: int, radius: int, seed: int = 0):
     rng = np.random.default_rng(seed)
-    graph = random_connected_topology(
-        n, np.random.default_rng(seed + 1), extra_edge_prob=0.02
-    ).to_nx()
-    return compute_patches(graph, radius=radius, rng=rng)
+    topology = random_connected_topology(n, np.random.default_rng(seed + 1), extra_edge_prob=0.02)
+    return compute_patches(topology, radius=radius, rng=rng)
 
 
 def _patch_row(n: int, radius: int) -> dict:

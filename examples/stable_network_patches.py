@@ -31,8 +31,8 @@ def main() -> None:
     d = 8
 
     # First, show what a patch decomposition looks like on one stable topology.
-    graph = random_connected_topology(n, np.random.default_rng(1), extra_edge_prob=0.03).to_nx()
-    decomposition = compute_patches(graph, radius=3, rng=np.random.default_rng(2))
+    topology = random_connected_topology(n, np.random.default_rng(1), extra_edge_prob=0.03)
+    decomposition = compute_patches(topology, radius=3, rng=np.random.default_rng(2))
     print(f"Patch decomposition of one stable topology (n={n}, D=3):")
     for patch in decomposition.patches:
         print(

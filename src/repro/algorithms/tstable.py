@@ -47,6 +47,7 @@ import numpy as np
 from ..coding.rlnc import Generation, GenerationState
 from ..coding.subspace import Subspace
 from ..network.patches import PatchDecomposition, compute_patches
+from ..network.topology import Topology
 from ..tokens.message import ControlMessage, Message
 from ..tokens.token import Token
 from .base import ProtocolConfig, ProtocolNode, log2_ceil
@@ -92,7 +93,9 @@ class PatchShareCoordinator:
             return "setup"
         return "pass"
 
-    def on_topology(self, round_index: int, graph, nodes: Sequence["TStablePatchNode"]) -> None:
+    def on_topology(
+        self, round_index: int, topology: Topology, nodes: Sequence["TStablePatchNode"]
+    ) -> None:
         """Called by the runner once the round topology is fixed."""
         block = round_index // self.stability
         if block != self._block_index:
@@ -100,9 +103,11 @@ class PatchShareCoordinator:
             # The topology is static for the whole block; computing the patch
             # decomposition here stands in for the first `setup_rounds` rounds
             # of distributed MIS + tree construction on exactly this graph.
-            self.decomposition = compute_patches(graph, self.radius, rng=self.rng)
+            self.decomposition = compute_patches(topology, self.radius, rng=self.rng)
 
-    def after_round(self, round_index: int, graph, nodes: Sequence["TStablePatchNode"]) -> None:
+    def after_round(
+        self, round_index: int, topology: Topology, nodes: Sequence["TStablePatchNode"]
+    ) -> None:
         """Perform share/pass state updates at the sub-phase boundaries."""
         if self.decomposition is None:
             return
@@ -116,7 +121,7 @@ class PatchShareCoordinator:
             # End of the block: the pass has delivered each patch's combined
             # vector to neighbouring nodes; run the pass delivery and the
             # second share step.
-            self._pass(graph, nodes)
+            self._pass(topology, nodes)
             self._share(nodes)
             for node in nodes:
                 node.try_decode()
@@ -156,13 +161,13 @@ class PatchShareCoordinator:
                 nodes[uid].state.receive_vector(combined)
                 nodes[uid].patch_vector = combined
 
-    def _pass(self, graph, nodes: Sequence["TStablePatchNode"]) -> None:
+    def _pass(self, topology: Topology, nodes: Sequence["TStablePatchNode"]) -> None:
         """Each node hands its patch's combined vector to its graph neighbours."""
         for uid in range(self.config.n):
             vector = nodes[uid].patch_vector
             if vector is None:
                 continue
-            for neighbour in graph.neighbors(uid):
+            for neighbour in topology.neighbors_tuple(uid):
                 nodes[neighbour].state.receive_vector(vector)
 
 

@@ -10,8 +10,8 @@ fault-injection layer (:mod:`repro.network.faults`: per-edge loss and
 duplication, crashes with optional recovery, partitions, adaptive and
 protocol-state-aware :class:`~repro.network.faults.FaultStrategy`
 adversaries, Byzantine coded senders, radio-collision rounds, honest/fake
-quorum membership), and the graph-patching machinery of Section 8.1
-(``networkx`` graphs, reached through :meth:`Topology.to_nx`).  The named
+quorum membership), and the graph-patching machinery of Section 8.1 (power
+graph, MIS and patch decomposition, all on :class:`Topology`).  The named
 scenario catalog built on the dynamics layer lives in
 :mod:`repro.scenarios`.
 """

@@ -5,8 +5,10 @@ graph into patches around a maximal independent set of the ``D``-th power
 graph.  The paper uses Luby's randomized MIS [11] (simulated over the
 dynamic-network broadcast primitive) for the randomized algorithms and the
 Panconesi–Srinivasan deterministic MIS [13] for the deterministic variants.
+An MIS of ``G^D`` is a ``(D+1, D)``-ruling set of ``G``.
 
-We provide:
+Every function reads a :class:`~repro.network.topology.Topology` (in
+practice the power graph from :func:`repro.network.patches.power_graph`):
 
 * :func:`luby_mis` — Luby's permutation/priority algorithm, implemented
   round-by-round the way a distributed system would run it, so the number of
@@ -23,8 +25,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import networkx as nx
 import numpy as np
+
+from .topology import Topology
 
 __all__ = [
     "MisResult",
@@ -52,24 +55,20 @@ class MisResult:
     rounds: int
 
 
-def is_maximal_independent_set(graph: nx.Graph, candidate: set | frozenset) -> bool:
-    """Check independence and maximality of ``candidate`` in ``graph``."""
+def is_maximal_independent_set(topology: Topology, candidate: set | frozenset) -> bool:
+    """Check independence and maximality of ``candidate`` in ``topology``."""
     candidate = set(candidate)
-    for u in candidate:
-        if u not in graph:
-            return False
-        for v in graph.neighbors(u):
-            if v in candidate:
-                return False
-    for u in graph.nodes:
-        if u in candidate:
-            continue
-        if not any(v in candidate for v in graph.neighbors(u)):
+    if not candidate <= set(topology.nodes):
+        return False
+    chosen = sum(1 << int(u) for u in candidate)
+    for u, mask in enumerate(topology.masks):
+        # A chosen node must have no chosen neighbour; any other node needs one.
+        if bool(mask & chosen) == (u in candidate):
             return False
     return True
 
 
-def luby_mis(graph: nx.Graph, rng: np.random.Generator) -> MisResult:
+def luby_mis(topology: Topology, rng: np.random.Generator) -> MisResult:
     """Luby's randomized MIS via random priorities.
 
     Each phase: every still-active node draws a random priority; a node joins
@@ -80,53 +79,54 @@ def luby_mis(graph: nx.Graph, rng: np.random.Generator) -> MisResult:
     In the dynamic-network simulation each phase is realised with ``O(D)``
     flooding rounds on the power graph (Section 8.1); the phase count
     returned here is what gets multiplied by that factor.
+
+    The draws visit the active nodes in the iteration order of a Python
+    ``set`` of ints built from ``0..n-1`` and shrunk by ``-=`` each phase.
+    That order is ascending until a shrink rebuilds the set's hash table
+    smaller than the largest remaining id; keeping it keeps seeded runs
+    (and their pins) on the same rng stream.
     """
-    active = set(graph.nodes)
+    neighbours = topology.neighbors_tuple
+    active = set(range(topology.n))
     mis: set = set()
     rounds = 0
     # Isolated nodes join immediately (they have no neighbours to contend with).
     for node in list(active):
-        if graph.degree(node) == 0:
+        if not neighbours(node):
             mis.add(node)
             active.discard(node)
     while active:
         rounds += 1
         priorities = {node: float(rng.random()) for node in active}
-        joined = set()
-        for node in active:
-            neighbour_priorities = [
-                priorities[v] for v in graph.neighbors(node) if v in active
-            ]
-            if all(priorities[node] > p for p in neighbour_priorities):
-                joined.add(node)
+        joined = {
+            node
+            for node in active
+            if all(priorities[node] > priorities[v] for v in neighbours(node) if v in active)
+        }
         if not joined:
             # Ties with identical float priorities are essentially impossible,
             # but guard against an infinite loop by breaking ties by id.
-            best = min(active)
-            joined = {best}
+            joined = {min(active)}
         mis |= joined
         deactivated = set(joined)
         for node in joined:
-            deactivated |= {v for v in graph.neighbors(node) if v in active}
+            deactivated.update(v for v in neighbours(node) if v in active)
         active -= deactivated
     return MisResult(members=frozenset(mis), rounds=rounds)
 
 
-def greedy_mis(graph: nx.Graph, key=None) -> MisResult:
-    """Deterministic MIS by greedy selection in ``key`` order (default: node id).
+def greedy_mis(topology: Topology) -> MisResult:
+    """Deterministic MIS by greedy selection in ascending node id.
 
     Stands in for the Panconesi–Srinivasan ``2^{O(sqrt(log n))}``-round
     deterministic distributed MIS: the *set* it outputs has the same
     guarantees (maximal, independent); the deterministic round complexity is
     charged symbolically by ``repro.analysis.bounds.deterministic_mis_rounds``.
     """
-    ordering = sorted(graph.nodes, key=key)
-    blocked: set = set()
-    mis: set = set()
-    for node in ordering:
-        if node in blocked:
-            continue
-        mis.add(node)
-        blocked.add(node)
-        blocked |= set(graph.neighbors(node))
-    return MisResult(members=frozenset(mis), rounds=len(graph.nodes))
+    blocked = 0
+    mis = []
+    for node, mask in enumerate(topology.masks):
+        if not (blocked >> node) & 1:
+            mis.append(node)
+            blocked |= mask
+    return MisResult(members=frozenset(mis), rounds=topology.n)

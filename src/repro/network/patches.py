@@ -11,19 +11,22 @@ which yields patches that are connected (via shortest-path trees), have
 diameter at most ``2D`` and size at least ``D/2`` (Section 8.1 items 1-3;
 the size bound degrades gracefully when fewer than ``D/2`` nodes exist).
 
-The module exposes both the patch decomposition itself and the per-patch
-shortest-path trees (rooted at the leaders) that the share step's pipelined
-aggregation runs over.
+Everything runs on :class:`~repro.network.topology.Topology`: the power
+graph is ``D`` rounds of OR over the packed adjacency rows, the MIS reads
+its neighbour tuples, and the leader assignment is a multi-source BFS over
+the topology's neighbour tuples.  The module exposes both the patch
+decomposition itself and the per-patch shortest-path trees (rooted at the
+leaders) that the share step's pipelined aggregation runs over.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import networkx as nx
 import numpy as np
 
 from .mis import MisResult, greedy_mis, luby_mis
+from .topology import Topology
 
 __all__ = [
     "Patch",
@@ -112,31 +115,41 @@ class PatchDecomposition:
         return 2 * max(p.height for p in self.patches)
 
 
-def power_graph(graph: nx.Graph, distance: int) -> nx.Graph:
-    """The ``distance``-th power of ``graph``: connect nodes within that distance."""
+def power_graph(topology: Topology, distance: int) -> Topology:
+    """The ``distance``-th power of ``topology``: connect nodes within that distance.
+
+    Packed ``distance``-hop reachability: starting from the identity, each
+    round ORs every node's reach row with its neighbours' rows (one gather
+    and one ``reduceat`` over the topology's CSR), so after round ``r`` row
+    ``u`` holds the ball of radius ``r`` around ``u``.
+    """
     if distance < 1:
         raise ValueError(f"distance must be >= 1, got {distance}")
-    powered = nx.Graph()
-    powered.add_nodes_from(graph.nodes)
-    lengths = dict(nx.all_pairs_shortest_path_length(graph, cutoff=distance))
-    for u, reachable in lengths.items():
-        for v, dist in reachable.items():
-            if u != v and dist <= distance:
-                powered.add_edge(u, v)
-    return powered
+    n = topology.n
+    words = topology.packed_adjacency().shape[1]
+    nodes = np.arange(n)
+    identity = np.zeros((n, words), dtype=np.uint64)
+    identity[nodes, nodes // 64] = np.uint64(1) << (nodes % 64).astype(np.uint64)
+    indices, indptr = topology.csr_adjacency()
+    # reduceat needs non-empty segments: only nodes with a neighbour grow.
+    grows = np.flatnonzero(np.diff(indptr))
+    reach = identity.copy()
+    for _ in range(distance):
+        reach[grows] |= np.bitwise_or.reduceat(reach[indices], indptr[grows], axis=0)
+    return Topology.from_packed(n, reach & ~identity)
 
 
 def compute_patches(
-    graph: nx.Graph,
+    topology: Topology,
     radius: int,
     rng: np.random.Generator | None = None,
     deterministic: bool = False,
 ) -> PatchDecomposition:
-    """Partition ``graph`` into patches of radius ``radius`` (the paper's ``D``).
+    """Partition ``topology`` into patches of radius ``radius`` (the paper's ``D``).
 
     Parameters
     ----------
-    graph:
+    topology:
         The static topology for the current T-stable block.  Must be connected.
     radius:
         The target patch radius ``D``; the paper sets ``D = O(T / log n)``.
@@ -145,13 +158,13 @@ def compute_patches(
     deterministic:
         Use the deterministic greedy MIS instead of Luby's.
     """
-    if graph.number_of_nodes() == 0:
+    if topology.n == 0:
         raise ValueError("cannot patch an empty graph")
-    if graph.number_of_nodes() > 1 and not nx.is_connected(graph):
+    if not topology.is_connected():
         raise ValueError("patching requires a connected topology")
     radius = max(1, radius)
 
-    powered = power_graph(graph, radius)
+    powered = power_graph(topology, radius)
     if deterministic:
         mis_result: MisResult = greedy_mis(powered)
     else:
@@ -162,7 +175,8 @@ def compute_patches(
 
     # Multi-source BFS from all leaders simultaneously; each node is claimed
     # by the first leader to reach it (ties broken by smaller leader id
-    # because we expand leaders in sorted order within each BFS layer).
+    # because we expand leaders in sorted order within each BFS layer, and
+    # each node's neighbours in ascending order).
     assignment: dict = {leader: leader for leader in leaders}
     parent: dict = {leader: leader for leader in leaders}
     depth: dict = {leader: 0 for leader in leaders}
@@ -170,7 +184,7 @@ def compute_patches(
     while frontier:
         next_frontier: list = []
         for node in frontier:
-            for neighbour in sorted(graph.neighbors(node)):
+            for neighbour in topology.neighbors_tuple(node):
                 if neighbour not in assignment:
                     assignment[neighbour] = assignment[node]
                     parent[neighbour] = node
@@ -178,7 +192,7 @@ def compute_patches(
                     next_frontier.append(neighbour)
         frontier = next_frontier
 
-    missing = set(graph.nodes) - set(assignment)
+    missing = set(topology.nodes) - set(assignment)
     if missing:
         # Cannot happen on a connected graph, but fail loudly rather than
         # silently produce an incomplete decomposition.

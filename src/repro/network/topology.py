@@ -20,10 +20,10 @@ instead of once per round (:class:`TopologyValidationCache` packages that
 single-slot identity cache for every engine).  It is the only type an
 adversary may return for a round (:func:`as_topology` enforces that).  It
 offers the small read surface the rest of the code base needs (``nodes``,
-``edges``, ``neighbors``, ``has_edge``, ``number_of_nodes/edges``, named
-after their ``networkx.Graph`` counterparts); ``to_nx`` builds (and caches)
-a ``networkx`` projection only for consumers that need real graph
-algorithms (the Section 8.1 patch decomposition).
+``edges``, ``neighbors``, ``has_edge``, ``number_of_nodes/edges``), and
+every graph algorithm in the package runs on it directly, the Section 8.1
+power graph, MIS and patch decomposition included
+(:mod:`repro.network.patches`).
 
 Three derived adjacency representations are cached per object for the
 round engines:
@@ -43,7 +43,6 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, Sequence
 
-import networkx as nx
 import numpy as np
 
 __all__ = [
@@ -127,7 +126,6 @@ class Topology:
     __slots__ = (
         "n",
         "_masks",
-        "_nx",
         "_hash",
         "_neighbor_tuples",
         "_packed",
@@ -171,7 +169,6 @@ class Topology:
             packed.flags.writeable = False
             self._masks = None
             self._packed = packed
-        self._nx: nx.Graph | None = None
         self._hash: int | None = None
         self._neighbor_tuples: list[tuple[int, ...] | None] | None = None
         self._csr: tuple[np.ndarray, np.ndarray] | None = None
@@ -194,7 +191,7 @@ class Topology:
         return self._masks
 
     # ------------------------------------------------------------------
-    # construction / interop
+    # construction
     # ------------------------------------------------------------------
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Topology":
@@ -250,15 +247,6 @@ class Topology:
             topology._csr = (indices[bounds[index] : bounds[index + 1]], indptr[index])
             topologies.append(topology)
         return topologies
-
-    def to_nx(self) -> nx.Graph:
-        """The ``networkx`` projection (built once and cached; do not mutate)."""
-        if self._nx is None:
-            graph = nx.Graph()
-            graph.add_nodes_from(range(self.n))
-            graph.add_edges_from(self.edges)
-            self._nx = graph
-        return self._nx
 
     # ------------------------------------------------------------------
     # the read surface

@@ -224,7 +224,7 @@ class ObjectKernel(kernels.RoundKernel):
     def on_topology(self, round_index, topology):
         self._topology = topology
         if self._coordinator is not None:
-            self._coordinator.on_topology(round_index, topology.to_nx(), self.nodes)
+            self._coordinator.on_topology(round_index, topology, self.nodes)
 
     def compose_all(self, round_index):
         self._outgoing = outgoing = [node.compose(round_index) for node in self.nodes]
@@ -267,7 +267,7 @@ class ObjectKernel(kernels.RoundKernel):
             node.deliver(round_index, inbox)
             changed[uid] = (len(node.known), node.coded_rank()) != before
         if self._coordinator is not None:
-            self._coordinator.after_round(round_index, self._topology.to_nx(), self.nodes)
+            self._coordinator.after_round(round_index, self._topology, self.nodes)
         self._incomplete_stale = True
         return changed
 

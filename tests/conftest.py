@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import networkx as nx
 import numpy as np
 import pytest
 
@@ -36,3 +37,11 @@ def make_config(n: int, k: int | None = None, d: int = 8, b: int | None = None, 
     if b is None:
         b = max(d, n + 16)
     return ProtocolConfig(n=n, k=k, token_bits=d, budget=MessageBudget(b=b), **kwargs)
+
+
+def nx_graph(topology) -> nx.Graph:
+    """The topology as a ``networkx.Graph`` on ``0..n-1``, for networkx oracles."""
+    graph = nx.Graph()
+    graph.add_nodes_from(topology.nodes)
+    graph.add_edges_from(topology.edges)
+    return graph

@@ -23,13 +23,14 @@ from repro.network import (
     path_topology,
 )
 from repro.network.stability import is_t_stable
+from tests.conftest import nx_graph
 
 
 def assert_legal(topology, n):
     """A legal round topology, checked with networkx as an independent oracle."""
     assert isinstance(topology, Topology)
     topology.validate(n)
-    graph = topology.to_nx()
+    graph = nx_graph(topology)
     assert set(graph.nodes) == set(range(n))
     assert nx.number_of_selfloops(graph) == 0
     assert nx.is_connected(graph)
@@ -64,7 +65,7 @@ class TestStaticAndOblivious:
         assert_legal(g0, 5)
         assert_legal(g1, 5)
         assert set(g0.edges) != set(g1.edges)
-        nx_sequence = ObliviousSequenceAdversary(lambda n, r: path_topology(n).to_nx())
+        nx_sequence = ObliviousSequenceAdversary(lambda n, r: nx_graph(path_topology(n)))
         with pytest.raises(TypeError, match="expected Topology"):
             nx_sequence.choose_topology(0, 5, make_states(5))
 

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from repro.network import (
+    Topology,
+    complete_topology,
     compute_patches,
     greedy_mis,
     is_maximal_independent_set,
@@ -22,6 +24,7 @@ from repro.network import (
     stable_intersection,
     star_topology,
 )
+from tests.conftest import nx_graph
 
 
 class TestStabilityMeasures:
@@ -88,43 +91,42 @@ class TestStabilityMeasures:
 class TestMis:
     def test_luby_produces_maximal_independent_set(self, rng):
         for seed in range(3):
-            g = random_connected_topology(20, np.random.default_rng(seed)).to_nx()
+            g = random_connected_topology(20, np.random.default_rng(seed))
             result = luby_mis(g, rng)
             assert is_maximal_independent_set(g, result.members)
 
     def test_luby_on_complete_graph_single_node(self, rng):
-        g = nx.complete_graph(7)
+        g = complete_topology(7)
         result = luby_mis(g, rng)
         assert len(result.members) == 1
 
     def test_luby_on_empty_graph_all_nodes(self, rng):
-        g = nx.Graph()
-        g.add_nodes_from(range(5))
+        g = Topology.from_edges(5, [])
         result = luby_mis(g, rng)
         assert result.members == frozenset(range(5))
 
     def test_luby_round_count_logarithmic_ish(self, rng):
-        g = random_connected_topology(60, np.random.default_rng(3)).to_nx()
+        g = random_connected_topology(60, np.random.default_rng(3))
         result = luby_mis(g, rng)
         assert result.rounds <= 30
 
     def test_greedy_mis_maximal_independent(self):
         for seed in range(3):
-            g = random_connected_topology(25, np.random.default_rng(seed)).to_nx()
+            g = random_connected_topology(25, np.random.default_rng(seed))
             result = greedy_mis(g)
             assert is_maximal_independent_set(g, result.members)
 
     def test_greedy_mis_deterministic(self):
-        g = random_connected_topology(15, np.random.default_rng(5)).to_nx()
+        g = random_connected_topology(15, np.random.default_rng(5))
         assert greedy_mis(g).members == greedy_mis(g).members
 
     def test_greedy_mis_on_star_prefers_low_id(self):
-        g = star_topology(6, center=0).to_nx()
+        g = star_topology(6, center=0)
         result = greedy_mis(g)
         assert result.members == frozenset({0})
 
     def test_is_maximal_independent_set_detects_violations(self):
-        g = path_topology(4).to_nx()
+        g = path_topology(4)
         assert not is_maximal_independent_set(g, {0, 1})     # not independent
         assert not is_maximal_independent_set(g, {0})        # not maximal
         assert is_maximal_independent_set(g, {0, 2})          # wait: 3 uncovered? 2-3 edge covers 3
@@ -133,17 +135,17 @@ class TestMis:
 
 class TestPowerGraphAndPatches:
     def test_power_graph_distance_2(self):
-        g = path_topology(5).to_nx()
+        g = path_topology(5)
         p = power_graph(g, 2)
         assert p.has_edge(0, 2)
         assert not p.has_edge(0, 3)
 
     def test_power_graph_invalid_distance(self):
         with pytest.raises(ValueError):
-            power_graph(path_topology(3).to_nx(), 0)
+            power_graph(path_topology(3), 0)
 
     def test_patches_cover_all_nodes_exactly_once(self, rng):
-        g = random_connected_topology(30, np.random.default_rng(2)).to_nx()
+        g = random_connected_topology(30, np.random.default_rng(2))
         decomposition = compute_patches(g, radius=2, rng=rng)
         seen = []
         for patch in decomposition.patches:
@@ -151,7 +153,7 @@ class TestPowerGraphAndPatches:
         assert sorted(seen) == list(range(30))
 
     def test_patch_leaders_form_independent_set_in_power_graph(self, rng):
-        g = random_connected_topology(24, np.random.default_rng(4)).to_nx()
+        g = random_connected_topology(24, np.random.default_rng(4))
         radius = 2
         decomposition = compute_patches(g, radius=radius, rng=rng)
         powered = power_graph(g, radius)
@@ -162,21 +164,21 @@ class TestPowerGraphAndPatches:
                     assert not powered.has_edge(u, v)
 
     def test_patch_diameter_bound(self, rng):
-        g = random_connected_topology(30, np.random.default_rng(6)).to_nx()
+        g = random_connected_topology(30, np.random.default_rng(6))
         radius = 3
         decomposition = compute_patches(g, radius=radius, rng=rng)
         for patch in decomposition.patches:
             assert patch.height <= radius  # tree depth <= D (Section 8.1 item 2)
 
     def test_patches_are_connected_subgraphs(self, rng):
-        g = random_connected_topology(30, np.random.default_rng(7)).to_nx()
+        g = random_connected_topology(30, np.random.default_rng(7))
         decomposition = compute_patches(g, radius=2, rng=rng)
         for patch in decomposition.patches:
-            sub = g.subgraph(patch.members)
+            sub = nx_graph(g).subgraph(patch.members)
             assert nx.is_connected(sub)
 
     def test_patch_tree_parents_are_edges(self, rng):
-        g = random_connected_topology(20, np.random.default_rng(8)).to_nx()
+        g = random_connected_topology(20, np.random.default_rng(8))
         decomposition = compute_patches(g, radius=2, rng=rng)
         for patch in decomposition.patches:
             for node, parent in patch.parent.items():
@@ -184,7 +186,7 @@ class TestPowerGraphAndPatches:
                     assert g.has_edge(node, parent)
 
     def test_patch_children_consistent_with_parents(self, rng):
-        g = random_connected_topology(18, np.random.default_rng(9)).to_nx()
+        g = random_connected_topology(18, np.random.default_rng(9))
         decomposition = compute_patches(g, radius=2, rng=rng)
         for patch in decomposition.patches:
             kids = patch.children()
@@ -193,7 +195,7 @@ class TestPowerGraphAndPatches:
                     assert patch.parent[child] == node
 
     def test_patch_of_and_membership(self, rng):
-        g = random_connected_topology(15, np.random.default_rng(10)).to_nx()
+        g = random_connected_topology(15, np.random.default_rng(10))
         decomposition = compute_patches(g, radius=2, rng=rng)
         membership = decomposition.membership()
         for node in range(15):
@@ -202,28 +204,25 @@ class TestPowerGraphAndPatches:
             decomposition.patch_of(99)
 
     def test_deterministic_patching_needs_no_rng(self):
-        g = random_connected_topology(20, np.random.default_rng(11)).to_nx()
+        g = random_connected_topology(20, np.random.default_rng(11))
         decomposition = compute_patches(g, radius=2, deterministic=True)
         seen = sorted(v for p in decomposition.patches for v in p.members)
         assert seen == list(range(20))
 
     def test_randomized_patching_requires_rng(self):
-        g = path_topology(6).to_nx()
+        g = path_topology(6)
         with pytest.raises(ValueError):
             compute_patches(g, radius=1)
 
     def test_patching_rejects_disconnected(self, rng):
-        g = nx.Graph()
-        g.add_nodes_from(range(4))
-        g.add_edge(0, 1)
-        g.add_edge(2, 3)
+        g = Topology.from_edges(4, [(0, 1), (2, 3)])
         with pytest.raises(ValueError):
             compute_patches(g, radius=1, rng=rng)
 
     def test_min_patch_size_reasonable_on_path(self, rng):
         # On a long path with radius D, patches have at least ~D/2 nodes
         # (Section 8.1 item 3) except possibly tiny boundary effects.
-        g = path_topology(40).to_nx()
+        g = path_topology(40)
         radius = 4
         decomposition = compute_patches(g, radius=radius, rng=rng)
         assert decomposition.min_patch_size >= radius // 2

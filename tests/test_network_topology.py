@@ -22,6 +22,7 @@ from repro.network.topology import (
     split_topology,
     star_topology,
 )
+from tests.conftest import nx_graph
 
 
 def _edge_set(graph) -> set[frozenset]:
@@ -30,16 +31,15 @@ def _edge_set(graph) -> set[frozenset]:
 
 class TestRoundTrip:
     @pytest.mark.parametrize("seed", range(5))
-    def test_from_edges_to_nx_round_trip(self, seed):
+    def test_from_edges_matches_nx_graph(self, seed):
         graph = nx.gnp_random_graph(17, 0.2, seed=seed)
         topology = Topology.from_edges(17, graph.edges)
-        back = topology.to_nx()
-        assert set(back.nodes) == set(graph.nodes)
-        assert _edge_set(back) == _edge_set(graph)
+        assert list(topology.nodes) == sorted(graph.nodes)
+        assert _edge_set(topology) == _edge_set(graph)
 
-    def test_to_nx_from_edges_round_trip(self):
+    def test_edges_from_edges_round_trip(self):
         topology = split_topology(11, informed=range(5), bridge_pairs=2)
-        again = Topology.from_edges(11, topology.to_nx().edges)
+        again = Topology.from_edges(11, topology.edges)
         assert again == topology
         assert hash(again) == hash(topology)
 
@@ -51,13 +51,13 @@ class TestRoundTrip:
         topology = Topology.from_edges(n, edges)
         assert all(isinstance(mask, int) for mask in topology.masks)
         assert topology.is_connected()
-        assert _edge_set(topology.to_nx()) == {
+        assert _edge_set(nx_graph(topology)) == {
             frozenset((int(u), int(v))) for u, v in edges
         }
 
     def test_read_surface_matches_nx(self):
         topology = clique_pair_topology(9, range(4), range(4, 9), [(0, 4)])
-        graph = topology.to_nx()
+        graph = nx_graph(topology)
         assert topology.number_of_nodes() == graph.number_of_nodes()
         assert topology.number_of_edges() == graph.number_of_edges()
         for u in topology.nodes:
@@ -127,16 +127,16 @@ class TestAdapter:
 
 class TestBuilderStructure:
     """Each builder's shape, checked with networkx as an independent oracle
-    on the ``to_nx()`` projection."""
+    on the topology's ``networkx`` copy."""
 
     @pytest.mark.parametrize("n", [2, 3, 7, 16])
     def test_path_is_connected_tree(self, n):
-        graph = path_topology(n).to_nx()
+        graph = nx_graph(path_topology(n))
         assert nx.is_tree(graph)
         assert nx.diameter(graph) == n - 1
 
     def test_path_with_custom_order(self):
-        graph = path_topology(4, order=[3, 1, 0, 2]).to_nx()
+        graph = nx_graph(path_topology(4, order=[3, 1, 0, 2]))
         assert _edge_set(graph) == {frozenset(e) for e in [(3, 1), (1, 0), (0, 2)]}
 
     def test_path_rejects_bad_order(self):
@@ -145,17 +145,17 @@ class TestBuilderStructure:
 
     @pytest.mark.parametrize("n", [3, 5, 10])
     def test_ring_degree_two(self, n):
-        graph = ring_topology(n).to_nx()
+        graph = nx_graph(ring_topology(n))
         assert nx.is_connected(graph)
         assert all(d == 2 for _, d in graph.degree)
 
     def test_ring_small_n_falls_back(self):
-        assert nx.is_tree(ring_topology(2).to_nx())
+        assert nx.is_tree(nx_graph(ring_topology(2)))
         assert ring_topology(2).number_of_edges() == 1
 
     @pytest.mark.parametrize("n,center", [(5, 0), (5, 3), (8, 7)])
     def test_star_structure(self, n, center):
-        graph = star_topology(n, center).to_nx()
+        graph = nx_graph(star_topology(n, center))
         assert nx.is_tree(graph)
         assert graph.degree[center] == n - 1
         assert all(graph.degree[v] == 1 for v in range(n) if v != center)
@@ -165,19 +165,19 @@ class TestBuilderStructure:
             star_topology(4, center=4)
 
     def test_complete_graph_edges(self):
-        graph = complete_topology(6).to_nx()
+        graph = nx_graph(complete_topology(6))
         assert graph.number_of_edges() == 15
         assert nx.number_of_selfloops(graph) == 0
 
     def test_random_tree_is_tree(self, rng):
         for n in (2, 5, 20):
-            assert nx.is_tree(random_tree_topology(n, rng).to_nx())
+            assert nx.is_tree(nx_graph(random_tree_topology(n, rng)))
 
     def test_random_connected_is_connected(self, rng):
         for _ in range(5):
             topology = random_connected_topology(15, rng, extra_edge_prob=0.1)
             topology.validate(15)
-            graph = topology.to_nx()
+            graph = nx_graph(topology)
             assert nx.is_connected(graph)
             assert nx.number_of_selfloops(graph) == 0
 
@@ -192,7 +192,7 @@ class TestBuilderStructure:
 
     def test_shifted_ring_always_connected(self):
         for r in range(10):
-            graph = shifted_ring_topology(9, r).to_nx()
+            graph = nx_graph(shifted_ring_topology(9, r))
             assert nx.is_connected(graph)
             assert all(d == 2 for _, d in graph.degree)
 
@@ -202,13 +202,13 @@ class TestBuilderStructure:
 
     def test_split_bridges(self):
         informed = {0, 1, 2}
-        graph = split_topology(10, informed).to_nx()
+        graph = nx_graph(split_topology(10, informed))
         assert nx.is_connected(graph)
         cut = [(u, v) for u, v in graph.edges if (u in informed) != (v in informed)]
         assert len(cut) == 1
 
     def test_split_all_informed_is_complete(self):
-        assert split_topology(5, set(range(5))).to_nx().number_of_edges() == 10
+        assert nx_graph(split_topology(5, set(range(5)))).number_of_edges() == 10
 
 
 class TestNetworkxGenerators:
@@ -399,7 +399,7 @@ class TestPackedSetAlgebra:
         degrees = topology.degrees()
         assert degrees.shape == (n,)
         assert degrees.dtype == np.int64
-        expected = dict(topology.to_nx().degree())
+        expected = dict(nx_graph(topology).degree())
         assert [expected[u] for u in range(n)] == degrees.tolist()
         assert [topology.degree_of(u) for u in range(n)] == degrees.tolist()
 

@@ -65,9 +65,7 @@ def _patch_case(name: str) -> str:
     n, radius, seed, extra, deterministic = _PATCH_CASES[name]
     topology = random_connected_topology(n, np.random.default_rng(seed), extra_edge_prob=extra)
     rng = np.random.default_rng(seed + 100)
-    decomposition = compute_patches(
-        topology.to_nx(), radius=radius, rng=rng, deterministic=deterministic
-    )
+    decomposition = compute_patches(topology, radius=radius, rng=rng, deterministic=deterministic)
     record = {
         "leaders": sorted(decomposition.leaders),
         "patches": [

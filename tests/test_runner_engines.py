@@ -44,7 +44,7 @@ from repro.scenarios import fault_model_for, make_scenario
 from repro.simulation import run_dissemination, standard_instance
 from repro.simulation import runner
 from repro.simulation.runner import ObjectKernel, build_nodes
-from tests.conftest import make_config
+from tests.conftest import make_config, nx_graph
 
 
 def _run(factory, config, adversary, *, engine, seed=3, **kwargs):
@@ -118,7 +118,7 @@ class NetworkxAdversary(BottleneckAdversary):
 
     def choose_topology(self, round_index, n, states, messages=None):
         self.rounds.append(round_index)
-        return super().choose_topology(round_index, n, states, messages).to_nx()
+        return nx_graph(super().choose_topology(round_index, n, states, messages))
 
 
 class TestTopologyTypeGate:
