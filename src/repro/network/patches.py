@@ -12,9 +12,9 @@ diameter at most ``2D`` and size at least ``D/2`` (Section 8.1 items 1-3;
 the size bound degrades gracefully when fewer than ``D/2`` nodes exist).
 
 Everything runs on :class:`~repro.network.topology.Topology`: the power
-graph is ``D`` rounds of OR over the packed adjacency rows, the MIS reads
-its neighbour tuples, and the leader assignment is a multi-source BFS over
-the topology's neighbour tuples.  The module exposes both the patch
+graph is ``D`` rounds of OR over packed reach rows along the topology's
+cached CSR, the MIS reads the power graph's rows, and the leader
+assignment is a multi-source BFS over the topology's neighbour tuples.  The module exposes both the patch
 decomposition itself and the per-patch shortest-path trees (rooted at the
 leaders) that the share step's pipelined aggregation runs over.
 """
