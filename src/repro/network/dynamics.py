@@ -28,14 +28,18 @@ Three layers:
   derived from each window's intersection).
 * :class:`ScheduleAdversary` bridges any process into
   :func:`~repro.simulation.runner.run_dissemination`: topologies are served
-  from buffered batches built by :meth:`Topology.from_packed_batch` (every
-  round's CSR arrays pre-filled), marked ``pre_validated`` when the process
-  guarantees legality, with a cheap ``reset()`` for sweep reuse.
+  from buffered batches (:meth:`DynamicsProcess.topologies`: views into one
+  frozen batch, every round's CSR arrays and receiver ids pre-filled),
+  marked ``pre_validated`` when the process guarantees legality, with a
+  cheap ``reset()`` for sweep reuse.
 
 The catalog's hot pipeline — :class:`EdgeMarkovProcess` →
 :class:`ConnectivityPatcher` → :class:`ScheduleAdversary` — works one batch
 at a time: the only per-round Python left is the edge-Markov chain step
-(one ``rng.random`` draw per round, which fixes the schedule's draw order).
+(one ``rng.random`` draw per round, which fixes the schedule's draw order)
+and the construction of each round's :class:`Topology` view.  The chain's
+set-bit positions travel with the packed batch through the patcher into
+the CSR build, so the batch is never unpacked.
 
 The named scenario catalog built on top of these pieces lives in
 :mod:`repro.scenarios`.
@@ -295,6 +299,19 @@ class DynamicsProcess(abc.ABC):
     def next_batch(self, rounds: int) -> np.ndarray:
         """The next ``rounds`` topologies, packed ``(rounds, n, words)``."""
 
+    def next_batch_with_edges(self, rounds: int) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`next_batch` plus the ascending flat positions of its set bits.
+
+        The positions are ``(r * n + u) * n + v``, exactly
+        ``np.flatnonzero(unpack_adjacency(batch, n))``, which is what this
+        default computes.  A process that produces the positions anyway
+        overrides it to hand them over instead, and a transformer that needs
+        them consumes its inner process through this method.  Advances the
+        schedule by ``rounds`` like :meth:`next_batch`.
+        """
+        batch = self.next_batch(rounds)
+        return batch, np.flatnonzero(unpack_adjacency(batch, self.n))
+
     def rounds_remaining(self) -> int | None:
         """Rounds left before the schedule is exhausted (None = unbounded).
 
@@ -308,13 +325,16 @@ class DynamicsProcess(abc.ABC):
         """Materialise the next ``rounds`` rounds as :class:`Topology` objects.
 
         This is how :class:`ScheduleAdversary` pulls the schedule it serves
-        to the engines: one :meth:`Topology.from_packed_batch` call per
-        batch, every round's CSR arrays pre-filled.  Topologies are marked
-        ``pre_validated`` exactly when the process guarantees legality.
+        to the engines.  The batch and its set-bit positions come from
+        :meth:`next_batch_with_edges`, and the topologies are built the way
+        :meth:`Topology.from_packed_batch` builds them, but over the fresh
+        batch itself (it is caller-owned, so it needs no second copy).
+        Every round's CSR arrays and receiver ids are pre-filled.
+        Topologies are marked ``pre_validated`` exactly when the process
+        guarantees legality.
         """
-        return Topology.from_packed_batch(
-            self.n, self.next_batch(rounds), pre_validated=self.guarantees_connected
-        )
+        batch, edges = self.next_batch_with_edges(rounds)
+        return Topology._adopt_batch(self.n, batch, edges, self.guarantees_connected)
 
     def _empty_batch(self, rounds: int) -> np.ndarray:
         return np.zeros((rounds, self.n, self.words), dtype=np.uint64)
@@ -339,10 +359,12 @@ class EdgeMarkovProcess(DynamicsProcess):
     ``n (n - 1) / 2`` pair slots (ordered like ``np.triu_indices(n, 1)``).
     Per round, one ``rng.random`` draw over every slot advances all chains
     at once, and the round's present slots are kept as an index array.
-    Then the set slots of the whole batch are mapped to their ``(u, v)``
-    pairs and scattered into a ``(rounds, n, n)`` bool array in two flat
-    writes (upper and lower triangle), which is packed.  Between batches
-    the process holds only the present slots and ``n`` row offsets.
+    Then the set slots of the whole batch are mapped to the flat positions
+    of both bits of their ``(u, v)`` pairs, which are sorted once.  Those
+    positions are scattered into a ``(rounds, n, n)`` bool array, which is
+    packed, and :meth:`next_batch_with_edges` returns them with the packed
+    batch, so no consumer unpacks the batch to find them again.  Between
+    batches the process holds only the present slots and ``n`` row offsets.
     """
 
     def __init__(
@@ -378,16 +400,20 @@ class EdgeMarkovProcess(DynamicsProcess):
         self._present = np.flatnonzero(self._rng.random(self._slots) < self.initial_density)
 
     def next_batch(self, rounds: int) -> np.ndarray:
-        n = self.n
-        upper, lower = self._advance(rounds)
-        dense = np.zeros(rounds * n * n, dtype=bool)
-        dense[upper] = True
-        dense[lower] = True
-        return pack_dense_adjacency(dense.reshape(rounds, n, n))
+        return self.next_batch_with_edges(rounds)[0]
 
-    def _advance(self, rounds: int) -> tuple[np.ndarray, np.ndarray]:
-        """Step every chain ``rounds`` times; return the flat positions, in a
-        ``(rounds, n, n)`` array, of the upper and lower bit of every set pair.
+    def next_batch_with_edges(self, rounds: int) -> tuple[np.ndarray, np.ndarray]:
+        n = self.n
+        edges = self._advance(rounds)
+        # Dense on purpose: freeing it lifts glibc's mmap threshold (see ROADMAP item 1).
+        dense = np.zeros(rounds * n * n, dtype=bool)
+        dense[edges] = True
+        return pack_dense_adjacency(dense.reshape(rounds, n, n)), edges
+
+    def _advance(self, rounds: int) -> np.ndarray:
+        """Step every chain ``rounds`` times; return the ascending flat
+        positions, in a ``(rounds, n, n)`` array, of both bits of every set
+        pair.
 
         A separate method so that its temporaries are freed before the
         caller allocates the dense batch.
@@ -409,8 +435,17 @@ class EdgeMarkovProcess(DynamicsProcess):
         round_index, slot = np.divmod(np.concatenate(per_round), slots)
         u = np.searchsorted(self._row_start, slot, side="right") - 1
         v = slot - self._row_start[u] + u + 1
-        offset = round_index * (n * n)
-        return offset + u * n + v, offset + v * n + u
+        # Both bits of every pair written into one array: no separate upper
+        # and lower arrays alive beside it, which lowers the peak RSS.
+        pairs = u.size
+        edges = np.empty(2 * pairs, dtype=np.intp)
+        upper, lower = edges[:pairs], edges[pairs:]
+        np.multiply(round_index, n * n, out=upper)
+        lower[:] = upper
+        upper += u * n + v
+        lower += v * n + u
+        edges.sort()
+        return edges
 
 
 class RandomWaypointProcess(DynamicsProcess):
@@ -723,13 +758,14 @@ class ConnectivityPatcher(DynamicsProcess):
     the round graph.  Rounds that are already connected pass through
     bit-identical.
 
-    A batch is repaired as a whole: it is unpacked once, one
-    :func:`batch_component_labels` pass labels every round's components,
-    and the repair edges of all rounds are written into the packed batch
-    with two fancy-indexed ORs (one per edge direction).
-    :meth:`topologies` hands the patched batch's set-bit positions (the
-    unpacked ones plus the repair edges) to :meth:`Topology.from_packed_batch`,
-    so the batch is unpacked once on its way to the engines' CSR arrays.
+    A batch is repaired as a whole.  The inner batch comes with its set-bit
+    positions (:meth:`DynamicsProcess.next_batch_with_edges`), one
+    :func:`batch_component_labels` pass over them labels every round's
+    components, and the repair edges of all rounds are written into the
+    packed batch with two fancy-indexed ORs (one per edge direction).  The
+    patched batch's positions are the inner ones plus the repair edges, so
+    :meth:`topologies` builds the engines' CSR arrays without unpacking the
+    batch, and an :class:`EdgeMarkovProcess` batch is never unpacked at all.
     """
 
     guarantees_connected = True
@@ -745,17 +781,11 @@ class ConnectivityPatcher(DynamicsProcess):
         return self.inner.rounds_remaining()
 
     def next_batch(self, rounds: int) -> np.ndarray:
-        return self._patched_batch(rounds)[0]
+        return self.next_batch_with_edges(rounds)[0]
 
-    def topologies(self, rounds: int) -> list[Topology]:
-        batch, edges = self._patched_batch(rounds)
-        return Topology.from_packed_batch(self.n, batch, pre_validated=True, edges=edges)
-
-    def _patched_batch(self, rounds: int) -> tuple[np.ndarray, np.ndarray]:
-        """The patched batch and the ascending flat positions of its set bits."""
+    def next_batch_with_edges(self, rounds: int) -> tuple[np.ndarray, np.ndarray]:
         n = self.n
-        batch = self.inner.next_batch(rounds)
-        edges = np.flatnonzero(unpack_adjacency(batch, n))
+        batch, edges = self.inner.next_batch_with_edges(rounds)
         labels = batch_component_labels(edges, batch.shape[0], n)
         # Representatives as global ids r * n + u, ascending; consecutive
         # representatives of the same round are joined by a repair edge.
@@ -855,9 +885,9 @@ class ScheduleAdversary(Adversary):
     Topologies are pulled from the process in batches of
     :data:`SCHEDULE_BATCH_ROUNDS` rounds through
     :meth:`DynamicsProcess.topologies`, amortising the vectorised
-    generation.  That builds each batch's :class:`Topology` objects with
-    one :meth:`Topology.from_packed_batch` call, which also fills every
-    round's CSR arrays at once, so neither engine rebuilds them per round.
+    generation.  Each batch is frozen once, and its :class:`Topology`
+    objects are views into it with every round's CSR arrays and receiver
+    ids filled in at once, so neither engine rebuilds them per round.
     The topologies are ``pre_validated`` whenever the process guarantees
     connectivity, so a transformed schedule pays zero per-round
     validation, while a raw process's rounds are validated (and rejected

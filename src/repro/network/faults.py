@@ -1013,6 +1013,9 @@ class RoundFaultPlan:
         self._viable: np.ndarray | None = None
         self._rejected: np.ndarray | None = None
         self._collided: np.ndarray | None = None
+        #: The receiving node of every entry of the effective CSR that
+        #: :meth:`bind_edges` returned (None until it has run).
+        self.receivers: np.ndarray | None = None
 
     def bind_edges(
         self,
@@ -1020,6 +1023,8 @@ class RoundFaultPlan:
         indptr: np.ndarray,
         active: np.ndarray | None = None,
         state: StateView | None = None,
+        *,
+        receivers: np.ndarray | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Draw per-edge faults over the canonical CSR; return the effective CSR.
 
@@ -1041,13 +1046,18 @@ class RoundFaultPlan:
         composed a message this round); collisions only count transmitting
         senders as occupying air.  ``state`` is the read-only
         :class:`StateView` a ``wants_state`` strategy requires.
+        ``receivers`` is the canonical CSR's
+        :meth:`~repro.network.topology.Topology.csr_receivers` (derived
+        from ``indptr`` when not given); the effective CSR's receivers are
+        left in :attr:`receivers`.
         """
         model = self.bound.model
         rng = self.bound.rng
         n = self.bound.n
         edges = indices.size
         senders = indices
-        receivers = np.repeat(np.arange(n), np.diff(indptr))
+        if receivers is None:
+            receivers = np.repeat(np.arange(n), np.diff(indptr))
         lost = (
             rng.random(edges) < model.loss
             if model.loss > 0.0
@@ -1116,7 +1126,7 @@ class RoundFaultPlan:
                     # CSR segments ascend by sender uid, so the first
                     # delivering edge of a segment is the lowest-uid sender
                     # — the capture winner keeps its delivery.
-                    seg_start = np.repeat(flows[indptr[:-1]], np.diff(indptr))
+                    seg_start = flows[indptr[receivers]]
                     collided &= (flows[:-1] - seg_start) != 0
         copies = np.where(
             viable & ~lost & ~rejected & ~collided,
@@ -1135,6 +1145,7 @@ class RoundFaultPlan:
         self._rejected = rejected
         self._byz_edge = byz_edge
         self._collided = collided
+        self.receivers = np.repeat(receivers, copies)
         return eff_indices, eff_indptr
 
     @property

@@ -36,7 +36,8 @@ round engines:
   machine word) that the vectorised kernel engine consumes;
 * :meth:`Topology.csr_adjacency` — the flattened neighbour-index /
   offset (CSR) arrays that turn whole-network delivery into one numpy
-  gather plus one ``reduceat``.
+  gather plus one ``reduceat``, with :meth:`Topology.csr_receivers`, the
+  receiving node of every CSR entry, for counting deliveries per node.
 """
 
 from __future__ import annotations
@@ -89,25 +90,29 @@ def unpack_adjacency(packed: np.ndarray, n: int) -> np.ndarray:
 
 def _batch_csr(
     edges: np.ndarray, rounds: int, n: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The CSR arrays of every round of a batch, from its set-bit positions.
 
     ``edges`` are the ascending flat positions ``(r * n + u) * n + v`` of
-    the batch's adjacency bits.  Returns ``(indices, indptr, bounds)``:
-    round ``r``'s neighbour indices are ``indices[bounds[r]:bounds[r + 1]]``,
-    indexed by its row offsets ``indptr[r]`` (each row of ``indptr`` starts
-    at 0).  Both CSR arrays are read-only.
+    the batch's adjacency bits.  Returns ``(indices, indptr, bounds,
+    receivers)``: round ``r``'s neighbour indices are
+    ``indices[bounds[r]:bounds[r + 1]]``, indexed by its row offsets
+    ``indptr[r]`` (each row of ``indptr`` starts at 0), and ``receivers``
+    holds the row ``u`` of every entry, in the narrowest unsigned dtype
+    that holds ``n - 1`` (``np.bincount`` casts it safely to ``intp``).
+    The CSR arrays and the receivers are read-only.
     """
-    rows = edges // n  # global row id r * n + u
-    indices = edges - rows * n
+    rows, indices = np.divmod(edges, n)  # rows: global row id r * n + u
     indptr = np.zeros((rounds, n + 1), dtype=np.int64)
     counts = np.bincount(rows, minlength=rounds * n).reshape(rounds, n)
     np.cumsum(counts, axis=1, out=indptr[:, 1:])
     bounds = np.zeros(rounds + 1, dtype=np.int64)
     np.cumsum(indptr[:, -1], out=bounds[1:])
+    receivers = np.remainder(rows, n, out=rows).astype(np.min_scalar_type(max(n - 1, 0)))
     indices.flags.writeable = False
     indptr.flags.writeable = False
-    return indices, indptr, bounds
+    receivers.flags.writeable = False
+    return indices, indptr, bounds, receivers
 
 
 class Topology:
@@ -121,6 +126,13 @@ class Topology:
         Tuple of ``n`` ints; bit ``v`` of ``masks[u]`` is set iff ``{u, v}``
         is an edge.  Rows must be symmetric and self-loop free (checked by
         :meth:`validate`, which the runner calls once per distinct object).
+
+    Every other slot is a cache filled on first use: the mask rows or the
+    packed matrix (whichever the constructor was not given), the structural
+    hash, the neighbour tuples, the CSR arrays with their per-entry receiver
+    ids, and the validity flag.  :meth:`from_packed_batch` builds a batch's
+    topologies as views into one frozen copy of the batch, with the packed
+    matrix, the CSR slice and the receiver slice already filled in.
     """
 
     __slots__ = (
@@ -130,6 +142,7 @@ class Topology:
         "_neighbor_tuples",
         "_packed",
         "_csr",
+        "_receivers",
         "_valid",
     )
 
@@ -172,6 +185,7 @@ class Topology:
         self._hash: int | None = None
         self._neighbor_tuples: list[tuple[int, ...] | None] | None = None
         self._csr: tuple[np.ndarray, np.ndarray] | None = None
+        self._receivers: np.ndarray | None = None
         #: True once legality is certain — set by builders whose output is
         #: valid by construction, or after the first successful validate().
         self._valid = bool(pre_validated)
@@ -220,31 +234,57 @@ class Topology:
 
     @classmethod
     def from_packed_batch(
-        cls,
-        n: int,
-        batch: np.ndarray,
-        *,
-        pre_validated: bool = False,
-        edges: np.ndarray | None = None,
+        cls, n: int, batch: np.ndarray, *, pre_validated: bool = False
     ) -> list["Topology"]:
         """One topology per round of a packed ``(rounds, n, words)`` batch.
 
-        The CSR arrays of every round are built together: one unpack, one
+        The batch is copied once into a private read-only array, and each
+        round's topology is a view of its slice of that copy: no caller
+        holds a writable reference to what the topologies read.  The CSR
+        arrays of every round are built together, with one unpack, one
         ``flatnonzero`` and one ``(rounds, n + 1)`` offset cumsum for the
-        whole batch.  Each round's topology gets its read-only slice
-        pre-filled, so :meth:`csr_adjacency` costs the engines nothing.
-        ``pre_validated`` has the meaning of :meth:`from_packed`, for every
-        round.  A caller that already holds the batch's set-bit positions —
-        ``np.flatnonzero(unpack_adjacency(batch, n))`` — passes them as
-        ``edges`` and skips the unpack.
+        whole batch, and each topology gets its read-only CSR and receiver
+        slices pre-filled, so :meth:`csr_adjacency` and
+        :meth:`csr_receivers` cost the engines nothing.  ``pre_validated``
+        has the meaning of :meth:`from_packed`, for every round.
         """
-        if edges is None:
-            edges = np.flatnonzero(unpack_adjacency(batch, n))
-        indices, indptr, bounds = _batch_csr(edges, batch.shape[0], n)
+        words = max(1, (n + 63) // 64)
+        if batch.ndim != 3 or batch.shape[1:] != (n, words) or batch.dtype != np.uint64:
+            raise ValueError(
+                f"packed batch must be a (rounds, {n}, {words}) uint64 array, "
+                f"got {batch.shape} {batch.dtype}"
+            )
+        batch = np.array(batch, order="C")
+        edges = np.flatnonzero(unpack_adjacency(batch, n))
+        return cls._adopt_batch(n, batch, edges, pre_validated)
+
+    @classmethod
+    def _adopt_batch(
+        cls, n: int, batch: np.ndarray, edges: np.ndarray, pre_validated: bool
+    ) -> list["Topology"]:
+        """:meth:`from_packed_batch` over a batch the caller hands over.
+
+        ``batch`` is a C-contiguous ``(rounds, n, words)`` ``uint64`` array
+        that no other code will write again (it is frozen here, not
+        copied), and ``edges`` its ascending set-bit positions
+        ``(r * n + u) * n + v``.  The per-round objects skip ``__init__``:
+        its copy and shape checks have already been done for the batch.
+        """
+        batch.flags.writeable = False
+        indices, indptr, bounds, receivers = _batch_csr(edges, batch.shape[0], n)
+        bounds = bounds.tolist()
         topologies = []
         for index in range(batch.shape[0]):
-            topology = cls(n, packed=batch[index], pre_validated=pre_validated)
-            topology._csr = (indices[bounds[index] : bounds[index + 1]], indptr[index])
+            start, stop = bounds[index], bounds[index + 1]
+            topology = cls.__new__(cls)
+            topology.n = n
+            topology._masks = None
+            topology._hash = None
+            topology._neighbor_tuples = None
+            topology._packed = batch[index]
+            topology._csr = (indices[start:stop], indptr[index])
+            topology._receivers = receivers[start:stop]
+            topology._valid = bool(pre_validated)
             topologies.append(topology)
         return topologies
 
@@ -313,9 +353,24 @@ class Topology:
         """
         if self._csr is None:
             edges = np.flatnonzero(unpack_adjacency(self.packed_adjacency(), self.n))
-            indices, indptr, _ = _batch_csr(edges, 1, self.n)
+            indices, indptr, _, receivers = _batch_csr(edges, 1, self.n)
             self._csr = (indices, indptr[0])
+            self._receivers = receivers
         return self._csr
+
+    def csr_receivers(self) -> np.ndarray:
+        """The receiving node of every :meth:`csr_adjacency` entry.
+
+        Entry ``i`` lies in row ``u`` (``indptr[u] <= i < indptr[u + 1]``)
+        and this array holds that ``u``: the receiver of the delivery from
+        neighbour ``indices[i]``.  It lets the engines count each node's
+        sending neighbours with one ``np.bincount``.  The ids are stored in
+        the narrowest unsigned dtype that holds ``n - 1``; the array is
+        cached with the CSR and read-only.
+        """
+        if self._receivers is None:
+            self.csr_adjacency()
+        return self._receivers
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool((self.masks[u] >> v) & 1)

@@ -490,6 +490,7 @@ def run_rounds(
             topologies.append(topology)
 
         indices, indptr = topology.csr_adjacency()
+        receivers = topology.csr_receivers()
         if plan is not None:
             # The adaptive strategy is consulted in here and may crash
             # nodes mid-round: ``plan.down`` is final only afterwards, so
@@ -502,8 +503,9 @@ def run_rounds(
                 state = StateView(kernel.known_counts(), kernel.coded_ranks())
             with profiler.span("faults"):
                 indices, indptr = plan.bind_edges(
-                    indices, indptr, active=active, state=state
+                    indices, indptr, active=active, state=state, receivers=receivers
                 )
+            receivers = plan.receivers
 
         # A crashed node's radio is off: it still composes (identical rng
         # consumption on every kernel) but transmits nothing.
@@ -533,18 +535,11 @@ def run_rounds(
             metrics.corrupted_deliveries += stats.corrupted
             metrics.collided_deliveries += stats.collided
             discarded = stats.discarded
-        if indices.size:
-            # cumsum differences instead of reduceat: identical integers,
-            # and safe on the empty segments an edited CSR can contain.
-            flows = np.concatenate(
-                (
-                    np.zeros(1, dtype=np.int64),
-                    np.cumsum(sending[indices], dtype=np.int64),
-                )
-            )
-            counts = flows[indptr[1:]] - flows[indptr[:-1]]
-        else:
-            counts = np.zeros(n, dtype=np.int64)
+        # Each node's count of sending neighbours: one bincount over the
+        # receivers of the entries whose sender transmits.  The effective
+        # CSR's receivers come from the fault plan, so benign and faulted
+        # rounds count alike, empty segments included.
+        counts = np.bincount(receivers[sending[indices]], minlength=n)
 
         with profiler.span("deliver"):
             changed = kernel.deliver_all(
