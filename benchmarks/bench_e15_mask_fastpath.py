@@ -5,28 +5,28 @@ measured on the *same machine* in the same process: one full
 IndexedBroadcastNode dissemination at n = k = 64 on the mask-native
 pipeline, and the same run with ``GenerationState`` forced onto the generic
 array pipeline (``_mask_native = False``) — the data flow the seed
-implementation used, which reproduces its wall-clock almost exactly (see
-``BENCH_MASK_FASTPATH.json`` for the recorded absolute numbers: 2.66 s seed
-vs 0.41 s mask-native, 6.5x; measured same-machine ratio ~6x).  The printed
-ratio is the evidence against the 3x acceptance threshold; the *gating*
-assertion uses a lenient 1.5x floor so shared CI runners cannot flake the
-build on timing noise while a disabled fast path (ratio ~1x) still fails.
+implementation used, which reproduces its wall-clock almost exactly (the
+seed took 2.66 s against 0.41 s mask-native when the fast path landed).
+
+The bench asserts ``speedup >= 3.08`` in-process (best of three runs per
+side).  No ``perfbench`` workload runs the int-mask coded path on the
+object engine, so this floor is the only speed check on that layer; a
+disabled fast path reads about 1x.
 """
 
 from __future__ import annotations
 
-import json
 import time
-from pathlib import Path
 
 from repro.algorithms import IndexedBroadcastNode
 from repro.coding.rlnc import GenerationState
 from repro.network import BottleneckAdversary
 from repro.simulation import run_dissemination, standard_instance
 
-from common import make_config, record_headline
+from common import make_config
 
-BASELINE_FILE = Path(__file__).resolve().parent.parent / "BENCH_MASK_FASTPATH.json"
+#: The in-process floor on the array-pipeline / mask-native ratio.
+SPEEDUP_FLOOR = 3.08
 
 
 def _one_run() -> None:
@@ -56,7 +56,6 @@ def _best_of(repeats: int = 3) -> float:
 
 
 def test_e15_mask_fastpath_speedup(benchmark, monkeypatch):
-    baseline = json.loads(BASELINE_FILE.read_text())
     _one_run()  # warm imports/caches before timing
     fast = _best_of()
 
@@ -74,10 +73,7 @@ def test_e15_mask_fastpath_speedup(benchmark, monkeypatch):
     speedup = legacy / fast
     print(
         f"\nE15 — mask-native {fast:.3f}s vs array pipeline {legacy:.3f}s "
-        f"on this machine: {speedup:.1f}x (recorded vs seed commit: "
-        f"{baseline['speedup']:.1f}x, acceptance threshold "
-        f"{baseline['acceptance_threshold']:.0f}x)"
+        f"on this machine: {speedup:.2f}x (floor {SPEEDUP_FLOOR}x)"
     )
-    record_headline("e15_mask_fastpath_vs_array", round(speedup, 2))
-    assert speedup >= 1.5
+    assert speedup >= SPEEDUP_FLOOR
     benchmark.pedantic(_one_run, rounds=1, iterations=1)

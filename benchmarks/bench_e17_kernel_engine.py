@@ -4,38 +4,30 @@ Regression guard for the kernel-engine refactor (packed knowledge matrices,
 CSR adjacency delivery, whole-network compose/deliver array ops, dirty-row
 compose caching — see ``repro/simulation/kernels.py``).  The workload is
 chosen to be *protocol-bound*: token forwarding at n = k = 256 over
-per-round shifted rings, where after PR 2 the per-round cost is dominated
-by the O(n) Python ``compose``/``deliver``/snapshot calls the mask engine
-still performs per node — exactly the dispatch the kernel engine removes.
+per-round shifted rings, where the per-round cost on the mask engine is
+dominated by the O(n) Python ``compose``/``deliver`` calls it performs per
+node — exactly the dispatch the kernel engine removes.
 
 Both engines run the identical round semantics in the same process:
-``engine="kernel"`` versus ``engine="mask"``.  The recorded absolute
-numbers are in ``BENCH_KERNEL_ENGINE.json`` (kernel ~0.17 s vs mask
-~1.4 s on the 1200-round workload — ~8x against the 3x acceptance
-threshold — and a fixed-round scaling sweep showing the kernel engine
-executing n = 1024 networks at hundreds of rounds per second, a scale the
-object engines cannot reach).  The *gating* assertions here are (a) the
+``engine="kernel"`` versus ``engine="mask"``.  The assertions are (a) the
 two engines produce byte-identical metrics and node knowledge for
-identical seeds, (b) a lenient 2x engine-isolated floor so shared CI
-runners cannot flake the build on timing noise while a disabled kernel
-path (ratio ~1x) still fails, and (c) the n = 1024 sweep point actually
-executes its full round budget.
+identical seeds, (b) the kernel keep rule's ``speedup >= 2.0`` floor,
+measured in-process, and (c) the n = 1024 sweep point executes its full
+round budget.  End to end, ``perfbench``'s ``forwarding_dynamics``
+``run_s`` times the same ``TokenForwardingKernel`` (on ``edge_markov``,
+n = 128), and ``object_engine`` ``run_s`` times the mask side.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import json
 import time
-from pathlib import Path
 
 from repro.algorithms import TokenForwardingNode
 from repro.network import ShiftedRingAdversary
 from repro.simulation import run_dissemination, standard_instance
 
-from common import make_config, record_headline
-
-BASELINE_FILE = Path(__file__).resolve().parent.parent / "BENCH_KERNEL_ENGINE.json"
+from common import make_config
 
 N = 256
 ROUNDS = 1200
@@ -77,7 +69,6 @@ def test_e17_engines_identical_metrics():
 
 
 def test_e17_kernel_engine_speedup(benchmark):
-    baseline = json.loads(BASELINE_FILE.read_text())
     _one_run("kernel")  # warm imports/caches before timing
     fast = _best_of("kernel")
     mask = _best_of("mask")
@@ -85,11 +76,8 @@ def test_e17_kernel_engine_speedup(benchmark):
     speedup = mask / fast
     print(
         f"\nE17 — kernel engine {fast:.3f}s vs mask engine {mask:.3f}s "
-        f"on this machine: {speedup:.1f}x (recorded: "
-        f"{baseline['speedup_vs_mask_engine']:.1f}x, acceptance threshold "
-        f"{baseline['acceptance_threshold']:.0f}x)"
+        f"on this machine: {speedup:.1f}x (floor 2.0x)"
     )
-    record_headline("e17_kernel_vs_mask_engine", round(speedup, 2))
     assert speedup >= 2.0
     benchmark.pedantic(lambda: _one_run("kernel"), rounds=1, iterations=1)
 

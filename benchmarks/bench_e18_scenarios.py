@@ -17,35 +17,30 @@ Two measurements:
    validation regression).
 2. **Generation throughput** — producing engine-ready (packed) topologies
    from a T-interval-enforced edge-Markov schedule at n = 512, against the
-   per-round Python ``RandomConnectedAdversary`` baseline at identical n.
-   The acceptance floor is 1x (schedule generation must not be slower than
-   the old per-round path); the recorded ratio on the reference machine is
-   in ``BENCH_SCENARIOS.json``.
-
-Both sets of rows are rewritten into ``BENCH_SCENARIOS.json`` on every run
-(CI uploads it with the other ``BENCH_*.json`` artifacts).
+   per-round Python ``RandomConnectedAdversary`` baseline at identical n
+   (best of two per side).  The bench asserts ``speedup >= 9.43``
+   in-process.  No ``perfbench`` workload runs T-interval enforcement at
+   n = 512, so this floor is the only speed check on that path.
 """
 
 from __future__ import annotations
 
-import json
 import time
-from pathlib import Path
 
 from repro.algorithms import TokenForwardingNode
 from repro.network import RandomConnectedAdversary
 from repro.scenarios import SCENARIOS, list_scenarios, make_scenario, scenario_for
 from repro.simulation import run_dissemination, standard_instance
 
-from common import make_config, print_rows, record_headline
-
-BASELINE_FILE = Path(__file__).resolve().parent.parent / "BENCH_SCENARIOS.json"
+from common import make_config, print_rows
 
 #: Completion runs: small enough that the whole catalog stays CI-cheap.
 N_CATALOG = 64
 #: Generation throughput: the acceptance criterion's n >= 512 point.
 N_GENERATION = 512
 GENERATION_ROUNDS = 64
+#: The in-process floor on the Python-baseline / schedule generation ratio.
+GENERATION_FLOOR = 9.43
 
 
 def _run_scenario(name: str, n: int = N_CATALOG, seed: int = 0):
@@ -60,15 +55,7 @@ def _run_scenario(name: str, n: int = N_CATALOG, seed: int = 0):
     return result, elapsed
 
 
-_CATALOG_ROWS: list[dict] | None = None
-
-
 def _catalog_rows() -> list[dict]:
-    # Two tests consume the catalog rows (the gate and the JSON write-out);
-    # run the 8 dissemination runs once per pytest session, not twice.
-    global _CATALOG_ROWS
-    if _CATALOG_ROWS is not None:
-        return _CATALOG_ROWS
     rows = []
     for name in list_scenarios():
         result, elapsed = _run_scenario(name)
@@ -84,7 +71,6 @@ def _catalog_rows() -> list[dict]:
                 "rounds_per_s": round(result.metrics.rounds_executed / elapsed),
             }
         )
-    _CATALOG_ROWS = rows
     return rows
 
 
@@ -113,53 +99,7 @@ def _generation_row() -> dict:
         "schedule_s": round(schedule_s, 4),
         "baseline_s": round(baseline_s, 4),
         "speedup_vs_random_connected": round(baseline_s / schedule_s, 2),
-        "acceptance_threshold": 1.0,
     }
-
-
-def _recorded_headline_value(fallback: float) -> float:
-    """The previously recorded headline reference, or ``fallback`` if none."""
-    try:
-        recorded = json.loads(BASELINE_FILE.read_text())["headline"]["value"]
-        return float(recorded)
-    except (OSError, KeyError, TypeError, ValueError, json.JSONDecodeError):
-        return fallback
-
-
-def _write_baseline(catalog: list[dict], generation: dict) -> None:
-    BASELINE_FILE.write_text(
-        json.dumps(
-            {
-                "description": (
-                    "E18 scenario catalog on the kernel engine: completion rounds and "
-                    "rounds/s per registered scenario at n=64, plus packed-schedule "
-                    "generation throughput (T-interval-enforced edge-Markov, n=512) "
-                    "vs the per-round Python RandomConnectedAdversary baseline."
-                ),
-                "catalog": catalog,
-                "generation": generation,
-                "headline": {
-                    "name": "e18_schedule_generation_vs_python",
-                    # Sticky reference: keep the previously recorded value so
-                    # check_regression.py compares the live figure against a
-                    # real baseline instead of the number this very run just
-                    # measured.
-                    "value": _recorded_headline_value(
-                        generation["speedup_vs_random_connected"]
-                    ),
-                    "larger_is_better": True,
-                    "note": (
-                        "recorded schedule-generation ratio (sticky across "
-                        "bench reruns); benchmarks/check_regression.py fails "
-                        "a run more than 25% below this"
-                    ),
-                },
-            },
-            indent=1,
-            sort_keys=True,
-        )
-        + "\n"
-    )
 
 
 def test_e18_catalog_runs_on_kernel_engine():
@@ -170,20 +110,14 @@ def test_e18_catalog_runs_on_kernel_engine():
 
 def test_e18_schedule_generation_beats_python_baseline(benchmark):
     generation = _generation_row()
-    catalog = _catalog_rows()
-    _write_baseline(catalog, generation)
     print(
         f"\nE18 — packed schedule generation at n={N_GENERATION}: "
         f"{generation['schedule_s']:.3f}s vs {generation['baseline_s']:.3f}s "
         f"per-round Python baseline over {GENERATION_ROUNDS} rounds: "
         f"{generation['speedup_vs_random_connected']:.1f}x "
-        f"(acceptance threshold {generation['acceptance_threshold']:.0f}x)"
+        f"(floor {GENERATION_FLOOR}x)"
     )
-    record_headline(
-        "e18_schedule_generation_vs_python",
-        generation["speedup_vs_random_connected"],
-    )
-    assert generation["speedup_vs_random_connected"] > 1.0
+    assert generation["speedup_vs_random_connected"] >= GENERATION_FLOOR
     schedule = make_scenario("edge_markov_t4", N_GENERATION, seed=1)
     benchmark.pedantic(
         lambda: _time_generation(schedule, GENERATION_ROUNDS, N_GENERATION, repeats=1),

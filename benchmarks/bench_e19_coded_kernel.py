@@ -4,39 +4,29 @@ Regression guard for the coded-kernel rewrite (stacked uint64 bases, fused
 whole-inbox inserts, lazy sorted-order combines — see ``repro/gf/packed.py``
 and ``repro/simulation/coded_kernels.py``).  The workload is the coding
 family's stress case: RLNC indexed broadcast at n = k = 256 over per-round
-shifted rings, where the pre-PR kernel spent its time in per-node Python
-``Subspace`` calls (compose sort + XOR loop, insert reduction chains).
+shifted rings, where a per-node ``Subspace`` implementation spends its
+time in Python compose sorts, XOR loops and insert reduction chains.  All
+engines produce byte-identical ``RunMetrics`` for identical seeds, so the
+comparison times implementations, not trajectories.
 
-The recorded absolute numbers are in ``BENCH_CODED_KERNEL.json``: the
-batched kernel at ~0.9 s per run vs ~4.2 s for the pre-PR Subspace-backed
-kernel (measured at commit 4cf8fd3 on the same machine/workload/seed —
-4.6x, against the 4x acceptance threshold) and ~5.6 s for the mask engine
-(~6.1x).  All engines produce byte-identical ``RunMetrics`` for identical
-seeds, so the comparison times implementations, not trajectories.
-
-The *gating* assertions are (a) byte-identical metrics kernel vs mask at
-n = 256, (b) a lenient 2.5x
-engine-isolated floor vs the mask engine so shared CI runners cannot flake
-the build while a disabled batched path (~1x) still fails, and (c) the
-n = 512 scale point executes a fixed round budget on the kernel engine.
-The live kernel-vs-mask ratio is recorded for
-``benchmarks/check_regression.py``.
+The assertions are (a) byte-identical metrics kernel vs mask at n = 256,
+(b) an in-process ``speedup >= 2.5`` floor vs the mask engine, which a
+disabled batched path (~1x) fails, and (c) the n = 512 scale point
+executes a fixed round budget on the kernel engine.  End to end,
+``perfbench``'s ``coded_broadcast`` workload times the same kernel: its
+``run_s``, with ``gf.insert_s`` as the batched core's layer.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import json
 import time
-from pathlib import Path
 
 from repro.algorithms import IndexedBroadcastNode
 from repro.network import ShiftedRingAdversary
 from repro.simulation import run_dissemination, standard_instance
 
-from common import make_config, record_headline
-
-BASELINE_FILE = Path(__file__).resolve().parent.parent / "BENCH_CODED_KERNEL.json"
+from common import make_config
 
 N = 256
 SCALE_N = 512
@@ -77,7 +67,6 @@ def test_e19_engines_identical_metrics():
 
 
 def test_e19_coded_kernel_speedup(benchmark):
-    baseline = json.loads(BASELINE_FILE.read_text())
     _one_run("kernel")  # warm imports/caches before timing
     fast = _best_of("kernel")
     mask = _best_of("mask")
@@ -85,13 +74,8 @@ def test_e19_coded_kernel_speedup(benchmark):
     speedup = mask / fast
     print(
         f"\nE19 — batched coded kernel {fast:.3f}s vs mask engine {mask:.3f}s "
-        f"on this machine: {speedup:.1f}x (recorded: "
-        f"{baseline['speedup_vs_mask_engine']:.1f}x vs mask, "
-        f"{baseline['speedup_vs_pre_pr_kernel']:.1f}x vs the pre-PR "
-        f"Subspace-backed kernel, acceptance threshold "
-        f"{baseline['acceptance_threshold']:.0f}x)"
+        f"on this machine: {speedup:.1f}x (floor 2.5x)"
     )
-    record_headline("e19_coded_kernel_vs_mask", round(speedup, 2))
     assert speedup >= 2.5
     benchmark.pedantic(lambda: _one_run("kernel"), rounds=1, iterations=1)
 

@@ -2,7 +2,7 @@
 
 The fault layer (``repro/network/faults.py``) edits each round's CSR
 adjacency instead of simulating faults per node, so hostile runs must stay
-kernel-eligible and close to benign-run throughput.  Three measurements:
+kernel-eligible and close to benign-run throughput.  Four measurements:
 
 1. **Hostile catalog completeness** — every fault-carrying scenario entry
    runs token forwarding on the kernel engine (``RunResult.engine ==
@@ -15,23 +15,25 @@ kernel-eligible and close to benign-run throughput.  Three measurements:
    swept over loss intensities deliberately extended past the point where
    runs stop completing, recording partial ``surviving_rate`` points and
    ``completion_round = None`` instead of asserting success.  At least one
-   swept point must show ``surviving_rate < 1.0``.
-3. **Fault overhead headline** — per-round kernel wall time with a
-   loss+duplication model active versus the identical benign run.  The
-   recorded ratio is sticky in ``BENCH_HOSTILE.json``;
-   ``benchmarks/check_regression.py`` fails a run that regresses it by
-   more than 25 %.
-4. **Adaptive-adversary overhead headline** — the same per-round comparison
-   with an adaptive :class:`BridgeLossStrategy` consulted every round (one
-   linear low-link cut-edge pass over the live CSR), sticky in
-   ``BENCH_HOSTILE_ADAPTIVE.json`` under its own regression guard.
+   swept point must show ``surviving_rate < 1.0``.  The failure-regime
+   points (token forwarding at loss 0.97, the ``collision_waypoint``
+   catalog row) are pinned exactly in ``tests/test_bench_pins.py``.
+3. **Fault overhead** — per-round kernel wall time with a loss+duplication
+   model active versus the identical benign run at n = 128.  The bench
+   asserts a slowdown ``<= 1.55`` in-process; no ``perfbench`` workload
+   runs the duplication axis, so this ceiling is the only speed check on
+   it.
+4. **Adaptive-adversary overhead** — the same per-round comparison with an
+   adaptive :class:`BridgeLossStrategy` consulted every round (one linear
+   low-link cut-edge pass over the live CSR), printed as data.  Its cost
+   is measured end to end by ``perfbench``'s ``adaptive_faults`` workload
+   (the same strategy): ``run_s``, with ``faults.bind_edges_s`` as its
+   layer.
 """
 
 from __future__ import annotations
 
-import json
 import time
-from pathlib import Path
 
 from repro.algorithms import (
     IndexedBroadcastNode,
@@ -42,12 +44,7 @@ from repro.network import BridgeLossStrategy, FaultModel
 from repro.scenarios import SCENARIOS, fault_model_for, hostile_scenarios, make_scenario
 from repro.simulation import run_dissemination, standard_instance
 
-from common import make_config, print_rows, record_headline
-
-BASELINE_FILE = Path(__file__).resolve().parent.parent / "BENCH_HOSTILE.json"
-ADAPTIVE_BASELINE_FILE = (
-    Path(__file__).resolve().parent.parent / "BENCH_HOSTILE_ADAPTIVE.json"
-)
+from common import make_config, print_rows
 
 #: Hostile catalog + degradation sweeps: small enough to stay CI-cheap.
 N = 48
@@ -55,7 +52,7 @@ N = 48
 #: uids 0..k-1), so Byzantine senders at n-2 / n-1 and the three fake quorum
 #: members at n-3 .. n-1 never hold tokens.
 K = N - 3
-#: Token forwarding needs ~0.3 * n * k rounds benign (see BENCH_SCENARIOS);
+#: Token forwarding needs ~0.3 * n * k rounds benign (see E18's catalog);
 #: leave headroom for lossy runs while keeping non-completion observable.
 MAX_ROUNDS = 3000
 
@@ -69,8 +66,10 @@ PROTOCOLS = {
 #: partial ``surviving_rate`` instead of failing the bench.
 LOSS_INTENSITIES = (0.1, 0.25, 0.5, 0.75, 0.9, 0.97)
 
-#: Fault-overhead headline: benign vs faulted kernel throughput at this n.
+#: Fault overhead: benign vs faulted kernel throughput at this n.
 N_OVERHEAD = 128
+#: The in-process ceiling on the faulted / benign per-round time.
+OVERHEAD_CEILING = 1.55
 
 
 def _run(factory, n, k, scenario, faults, seed=0):
@@ -115,13 +114,7 @@ def _axes(model: FaultModel) -> str:
     return "+".join(axes)
 
 
-_CATALOG_ROWS: list[dict] | None = None
-
-
 def _catalog_rows() -> list[dict]:
-    global _CATALOG_ROWS
-    if _CATALOG_ROWS is not None:
-        return _CATALOG_ROWS
     rows = []
     for name in hostile_scenarios():
         model = fault_model_for(name, N, seed=0)
@@ -146,7 +139,6 @@ def _catalog_rows() -> list[dict]:
                 "rounds_per_s": round(metrics.rounds_executed / elapsed),
             }
         )
-    _CATALOG_ROWS = rows
     return rows
 
 
@@ -197,50 +189,6 @@ def _overhead_row() -> dict:
     }
 
 
-def _recorded_headline_value(fallback: float, baseline_file: Path = BASELINE_FILE) -> float:
-    """The previously recorded headline reference, or ``fallback`` if none."""
-    try:
-        recorded = json.loads(baseline_file.read_text())["headline"]["value"]
-        return float(recorded)
-    except (OSError, KeyError, TypeError, ValueError, json.JSONDecodeError):
-        return fallback
-
-
-def _write_baseline(catalog: list[dict], degradation: list[dict], overhead: dict) -> None:
-    BASELINE_FILE.write_text(
-        json.dumps(
-            {
-                "description": (
-                    "E20 hostile-network fault axis on the kernel engine: per-scenario "
-                    "survivors / surviving completion rate for the hostile catalog at "
-                    "n=48, loss-intensity degradation curves for three protocols, and "
-                    "the faulted-vs-benign per-round slowdown ratio at n=128."
-                ),
-                "catalog": catalog,
-                "degradation": degradation,
-                "overhead": overhead,
-                "headline": {
-                    "name": "e20_fault_overhead_ratio",
-                    # Sticky reference: keep the previously recorded value so
-                    # check_regression.py compares the live figure against a
-                    # real baseline instead of the number this very run just
-                    # measured.
-                    "value": _recorded_headline_value(overhead["slowdown_ratio"]),
-                    "larger_is_better": False,
-                    "note": (
-                        "recorded faulted-vs-benign per-round slowdown (sticky "
-                        "across bench reruns); benchmarks/check_regression.py "
-                        "fails a run more than 25% above this"
-                    ),
-                },
-            },
-            indent=1,
-            sort_keys=True,
-        )
-        + "\n"
-    )
-
-
 #: Adaptive-overhead comparison: the bridge-loss adversary recomputes the
 #: cut edges of the live topology every round.
 ADAPTIVE_MODEL = FaultModel(strategy=BridgeLossStrategy(probability=0.5))
@@ -261,38 +209,6 @@ def _adaptive_overhead_row() -> dict:
         "adaptive_ms_per_round": round(faulted_per_round * 1e3, 3),
         "slowdown_ratio": round(faulted_per_round / benign_per_round, 2),
     }
-
-
-def _write_adaptive_baseline(overhead: dict) -> None:
-    ADAPTIVE_BASELINE_FILE.write_text(
-        json.dumps(
-            {
-                "description": (
-                    "E20 adaptive-adversary overhead: per-round kernel slowdown of "
-                    "a BridgeLossStrategy run (one linear low-link cut-edge pass "
-                    "over the live CSR every round) versus the identical benign "
-                    "run at n=48."
-                ),
-                "overhead": overhead,
-                "headline": {
-                    "name": "e20_adaptive_overhead_ratio",
-                    # Sticky reference, like BENCH_HOSTILE.json's headline.
-                    "value": _recorded_headline_value(
-                        overhead["slowdown_ratio"], ADAPTIVE_BASELINE_FILE
-                    ),
-                    "larger_is_better": False,
-                    "note": (
-                        "recorded adaptive-vs-benign per-round slowdown (sticky "
-                        "across bench reruns); benchmarks/check_regression.py "
-                        "fails a run more than 25% above this"
-                    ),
-                },
-            },
-            indent=1,
-            sort_keys=True,
-        )
-        + "\n"
-    )
 
 
 def test_e20_hostile_catalog_runs_on_kernel_engine():
@@ -322,20 +238,15 @@ def test_e20_loss_degradation_curves():
     assert any(r["completion_round"] is None for r in rows)
 
 
-def test_e20_fault_overhead_headline(benchmark):
+def test_e20_fault_overhead(benchmark):
     overhead = _overhead_row()
-    _write_baseline(_catalog_rows(), _degradation_rows(), overhead)
     print(
         f"\nE20 — fault overhead at n={N_OVERHEAD}: "
         f"{overhead['faulted_ms_per_round']:.2f} ms/round faulted vs "
         f"{overhead['benign_ms_per_round']:.2f} ms/round benign: "
-        f"{overhead['slowdown_ratio']:.2f}x"
+        f"{overhead['slowdown_ratio']:.2f}x (ceiling {OVERHEAD_CEILING}x)"
     )
-    record_headline(
-        "e20_fault_overhead_ratio",
-        overhead["slowdown_ratio"],
-        larger_is_better=False,
-    )
+    assert overhead["slowdown_ratio"] <= OVERHEAD_CEILING
     benchmark.pedantic(
         lambda: _run(
             TokenForwardingNode, N_OVERHEAD, N_OVERHEAD, "edge_markov",
@@ -346,19 +257,13 @@ def test_e20_fault_overhead_headline(benchmark):
     )
 
 
-def test_e20_adaptive_adversary_overhead_headline(benchmark):
+def test_e20_adaptive_adversary_overhead(benchmark):
     overhead = _adaptive_overhead_row()
-    _write_adaptive_baseline(overhead)
     print(
         f"\nE20 — adaptive-adversary overhead at n={N}: "
         f"{overhead['adaptive_ms_per_round']:.2f} ms/round adaptive vs "
         f"{overhead['benign_ms_per_round']:.2f} ms/round benign: "
         f"{overhead['slowdown_ratio']:.2f}x"
-    )
-    record_headline(
-        "e20_adaptive_overhead_ratio",
-        overhead["slowdown_ratio"],
-        larger_is_better=False,
     )
     benchmark.pedantic(
         lambda: _run(

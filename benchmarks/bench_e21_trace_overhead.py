@@ -6,35 +6,32 @@ inert: a :class:`~repro.obs.trace.TraceRecorder` attached to
 per-node Python on the kernel hot path, and never changes the execution.
 Three measurements:
 
-1. **Traced-vs-untraced headline** — per-round kernel wall time with a
-   clock-free recorder attached versus the identical bare run.  The
-   recorded ratio is sticky in ``BENCH_TRACE_OVERHEAD.json``;
-   ``benchmarks/check_regression.py`` fails a run that regresses it by
-   more than 25 %.
+1. **Traced-vs-untraced row** — per-round kernel wall time with a
+   clock-free recorder attached versus the identical bare run, printed
+   as data.  The tracing cost is measured end to end by ``perfbench``'s
+   ``adaptive_faults`` workload, which attaches a clock-free
+   ``TraceRecorder`` to every run: its ``run_s``, with
+   ``obs.observe_round_s`` as the recorder's layer.
 2. **Clocked tracing row** — the same comparison with a
    :class:`~repro.obs.clock.SystemClock` attached (phase timers live),
    recorded as data: the phase-profiler spans are the only addition.
 3. **Inertness guard** — the traced run's ``RunMetrics`` must equal the
    untraced run's bit for bit, and the recorded per-round counter columns
-   must sum to the final counters.
+   must sum to the final counters.  These are the bench's assertions.
 """
 
 from __future__ import annotations
 
-import json
 import time
-from pathlib import Path
 
 from repro.algorithms import TokenForwardingNode
 from repro.obs import SystemClock, TraceRecorder
 from repro.scenarios import make_scenario
 from repro.simulation import run_dissemination, standard_instance
 
-from common import make_config, print_rows, record_headline
+from common import make_config, print_rows
 
-BASELINE_FILE = Path(__file__).resolve().parent.parent / "BENCH_TRACE_OVERHEAD.json"
-
-#: Same scale as the e20 fault-overhead headline: large enough that the
+#: Same scale as E20's fault-overhead row: large enough that the
 #: kernel engine's vectorised round cost dominates the python loop shell.
 N = 128
 
@@ -51,7 +48,7 @@ def _run(trace: TraceRecorder | None, seed: int = 0):
     return result, time.perf_counter() - start
 
 
-def _overhead_rows() -> tuple[list[dict], dict]:
+def _overhead_rows() -> list[dict]:
     bare, bare_s = _run(None)
     recorder = TraceRecorder()
     traced, traced_s = _run(recorder)
@@ -89,77 +86,12 @@ def _overhead_rows() -> tuple[list[dict], dict]:
             "overhead_ratio": round(clocked_pr / bare_pr, 2),
         },
     ]
-    overhead = {
-        "scenario": "edge_markov",
-        "n": N,
-        "rounds": bare.metrics.rounds_executed,
-        "untraced_ms_per_round": rows[0]["ms_per_round"],
-        "traced_ms_per_round": rows[1]["ms_per_round"],
-        "clocked_ms_per_round": rows[2]["ms_per_round"],
-        "overhead_ratio": rows[1]["overhead_ratio"],
-        "clocked_overhead_ratio": rows[2]["overhead_ratio"],
-    }
-    return rows, overhead
+    return rows
 
 
-def _recorded_headline_value(fallback: float) -> float:
-    """The previously recorded headline reference, or ``fallback`` if none."""
-    try:
-        recorded = json.loads(BASELINE_FILE.read_text())["headline"]["value"]
-        return float(recorded)
-    except (OSError, KeyError, TypeError, ValueError, json.JSONDecodeError):
-        return fallback
-
-
-def _write_baseline(rows: list[dict], overhead: dict) -> None:
-    BASELINE_FILE.write_text(
-        json.dumps(
-            {
-                "description": (
-                    "E21 round-trace telemetry overhead: per-round kernel wall "
-                    "time with a TraceRecorder attached (columnar per-round "
-                    "records; clock-free and clocked variants) versus the "
-                    "identical untraced run at n=128."
-                ),
-                "rows": rows,
-                "overhead": overhead,
-                "headline": {
-                    "name": "e21_trace_overhead_ratio",
-                    # Sticky reference: keep the previously recorded value so
-                    # check_regression.py compares the live figure against a
-                    # real baseline instead of the number this very run just
-                    # measured.
-                    "value": _recorded_headline_value(overhead["overhead_ratio"]),
-                    "larger_is_better": False,
-                    "note": (
-                        "recorded traced-vs-untraced per-round slowdown (sticky "
-                        "across bench reruns); benchmarks/check_regression.py "
-                        "fails a run more than 25% above this"
-                    ),
-                },
-            },
-            indent=1,
-            sort_keys=True,
-        )
-        + "\n"
-    )
-
-
-def test_e21_trace_overhead_headline(benchmark):
-    rows, overhead = _overhead_rows()
-    _write_baseline(rows, overhead)
+def test_e21_trace_overhead(benchmark):
+    rows = _overhead_rows()
     print_rows("E21 — traced vs untraced kernel rounds", rows)
-    print(
-        f"\nE21 — trace overhead at n={N}: "
-        f"{overhead['traced_ms_per_round']:.2f} ms/round traced vs "
-        f"{overhead['untraced_ms_per_round']:.2f} ms/round untraced: "
-        f"{overhead['overhead_ratio']:.2f}x"
-    )
-    record_headline(
-        "e21_trace_overhead_ratio",
-        overhead["overhead_ratio"],
-        larger_is_better=False,
-    )
     benchmark.pedantic(
         lambda: _run(TraceRecorder(), seed=1),
         rounds=1,

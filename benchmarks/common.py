@@ -12,18 +12,19 @@ theorem/lemma/claim, named in the bench module's docstring.  Each bench:
 Scales are laptop-sized on purpose: the claims being validated are about
 *who wins and how the advantage scales*, which already shows at n of a few
 dozen.
+
+Benches print their rows and write nothing into the repository.  Speed
+is measured end to end by ``perfbench/run.py``; a bench that times
+something asserts its own in-process floor.
 """
 
 from __future__ import annotations
 
-import json
 import os
-from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
 from repro.algorithms.base import ProtocolConfig, ProtocolFactory
 from repro.network import Adversary
-from repro.obs.provenance import tree_digest
 from repro.simulation import (
     SweepPoint,
     SweepTask,
@@ -36,66 +37,12 @@ from repro.tokens import MessageBudget
 
 __all__ = [
     "make_config",
-    "record_headline",
     "run_once",
     "measure_sweep",
     "sweep_map",
     "print_rows",
     "sweep_workers",
 ]
-
-
-_SOURCE_DIGEST: str | None = None
-
-
-def _source_digest() -> str:
-    """Content hash of every tracked python source under src/ and benchmarks/.
-
-    Stamps headline measurements only: :func:`record_headline` writes it
-    into each headline file, and ``benchmarks/check_regression.py`` skips a
-    figure whose stamp differs from the current tree, so a figure measured
-    on other code is never compared.  Built on the same
-    :func:`repro.obs.provenance.tree_digest` primitive that stamps trace
-    manifests.
-    """
-    global _SOURCE_DIGEST
-    if _SOURCE_DIGEST is None:
-        root = Path(__file__).resolve().parent.parent
-        _SOURCE_DIGEST = tree_digest((root / "src", root / "benchmarks"), root)
-    return _SOURCE_DIGEST
-
-
-#: Where bench runs drop their live headline measurements for
-#: ``benchmarks/check_regression.py`` (safe to delete at any time).
-HEADLINE_DIR = Path(__file__).resolve().parent.parent / ".benchmarks" / "headlines"
-
-
-def record_headline(name: str, value: float, *, larger_is_better: bool = True) -> None:
-    """Record a live headline metric of one benchmark run.
-
-    Each headline bench calls this with its machine-normalised figure
-    (engine-vs-engine speedup ratios, not absolute seconds) after measuring
-    it; ``benchmarks/check_regression.py`` then compares every live figure
-    against the value recorded in the corresponding ``BENCH_*.json`` and
-    fails the run on a > 25 % regression.
-    """
-    HEADLINE_DIR.mkdir(parents=True, exist_ok=True)
-    path = HEADLINE_DIR / f"{name}.json"
-    path.write_text(
-        json.dumps(
-            {
-                "name": name,
-                "value": value,
-                "larger_is_better": larger_is_better,
-                # Stamp the measurement with the source-tree content so the
-                # regression check never compares figures measured on a
-                # different version of the code.
-                "source_digest": _source_digest(),
-            },
-            indent=1,
-            sort_keys=True,
-        )
-    )
 
 
 def sweep_workers(default: int = 4) -> int:

@@ -11,7 +11,7 @@ the schema and :mod:`repro.obs.clock` for the sanctioned wall-clock seam.
 from .clock import Clock, ManualClock, SystemClock
 from .diff import Divergence, TraceDiff, diff_traces
 from .profiler import NULL_PROFILER, PhaseProfiler
-from .provenance import source_digest, tree_digest
+from .provenance import source_digest
 from .report import describe_trace, profile_rows, summary_rows, totals_row
 from .trace import (
     ROUND_COUNTERS,
@@ -40,5 +40,4 @@ __all__ = [
     "source_digest",
     "summary_rows",
     "totals_row",
-    "tree_digest",
 ]

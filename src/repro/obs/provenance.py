@@ -1,11 +1,8 @@
-"""Source-tree provenance hashing for trace manifests and bench memos.
+"""Source-tree provenance hashing for trace manifests.
 
-A trace (or a benchmark memo) is only comparable against another artifact
-produced by the *same code*: both are stamped with a content digest of the
-python sources that produced them.  :func:`tree_digest` is the shared
-primitive — ``benchmarks/common._source_digest`` delegates here with the
-``src`` + ``benchmarks`` trees, trace manifests use :func:`source_digest`
-over the installed ``repro`` package sources.
+A trace is only comparable against another trace produced by the *same
+code*: every manifest is stamped with :func:`source_digest`, a content
+digest of the installed ``repro`` package sources.
 """
 
 from __future__ import annotations
@@ -13,23 +10,7 @@ from __future__ import annotations
 import hashlib
 from pathlib import Path
 
-__all__ = ["source_digest", "tree_digest"]
-
-
-def tree_digest(bases: list[Path] | tuple[Path, ...], root: Path) -> str:
-    """Content hash of every ``*.py`` under ``bases``, keyed relative to ``root``.
-
-    Files are visited in sorted relative-path order and both the relative
-    path and the bytes feed the hash, so renames, moves and edits all
-    change the digest.  Truncated to 12 hex chars — collision resistance
-    against *accidental* reuse, not an adversary.
-    """
-    digest = hashlib.sha256()
-    for base in bases:
-        for path in sorted(Path(base).rglob("*.py")):
-            digest.update(str(path.relative_to(root)).encode())
-            digest.update(path.read_bytes())
-    return digest.hexdigest()[:12]
+__all__ = ["source_digest"]
 
 
 _SOURCE_DIGEST: str | None = None
@@ -38,11 +19,20 @@ _SOURCE_DIGEST: str | None = None
 def source_digest() -> str:
     """Digest of the ``repro`` package sources producing this process's traces.
 
-    Cached per process: the sources cannot change under a running
-    interpreter in any way the already-imported modules would notice.
+    Every ``*.py`` under ``src/repro`` is visited in sorted relative-path
+    order, and both the path relative to ``src`` and the file's bytes feed
+    one sha256, so renames, moves and edits all change the digest.
+    Truncated to 12 hex chars — collision resistance against *accidental*
+    reuse, not an adversary.  Cached per process: the sources cannot
+    change under a running interpreter in any way the already-imported
+    modules would notice.
     """
     global _SOURCE_DIGEST
     if _SOURCE_DIGEST is None:
         package_root = Path(__file__).resolve().parents[1]  # src/repro
-        _SOURCE_DIGEST = tree_digest([package_root], package_root.parent)
+        digest = hashlib.sha256()
+        for path in sorted(package_root.rglob("*.py")):
+            digest.update(str(path.relative_to(package_root.parent)).encode())
+            digest.update(path.read_bytes())
+        _SOURCE_DIGEST = digest.hexdigest()[:12]
     return _SOURCE_DIGEST

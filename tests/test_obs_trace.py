@@ -22,10 +22,14 @@ The standing guarantees pinned here:
 from __future__ import annotations
 
 import dataclasses
+import hashlib
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
 from repro.algorithms import IndexedBroadcastNode, TokenForwardingNode
 from repro.network.faults import FaultModel
 from repro.obs import (
@@ -35,6 +39,7 @@ from repro.obs import (
     TraceRecorder,
     diff_traces,
     load_trace,
+    source_digest,
 )
 from repro.obs.trace import CONTENT_ARRAYS, unpack_node_bitmap
 from repro.scenarios import fault_model_for, make_scenario
@@ -313,7 +318,23 @@ def test_manifest_splits_content_from_context():
     assert context["engine"] == "kernel"
     assert context["clocked"] is False
     assert context["profile"] == {}
-    assert "source_digest" in context
+    assert context["source_digest"] == source_digest()
+
+
+def test_manifest_digest_hashes_the_package_sources():
+    """sha256 over ``src/repro/**/*.py``: sorted paths relative to ``src``, then bytes."""
+    src = Path(repro.__file__).resolve().parents[1]
+    files = []
+    for directory, _, names in os.walk(src / "repro"):
+        for name in names:
+            if name.endswith(".py"):
+                relative = os.path.relpath(os.path.join(directory, name), src)
+                files.append(relative.split(os.sep))
+    digest = hashlib.sha256()
+    for parts in sorted(files):
+        digest.update("/".join(parts).encode())
+        digest.update(src.joinpath(*parts).read_bytes())
+    assert source_digest() == digest.hexdigest()[:12]
 
 
 # ----------------------------------------------------------------------
