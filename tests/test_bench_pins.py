@@ -2,10 +2,10 @@
 
 E22's degradation surface and E20's failure-regime points are seeded,
 deterministic runs, so their figures are pinned value for value rather
-than summarised by a mean.  The pins call the benches' own point
-functions (``bench_e22_degradation._degradation_point`` and
-``bench_e20_hostile._run``), so the table a bench prints and the figures
-pinned here come from one definition.
+than summarised by a mean.  The pins call the benches' own code (E22's
+``_surface``, which maps ``_degradation_point`` over the grid, and E20's
+``_run``), so the table a bench prints and the figures pinned here come
+from one definition.
 
 A change to the fault layer, the round loop or the token-forwarding kernel
 that moves any of these figures changed behaviour under the hostile axes.
@@ -24,6 +24,7 @@ if str(BENCHMARKS) not in sys.path:
 
 import bench_e20_hostile as e20  # noqa: E402
 import bench_e22_degradation as e22  # noqa: E402
+import common  # noqa: E402
 
 from repro.algorithms import TokenForwardingNode  # noqa: E402
 from repro.network import FaultModel  # noqa: E402
@@ -63,22 +64,26 @@ E22_SURFACE = {
 }
 
 
-def test_e22_pins_cover_the_whole_grid():
-    assert list(E22_SURFACE) == [
-        (loss, collision, fake)
-        for loss in e22.LOSS_AXIS
-        for collision in e22.COLLISION_AXIS
-        for fake in e22.FAKE_AXIS
-    ]
+@pytest.fixture(scope="module")
+def e22_rows() -> dict:
+    """E22's surface exactly as the bench computes and prints it."""
+    return {(row["loss"], row["collision"], row["fake"]): row for row in e22._surface()}
+
+
+def test_e22_pins_cover_the_whole_grid(e22_rows):
+    assert list(e22_rows) == list(E22_SURFACE)
 
 
 @pytest.mark.parametrize(
     ("loss", "collision", "fake"),
     list(E22_SURFACE),
-    ids=[f"loss{l}-collision{c}-fake{f}" for l, c, f in E22_SURFACE],
+    ids=[
+        f"loss{loss}-collision{collision}-fake{fake}"
+        for loss, collision, fake in E22_SURFACE
+    ],
 )
-def test_e22_degradation_point(loss, collision, fake):
-    row = e22._degradation_point(loss=loss, collision=collision, fake=fake, seed=2)
+def test_e22_degradation_point(e22_rows, loss, collision, fake):
+    row = e22_rows[(loss, collision, fake)]
     assert row["engine"] == "kernel"
     measured = (
         row["surviving_rate"],
@@ -105,9 +110,23 @@ def _failure_point(scenario: str, model: FaultModel) -> dict:
     }
 
 
-def test_e20_token_forwarding_loss_097_never_completes():
-    """The tail of E20's token-forwarding loss curve: no node finishes."""
-    assert _failure_point("edge_markov", FaultModel(loss=0.97)) == {
+@pytest.fixture(scope="module")
+def e20_points() -> dict:
+    """E20's two failure-regime runs, over the bench's sweep workers."""
+    points = {
+        # The tail of E20's token-forwarding loss curve.
+        "loss-0.97": {"scenario": "edge_markov", "model": FaultModel(loss=0.97)},
+        # E20's catalog row for collision_waypoint: every round collides.
+        "collision_waypoint": {
+            "scenario": "collision_waypoint",
+            "model": fault_model_for("collision_waypoint", e20.N, seed=0),
+        },
+    }
+    return dict(zip(points, common.sweep_map(_failure_point, list(points.values()))))
+
+
+def test_e20_token_forwarding_loss_097_never_completes(e20_points):
+    assert e20_points["loss-0.97"] == {
         "engine": "kernel",
         "completed": False,
         "rounds": e20.MAX_ROUNDS,
@@ -120,10 +139,8 @@ def test_e20_token_forwarding_loss_097_never_completes():
     }
 
 
-def test_e20_collision_waypoint_never_completes():
-    """E20's catalog row for ``collision_waypoint``: every round collides."""
-    model = fault_model_for("collision_waypoint", e20.N, seed=0)
-    assert _failure_point("collision_waypoint", model) == {
+def test_e20_collision_waypoint_never_completes(e20_points):
+    assert e20_points["collision_waypoint"] == {
         "engine": "kernel",
         "completed": False,
         "rounds": e20.MAX_ROUNDS,
