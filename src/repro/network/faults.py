@@ -288,10 +288,29 @@ def _edge_positions_lost(
     n: int,
     pairs: list[tuple[int, int]],
 ) -> np.ndarray:
-    """Boolean over the CSR edge list marking both directions of ``pairs``."""
-    keys = senders.astype(np.int64) * n + receivers.astype(np.int64)
-    wanted = [u * n + v for u, v in pairs] + [v * n + u for u, v in pairs]
-    return np.isin(keys, np.asarray(wanted, dtype=np.int64))
+    """Boolean over the CSR edge list marking both directions of ``pairs``.
+
+    The canonical CSR's keys ``receiver * n + sender`` ascend strictly
+    (receivers in order, senders ascending within a segment, no parallel
+    edges), so one ``searchsorted`` finds every wanted slot.  A pair that
+    is not an edge of the CSR raises ``ValueError``.
+    """
+    keys = receivers.astype(np.int64) * n + senders
+    wanted = np.asarray(
+        [v * n + u for u, v in pairs] + [u * n + v for u, v in pairs],
+        dtype=np.int64,
+    )
+    slots = np.searchsorted(keys, wanted)
+    found = slots < keys.size
+    found[found] = keys[slots[found]] == wanted[found]
+    if not found.all():
+        missing = wanted[~found][0]
+        raise ValueError(
+            f"({missing % n}, {missing // n}) is not an edge of the round's CSR"
+        )
+    lost = np.zeros(keys.size, dtype=bool)
+    lost[slots] = True
+    return lost
 
 
 @dataclass(frozen=True)

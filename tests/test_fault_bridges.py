@@ -6,6 +6,12 @@ oracle that shares no code with it, ``networkx.bridges``, on the
 subgraph that survives the round's ``down`` mask: exact list, exact
 order.  A 2,000-node path shows the pass needs no recursion.
 
+The strategies turn their chosen ``(u, v)`` pairs into a per-edge mask
+with :func:`repro.network.faults._edge_positions_lost`, a sorted-key
+lookup in the canonical CSR.  It is checked against an ``np.isin``
+reference kept here, over random subsets of the CSR's edges and over the
+spanning-forest edges :class:`BudgetedLossStrategy` targets.
+
 The pinned runs fix what ``BridgeLossStrategy`` does end to end: one
 Bernoulli per bridge, in sorted ``(u, v)`` order, from the fault stream.
 Any change to the bridge list or its order shifts the draws and so the
@@ -24,7 +30,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.algorithms import IndexedBroadcastNode, TokenForwardingNode
-from repro.network.faults import _bridges
+from repro.network.faults import (
+    _bridges,
+    _edge_positions_lost,
+    _forest_edges,
+    _live_edge_row_ints,
+)
 from repro.obs import TraceRecorder
 from repro.scenarios import fault_model_for, make_scenario
 from repro.simulation import run_dissemination, standard_instance
@@ -119,6 +130,62 @@ class TestBridgesMatchNetworkx:
         n = 2000
         edges = [(u, u + 1) for u in range(n - 1)]
         assert _check(n, edges) == edges
+
+
+def _isin_reference(senders, receivers, n, pairs) -> np.ndarray:
+    """The lookup as ``np.isin`` over every CSR key (which ignores non-edges)."""
+    keys = senders.astype(np.int64) * n + receivers.astype(np.int64)
+    wanted = [u * n + v for u, v in pairs] + [v * n + u for u, v in pairs]
+    return np.isin(keys, np.asarray(wanted, dtype=np.int64))
+
+
+def _lookup(n, edges, pairs):
+    indices, indptr = _csr(n, edges)
+    receivers = np.repeat(np.arange(n), np.diff(indptr)).astype(np.uint8)
+    found = _edge_positions_lost(indices, receivers, n, pairs)
+    assert found.tolist() == _isin_reference(indices, receivers, n, pairs).tolist()
+    assert int(found.sum()) == 2 * len(set(pairs))
+    return found
+
+
+class TestEdgePositionsLookup:
+    @settings(deadline=None, max_examples=200)
+    @given(graph=_graphs(), data=st.data())
+    def test_random_edge_subsets_match_isin(self, graph, data):
+        n, edges, _ = graph
+        chosen = data.draw(st.lists(st.sampled_from(edges), unique=True)) if edges else []
+        _lookup(n, edges, sorted((min(u, v), max(u, v)) for u, v in chosen))
+
+    @settings(deadline=None, max_examples=100)
+    @given(graph=_graphs())
+    def test_budgeted_forest_edges_match_isin(self, graph):
+        n, edges, down = graph
+        if n == 0:
+            return
+        indices, indptr = _csr(n, edges)
+        receivers = np.repeat(np.arange(n), np.diff(indptr))
+        packed, rows = _live_edge_row_ints(
+            indices, receivers, np.asarray(down, dtype=bool), n
+        )
+        _lookup(n, edges, sorted(_forest_edges(packed, rows, n)))
+
+    def test_no_pairs_marks_nothing(self):
+        assert not _lookup(4, [(0, 1), (1, 2)], []).any()
+
+    @pytest.mark.parametrize("pair", [(0, 2), (2, 3), (0, 3), (1, 1)])
+    def test_a_pair_that_is_not_an_edge_raises(self, pair):
+        # (2, 3) and (0, 3) sort past the last key of the CSR; (1, 1) is a
+        # self-loop the canonical CSR never holds.
+        indices, indptr = _csr(4, [(0, 1), (1, 2)])
+        receivers = np.repeat(np.arange(4), np.diff(indptr))
+        with pytest.raises(ValueError, match="not an edge"):
+            _edge_positions_lost(indices, receivers, 4, [(0, 1), pair])
+
+    def test_lookup_on_an_empty_csr_raises(self):
+        indices, indptr = _csr(3, [])
+        receivers = np.repeat(np.arange(3), np.diff(indptr))
+        with pytest.raises(ValueError, match="not an edge"):
+            _edge_positions_lost(indices, receivers, 3, [(0, 1)])
 
 
 #: ``(protocol, seed) -> (sha256 of RunMetrics.to_dict(), trace content
