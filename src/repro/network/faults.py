@@ -1031,6 +1031,7 @@ class RoundFaultPlan:
         self._extra: np.ndarray | None = None
         self._viable: np.ndarray | None = None
         self._rejected: np.ndarray | None = None
+        self._byz_edge: np.ndarray | None = None
         self._collided: np.ndarray | None = None
         #: The receiving node of every entry of the effective CSR that
         #: :meth:`bind_edges` returned (None until it has run).
@@ -1061,6 +1062,10 @@ class RoundFaultPlan:
         immediately: ``self.down`` is final only after this method returns,
         so engines must compute their sending mask afterwards.
 
+        Only the axes that are on this round build a per-edge mask, and
+        :meth:`account` counts only those.  A round that removes and
+        repeats nothing returns the canonical arrays themselves.
+
         ``active`` is the engines' compose-time transmission mask (who
         composed a message this round); collisions only count transmitting
         senders as occupying air.  ``state`` is the read-only
@@ -1077,15 +1082,11 @@ class RoundFaultPlan:
         senders = indices
         if receivers is None:
             receivers = np.repeat(np.arange(n), np.diff(indptr))
-        lost = (
-            rng.random(edges) < model.loss
-            if model.loss > 0.0
-            else np.zeros(edges, dtype=bool)
-        )
+        # A per-edge mask exists only for an axis that is on this round;
+        # None stands for "no edge" (for ``viable``, "every edge").
+        lost = rng.random(edges) < model.loss if model.loss > 0.0 else None
         extra = (
-            rng.random(edges) < model.duplication
-            if model.duplication > 0.0
-            else np.zeros(edges, dtype=bool)
+            rng.random(edges) < model.duplication if model.duplication > 0.0 else None
         )
         strategy = self.bound.strategy_state
         if strategy is not None:
@@ -1107,21 +1108,22 @@ class RoundFaultPlan:
                 self.bound.strategy_crashed[uid] = True
                 self.down[uid] = True
             if targeted is not None:
-                lost |= targeted
-        viable = ~self.down[senders] & ~self.down[receivers]
-        if model.partitions is not None and model.partitions.active_at(
-            self.round_index
-        ):
+                lost = targeted if lost is None else lost | targeted
+        down = self.down
+        viable = ~down[senders] & ~down[receivers] if down.any() else None
+        if self.partition_active:
             group = np.arange(n, dtype=np.int64) % model.partitions.groups
-            viable &= group[senders] == group[receivers]
-        byz_edge = self.bound.byz[senders]
-        if self.substitute:
-            rejected = np.zeros(edges, dtype=bool)
-        else:
-            # Malformed mode, or no span guard for this protocol: every
-            # Byzantine copy is discarded at the receiver.
-            rejected = byz_edge
-        collided = np.zeros(edges, dtype=bool)
+            same = group[senders] == group[receivers]
+            viable = same if viable is None else viable & same
+        byz_edge = self.bound.byz[senders] if model.byzantine else None
+        # Malformed mode, or no span guard for this protocol: every
+        # Byzantine copy is discarded at the receiver.
+        rejected = None if self.substitute else byz_edge
+        keep = viable
+        for removed in (lost, rejected):
+            if removed is not None:
+                keep = ~removed if keep is None else keep & ~removed
+        collided = None
         collisions = model.collisions
         if collisions is not None:
             p = collisions.probability
@@ -1129,16 +1131,12 @@ class RoundFaultPlan:
             # every per-edge draw; the endpoints consume no randomness.
             collide_round = p >= 1.0 or (p > 0.0 and bool(rng.random() < p))
             if collide_round and edges:
-                transmitting = (
-                    ~self.down if active is None else (active & ~self.down)
-                )
-                delivering = viable & ~lost & ~rejected & transmitting[senders]
-                flows = np.concatenate(
-                    (
-                        np.zeros(1, dtype=np.int64),
-                        np.cumsum(delivering, dtype=np.int64),
-                    )
-                )
+                transmitting = ~down if active is None else (active & ~down)
+                delivering = transmitting[senders]
+                if keep is not None:
+                    delivering &= keep
+                flows = np.zeros(edges + 1, dtype=np.int64)
+                np.cumsum(delivering, out=flows[1:])
                 crowded = (flows[indptr[1:]] - flows[indptr[:-1]]) >= 2
                 collided = delivering & crowded[receivers]
                 if collisions.capture:
@@ -1147,16 +1145,25 @@ class RoundFaultPlan:
                     # — the capture winner keeps its delivery.
                     seg_start = flows[indptr[receivers]]
                     collided &= (flows[:-1] - seg_start) != 0
-        copies = np.where(
-            viable & ~lost & ~rejected & ~collided,
-            1 + extra.astype(np.int64),
-            0,
-        )
-        eff_indices = np.repeat(senders, copies)
-        cumulative = np.concatenate(
-            (np.zeros(1, dtype=np.int64), np.cumsum(copies, dtype=np.int64))
-        )
-        eff_indptr = cumulative[indptr]
+                keep = ~collided if keep is None else keep & ~collided
+        if extra is None and keep is None:
+            # Nothing removed or repeated: the canonical CSR is the
+            # effective one (read-only; no engine writes into it).
+            eff_indices, eff_indptr, eff_receivers = senders, indptr, receivers
+        else:
+            if extra is None:
+                eff_indices = senders[keep]
+                eff_receivers = receivers[keep]
+                copies = keep
+            else:
+                copies = 1 + extra.astype(np.int64)
+                if keep is not None:
+                    copies[~keep] = 0
+                eff_indices = np.repeat(senders, copies)
+                eff_receivers = np.repeat(receivers, copies)
+            cumulative = np.zeros(edges + 1, dtype=np.int64)
+            np.cumsum(copies, out=cumulative[1:])
+            eff_indptr = cumulative[indptr]
         self._senders = senders
         self._lost = lost
         self._extra = extra
@@ -1164,7 +1171,7 @@ class RoundFaultPlan:
         self._rejected = rejected
         self._byz_edge = byz_edge
         self._collided = collided
-        self.receivers = np.repeat(receivers, copies)
+        self.receivers = eff_receivers
         return eff_indices, eff_indptr
 
     @property
@@ -1185,22 +1192,42 @@ class RoundFaultPlan:
         """
         if self._senders is None:
             raise RuntimeError("bind_edges must run before account")
-        live = sending[self._senders] & self._viable
-        dropped = int(np.count_nonzero(self._lost & live))
-        surviving = ~self._lost & live
-        delivered = surviving & ~self._collided
-        duplicated = int(np.count_nonzero(self._extra & delivered))
-        copies = 1 + self._extra.astype(np.int64)
-        corrupted = int(copies[delivered & self._byz_edge].sum())
-        discarded = int(copies[delivered & self._rejected].sum())
-        collided = int(copies[surviving & self._collided].sum())
+        lost, extra, collided = self._lost, self._extra, self._collided
+        live = sending[self._senders]
+        if self._viable is not None:
+            live &= self._viable
+        surviving = live
+        dropped = 0
+        if lost is not None:
+            dropped = int(np.count_nonzero(lost & live))
+            surviving = live & ~lost
+        delivered = surviving
+        collided_copies = 0
+        if collided is not None:
+            delivered = surviving & ~collided
+            collided_copies = self._copies(surviving & collided)
+        duplicated = 0
+        if extra is not None:
+            duplicated = int(np.count_nonzero(extra & delivered))
+        corrupted = discarded = 0
+        if self._byz_edge is not None:
+            corrupted = self._copies(delivered & self._byz_edge)
+        if self._rejected is not None:
+            discarded = self._copies(delivered & self._rejected)
         return RoundFaultStats(
             dropped=dropped,
             duplicated=duplicated,
             corrupted=corrupted,
             discarded=discarded,
-            collided=collided,
+            collided=collided_copies,
         )
+
+    def _copies(self, edges: np.ndarray) -> int:
+        """Copies carried by the marked edges: two for a duplicated one."""
+        count = int(np.count_nonzero(edges))
+        if self._extra is not None:
+            count += int(np.count_nonzero(edges & self._extra))
+        return count
 
 
 def crash_schedule_from_churn(
