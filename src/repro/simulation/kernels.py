@@ -150,7 +150,13 @@ def _select_lowest_bits(
     return selection, sizes
 
 
-def _neighbor_or(send: np.ndarray, indices: np.ndarray, indptr: np.ndarray) -> np.ndarray:
+def _neighbor_or(
+    send: np.ndarray,
+    indices: np.ndarray,
+    indptr: np.ndarray,
+    *,
+    full_segments: bool = False,
+) -> np.ndarray:
     """Per-node OR of the neighbours' packed send rows (the propagation step).
 
     One gather plus one ``reduceat``.  A validated (connected, n >= 2)
@@ -161,10 +167,13 @@ def _neighbor_or(send: np.ndarray, indices: np.ndarray, indptr: np.ndarray) -> n
     ``indices.size``) reduce over the pad — clamping the start instead
     would truncate the preceding segment and drop its last neighbour.
     Interior empty segments (``reduceat`` returns the single element at
-    the start, a real row) are zeroed explicitly.
+    the start, a real row) are zeroed explicitly.  A caller that knows no
+    segment is empty (``full_segments``) skips both guards.
     """
     if indices.size == 0:
         return np.zeros_like(send)
+    if full_segments:
+        return np.bitwise_or.reduceat(send[indices], indptr[:-1], axis=0)
     rows = np.concatenate(
         (send[indices], np.zeros((1, send.shape[1]), dtype=send.dtype))
     )
@@ -632,6 +641,13 @@ class TokenForwardingKernel(RoundKernel):
         self._active = np.zeros(self.n, dtype=bool)
         self._send = np.zeros_like(self.known)
         self._dirty = np.ones(self.n, dtype=bool)
+        self._canonical_indptr: np.ndarray | None = None
+
+    def on_topology(self, round_index, topology):
+        # A validated round topology is connected, so its canonical CSR
+        # has no empty segment; only a fault edit hands deliver_all
+        # different arrays, and those may have some.
+        self._canonical_indptr = topology.csr_adjacency()[1]
 
     def compose_all(self, round_index):
         rows = np.flatnonzero(self._dirty)
@@ -653,7 +669,10 @@ class TokenForwardingKernel(RoundKernel):
         )
 
     def deliver_all(self, round_index, indices, indptr, active, counts):
-        inbox = _neighbor_or(self._send, indices, indptr)
+        inbox = _neighbor_or(
+            self._send, indices, indptr,
+            full_segments=indptr is self._canonical_indptr,
+        )
         new = self.known | inbox
         changed = (new != self.known).any(axis=1)
         self.known = new

@@ -46,6 +46,7 @@ from repro.network import (
     PartitionModel,
     SpanGuard,
     TargetedCrashStrategy,
+    complete_topology,
     crash_schedule_from_churn,
     random_connected_topology,
 )
@@ -426,6 +427,34 @@ class TestTrailingEmptySegmentRegressions:
         )
         kernel = _assert_identical(results)
         assert kernel.metrics.survivors == n - 1
+
+    def test_faulted_round_empties_interior_and_trailing_segments(self):
+        # Node 2 (interior) and the top uid (trailing) are down: the fault
+        # edit empties both their segments, and the OR must zero them and
+        # keep every other segment whole.
+        n = 6
+        indices, indptr = complete_topology(n).csr_adjacency()
+        plan = FaultModel(crashes=((2, 0), (n - 1, 0))).bind(
+            n, np.random.default_rng(0)
+        ).begin_round(0)
+        eff_indices, eff_indptr = plan.bind_edges(indices, indptr)
+        assert np.diff(eff_indptr).tolist() == [3, 3, 0, 3, 3, 0]
+        send = (np.uint64(1) << np.arange(n, dtype=np.uint64)).reshape(n, 1)
+        alive = 0b011011
+        expected = [[0] if u in (2, n - 1) else [alive & ~(1 << u)] for u in range(n)]
+        assert _neighbor_or(send, eff_indices, eff_indptr).tolist() == expected
+
+    def test_parity_with_interior_and_top_uid_crashed(self):
+        # Every round's effective CSR has an empty interior segment and an
+        # empty trailing one; the kernel must take its guarded OR for them.
+        n, k = 12, 10
+        config = make_config(n=n, k=k)
+        results = _run_all_engines(
+            TokenForwardingNode, config, "edge_markov",
+            FaultModel(crashes=((5, 0), (n - 1, 0))), max_rounds=8 * n,
+        )
+        kernel = _assert_identical(results)
+        assert kernel.metrics.survivors == n - 2
 
 
 class TestSurvivorRate:
