@@ -149,7 +149,7 @@ def _lookup(n, edges, pairs):
 
 
 class TestEdgePositionsLookup:
-    @settings(deadline=None, max_examples=200)
+    @settings(deadline=None, max_examples=100)
     @given(graph=_graphs(), data=st.data())
     def test_random_edge_subsets_match_isin(self, graph, data):
         n, edges, _ = graph

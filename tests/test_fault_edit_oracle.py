@@ -189,13 +189,13 @@ def _assert_matches(plan, effective, reference, active):
     } == expected
 
 
-@settings(deadline=None, max_examples=300)
+@settings(deadline=None, max_examples=200)
 @given(case=rounds())
 def test_edit_and_account_match_the_per_edge_reference(case):
     _assert_matches(*_plan_and_reference(case))
 
 
-@settings(deadline=None, max_examples=100)
+@settings(deadline=None, max_examples=60)
 @given(case=rounds(), pass_receivers=st.booleans())
 def test_edit_without_a_strategy_matches_the_per_edge_reference(case, pass_receivers):
     _assert_matches(
