@@ -45,3 +45,29 @@ def nx_graph(topology) -> nx.Graph:
     graph.add_nodes_from(topology.nodes)
     graph.add_edges_from(topology.edges)
     return graph
+
+
+class RecordingAdversary:
+    """Wraps an adversary and keeps every topology it chooses.
+
+    ``reset()`` (called by ``run_dissemination`` before round 0) rewinds
+    the inner adversary and starts a new record, so a reused wrapper holds
+    the last run's topologies.
+    """
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.topologies: list = []
+
+    @property
+    def sees_messages(self) -> bool:
+        return self.inner.sees_messages
+
+    def reset(self) -> None:
+        self.inner.reset()
+        self.topologies = []
+
+    def choose_topology(self, round_index, n, states, messages=None):
+        topology = self.inner.choose_topology(round_index, n, states, messages)
+        self.topologies.append(topology)
+        return topology

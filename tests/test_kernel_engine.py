@@ -44,7 +44,7 @@ from repro.simulation.kernels import (
     IndexedBroadcastKernel,
     TokenForwardingKernel,
 )
-from tests.conftest import make_config
+from tests.conftest import RecordingAdversary, make_config
 
 
 def _run(factory, config, adversary, *, engine, seed=3, **kwargs):
@@ -100,19 +100,17 @@ class TestKernelEquivalence:
 
     def test_recorded_topologies_match_mask_engine(self):
         config = make_config(10)
-        runs = {
-            engine: _run(
-                TokenForwardingNode,
-                config,
-                TStableAdversary(PathShuffleAdversary(seed=4), 3),
-                engine=engine,
-                record_topologies=True,
+        recorded = {}
+        for engine in ("kernel", "mask"):
+            adversary = RecordingAdversary(TStableAdversary(PathShuffleAdversary(seed=4), 3))
+            result = _run(
+                TokenForwardingNode, config, adversary, engine=engine, record_topologies=True
             )
-            for engine in ("kernel", "mask")
-        }
-        kernel, mask = runs["kernel"], runs["mask"]
-        assert len(kernel.topologies) == len(mask.topologies)
-        for kernel_topology, mask_topology in zip(kernel.topologies, mask.topologies):
+            assert adversary.topologies == result.topologies
+            recorded[engine] = adversary.topologies
+        kernel, mask = recorded["kernel"], recorded["mask"]
+        assert len(kernel) == len(mask)
+        for kernel_topology, mask_topology in zip(kernel, mask):
             assert isinstance(kernel_topology, Topology)
             assert kernel_topology == mask_topology
 

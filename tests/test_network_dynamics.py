@@ -33,7 +33,7 @@ from repro.network import (
 from repro.network.dynamics import SCHEDULE_BATCH_ROUNDS
 from repro.network.stability import is_t_interval_connected, max_interval_connectivity
 from repro.simulation import run_dissemination, standard_instance
-from tests.conftest import make_config
+from tests.conftest import RecordingAdversary, make_config
 
 
 def _processes(n: int, seed: int):
@@ -279,13 +279,16 @@ class TestScheduleAdversary:
         n = 12
         config = make_config(n)
         placement = standard_instance(n, n, 8, seed=0)
-        adversary = ScheduleAdversary(
-            TIntervalEnforcer(EdgeMarkovProcess(n, p_birth=0.05, p_death=0.3, seed=3), 3)
+        adversary = RecordingAdversary(
+            ScheduleAdversary(
+                TIntervalEnforcer(EdgeMarkovProcess(n, p_birth=0.05, p_death=0.3, seed=3), 3)
+            )
         )
         # The adversary is reused across runs (run_dissemination resets
         # it); the second kernel run pins the replay after reset.
-        kernel, mask, replay = (
-            run_dissemination(
+        results, edges = [], []
+        for engine in ("kernel", "mask", "kernel"):
+            result = run_dissemination(
                 TokenForwardingNode,
                 config,
                 placement,
@@ -294,13 +297,11 @@ class TestScheduleAdversary:
                 engine=engine,
                 record_topologies=True,
             )
-            for engine in ("kernel", "mask", "kernel")
-        )
+            assert adversary.topologies == result.topologies
+            results.append(result)
+            edges.append([{frozenset(e) for e in t.edges} for t in adversary.topologies])
+        kernel, mask, replay = results
         assert kernel.engine == "kernel" and kernel.completed and kernel.correct
         assert dataclasses.asdict(kernel.metrics) == dataclasses.asdict(mask.metrics)
         assert dataclasses.asdict(kernel.metrics) == dataclasses.asdict(replay.metrics)
-        edges = [
-            [{frozenset(e) for e in t.edges} for t in result.topologies]
-            for result in (kernel, mask, replay)
-        ]
         assert edges[0] == edges[1] == edges[2]

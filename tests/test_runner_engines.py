@@ -44,7 +44,7 @@ from repro.scenarios import fault_model_for, make_scenario
 from repro.simulation import run_dissemination, standard_instance
 from repro.simulation import runner
 from repro.simulation.runner import ObjectKernel, build_nodes
-from tests.conftest import make_config, nx_graph
+from tests.conftest import RecordingAdversary, make_config, nx_graph
 
 
 def _run(factory, config, adversary, *, engine, seed=3, **kwargs):
@@ -90,22 +90,21 @@ class TestEngineEquivalence:
 
     def test_recorded_topologies_match_across_engines(self):
         config = make_config(10)
-        kernel, mask = (
-            _run(
-                TokenForwardingNode,
-                config,
-                TStableAdversary(PathShuffleAdversary(seed=4), 3),
-                engine=engine,
-                record_topologies=True,
+        recorded = {}
+        for engine in ("kernel", "mask"):
+            adversary = RecordingAdversary(TStableAdversary(PathShuffleAdversary(seed=4), 3))
+            result = _run(
+                TokenForwardingNode, config, adversary, engine=engine, record_topologies=True
             )
-            for engine in ("kernel", "mask")
-        )
-        assert len(kernel.topologies) == len(mask.topologies)
-        for kernel_topology, mask_topology in zip(kernel.topologies, mask.topologies):
+            assert adversary.topologies == result.topologies
+            recorded[engine] = adversary.topologies
+        kernel, mask = recorded["kernel"], recorded["mask"]
+        assert len(kernel) == len(mask)
+        for kernel_topology, mask_topology in zip(kernel, mask):
             assert isinstance(kernel_topology, Topology)
             assert isinstance(mask_topology, Topology)
             assert kernel_topology.edges == mask_topology.edges
-        assert is_t_stable(mask.topologies, 3)
+        assert is_t_stable(mask, 3)
 
 
 class NetworkxAdversary(BottleneckAdversary):
@@ -274,15 +273,13 @@ class NeverAskedAdversary(BottleneckAdversary):
 class TestEngineSelection:
     def test_auto_prefers_mask_engine(self):
         config = make_config(8)
+        adversary = RecordingAdversary(BottleneckAdversary())
         result = _run(
-            TokenForwardingNode,
-            config,
-            BottleneckAdversary(),
-            engine="auto",
-            record_topologies=True,
+            TokenForwardingNode, config, adversary, engine="auto", record_topologies=True
         )
         assert result.completed
-        assert all(isinstance(t, Topology) for t in result.topologies)
+        assert adversary.topologies == result.topologies
+        assert all(isinstance(t, Topology) for t in adversary.topologies)
 
     @pytest.mark.parametrize("engine", ["auto", "mask", "kernel"])
     def test_every_engine_rejects_opaque_protocols(self, engine):

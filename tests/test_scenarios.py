@@ -15,18 +15,27 @@ import pytest
 
 from repro.algorithms import TokenForwardingNode
 from repro.network import (
+    BottleneckAdversary,
     ObliviousSequenceAdversary,
     OmniscientBottleneckAdversary,
+    PathShuffleAdversary,
+    RandomConnectedAdversary,
+    RandomTreeAdversary,
+    RotatingStarAdversary,
+    ShiftedRingAdversary,
+    StaticAdversary,
     TokenIsolationAdversary,
     Topology,
-    make_adversary,
+    TStableAdversary,
+    complete_topology,
+    path_topology,
     ring_topology,
     shifted_ring_topology,
+    star_topology,
 )
-from repro.network.adversary import _ADVERSARY_FACTORIES
 from repro.scenarios import SCENARIOS, Scenario, list_scenarios, make_scenario, register_scenario, scenario_for
 from repro.simulation import run_dissemination, standard_instance
-from tests.conftest import make_config
+from tests.conftest import RecordingAdversary, make_config
 
 N = 12
 
@@ -75,13 +84,19 @@ def _target_token_id():
 
 
 def _hand_written_adversaries():
-    cases = [
-        pytest.param(lambda: make_adversary(name, seed=4), id=name)
-        for name in sorted(_ADVERSARY_FACTORIES)
-    ]
-    cases += [
+    return [
+        pytest.param(lambda: BottleneckAdversary(), id="bottleneck"),
+        pytest.param(lambda: PathShuffleAdversary(seed=4), id="path_shuffle"),
+        pytest.param(lambda: RandomConnectedAdversary(seed=4), id="random_connected"),
+        pytest.param(lambda: RandomTreeAdversary(seed=4), id="random_tree"),
+        pytest.param(lambda: RotatingStarAdversary(), id="rotating_star"),
+        pytest.param(lambda: ShiftedRingAdversary(), id="shifted_ring"),
+        pytest.param(lambda: StaticAdversary(complete_topology), id="static_complete"),
+        pytest.param(lambda: StaticAdversary(path_topology), id="static_path"),
+        pytest.param(lambda: StaticAdversary(ring_topology), id="static_ring"),
+        pytest.param(lambda: StaticAdversary(star_topology), id="static_star"),
         pytest.param(
-            lambda: make_adversary("random_connected", seed=4, stability=3),
+            lambda: TStableAdversary(RandomConnectedAdversary(seed=4), 3),
             id="tstable-random-connected",
         ),
         pytest.param(
@@ -95,7 +110,6 @@ def _hand_written_adversaries():
             id="oblivious-sequence",
         ),
     ]
-    return cases
 
 
 def _scenario_adversaries():
@@ -105,8 +119,8 @@ def _scenario_adversaries():
     ]
 
 
-def _edge_sequence(result) -> list[set[frozenset]]:
-    return [{frozenset(edge) for edge in graph.edges} for graph in result.topologies]
+def _edge_sequence(topologies) -> list[set[frozenset]]:
+    return [{frozenset(edge) for edge in graph.edges} for graph in topologies]
 
 
 @pytest.mark.parametrize(
@@ -117,7 +131,7 @@ def test_adversary_replays_identical_sequence_across_resets_and_engines(
 ):
     config = make_config(N)
     placement = standard_instance(N, N, 8, seed=0)
-    adversary = adversary_factory()
+    adversary = RecordingAdversary(adversary_factory())
     engines = ["kernel", "mask"]
 
     sequences = {}
@@ -133,7 +147,8 @@ def test_adversary_replays_identical_sequence_across_resets_and_engines(
         )
         assert result.engine == engine
         assert result.completed and result.correct
-        sequences[engine] = _edge_sequence(result)
+        assert adversary.topologies == result.topologies
+        sequences[engine] = _edge_sequence(adversary.topologies)
 
     # A second run on the first engine pins reset() replay directly.
     replay = run_dissemination(
@@ -145,7 +160,8 @@ def test_adversary_replays_identical_sequence_across_resets_and_engines(
         engine=engines[0],
         record_topologies=True,
     )
-    assert _edge_sequence(replay) == sequences[engines[0]]
+    assert adversary.topologies == replay.topologies
+    assert _edge_sequence(adversary.topologies) == sequences[engines[0]]
 
     reference = sequences[engines[0]]
     for engine in engines[1:]:

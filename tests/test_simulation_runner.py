@@ -32,7 +32,7 @@ from repro.tokens import (
     TokenForwardMessage,
     one_token_per_node,
 )
-from tests.conftest import make_config
+from tests.conftest import RecordingAdversary, make_config
 
 
 class SilentNode(ProtocolNode):
@@ -121,12 +121,15 @@ class TestRunner:
     def test_record_topologies_and_stability(self, rng):
         config = make_config(8, stability=3)
         placement = one_token_per_node(8, 8, rng)
-        adversary = TStableAdversary(RandomConnectedAdversary(seed=2), stability=3)
+        adversary = RecordingAdversary(
+            TStableAdversary(RandomConnectedAdversary(seed=2), stability=3)
+        )
         result = run_dissemination(
             TokenForwardingNode, config, placement, adversary, record_topologies=True
         )
-        assert result.topologies
-        assert is_t_stable(result.topologies, 3)
+        assert adversary.topologies == result.topologies
+        assert adversary.topologies
+        assert is_t_stable(adversary.topologies, 3)
 
     def test_track_progress(self, rng):
         config = make_config(8)
