@@ -64,7 +64,6 @@ from .network import (
     StaticAdversary,
     TokenIsolationAdversary,
     TStableAdversary,
-    make_adversary,
 )
 from .simulation import (
     Measurement,
@@ -129,7 +128,6 @@ __all__ = [
     "fit_power_law",
     "format_table",
     "get_field",
-    "make_adversary",
     "make_tokens",
     "make_tstable_factory",
     "measure",

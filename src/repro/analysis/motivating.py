@@ -7,8 +7,7 @@ rounds, but a single XOR of all tokens lets ``B`` reconstruct the missing
 token in one round.
 
 These tiny functions make that comparison executable (and exactly
-quantifiable) so benchmark E12 can print the paper's motivating table, and
-the same machinery doubles as a correctness check of the GF(2) coding path.
+quantifiable) so benchmark E12 can print the paper's motivating table.
 """
 
 from __future__ import annotations
@@ -23,7 +22,6 @@ __all__ = [
     "forwarding_rounds_expected_random",
     "xor_rounds",
     "simulate_random_forwarding",
-    "recover_missing_token_via_xor",
     "compare_end_phase",
 ]
 
@@ -53,15 +51,6 @@ def simulate_random_forwarding(k: int, rng: np.random.Generator) -> int:
         if int(sent) == missing:
             return round_index
     raise AssertionError("unreachable: the permutation covers every index")
-
-
-def recover_missing_token_via_xor(tokens: list[int], known_indices: set[int], xor_of_all: int) -> int:
-    """B's decoding step: XOR of everything it knows against the received XOR."""
-    acc = xor_of_all
-    for index, token in enumerate(tokens):
-        if index in known_indices:
-            acc ^= token
-    return acc
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Network-coding core: generations, subspaces, packet cost model, derandomization.
+"""Network-coding core: generations, subspaces, derandomization.
 
 Over GF(2) — the paper's "replace linear combinations by XORs" — the whole
 layer is *mask-native*: a coded vector is one Python integer bit mask from
@@ -18,31 +18,17 @@ from .deterministic import (
     witness_count_log2,
     witness_description_bits,
 )
-from .packet import (
-    GenerationPlan,
-    coded_message_bits,
-    coded_payload_bits,
-    coding_header_bits,
-    max_dimensions_for_budget,
-    plan_generation,
-)
 from .rlnc import Generation, GenerationState
 from .subspace import Subspace
 
 __all__ = [
     "DeterministicSchedule",
     "Generation",
-    "GenerationPlan",
     "GenerationState",
     "Subspace",
-    "coded_message_bits",
-    "coded_payload_bits",
-    "coding_header_bits",
     "deterministic_header_bits",
     "failure_probability_log2",
-    "max_dimensions_for_budget",
     "omniscient_field_order",
-    "plan_generation",
     "union_bound_holds",
     "union_bound_margin_log2",
     "witness_count_log2",

@@ -34,8 +34,6 @@ import hashlib
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from ..gf import GF, get_field, smallest_prime_at_least
 
 __all__ = [
@@ -148,16 +146,3 @@ class DeterministicSchedule:
     def coefficients(self, uid: int, round_index: int, count: int) -> list[int]:
         """The committed coefficient row for a node in a given round."""
         return [self.coefficient(uid, round_index, slot) for slot in range(count)]
-
-    def as_matrix(self, uids: int, rounds: int, slots: int) -> np.ndarray:
-        """Materialise the schedule as an explicit (uids x rounds x slots) array.
-
-        Only sensible for small instances (tests, verification); the
-        deterministic protocol itself queries coefficients lazily.
-        """
-        out = np.zeros((uids, rounds, slots), dtype=object)
-        for u in range(uids):
-            for r in range(rounds):
-                for s in range(slots):
-                    out[u, r, s] = self.coefficient(u, r, s)
-        return out

@@ -1,8 +1,10 @@
-"""Finite-field linear algebra substrate.
+"""Finite-field arithmetic substrate.
 
-Everything the network-coding layer needs: prime fields ``GF(q)``, vector
-packing of bit payloads, Gaussian elimination / rank / solving, and a
-bit-packed GF(2) fast path for the common XOR case.
+Everything the network-coding layer needs: prime fields ``GF(q)``, the
+integer <-> field-vector packing of token payloads, and the bit-packed
+GF(2) bases — one per node (:class:`GF2Basis`) and batched over the whole
+network (:class:`GF2BasisBatch`) — for the common XOR case.  Elimination
+over a general field lives in :class:`repro.coding.Subspace`.
 """
 
 from .field import (
@@ -15,69 +17,24 @@ from .field import (
     smallest_prime_at_least,
 )
 from .gf2 import GF2Basis, pack_bits, unpack_bits
-from .packed import GF2BasisBatch, masks_to_packed, packed_to_mask, packed_to_masks
-from .matrix import (
-    RrefResult,
-    identity,
-    inverse,
-    is_invertible,
-    null_space_basis,
-    random_invertible_matrix,
-    random_matrix,
-    rank,
-    row_space_basis,
-    rref,
-    solve,
-    vandermonde,
-)
-from .vectors import (
-    bits_to_vector,
-    concat_vectors,
-    int_to_vector,
-    is_zero_vector,
-    linear_combination,
-    symbols_needed,
-    unit_vector,
-    vector_to_bits,
-    vector_to_int,
-    vectors_equal,
-)
+from .packed import GF2BasisBatch, masks_to_packed, packed_to_masks
+from .vectors import int_to_vector, symbols_needed, vector_to_int
 
 __all__ = [
     "GF",
     "GF2",
     "GF2Basis",
     "GF2BasisBatch",
-    "RrefResult",
-    "bits_to_vector",
-    "concat_vectors",
     "field_bits",
     "get_field",
-    "identity",
     "int_to_vector",
-    "inverse",
-    "is_invertible",
     "is_prime",
-    "is_zero_vector",
-    "linear_combination",
     "masks_to_packed",
     "next_prime",
-    "null_space_basis",
     "pack_bits",
-    "packed_to_mask",
     "packed_to_masks",
-    "random_invertible_matrix",
-    "random_matrix",
-    "rank",
-    "row_space_basis",
-    "rref",
     "smallest_prime_at_least",
-    "solve",
     "symbols_needed",
-    "unit_vector",
     "unpack_bits",
-    "vandermonde",
-    "vector_to_bits",
     "vector_to_int",
-    "vectors_equal",
 ]

@@ -205,10 +205,6 @@ class GF:
         # Fermat's little theorem: a^(q-2) = a^-1 for prime q.
         return pow(a, self.q - 2, self.q)
 
-    def div(self, a: int, b: int) -> int:
-        """Field division ``a / b``."""
-        return self.mul(a, self.inv(b))
-
     # ------------------------------------------------------------------
     # array arithmetic
     # ------------------------------------------------------------------
@@ -239,10 +235,6 @@ class GF:
         """Elementwise field subtraction of two arrays."""
         return np.mod(np.subtract(a, b), self.q)
 
-    def mul_arrays(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Elementwise field multiplication of two arrays."""
-        return np.mod(np.multiply(a, b), self.q)
-
     def scale(self, a: np.ndarray, scalar: int) -> np.ndarray:
         """Multiply an array of field elements by a scalar."""
         return np.mod(np.multiply(a, self.normalize(scalar)), self.q)
@@ -268,30 +260,6 @@ class GF:
             return total
         return int(np.mod(np.dot(a, b), self.q))
 
-    def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Matrix product over the field."""
-        a = np.asarray(a)
-        b = np.asarray(b)
-        if self.uses_object_dtype or (
-            max(a.shape[-1], 1) * (self.q - 1) ** 2 >= 2**62
-        ):
-            # Slow exact path for very large fields.
-            a2 = np.atleast_2d(a)
-            b2 = np.atleast_2d(b)
-            rows, inner = a2.shape
-            inner2, cols = b2.shape
-            if inner != inner2:
-                raise ValueError(f"shape mismatch: {a.shape} @ {b.shape}")
-            out = np.empty((rows, cols), dtype=object)
-            for i in range(rows):
-                for j in range(cols):
-                    total = 0
-                    for t in range(inner):
-                        total = (total + int(a2[i, t]) * int(b2[t, j])) % self.q
-                    out[i, j] = total
-            return out
-        return np.mod(a @ b, self.q)
-
     def random_elements(self, rng: np.random.Generator, shape) -> np.ndarray:
         """Uniformly random field elements with the given shape."""
         if self.uses_object_dtype:
@@ -308,17 +276,6 @@ class GF:
             out[:] = values
             return out.reshape(shape)
         return rng.integers(0, self.q, size=shape, dtype=np.int64)
-
-    def random_nonzero(self, rng: np.random.Generator) -> int:
-        """A uniformly random non-zero field element."""
-        if self.q == 2:
-            return 1
-        if self.uses_object_dtype:
-            while True:
-                value = int(self.random_elements(rng, ()))
-                if value != 0:
-                    return value
-        return int(rng.integers(1, self.q))
 
     # ------------------------------------------------------------------
     # niceties

@@ -276,20 +276,6 @@ class GF2Basis:
             return None
         return [pivots[i] >> k for i in range(k)]
 
-    def reduced_echelon_matrix(self) -> np.ndarray:
-        """Fully reduced (Gauss-Jordan) basis matrix, used for decoding."""
-        masks = self.basis_masks()
-        # Back-substitute so each leading bit appears in exactly one row.
-        for i in range(len(masks)):
-            lead = masks[i].bit_length() - 1
-            for j in range(len(masks)):
-                if i != j and (masks[j] >> lead) & 1:
-                    masks[j] ^= masks[i]
-        out = np.zeros((len(masks), self.length), dtype=np.int64)
-        for i, mask in enumerate(masks):
-            out[i] = unpack_bits(mask, self.length)
-        return out
-
     def copy(self) -> "GF2Basis":
         """An independent copy of this basis."""
         clone = GF2Basis(self.length)

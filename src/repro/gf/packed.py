@@ -44,7 +44,6 @@ __all__ = [
     "GF2BasisBatch",
     "PICK_REFILL_BYTES",
     "masks_to_packed",
-    "packed_to_mask",
     "packed_to_masks",
 ]
 
@@ -119,11 +118,6 @@ def masks_to_packed(masks: Sequence[int], words: int) -> np.ndarray:
     return (
         np.frombuffer(buffer, dtype="<u8").reshape(len(masks), words).copy()
     )
-
-
-def packed_to_mask(row: np.ndarray) -> int:
-    """One packed uint64 row back to a Python integer bit mask."""
-    return int.from_bytes(np.ascontiguousarray(row, dtype="<u8").tobytes(), "little")
 
 
 def packed_to_masks(rows: np.ndarray) -> list[int]:

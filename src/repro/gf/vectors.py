@@ -2,33 +2,21 @@
 
 Tokens are ``d``-bit strings that the coding layer reinterprets as
 ``ceil(d / lg q)``-dimensional vectors over ``F_q`` (Section 5.1).  This
-module provides the bit-string <-> field-vector packing used for that
-reinterpretation, together with small conveniences (unit vectors,
-concatenation, linear combinations) shared by the coding layer.
+module provides the integer <-> field-vector packing used for that
+reinterpretation.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .field import GF, field_bits
+from .field import GF
 
-__all__ = [
-    "symbols_needed",
-    "bits_to_vector",
-    "vector_to_bits",
-    "int_to_vector",
-    "vector_to_int",
-    "unit_vector",
-    "concat_vectors",
-    "linear_combination",
-    "is_zero_vector",
-    "vectors_equal",
-]
+__all__ = ["symbols_needed", "int_to_vector", "vector_to_int"]
 
 
 @lru_cache(maxsize=4096)
@@ -82,86 +70,3 @@ def vector_to_int(field: GF, vector: np.ndarray | Sequence[int]) -> int:
     for symbol in reversed(list(np.asarray(vector).ravel().tolist())):
         total = total * field.q + int(symbol) % field.q
     return total
-
-
-def bits_to_vector(field: GF, payload_bits: int, num_bits: int) -> np.ndarray:
-    """Encode ``num_bits`` bits (given as an int) into field symbols."""
-    length = symbols_needed(num_bits, field.q)
-    if payload_bits >= (1 << num_bits) if num_bits else payload_bits > 0:
-        raise ValueError(
-            f"payload {payload_bits} does not fit into {num_bits} bits"
-        )
-    return int_to_vector(field, payload_bits, length)
-
-
-def vector_to_bits(field: GF, vector: np.ndarray | Sequence[int], num_bits: int) -> int:
-    """Decode field symbols back to the original bit payload.
-
-    The decoded integer is truncated to ``num_bits`` bits, which recovers the
-    exact payload produced by :func:`bits_to_vector`.
-    """
-    value = vector_to_int(field, vector)
-    if num_bits <= 0:
-        return 0
-    return value & ((1 << num_bits) - 1)
-
-
-def unit_vector(field: GF, length: int, index: int) -> np.ndarray:
-    """The ``index``-th standard basis vector ``e_index`` of ``F_q^length``."""
-    if not 0 <= index < length:
-        raise IndexError(f"index {index} out of range for length {length}")
-    out = field.zeros(length)
-    out[index] = 1
-    return out
-
-
-def concat_vectors(field: GF, parts: Iterable[np.ndarray | Sequence[int]]) -> np.ndarray:
-    """Concatenate field vectors (used to glue coefficient header + payload)."""
-    arrays = [field.asarray(p).ravel() for p in parts]
-    if not arrays:
-        return field.zeros(0)
-    return np.concatenate(arrays)
-
-
-def linear_combination(
-    field: GF,
-    coefficients: Sequence[int] | np.ndarray,
-    vectors: Sequence[np.ndarray],
-) -> np.ndarray:
-    """Compute ``sum_i coefficients[i] * vectors[i]`` over the field."""
-    coeffs = list(np.asarray(coefficients).ravel().tolist())
-    vecs = [field.asarray(v).ravel() for v in vectors]
-    if len(coeffs) != len(vecs):
-        raise ValueError(
-            f"got {len(coeffs)} coefficients for {len(vecs)} vectors"
-        )
-    if not vecs:
-        raise ValueError("cannot combine an empty collection of vectors")
-    length = vecs[0].shape[0]
-    for v in vecs:
-        if v.shape[0] != length:
-            raise ValueError("all vectors must have the same length")
-    out = field.zeros(length)
-    for c, v in zip(coeffs, vecs):
-        c = field.normalize(int(c))
-        if c == 0:
-            continue
-        out = field.add_arrays(out, field.scale(v, c))
-    return out
-
-
-def is_zero_vector(vector: np.ndarray | Sequence[int]) -> bool:
-    """True iff every entry of the vector is zero."""
-    arr = np.asarray(vector)
-    if arr.size == 0:
-        return True
-    return all(int(x) == 0 for x in arr.ravel().tolist())
-
-
-def vectors_equal(a: np.ndarray | Sequence[int], b: np.ndarray | Sequence[int]) -> bool:
-    """Exact equality of two field vectors (shape and entries)."""
-    arr_a = np.asarray(a).ravel()
-    arr_b = np.asarray(b).ravel()
-    if arr_a.shape != arr_b.shape:
-        return False
-    return all(int(x) == int(y) for x, y in zip(arr_a.tolist(), arr_b.tolist()))

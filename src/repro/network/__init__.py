@@ -30,7 +30,6 @@ from .adversary import (
     StaticAdversary,
     TokenIsolationAdversary,
     TStableAdversary,
-    make_adversary,
 )
 from .faults import (
     BoundFaults,
@@ -61,11 +60,10 @@ from .dynamics import (
     ScheduleAdversary,
     TIntervalEnforcer,
     pack_dense_adjacency,
-    packed_components,
     packed_is_connected,
     spanning_structure,
 )
-from .mis import MisResult, greedy_mis, is_maximal_independent_set, luby_mis
+from .mis import MisResult, greedy_mis, luby_mis
 from .topology import (
     Topology,
     as_topology,
@@ -117,7 +115,6 @@ __all__ = [
     "ScheduleAdversary",
     "TIntervalEnforcer",
     "pack_dense_adjacency",
-    "packed_components",
     "packed_is_connected",
     "spanning_structure",
     "Topology",
@@ -147,11 +144,9 @@ __all__ = [
     "TokenIsolationAdversary",
     "compute_patches",
     "greedy_mis",
-    "is_maximal_independent_set",
     "is_t_interval_connected",
     "is_t_stable",
     "luby_mis",
-    "make_adversary",
     "max_interval_connectivity",
     "max_stability",
     "power_graph",

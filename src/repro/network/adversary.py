@@ -65,7 +65,6 @@ __all__ = [
     "TokenIsolationAdversary",
     "OmniscientBottleneckAdversary",
     "TStableAdversary",
-    "make_adversary",
 ]
 
 
@@ -418,36 +417,3 @@ class TStableAdversary(Adversary):
         self.inner.reset()
         self._current = None
         self._current_block = -1
-
-
-_ADVERSARY_FACTORIES: dict[str, Callable[..., Adversary]] = {
-    "static_path": lambda **kw: StaticAdversary(path_topology),
-    "static_ring": lambda **kw: StaticAdversary(ring_topology),
-    "static_star": lambda **kw: StaticAdversary(star_topology),
-    "static_complete": lambda **kw: StaticAdversary(complete_topology),
-    "random_connected": lambda seed=0, **kw: RandomConnectedAdversary(seed=seed),
-    "random_tree": lambda seed=0, **kw: RandomTreeAdversary(seed=seed),
-    "rotating_star": lambda **kw: RotatingStarAdversary(),
-    "shifted_ring": lambda **kw: ShiftedRingAdversary(),
-    "path_shuffle": lambda seed=0, **kw: PathShuffleAdversary(seed=seed),
-    "bottleneck": lambda **kw: BottleneckAdversary(),
-}
-
-
-def make_adversary(name: str, *, stability: int = 1, seed: int = 0) -> Adversary:
-    """Construct a named adversary, optionally wrapped for T-stability.
-
-    Recognised names: ``static_path``, ``static_ring``, ``static_star``,
-    ``static_complete``, ``random_connected``, ``random_tree``,
-    ``rotating_star``, ``shifted_ring``, ``path_shuffle``, ``bottleneck``.
-    """
-    try:
-        factory = _ADVERSARY_FACTORIES[name]
-    except KeyError as exc:
-        raise ValueError(
-            f"unknown adversary {name!r}; choose from {sorted(_ADVERSARY_FACTORIES)}"
-        ) from exc
-    adversary = factory(seed=seed)
-    if stability > 1:
-        adversary = TStableAdversary(adversary, stability)
-    return adversary

@@ -67,7 +67,6 @@ __all__ = [
     "ScheduleAdversary",
     "batch_component_labels",
     "pack_dense_adjacency",
-    "packed_components",
     "packed_is_connected",
     "packed_words",
     "spanning_structure",
@@ -112,35 +111,6 @@ def _row_masks(packed: np.ndarray, n: int) -> list[int]:
     ]
 
 
-def packed_components(packed: np.ndarray, n: int) -> list[int]:
-    """Connected components of a packed adjacency matrix, as int bitmasks.
-
-    Mask BFS (the word-parallel frontier expansion of
-    :meth:`Topology.is_connected`), one component per unvisited seed;
-    components come back ordered by their lowest member.
-    """
-    masks = _row_masks(packed, n)
-    full = (1 << n) - 1
-    seen = 0
-    components: list[int] = []
-    while seen != full:
-        remaining = ~seen & full
-        reached = remaining & -remaining
-        frontier = reached
-        while frontier:
-            grown = 0
-            m = frontier
-            while m:
-                lsb = m & -m
-                grown |= masks[lsb.bit_length() - 1]
-                m ^= lsb
-            frontier = grown & ~reached
-            reached |= frontier
-        components.append(reached)
-        seen |= reached
-    return components
-
-
 def packed_is_connected(packed: np.ndarray, n: int) -> bool:
     """Connectivity of a packed adjacency matrix via one mask BFS."""
     if n <= 1:
@@ -169,8 +139,8 @@ def batch_component_labels(edges: np.ndarray, rounds: int, n: int) -> np.ndarray
     :func:`~repro.network.topology.unpack_adjacency`.  Returns a
     ``(rounds, n)`` ``int64`` array holding, for each node, the lowest
     member of its component in that round — so the component
-    representatives of :func:`packed_components` are exactly the nodes
-    labelled with themselves, in ascending order.
+    representatives are exactly the nodes labelled with themselves, in
+    ascending order.
 
     Nodes are numbered globally as ``r * n + u`` and the whole batch is
     labelled at once by hooking and pointer jumping: each pass hooks the
@@ -311,15 +281,6 @@ class DynamicsProcess(abc.ABC):
         """
         batch = self.next_batch(rounds)
         return batch, np.flatnonzero(unpack_adjacency(batch, self.n))
-
-    def rounds_remaining(self) -> int | None:
-        """Rounds left before the schedule is exhausted (None = unbounded).
-
-        Consumers that pull in fixed-size batches (:class:`ScheduleAdversary`)
-        clamp their requests to this, so a finite recorded schedule can drive
-        a shorter run without tripping its own exhaustion error.
-        """
-        return None
 
     def topologies(self, rounds: int) -> list[Topology]:
         """Materialise the next ``rounds`` rounds as :class:`Topology` objects.
@@ -573,9 +534,6 @@ class ChurnProcess(DynamicsProcess):
         self._active = np.ones(self.n, dtype=bool)
         self.activity_history = []
 
-    def rounds_remaining(self) -> int | None:
-        return self.inner.rounds_remaining()
-
     def next_batch(self, rounds: int) -> np.ndarray:
         batch = self.inner.next_batch(rounds)
         active = self._active
@@ -686,14 +644,14 @@ class DegreeBoundedRewiringProcess(DynamicsProcess):
 
 
 class PrecomputedSchedule(DynamicsProcess):
-    """Replay a recorded packed schedule (cycling once it is exhausted).
+    """Replay a recorded packed schedule, cycling once it is exhausted.
 
     ``connected`` certifies every recorded round is a legal connected
     topology — set it only for schedules that came out of a transformer or
     validated :class:`Topology` objects.
     """
 
-    def __init__(self, packed: np.ndarray, *, cycle: bool = True, connected: bool = False):
+    def __init__(self, packed: np.ndarray, *, connected: bool = False):
         if packed.ndim != 3 or packed.dtype != np.uint64 or packed.shape[0] == 0:
             raise ValueError(
                 "need a non-empty (rounds, n, words) uint64 schedule, got "
@@ -706,39 +664,26 @@ class PrecomputedSchedule(DynamicsProcess):
                 f"packed schedule rows must be {self.words} words wide, got {packed.shape[2]}"
             )
         self._schedule = np.ascontiguousarray(packed).copy()
-        self._cycle = bool(cycle)
         self.guarantees_connected = bool(connected)
         self.reset()
 
     @classmethod
-    def from_topologies(
-        cls, topologies: Sequence[Topology], *, cycle: bool = True
-    ) -> "PrecomputedSchedule":
-        """Build a replayable schedule from recorded :class:`Topology` objects
-        (e.g. a ``RunResult.topologies`` trace), validating each round."""
+    def from_topologies(cls, topologies: Sequence[Topology]) -> "PrecomputedSchedule":
+        """Build a replayable schedule from :class:`Topology` objects,
+        validating each round."""
         if not topologies:
             raise ValueError("need at least one topology")
         n = topologies[0].n
         for topology in topologies:
             topology.validate(n)
         packed = np.stack([t.packed_adjacency() for t in topologies])
-        return cls(packed, cycle=cycle, connected=True)
+        return cls(packed, connected=True)
 
     def reset(self) -> None:
         self._position = 0
 
-    def rounds_remaining(self) -> int | None:
-        if self._cycle:
-            return None
-        return max(0, self._schedule.shape[0] - self._position)
-
     def next_batch(self, rounds: int) -> np.ndarray:
         total = self._schedule.shape[0]
-        if not self._cycle and self._position + rounds > total:
-            raise ValueError(
-                f"non-cycling schedule of {total} rounds exhausted at round "
-                f"{self._position} (requested {rounds} more)"
-            )
         indices = (self._position + np.arange(rounds)) % total
         self._position += rounds
         return self._schedule[indices].copy()
@@ -776,9 +721,6 @@ class ConnectivityPatcher(DynamicsProcess):
 
     def reset(self) -> None:
         self.inner.reset()
-
-    def rounds_remaining(self) -> int | None:
-        return self.inner.rounds_remaining()
 
     def next_batch(self, rounds: int) -> np.ndarray:
         return self.next_batch_with_edges(rounds)[0]
@@ -839,13 +781,6 @@ class TIntervalEnforcer(DynamicsProcess):
         self._previous_structure: np.ndarray | None = None
         self._block: np.ndarray | None = None
         self._offset = 0
-
-    def rounds_remaining(self) -> int | None:
-        inner = self.inner.rounds_remaining()
-        if inner is None:
-            return None
-        buffered = 0 if self._block is None else self._block.shape[0] - self._offset
-        return buffered + (inner // self.interval) * self.interval
 
     def _next_block(self) -> np.ndarray:
         block = self.inner.next_batch(self.interval)
@@ -926,15 +861,7 @@ class ScheduleAdversary(Adversary):
 
     def _next_topology(self) -> Topology:
         if self._offset == len(self._batch):
-            pull = SCHEDULE_BATCH_ROUNDS
-            remaining = self.process.rounds_remaining()
-            if remaining is not None:
-                # Clamp to what a finite schedule still holds, so a short
-                # non-cycling recording can drive an even shorter run; a
-                # request past true exhaustion (pull stays >= 1) surfaces the
-                # process's own descriptive error.
-                pull = max(1, min(pull, remaining))
-            self._batch = self.process.topologies(pull)
+            self._batch = self.process.topologies(SCHEDULE_BATCH_ROUNDS)
             self._offset = 0
         topology = self._batch[self._offset]
         self._offset += 1

@@ -1041,10 +1041,10 @@ class RoundFaultPlan:
         self,
         indices: np.ndarray,
         indptr: np.ndarray,
-        active: np.ndarray | None = None,
-        state: StateView | None = None,
         *,
-        receivers: np.ndarray | None = None,
+        active: np.ndarray,
+        receivers: np.ndarray,
+        state: StateView | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Draw per-edge faults over the canonical CSR; return the effective CSR.
 
@@ -1071,17 +1071,14 @@ class RoundFaultPlan:
         senders as occupying air.  ``state`` is the read-only
         :class:`StateView` a ``wants_state`` strategy requires.
         ``receivers`` is the canonical CSR's
-        :meth:`~repro.network.topology.Topology.csr_receivers` (derived
-        from ``indptr`` when not given); the effective CSR's receivers are
-        left in :attr:`receivers`.
+        :meth:`~repro.network.topology.Topology.csr_receivers`; the
+        effective CSR's receivers are left in :attr:`receivers`.
         """
         model = self.bound.model
         rng = self.bound.rng
         n = self.bound.n
         edges = indices.size
         senders = indices
-        if receivers is None:
-            receivers = np.repeat(np.arange(n), np.diff(indptr))
         # A per-edge mask exists only for an axis that is on this round;
         # None stands for "no edge" (for ``viable``, "every edge").
         lost = rng.random(edges) < model.loss if model.loss > 0.0 else None
@@ -1131,7 +1128,7 @@ class RoundFaultPlan:
             # every per-edge draw; the endpoints consume no randomness.
             collide_round = p >= 1.0 or (p > 0.0 and bool(rng.random() < p))
             if collide_round and edges:
-                transmitting = ~down if active is None else (active & ~down)
+                transmitting = active & ~down
                 delivering = transmitting[senders]
                 if keep is not None:
                     delivering &= keep

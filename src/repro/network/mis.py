@@ -17,8 +17,7 @@ practice the power graph from :func:`repro.network.patches.power_graph`):
 * :func:`greedy_mis` — a deterministic MIS by lowest-identifier greedy,
   substituted for the Panconesi–Srinivasan algorithm: only the MIS
   *output* affects dissemination correctness, and the deterministic
-  running time is accounted symbolically in ``analysis.bounds``;
-* :func:`is_maximal_independent_set` — verification helper used by tests.
+  running time is accounted symbolically in ``analysis.bounds``.
 """
 
 from __future__ import annotations
@@ -29,12 +28,7 @@ import numpy as np
 
 from .topology import Topology
 
-__all__ = [
-    "MisResult",
-    "luby_mis",
-    "greedy_mis",
-    "is_maximal_independent_set",
-]
+__all__ = ["MisResult", "luby_mis", "greedy_mis"]
 
 
 @dataclass(frozen=True)
@@ -53,19 +47,6 @@ class MisResult:
 
     members: frozenset
     rounds: int
-
-
-def is_maximal_independent_set(topology: Topology, candidate: set | frozenset) -> bool:
-    """Check independence and maximality of ``candidate`` in ``topology``."""
-    candidate = set(candidate)
-    if not candidate <= set(topology.nodes):
-        return False
-    chosen = sum(1 << int(u) for u in candidate)
-    for u, mask in enumerate(topology.masks):
-        # A chosen node must have no chosen neighbour; any other node needs one.
-        if bool(mask & chosen) == (u in candidate):
-            return False
-    return True
 
 
 def luby_mis(topology: Topology, rng: np.random.Generator) -> MisResult:

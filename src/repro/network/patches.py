@@ -89,30 +89,10 @@ class PatchDecomposition:
         """The set of patch leaders (the MIS of the power graph)."""
         return frozenset(p.leader for p in self.patches)
 
-    def patch_of(self, node: int) -> Patch:
-        """Return the patch containing ``node``."""
-        for patch in self.patches:
-            if node in patch.members:
-                return patch
-        raise KeyError(f"node {node} is not covered by the decomposition")
-
-    def membership(self) -> dict:
-        """Map every node to its leader."""
-        out: dict = {}
-        for patch in self.patches:
-            for member in patch.members:
-                out[member] = patch.leader
-        return out
-
     @property
     def min_patch_size(self) -> int:
         """Size of the smallest patch."""
         return min(p.size for p in self.patches)
-
-    @property
-    def max_patch_diameter_bound(self) -> int:
-        """Twice the maximum tree height — an upper bound on any patch's diameter."""
-        return 2 * max(p.height for p in self.patches)
 
 
 def power_graph(topology: Topology, distance: int) -> Topology:

@@ -419,9 +419,6 @@ class Topology:
         """
         return np.bitwise_count(self.packed_adjacency()).sum(axis=1, dtype=np.int64)
 
-    def degree_of(self, u: int) -> int:
-        return self.masks[u].bit_count()
-
     def number_of_nodes(self) -> int:
         return self.n
 

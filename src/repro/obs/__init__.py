@@ -8,7 +8,7 @@ profiles the saved ``.npz`` artifacts.  See :mod:`repro.obs.trace` for
 the schema and :mod:`repro.obs.clock` for the sanctioned wall-clock seam.
 """
 
-from .clock import Clock, ManualClock, SystemClock
+from .clock import Clock, SystemClock
 from .diff import Divergence, TraceDiff, diff_traces
 from .profiler import NULL_PROFILER, PhaseProfiler
 from .provenance import source_digest
@@ -24,7 +24,6 @@ from .trace import (
 __all__ = [
     "Clock",
     "Divergence",
-    "ManualClock",
     "NULL_PROFILER",
     "PhaseProfiler",
     "ROUND_COUNTERS",

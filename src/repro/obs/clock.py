@@ -5,8 +5,8 @@ lint rule REP103 rejects wall clocks anywhere under ``src/``.  Phase
 profiling still needs real elapsed time, so *all* timing flows through a
 :class:`Clock` object the caller injects: :class:`SystemClock` is the
 single sanctioned ``time.perf_counter`` call site in the source tree
-(carrying the one justified ``repro: allow[REP103]``), and tests use
-:class:`ManualClock`, whose time only moves when the test advances it.
+(carrying the one justified ``repro: allow[REP103]``), and tests inject
+a clock whose time only moves when the test advances it.
 Timings are *context*, never *content*: they live in the trace manifest's
 context section and are excluded from trace-content identity, so the
 cross-engine byte-identity contract never sees a clock reading.
@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import time
 
-__all__ = ["Clock", "ManualClock", "SystemClock"]
+__all__ = ["Clock", "SystemClock"]
 
 
 class Clock:
@@ -37,19 +37,3 @@ class SystemClock(Clock):
 
     def now(self) -> float:
         return time.perf_counter()  # repro: allow[REP103] the Clock seam's single sanctioned wall-clock read; timings are manifest context, never trace content
-
-
-class ManualClock(Clock):
-    """A deterministic clock tests drive by hand."""
-
-    def __init__(self, start: float = 0.0):
-        self._now = float(start)
-
-    def now(self) -> float:
-        return self._now
-
-    def advance(self, seconds: float) -> None:
-        """Move time forward by ``seconds`` (must be non-negative)."""
-        if seconds < 0:
-            raise ValueError(f"clocks only move forward, got {seconds}")
-        self._now += float(seconds)

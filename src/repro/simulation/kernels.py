@@ -436,11 +436,10 @@ def run_rounds(
     *,
     max_rounds: int,
     stop_at_completion: bool,
-    record_topologies: bool,
     track_progress: bool,
     faults=None,
     trace=None,
-) -> list:
+) -> None:
     """Execute the synchronous rounds of one run on ``kernel``.
 
     The one round loop, for packed and object kernels alike.  Per round
@@ -453,8 +452,7 @@ def run_rounds(
     ``compose_all`` and is shown the composed messages (Section 6); its
     state views are built *before* composing, because a kernel may change
     node state inside ``compose_all`` (a multi-phase coded node's flood ->
-    broadcast transition) and the adversary must not see that.  Returns the
-    recorded topologies.
+    broadcast transition) and the adversary must not see that.
 
     ``faults`` (a :class:`~repro.network.faults.BoundFaults`) edits the
     round's CSR into its effective form — crashed endpoints and lost edges
@@ -471,7 +469,6 @@ def run_rounds(
     n = config.n
     limit = config.budget.limit_bits
     cache = TopologyValidationCache()
-    topologies: list = []
     profiler = NULL_PROFILER if trace is None else trace.profiler
     kernel.profiler = profiler
 
@@ -495,8 +492,6 @@ def run_rounds(
         kernel.on_topology(round_index, topology)
         if not adversary.sees_messages:
             active, sizes = compose(round_index, plan)
-        if record_topologies:
-            topologies.append(topology)
 
         indices, indptr = topology.csr_adjacency()
         receivers = topology.csr_receivers()
@@ -592,8 +587,6 @@ def run_rounds(
         if done:
             if stop_at_completion or kernel.finished_all():
                 break
-
-    return topologies
 
 
 # ----------------------------------------------------------------------

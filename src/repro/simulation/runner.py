@@ -45,7 +45,7 @@ rejected before round 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -76,11 +76,6 @@ class RunResult:
     correct:
         True iff at completion every node output every token with the right
         payload.  ``None`` when the run did not complete within its limit.
-    topologies:
-        The recorded topology sequence (only if ``record_topologies``), as
-        validated :class:`~repro.network.topology.Topology` objects on
-        both engines; the stability checkers in
-        :mod:`repro.network.stability` consume them directly.
     engine:
         Which execution engine actually ran: ``"kernel"`` or ``"mask"``
         (resolves the ``engine="auto"`` choice for callers).
@@ -89,7 +84,6 @@ class RunResult:
     metrics: RunMetrics
     nodes: list[ProtocolNode]
     correct: bool | None
-    topologies: list = field(default_factory=list)
     engine: str = ""
 
     @property
@@ -317,7 +311,6 @@ def run_dissemination(
     seed: int = 0,
     max_rounds: int | None = None,
     stop_at_completion: bool = True,
-    record_topologies: bool = False,
     track_progress: bool = False,
     engine: str = "auto",
     faults: FaultModel | None = None,
@@ -344,8 +337,6 @@ def run_dissemination(
     stop_at_completion:
         Stop as soon as every node knows every token (the usual measurement
         mode); set False to keep running until nodes terminate locally.
-    record_topologies:
-        Keep the per-round graphs (for stability checks in tests).
     track_progress:
         Record per-round (min, mean) known-token counts in the metrics.
     engine:
@@ -470,14 +461,13 @@ def run_dissemination(
         trace.begin_run(
             config=config, seed=seed, engine=run_engine, factory=factory, faults=faults
         )
-    topologies = kernels.run_rounds(
+    kernels.run_rounds(
         kernel,
         config,
         adversary,
         metrics,
         max_rounds=max_rounds,
         stop_at_completion=stop_at_completion,
-        record_topologies=record_topologies,
         track_progress=track_progress,
         faults=bound,
         trace=trace,
@@ -490,6 +480,5 @@ def run_dissemination(
         metrics=metrics,
         nodes=nodes,
         correct=_finish_run(metrics, bound, completed, nodes, placement),
-        topologies=topologies,
         engine=run_engine,
     )

@@ -135,13 +135,6 @@ class TokenPlacement:
         """Number of distinct tokens in the instance."""
         return len(self.tokens)
 
-    @property
-    def token_size_bits(self) -> int:
-        """Token size ``d``; all tokens in an instance share one size."""
-        if not self.tokens:
-            return 0
-        return self.tokens[0].size_bits
-
     def tokens_at(self, node: int) -> list[Token]:
         """Tokens initially held by ``node``."""
         return [t for t in self.tokens if node in self.holders[t.token_id]]

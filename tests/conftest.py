@@ -71,3 +71,15 @@ class RecordingAdversary:
         topology = self.inner.choose_topology(round_index, n, states, messages)
         self.topologies.append(topology)
         return topology
+
+
+def bind_every_sender(plan, indices, indptr, state=None):
+    """``plan.bind_edges`` with every node composing, receivers read off ``indptr``."""
+    n = indptr.size - 1
+    return plan.bind_edges(
+        indices,
+        indptr,
+        active=np.ones(n, dtype=bool),
+        receivers=np.repeat(np.arange(n), np.diff(indptr)),
+        state=state,
+    )

@@ -1,13 +1,13 @@
-"""Matrix algebra over prime fields.
+"""Dense matrix algebra over prime fields: the GF(q) reference.
 
-Provides the Gaussian-elimination machinery the network-coding algorithms
-rely on: reduced row echelon form, rank, solving linear systems, inverses,
-and random matrices.  All routines operate on numpy arrays of canonical
-field elements (integers in ``[0, q)``), with the field passed explicitly.
-
-The decoder of Section 5.1 reduces a stack of received coded vectors to RREF
-and reads the original tokens off the identity block; ``rref`` and
-``solve`` below implement exactly that.
+Textbook Gauss-Jordan elimination on numpy arrays of canonical field
+elements (integers in ``[0, q)``), with the field passed explicitly:
+reduced row echelon form, rank, solving, inverses, null spaces, random
+and Vandermonde matrices, and the matrix product the tests use to check
+``solve`` and ``inverse``.  It uses only ``repro.gf.GF``'s scalar and
+elementwise arithmetic, never the package's own elimination
+(``Subspace``, ``GF2Basis``, ``GF2BasisBatch``), so tests can hold those
+against it.
 """
 
 from __future__ import annotations
@@ -17,9 +17,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .field import GF
+from repro.gf import GF
 
 __all__ = [
+    "matmul",
     "rref",
     "rank",
     "row_space_basis",
@@ -52,6 +53,29 @@ class RrefResult:
     matrix: np.ndarray
     pivot_columns: tuple[int, ...]
     rank: int
+
+
+def matmul(field: GF, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Matrix product over the field."""
+    a = np.asarray(a)
+    b = np.asarray(b)
+    if field.uses_object_dtype or max(a.shape[-1], 1) * (field.q - 1) ** 2 >= 2**62:
+        # Exact Python-int path where int64 products could overflow.
+        a2 = np.atleast_2d(a)
+        b2 = np.atleast_2d(b)
+        rows, inner = a2.shape
+        inner2, cols = b2.shape
+        if inner != inner2:
+            raise ValueError(f"shape mismatch: {a.shape} @ {b.shape}")
+        out = np.empty((rows, cols), dtype=object)
+        for i in range(rows):
+            for j in range(cols):
+                total = 0
+                for t in range(inner):
+                    total = (total + int(a2[i, t]) * int(b2[t, j])) % field.q
+                out[i, j] = total
+        return out
+    return np.mod(a @ b, field.q)
 
 
 def _as_field_matrix(field: GF, matrix: np.ndarray | Sequence[Sequence[int]]) -> np.ndarray:

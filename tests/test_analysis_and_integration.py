@@ -26,7 +26,6 @@ from repro.analysis import (
     linear_time_message_size_forwarding,
     naive_coded_rounds,
     priority_forward_rounds,
-    recover_missing_token_via_xor,
     simulate_random_forwarding,
     stability_for_near_linear_time,
     token_forwarding_rounds,
@@ -128,14 +127,6 @@ class TestBoundFormulas:
 
 
 class TestMotivatingExample:
-    def test_xor_recovers_missing_token(self, rng):
-        tokens = [int(x) for x in rng.integers(0, 2**16, size=10)]
-        xor_all = 0
-        for t in tokens:
-            xor_all ^= t
-        known = set(range(10)) - {4}
-        assert recover_missing_token_via_xor(tokens, known, xor_all) == tokens[4]
-
     def test_simulated_forwarding_rounds_distribution(self, rng):
         rounds = [simulate_random_forwarding(10, rng) for _ in range(100)]
         assert all(1 <= r <= 10 for r in rounds)

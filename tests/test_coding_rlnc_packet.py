@@ -1,24 +1,15 @@
-"""Unit tests for coding generations, packets cost model and derandomization."""
+"""Unit tests for coding generations and derandomization."""
 
 from __future__ import annotations
 
-import math
-
-import numpy as np
 import pytest
 
 from repro.coding import (
     DeterministicSchedule,
     Generation,
-    GenerationPlan,
-    coded_message_bits,
-    coded_payload_bits,
-    coding_header_bits,
     deterministic_header_bits,
     failure_probability_log2,
-    max_dimensions_for_budget,
     omniscient_field_order,
-    plan_generation,
     union_bound_holds,
     union_bound_margin_log2,
     witness_count_log2,
@@ -129,47 +120,6 @@ class TestGenerationState:
         assert not state.can_decode()
 
 
-class TestPacketCostModel:
-    def test_header_and_payload_bits(self):
-        assert coding_header_bits(10, 2) == 10
-        assert coding_header_bits(10, 257) == 90
-        assert coded_payload_bits(16, 2) == 16
-        assert coded_payload_bits(16, 257) == 18  # 2 symbols * 9 bits
-
-    def test_message_bits_lemma_5_3(self):
-        # Lemma 5.3: messages of size k lg q + d.
-        assert coded_message_bits(20, 8, 2) == 28
-
-    def test_max_dimensions_for_budget(self):
-        assert max_dimensions_for_budget(100, 20, 2) == 80
-        assert max_dimensions_for_budget(20, 20, 2) == 0
-
-    def test_invalid_arguments(self):
-        with pytest.raises(ValueError):
-            coding_header_bits(-1, 2)
-        with pytest.raises(ValueError):
-            coded_payload_bits(-1, 2)
-        with pytest.raises(ValueError):
-            max_dimensions_for_budget(0, 8, 2)
-
-    def test_plan_generation_half_split(self):
-        plan = plan_generation(num_tokens=1000, token_bits=8, budget_bits=256, q=2)
-        assert isinstance(plan, GenerationPlan)
-        # Half the budget for one block of tokens.
-        assert plan.tokens_per_block == 16
-        assert plan.block_bits == 128
-        assert plan.num_blocks >= 1
-        assert plan.message_bits <= 2 * 256
-
-    def test_plan_generation_few_tokens(self):
-        plan = plan_generation(num_tokens=3, token_bits=8, budget_bits=256, q=2)
-        assert plan.tokens_covered >= 3
-
-    def test_plan_generation_rejects_tiny_budget(self):
-        with pytest.raises(ValueError):
-            plan_generation(num_tokens=5, token_bits=64, budget_bits=32)
-
-
 class TestDerandomization:
     def test_omniscient_field_order_is_prime_and_large(self):
         q = omniscient_field_order(8, 3)
@@ -219,9 +169,3 @@ class TestDerandomization:
         schedule = DeterministicSchedule(field_order=101, seed=3)
         assert schedule.coefficient(0, 0, 0) != schedule.coefficient(1, 0, 0) or \
             schedule.coefficient(0, 1, 0) != schedule.coefficient(0, 0, 0)
-
-    def test_schedule_matrix_shape(self):
-        schedule = DeterministicSchedule(field_order=11, seed=0)
-        m = schedule.as_matrix(uids=3, rounds=4, slots=2)
-        assert m.shape == (3, 4, 2)
-        assert all(0 <= int(x) < 11 for x in m.ravel().tolist())

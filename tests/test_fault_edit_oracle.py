@@ -101,7 +101,7 @@ def rounds(draw):
     )
 
 
-def _plan_and_reference(case, *, with_strategy=True, pass_receivers=True):
+def _plan_and_reference(case, *, with_strategy=True, canonical_receivers=True):
     n = case["n"]
     topology = Topology(n, case["masks"])
     indices, indptr = topology.csr_adjacency()
@@ -149,7 +149,11 @@ def _plan_and_reference(case, *, with_strategy=True, pass_receivers=True):
         indices,
         indptr,
         active=active,
-        receivers=topology.csr_receivers() if pass_receivers else None,
+        receivers=(
+            topology.csr_receivers()
+            if canonical_receivers
+            else np.repeat(np.arange(n), np.diff(indptr))
+        ),
     )
     open_window = window is not None and window[0] <= round_index < window[1]
     reference = fault_edit.edit(
@@ -196,10 +200,10 @@ def test_edit_and_account_match_the_per_edge_reference(case):
 
 
 @settings(deadline=None, max_examples=60)
-@given(case=rounds(), pass_receivers=st.booleans())
-def test_edit_without_a_strategy_matches_the_per_edge_reference(case, pass_receivers):
+@given(case=rounds(), canonical_receivers=st.booleans())
+def test_edit_without_a_strategy_matches_the_per_edge_reference(case, canonical_receivers):
     _assert_matches(
-        *_plan_and_reference(case, with_strategy=False, pass_receivers=pass_receivers)
+        *_plan_and_reference(case, with_strategy=False, canonical_receivers=canonical_receivers)
     )
 
 

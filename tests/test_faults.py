@@ -57,7 +57,7 @@ from repro.simulation import (
     standard_instance,
 )
 from repro.simulation.kernels import _neighbor_or
-from tests.conftest import make_config
+from tests.conftest import bind_every_sender, make_config
 
 ENGINES = ("kernel", "mask")
 
@@ -168,7 +168,7 @@ class TestEffectiveCsrInvariants:
         plan = bound.begin_round(0)
         topology = random_connected_topology(n, np.random.default_rng(seed + 1))
         indices, indptr = topology.csr_adjacency()
-        eff_indices, eff_indptr = plan.bind_edges(indices, indptr)
+        eff_indices, eff_indptr = bind_every_sender(plan, indices, indptr)
         assert eff_indptr[0] == 0 and eff_indptr[-1] == eff_indices.size
         for v in range(n):
             base = Counter(indices[indptr[v] : indptr[v + 1]].tolist())
@@ -267,7 +267,7 @@ class TestSpanGuard:
         assert plan.wire_vectors == {} and plan.substitute == {}
         indices = np.array([1, 0, 2, 1, 3, 2], dtype=np.int64)
         indptr = np.array([0, 1, 3, 5, 6], dtype=np.int64)
-        eff_indices, _ = plan.bind_edges(indices, indptr)
+        eff_indices, _ = bind_every_sender(plan, indices, indptr)
         # Every copy the Byzantine node sends is discarded at the receivers.
         assert 1 not in eff_indices.tolist()
 
@@ -437,7 +437,7 @@ class TestTrailingEmptySegmentRegressions:
         plan = FaultModel(crashes=((2, 0), (n - 1, 0))).bind(
             n, np.random.default_rng(0)
         ).begin_round(0)
-        eff_indices, eff_indptr = plan.bind_edges(indices, indptr)
+        eff_indices, eff_indptr = bind_every_sender(plan, indices, indptr)
         assert np.diff(eff_indptr).tolist() == [3, 3, 0, 3, 3, 0]
         send = (np.uint64(1) << np.arange(n, dtype=np.uint64)).reshape(n, 1)
         alive = 0b011011
@@ -568,7 +568,7 @@ class TestRecoveryIntervalInvariants:
         plan = bound.begin_round(round_index)
         topology = random_connected_topology(n, np.random.default_rng(seed + 1))
         indices, indptr = topology.csr_adjacency()
-        eff_indices, eff_indptr = plan.bind_edges(indices, indptr)
+        eff_indices, eff_indptr = bind_every_sender(plan, indices, indptr)
         is_down = down <= round_index < down + length
         assert bool(plan.down[uid]) is is_down
         inbox = eff_indices[eff_indptr[uid] : eff_indptr[uid + 1]].tolist()
@@ -603,7 +603,7 @@ class TestPartitionInvariants:
         plan = bound.begin_round(round_index)
         topology = random_connected_topology(n, np.random.default_rng(seed + 1))
         indices, indptr = topology.csr_adjacency()
-        eff_indices, eff_indptr = plan.bind_edges(indices, indptr)
+        eff_indices, eff_indptr = bind_every_sender(plan, indices, indptr)
         open_window = start <= round_index < start + length
         for receiver in range(n):
             inbox = eff_indices[eff_indptr[receiver] : eff_indptr[receiver + 1]]
@@ -652,7 +652,7 @@ class TestAdaptiveStrategyInvariants:
             plan = bound.begin_round(r)
             topology = random_connected_topology(n, rng)
             indices, indptr = topology.csr_adjacency()
-            eff_indices, _ = plan.bind_edges(indices, indptr)
+            eff_indices, _ = bind_every_sender(plan, indices, indptr)
             # Each targeted link erases both directed copies.
             positions_lost = indices.size - eff_indices.size
             assert positions_lost % 2 == 0
@@ -673,7 +673,7 @@ class TestAdaptiveStrategyInvariants:
         expected_first = int(np.argmax(degrees))
         for r in range(6):
             plan = bound.begin_round(r)
-            plan.bind_edges(star_indices, star_indptr)
+            bind_every_sender(plan, star_indices, star_indptr)
             if r == 0:
                 assert not bound.strategy_crashed.any()
             if r == 1:

@@ -53,7 +53,7 @@ from repro.obs.trace import CONTENT_ARRAYS
 from repro.scenarios import fault_model_for, make_scenario
 from repro.simulation import RunMetrics, run_dissemination, standard_instance
 from repro.simulation.kernels import KERNEL_REGISTRY, TokenForwardingKernel
-from tests.conftest import make_config
+from tests.conftest import bind_every_sender, make_config
 
 ENGINES = ("kernel", "mask")
 
@@ -68,7 +68,7 @@ GEN3_ENTRIES = (
 def _effective(model, n, indices, indptr, seed, state=None):
     bound = model.bind(n, np.random.default_rng(seed))
     plan = bound.begin_round(0)
-    eff_indices, eff_indptr = plan.bind_edges(indices, indptr, state=state)
+    eff_indices, eff_indptr = bind_every_sender(plan, indices, indptr, state=state)
     return eff_indices, eff_indptr, plan
 
 
@@ -139,14 +139,14 @@ class TestCollisionInvariants:
             model = FaultModel(collisions=CollisionModel(probability=probability))
             bound = model.bind(n, np.random.default_rng(7))
             plan = bound.begin_round(0)
-            plan.bind_edges(indices, indptr)
+            bind_every_sender(plan, indices, indptr)
             assert bound.rng.random() == np.random.default_rng(7).random()
         # 0 < p < 1 spends exactly one scalar from the fault stream.
         bound = FaultModel(collisions=CollisionModel(probability=0.5)).bind(
             n, np.random.default_rng(7)
         )
         plan = bound.begin_round(0)
-        plan.bind_edges(indices, indptr)
+        bind_every_sender(plan, indices, indptr)
         reference = np.random.default_rng(7)
         reference.random()  # the collision round's single Bernoulli
         assert bound.rng.random() == reference.random()
@@ -298,7 +298,7 @@ class TestStateAwareStrategies:
         assert model.bind(n, np.random.default_rng(0)).wants_state
         plan = model.bind(n, np.random.default_rng(0)).begin_round(0)
         with pytest.raises(RuntimeError, match="StateView"):
-            plan.bind_edges(indices, indptr)
+            bind_every_sender(plan, indices, indptr)
 
     def test_straggler_isolation_erases_every_edge_at_the_straggler(self):
         n = 8

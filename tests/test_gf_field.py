@@ -117,10 +117,6 @@ class TestScalarArithmetic:
         with pytest.raises(ZeroDivisionError):
             f7.inv(0)
 
-    def test_div(self, f7):
-        assert f7.div(6, 3) == 2
-        assert f7.div(1, 5) == f7.inv(5)
-
     def test_pow(self, f7):
         assert f7.pow(3, 0) == 1
         assert f7.pow(3, 6) == 1  # Fermat
@@ -155,7 +151,6 @@ class TestArrayArithmetic:
         b = f.asarray([4, 4, 4])
         assert f.add_arrays(a, b).tolist() == [0, 1, 2]
         assert f.sub_arrays(a, b).tolist() == [2, 3, 4]
-        assert f.mul_arrays(a, b).tolist() == [4, 3, 2]
 
     def test_scale(self):
         f = GF(7)
@@ -172,23 +167,10 @@ class TestArrayArithmetic:
         with pytest.raises(ValueError):
             f.dot(f.asarray([1, 2]), f.asarray([1, 2, 3]))
 
-    def test_matmul(self):
-        f = GF(7)
-        a = f.asarray([[1, 2], [3, 4]])
-        b = f.asarray([[5, 6], [0, 1]])
-        out = f.matmul(a, b)
-        assert out.tolist() == [[5, 1], [1, 1]]
-
     def test_random_elements_in_range(self, rng):
         f = GF(11)
         values = f.random_elements(rng, (100,))
         assert all(0 <= int(v) < 11 for v in values)
-
-    def test_random_nonzero(self, rng):
-        f = GF(3)
-        for _ in range(20):
-            assert f.random_nonzero(rng) in (1, 2)
-        assert GF(2).random_nonzero(rng) == 1
 
 
 class TestLargeField:

@@ -1,15 +1,16 @@
-"""Unit tests for matrix algebra over prime fields (repro.gf.matrix)."""
+"""Unit tests for the dense GF(q) matrix reference (tests/oracles/gf_matrix.py)."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.gf import (
-    GF,
+from repro.gf import GF
+from tests.oracles.gf_matrix import (
     identity,
     inverse,
     is_invertible,
+    matmul,
     null_space_basis,
     random_invertible_matrix,
     random_matrix,
@@ -72,6 +73,14 @@ class TestRref:
         assert result.rank == 1
 
 
+class TestMatmul:
+    def test_matmul(self):
+        f = GF(7)
+        a = f.asarray([[1, 2], [3, 4]])
+        b = f.asarray([[5, 6], [0, 1]])
+        assert matmul(f, a, b).tolist() == [[5, 1], [1, 1]]
+
+
 class TestRowAndNullSpace:
     def test_row_space_basis_spans(self, f5):
         m = [[1, 2, 0], [0, 1, 1], [1, 3, 1]]
@@ -83,7 +92,7 @@ class TestRowAndNullSpace:
         ns = null_space_basis(f5, m)
         assert ns.shape[0] == 6 - rank(f5, m)
         for v in ns:
-            product = f5.matmul(m, v.reshape(-1, 1))
+            product = matmul(f5, m, v.reshape(-1, 1))
             assert all(int(x) == 0 for x in product.ravel().tolist())
 
     def test_null_space_of_full_rank_square(self, f5):
@@ -105,7 +114,7 @@ class TestSolve:
     def test_solve_consistent_system(self, f5, rng):
         a = random_invertible_matrix(f5, rng, 4)
         x_true = f5.asarray([1, 4, 2, 3])
-        b = f5.matmul(a, x_true.reshape(-1, 1)).ravel()
+        b = matmul(f5, a, x_true.reshape(-1, 1)).ravel()
         x = solve(f5, a, b)
         assert x.tolist() == x_true.tolist()
 
@@ -118,7 +127,7 @@ class TestSolve:
         a = random_invertible_matrix(f5, rng, 3)
         rhs = random_matrix(f5, rng, 3, 2)
         x = solve(f5, a, rhs)
-        assert f5.matmul(a, x).tolist() == rhs.tolist()
+        assert matmul(f5, a, x).tolist() == rhs.tolist()
 
     def test_solve_shape_mismatch(self, f5):
         with pytest.raises(ValueError):
@@ -129,7 +138,7 @@ class TestInverse:
     def test_inverse_roundtrip(self, f5, rng):
         a = random_invertible_matrix(f5, rng, 4)
         a_inv = inverse(f5, a)
-        assert f5.matmul(a, a_inv).tolist() == identity(f5, 4).tolist()
+        assert matmul(f5, a, a_inv).tolist() == identity(f5, 4).tolist()
 
     def test_singular_raises(self, f5):
         with pytest.raises(ValueError):
@@ -147,7 +156,7 @@ class TestInverse:
     def test_gf2_inverse(self, f2):
         a = [[1, 1, 0], [0, 1, 1], [0, 0, 1]]
         a_inv = inverse(f2, a)
-        assert f2.matmul(f2.asarray(a), a_inv).tolist() == identity(f2, 3).tolist()
+        assert matmul(f2, f2.asarray(a), a_inv).tolist() == identity(f2, 3).tolist()
 
 
 class TestRandomAndVandermonde:

@@ -22,7 +22,6 @@ from repro.gf import (
     GF2BasisBatch,
     get_field,
     masks_to_packed,
-    packed_to_mask,
     packed_to_masks,
 )
 
@@ -308,8 +307,6 @@ class TestPackedHelpers:
     def test_masks_round_trip(self, masks):
         packed = masks_to_packed(masks, 2)
         assert packed_to_masks(packed) == [m & ((1 << 128) - 1) for m in masks]
-        for i, mask in enumerate(masks):
-            assert packed_to_mask(packed[i]) == mask
 
     def test_capacity_growth_preserves_state(self, rng):
         batch = GF2BasisBatch(2, 120)

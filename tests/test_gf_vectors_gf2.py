@@ -2,25 +2,17 @@
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.gf import (
     GF,
     GF2,
     GF2Basis,
-    bits_to_vector,
-    concat_vectors,
     int_to_vector,
-    is_zero_vector,
-    linear_combination,
     pack_bits,
     symbols_needed,
-    unit_vector,
     unpack_bits,
-    vector_to_bits,
     vector_to_int,
-    vectors_equal,
 )
 
 
@@ -57,59 +49,6 @@ class TestSymbolPacking:
     def test_int_to_vector_negative_raises(self):
         with pytest.raises(ValueError):
             int_to_vector(GF2, -3, 8)
-
-    def test_bits_roundtrip(self):
-        f = GF(3)
-        payload = 0b101101
-        vec = bits_to_vector(f, payload, 6)
-        assert vector_to_bits(f, vec, 6) == payload
-
-
-class TestVectorHelpers:
-    def test_unit_vector(self):
-        e2 = unit_vector(GF2, 5, 2)
-        assert e2.tolist() == [0, 0, 1, 0, 0]
-
-    def test_unit_vector_out_of_range(self):
-        with pytest.raises(IndexError):
-            unit_vector(GF2, 3, 3)
-
-    def test_concat(self):
-        f = GF(5)
-        out = concat_vectors(f, [[1, 2], [3], [4, 0]])
-        assert out.tolist() == [1, 2, 3, 4, 0]
-
-    def test_concat_empty(self):
-        assert concat_vectors(GF2, []).size == 0
-
-    def test_linear_combination_gf2_is_xor(self):
-        f = GF2
-        v1 = f.asarray([1, 0, 1, 1])
-        v2 = f.asarray([1, 1, 0, 1])
-        out = linear_combination(f, [1, 1], [v1, v2])
-        assert out.tolist() == [0, 1, 1, 0]
-
-    def test_linear_combination_coefficient_mismatch(self):
-        with pytest.raises(ValueError):
-            linear_combination(GF2, [1], [GF2.asarray([1]), GF2.asarray([0])])
-
-    def test_linear_combination_length_mismatch(self):
-        with pytest.raises(ValueError):
-            linear_combination(GF2, [1, 1], [GF2.asarray([1, 0]), GF2.asarray([0])])
-
-    def test_linear_combination_empty_raises(self):
-        with pytest.raises(ValueError):
-            linear_combination(GF2, [], [])
-
-    def test_is_zero_vector(self):
-        assert is_zero_vector([0, 0, 0])
-        assert not is_zero_vector([0, 1, 0])
-        assert is_zero_vector(np.zeros(0))
-
-    def test_vectors_equal(self):
-        assert vectors_equal([1, 2, 3], np.array([1, 2, 3]))
-        assert not vectors_equal([1, 2], [1, 2, 3])
-        assert not vectors_equal([1, 2, 3], [1, 2, 4])
 
 
 class TestPackUnpack:
@@ -182,25 +121,6 @@ class TestGF2Basis:
 
     def test_senses_empty_basis(self):
         assert not GF2Basis(4).senses([1, 0, 0, 0])
-
-    def test_reduced_echelon_decodes_identity(self):
-        basis = GF2Basis(4)
-        basis.insert([1, 1, 1, 0])
-        basis.insert([0, 1, 1, 1])
-        basis.insert([0, 0, 1, 1])
-        basis.insert([1, 0, 0, 1])
-        reduced = basis.reduced_echelon_matrix()
-        # The basis keys rows by their highest set bit; after full reduction
-        # each row's pivot (highest set coordinate) appears in no other row.
-        pivots = []
-        for row in reduced:
-            ones = [i for i, bit in enumerate(row.tolist()) if bit]
-            pivots.append(max(ones))
-        assert len(set(pivots)) == len(pivots)
-        for row_index, pivot in enumerate(pivots):
-            for other_index, row in enumerate(reduced):
-                if other_index != row_index:
-                    assert row.tolist()[pivot] == 0
 
     def test_copy_is_independent(self):
         basis = GF2Basis(3)

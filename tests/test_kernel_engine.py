@@ -103,10 +103,7 @@ class TestKernelEquivalence:
         recorded = {}
         for engine in ("kernel", "mask"):
             adversary = RecordingAdversary(TStableAdversary(PathShuffleAdversary(seed=4), 3))
-            result = _run(
-                TokenForwardingNode, config, adversary, engine=engine, record_topologies=True
-            )
-            assert adversary.topologies == result.topologies
+            _run(TokenForwardingNode, config, adversary, engine=engine)
             recorded[engine] = adversary.topologies
         kernel, mask = recorded["kernel"], recorded["mask"]
         assert len(kernel) == len(mask)

@@ -19,7 +19,6 @@ from repro.network import (
     TStableAdversary,
     TokenIsolationAdversary,
     Topology,
-    make_adversary,
     path_topology,
 )
 from repro.network.stability import is_t_stable
@@ -171,33 +170,3 @@ class TestTStableWrapper:
         adv.reset()
         g_after = adv.choose_topology(0, 8, make_states(8))
         assert set(map(frozenset, g_before.edges)) == set(map(frozenset, g_after.edges))
-
-
-class TestFactory:
-    @pytest.mark.parametrize(
-        "name",
-        [
-            "static_path",
-            "static_ring",
-            "static_star",
-            "static_complete",
-            "random_connected",
-            "random_tree",
-            "rotating_star",
-            "shifted_ring",
-            "path_shuffle",
-            "bottleneck",
-        ],
-    )
-    def test_every_named_adversary_builds_and_runs(self, name):
-        adv = make_adversary(name, seed=1)
-        for r in range(3):
-            assert_legal(adv.choose_topology(r, 7, make_states(7)), 7)
-
-    def test_factory_stability_wrapping(self):
-        adv = make_adversary("path_shuffle", stability=6, seed=0)
-        assert isinstance(adv, TStableAdversary)
-
-    def test_unknown_name_raises(self):
-        with pytest.raises(ValueError):
-            make_adversary("does_not_exist")

@@ -11,7 +11,6 @@ from repro.network import (
     complete_topology,
     compute_patches,
     greedy_mis,
-    is_maximal_independent_set,
     is_t_interval_connected,
     is_t_stable,
     luby_mis,
@@ -25,6 +24,7 @@ from repro.network import (
     star_topology,
 )
 from tests.conftest import nx_graph
+from tests.oracles.mis import is_maximal_independent_set
 
 
 class TestStabilityMeasures:
@@ -193,15 +193,6 @@ class TestPowerGraphAndPatches:
             for node, children in kids.items():
                 for child in children:
                     assert patch.parent[child] == node
-
-    def test_patch_of_and_membership(self, rng):
-        g = random_connected_topology(15, np.random.default_rng(10))
-        decomposition = compute_patches(g, radius=2, rng=rng)
-        membership = decomposition.membership()
-        for node in range(15):
-            assert decomposition.patch_of(node).leader == membership[node]
-        with pytest.raises(KeyError):
-            decomposition.patch_of(99)
 
     def test_deterministic_patching_needs_no_rng(self):
         g = random_connected_topology(20, np.random.default_rng(11))

@@ -62,7 +62,6 @@ class TestRoundTrip:
         assert topology.number_of_edges() == graph.number_of_edges()
         for u in topology.nodes:
             assert sorted(topology.neighbors(u)) == sorted(graph.neighbors(u))
-            assert topology.degree_of(u) == graph.degree(u)
         assert topology.has_edge(0, 4) and not topology.has_edge(0, 5)
 
 
@@ -401,7 +400,6 @@ class TestPackedSetAlgebra:
         assert degrees.dtype == np.int64
         expected = dict(nx_graph(topology).degree())
         assert [expected[u] for u in range(n)] == degrees.tolist()
-        assert [topology.degree_of(u) for u in range(n)] == degrees.tolist()
 
 
 class TestCsrAdjacency:

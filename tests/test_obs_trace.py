@@ -33,7 +33,7 @@ import repro
 from repro.algorithms import IndexedBroadcastNode, TokenForwardingNode
 from repro.network.faults import FaultModel
 from repro.obs import (
-    ManualClock,
+    Clock,
     PhaseProfiler,
     ROUND_COUNTERS,
     TraceRecorder,
@@ -47,6 +47,22 @@ from repro.simulation import run_dissemination, standard_instance
 from tests.conftest import make_config
 
 ENGINES = ("kernel", "mask")
+
+
+class ManualClock(Clock):
+    """A deterministic clock the test advances by hand."""
+
+    def __init__(self, start: float = 0.0):
+        self._now = float(start)
+
+    def now(self) -> float:
+        return self._now
+
+    def advance(self, seconds: float) -> None:
+        """Move time forward by ``seconds`` (must be non-negative)."""
+        if seconds < 0:
+            raise ValueError(f"clocks only move forward, got {seconds}")
+        self._now += float(seconds)
 
 
 def _traced_run(

@@ -19,13 +19,13 @@ from hypothesis import strategies as st
 from repro.network import (
     compute_patches,
     greedy_mis,
-    is_maximal_independent_set,
     luby_mis,
     power_graph,
     random_connected_topology,
 )
 from tests.conftest import nx_graph
 from tests.oracles import nx_patches
+from tests.oracles.mis import is_maximal_independent_set
 
 
 def _edge_set(graph) -> set[frozenset]:

@@ -93,10 +93,7 @@ class TestEngineEquivalence:
         recorded = {}
         for engine in ("kernel", "mask"):
             adversary = RecordingAdversary(TStableAdversary(PathShuffleAdversary(seed=4), 3))
-            result = _run(
-                TokenForwardingNode, config, adversary, engine=engine, record_topologies=True
-            )
-            assert adversary.topologies == result.topologies
+            _run(TokenForwardingNode, config, adversary, engine=engine)
             recorded[engine] = adversary.topologies
         kernel, mask = recorded["kernel"], recorded["mask"]
         assert len(kernel) == len(mask)
@@ -274,11 +271,9 @@ class TestEngineSelection:
     def test_auto_prefers_mask_engine(self):
         config = make_config(8)
         adversary = RecordingAdversary(BottleneckAdversary())
-        result = _run(
-            TokenForwardingNode, config, adversary, engine="auto", record_topologies=True
-        )
+        result = _run(TokenForwardingNode, config, adversary, engine="auto")
         assert result.completed
-        assert adversary.topologies == result.topologies
+        assert adversary.topologies
         assert all(isinstance(t, Topology) for t in adversary.topologies)
 
     @pytest.mark.parametrize("engine", ["auto", "mask", "kernel"])

@@ -154,9 +154,9 @@ class TestDeliveryCounts:
         counts = np.bincount(receivers[sending[indices]], minlength=n)
         assert np.array_equal(counts, _reference_counts(sending, indices, indptr))
         # Faulted round: the effective CSR and the plan's receivers, which
-        # must not depend on whether the canonical receivers were passed in.
+        # must not depend on the dtype of the canonical receivers passed in.
         plans, results = [], []
-        for given_receivers in (receivers, None):
+        for given_receivers in (receivers, _row_ids(indptr)):
             plan = model.bind(n, np.random.default_rng(seed)).begin_round(0)
             results.append(
                 plan.bind_edges(indices, indptr, active=active, receivers=given_receivers)

@@ -12,7 +12,7 @@ parameters rather than hand-picked cases:
 * :class:`EdgeMarkovProcess` hovers at its stationary edge density
   ``p_birth / (p_birth + p_death)``;
 * the batched component labeller agrees with the scalar mask BFS
-  :func:`packed_components` on every round, and :class:`ConnectivityPatcher`
+  :func:`tests.oracles.components.packed_components` on every round, and :class:`ConnectivityPatcher`
   connects every round with exactly ``components - 1`` new edges.
 """
 
@@ -33,11 +33,11 @@ from repro.network import (
 from repro.network.dynamics import (
     batch_component_labels,
     pack_dense_adjacency,
-    packed_components,
     packed_is_connected,
 )
 from repro.network.topology import unpack_adjacency
 from repro.network.stability import is_t_interval_connected
+from tests.oracles.components import packed_components
 
 
 def _raw_process(kind: str, n: int, seed: int):

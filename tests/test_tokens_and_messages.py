@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.gf import symbols_needed
 from repro.tokens import (
     CodedMessage,
     ControlMessage,
@@ -82,7 +83,6 @@ class TestTokenFactories:
 
     def test_placement_queries(self, rng):
         placement = one_token_per_node(6, 8, rng)
-        assert placement.token_size_bits == 8
         assert len(placement.all_ids()) == 6
         assert len(placement.tokens_at(3)) == 1
         assert placement.by_id()[placement.tokens[0].token_id] == placement.tokens[0]
@@ -114,6 +114,19 @@ class TestMessageSizes:
         assert msg.header_bits == 4
         assert msg.payload_bits == 8
         assert msg.size_bits == 4 + 8 + 2  # + generation tag bits
+        # Lemma 5.3's k lg q + d over GF(257): a 16-bit block takes
+        # symbols_needed(16, 257) = 2 symbols of ceil(lg 257) = 9 bits each,
+        # so its payload costs 18 bits, not 16.
+        wide = CodedMessage(
+            sender=1,
+            coefficients=(1,) * 10,
+            payload=(256,) * symbols_needed(16, 257),
+            field_order=257,
+            generation=3,
+        )
+        assert wide.header_bits == 90
+        assert wide.payload_bits == 18
+        assert wide.size_bits == 90 + 18 + 2
 
     def test_coded_message_larger_field_costs_more(self):
         gf2 = CodedMessage(sender=0, coefficients=(1,) * 10, payload=(1,) * 8, field_order=2)
