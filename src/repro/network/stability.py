@@ -12,14 +12,13 @@ The paper works with two related notions:
 This module provides checkers for both, plus measurement helpers reporting
 the largest ``T`` for which a recorded topology sequence satisfies each
 property.  They confirm that :class:`~repro.network.adversary.TStableAdversary`
-really produces T-stable sequences, that the
+really produces T-stable sequences and that the
 :class:`~repro.network.dynamics.TIntervalEnforcer` really produces
-T-interval-connected schedules, and they let the experiment harness
-sanity-check recorded runs.
+T-interval-connected schedules.
 
 Representation: every checker takes a sequence of
-:class:`~repro.network.topology.Topology` objects, exactly as the engines
-record them (each input is checked through
+:class:`~repro.network.topology.Topology` objects, the type adversaries
+return each round (each input is checked through
 :func:`~repro.network.topology.as_topology`), and works on the stacked
 ``(rounds, n, ceil(n/64))`` packed ``uint64`` adjacency matrices — block
 equality is one array comparison, a window intersection is one
