@@ -7,6 +7,19 @@ import numpy as np
 import pytest
 
 from repro.algorithms.base import ProtocolConfig
+from repro.network import (
+    BottleneckAdversary,
+    PathShuffleAdversary,
+    RandomConnectedAdversary,
+    RandomTreeAdversary,
+    RotatingStarAdversary,
+    ShiftedRingAdversary,
+    StaticAdversary,
+    complete_topology,
+    path_topology,
+    ring_topology,
+    star_topology,
+)
 from repro.tokens.message import MessageBudget
 from repro.tokens.token import one_token_per_node
 
@@ -45,6 +58,21 @@ def nx_graph(topology) -> nx.Graph:
     graph.add_nodes_from(topology.nodes)
     graph.add_edges_from(topology.edges)
     return graph
+
+
+#: The ten named adversary constructions, each built from a seed.
+NAMED_ADVERSARIES = {
+    "bottleneck": lambda seed: BottleneckAdversary(),
+    "path_shuffle": lambda seed: PathShuffleAdversary(seed=seed),
+    "random_connected": lambda seed: RandomConnectedAdversary(seed=seed),
+    "random_tree": lambda seed: RandomTreeAdversary(seed=seed),
+    "rotating_star": lambda seed: RotatingStarAdversary(),
+    "shifted_ring": lambda seed: ShiftedRingAdversary(),
+    "static_complete": lambda seed: StaticAdversary(complete_topology),
+    "static_path": lambda seed: StaticAdversary(path_topology),
+    "static_ring": lambda seed: StaticAdversary(ring_topology),
+    "static_star": lambda seed: StaticAdversary(star_topology),
+}
 
 
 class RecordingAdversary:

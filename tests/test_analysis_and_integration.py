@@ -33,6 +33,8 @@ from repro.analysis import (
     tstable_patch_broadcast_rounds,
 )
 from repro.algorithms import GreedyForwardNode, IndexedBroadcastNode, TokenForwardingNode
+from repro.coding import Generation
+from repro.gf import GF2Basis
 from repro.network import BottleneckAdversary, RandomConnectedAdversary
 from repro.simulation import fit_power_law, run_dissemination
 from repro.tokens import one_token_per_node
@@ -127,6 +129,20 @@ class TestBoundFormulas:
 
 
 class TestMotivatingExample:
+    def test_xor_recovers_missing_token(self, rng):
+        # B holds every token but #4; one XOR of all ten lets it decode #4.
+        tokens = [int(x) for x in rng.integers(0, 2**16, size=10)]
+        gen = Generation(k=10, payload_bits=16)
+        basis = GF2Basis(gen.vector_length)
+        xor_all = 0
+        for index, token in enumerate(tokens):
+            xor_all ^= gen.source_mask(index, token)
+            if index != 4:
+                basis.insert(gen.source_mask(index, token))
+        assert basis.decode_payload_masks(10) is None
+        basis.insert(xor_all)
+        assert basis.decode_payload_masks(10)[4] == tokens[4]
+
     def test_simulated_forwarding_rounds_distribution(self, rng):
         rounds = [simulate_random_forwarding(10, rng) for _ in range(100)]
         assert all(1 <= r <= 10 for r in rounds)

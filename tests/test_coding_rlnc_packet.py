@@ -120,6 +120,33 @@ class TestGenerationState:
         assert not state.can_decode()
 
 
+class TestPacketCostModel:
+    """Lemma 5.3's message cost, on the messages a generation emits."""
+
+    def test_header_and_payload_bits(self):
+        for q, header, payload in ((2, 10, 16), (257, 90, 18)):
+            gen = Generation(k=10, payload_bits=16, field_order=q)
+            msg = gen.message_from_vector(0, gen.source_vector(3, 0xBEEF))
+            assert msg.header_bits == header
+            assert msg.payload_bits == payload  # over GF(257): 2 symbols * 9 bits
+
+    def test_message_bits_lemma_5_3(self):
+        # Lemma 5.3: messages of size k lg q + d.
+        gen = Generation(k=20, payload_bits=8, field_order=2)
+        msg = gen.message_from_vector(0, gen.source_vector(0, 0xA5))
+        assert gen.message_bits == 28
+        assert msg.header_bits + msg.payload_bits == gen.message_bits
+
+    @pytest.mark.parametrize("q", [2, 3, 5, 257, 65537])
+    def test_emitted_message_costs_the_generations_message_bits(self, q):
+        # The generation's Lemma 5.3 size and the emitted message's own
+        # header and payload accounting must agree on every field.
+        gen = Generation(k=6, payload_bits=24, field_order=q)
+        msg = gen.message_from_vector(2, gen.source_vector(5, 2**24 - 1))
+        assert msg.header_bits == 6 * msg.symbol_bits
+        assert msg.header_bits + msg.payload_bits == gen.message_bits
+
+
 class TestDerandomization:
     def test_omniscient_field_order_is_prime_and_large(self):
         q = omniscient_field_order(8, 3)
@@ -169,3 +196,12 @@ class TestDerandomization:
         schedule = DeterministicSchedule(field_order=101, seed=3)
         assert schedule.coefficient(0, 0, 0) != schedule.coefficient(1, 0, 0) or \
             schedule.coefficient(0, 1, 0) != schedule.coefficient(0, 0, 0)
+
+    def test_schedule_matrix_shape(self):
+        schedule = DeterministicSchedule(field_order=11, seed=0)
+        grid = [[schedule.coefficients(uid, r, 2) for r in range(4)] for uid in range(3)]
+        assert [[len(slots) for slots in row] for row in grid] == [[2] * 4] * 3
+        for uid, row in enumerate(grid):
+            for r, slots in enumerate(row):
+                assert slots == [schedule.coefficient(uid, r, s) for s in range(2)]
+                assert all(0 <= x < 11 for x in slots)

@@ -80,6 +80,18 @@ class TestMatmul:
         b = f.asarray([[5, 6], [0, 1]])
         assert matmul(f, a, b).tolist() == [[5, 1], [1, 1]]
 
+    @pytest.mark.parametrize("q", [2, 5, 257])
+    def test_matmul_matches_the_scalar_definition(self, q, rng):
+        f = GF(q)
+        a = random_matrix(f, rng, 3, 4)
+        b = random_matrix(f, rng, 4, 2)
+        expected = [[0] * 2 for _ in range(3)]
+        for i in range(3):
+            for j in range(2):
+                for t in range(4):
+                    expected[i][j] = f.add(expected[i][j], f.mul(int(a[i, t]), int(b[t, j])))
+        assert matmul(f, a, b).tolist() == expected
+
 
 class TestRowAndNullSpace:
     def test_row_space_basis_spans(self, f5):

@@ -50,6 +50,14 @@ class TestSymbolPacking:
         with pytest.raises(ValueError):
             int_to_vector(GF2, -3, 8)
 
+    def test_bits_roundtrip(self):
+        # A 6-bit payload takes 4 symbols over GF(3) (3**3 < 2**6 <= 3**4).
+        f = GF(3)
+        length = symbols_needed(6, 3)
+        assert length == 4
+        for payload in range(2**6):
+            assert vector_to_int(f, int_to_vector(f, payload, length)) == payload
+
 
 class TestPackUnpack:
     def test_pack_unpack_roundtrip(self):
@@ -121,6 +129,20 @@ class TestGF2Basis:
 
     def test_senses_empty_basis(self):
         assert not GF2Basis(4).senses([1, 0, 0, 0])
+
+    def test_reduced_echelon_decodes_identity(self):
+        # Rows are [coefficients | payload]; Gauss-Jordan on the coefficient
+        # block reaches the identity and returns each dimension's payload.
+        k, payloads = 4, [0b101, 0b011, 0b110, 0b001]
+        basis = GF2Basis(k + 3)
+        for coefficients in (0b0111, 0b1110, 0b1100, 0b1000):
+            payload = 0
+            for i in range(k):
+                if (coefficients >> i) & 1:
+                    payload ^= payloads[i]
+            assert basis.decode_payload_masks(k) is None  # rank < k so far
+            basis.insert(coefficients | (payload << k))
+        assert basis.decode_payload_masks(k) == payloads
 
     def test_copy_is_independent(self):
         basis = GF2Basis(3)

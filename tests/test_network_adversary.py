@@ -22,7 +22,7 @@ from repro.network import (
     path_topology,
 )
 from repro.network.stability import is_t_stable
-from tests.conftest import nx_graph
+from tests.conftest import NAMED_ADVERSARIES, nx_graph
 
 
 def assert_legal(topology, n):
@@ -170,3 +170,20 @@ class TestTStableWrapper:
         adv.reset()
         g_after = adv.choose_topology(0, 8, make_states(8))
         assert set(map(frozenset, g_before.edges)) == set(map(frozenset, g_after.edges))
+
+
+class TestFactory:
+    """The named constructions that the replay matrix in test_scenarios runs."""
+
+    @pytest.mark.parametrize("name", sorted(NAMED_ADVERSARIES))
+    def test_every_named_adversary_builds_and_runs(self, name):
+        adv = NAMED_ADVERSARIES[name](seed=1)
+        for r in range(3):
+            assert_legal(adv.choose_topology(r, 7, make_states(7)), 7)
+
+    def test_factory_stability_wrapping(self):
+        adv = TStableAdversary(NAMED_ADVERSARIES["path_shuffle"](seed=0), stability=6)
+        graphs = [adv.choose_topology(r, 7, make_states(7)) for r in range(18)]
+        for graph in graphs:
+            assert_legal(graph, 7)
+        assert is_t_stable(graphs, 6)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 
+import networkx as nx
 import numpy as np
 import pytest
 
@@ -89,6 +90,17 @@ class TestPackedHelpers:
         ring = ring_topology(6).packed_adjacency()
         assert packed_is_connected(ring, 6)
         assert packed_components(ring, 6) == [0b111111]
+
+    def test_packed_components_oracle_matches_networkx(self):
+        rng = np.random.default_rng(2)
+        for n in (1, 7, 70):
+            dense = rng.random((n, n)) < 1.5 / n
+            dense |= dense.T
+            np.fill_diagonal(dense, False)
+            packed = pack_dense_adjacency(dense[None])[0]
+            graph = nx.from_numpy_array(dense.astype(np.uint8))
+            expected = sorted(sum(1 << v for v in c) for c in nx.connected_components(graph))
+            assert sorted(packed_components(packed, n)) == expected
 
     @pytest.mark.parametrize("n", [1, 6, 80])
     def test_spanning_structure_is_connected_spanning(self, n):
@@ -251,6 +263,13 @@ class TestScheduleAdversary:
             adversary.choose_topology(2, 8, [])
         with pytest.raises(ValueError):
             adversary.choose_topology(0, 9, [])  # wrong n
+
+    def test_short_schedule_cycles_through_a_longer_run(self):
+        process = ConnectivityPatcher(EdgeMarkovProcess(6, seed=1))
+        recorded = process.topologies(5)
+        adversary = ScheduleAdversary(PrecomputedSchedule.from_topologies(recorded))
+        served = [adversary.choose_topology(r, 6, []) for r in range(12)]
+        assert [t.masks for t in served] == [recorded[r % 5].masks for r in range(12)]
 
     def test_accepts_topology_sequence_and_packed_array(self):
         topologies = [ring_topology(6)] * 3

@@ -194,6 +194,19 @@ class TestPowerGraphAndPatches:
                 for child in children:
                     assert patch.parent[child] == node
 
+    def test_patch_of_and_membership(self, rng):
+        g = random_connected_topology(15, np.random.default_rng(10))
+        decomposition = compute_patches(g, radius=2, rng=rng)
+        owner = {}
+        for patch in decomposition.patches:
+            assert patch.leader in patch.members
+            assert patch.parent[patch.leader] == patch.leader
+            for node in patch.members:
+                assert node not in owner  # every node lies in exactly one patch
+                owner[node] = patch.leader
+        assert sorted(owner) == list(range(15))
+        assert set(owner.values()) == decomposition.leaders
+
     def test_deterministic_patching_needs_no_rng(self):
         g = random_connected_topology(20, np.random.default_rng(11))
         decomposition = compute_patches(g, radius=2, deterministic=True)

@@ -15,27 +15,18 @@ import pytest
 
 from repro.algorithms import TokenForwardingNode
 from repro.network import (
-    BottleneckAdversary,
     ObliviousSequenceAdversary,
     OmniscientBottleneckAdversary,
-    PathShuffleAdversary,
     RandomConnectedAdversary,
-    RandomTreeAdversary,
-    RotatingStarAdversary,
-    ShiftedRingAdversary,
-    StaticAdversary,
     TokenIsolationAdversary,
     Topology,
     TStableAdversary,
-    complete_topology,
-    path_topology,
     ring_topology,
     shifted_ring_topology,
-    star_topology,
 )
 from repro.scenarios import SCENARIOS, Scenario, list_scenarios, make_scenario, register_scenario, scenario_for
 from repro.simulation import run_dissemination, standard_instance
-from tests.conftest import RecordingAdversary, make_config
+from tests.conftest import NAMED_ADVERSARIES, RecordingAdversary, make_config
 
 N = 12
 
@@ -85,16 +76,9 @@ def _target_token_id():
 
 def _hand_written_adversaries():
     return [
-        pytest.param(lambda: BottleneckAdversary(), id="bottleneck"),
-        pytest.param(lambda: PathShuffleAdversary(seed=4), id="path_shuffle"),
-        pytest.param(lambda: RandomConnectedAdversary(seed=4), id="random_connected"),
-        pytest.param(lambda: RandomTreeAdversary(seed=4), id="random_tree"),
-        pytest.param(lambda: RotatingStarAdversary(), id="rotating_star"),
-        pytest.param(lambda: ShiftedRingAdversary(), id="shifted_ring"),
-        pytest.param(lambda: StaticAdversary(complete_topology), id="static_complete"),
-        pytest.param(lambda: StaticAdversary(path_topology), id="static_path"),
-        pytest.param(lambda: StaticAdversary(ring_topology), id="static_ring"),
-        pytest.param(lambda: StaticAdversary(star_topology), id="static_star"),
+        pytest.param(lambda build=build: build(4), id=name)
+        for name, build in NAMED_ADVERSARIES.items()
+    ] + [
         pytest.param(
             lambda: TStableAdversary(RandomConnectedAdversary(seed=4), 3),
             id="tstable-random-connected",

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -178,6 +180,36 @@ class TestRunner:
         assert m.average_message_bits > 0
         summary = m.summary()
         assert summary["completed"] is True
+
+
+class TestRecordingAdversary:
+    """The wrapper that tests read a run's topologies through."""
+
+    @pytest.mark.parametrize(
+        "make_inner",
+        [lambda: RandomConnectedAdversary(seed=1), OmniscientBottleneckAdversary],
+        ids=["oblivious", "omniscient"],
+    )
+    def test_wrapping_leaves_the_run_unchanged(self, rng, make_inner):
+        config = make_config(8)
+        placement = one_token_per_node(8, 8, rng)
+        plain = run_dissemination(IndexedBroadcastNode, config, placement, make_inner(), seed=1)
+        recorder = RecordingAdversary(make_inner())
+        assert recorder.sees_messages == make_inner().sees_messages
+        recorded = run_dissemination(IndexedBroadcastNode, config, placement, recorder, seed=1)
+        assert recorded.engine == plain.engine
+        assert dataclasses.asdict(recorded.metrics) == dataclasses.asdict(plain.metrics)
+        assert len(recorder.topologies) == recorded.metrics.rounds_executed
+
+    def test_reset_starts_a_new_record(self, rng):
+        config = make_config(8)
+        placement = one_token_per_node(8, 8, rng)
+        recorder = RecordingAdversary(RandomConnectedAdversary(seed=3))
+        run_dissemination(TokenForwardingNode, config, placement, recorder, seed=1)
+        first = [t.masks for t in recorder.topologies]
+        result = run_dissemination(TokenForwardingNode, config, placement, recorder, seed=1)
+        assert len(recorder.topologies) == result.metrics.rounds_executed
+        assert [t.masks for t in recorder.topologies] == first
 
 
 class TestMetricsUnit:

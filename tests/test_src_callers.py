@@ -17,11 +17,16 @@ Run it standalone to print the names without a caller:
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
+import textwrap
 from functools import cache
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
-PACKAGE = ROOT / "src" / "repro"
 CALLER_DIRS = ("src", "benchmarks", "examples", "perfbench")
 
 #: Public names with no caller outside the tests, each with the reason it stays.
@@ -48,8 +53,8 @@ def _python_files(directory: Path) -> list[Path]:
     return sorted(p for p in directory.rglob("*.py") if "__pycache__" not in p.parts)
 
 
-def _module_name(path: Path) -> str:
-    parts = path.relative_to(PACKAGE.parent).with_suffix("").parts
+def _module_name(path: Path, package: Path) -> str:
+    parts = path.relative_to(package.parent).with_suffix("").parts
     if parts[-1] == "__init__":
         parts = parts[:-1]
     return ".".join(parts)
@@ -81,14 +86,17 @@ def _identifiers(node: ast.AST) -> set[str]:
 
 
 @cache
-def scan() -> tuple[dict[str, str], set[str]]:
+def scan(root: Path = ROOT) -> tuple[dict[str, str], set[str]]:
     """Return ``({qualified name: bare name} of public definitions, used bare names)``."""
+    package = root / "src" / "repro"
     public: dict[str, str] = {}
     used: set[str] = set()
     for directory in CALLER_DIRS:
-        for path in _python_files(ROOT / directory):
+        if not (root / directory).is_dir():
+            continue
+        for path in _python_files(root / directory):
             tree = ast.parse(path.read_text(), filename=str(path))
-            in_package = path.is_relative_to(PACKAGE)
+            in_package = path.is_relative_to(package)
             exported: set[str] = set()
             if in_package:
                 for statement in tree.body:
@@ -96,7 +104,7 @@ def scan() -> tuple[dict[str, str], set[str]]:
                         isinstance(t, ast.Name) and t.id == "__all__" for t in statement.targets
                     ):
                         exported = set(ast.literal_eval(statement.value))
-            module = _module_name(path) if in_package else ""
+            module = _module_name(path, package) if in_package else ""
             for statement in tree.body:
                 defined = _bound_names(statement)
                 for name in defined:
@@ -117,8 +125,8 @@ def scan() -> tuple[dict[str, str], set[str]]:
     return public, used
 
 
-def uncalled() -> list[str]:
-    public, used = scan()
+def uncalled(root: Path = ROOT) -> list[str]:
+    public, used = scan(root)
     return sorted(q for q, name in public.items() if name not in used)
 
 
@@ -130,17 +138,125 @@ def test_every_public_name_has_a_caller_or_a_kept_reason():
     )
 
 
+def stale_kept(kept: dict[str, str], root: Path = ROOT) -> tuple[list[str], list[str]]:
+    """``(kept names that no longer exist, kept names that now have a caller)``."""
+    public, used = scan(root)
+    gone = sorted(q for q in kept if q not in public)
+    called = sorted(q for q in kept if q in public and public[q] in used)
+    return gone, called
+
+
 def test_kept_entries_are_still_defined_and_still_uncalled():
-    public, used = scan()
-    gone = sorted(q for q in KEPT if q not in public)
+    gone, called = stale_kept(KEPT)
     assert not gone, f"KEPT names that no longer exist: {gone}"
-    called = sorted(q for q in KEPT if public[q] in used)
     assert not called, f"KEPT names that now have a caller; drop them from KEPT: {called}"
 
 
 def test_kept_reasons_are_one_line():
     for qualified, reason in KEPT.items():
         assert reason.strip() and "\n" not in reason, qualified
+
+
+
+# ----------------------------------------------------------------------
+# the scan itself, on small synthetic trees
+# ----------------------------------------------------------------------
+
+_MODULE = '''
+    """Module docstring naming dead()."""
+
+    __all__ = ["dead", "live"]
+
+
+    def dead():
+        """Recursion is not a caller: dead()."""
+        return dead()
+
+
+    def live():
+        return 1
+'''
+
+
+def _tree(root: Path, files: dict[str, str]) -> Path:
+    for relative, text in files.items():
+        path = root / relative
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(textwrap.dedent(text))
+    return root
+
+
+def test_scan_flags_a_public_name_that_only_its_own_module_mentions(tmp_path):
+    root = _tree(
+        tmp_path,
+        {
+            "src/repro/__init__.py": "from .mod import dead, live\n__all__ = ['dead', 'live']\n",
+            "src/repro/mod.py": _MODULE,
+            "benchmarks/bench.py": "# dead() is only named in this comment\nfrom repro import live\n",
+        },
+    )
+    assert uncalled(root) == ["repro.mod.dead"]
+
+
+@pytest.mark.parametrize(
+    "use",
+    [
+        "from repro.mod import dead\n",
+        "import repro.mod\nrepro.mod.dead()\n",
+        "handler = {'name': dead}\n",
+    ],
+    ids=["import", "attribute", "name"],
+)
+def test_scan_counts_every_kind_of_use(tmp_path, use):
+    root = _tree(
+        tmp_path,
+        {
+            "src/repro/__init__.py": "",
+            "src/repro/mod.py": _MODULE,
+            "examples/use.py": "from repro.mod import live\n" + use,
+        },
+    )
+    assert uncalled(root) == []
+
+
+def test_scan_reports_kept_names_that_are_gone_or_now_called(tmp_path):
+    root = _tree(
+        tmp_path,
+        {
+            "src/repro/__init__.py": "",
+            "src/repro/mod.py": _MODULE,
+            "perfbench/use.py": "from repro.mod import dead, live\n",
+        },
+    )
+    kept = {"repro.mod.dead": "a reason", "repro.mod.removed": "a reason"}
+    assert stale_kept(kept, root) == (["repro.mod.removed"], ["repro.mod.dead"])
+
+
+def test_every_src_module_imports_without_tests_on_the_path(tmp_path):
+    # What CI checks: nothing in src/ may import from tests/, which pytest
+    # otherwise puts on sys.path by rootdir.
+    script = textwrap.dedent(
+        """
+        import importlib, importlib.util, pkgutil
+        import repro
+        assert importlib.util.find_spec("tests") is None, "tests/ is importable"
+        names = [m.name for m in pkgutil.walk_packages(repro.__path__, "repro.")]
+        for name in names:
+            importlib.import_module(name)
+        print(len(names))
+        """
+    )
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        cwd=tmp_path,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert int(done.stdout) > 50
 
 
 if __name__ == "__main__":
