@@ -171,10 +171,6 @@ class GF:
         """Field addition."""
         return (int(a) + int(b)) % self.q
 
-    def sub(self, a: int, b: int) -> int:
-        """Field subtraction."""
-        return (int(a) - int(b)) % self.q
-
     def neg(self, a: int) -> int:
         """Additive inverse."""
         return (-int(a)) % self.q

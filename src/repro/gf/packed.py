@@ -513,10 +513,15 @@ class GF2BasisBatch:
         counts = np.zeros(m, dtype=np.int64)
         ranks = self._rank[node_ids]
         max_rank = int(ranks.max()) if m else 0
+        # The loop is over rank levels (at most k), and each pass is one
+        # masked XOR-reduce over every queried node at once: the sequential
+        # elimination order is the algorithm.
         for j in range(max_rank):
+            # repro: allow[REP401] one whole-batch pass per rank level
             act = np.flatnonzero((ranks > j) & (counts < k))
             if act.size == 0:
                 continue
+            # repro: allow[REP401] one whole-batch pass per rank level
             vec = np.ascontiguousarray(self.rows[node_ids[act], :, j])
             # Reduce by the existing pivot rows.  Pivot rows are mutually
             # reduced (no pivot row carries another pivot's bit), so the
@@ -524,6 +529,7 @@ class GF2BasisBatch:
             # masked XOR-reduce.
             selectors = self._coefficient_bits(vec, k) & pivot_exists[act]
             if selectors.any():
+                # repro: allow[REP401] one whole-batch pass per rank level
                 vec ^= np.bitwise_xor.reduce(
                     pivot_rows[act] * selectors.astype(np.uint64)[:, :, None],
                     axis=1,
@@ -538,8 +544,9 @@ class GF2BasisBatch:
             word = (pivot >> 6)[:, None, None]
             shift = (pivot & 63).astype(np.uint64)[:, None]
             carrier = (
-                np.take_along_axis(pivot_rows[act], word, axis=2)[:, :, 0] >> shift
+                np.take_along_axis(pivot_rows[act], word, axis=2)[:, :, 0] >> shift  # repro: allow[REP401] one whole-batch pass per rank level
             ) & np.uint64(1)
+            # repro: allow[REP401] one whole-batch pass per rank level
             hit_rows, hit_cols = np.nonzero(carrier.astype(bool) & pivot_exists[act])
             if hit_rows.size:
                 pivot_rows[act[hit_rows], hit_cols] ^= vec[hit_rows]

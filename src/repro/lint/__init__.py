@@ -14,19 +14,17 @@ Usage::
     python -m repro.lint --list-rules
     python -m repro.lint src --format json --output lint-report.json
 
-Findings are silenced either per line with a mandatory reason::
+A finding is silenced only per line, with a mandatory reason::
 
     rng = np.random.default_rng()  # repro: allow[REP102] demo only
 
-or grandfathered in the committed baseline (``--write-baseline``).  See
-``src/repro/lint/README.md`` and the ROADMAP "Contracts" section for the
+See ``src/repro/lint/README.md`` and the ROADMAP "Contracts" section for the
 rule catalogue; configuration lives in ``[tool.repro-lint]`` in
 pyproject.toml.
 """
 
 from __future__ import annotations
 
-from .baseline import Baseline, fingerprint_findings
 from .config import LintConfig, load_config
 from .engine import LintResult, categorize, lint_source, run_lint
 from .findings import Finding
@@ -36,7 +34,6 @@ from .suppress import parse_suppressions
 from .visitor import FileIndex, build_index
 
 __all__ = [
-    "Baseline",
     "BaseRule",
     "FileIndex",
     "Finding",
@@ -47,7 +44,6 @@ __all__ = [
     "all_rules",
     "build_index",
     "categorize",
-    "fingerprint_findings",
     "lint_source",
     "load_config",
     "parse_suppressions",

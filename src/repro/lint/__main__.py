@@ -1,6 +1,6 @@
 """CLI entry point: ``python -m repro.lint [paths...]``.
 
-Exit codes: 0 = clean (possibly with suppressed/baselined findings),
+Exit codes: 0 = clean (possibly with findings suppressed inline),
 1 = at least one active finding (including syntax errors and malformed
 suppressions), 2 = usage error.
 """
@@ -11,7 +11,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .config import LintConfig, load_config
+from .config import load_config
 from .engine import run_lint
 from .report import render_json, render_text
 from .rules import all_rules
@@ -42,18 +42,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="also write the JSON report to FILE (the CI artifact)",
     )
     parser.add_argument(
-        "--baseline",
-        type=Path,
-        default=None,
-        metavar="FILE",
-        help="baseline file (overrides [tool.repro-lint] baseline)",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="grandfather all current findings into the baseline and exit 0",
-    )
-    parser.add_argument(
         "--select",
         default="",
         metavar="IDS",
@@ -75,9 +63,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--no-config",
         action="store_true",
         help="ignore [tool.repro-lint] in pyproject.toml",
-    )
-    parser.add_argument(
-        "--verbose", action="store_true", help="also list baselined findings"
     )
     parser.add_argument(
         "--list-rules", action="store_true", help="print the rule catalogue and exit"
@@ -114,33 +99,16 @@ def main(argv: list[str] | None = None) -> int:
             select=_split_ids(args.select) or config.select,
             ignore=_split_ids(args.ignore) or config.ignore,
         )
-    if args.write_baseline and args.baseline is None and config.baseline is None:
-        print(
-            "error: --write-baseline needs --baseline or a configured "
-            "[tool.repro-lint] baseline",
-            file=sys.stderr,
-        )
-        return 2
-
     result = run_lint(
-        paths,
-        config,
-        baseline_path=args.baseline,
-        write_baseline=args.write_baseline,
-        category=None if args.category == "auto" else args.category,
+        paths, config, category=None if args.category == "auto" else args.category
     )
-
-    if args.write_baseline:
-        target = args.baseline or config.baseline
-        print(f"baseline written: {len(result.baselined)} finding(s) -> {target}")
-        return 0
 
     if args.output is not None:
         args.output.write_text(render_json(result))
     if args.format == "json":
         print(render_json(result), end="")
     else:
-        print(render_text(result, verbose=args.verbose))
+        print(render_text(result))
     return result.exit_code
 
 

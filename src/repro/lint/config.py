@@ -3,7 +3,6 @@
 All keys are optional; dashes and underscores are interchangeable::
 
     [tool.repro-lint]
-    baseline = "lint-baseline.json"      # relative to pyproject.toml
     select = []                          # empty = every registered rule
     ignore = []                          # ids or slugs to disable
     kernel-modules = ["kernels.py", "coded_kernels.py"]
@@ -44,7 +43,6 @@ DEFAULT_PACKED_MODULES = (
 @dataclass(frozen=True)
 class LintConfig:
     root: Path = field(default_factory=Path.cwd)
-    baseline: Path | None = None
     select: tuple[str, ...] = ()
     ignore: tuple[str, ...] = ()
     kernel_modules: tuple[str, ...] = DEFAULT_KERNEL_MODULES
@@ -89,10 +87,8 @@ def load_config(start: Path | None = None, *, use_pyproject: bool = True) -> Lin
     if not isinstance(section, dict):
         return replace(config, root=pyproject.parent)
     normalized = {key.replace("-", "_"): value for key, value in section.items()}
-    baseline = normalized.get("baseline")
     return LintConfig(
         root=pyproject.parent,
-        baseline=(pyproject.parent / str(baseline)) if baseline else None,
         select=_str_tuple(normalized.get("select")),
         ignore=_str_tuple(normalized.get("ignore")),
         kernel_modules=_str_tuple(normalized.get("kernel_modules")) or DEFAULT_KERNEL_MODULES,

@@ -1,4 +1,4 @@
-"""Orchestration: discover files, run rules, apply suppressions + baseline.
+"""Orchestration: discover files, run rules, apply suppressions.
 
 The pipeline per file is
 
@@ -6,8 +6,7 @@ The pipeline per file is
 2. one shared-visitor walk into a :class:`~repro.lint.visitor.FileIndex`,
 3. every applicable registered rule filters the index,
 4. ``# repro: allow[...]`` directives drop matching findings (malformed
-   directives and unknown rule ids become ``REP001``),
-5. the committed baseline drops grandfathered fingerprints.
+   directives and unknown rule ids become ``REP001``).
 
 Whatever survives is a gate failure (exit code 1 from the CLI).
 """
@@ -18,7 +17,6 @@ import ast
 from dataclasses import dataclass, field
 from pathlib import Path, PurePosixPath
 
-from .baseline import Baseline
 from .config import LintConfig
 from .findings import BAD_SUPPRESSION_ID, SYNTAX_ERROR_ID, Finding
 from .rules import RULE_REGISTRY, all_rules, resolve_rule_ids
@@ -28,11 +26,10 @@ from .visitor import build_index
 
 @dataclass
 class LintResult:
-    """Outcome of one lint run (post-suppression, post-baseline)."""
+    """Outcome of one lint run (post-suppression)."""
 
     findings: list[Finding] = field(default_factory=list)
     suppressed: list[Finding] = field(default_factory=list)
-    baselined: list[Finding] = field(default_factory=list)
     files_checked: int = 0
 
     @property
@@ -146,7 +143,6 @@ def lint_source(
                 rule=BAD_SUPPRESSION_ID,
                 name="bad-suppression",
                 message=message,
-                line_text=index.line_text(line),
             )
         )
     known_ids = set(RULE_REGISTRY) | {
@@ -162,7 +158,6 @@ def lint_source(
                     rule=BAD_SUPPRESSION_ID,
                     name="bad-suppression",
                     message=f"allow[...] names unknown rule {unknown!r}",
-                    line_text=index.line_text(suppression.line),
                 )
             )
 
@@ -187,19 +182,16 @@ def run_lint(
     paths: list[Path],
     config: LintConfig,
     *,
-    baseline_path: Path | None = None,
-    write_baseline: bool = False,
     category: str | None = None,
 ) -> LintResult:
-    """Lint ``paths`` end to end, applying the baseline if one is configured."""
+    """Lint ``paths`` end to end."""
     result = LintResult()
-    findings: list[Finding] = []
     for path in iter_python_files(paths, config):
         result.files_checked += 1
         try:
             source = path.read_text()
         except OSError as exc:
-            findings.append(
+            result.findings.append(
                 Finding(
                     path=str(path),
                     line=1,
@@ -211,20 +203,7 @@ def run_lint(
             )
             continue
         active, suppressed = lint_source(path, source, config, category=category)
-        findings.extend(active)
+        result.findings.extend(active)
         result.suppressed.extend(suppressed)
-
-    findings.sort()
-    baseline_file = baseline_path or config.baseline
-    if baseline_file is not None:
-        baseline = Baseline.load(baseline_file)
-        if write_baseline:
-            baseline.write(findings, config.root)
-            result.baselined = findings
-            return result
-        active, baselined = baseline.split(findings, config.root)
-        result.findings = active
-        result.baselined = baselined
-    else:
-        result.findings = findings
+    result.findings.sort()
     return result

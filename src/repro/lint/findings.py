@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 #: Pseudo-rule id for files the linter cannot parse.  Not a registered
-#: rule: it cannot be selected, suppressed, or baselined away.
+#: rule: it can be neither selected away nor suppressed.
 SYNTAX_ERROR_ID = "REP000"
 
 #: Pseudo-rule id for malformed or unknown suppression directives
@@ -17,8 +17,8 @@ BAD_SUPPRESSION_ID = "REP001"
 class Finding:
     """One contract violation at one source location.
 
-    Ordering is lexicographic ``(path, line, col, rule)`` so reports and
-    baseline fingerprint occurrence counters are stable across runs.
+    Ordering is lexicographic ``(path, line, col, rule)`` so reports are
+    stable across runs.
     """
 
     path: str
@@ -27,9 +27,6 @@ class Finding:
     rule: str
     name: str
     message: str
-    #: The stripped source line, used for line-number-independent baseline
-    #: fingerprints (kept out of the human report).
-    line_text: str = ""
 
     def location(self) -> str:
         return f"{self.path}:{self.line}:{self.col}"

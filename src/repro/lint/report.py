@@ -8,21 +8,15 @@ from collections import Counter
 from .engine import LintResult
 
 
-def render_text(result: LintResult, *, verbose: bool = False) -> str:
+def render_text(result: LintResult) -> str:
     """The human report: one line per finding plus a summary."""
     lines = [
         f"{finding.location()}: {finding.rule}[{finding.name}] {finding.message}"
         for finding in result.findings
     ]
-    if verbose:
-        lines.extend(
-            f"{finding.location()}: baselined {finding.rule}[{finding.name}]"
-            for finding in result.baselined
-        )
     summary = (
         f"{len(result.findings)} finding(s) in {result.files_checked} file(s)"
-        f" ({len(result.suppressed)} suppressed inline,"
-        f" {len(result.baselined)} baselined)"
+        f" ({len(result.suppressed)} suppressed inline)"
     )
     lines.append(summary)
     return "\n".join(lines)
@@ -36,7 +30,6 @@ def to_json(result: LintResult) -> dict:
         "files_checked": result.files_checked,
         "findings": [finding.to_dict() for finding in result.findings],
         "suppressed": [finding.to_dict() for finding in result.suppressed],
-        "baselined": [finding.to_dict() for finding in result.baselined],
         "counts_by_rule": dict(sorted(counts.items())),
         "exit_code": result.exit_code,
     }

@@ -59,7 +59,6 @@ class BaseRule:
             rule=self.id,
             name=self.name,
             message=message,
-            line_text=index.line_text(line),
         )
 
     def check(self, index: FileIndex) -> Iterator[Finding]:

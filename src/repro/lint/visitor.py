@@ -119,7 +119,6 @@ class FileIndex:
     in_algorithms: bool = False
 
     source: str = ""
-    lines: list[str] = field(default_factory=list)
 
     #: ``import x as y`` bindings: bound name -> module dotted path.
     aliases: dict[str, str] = field(default_factory=dict)
@@ -158,11 +157,6 @@ class FileIndex:
         }
         classes = {c.name for c in self.classes}
         return frozenset(defs | classes | set(self.aliases) | set(self.from_names))
-
-    def line_text(self, lineno: int) -> str:
-        if 1 <= lineno <= len(self.lines):
-            return self.lines[lineno - 1]
-        return ""
 
 
 class _IndexBuilder(ast.NodeVisitor):
@@ -329,7 +323,6 @@ def build_index(
         is_packed_module=is_packed_module,
         in_algorithms=in_algorithms,
         source=source,
-        lines=source.splitlines(),
     )
     _IndexBuilder(index).visit(tree)
     return index

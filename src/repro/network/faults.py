@@ -143,9 +143,9 @@ class FaultStrategy:
 
     Strategies that target protocol *progress* instead of topology set the
     class attribute ``wants_state = True``; their bound ``plan_round`` then
-    receives an extra read-only :class:`StateView` argument.  The runner
-    gates kernel eligibility on ``RoundKernel.supports_state_views`` the
-    same way omniscient ``sees_messages`` adversaries are gated.
+    receives an extra read-only :class:`StateView` argument.  Every round
+    kernel supplies both of its columns, so such strategies run on either
+    engine.
     """
 
     #: Whether plan_round needs a StateView of protocol progress.

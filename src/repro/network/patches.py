@@ -67,14 +67,6 @@ class Patch:
         """Height of the patch's shortest-path tree."""
         return max(self.depth.values()) if self.depth else 0
 
-    def children(self) -> dict:
-        """Map each member to the list of its tree children."""
-        kids: dict = {member: [] for member in self.members}
-        for node, parent in self.parent.items():
-            if node != self.leader:
-                kids[parent].append(node)
-        return kids
-
 
 @dataclass(frozen=True)
 class PatchDecomposition:

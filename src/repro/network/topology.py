@@ -20,7 +20,7 @@ instead of once per round (:class:`TopologyValidationCache` packages that
 single-slot identity cache for every engine).  It is the only type an
 adversary may return for a round (:func:`as_topology` enforces that).  It
 offers the small read surface the rest of the code base needs (``nodes``,
-``edges``, ``neighbors``, ``has_edge``, ``number_of_nodes/edges``), and
+``edges``, ``neighbors_tuple``, ``number_of_edges``), and
 every graph algorithm in the package runs on it directly, the Section 8.1
 power graph, MIS and patch decomposition included
 (:mod:`repro.network.patches`).
@@ -304,10 +304,6 @@ class Topology:
                 out.append((u, u + v))
         return out
 
-    def neighbors(self, u: int) -> Iterator[int]:
-        """The neighbours of ``u`` in ascending order."""
-        return _iter_bits(self.masks[u])
-
     def neighbors_tuple(self, u: int) -> tuple[int, ...]:
         """The neighbours of ``u`` in ascending order, as a cached tuple.
 
@@ -372,9 +368,6 @@ class Topology:
             self.csr_adjacency()
         return self._receivers
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return bool((self.masks[u] >> v) & 1)
-
     # ------------------------------------------------------------------
     # packed set algebra (whole-graph bitwise ops)
     # ------------------------------------------------------------------
@@ -418,9 +411,6 @@ class Topology:
         topologies have none.
         """
         return np.bitwise_count(self.packed_adjacency()).sum(axis=1, dtype=np.int64)
-
-    def number_of_nodes(self) -> int:
-        return self.n
 
     def number_of_edges(self) -> int:
         total = sum(mask.bit_count() for mask in self.masks)

@@ -95,7 +95,6 @@ class IndexedBroadcastKernel(RoundKernel):
     """
 
     message_name = "CodedMessage"
-    supports_message_views = True
 
     @classmethod
     def supports(cls, config) -> bool:

@@ -229,15 +229,6 @@ class RoundKernel(abc.ABC):
     message_name = "Message"
     #: The node class this kernel implements (set by :func:`register_kernel`).
     node_class: type | None = None
-    #: Whether :meth:`wire_message` can materialise this round's per-node
-    #: message objects (keeps omniscient adversaries kernel-eligible).
-    supports_message_views = False
-    #: Whether the kernel can hand a per-round
-    #: :class:`~repro.network.faults.StateView` (knowledge counts + coded
-    #: ranks) to state-aware fault strategies.  The base class already
-    #: exposes both columns, so every kernel supports this by default; a
-    #: kernel whose counts/ranks are not faithful mid-round must opt out.
-    supports_state_views = True
 
     def __init__(
         self,
@@ -345,11 +336,12 @@ class RoundKernel(abc.ABC):
     def wire_message(self, uid: int, round_index: int):
         """Materialise node ``uid``'s wire message for the *current* round.
 
-        Only called between ``compose_all`` and ``deliver_all``, only for
-        active nodes, and only when ``supports_message_views`` is True.
-        Must rebuild exactly the Message object the node class would have
-        composed (same content, same ordering), so omniscient adversaries
-        see identical messages on every engine.
+        Only called between ``compose_all`` and ``deliver_all``, and only for
+        active nodes.  A kernel that overrides it stays eligible under
+        omniscient (``sees_messages``) adversaries.  Must rebuild exactly
+        the Message object the node class would have composed (same
+        content, same ordering), so omniscient adversaries see identical
+        messages on every engine.
         """
         raise RuntimeError(
             f"{type(self).__name__} does not build per-node message views"
@@ -612,7 +604,6 @@ class TokenForwardingKernel(RoundKernel):
     """
 
     message_name = "TokenForwardMessage"
-    supports_message_views = True
 
     def __init__(self, config, placement, token_index, nodes):
         super().__init__(config, placement, token_index, nodes)

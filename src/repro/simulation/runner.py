@@ -198,8 +198,6 @@ class ObjectKernel(kernels.RoundKernel):
     delivery.
     """
 
-    supports_message_views = True
-
     def __init__(self, config, placement, token_index, nodes):
         super().__init__(config, placement, token_index, nodes)
         self.nodes = nodes
@@ -416,10 +414,13 @@ def run_dissemination(
 
     # Packed-kernel dispatch: the factory must *be* a registered node class
     # (exact identity, so subclasses never inherit a kernel), the kernel
-    # must support this configuration, and it must offer the message and
-    # state views the adversary and fault strategy read.
+    # must support this configuration, and an omniscient adversary needs
+    # the kernel's own wire_message to read the round's messages.
     kernel_cls = kernels.kernel_for(factory, config)
-    wants_state = bound is not None and bound.wants_state
+    message_views = (
+        kernel_cls is not None
+        and kernel_cls.wire_message is not kernels.RoundKernel.wire_message
+    )
     if engine == "kernel":
         if kernel_cls is None:
             raise ValueError(
@@ -427,23 +428,16 @@ def run_dissemination(
                 "class with a registered RoundKernel (see "
                 "repro.simulation.kernels.register_kernel)"
             )
-        if adversary.sees_messages and not kernel_cls.supports_message_views:
+        if adversary.sees_messages and not message_views:
             raise ValueError(
                 f"{kernel_cls.__name__} does not build per-node message "
                 "views, so omniscient (sees_messages) adversaries are not "
                 "supported; use engine='mask'"
             )
-        if wants_state and not kernel_cls.supports_state_views:
-            raise ValueError(
-                f"{kernel_cls.__name__} does not expose per-round state "
-                "views, so state-aware (wants_state) fault strategies are "
-                "not supported; use engine='mask'"
-            )
     use_kernel = engine == "kernel" or (
         engine == "auto"
         and kernel_cls is not None
-        and (not adversary.sees_messages or kernel_cls.supports_message_views)
-        and (not wants_state or kernel_cls.supports_state_views)
+        and (not adversary.sees_messages or message_views)
     )
     kernel = None
     if use_kernel:

@@ -7,13 +7,16 @@ than summarised by a mean.  The pins call the benches' own code (E22's
 ``_run``), so the table a bench prints and the figures pinned here come
 from one definition.
 
-A change to the fault layer, the round loop or the token-forwarding kernel
-that moves any of these figures changed behaviour under the hostile axes.
+The figures are kept in ``tests/golden/bench_pins.json`` (see
+:mod:`tests.golden`).  A change to the fault layer, the round loop or the
+token-forwarding kernel that moves any of them changed behaviour under the
+hostile axes.
 """
 
 from __future__ import annotations
 
 import sys
+from functools import cache
 from pathlib import Path
 
 import pytest
@@ -29,69 +32,33 @@ import common  # noqa: E402
 from repro.algorithms import TokenForwardingNode  # noqa: E402
 from repro.network import FaultModel  # noqa: E402
 from repro.scenarios import fault_model_for  # noqa: E402
+from tests import golden  # noqa: E402
 
-#: ``(loss, collision, fake) -> (surviving_rate, completion_round, collided,
-#: dropped)`` for every point of E22's grid at seed 2.  The three points
+#: E22's grid in the bench's order, at seed 2, by name.  The three points
 #: of the hostile corner run out of rounds with a partial surviving rate.
-E22_SURFACE = {
-    (0.0, 0.0, 0): (1.0, 258, 0, 0),
-    (0.0, 0.0, 2): (1.0, 258, 0, 0),
-    (0.0, 0.0, 4): (1.0, 258, 0, 0),
-    (0.0, 0.5, 0): (1.0, 261, 13032, 0),
-    (0.0, 0.5, 2): (1.0, 261, 13032, 0),
-    (0.0, 0.5, 4): (1.0, 261, 13032, 0),
-    (0.0, 0.9, 0): (1.0, 266, 22588, 0),
-    (0.0, 0.9, 2): (1.0, 266, 22588, 0),
-    (0.0, 0.9, 4): (1.0, 265, 22510, 0),
-    (0.5, 0.0, 0): (1.0, 261, 0, 16612),
-    (0.5, 0.0, 2): (1.0, 261, 0, 16612),
-    (0.5, 0.0, 4): (1.0, 261, 0, 16612),
-    (0.5, 0.5, 0): (1.0, 266, 4748, 16869),
-    (0.5, 0.5, 2): (1.0, 266, 4748, 16869),
-    (0.5, 0.5, 4): (1.0, 265, 4722, 16815),
-    (0.5, 0.9, 0): (1.0, 266, 8542, 16887),
-    (0.5, 0.9, 2): (1.0, 266, 8542, 16887),
-    (0.5, 0.9, 4): (1.0, 265, 8516, 16833),
-    (0.9, 0.0, 0): (1.0, 291, 0, 33380),
-    (0.9, 0.0, 2): (1.0, 291, 0, 33380),
-    (0.9, 0.0, 4): (1.0, 291, 0, 33380),
-    (0.9, 0.5, 0): (1.0, 297, 291, 33834),
-    (0.9, 0.5, 2): (1.0, 297, 291, 33834),
-    (0.9, 0.5, 4): (1.0, 297, 291, 33834),
-    (0.9, 0.9, 0): (0.938, None, 526, 33955),
-    (0.9, 0.9, 2): (0.933, None, 526, 33955),
-    (0.9, 0.9, 4): (0.929, None, 526, 33955),
+E22_POINTS = {
+    f"loss{loss}-collision{collision}-fake{fake}": (loss, collision, fake)
+    for loss in e22.LOSS_AXIS
+    for collision in e22.COLLISION_AXIS
+    for fake in e22.FAKE_AXIS
+}
+E22_FIELDS = ("surviving_rate", "completion_round", "collided", "dropped")
+#: E20's two failure-regime runs; neither completes in the bench's ``MAX_ROUNDS``.
+E20_POINTS = {
+    # The tail of E20's token-forwarding loss curve.
+    "E20/loss-0.97": {"scenario": "edge_markov", "model": FaultModel(loss=0.97)},
+    # E20's catalog row for collision_waypoint: every round collides.
+    "E20/collision_waypoint": {
+        "scenario": "collision_waypoint",
+        "model": fault_model_for("collision_waypoint", e20.N, seed=0),
+    },
 }
 
 
-@pytest.fixture(scope="module")
-def e22_rows() -> dict:
+@cache
+def _e22_rows() -> dict:
     """E22's surface exactly as the bench computes and prints it."""
     return {(row["loss"], row["collision"], row["fake"]): row for row in e22._surface()}
-
-
-def test_e22_pins_cover_the_whole_grid(e22_rows):
-    assert list(e22_rows) == list(E22_SURFACE)
-
-
-@pytest.mark.parametrize(
-    ("loss", "collision", "fake"),
-    list(E22_SURFACE),
-    ids=[
-        f"loss{loss}-collision{collision}-fake{fake}"
-        for loss, collision, fake in E22_SURFACE
-    ],
-)
-def test_e22_degradation_point(e22_rows, loss, collision, fake):
-    row = e22_rows[(loss, collision, fake)]
-    assert row["engine"] == "kernel"
-    measured = (
-        row["surviving_rate"],
-        row["completion_round"],
-        row["collided"],
-        row["dropped"],
-    )
-    assert measured == E22_SURFACE[(loss, collision, fake)]
 
 
 def _failure_point(scenario: str, model: FaultModel) -> dict:
@@ -110,44 +77,35 @@ def _failure_point(scenario: str, model: FaultModel) -> dict:
     }
 
 
-@pytest.fixture(scope="module")
-def e20_points() -> dict:
-    """E20's two failure-regime runs, over the bench's sweep workers."""
-    points = {
-        # The tail of E20's token-forwarding loss curve.
-        "loss-0.97": {"scenario": "edge_markov", "model": FaultModel(loss=0.97)},
-        # E20's catalog row for collision_waypoint: every round collides.
-        "collision_waypoint": {
-            "scenario": "collision_waypoint",
-            "model": fault_model_for("collision_waypoint", e20.N, seed=0),
-        },
-    }
-    return dict(zip(points, common.sweep_map(_failure_point, list(points.values()))))
+@cache
+def _e20_points() -> dict:
+    """The failure points by key, over the bench's sweep workers."""
+    return dict(zip(E20_POINTS, common.sweep_map(_failure_point, list(E20_POINTS.values()))))
 
 
-def test_e20_token_forwarding_loss_097_never_completes(e20_points):
-    assert e20_points["loss-0.97"] == {
-        "engine": "kernel",
-        "completed": False,
-        "rounds": e20.MAX_ROUNDS,
-        "survivors": 48,
-        "surviving_rate": 0.0,
-        "completion_round": None,
-        "dropped": 126717,
-        "collided": 0,
-        "corrupted": 0,
-    }
+def _e22_value(name: str) -> tuple:
+    row = _e22_rows()[E22_POINTS[name]]
+    return tuple(row[field] for field in E22_FIELDS)
 
 
-def test_e20_collision_waypoint_never_completes(e20_points):
-    assert e20_points["collision_waypoint"] == {
-        "engine": "kernel",
-        "completed": False,
-        "rounds": e20.MAX_ROUNDS,
-        "survivors": 48,
-        "surviving_rate": 0.0,
-        "completion_round": None,
-        "dropped": 0,
-        "collided": 273891,
-        "corrupted": 0,
-    }
+def golden_values() -> dict:
+    return {**{f"E22/{name}": _e22_value(name) for name in E22_POINTS}, **_e20_points()}
+
+
+def test_e22_pins_cover_the_whole_grid():
+    assert list(_e22_rows()) == list(E22_POINTS.values())
+    golden.check_keys("bench_pins", [f"E22/{name}" for name in E22_POINTS] + list(E20_POINTS))
+
+
+@pytest.mark.parametrize("name", E22_POINTS)
+def test_e22_degradation_point(name):
+    assert _e22_rows()[E22_POINTS[name]]["engine"] == "kernel"
+    golden.check("bench_pins", f"E22/{name}", _e22_value(name))
+
+
+def test_e20_token_forwarding_loss_097_never_completes():
+    golden.check("bench_pins", "E20/loss-0.97", _e20_points()["E20/loss-0.97"])
+
+
+def test_e20_collision_waypoint_never_completes():
+    golden.check("bench_pins", "E20/collision_waypoint", _e20_points()["E20/collision_waypoint"])

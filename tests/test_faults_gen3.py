@@ -16,11 +16,9 @@ What this module pins, on top of the first/second-generation coverage in
 * the read-only :class:`StateView` seam — ``progress()``, the
   missing-view ``RuntimeError``, and the exact edge sets the shipped
   state-aware strategies erase at ``probability=1.0``;
-* kernel eligibility — ``wants_state`` strategies are gated on
-  ``RoundKernel.supports_state_views`` exactly like omniscient
-  adversaries on ``supports_message_views`` (explicit request fails,
-  ``auto`` falls back to the mask engine bit-identically), and every
-  registered kernel now exposes both view kinds;
+* kernel eligibility — a ``wants_state`` strategy runs on the kernel
+  engine bit-identically to the mask engine, and every registered kernel
+  builds its own wire messages for omniscient adversaries;
 * per-round trace columns — ``collided_deliveries`` sums to the final
   metric, ``honest_survivors`` tracks the honest-quorum population, and
   the four third-generation catalog entries keep byte-identical trace
@@ -52,7 +50,7 @@ from repro.obs import ROUND_COUNTERS, TraceRecorder
 from repro.obs.trace import CONTENT_ARRAYS
 from repro.scenarios import fault_model_for, make_scenario
 from repro.simulation import RunMetrics, run_dissemination, standard_instance
-from repro.simulation.kernels import KERNEL_REGISTRY, TokenForwardingKernel
+from repro.simulation.kernels import KERNEL_REGISTRY, RoundKernel
 from tests.conftest import bind_every_sender, make_config
 
 ENGINES = ("kernel", "mask")
@@ -334,7 +332,7 @@ class TestStateAwareStrategies:
                 s for s in base if s <= v
             ]
 
-    def test_kernel_gate_mirrors_the_message_view_gate(self, monkeypatch):
+    def test_state_aware_strategy_matches_across_engines(self):
         n, k = 12, 10
         config = make_config(n=n, k=k)
         placement = standard_instance(n, k, config.token_bits, seed=3)
@@ -353,18 +351,9 @@ class TestStateAwareStrategies:
                 track_progress=True,
             )
 
-        monkeypatch.setattr(TokenForwardingKernel, "supports_state_views", False)
-        with pytest.raises(ValueError, match="state-aware"):
-            run("kernel")
-        fallback = run("auto")
-        assert fallback.engine == "mask"
-        # With the gate back in place the same run is kernel-eligible again.
-        monkeypatch.undo()
-        kernel = run("auto")
+        kernel, mask = run("auto"), run("mask")
         assert kernel.engine == "kernel"
-        assert dataclasses.asdict(kernel.metrics) == dataclasses.asdict(
-            fallback.metrics
-        )
+        assert dataclasses.asdict(kernel.metrics) == dataclasses.asdict(mask.metrics)
 
 
 # ----------------------------------------------------------------------
@@ -385,8 +374,7 @@ class TestRegistryWideViewSupport:
     def test_every_registered_kernel_exposes_both_view_kinds(self):
         assert KERNEL_REGISTRY, "the kernel registry went missing"
         for node_cls, kernel_cls in KERNEL_REGISTRY.items():
-            assert kernel_cls.supports_message_views, node_cls.__name__
-            assert kernel_cls.supports_state_views, node_cls.__name__
+            assert kernel_cls.wire_message is not RoundKernel.wire_message, node_cls.__name__
 
     def test_coded_omniscient_adversary_stays_on_kernel(self):
         n, k = 12, 10

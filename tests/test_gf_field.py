@@ -95,10 +95,9 @@ class TestScalarArithmetic:
     def f7(self):
         return GF(7)
 
-    def test_add_sub(self, f7):
+    def test_add(self, f7):
         assert f7.add(3, 5) == 1
-        assert f7.sub(3, 5) == 5
-        assert f7.sub(5, 3) == 2
+        assert f7.add(6, 0) == 6
 
     def test_neg(self, f7):
         assert f7.neg(0) == 0

@@ -42,6 +42,7 @@ from repro.simulation import kernel_for, run_dissemination, standard_instance
 from repro.simulation.kernels import (
     KERNEL_REGISTRY,
     IndexedBroadcastKernel,
+    RoundKernel,
     TokenForwardingKernel,
 )
 from tests.conftest import RecordingAdversary, make_config
@@ -191,10 +192,10 @@ class TestEngineSelection:
     def test_kernel_engine_rejects_omniscient_without_message_views(
         self, monkeypatch
     ):
-        # Every in-repo kernel now ships wire_message; exercise the gate by
-        # withdrawing the opt-in, as a third-party kernel without the hook
-        # would present itself.
-        monkeypatch.setattr(IndexedBroadcastKernel, "supports_message_views", False)
+        # Every in-repo kernel ships wire_message; exercise the gate by
+        # withdrawing it, as a third-party kernel without the hook would
+        # present itself.
+        monkeypatch.delattr(IndexedBroadcastKernel, "wire_message")
         config = make_config(8)
         with pytest.raises(ValueError, match="sees_messages"):
             _run(
@@ -212,8 +213,8 @@ class TestEngineSelection:
         # Kernels with wire_message stay kernel-eligible under omniscient
         # adversaries — including the coded kernel, which rebuilds its wire
         # messages from the round's combination on demand.
-        assert TokenForwardingKernel.supports_message_views is True
-        assert IndexedBroadcastKernel.supports_message_views is True
+        for kernel_cls in (TokenForwardingKernel, IndexedBroadcastKernel):
+            assert kernel_cls.wire_message is not RoundKernel.wire_message
         config = make_config(8)
         for factory in (TokenForwardingNode, IndexedBroadcastNode):
             result = _run(
@@ -317,7 +318,7 @@ class TestPackedAdjacency:
         indices, indptr = topology.csr_adjacency()
         assert indptr[0] == 0 and indptr[-1] == indices.size
         for uid in range(n):
-            neighbours = list(topology.neighbors(uid))
+            neighbours = [v for v in range(n) if topology.masks[uid] >> v & 1]
             assert list(indices[indptr[uid] : indptr[uid + 1]]) == neighbours
             assert list(topology.neighbors_tuple(uid)) == neighbours
 

@@ -3,8 +3,7 @@
 Every shipped rule gets at least one fixture proving it fires and one
 proving the ``# repro: allow[...]`` suppression silences it (the
 acceptance contract for the lint gate), plus engine-level coverage:
-baseline fingerprints surviving line shifts, directive validation,
-config loading, reporters, CLI exit codes, and the standing requirement
+directive validation, config loading, reporters, CLI exit codes, and the standing requirement
 that the repository's own tree lints clean.
 """
 
@@ -13,10 +12,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-import pytest
-
 from repro.lint import (
-    Baseline,
     LintConfig,
     load_config,
     run_lint,
@@ -329,56 +325,6 @@ def test_select_and_ignore():
 
 
 # ----------------------------------------------------------------------
-# baseline
-# ----------------------------------------------------------------------
-
-
-def test_baseline_roundtrip_and_line_shift(tmp_path):
-    target = tmp_path / "asserts_bad.py"
-    target.write_text((FIXTURES / "asserts_bad.py").read_text())
-    config = LintConfig(root=tmp_path, baseline=tmp_path / "baseline.json")
-    dirty = run_lint([target], config, category="src")
-    assert dirty.findings
-    run_lint([target], config, write_baseline=True, category="src")
-    clean = run_lint([target], config, category="src")
-    assert not clean.findings
-    assert len(clean.baselined) == len(dirty.findings)
-    # shifting every line down must not invalidate the fingerprints
-    target.write_text("# leading comment\n\n" + target.read_text())
-    shifted = run_lint([target], config, category="src")
-    assert not shifted.findings
-    # but a *new* violation is not covered
-    target.write_text(target.read_text() + "\n\ndef fresh(v):\n    assert v\n    return v\n")
-    fresh = run_lint([target], config, category="src")
-    assert [f.rule for f in fresh.findings] == ["REP403"]
-    assert "assert v" in fresh.findings[0].line_text
-
-
-def test_baseline_preserves_reasons_on_rewrite(tmp_path):
-    target = tmp_path / "mod.py"
-    target.write_text("def f(v):\n    assert v\n    return v\n")
-    config = LintConfig(root=tmp_path, baseline=tmp_path / "baseline.json")
-    run_lint([target], config, write_baseline=True, category="src")
-    data = json.loads((tmp_path / "baseline.json").read_text())
-    data["entries"][0]["reason"] = "because reasons"
-    (tmp_path / "baseline.json").write_text(json.dumps(data))
-    run_lint([target], config, write_baseline=True, category="src")
-    rewritten = json.loads((tmp_path / "baseline.json").read_text())
-    assert rewritten["entries"][0]["reason"] == "because reasons"
-
-
-def test_duplicate_lines_get_distinct_fingerprints(tmp_path):
-    target = tmp_path / "mod.py"
-    target.write_text("def f(a, b):\n    assert a\n    assert a\n    assert b\n")
-    config = LintConfig(root=tmp_path, baseline=tmp_path / "baseline.json")
-    dirty = run_lint([target], config, category="src")
-    assert len(dirty.findings) == 3
-    run_lint([target], config, write_baseline=True, category="src")
-    entries = json.loads((tmp_path / "baseline.json").read_text())["entries"]
-    assert len({e["fingerprint"] for e in entries}) == 3
-
-
-# ----------------------------------------------------------------------
 # config, reporters, CLI
 # ----------------------------------------------------------------------
 
@@ -386,14 +332,12 @@ def test_duplicate_lines_get_distinct_fingerprints(tmp_path):
 def test_load_config_reads_pyproject(tmp_path):
     (tmp_path / "pyproject.toml").write_text(
         "[tool.repro-lint]\n"
-        'baseline = "custom-baseline.json"\n'
         'ignore = ["REP403"]\n'
         'kernel-modules = ["mykernels.py"]\n'
         'exclude = ["generated/**"]\n'
     )
     config = load_config(tmp_path)
     assert config.root == tmp_path
-    assert config.baseline == tmp_path / "custom-baseline.json"
     assert config.ignore == ("REP403",)
     assert config.kernel_modules == ("mykernels.py",)
     assert config.exclude == ("generated/**",)
@@ -401,7 +345,6 @@ def test_load_config_reads_pyproject(tmp_path):
 
 def test_repo_pyproject_configures_the_gate():
     config = load_config(REPO_ROOT)
-    assert config.baseline == REPO_ROOT / "lint-baseline.json"
     assert "coded_kernels.py" in config.kernel_modules
     assert "packed.py" in config.packed_modules
 
@@ -437,15 +380,6 @@ def test_cli_exit_codes_and_output(tmp_path, capsys, monkeypatch):
     assert lint_main(["--list-rules"]) == 0
     out = capsys.readouterr().out
     assert "REP403" in out
-
-    # baseline flow through the CLI
-    baseline = tmp_path / "baseline.json"
-    assert lint_main([str(dirty), "--no-config", "--write-baseline"]) == 2
-    assert (
-        lint_main([str(dirty), "--no-config", "--baseline", str(baseline), "--write-baseline"])
-        == 0
-    )
-    assert lint_main([str(dirty), "--no-config", "--baseline", str(baseline)]) == 0
 
 
 def test_cli_json_format(tmp_path, capsys):

@@ -137,8 +137,8 @@ class TestPowerGraphAndPatches:
     def test_power_graph_distance_2(self):
         g = path_topology(5)
         p = power_graph(g, 2)
-        assert p.has_edge(0, 2)
-        assert not p.has_edge(0, 3)
+        assert p.masks[0] >> 2 & 1
+        assert not p.masks[0] >> 3 & 1
 
     def test_power_graph_invalid_distance(self):
         with pytest.raises(ValueError):
@@ -161,7 +161,7 @@ class TestPowerGraphAndPatches:
         for u in leaders:
             for v in leaders:
                 if u != v:
-                    assert not powered.has_edge(u, v)
+                    assert not powered.masks[u] >> v & 1
 
     def test_patch_diameter_bound(self, rng):
         g = random_connected_topology(30, np.random.default_rng(6))
@@ -183,16 +183,7 @@ class TestPowerGraphAndPatches:
         for patch in decomposition.patches:
             for node, parent in patch.parent.items():
                 if node != patch.leader:
-                    assert g.has_edge(node, parent)
-
-    def test_patch_children_consistent_with_parents(self, rng):
-        g = random_connected_topology(18, np.random.default_rng(9))
-        decomposition = compute_patches(g, radius=2, rng=rng)
-        for patch in decomposition.patches:
-            kids = patch.children()
-            for node, children in kids.items():
-                for child in children:
-                    assert patch.parent[child] == node
+                    assert g.masks[node] >> parent & 1
 
     def test_patch_of_and_membership(self, rng):
         g = random_connected_topology(15, np.random.default_rng(10))

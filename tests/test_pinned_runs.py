@@ -12,18 +12,14 @@ round order -- state snapshot, compose, then the adversary reads the
 composed messages -- with a content-sensitive
 :class:`OmniscientBottleneckAdversary` under a few fault models.  Each run must
 reproduce the full ``RunMetrics.to_dict()``, the correctness verdict and
-the trace ``content_digest()`` recorded in ``pinned_runs.json``.
+the trace ``content_digest()`` pinned in ``tests/golden/pinned_runs.json``
+(see :mod:`tests.golden`); both engines must reproduce the one pin.
 
 The pins are the refactoring contract: a change that keeps them and
-deletes code preserves behaviour.  To re-record after an *intended*
-behaviour change, run ``PYTHONPATH=src python -m tests.test_pinned_runs``
-and commit the rewritten fixture with the change that explains it.
+deletes code preserves behaviour.
 """
 
 from __future__ import annotations
-
-import json
-from pathlib import Path
 
 import pytest
 
@@ -44,9 +40,8 @@ from repro.obs import TraceRecorder
 from repro.scenarios import fault_model_for, list_scenarios, make_scenario
 from repro.simulation import run_dissemination, standard_instance
 from repro.tokens import CodedMessage, MessageBudget
+from tests import golden
 from tests.conftest import make_config
-
-FIXTURE = Path(__file__).with_name("pinned_runs.json")
 
 N, K, SEED = 16, 12, 0
 #: Hostile entries where forwarding never finishes would otherwise run to
@@ -201,30 +196,19 @@ def _run(key: str, engine: str) -> dict:
     }
 
 
-def _load() -> dict:
-    return json.loads(FIXTURE.read_text())
-
-
 @pytest.mark.parametrize("key,engine", _cases(), ids=lambda value: value)
 def test_run_matches_pin(key, engine):
-    assert _run(key, engine) == _load()[key]
+    golden.check("pinned_runs", key, _run(key, engine))
 
 
 def test_fixture_covers_exactly_the_pinned_cases():
-    assert set(_load()) == {key for key, _ in _cases()}
+    golden.check_keys("pinned_runs", (key for key, _ in _cases()))
 
 
-def _record() -> None:
+def golden_values() -> dict:
     pins: dict[str, dict] = {}
     for key, engine in _cases():
         outcome = _run(key, engine)
-        if key in pins and pins[key] != outcome:
+        if pins.setdefault(key, outcome) != outcome:
             raise SystemExit(f"{key}: engines disagree, refusing to pin")
-        pins[key] = outcome
-    lines = [f"{json.dumps(key)}: {json.dumps(pins[key], sort_keys=True)}" for key in sorted(pins)]
-    FIXTURE.write_text("{\n" + ",\n".join(lines) + "\n}\n")
-    print(f"wrote {len(pins)} pins to {FIXTURE}")
-
-
-if __name__ == "__main__":
-    _record()
+    return pins

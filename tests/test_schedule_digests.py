@@ -9,25 +9,18 @@ a multiple of 64.
 
 The digests pin the schedule generators (processes, transformers and the
 RNG draw order) byte for byte: a refactor of the schedule pipeline that
-keeps them serves identical topologies.  The CSR arrays each topology
-hands the engines are checked against its mask rows.  To
-re-record after an *intended* schedule change, run
-``PYTHONPATH=src python -m tests.test_schedule_digests`` and commit the
-rewritten fixture with the change that explains it.
+keeps them serves identical topologies.  The digests are kept in
+``tests/golden/schedule_digests.json`` (see :mod:`tests.golden`).  The CSR
+arrays each topology hands the engines are checked against its mask rows.
 """
 
 from __future__ import annotations
-
-import hashlib
-import json
-from pathlib import Path
 
 import pytest
 
 from repro.network import Topology
 from repro.scenarios import list_scenarios, make_scenario
-
-FIXTURE = Path(__file__).with_name("schedule_digests.json")
+from tests import golden
 
 SIZES = (24, 65, 128)
 ROUNDS = 256
@@ -46,20 +39,13 @@ def _topologies(key: str) -> list[Topology]:
 
 
 def _digest(topologies: list[Topology]) -> str:
-    sha = hashlib.sha256()
-    for topology in topologies:
-        sha.update(topology.packed_adjacency().tobytes())
-    return sha.hexdigest()
-
-
-def _load() -> dict:
-    return json.loads(FIXTURE.read_text())
+    return golden.digest(*(topology.packed_adjacency().tobytes() for topology in topologies))
 
 
 @pytest.mark.parametrize("key", _cases())
 def test_schedule_matches_pin(key):
     topologies = _topologies(key)
-    assert _digest(topologies) == _load()[key]
+    golden.check("schedule_digests", key, _digest(topologies))
     # The CSR each served topology hands the engines lists exactly the
     # neighbours its mask rows hold.
     for topology in topologies[:: ROUNDS // 8]:
@@ -69,15 +55,8 @@ def test_schedule_matches_pin(key):
 
 
 def test_fixture_covers_exactly_the_pinned_cases():
-    assert set(_load()) == set(_cases())
+    golden.check_keys("schedule_digests", _cases())
 
 
-def _record() -> None:
-    pins = {key: _digest(_topologies(key)) for key in _cases()}
-    lines = [f"{json.dumps(key)}: {json.dumps(pins[key])}" for key in sorted(pins)]
-    FIXTURE.write_text("{\n" + ",\n".join(lines) + "\n}\n")
-    print(f"wrote {len(pins)} schedule digests to {FIXTURE}")
-
-
-if __name__ == "__main__":
-    _record()
+def golden_values() -> dict:
+    return {key: _digest(_topologies(key)) for key in _cases()}

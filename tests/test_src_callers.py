@@ -1,12 +1,14 @@
 """Every public name in ``src/repro`` is used by code that runs, or says why not.
 
-A name in a ``src/repro`` module's ``__all__`` counts as used when it
-appears as an identifier (a loaded ``Name``, an ``Attribute`` or an
+A public name is a name in a ``src/repro`` module's ``__all__``, or a
+public method of such a class (``module.Class.method``). It counts as used
+when it appears as an identifier (a loaded ``Name``, an ``Attribute`` or an
 imported alias) somewhere in ``src/``, ``benchmarks/``, ``examples/`` or
 ``perfbench/``. Not counted: the name's own definition (its ``def`` or
 ``class`` body, or the assignment that binds it), ``__all__`` lists,
-re-exports in ``__init__`` modules, docstrings and comments. Tests are not
-callers: a name only tests reach belongs in ``tests/`` or in ``KEPT``.
+re-exports in ``__init__`` modules, docstrings and comments. A method's
+uses inside its own class do count. Tests are not callers: a name only
+tests reach belongs in ``tests/`` or in ``KEPT``.
 
 Matching is by bare name, so a common word (``rank``) used as any
 attribute counts as a use; the scan can miss dead code, never invent it.
@@ -46,6 +48,9 @@ KEPT: dict[str, str] = {
     "repro.network.adversary.RandomTreeAdversary": "an oblivious adversary family exported from repro",
     "repro.network.adversary.RotatingStarAdversary": "an oblivious adversary family exported from repro",
     "repro.simulation.kernels.TokenForwardingKernel": "registered by @register_kernel; run_dissemination reaches it through KERNEL_REGISTRY",
+    "repro.gf.field.GF.mul": "scalar GF(q) product; the dense GF(q) reference tests/oracles/gf_matrix.py reads it",
+    "repro.network.topology.Topology.from_edges": "the documented way to build a custom topology from an edge list",
+    "repro.network.topology.Topology.from_packed_batch": "the documented way to build custom topologies from a packed adjacency batch",
 }
 
 
@@ -70,6 +75,17 @@ def _bound_names(statement: ast.stmt) -> list[str]:
     elif isinstance(statement, ast.AnnAssign):
         targets = [statement.target]
     return [t.id for t in targets if isinstance(t, ast.Name)]
+
+
+def _public_methods(statement: ast.stmt) -> list[str]:
+    """The public methods a class statement defines in its own body."""
+    if not isinstance(statement, ast.ClassDef):
+        return []
+    return [
+        item.name
+        for item in statement.body
+        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and not item.name.startswith("_")
+    ]
 
 
 def _identifiers(node: ast.AST) -> set[str]:
@@ -110,6 +126,8 @@ def scan(root: Path = ROOT) -> tuple[dict[str, str], set[str]]:
                 for name in defined:
                     if name in exported:
                         public[f"{module}.{name}"] = name
+                        for method in _public_methods(statement):
+                            public[f"{module}.{name}.{method}"] = method
                 if in_package and path.name == "__init__.py" and isinstance(statement, ast.ImportFrom):
                     continue  # a re-export
                 if isinstance(statement, (ast.Assign, ast.AnnAssign)) and defined:
@@ -217,6 +235,32 @@ def test_scan_counts_every_kind_of_use(tmp_path, use):
         },
     )
     assert uncalled(root) == []
+
+
+def test_scan_flags_a_public_method_without_a_caller(tmp_path):
+    shapes = """
+        __all__ = ["Square"]
+
+
+        class Square:
+            def area(self):
+                return self._side() ** 2
+
+            def perimeter(self):
+                return 4 * self._side()
+
+            def _side(self):
+                return 1
+    """
+    root = _tree(
+        tmp_path,
+        {
+            "src/repro/__init__.py": "",
+            "src/repro/shapes.py": shapes,
+            "examples/use.py": "from repro.shapes import Square\nprint(Square().area())\n",
+        },
+    )
+    assert uncalled(root) == ["repro.shapes.Square.perimeter"]
 
 
 def test_scan_reports_kept_names_that_are_gone_or_now_called(tmp_path):
