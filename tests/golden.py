@@ -8,10 +8,12 @@ artefact is pinned by its :func:`digest`).  Tests read a pin with
 changed, missing or orphan key with its old and new value.  After an
 *intended* behaviour change, re-record with::
 
-    PYTHONPATH=src python -m tests.golden [FAMILY ...]
+    PYTHONPATH=src python -m tests.golden
 
-which recomputes the named families (default: all) through their test
-modules' ``golden_values()``, rewrites their stores and prints a per-key diff.
+which recomputes every family through its test module's ``golden_values()``,
+rewrites the stores and prints a per-key diff.  Pins compare as sorted JSON
+text, so a pin that only changes type (``258`` to ``258.0``, ``false`` to
+``0``) fails too.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from __future__ import annotations
 import hashlib
 import importlib
 import json
-import sys
 from pathlib import Path
 from typing import Any
 
@@ -59,11 +60,11 @@ def load(family: str, store: Path = STORE) -> dict:
 def check(family: str, key: str, value: Any, store: Path = STORE) -> None:
     """Fail unless ``value`` is the stored pin ``family[key]``."""
     __tracebackhide__ = True
-    pins, new = load(family, store), canonical(value)
+    pins, new = load(family, store), _json(value)
     if key not in pins:
-        raise AssertionError(f"{family}[{key!r}] is missing\n  new: {_json(new)}\n{HINT}")
-    if new != pins[key]:
-        old, new = _json(pins[key]), _json(new)
+        raise AssertionError(f"{family}[{key!r}] is missing\n  new: {new}\n{HINT}")
+    old = _json(pins[key])
+    if new != old:
         raise AssertionError(f"{family}[{key!r}] changed\n  old: {old}\n  new: {new}\n{HINT}")
 
 
@@ -99,18 +100,12 @@ def _module_values(family: str) -> dict:
     return importlib.import_module(MODULES[family]).golden_values()
 
 
-def main(argv: list[str], families: dict | None = None, store: Path = STORE) -> int:
-    """Re-record the named families (default: all); ``families`` maps each to its values."""
-    known = sorted(families or MODULES)
-    unknown = sorted(set(argv) - set(known))
-    if unknown:
-        print(f"unknown families {unknown}; known: {known}", file=sys.stderr)
-        return 2
-    for family in argv or known:
+def main(families: dict | None = None, store: Path = STORE) -> None:
+    """Re-record every family; ``families`` maps each to its values (a test seam)."""
+    for family in sorted(families or MODULES):
         values = families[family]() if families else _module_values(family)
         print("\n".join(record(family, values, store)), flush=True)
-    return 0
 
 
 if __name__ == "__main__":
-    raise SystemExit(main(sys.argv[1:]))
+    main()

@@ -93,7 +93,6 @@ def golden_values() -> dict:
 
 
 def test_e22_pins_cover_the_whole_grid():
-    assert list(_e22_rows()) == list(E22_POINTS.values())
     golden.check_keys("bench_pins", [f"E22/{name}" for name in E22_POINTS] + list(E20_POINTS))
 
 

@@ -371,7 +371,7 @@ def _forwarded_something(sender, receiver, message):
 
 
 class TestRegistryWideViewSupport:
-    def test_every_registered_kernel_exposes_both_view_kinds(self):
+    def test_every_registered_kernel_builds_wire_messages(self):
         assert KERNEL_REGISTRY, "the kernel registry went missing"
         for node_cls, kernel_cls in KERNEL_REGISTRY.items():
             assert kernel_cls.wire_message is not RoundKernel.wire_message, node_cls.__name__

@@ -47,21 +47,27 @@ def test_the_store_is_sorted_stable_json(store):
     assert (store / "runs.json").read_text() == text
 
 
-def test_the_command_rewrites_only_the_families_it_is_given(store, capsys):
-    families = {"runs": lambda: {"a": (1, 2.5), "c": 0}, "other": lambda: {"x": 1}}
-    assert golden.main(["runs"], families, store) == 0
+def test_a_value_of_another_type_fails(store):
+    golden.record("types", {"rounds": 258, "ok": False}, store)
+    with pytest.raises(AssertionError, match=r"types\['rounds'\] changed"):
+        golden.check("types", "rounds", 258.0, store)
+    with pytest.raises(AssertionError, match=r"types\['ok'\] changed"):
+        golden.check("types", "ok", 0, store)
+
+
+def test_the_command_rewrites_every_family_and_prints_a_per_key_diff(store, capsys):
+    golden.main({"runs": lambda: {"a": (1, 2.5), "c": 0}, "other": lambda: {"x": 1}}, store)
     assert golden.load("runs", store) == {"a": [1, 2.5], "c": 0}
-    assert not (store / "other.json").exists()
+    assert golden.load("other", store) == {"x": 1}
     printed = capsys.readouterr().out
     assert "- runs['b']" in printed and "+ runs['c']: 0" in printed and "runs['a']" not in printed
-    assert golden.main([], families, store) == 0
-    assert golden.load("other", store) == {"x": 1}
-
-
-def test_the_command_rejects_an_unknown_family(store, capsys):
-    assert golden.main(["nope"], {"runs": dict}, store) == 2
-    assert "nope" in capsys.readouterr().err
 
 
 def test_every_family_has_a_store_and_every_store_a_family():
     assert sorted(golden.MODULES) == sorted(p.stem for p in golden.STORE.glob("*.json"))
+
+
+@pytest.mark.parametrize("family", sorted(golden.MODULES))
+def test_every_store_is_laid_out_as_the_command_writes_it(family, tmp_path):
+    golden.record(family, golden.load(family), tmp_path)
+    assert (tmp_path / f"{family}.json").read_bytes() == (golden.STORE / f"{family}.json").read_bytes()
