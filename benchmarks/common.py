@@ -106,9 +106,7 @@ def measure_sweep(
     *,
     factory_for: Callable[[Mapping[str, object]], ProtocolFactory] | None = None,
     adversary_for: Callable[[Mapping[str, object]], Callable[[], Adversary]] | None = None,
-    instance_k: int | Callable[[Mapping[str, object]], int | None] | None = None,
     base_seed: int | None = None,
-    max_rounds: int | Callable[[Mapping[str, object]], int | None] | None = None,
 ) -> list[SweepPoint]:
     """Measure every parameter point, fanned out over worker processes.
 
@@ -126,9 +124,6 @@ def measure_sweep(
     if (adversary_factory is None) == (adversary_for is None):
         raise ValueError("pass exactly one of adversary_factory / adversary_for")
 
-    def _per_point(option, point):
-        return option(point) if callable(option) else option
-
     tasks = [
         SweepTask(
             factory=factory if factory is not None else factory_for(point),
@@ -137,11 +132,9 @@ def measure_sweep(
                 adversary_factory if adversary_factory is not None else adversary_for(point)
             ),
             parameters=dict(point),
-            instance_k=_per_point(instance_k, point),
             instance_seed=seed,
             repetitions=repetitions,
             base_seed=seed + 1 if base_seed is None else base_seed,
-            max_rounds=_per_point(max_rounds, point),
         )
         for point in points
     ]

@@ -17,8 +17,8 @@ For ``q = 2`` the implementation transparently uses the bit-packed
 ``contains`` and ``senses`` accept plain integer bit masks (bit ``i`` =
 coordinate ``i``) next to arrays, ``random_combination_mask`` /
 ``combination_mask_with`` / ``decode_payload_masks`` emit masks, and the
-array-based API only packs/unpacks at its boundary (vectorised via
-``np.packbits`` / ``np.unpackbits``).  For general prime ``q`` it keeps an
+array-based API only packs/unpacks at its boundary (through
+:mod:`repro.bits`).  For general prime ``q`` it keeps an
 echelon basis of numpy vectors.
 
 Coefficient-block ranks (``coefficient_rank`` / ``can_decode``) are cached
@@ -42,7 +42,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ..gf import GF, GF2Basis, pack_bits, unpack_bits
+from ..bits import pack_bits, unpack_bits
+from ..gf import GF, GF2Basis
 from ..gf.packed import PICK_REFILL_BYTES
 
 __all__ = ["Subspace"]

@@ -7,6 +7,7 @@ network (:class:`GF2BasisBatch`) — for the common XOR case.  Elimination
 over a general field lives in :class:`repro.coding.Subspace`.
 """
 
+from ..bits import masks_to_packed, packed_to_masks
 from .field import (
     GF,
     GF2,
@@ -16,8 +17,8 @@ from .field import (
     next_prime,
     smallest_prime_at_least,
 )
-from .gf2 import GF2Basis, pack_bits, unpack_bits
-from .packed import GF2BasisBatch, masks_to_packed, packed_to_masks
+from .gf2 import GF2Basis
+from .packed import GF2BasisBatch
 from .vectors import int_to_vector, symbols_needed, vector_to_int
 
 __all__ = [
@@ -31,10 +32,8 @@ __all__ = [
     "is_prime",
     "masks_to_packed",
     "next_prime",
-    "pack_bits",
     "packed_to_masks",
     "smallest_prime_at_least",
     "symbols_needed",
-    "unpack_bits",
     "vector_to_int",
 ]

@@ -15,8 +15,8 @@ O(n/64) thanks to Python's big-int XOR.
 This module is the bottom layer of the *mask-native fast path*: the coding
 layer (:mod:`repro.coding.subspace`, :mod:`repro.coding.rlnc`) keeps a coded
 vector as a single integer mask all the way from ``compose`` to ``deliver``,
-so ``pack_bits`` / ``unpack_bits`` only run at genuine array boundaries
-(and are vectorised via ``np.packbits`` / ``np.unpackbits`` for those).
+so :func:`~repro.bits.pack_bits` / :func:`~repro.bits.unpack_bits` only
+run at genuine array boundaries.
 """
 
 from __future__ import annotations
@@ -27,40 +27,11 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from ..bits import pack_bits, unpack_bits
+
 __all__ = [
-    "pack_bits",
-    "unpack_bits",
     "GF2Basis",
 ]
-
-
-def pack_bits(bits: Sequence[int] | np.ndarray) -> int:
-    """Pack a 0/1 sequence (coordinate 0 first) into an integer mask.
-
-    Vectorised through ``np.packbits``; entries are reduced mod 2 so any
-    integer sequence is a valid input.
-    """
-    arr = np.asarray(bits).ravel()
-    if arr.size == 0:
-        return 0
-    if arr.dtype == np.dtype(object):
-        # Arbitrary-precision entries (very large fields): reduce in Python.
-        arr = np.array([int(b) & 1 for b in arr.tolist()], dtype=np.uint8)
-    else:
-        arr = (arr.astype(np.int64, copy=False) & 1).astype(np.uint8)
-    return int.from_bytes(np.packbits(arr, bitorder="little").tobytes(), "little")
-
-
-def unpack_bits(mask: int, length: int) -> np.ndarray:
-    """Unpack an integer mask into a length-``length`` 0/1 numpy vector.
-
-    Vectorised through ``np.unpackbits``; bits beyond ``length`` are ignored.
-    """
-    if length <= 0:
-        return np.zeros(max(0, length), dtype=np.int64)
-    mask = int(mask) & ((1 << length) - 1)
-    data = np.frombuffer(mask.to_bytes((length + 7) // 8, "little"), dtype=np.uint8)
-    return np.unpackbits(data, count=length, bitorder="little").astype(np.int64)
 
 
 @dataclass

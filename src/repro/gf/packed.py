@@ -40,11 +40,11 @@ from typing import Sequence
 
 import numpy as np
 
+from ..bits import masks_to_packed, packed_to_masks, word_count
+
 __all__ = [
     "GF2BasisBatch",
     "PICK_REFILL_BYTES",
-    "masks_to_packed",
-    "packed_to_masks",
 ]
 
 #: Bytes drawn per rng refill of a compose pick-bit buffer.  One generator
@@ -109,27 +109,6 @@ def _sorted_positions(leads: np.ndarray, ranks: np.ndarray, words: int) -> np.nd
     return np.where(held, ranks[:, None] - at_or_below.take(flat), 0)
 
 
-def masks_to_packed(masks: Sequence[int], words: int) -> np.ndarray:
-    """Pack Python integer bit masks into an ``(m, words)`` uint64 array."""
-    if not masks:
-        return np.zeros((0, words), dtype=np.uint64)
-    nbytes = words * 8
-    buffer = b"".join(int(mask).to_bytes(nbytes, "little") for mask in masks)
-    return (
-        np.frombuffer(buffer, dtype="<u8").reshape(len(masks), words).copy()
-    )
-
-
-def packed_to_masks(rows: np.ndarray) -> list[int]:
-    """Each row of an ``(m, words)`` packed array as a Python integer mask."""
-    data = np.ascontiguousarray(rows, dtype="<u8").tobytes()
-    stride = rows.shape[1] * 8
-    return [
-        int.from_bytes(data[i * stride : (i + 1) * stride], "little")
-        for i in range(rows.shape[0])
-    ]
-
-
 class GF2BasisBatch:
     """``n`` independent :class:`~repro.gf.gf2.GF2Basis` instances, stacked.
 
@@ -167,7 +146,7 @@ class GF2BasisBatch:
             raise ValueError(f"vector length must be non-negative, got {length}")
         self.n = n
         self.length = length
-        self.words = max(1, (length + 63) // 64)
+        self.words = word_count(length)
         self.span_cap = length if span_cap is None else min(int(span_cap), length)
         self._capacity = max(1, min(self.span_cap, 16))
         # Transposed storage: reducing over the trailing (contiguous) row
@@ -213,7 +192,7 @@ class GF2BasisBatch:
 
     def _truncated(self, vectors: np.ndarray, k: int) -> np.ndarray:
         """The low-``k``-bit projection of packed rows, in ``ceil(k/64)`` words."""
-        words_k = max(1, (k + 63) // 64)
+        words_k = word_count(k)
         out = vectors[:, :words_k].copy()
         rem = k & 63
         if rem:
@@ -503,7 +482,7 @@ class GF2BasisBatch:
             else np.asarray(node_ids, dtype=np.int64)
         )
         m = node_ids.size
-        payload_words = max(1, (max(0, self.length - k) + 63) // 64)
+        payload_words = word_count(max(0, self.length - k))
         if k == 0:
             return np.ones(m, dtype=bool), np.zeros((m, 0, payload_words), np.uint64)
         # Pivot rows are stored by their pivot bit, which is exactly the
@@ -560,7 +539,7 @@ class GF2BasisBatch:
     def _coefficient_bits(self, vectors: np.ndarray, k: int) -> np.ndarray:
         """The low ``k`` bits of each packed row as a boolean ``(m, k)`` matrix."""
         m = vectors.shape[0]
-        words_k = max(1, (k + 63) // 64)
+        words_k = word_count(k)
         bits = np.unpackbits(
             np.ascontiguousarray(vectors[:, :words_k]).view(np.uint8).reshape(m, -1),
             axis=1,

@@ -59,8 +59,6 @@ from .dynamics import (
     RandomWaypointProcess,
     ScheduleAdversary,
     TIntervalEnforcer,
-    pack_dense_adjacency,
-    packed_is_connected,
     spanning_structure,
 )
 from .mis import MisResult, greedy_mis, luby_mis
@@ -114,8 +112,6 @@ __all__ = [
     "RandomWaypointProcess",
     "ScheduleAdversary",
     "TIntervalEnforcer",
-    "pack_dense_adjacency",
-    "packed_is_connected",
     "spanning_structure",
     "Topology",
     "as_topology",

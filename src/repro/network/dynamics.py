@@ -7,7 +7,8 @@ shapes (rings, stars, cliques).  This module turns whole topology
 *schedules* into first-class packed data: a :class:`DynamicsProcess` yields
 batches of rounds as ``(rounds, n, ceil(n/64))`` ``uint64`` adjacency
 matrices — the same packed form :meth:`Topology.packed_adjacency` feeds the
-kernel engine — with all per-edge work vectorised in numpy.
+kernel engine, the bit-row layout of :mod:`repro.bits` — with all per-edge
+work vectorised in numpy.
 
 Three layers:
 
@@ -52,8 +53,16 @@ from typing import Sequence
 
 import numpy as np
 
+from ..bits import (
+    iter_bits,
+    pack_bools,
+    packed_to_masks,
+    set_bits,
+    unpack_bools,
+    word_count,
+)
 from .adversary import Adversary
-from .topology import Topology, unpack_adjacency
+from .topology import Topology
 
 __all__ = [
     "DynamicsProcess",
@@ -66,69 +75,13 @@ __all__ = [
     "TIntervalEnforcer",
     "ScheduleAdversary",
     "batch_component_labels",
-    "pack_dense_adjacency",
-    "packed_is_connected",
-    "packed_words",
     "spanning_structure",
 ]
 
 
 # ----------------------------------------------------------------------
-# packed-matrix helpers (shared with the stability checkers)
+# packed-matrix helpers (shared with the fault strategies)
 # ----------------------------------------------------------------------
-
-
-def packed_words(n: int) -> int:
-    """Words per packed adjacency row (at least one, so shapes stay 2-D)."""
-    return max(1, (n + 63) // 64)
-
-
-def pack_dense_adjacency(dense: np.ndarray) -> np.ndarray:
-    """Pack a boolean adjacency array along its last axis into uint64 words.
-
-    ``(..., n, n)`` bool -> ``(..., n, ceil(n/64))`` uint64, LSB-first within
-    each little-endian word — the exact layout of
-    :meth:`Topology.packed_adjacency` (and of the kernel engine's knowledge
-    matrices), so packed schedules flow into the engines without any
-    re-encoding.
-    """
-    n = dense.shape[-1]
-    words = packed_words(n)
-    as_bytes = np.packbits(dense, axis=-1, bitorder="little")
-    pad = words * 8 - as_bytes.shape[-1]
-    if pad:
-        widths = [(0, 0)] * (as_bytes.ndim - 1) + [(0, pad)]
-        as_bytes = np.pad(as_bytes, widths)
-    return np.ascontiguousarray(as_bytes).view(np.uint64)
-
-
-def _row_masks(packed: np.ndarray, n: int) -> list[int]:
-    """The packed rows as arbitrary-precision Python ints (for mask BFS)."""
-    stride = packed.shape[1] * 8
-    data = np.ascontiguousarray(packed).astype("<u8", copy=False).tobytes()
-    return [
-        int.from_bytes(data[u * stride : (u + 1) * stride], "little") for u in range(n)
-    ]
-
-
-def packed_is_connected(packed: np.ndarray, n: int) -> bool:
-    """Connectivity of a packed adjacency matrix via one mask BFS."""
-    if n <= 1:
-        return True
-    masks = _row_masks(packed, n)
-    full = (1 << n) - 1
-    reached = 1
-    frontier = 1
-    while frontier:
-        grown = 0
-        m = frontier
-        while m:
-            lsb = m & -m
-            grown |= masks[lsb.bit_length() - 1]
-            m ^= lsb
-        frontier = grown & ~reached
-        reached |= frontier
-    return reached == full
 
 
 def batch_component_labels(edges: np.ndarray, rounds: int, n: int) -> np.ndarray:
@@ -136,7 +89,7 @@ def batch_component_labels(edges: np.ndarray, rounds: int, n: int) -> np.ndarray
 
     ``edges`` are the ascending flat positions ``(r * n + u) * n + v`` of a
     symmetric batch's adjacency bits — ``np.flatnonzero`` of
-    :func:`~repro.network.topology.unpack_adjacency`.  Returns a
+    :func:`~repro.bits.unpack_bools`.  Returns a
     ``(rounds, n)`` ``int64`` array holding, for each node, the lowest
     member of its component in that round — so the component
     representatives are exactly the nodes labelled with themselves, in
@@ -173,11 +126,6 @@ def batch_component_labels(edges: np.ndarray, rounds: int, n: int) -> np.ndarray
     return parent.reshape(rounds, n) - (np.arange(rounds, dtype=np.int64) * n)[:, None]
 
 
-def _set_edge(packed: np.ndarray, u: int, v: int) -> None:
-    packed[u, v >> 6] |= np.uint64(1) << np.uint64(v & 63)
-    packed[v, u >> 6] |= np.uint64(1) << np.uint64(u & 63)
-
-
 def spanning_structure(packed: np.ndarray, n: int) -> np.ndarray:
     """A connected spanning structure extending a packed adjacency matrix.
 
@@ -190,10 +138,11 @@ def spanning_structure(packed: np.ndarray, n: int) -> np.ndarray:
     window: repairing via the *intersection's own* BFS forest keeps the
     enforced schedule as close to the raw process as connectivity allows.
     """
-    masks = _row_masks(packed, n)
-    out = np.zeros((n, packed_words(n)), dtype=np.uint64)
+    masks = packed_to_masks(packed)
     full = (1 << n) - 1
     seen = 0
+    tree_u: list[int] = []
+    tree_v: list[int] = []
     representatives: list[int] = []
     while seen != full:
         remaining = ~seen & full
@@ -206,25 +155,17 @@ def spanning_structure(packed: np.ndarray, n: int) -> np.ndarray:
             for u in frontier:
                 new = masks[u] & ~reached
                 reached |= new
-                while new:
-                    lsb = new & -new
-                    v = lsb.bit_length() - 1
-                    new ^= lsb
-                    _set_edge(out, u, v)
+                for v in iter_bits(new):
+                    tree_u.append(u)
+                    tree_v.append(v)
                     next_frontier.append(v)
             frontier = next_frontier
         seen |= reached
-    for a, b in zip(representatives, representatives[1:]):
-        _set_edge(out, a, b)
+    first = tree_u + representatives[:-1]
+    second = tree_v + representatives[1:]
+    out = np.zeros((n, word_count(n)), dtype=np.uint64)
+    set_bits(out, (np.asarray(first + second, dtype=np.int64),), second + first)
     return out
-
-
-def _pack_active(active: np.ndarray, words: int) -> np.ndarray:
-    """A boolean node vector as one packed row (the column-clear mask)."""
-    as_bytes = np.packbits(active, bitorder="little")
-    row = np.zeros(words * 8, dtype=np.uint8)
-    row[: as_bytes.size] = as_bytes
-    return row.view(np.uint64)
 
 
 # ----------------------------------------------------------------------
@@ -259,7 +200,7 @@ class DynamicsProcess(abc.ABC):
         if n < 1:
             raise ValueError(f"need at least one node, got n={n}")
         self.n = int(n)
-        self.words = packed_words(self.n)
+        self.words = word_count(self.n)
 
     @abc.abstractmethod
     def reset(self) -> None:
@@ -273,14 +214,14 @@ class DynamicsProcess(abc.ABC):
         """:meth:`next_batch` plus the ascending flat positions of its set bits.
 
         The positions are ``(r * n + u) * n + v``, exactly
-        ``np.flatnonzero(unpack_adjacency(batch, n))``, which is what this
+        ``np.flatnonzero(unpack_bools(batch, n))``, which is what this
         default computes.  A process that produces the positions anyway
         overrides it to hand them over instead, and a transformer that needs
         them consumes its inner process through this method.  Advances the
         schedule by ``rounds`` like :meth:`next_batch`.
         """
         batch = self.next_batch(rounds)
-        return batch, np.flatnonzero(unpack_adjacency(batch, self.n))
+        return batch, np.flatnonzero(unpack_bools(batch, self.n))
 
     def topologies(self, rounds: int) -> list[Topology]:
         """Materialise the next ``rounds`` rounds as :class:`Topology` objects.
@@ -369,7 +310,7 @@ class EdgeMarkovProcess(DynamicsProcess):
         # Dense on purpose: freeing it lifts glibc's mmap threshold (see ROADMAP item 1).
         dense = np.zeros(rounds * n * n, dtype=bool)
         dense[edges] = True
-        return pack_dense_adjacency(dense.reshape(rounds, n, n)), edges
+        return pack_bools(dense.reshape(rounds, n, n)), edges
 
     def _advance(self, rounds: int) -> np.ndarray:
         """Step every chain ``rounds`` times; return the ascending flat
@@ -467,7 +408,7 @@ class RandomWaypointProcess(DynamicsProcess):
         self._pos, self._way = pos, way
         diagonal = np.arange(n)
         dense[:, diagonal, diagonal] = False
-        return pack_dense_adjacency(dense)
+        return pack_bools(dense)
 
 
 class ChurnProcess(DynamicsProcess):
@@ -553,7 +494,7 @@ class ChurnProcess(DynamicsProcess):
             if self.record_activity:
                 self.activity_history.append(active.copy())
             batch[r, ~active] = 0
-            batch[r] &= _pack_active(active, self.words)
+            batch[r] &= pack_bools(active)
         return batch
 
 
@@ -635,11 +576,7 @@ class DegreeBoundedRewiringProcess(DynamicsProcess):
         rows = np.concatenate([pairs[..., 0], pairs[..., 1]], axis=1).ravel()
         cols = np.concatenate([pairs[..., 1], pairs[..., 0]], axis=1).ravel()
         batch = self._empty_batch(rounds)
-        np.bitwise_or.at(
-            batch,
-            (round_index, rows, cols >> 6),
-            np.uint64(1) << (cols & np.int64(63)).astype(np.uint64),
-        )
+        set_bits(batch, (round_index, rows), cols)
         return batch
 
 
@@ -737,11 +674,8 @@ class ConnectivityPatcher(DynamicsProcess):
         first, second = first[same_round], second[same_round]
         round_index, a = np.divmod(first, n)
         b = second - round_index * n
-        # Each representative starts at most one repair edge and ends at
-        # most one, so neither write repeats an (round, row, word) index.
-        one = np.uint64(1)
-        batch[round_index, a, b >> 6] |= one << (b & 63).astype(np.uint64)
-        batch[round_index, b, a >> 6] |= one << (a & 63).astype(np.uint64)
+        set_bits(batch, (round_index, a), b)
+        set_bits(batch, (round_index, b), a)
         # Repair edges join different components, so none is already set.
         repair = np.sort(np.concatenate([first * n + b, (round_index * n + b) * n + a]))
         return batch, np.insert(edges, np.searchsorted(edges, repair), repair)

@@ -70,8 +70,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..bits import iter_bits, packed_to_masks, set_bits, word_count
 from ..gf import GF2Basis
-from .dynamics import packed_words, spanning_structure
+from .dynamics import spanning_structure
 
 __all__ = [
     "BoundFaults",
@@ -185,21 +186,9 @@ def _live_edge_row_ints(
     let :func:`_forest_edges` drop its repair edges.
     """
     live = ~down[senders] & ~down[receivers]
-    s = senders[live].astype(np.int64)
-    r = receivers[live].astype(np.int64)
-    packed = np.zeros((n, packed_words(n)), dtype=np.uint64)
-    np.bitwise_or.at(
-        packed,
-        (r, s >> 6),
-        np.uint64(1) << (s & 63).astype(np.uint64),
-    )
-    stride = packed.shape[1] * 8
-    data = packed.astype("<u8", copy=False).tobytes()
-    rows = [
-        int.from_bytes(data[u * stride : (u + 1) * stride], "little")
-        for u in range(n)
-    ]
-    return packed, rows
+    packed = np.zeros((n, word_count(n)), dtype=np.uint64)
+    set_bits(packed, (receivers[live],), senders[live])
+    return packed, packed_to_masks(packed)
 
 
 def _forest_edges(packed: np.ndarray, rows: list[int], n: int) -> list[tuple[int, int]]:
@@ -209,18 +198,12 @@ def _forest_edges(packed: np.ndarray, rows: list[int], n: int) -> list[tuple[int
     edges between component representatives; only edges also present in the
     input are real, so the repair edges are filtered back out.
     """
-    tree = spanning_structure(packed, n)
-    stride = tree.shape[1] * 8
-    data = tree.astype("<u8", copy=False).tobytes()
+    tree = packed_to_masks(spanning_structure(packed, n))
     edges: list[tuple[int, int]] = []
     for u in range(n):
-        row = int.from_bytes(data[u * stride : (u + 1) * stride], "little")
-        row &= rows[u]  # keep only edges that exist in the live subgraph
-        row >>= u + 1  # each undirected edge once, as (u, v) with u < v
-        while row:
-            lsb = row & -row
-            edges.append((u, u + lsb.bit_length()))
-            row ^= lsb
+        row = tree[u] & rows[u]  # keep only edges that exist in the live subgraph
+        # each undirected edge once, as (u, v) with u < v
+        edges.extend((u, u + 1 + v) for v in iter_bits(row >> (u + 1)))
     return edges
 
 

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..bits import set_bits, word_count
 from .mis import MisResult, greedy_mis, luby_mis
 from .topology import Topology
 
@@ -98,10 +99,9 @@ def power_graph(topology: Topology, distance: int) -> Topology:
     if distance < 1:
         raise ValueError(f"distance must be >= 1, got {distance}")
     n = topology.n
-    words = topology.packed_adjacency().shape[1]
     nodes = np.arange(n)
-    identity = np.zeros((n, words), dtype=np.uint64)
-    identity[nodes, nodes // 64] = np.uint64(1) << (nodes % 64).astype(np.uint64)
+    identity = np.zeros((n, word_count(n)), dtype=np.uint64)
+    set_bits(identity, (nodes,), nodes)
     indices, indptr = topology.csr_adjacency()
     # reduceat needs non-empty segments: only nodes with a neighbour grow.
     grows = np.flatnonzero(np.diff(indptr))

@@ -20,10 +20,11 @@ Representation: every checker takes a sequence of
 :class:`~repro.network.topology.Topology` objects, the type adversaries
 return each round (each input is checked through
 :func:`~repro.network.topology.as_topology`), and works on the stacked
-``(rounds, n, ceil(n/64))`` packed ``uint64`` adjacency matrices — block
-equality is one array comparison, a window intersection is one
-``np.bitwise_and.reduce``, and connectivity is a word-parallel mask BFS —
-instead of materialising a frozenset of edge pairs per round.
+``(rounds, n, ceil(n/64))`` packed ``uint64`` adjacency matrices (the
+:mod:`repro.bits` layout) — block equality is one array comparison, a
+window intersection is one ``np.bitwise_and.reduce``, and connectivity is
+:meth:`Topology.is_connected`, the package's one mask BFS — instead of
+materialising a frozenset of edge pairs per round.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .dynamics import packed_is_connected
 from .topology import Topology, as_topology
 
 __all__ = [
@@ -109,7 +109,7 @@ def _stack_is_interval_connected(stack: np.ndarray, n: int, interval: int) -> bo
     for start in range(0, stack.shape[0] - interval + 1):
         # repro: allow[REP401] loop is per sliding window; the reduce is one whole-matrix op
         window = np.bitwise_and.reduce(stack[start : start + interval], axis=0)
-        if not packed_is_connected(window, n):
+        if not Topology.from_packed(n, window).is_connected():
             return False
     return True
 

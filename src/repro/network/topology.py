@@ -38,18 +38,29 @@ round engines:
   offset (CSR) arrays that turn whole-network delivery into one numpy
   gather plus one ``reduceat``, with :meth:`Topology.csr_receivers`, the
   receiving node of every CSR entry, for counting deliveries per node.
+
+The mask rows and the packed matrix are the one bit-row layout of
+:mod:`repro.bits`, which holds every conversion between them.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
+
+from ..bits import (
+    iter_bits,
+    masks_to_packed,
+    packed_to_masks,
+    set_bits,
+    unpack_bools,
+    word_count,
+)
 
 __all__ = [
     "Topology",
     "TopologyValidationCache",
-    "unpack_adjacency",
     "as_topology",
     "path_topology",
     "ring_topology",
@@ -65,27 +76,6 @@ __all__ = [
 
 def _full_mask(n: int) -> int:
     return (1 << n) - 1
-
-
-def _iter_bits(mask: int) -> Iterator[int]:
-    """Yield the set bit positions of ``mask`` in ascending order."""
-    while mask:
-        lsb = mask & -mask
-        yield lsb.bit_length() - 1
-        mask ^= lsb
-
-
-def unpack_adjacency(packed: np.ndarray, n: int) -> np.ndarray:
-    """Unpack ``(..., n, words)`` ``uint64`` adjacency rows into ``(..., n, n)`` bools.
-
-    The inverse of the packed layout (bit ``v`` of row ``u`` at word
-    ``v // 64``, LSB first).  The result is a bool view of the unpacked
-    bytes, so ``np.flatnonzero`` takes its bool fast path.
-    """
-    packed = np.ascontiguousarray(packed)
-    return np.unpackbits(
-        packed.view(np.uint8), axis=-1, count=n, bitorder="little"
-    ).view(bool)
 
 
 def _batch_csr(
@@ -166,7 +156,7 @@ class Topology:
                 raise ValueError(f"need {n} mask rows, got {len(self._masks)}")
             self._packed: np.ndarray | None = None
         else:
-            words = max(1, (n + 63) // 64)
+            words = word_count(n)
             if packed.shape != (n, words) or packed.dtype != np.uint64:
                 raise ValueError(
                     f"packed adjacency must be a ({n}, {words}) uint64 matrix, "
@@ -195,13 +185,7 @@ class Topology:
         """The per-node neighbour bitmask rows (lazily derived when the
         topology was constructed from a packed matrix)."""
         if self._masks is None:
-            packed = self._packed
-            stride = packed.shape[1] * 8
-            data = packed.astype("<u8", copy=False).tobytes()
-            self._masks = tuple(
-                int.from_bytes(data[u * stride : (u + 1) * stride], "little")
-                for u in range(self.n)
-            )
+            self._masks = tuple(packed_to_masks(self._packed))
         return self._masks
 
     # ------------------------------------------------------------------
@@ -248,14 +232,14 @@ class Topology:
         :meth:`csr_receivers` cost the engines nothing.  ``pre_validated``
         has the meaning of :meth:`from_packed`, for every round.
         """
-        words = max(1, (n + 63) // 64)
+        words = word_count(n)
         if batch.ndim != 3 or batch.shape[1:] != (n, words) or batch.dtype != np.uint64:
             raise ValueError(
                 f"packed batch must be a (rounds, {n}, {words}) uint64 array, "
                 f"got {batch.shape} {batch.dtype}"
             )
         batch = np.array(batch, order="C")
-        edges = np.flatnonzero(unpack_adjacency(batch, n))
+        edges = np.flatnonzero(unpack_bools(batch, n))
         return cls._adopt_batch(n, batch, edges, pre_validated)
 
     @classmethod
@@ -300,7 +284,7 @@ class Topology:
         """All edges as ``(u, v)`` tuples with ``u < v`` (plus any self-loops)."""
         out = []
         for u, mask in enumerate(self.masks):
-            for v in _iter_bits(mask >> u):
+            for v in iter_bits(mask >> u):
                 out.append((u, u + v))
         return out
 
@@ -316,7 +300,7 @@ class Topology:
             cache = self._neighbor_tuples = [None] * self.n
         cached = cache[u]
         if cached is None:
-            cached = cache[u] = tuple(_iter_bits(self.masks[u]))
+            cached = cache[u] = tuple(iter_bits(self.masks[u]))
         return cached
 
     def packed_adjacency(self) -> np.ndarray:
@@ -328,10 +312,7 @@ class Topology:
         object and cached; the returned array is marked read-only.
         """
         if self._packed is None:
-            words = max(1, (self.n + 63) // 64)
-            data = b"".join(mask.to_bytes(words * 8, "little") for mask in self.masks)
-            packed = np.frombuffer(data, dtype="<u8").reshape(self.n, words)
-            packed = np.ascontiguousarray(packed).astype(np.uint64, copy=False)
+            packed = masks_to_packed(self.masks, word_count(self.n))
             packed.flags.writeable = False
             self._packed = packed
         return self._packed
@@ -348,7 +329,7 @@ class Topology:
         ``indices`` array, so an in-place write would corrupt other rounds.
         """
         if self._csr is None:
-            edges = np.flatnonzero(unpack_adjacency(self.packed_adjacency(), self.n))
+            edges = np.flatnonzero(unpack_bools(self.packed_adjacency(), self.n))
             indices, indptr, _, receivers = _batch_csr(edges, 1, self.n)
             self._csr = (indices, indptr[0])
             self._receivers = receivers
@@ -450,7 +431,7 @@ class Topology:
         frontier = 1
         while frontier:
             grown = 0
-            for u in _iter_bits(frontier):
+            for u in iter_bits(frontier):
                 grown |= masks[u]
             frontier = grown & ~reached
             reached |= frontier
@@ -481,7 +462,7 @@ class Topology:
             if (mask >> u) & 1:
                 raise ValueError(f"self-loop on node {u} is not allowed")
         for u, mask in enumerate(self.masks):
-            for v in _iter_bits(mask >> u):
+            for v in iter_bits(mask >> u):
                 if not (self.masks[u + v] >> u) & 1:
                     raise ValueError(f"asymmetric edge ({u}, {u + v})")
         if not self.is_connected():
@@ -713,12 +694,6 @@ def shifted_ring_topology(n: int, round_index: int) -> Topology:
         stride += 1
     walk = (shift + np.arange(n + 1, dtype=np.int64) * stride) % n
     u, v = walk[:-1], walk[1:]
-    rows = np.concatenate([u, v])
-    cols = np.concatenate([v, u])
-    packed = np.zeros((n, (n + 63) // 64), dtype=np.uint64)
-    np.bitwise_or.at(
-        packed,
-        (rows, cols >> 6),
-        np.uint64(1) << (cols & np.int64(63)).astype(np.uint64),
-    )
+    packed = np.zeros((n, word_count(n)), dtype=np.uint64)
+    set_bits(packed, (np.concatenate([u, v]),), np.concatenate([v, u]))
     return Topology.from_packed(n, packed, pre_validated=True)

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .trace import CONTENT_ARRAYS, Trace, unpack_node_bitmap
+from ..bits import unpack_bools
+from .trace import CONTENT_ARRAYS, Trace
 
 __all__ = ["Divergence", "TraceDiff", "diff_traces"]
 
@@ -80,8 +81,7 @@ class TraceDiff:
 def _node_divergence(name: str, a: np.ndarray, b: np.ndarray, r: int, n: int):
     """The lowest diverging node of one per-node array at round ``r``."""
     if name == "down_nodes":
-        row_a = unpack_node_bitmap(a[r : r + 1], n)[0]
-        row_b = unpack_node_bitmap(b[r : r + 1], n)[0]
+        row_a, row_b = unpack_bools(a[r], n), unpack_bools(b[r], n)
     else:
         row_a, row_b = a[r], b[r]
     nodes = np.flatnonzero(row_a != row_b)

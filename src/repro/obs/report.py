@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .trace import ROUND_COUNTERS, Trace, unpack_node_bitmap
+from ..bits import unpack_bools
+from .trace import ROUND_COUNTERS, Trace
 
 __all__ = ["describe_trace", "profile_rows", "summary_rows"]
 
@@ -41,7 +42,7 @@ def summary_rows(trace: Trace, *, every: int | None = None) -> list[dict]:
         return []
     counts = trace.arrays["knowledge_counts"]
     ranks = trace.arrays["coded_ranks"]
-    down = unpack_node_bitmap(trace.arrays["down_nodes"], n)
+    down = unpack_bools(trace.arrays["down_nodes"], n)
     down_counts = down.sum(axis=1)
     previous_down = np.concatenate(([np.zeros(n, dtype=bool)], down[:-1]))
     crashes = (down & ~previous_down).sum(axis=1)

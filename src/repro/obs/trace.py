@@ -22,6 +22,9 @@ array                     shape / dtype              meaning
                                                      victims excluded)
 ========================  =========================  ==========================
 
+``down_nodes`` rows use the bit-row layout of :mod:`repro.bits`; read them
+back with :func:`repro.bits.unpack_bools`.
+
 Trace *content* — every array above plus the manifest's ``content``
 section — is engine-invariant: kernel and mask runs of the same
 seeded instance produce byte-identical content (a much stronger standing
@@ -45,6 +48,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from ..bits import pack_bools, word_count
 from .clock import Clock
 from .profiler import PhaseProfiler
 from .provenance import source_digest
@@ -90,22 +94,6 @@ CONTENT_ARRAYS = (
     "partition_active",
     "honest_survivors",
 )
-
-
-def _pack_bool_row(row: np.ndarray, words: int) -> np.ndarray:
-    """Pack one boolean node vector into little-endian uint64 words."""
-    bits = np.packbits(row, bitorder="little")
-    padded = np.zeros(words * 8, dtype=np.uint8)
-    padded[: bits.size] = bits
-    return padded.view(np.uint64)
-
-
-def unpack_node_bitmap(packed: np.ndarray, n: int) -> np.ndarray:
-    """Inverse of the row packing: ``(rounds, words)`` uint64 -> bool ``(rounds, n)``."""
-    rounds = packed.shape[0]
-    as_bytes = np.ascontiguousarray(packed, dtype="<u8").view(np.uint8)
-    bits = np.unpackbits(as_bytes.reshape(rounds, -1), axis=1, bitorder="little")
-    return bits[:, :n].astype(bool)
 
 
 def _repro_version() -> str:
@@ -224,7 +212,7 @@ class TraceRecorder:
                 f"got n={config.n}, k={config.k}"
             )
         self._n = int(config.n)
-        self._words = (self._n + 63) // 64
+        self._words = word_count(self._n)
         self._content = {
             "schema": SCHEMA,
             "n": int(config.n),
@@ -264,7 +252,7 @@ class TraceRecorder:
         self._counts.append(np.asarray(counts).astype(np.uint16))
         self._ranks.append(np.asarray(ranks).astype(np.uint16))
         if plan is not None:
-            self._down.append(_pack_bool_row(plan.down, self._words))
+            self._down.append(pack_bools(plan.down))
             self._partition.append(int(plan.partition_active))
             self._honest.append(int(plan.bound.survivor_indices.size))
         else:

@@ -72,9 +72,6 @@ class Scenario:
         Human-readable model guarantees, e.g. ``("connected",)`` or
         ``("connected", "4-interval-connected")``.  Every catalog entry is
         at least per-round connected (the paper's standing assumption).
-    kernel_ok:
-        False only for scenarios that demand per-node message objects
-        (omniscient adversaries) — those cannot run on the kernel engine.
     faults:
         The hostile axis: ``(n, seed) -> FaultModel``, or ``None`` for a
         benign entry.  Like ``build``, must be a module-level callable so
@@ -87,7 +84,6 @@ class Scenario:
     build: Callable[[int, int], Adversary]
     process: str
     guarantees: tuple[str, ...]
-    kernel_ok: bool = True
     faults: Callable[[int, int], FaultModel] | None = None
 
 

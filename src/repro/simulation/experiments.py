@@ -71,7 +71,6 @@ def standard_instance(
     k: int | None,
     token_bits: int,
     seed: int = 0,
-    copies: int = 1,
 ) -> TokenPlacement:
     """The canonical problem instance used across benchmarks.
 
@@ -84,7 +83,7 @@ def standard_instance(
         return one_token_per_node(n, token_bits, rng)
     k = min(k, n)
     tokens = make_tokens(k, token_bits, rng, origins=list(range(k)))
-    return place_tokens(tokens, n, rng, copies=copies, at_origin=True)
+    return place_tokens(tokens, n, rng, at_origin=True)
 
 
 def measure(
@@ -164,22 +163,15 @@ class SweepTask:
     config: ProtocolConfig
     adversary_factory: Callable[[], Adversary]
     parameters: Mapping[str, object] = field(default_factory=dict)
-    instance_k: int | None = None
     instance_seed: int = 0
-    copies: int = 1
     repetitions: int = 3
     base_seed: int = 1
-    max_rounds: int | None = None
 
 
 def run_sweep_task(task: SweepTask) -> Measurement:
     """Execute one :class:`SweepTask` (the unit of work sent to a worker)."""
     placement = standard_instance(
-        task.config.n,
-        task.instance_k if task.instance_k is not None else task.config.k,
-        task.config.token_bits,
-        seed=task.instance_seed,
-        copies=task.copies,
+        task.config.n, task.config.k, task.config.token_bits, seed=task.instance_seed
     )
     return measure(
         task.factory,
@@ -188,7 +180,6 @@ def run_sweep_task(task: SweepTask) -> Measurement:
         task.adversary_factory,
         repetitions=task.repetitions,
         base_seed=task.base_seed,
-        max_rounds=task.max_rounds,
     )
 
 

@@ -54,15 +54,23 @@ from __future__ import annotations
 
 import abc
 from collections.abc import Sequence as _SequenceABC
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from ..algorithms.base import ProtocolConfig, ProtocolNode
 from ..algorithms.token_forwarding import TokenForwardingNode, tokens_per_message
+from ..bits import (
+    iter_bits,
+    masks_to_packed,
+    pack_bools,
+    packed_to_masks,
+    unpack_bools,
+    word_count,
+)
 from ..network.adversary import Adversary, NodeStateView
 from ..network.faults import StateView
-from ..network.topology import TopologyValidationCache, _iter_bits
+from ..network.topology import TopologyValidationCache
 from ..obs.profiler import NULL_PROFILER
 from ..tokens.message import MessageSizeExceeded, TokenForwardMessage
 from ..tokens.token import TokenId, TokenPlacement
@@ -96,28 +104,6 @@ class KernelUnsupported(Exception):
 # ----------------------------------------------------------------------
 
 
-def _packed_width(k: int) -> int:
-    """Words per packed knowledge row (at least one, so shapes stay 2-D)."""
-    return max(1, (k + 63) // 64)
-
-
-def _full_row(k: int, width: int) -> np.ndarray:
-    """A packed row with exactly bits ``0..k-1`` set."""
-    full = np.zeros(width, dtype=np.uint64)
-    whole, rem = divmod(k, 64)
-    full[:whole] = ~np.uint64(0)
-    if rem:
-        full[whole] = np.uint64((1 << rem) - 1)
-    return full
-
-
-def _row_bits(row: np.ndarray) -> Iterator[int]:
-    """Yield the set bit positions of one packed uint64 row, ascending."""
-    return _iter_bits(
-        int.from_bytes(np.ascontiguousarray(row, dtype="<u8").tobytes(), "little")
-    )
-
-
 def _popcount_rows(matrix: np.ndarray) -> np.ndarray:
     return np.bitwise_count(matrix).sum(axis=1, dtype=np.int64)
 
@@ -134,15 +120,9 @@ def _select_lowest_bits(
     each row's set bits with a running cumsum, keep ranks ``<= batch``,
     repack — a fixed handful of O(n * k) vectorised passes.
     """
-    n, width = pending.shape
-    bits = np.unpackbits(
-        pending.view(np.uint8).reshape(n, -1), axis=1, bitorder="little"
-    )
-    ranks = np.cumsum(bits, axis=1, dtype=np.int32)
-    keep = (bits != 0) & (ranks <= batch)
-    selection = (
-        np.packbits(keep, axis=1, bitorder="little").view(np.uint64).reshape(n, width)
-    )
+    bits = unpack_bools(pending, 64 * pending.shape[1])
+    keep = bits & (np.cumsum(bits, axis=1, dtype=np.int32) <= batch)
+    selection = pack_bools(keep)
     sizes = None
     if costs is not None:
         k = costs.shape[0]
@@ -608,17 +588,15 @@ class TokenForwardingKernel(RoundKernel):
     def __init__(self, config, placement, token_index, nodes):
         super().__init__(config, placement, token_index, nodes)
         self.batch = tokens_per_message(config)
-        self.width = _packed_width(self.k)
-        self.full = _full_row(self.k, self.width)
+        self.width = word_count(self.k)
+        self.full = masks_to_packed([(1 << self.k) - 1], self.width)[0]
         #: Wire cost of each token by bit index (id bits + payload bits).
         self.costs = np.array(
             [t.token_id.bits + t.size_bits for t in self.tokens], dtype=np.int64
         )
-        self.known = np.zeros((self.n, self.width), dtype=np.uint64)
-        for uid, node in enumerate(nodes):
-            for tid in node.known:
-                bit = token_index[tid]
-                self.known[uid, bit >> 6] |= np.uint64(1 << (bit & 63))
+        self.known = masks_to_packed(
+            [sum(1 << token_index[tid] for tid in node.known) for node in nodes], self.width
+        )
         self.phase_length = config.extra_int("phase_length", config.n)
         self.delivered = np.zeros_like(self.known)
         self._sizes = np.zeros(self.n, dtype=np.int64)
@@ -647,9 +625,9 @@ class TokenForwardingKernel(RoundKernel):
     def wire_message(self, uid, round_index):
         # The selection row's ascending bit order is exactly the node's
         # sorted-pending prefix order.
+        (send,) = packed_to_masks(self._send[uid : uid + 1])
         return TokenForwardMessage(
-            sender=uid,
-            tokens=tuple(self.tokens[i] for i in _row_bits(self._send[uid])),
+            sender=uid, tokens=tuple(self.tokens[i] for i in iter_bits(send))
         )
 
     def deliver_all(self, round_index, indices, indptr, active, counts):
@@ -684,7 +662,8 @@ class TokenForwardingKernel(RoundKernel):
         return bool((int(self.known[uid, bit >> 6]) >> (bit & 63)) & 1)
 
     def _known_ids(self, uid: int) -> list:
-        return [self.tokens[i].token_id for i in _row_bits(self.known[uid])]
+        (known,) = packed_to_masks(self.known[uid : uid + 1])
+        return [self.tokens[i].token_id for i in iter_bits(known)]
 
     def state_view(self, uid: int) -> NodeStateView:
         counts = self.known_counts()
@@ -697,14 +676,13 @@ class TokenForwardingKernel(RoundKernel):
         )
 
     def to_nodes(self, nodes):
+        known_masks = packed_to_masks(self.known)
+        delivered_masks = packed_to_masks(self.delivered)
         for uid, node in enumerate(nodes):
             known = {
-                self.tokens[i].token_id: self.tokens[i]
-                for i in _row_bits(self.known[uid])
+                self.tokens[i].token_id: self.tokens[i] for i in iter_bits(known_masks[uid])
             }
-            delivered = {
-                self.tokens[i].token_id for i in _row_bits(self.delivered[uid])
-            }
+            delivered = {self.tokens[i].token_id for i in iter_bits(delivered_masks[uid])}
             node.known.clear()
             node.known.update(known)
             node.delivered = delivered

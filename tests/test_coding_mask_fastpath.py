@@ -16,8 +16,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.bits import pack_bits, unpack_bits
 from repro.coding import Generation, Subspace
-from repro.gf import GF2, pack_bits, unpack_bits
+from repro.gf import GF2
 from repro.tokens.message import CodedMessage
 
 

@@ -35,8 +35,7 @@ from repro.algorithms import (
     NaiveCodedNode,
     TokenForwardingNode,
 )
-from repro.gf import GF2Basis
-from repro.gf.packed import GF2BasisBatch, masks_to_packed
+from repro.gf import GF2Basis, GF2BasisBatch, masks_to_packed
 from repro.network import (
     BudgetedLossStrategy,
     ChurnProcess,

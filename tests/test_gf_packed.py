@@ -300,14 +300,6 @@ class TestScalarFastPaths:
 
 
 class TestPackedHelpers:
-    @given(
-        st.lists(st.integers(min_value=0, max_value=(1 << 100) - 1), max_size=6),
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_masks_round_trip(self, masks):
-        packed = masks_to_packed(masks, 2)
-        assert packed_to_masks(packed) == [m & ((1 << 128) - 1) for m in masks]
-
     def test_capacity_growth_preserves_state(self, rng):
         batch = GF2BasisBatch(2, 120)
         scalar = GF2Basis(120)

@@ -6,7 +6,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.gf import GF, GF2Basis, pack_bits, unpack_bits
+from repro.bits import pack_bits, unpack_bits
+from repro.gf import GF, GF2Basis
 from tests.oracles.gf_matrix import matmul, rank, rref, solve
 
 FIELDS = [2, 3, 5, 13, 257]

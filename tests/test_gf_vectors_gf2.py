@@ -4,14 +4,13 @@ from __future__ import annotations
 
 import pytest
 
+from repro.bits import pack_bits, unpack_bits
 from repro.gf import (
     GF,
     GF2,
     GF2Basis,
     int_to_vector,
-    pack_bits,
     symbols_needed,
-    unpack_bits,
     vector_to_int,
 )
 

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from repro.algorithms import TokenForwardingNode
+from repro.bits import pack_bools
 from repro.network import (
     ChurnProcess,
     ConnectivityPatcher,
@@ -25,8 +26,6 @@ from repro.network import (
     ScheduleAdversary,
     TIntervalEnforcer,
     Topology,
-    pack_dense_adjacency,
-    packed_is_connected,
     ring_topology,
     spanning_structure,
 )
@@ -68,28 +67,18 @@ def _assert_legal_rows(batch: np.ndarray, n: int) -> None:
 
 
 class TestPackedHelpers:
-    @pytest.mark.parametrize("n", [5, 64, 100])
-    def test_pack_dense_adjacency_matches_topology_layout(self, n):
-        rng = np.random.default_rng(0)
-        dense = rng.random((n, n)) < 0.2
-        dense |= dense.T
-        np.fill_diagonal(dense, False)
-        packed = pack_dense_adjacency(dense[None])[0]
-        topology = Topology.from_edges(n, np.argwhere(np.triu(dense)))
-        assert np.array_equal(packed, topology.packed_adjacency())
-
     def test_packed_components_and_connectivity(self):
         # Two disjoint triangles: {0,1,2} and {3,4,5}.
         dense = np.zeros((6, 6), dtype=bool)
         for a, b in [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]:
             dense[a, b] = dense[b, a] = True
-        packed = pack_dense_adjacency(dense[None])[0]
-        assert not packed_is_connected(packed, 6)
+        packed = pack_bools(dense)
+        assert not Topology.from_packed(6, packed).is_connected()
         components = packed_components(packed, 6)
         assert components == [0b000111, 0b111000]
-        ring = ring_topology(6).packed_adjacency()
-        assert packed_is_connected(ring, 6)
-        assert packed_components(ring, 6) == [0b111111]
+        ring = ring_topology(6)
+        assert ring.is_connected()
+        assert packed_components(ring.packed_adjacency(), 6) == [0b111111]
 
     def test_packed_components_oracle_matches_networkx(self):
         rng = np.random.default_rng(2)
@@ -97,7 +86,7 @@ class TestPackedHelpers:
             dense = rng.random((n, n)) < 1.5 / n
             dense |= dense.T
             np.fill_diagonal(dense, False)
-            packed = pack_dense_adjacency(dense[None])[0]
+            packed = pack_bools(dense)
             graph = nx.from_numpy_array(dense.astype(np.uint8))
             expected = sorted(sum(1 << v for v in c) for c in nx.connected_components(graph))
             assert sorted(packed_components(packed, n)) == expected
@@ -108,9 +97,9 @@ class TestPackedHelpers:
         dense = rng.random((n, n)) < 1.5 / max(1, n)  # sparse, usually disconnected
         dense |= dense.T
         np.fill_diagonal(dense, False)
-        packed = pack_dense_adjacency(dense[None])[0]
+        packed = pack_bools(dense)
         structure = spanning_structure(packed, n)
-        assert packed_is_connected(structure, n)
+        assert Topology.from_packed(n, structure).is_connected()
         # Tree edges come from the input; only representative-path edges are new.
         extra = structure & ~packed
         new_edges = int(np.bitwise_count(extra).sum()) // 2
@@ -209,7 +198,7 @@ class TestTransformers:
         inner.reset()
         patched = ConnectivityPatcher(inner).next_batch(10)
         for r in range(10):
-            if packed_is_connected(raw[r], 12):
+            if Topology.from_packed(12, raw[r]).is_connected():
                 assert np.array_equal(raw[r], patched[r])
 
     @pytest.mark.parametrize("interval", [1, 3, 5])

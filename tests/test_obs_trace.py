@@ -31,6 +31,7 @@ import pytest
 
 import repro
 from repro.algorithms import IndexedBroadcastNode, TokenForwardingNode
+from repro.bits import unpack_bools
 from repro.network.faults import FaultModel
 from repro.obs import (
     Clock,
@@ -41,7 +42,7 @@ from repro.obs import (
     load_trace,
     source_digest,
 )
-from repro.obs.trace import CONTENT_ARRAYS, unpack_node_bitmap
+from repro.obs.trace import CONTENT_ARRAYS
 from repro.scenarios import fault_model_for, make_scenario
 from repro.simulation import run_dissemination, standard_instance
 from tests.conftest import make_config
@@ -203,7 +204,7 @@ def test_down_bitmap_and_partition_columns_record_fault_state():
     for round_index in range(trace.rounds):
         expected = any(start <= round_index < end for start, end in windows)
         assert partition[round_index] == expected, round_index
-    down = unpack_node_bitmap(trace.arrays["down_nodes"], n)
+    down = unpack_bools(trace.arrays["down_nodes"], n)
     assert down.shape == (trace.rounds, n)
     crash_faults = fault_model_for("crash_recover_churn", n, seed=3)
     _, crashed = _traced_run(
@@ -213,7 +214,7 @@ def test_down_bitmap_and_partition_columns_record_fault_state():
         engine="kernel",
         faults=crash_faults,
     )
-    crashed_down = unpack_node_bitmap(crashed.arrays["down_nodes"], n)
+    crashed_down = unpack_bools(crashed.arrays["down_nodes"], n)
     assert crashed_down.any(), "crash scenario recorded no down node"
 
 

@@ -7,7 +7,7 @@ arrays and per-entry receiver ids filled in, and the round loop counts each
 node's sending neighbours with one ``np.bincount`` over those receivers.
 Each shortcut is checked here against the slower formula it replaces:
 
-* the positions equal ``np.flatnonzero(unpack_adjacency(next_batch(r)))``
+* the positions equal ``np.flatnonzero(unpack_bools(next_batch(r)))``
   for every process a catalog entry builds, wrapped inner processes
   included, and the batch itself is unchanged;
 * :meth:`Topology.csr_receivers` equals the ``np.repeat`` of the row ids
@@ -26,6 +26,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.bits import unpack_bools
 from repro.network import (
     CollisionModel,
     FaultModel,
@@ -33,7 +34,6 @@ from repro.network import (
     Topology,
     random_connected_topology,
 )
-from repro.network.topology import unpack_adjacency
 from repro.scenarios import list_scenarios, make_scenario
 from repro.scenarios.catalog import SCENARIOS
 
@@ -88,7 +88,7 @@ class TestBatchPositions:
                 batch, edges = process.next_batch_with_edges(rounds)
                 expected = twin.next_batch(rounds)
                 assert np.array_equal(batch, expected)
-                assert np.array_equal(edges, np.flatnonzero(unpack_adjacency(expected, n)))
+                assert np.array_equal(edges, np.flatnonzero(unpack_bools(expected, n)))
 
 
 class TestCsrReceivers:

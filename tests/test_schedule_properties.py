@@ -22,6 +22,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.bits import pack_bools, unpack_bools
 from repro.network import (
     ChurnProcess,
     ConnectivityPatcher,
@@ -29,13 +30,9 @@ from repro.network import (
     PrecomputedSchedule,
     RandomWaypointProcess,
     TIntervalEnforcer,
+    Topology,
 )
-from repro.network.dynamics import (
-    batch_component_labels,
-    pack_dense_adjacency,
-    packed_is_connected,
-)
-from repro.network.topology import unpack_adjacency
+from repro.network.dynamics import batch_component_labels
 from repro.network.stability import is_t_interval_connected
 from tests.oracles.components import packed_components
 
@@ -130,7 +127,7 @@ def _symmetric_batches(draw):
     rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**16)))
     dense = rng.random((len(densities), n, n)) < np.asarray(densities)[:, None, None]
     dense = np.triu(dense, 1)
-    return n, pack_dense_adjacency(dense | dense.transpose(0, 2, 1))
+    return n, pack_bools(dense | dense.transpose(0, 2, 1))
 
 
 class TestBatchLabellerOracle:
@@ -140,7 +137,7 @@ class TestBatchLabellerOracle:
     @settings(max_examples=60, deadline=None)
     def test_labels_match_scalar_components(self, case):
         n, batch = case
-        edges = np.flatnonzero(unpack_adjacency(batch, n))
+        edges = np.flatnonzero(unpack_bools(batch, n))
         labels = batch_component_labels(edges, batch.shape[0], n)
         assert labels.shape == (batch.shape[0], n)
         for packed, round_labels in zip(batch, labels):
@@ -167,7 +164,7 @@ class TestBatchLabellerOracle:
                 assert tuple(indices[indptr[u] : indptr[u + 1]]) == topology.neighbors_tuple(u)
         for raw, fixed in zip(batch, patched):
             components = packed_components(raw, n)
-            assert packed_is_connected(fixed, n)
+            assert Topology.from_packed(n, fixed).is_connected()
             assert np.array_equal(fixed & raw, raw)
             added = int(np.bitwise_count(fixed).sum() - np.bitwise_count(raw).sum())
             assert added == 2 * (len(components) - 1)
