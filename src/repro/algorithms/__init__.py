@@ -1,7 +1,14 @@
 """All dissemination protocols: baselines, network-coded algorithms, reductions."""
 
 from .base import ProtocolConfig, ProtocolFactory, ProtocolNode, log2_ceil
-from .blocks import block_bits, decode_block, encode_block, max_tokens_per_block, token_slot_bits
+from .blocks import (
+    BlockBroadcast,
+    block_bits,
+    decode_block,
+    encode_block,
+    max_tokens_per_block,
+    token_slot_bits,
+)
 from .centralized import CentralizedCodedNode, FreeHeaderCodedMessage
 from .counting import CountingOutcome, count_nodes_via_doubling
 from .deterministic import (
@@ -9,7 +16,7 @@ from .deterministic import (
     deterministic_broadcast_config,
 )
 from .greedy_forward import GreedyForwardNode
-from .indexed_broadcast import IndexedBroadcastNode, indexed_broadcast_generation
+from .indexed_broadcast import IndexedBroadcastNode
 from .naive_coded import NaiveCodedNode
 from .priority_forward import BlockDescriptor, PriorityForwardNode
 from .random_forward import GatherState, LeaderInfo, RandomForwardNode
@@ -26,6 +33,7 @@ from .tstable import (
 )
 
 __all__ = [
+    "BlockBroadcast",
     "BlockDescriptor",
     "CentralizedCodedNode",
     "CountingOutcome",
@@ -51,7 +59,6 @@ __all__ = [
     "decode_block",
     "deterministic_broadcast_config",
     "encode_block",
-    "indexed_broadcast_generation",
     "log2_ceil",
     "make_tstable_factory",
     "max_tokens_per_block",

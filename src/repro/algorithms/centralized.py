@@ -14,8 +14,12 @@ distributed algorithms disappear:
 
 The resulting randomized algorithm is order-optimal ``Theta(n)`` for
 ``k <= n`` (Corollary 2.6).  :class:`CentralizedCodedNode` implements it:
-operationally it is RLNC over the full augmented vectors, but the *message
-accounting* only charges the payload bits, reflecting the inferable header.
+operationally it is the RLNC indexed broadcast of
+:class:`~repro.algorithms.indexed_broadcast.IndexedBroadcastNode` (the
+controller's index assignment is ``config.extra['index_of']``, or the
+canonical origin-UID indexing), but the *message accounting* only charges
+the payload bits, reflecting the inferable header.  The subclass overrides
+``compose`` alone.
 
 The deterministic centralized variant replaces the shared randomness by the
 pre-committed schedule of Section 6 over the large field, with field-size
@@ -25,15 +29,8 @@ complexity is evaluated analytically in :mod:`repro.analysis.bounds`.
 
 from __future__ import annotations
 
-from typing import Sequence
-
-import numpy as np
-
-from ..coding.rlnc import Generation
 from ..tokens.message import CodedMessage, Message
-from ..tokens.token import Token
-from .base import ProtocolConfig, ProtocolNode
-from .blocks import block_bits, decode_block, encode_block
+from .indexed_broadcast import IndexedBroadcastNode
 
 __all__ = ["CentralizedCodedNode", "FreeHeaderCodedMessage"]
 
@@ -55,33 +52,8 @@ class FreeHeaderCodedMessage(CodedMessage):
         return 0
 
 
-class CentralizedCodedNode(ProtocolNode):
+class CentralizedCodedNode(IndexedBroadcastNode):
     """RLNC indexed broadcast with centrally-assigned indices and free headers."""
-
-    def __init__(self, uid: int, config: ProtocolConfig, rng: np.random.Generator):
-        super().__init__(uid, config, rng)
-        self.generation = Generation(
-            k=max(1, config.k),
-            payload_bits=block_bits(config, tokens_per_block=1),
-            field_order=config.field_order,
-            generation_id=0,
-        )
-        self.state = self.generation.new_state()
-        # The central controller's index assignment: a mapping provided in
-        # config.extra, or the canonical origin-UID indexing.
-        self._index_of = config.extra.get("index_of")
-        self._decoded = False
-
-    def _index_for(self, token: Token) -> int:
-        if self._index_of is not None:
-            return int(self._index_of[token.token_id])  # type: ignore[index]
-        return token.token_id.origin % self.generation.k
-
-    def setup(self, initial_tokens: Sequence[Token]) -> None:
-        super().setup(initial_tokens)
-        for token in initial_tokens:
-            payload = encode_block(self.config, [token], tokens_per_block=1)
-            self.state.add_source(self._index_for(token), payload)
 
     def compose(self, round_index: int) -> Message | None:
         # GenerationState owns the mask/array dispatch; rewrap its message
@@ -104,21 +76,3 @@ class CentralizedCodedNode(ProtocolNode):
             field_order=message.field_order,
             generation=message.generation,
         )
-
-    def deliver(self, round_index: int, messages: Sequence[Message]) -> None:
-        for message in messages:
-            if isinstance(message, CodedMessage):
-                self.state.receive(message)
-        if not self._decoded and self.state.can_decode():
-            payloads = self.state.decode_payloads()
-            if payloads is not None:
-                for payload in payloads:
-                    for token in decode_block(self.config, payload, tokens_per_block=1):
-                        self._learn_token(token)
-                self._decoded = True
-
-    def coded_rank(self) -> int:
-        return self.state.rank
-
-    def finished(self) -> bool:
-        return self._decoded

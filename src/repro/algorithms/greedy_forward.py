@@ -17,6 +17,11 @@ boundaries without communication):
 The loop repeats until an election reports that no tokens remain.  Theorem
 7.3: the whole process takes ``O(nkd/b^2 + nb)`` rounds w.h.p. — a factor
 ``~b`` faster than the token-forwarding lower bound.
+
+The election is this protocol's indexing rule: only the leader holds the
+blocks, so its sorted token order fixes every dimension.  Gathering is the
+shared :class:`~repro.algorithms.random_forward.GatherState` and the coded
+window the shared :class:`~repro.algorithms.blocks.BlockBroadcast`.
 """
 
 from __future__ import annotations
@@ -25,12 +30,10 @@ from typing import Sequence
 
 import numpy as np
 
-from ..coding.rlnc import Generation, GenerationState
-from ..gf import field_bits
-from ..tokens.message import CodedMessage, Message, TokenForwardMessage
+from ..tokens.message import Message, TokenForwardMessage
 from ..tokens.token import TokenId
 from .base import ProtocolConfig, ProtocolNode
-from .blocks import block_bits, decode_block, encode_block, max_tokens_per_block
+from .blocks import BlockBroadcast, block_layout
 from .random_forward import GatherState
 
 __all__ = ["GreedyForwardNode"]
@@ -63,23 +66,14 @@ class GreedyForwardNode(ProtocolNode):
             self.gather_rounds + self.elect_rounds + self.broadcast_rounds
         )
 
-        # Block structure: split the budget roughly in half between payload
-        # (one block of ~b/2d tokens) and coefficient header (~b/2 blocks).
-        # Capacity planning uses the nominal b; the slack constant of the
-        # budget only absorbs the O(b) bookkeeping overhead.
-        limit = config.b
-        self.tokens_per_block = max_tokens_per_block(config, limit // 2)
-        self.block_payload_bits = block_bits(config, self.tokens_per_block)
-        symbol_bits = field_bits(config.field_order)
-        header_budget = max(symbol_bits, limit - self.block_payload_bits - 32)
-        self.max_blocks = max(1, header_budget // symbol_bits)
+        self.tokens_per_block, self.max_blocks = block_layout(config)
 
         #: Tokens already disseminated by a completed coded broadcast.
         self.delivered: set[TokenId] = set()
         self._gather: GatherState | None = None
         self._leader_uid: int | None = None
         self._leader_count: int = 0
-        self._generation_state: GenerationState | None = None
+        self.broadcast = BlockBroadcast(self, self.tokens_per_block, self.delivered)
         self._broadcast_token_ids: list[TokenId] = []
         self._exhausted = False
 
@@ -115,7 +109,6 @@ class GreedyForwardNode(ProtocolNode):
         self._leader_uid = gather.elected_leader()
         self._leader_count = gather.elected_count()
         self._gather = None
-        self._generation_state = None
         self._broadcast_token_ids = []
         if self._leader_count <= 0:
             self._exhausted = True
@@ -125,58 +118,22 @@ class GreedyForwardNode(ProtocolNode):
         # We are the leader: group our eligible tokens into blocks and seed a
         # fresh coding generation for this iteration.
         eligible = sorted(self._eligible_ids())
-        capacity = self.max_blocks * self.tokens_per_block
-        chosen = eligible[:capacity]
-        if not chosen:
-            return
-        blocks = [
-            chosen[i : i + self.tokens_per_block]
-            for i in range(0, len(chosen), self.tokens_per_block)
-        ]
-        generation = Generation(
-            k=len(blocks),
-            payload_bits=self.block_payload_bits,
-            field_order=self.config.field_order,
-            generation_id=iteration + 1,
+        chosen = eligible[: self.max_blocks * self.tokens_per_block]
+        self.broadcast.begin(
+            iteration + 1,
+            [
+                [self.known[tid] for tid in chosen[i : i + self.tokens_per_block]]
+                for i in range(0, len(chosen), self.tokens_per_block)
+            ],
         )
-        state = generation.new_state()
-        for index, block_ids in enumerate(blocks):
-            payload = encode_block(
-                self.config,
-                [self.known[tid] for tid in block_ids],
-                self.tokens_per_block,
-            )
-            state.add_source(index, payload)
-        self._generation_state = state
         self._broadcast_token_ids = chosen
 
-    def _generation_from_message(self, message: CodedMessage) -> GenerationState:
-        """Lazily join the leader's generation based on observed dimensions."""
-        if self._generation_state is None:
-            symbol_bits = field_bits(message.field_order)
-            generation = Generation(
-                k=message.num_coefficients,
-                payload_bits=message.num_payload_symbols * symbol_bits,
-                field_order=message.field_order,
-                generation_id=message.generation,
-            )
-            self._generation_state = generation.new_state()
-        return self._generation_state
-
     def _finish_broadcast(self) -> None:
-        state = self._generation_state
-        if state is not None and state.can_decode():
-            payloads = state.decode_payloads()
-            if payloads is not None:
-                for payload in payloads:
-                    for token in decode_block(self.config, payload, self.tokens_per_block):
-                        self._learn_token(token)
-                        self.delivered.add(token.token_id)
+        self.broadcast.finish()
         # Leaders mark their broadcast tokens delivered even if (improbably)
         # some other node failed to decode; re-gathering would pick strays up.
         for tid in self._broadcast_token_ids:
             self.delivered.add(tid)
-        self._generation_state = None
         self._broadcast_token_ids = []
 
     # ------------------------------------------------------------------
@@ -193,9 +150,7 @@ class GreedyForwardNode(ProtocolNode):
         # broadcast phase
         if offset == 0:
             self._start_broadcast(iteration)
-        if self._exhausted or self._generation_state is None:
-            return None
-        return self._generation_state.compose(self.uid, self.rng)
+        return self.broadcast.compose()
 
     def deliver(self, round_index: int, messages: Sequence[Message]) -> None:
         if self._exhausted:
@@ -204,19 +159,16 @@ class GreedyForwardNode(ProtocolNode):
         if phase == "gather":
             self._ensure_gather().deliver(offset, messages)
             return
+        self.broadcast.receive(messages)
         for message in messages:
-            if isinstance(message, CodedMessage):
-                state = self._generation_from_message(message)
-                if message.num_coefficients == state.generation.k:
-                    state.receive(message)
-            elif isinstance(message, TokenForwardMessage):
+            if isinstance(message, TokenForwardMessage):
                 # A straggler from a neighbour still in its gather window.
                 self._learn_message(message)
         if offset == self.broadcast_rounds - 1:
             self._finish_broadcast()
 
     def coded_rank(self) -> int:
-        return self._generation_state.rank if self._generation_state else 0
+        return self.broadcast.rank
 
     def finished(self) -> bool:
         return self._exhausted

@@ -31,32 +31,28 @@ Corollary 6.2 when ``config.extra['deterministic_schedule']`` carries a
 randomness, coefficients come from the pre-committed schedule (and the field
 must then be the large field of Theorem 6.1 for the guarantee to hold
 against an omniscient adversary).
+
+Every single-generation coder is this node with a different ``compose`` or
+``deliver``: :class:`~repro.algorithms.deterministic.DeterministicIndexedBroadcastNode`,
+the free-header :class:`~repro.algorithms.centralized.CentralizedCodedNode`
+and the patch-sharing :class:`~repro.algorithms.tstable.TStablePatchNode`.
+Their indexing rule is :func:`~repro.algorithms.blocks.token_dimension`.
 """
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from ..coding.deterministic import DeterministicSchedule
 from ..coding.rlnc import Generation
 from ..tokens.message import CodedMessage, Message
-from ..tokens.token import Token, TokenId
+from ..tokens.token import Token
 from .base import ProtocolConfig, ProtocolNode
-from .blocks import block_bits, decode_block, encode_block
+from .blocks import block_bits, decoded_tokens, encode_block, token_dimension
 
-__all__ = ["IndexedBroadcastNode", "indexed_broadcast_generation"]
-
-
-def indexed_broadcast_generation(config: ProtocolConfig, generation_id: int = 0) -> Generation:
-    """The coding generation for a plain k-indexed broadcast of single tokens."""
-    return Generation(
-        k=max(1, config.k),
-        payload_bits=block_bits(config, tokens_per_block=1),
-        field_order=config.field_order,
-        generation_id=generation_id,
-    )
+__all__ = ["IndexedBroadcastNode"]
 
 
 class IndexedBroadcastNode(ProtocolNode):
@@ -64,9 +60,12 @@ class IndexedBroadcastNode(ProtocolNode):
 
     def __init__(self, uid: int, config: ProtocolConfig, rng: np.random.Generator):
         super().__init__(uid, config, rng)
-        self.generation = indexed_broadcast_generation(config)
+        self.generation = Generation(
+            k=max(1, config.k),
+            payload_bits=block_bits(config, tokens_per_block=1),
+            field_order=config.field_order,
+        )
         self.state = self.generation.new_state()
-        self._index_of: Mapping[TokenId, int] | None = config.extra.get("index_of")  # type: ignore[assignment]
         self._schedule: DeterministicSchedule | None = config.extra.get(  # type: ignore[assignment]
             "deterministic_schedule"
         )
@@ -78,17 +77,12 @@ class IndexedBroadcastNode(ProtocolNode):
         self._span_dirty = False
 
     # ------------------------------------------------------------------
-    def _index_for(self, token: Token) -> int:
-        if self._index_of is not None:
-            return int(self._index_of[token.token_id])
-        # Canonical instance: one token per node, indexed by origin UID.
-        return token.token_id.origin % self.generation.k
-
     def setup(self, initial_tokens: Sequence[Token]) -> None:
         super().setup(initial_tokens)
         for token in initial_tokens:
             payload = encode_block(self.config, [token], tokens_per_block=1)
-            if self.state.add_source(self._index_for(token), payload):
+            index = token_dimension(self.config, token, self.generation.k)
+            if self.state.add_source(index, payload):
                 self._span_dirty = True
 
     # ------------------------------------------------------------------
@@ -112,14 +106,11 @@ class IndexedBroadcastNode(ProtocolNode):
         if self._decoded or not self._span_dirty:
             return
         self._span_dirty = False
-        if not self.state.can_decode():
+        tokens = decoded_tokens(self.config, self.state, tokens_per_block=1)
+        if tokens is None:
             return
-        payloads = self.state.decode_payloads()
-        if payloads is None:
-            return
-        for payload in payloads:
-            for token in decode_block(self.config, payload, tokens_per_block=1):
-                self._learn_token(token)
+        for token in tokens:
+            self._learn_token(token)
         self._decoded = True
 
     def coded_rank(self) -> int:

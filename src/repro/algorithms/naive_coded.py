@@ -10,6 +10,11 @@ Each iteration has two phases:
    disseminated with network-coded indexed broadcast; all nodes then mark
    them delivered.
 
+The flood is this protocol's indexing rule: the sorted window of smallest
+identifiers puts one token in each coded dimension.  The coded window itself
+is the shared :class:`~repro.algorithms.blocks.BlockBroadcast`, with one
+token per block.
+
 Corollary 7.1: this takes ``O(nk log n / b)`` rounds — only a ``log n / d``
 factor better than token forwarding, which is the motivation for the
 gathering-based algorithms (greedy-forward / priority-forward) that follow
@@ -22,12 +27,10 @@ from typing import Sequence
 
 import numpy as np
 
-from ..coding.rlnc import Generation, GenerationState
-from ..gf import field_bits
-from ..tokens.message import CodedMessage, ControlMessage, Message
+from ..tokens.message import ControlMessage, Message
 from ..tokens.token import TokenId
 from .base import ProtocolConfig, ProtocolNode
-from .blocks import block_bits, decode_block, encode_block
+from .blocks import BlockBroadcast
 
 __all__ = ["NaiveCodedNode"]
 
@@ -51,8 +54,7 @@ class NaiveCodedNode(ProtocolNode):
         self.delivered: set[TokenId] = set()
         self._candidate_ids: set[TokenId] = set()
         self._selected: list[TokenId] = []
-        self._generation_state: GenerationState | None = None
-        self._exhausted = False
+        self.broadcast = BlockBroadcast(self, tokens_per_block=1, delivered=self.delivered)
 
     # ------------------------------------------------------------------
     def _phase(self, round_index: int) -> tuple[str, int, int]:
@@ -71,14 +73,11 @@ class NaiveCodedNode(ProtocolNode):
 
     # ------------------------------------------------------------------
     def compose(self, round_index: int) -> Message | None:
-        if self._exhausted:
-            return None
         phase, offset, iteration = self._phase(round_index)
         if phase == "flood":
             if offset == 0:
                 self._candidate_ids = set(self._undelivered_ids()[: self.ids_per_message])
                 self._selected = []
-                self._generation_state = None
             candidates = self._flood_candidates()
             if not candidates:
                 return None
@@ -86,13 +85,9 @@ class NaiveCodedNode(ProtocolNode):
         # broadcast phase
         if offset == 0:
             self._start_broadcast(iteration)
-        if self._generation_state is None:
-            return None
-        return self._generation_state.compose(self.uid, self.rng)
+        return self.broadcast.compose()
 
     def deliver(self, round_index: int, messages: Sequence[Message]) -> None:
-        if self._exhausted:
-            return
         phase, offset, _iteration = self._phase(round_index)
         if phase == "flood":
             for message in messages:
@@ -105,59 +100,20 @@ class NaiveCodedNode(ProtocolNode):
             # globally smallest identifiers.
             self._candidate_ids = set(sorted(self._candidate_ids)[: self.ids_per_message])
             return
-        for message in messages:
-            if isinstance(message, CodedMessage):
-                state = self._generation_from_message(message)
-                if state is not None and message.num_coefficients == state.generation.k:
-                    state.receive(message)
+        self.broadcast.receive(messages)
         if offset == self.broadcast_rounds - 1:
             self._finish_broadcast()
 
     # ------------------------------------------------------------------
     def _start_broadcast(self, iteration: int) -> None:
         self._selected = sorted(self._candidate_ids)[: self.ids_per_message]
-        if not self._selected and not self._undelivered_ids():
-            # Nothing anywhere that we know of; we may be done (other nodes
-            # may still flood ids in later iterations, which would revive us).
-            self._generation_state = None
-            return
-        if not self._selected:
-            self._generation_state = None
-            return
-        generation = Generation(
-            k=len(self._selected),
-            payload_bits=block_bits(self.config, tokens_per_block=1),
-            field_order=self.config.field_order,
-            generation_id=iteration + 1,
+        self.broadcast.begin(
+            iteration + 1,
+            [[self.known[tid]] if tid in self.known else [] for tid in self._selected],
         )
-        state = generation.new_state()
-        for index, tid in enumerate(self._selected):
-            if tid in self.known:
-                payload = encode_block(self.config, [self.known[tid]], tokens_per_block=1)
-                state.add_source(index, payload)
-        self._generation_state = state
-
-    def _generation_from_message(self, message: CodedMessage) -> GenerationState | None:
-        if self._generation_state is None:
-            symbol_bits = field_bits(message.field_order)
-            generation = Generation(
-                k=message.num_coefficients,
-                payload_bits=message.num_payload_symbols * symbol_bits,
-                field_order=message.field_order,
-                generation_id=message.generation,
-            )
-            self._generation_state = generation.new_state()
-        return self._generation_state
 
     def _finish_broadcast(self) -> None:
-        state = self._generation_state
-        if state is not None and state.can_decode():
-            payloads = state.decode_payloads()
-            if payloads is not None:
-                for payload in payloads:
-                    for token in decode_block(self.config, payload, tokens_per_block=1):
-                        self._learn_token(token)
-                        self.delivered.add(token.token_id)
+        self.broadcast.finish()
         for tid in self._selected:
             # Only mark a selected token delivered if we actually hold it now;
             # otherwise its identifier keeps being flooded until it arrives.
@@ -165,7 +121,6 @@ class NaiveCodedNode(ProtocolNode):
                 self.delivered.add(tid)
         self._candidate_ids = set()
         self._selected = []
-        self._generation_state = None
 
     def coded_rank(self) -> int:
-        return self._generation_state.rank if self._generation_state else 0
+        return self.broadcast.rank

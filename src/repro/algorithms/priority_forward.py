@@ -21,6 +21,12 @@ Implementation notes (where this deviates from the paper's pseudo-code):
   is replicated onto ``Omega(n/b)`` nodes, which is the precondition
   Lemma 7.4's analysis starts from (the paper obtains it from the
   greedy-forward prefix).
+
+The priority flood is this protocol's indexing rule: the sorted window of
+smallest block descriptors fixes every dimension, and each block's holder
+injects it.  The spread draw is the shared
+:func:`~repro.algorithms.random_forward.random_batch` and the coded window
+the shared :class:`~repro.algorithms.blocks.BlockBroadcast`.
 """
 
 from __future__ import annotations
@@ -30,12 +36,11 @@ from typing import Sequence
 
 import numpy as np
 
-from ..coding.rlnc import Generation, GenerationState
-from ..gf import field_bits
-from ..tokens.message import CodedMessage, ControlMessage, Message, TokenForwardMessage
+from ..tokens.message import ControlMessage, Message, TokenForwardMessage
 from ..tokens.token import TokenId
 from .base import ProtocolConfig, ProtocolNode
-from .blocks import block_bits, decode_block, encode_block, max_tokens_per_block
+from .blocks import BlockBroadcast, block_layout
+from .random_forward import random_batch
 from .token_forwarding import tokens_per_message
 
 __all__ = ["PriorityForwardNode", "BlockDescriptor"]
@@ -67,11 +72,7 @@ class PriorityForwardNode(ProtocolNode):
         self.flood_rounds = config.extra_int("flood_rounds", n)
 
         # Block structure: ~b/d tokens per block (half the budget for payload).
-        self.tokens_per_block = max_tokens_per_block(config, limit // 2)
-        self.block_payload_bits = block_bits(config, self.tokens_per_block)
-        symbol_bits = field_bits(config.field_order)
-        header_budget = max(symbol_bits, limit - self.block_payload_bits - 32)
-        blocks_by_header = max(1, header_budget // symbol_bits)
+        self.tokens_per_block, blocks_by_header = block_layout(config)
 
         # How many block descriptors fit into one flooding message; the number
         # of blocks selected per iteration is capped by it so the smallest
@@ -94,7 +95,7 @@ class PriorityForwardNode(ProtocolNode):
         self._my_blocks: dict[tuple[int, int], list[TokenId]] = {}
         self._candidates: set[BlockDescriptor] = set()
         self._selected: list[BlockDescriptor] = []
-        self._generation_state: GenerationState | None = None
+        self.broadcast = BlockBroadcast(self, self.tokens_per_block, self.delivered)
 
     # ------------------------------------------------------------------
     def _phase(self, round_index: int) -> tuple[str, int, int]:
@@ -125,48 +126,26 @@ class PriorityForwardNode(ProtocolNode):
             self._my_blocks[(self.uid, seq)] = block_ids
             self._candidates.add(descriptor)
 
+    def _own_block(self, descriptor: BlockDescriptor) -> list[TokenId]:
+        """The token ids of a block this node formed; empty for anyone else's."""
+        return self._my_blocks.get((descriptor.holder, descriptor.sequence), [])
+
     def _start_broadcast(self, iteration: int) -> None:
         self._selected = sorted(self._candidates)[: self.select_count]
-        self._generation_state = None
-        if not self._selected:
-            return
-        generation = Generation(
-            k=len(self._selected),
-            payload_bits=self.block_payload_bits,
-            field_order=self.config.field_order,
-            generation_id=iteration + 1,
+        self.broadcast.begin(
+            iteration + 1,
+            [
+                [self.known[tid] for tid in self._own_block(descriptor) if tid in self.known]
+                for descriptor in self._selected
+            ],
         )
-        state = generation.new_state()
-        for index, descriptor in enumerate(self._selected):
-            key = (descriptor.holder, descriptor.sequence)
-            if descriptor.holder == self.uid and key in self._my_blocks:
-                block_ids = [tid for tid in self._my_blocks[key] if tid in self.known]
-                if block_ids:
-                    payload = encode_block(
-                        self.config,
-                        [self.known[tid] for tid in block_ids[: self.tokens_per_block]],
-                        self.tokens_per_block,
-                    )
-                    state.add_source(index, payload)
-        self._generation_state = state
 
     def _finish_broadcast(self) -> None:
-        state = self._generation_state
-        if state is not None and state.can_decode():
-            payloads = state.decode_payloads()
-            if payloads is not None:
-                for payload in payloads:
-                    for token in decode_block(self.config, payload, self.tokens_per_block):
-                        self._learn_token(token)
-                        self.delivered.add(token.token_id)
+        self.broadcast.finish()
         # Our own selected blocks leave consideration regardless; their tokens
         # are known to us already.
         for descriptor in self._selected:
-            key = (descriptor.holder, descriptor.sequence)
-            if descriptor.holder == self.uid and key in self._my_blocks:
-                for tid in self._my_blocks[key]:
-                    self.delivered.add(tid)
-        self._generation_state = None
+            self.delivered.update(self._own_block(descriptor))
         self._selected = []
         self._candidates = set()
 
@@ -179,13 +158,7 @@ class PriorityForwardNode(ProtocolNode):
             eligible = self._eligible_tokens()
             if not eligible:
                 return None
-            if len(eligible) <= self.forward_batch:
-                chosen_ids = eligible
-            else:
-                indices = self.rng.choice(
-                    len(eligible), size=self.forward_batch, replace=False
-                )
-                chosen_ids = [eligible[int(i)] for i in indices]
+            chosen_ids = random_batch(self.rng, eligible, self.forward_batch)
             return TokenForwardMessage(
                 sender=self.uid, tokens=tuple(self.known[tid] for tid in chosen_ids)
             )
@@ -202,9 +175,7 @@ class PriorityForwardNode(ProtocolNode):
         # broadcast phase
         if offset == 0:
             self._start_broadcast(iteration)
-        if self._generation_state is None:
-            return None
-        return self._generation_state.compose(self.uid, self.rng)
+        return self.broadcast.compose()
 
     def deliver(self, round_index: int, messages: Sequence[Message]) -> None:
         phase, offset, _iteration = self._phase(round_index)
@@ -228,25 +199,9 @@ class PriorityForwardNode(ProtocolNode):
             # Keep only the current smallest window so the flood converges.
             self._candidates = set(sorted(self._candidates)[: self.select_count])
             return
-        for message in messages:
-            if isinstance(message, CodedMessage):
-                state = self._generation_from_message(message)
-                if state is not None and message.num_coefficients == state.generation.k:
-                    state.receive(message)
+        self.broadcast.receive(messages)
         if offset == self.broadcast_rounds - 1:
             self._finish_broadcast()
 
-    def _generation_from_message(self, message: CodedMessage) -> GenerationState | None:
-        if self._generation_state is None:
-            symbol_bits = field_bits(message.field_order)
-            generation = Generation(
-                k=message.num_coefficients,
-                payload_bits=message.num_payload_symbols * symbol_bits,
-                field_order=message.field_order,
-                generation_id=message.generation,
-            )
-            self._generation_state = generation.new_state()
-        return self._generation_state
-
     def coded_rank(self) -> int:
-        return self._generation_state.rank if self._generation_state else 0
+        return self.broadcast.rank

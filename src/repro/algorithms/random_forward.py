@@ -29,7 +29,20 @@ from ..tokens.token import Token, TokenId
 from .base import ProtocolConfig, ProtocolNode
 from .token_forwarding import tokens_per_message
 
-__all__ = ["RandomForwardNode", "GatherState", "LeaderInfo"]
+__all__ = ["RandomForwardNode", "GatherState", "LeaderInfo", "random_batch"]
+
+
+def random_batch(rng: np.random.Generator, items: list, batch: int) -> list:
+    """``batch`` distinct items drawn uniformly at random; all of them if there are no more.
+
+    The one ``b/d`` draw of Lemma 7.2's random forwarding: a single
+    ``rng.choice`` without replacement, so every caller consumes the
+    node's stream identically.
+    """
+    if len(items) <= batch:
+        return items
+    indices = rng.choice(len(items), size=batch, replace=False)
+    return [items[int(i)] for i in indices]
 
 
 class RandomForwardNode(ProtocolNode):
@@ -42,12 +55,7 @@ class RandomForwardNode(ProtocolNode):
     def compose(self, round_index: int) -> Message | None:
         if not self.known:
             return None
-        tokens = list(self.known.values())
-        if len(tokens) <= self.batch:
-            chosen = tokens
-        else:
-            indices = self.rng.choice(len(tokens), size=self.batch, replace=False)
-            chosen = [tokens[int(i)] for i in indices]
+        chosen = random_batch(self.rng, list(self.known.values()), self.batch)
         return TokenForwardMessage(sender=self.uid, tokens=tuple(chosen))
 
     def deliver(self, round_index: int, messages: Sequence[Message]) -> None:
@@ -126,11 +134,7 @@ class GatherState:
             tokens = self._eligible_tokens()
             if not tokens:
                 return None
-            if len(tokens) <= self.batch:
-                chosen = tokens
-            else:
-                indices = self.owner.rng.choice(len(tokens), size=self.batch, replace=False)
-                chosen = [tokens[int(i)] for i in indices]
+            chosen = random_batch(self.owner.rng, tokens, self.batch)
             return TokenForwardMessage(sender=self.owner.uid, tokens=tuple(chosen))
         # Leader-election flooding window.
         self._ensure_local_count()

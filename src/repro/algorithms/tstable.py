@@ -34,24 +34,26 @@ MIS+trees, ``T`` rounds for the chunked pass, pipelined share rounds).  The
 *inter-patch* information flow — the part the adversary constrains — still
 travels only along real edges of the round topology, so the measured round
 counts exercise the same bottlenecks the analysis bounds.
+
+Each node is the single-generation indexed broadcast of
+:class:`~repro.algorithms.indexed_broadcast.IndexedBroadcastNode` (same
+generation, indexing and decode) whose per-round ``compose`` / ``deliver``
+carry only the chunked control traffic: the coordinator moves the coded
+vectors itself and then calls :meth:`TStablePatchNode.try_decode`.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from ..coding.rlnc import Generation, GenerationState
 from ..coding.subspace import Subspace
 from ..network.patches import PatchDecomposition, compute_patches
 from ..network.topology import Topology
 from ..tokens.message import ControlMessage, Message
-from ..tokens.token import Token
-from .base import ProtocolConfig, ProtocolNode, log2_ceil
-from .blocks import block_bits, decode_block, encode_block
+from .base import ProtocolConfig, log2_ceil
+from .indexed_broadcast import IndexedBroadcastNode
 
 __all__ = [
     "PatchShareCoordinator",
@@ -171,7 +173,7 @@ class PatchShareCoordinator:
                 nodes[neighbour].state.receive_vector(vector)
 
 
-class TStablePatchNode(ProtocolNode):
+class TStablePatchNode(IndexedBroadcastNode):
     """One node of the T-stable patch-sharing indexed broadcast.
 
     The coded generation has one dimension per token (the Section 8.3
@@ -182,30 +184,10 @@ class TStablePatchNode(ProtocolNode):
 
     def __init__(self, uid: int, config: ProtocolConfig, rng: np.random.Generator):
         super().__init__(uid, config, rng)
-        self.generation = Generation(
-            k=max(1, config.k),
-            payload_bits=block_bits(config, tokens_per_block=1),
-            field_order=config.field_order,
-            generation_id=0,
-        )
-        self.state: GenerationState = self.generation.new_state()
         #: The patch's combined vector: a bit mask over GF(2), else an array.
         self.patch_vector: int | np.ndarray | None = None
-        self._index_of = config.extra.get("index_of")
-        self._decoded = False
         #: Shared coordinator, attached by :func:`make_tstable_factory`.
         self.shared_coordinator: PatchShareCoordinator | None = None
-
-    def _index_for(self, token: Token) -> int:
-        if self._index_of is not None:
-            return int(self._index_of[token.token_id])  # type: ignore[index]
-        return token.token_id.origin % self.generation.k
-
-    def setup(self, initial_tokens: Sequence[Token]) -> None:
-        super().setup(initial_tokens)
-        for token in initial_tokens:
-            payload = encode_block(self.config, [token], tokens_per_block=1)
-            self.state.add_source(self._index_for(token), payload)
 
     # ------------------------------------------------------------------
     def compose(self, round_index: int) -> Message | None:
@@ -228,22 +210,13 @@ class TStablePatchNode(ProtocolNode):
         return
 
     def try_decode(self) -> None:
-        """Decode all tokens once the coefficient span is complete."""
-        if self._decoded or not self.state.can_decode():
-            return
-        payloads = self.state.decode_payloads()
-        if payloads is None:
-            return
-        for payload in payloads:
-            for token in decode_block(self.config, payload, tokens_per_block=1):
-                self._learn_token(token)
-        self._decoded = True
+        """Decode all tokens once the coefficient span is complete.
 
-    def coded_rank(self) -> int:
-        return self.state.rank
-
-    def finished(self) -> bool:
-        return self._decoded
+        The coordinator inserts through ``receive_vector``, which does not
+        mark the span as grown, so every call checks it.
+        """
+        self._span_dirty = True
+        self._try_decode()
 
 
 class TStablePatchFactory:

@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..gf import GF, get_field, symbols_needed, int_to_vector, vector_to_int
+from ..gf import GF, field_bits, get_field, symbols_needed, int_to_vector, vector_to_int
 from ..tokens.message import CodedMessage
 from .subspace import Subspace
 
@@ -59,6 +59,20 @@ class Generation:
             raise ValueError(f"a generation needs k >= 1 dimensions, got {self.k}")
         if self.payload_bits < 0:
             raise ValueError(f"payload size must be >= 0, got {self.payload_bits}")
+
+    @classmethod
+    def for_message(cls, message: CodedMessage) -> "Generation":
+        """The generation a coded message belongs to, read off its dimensions.
+
+        A node that did not open the generation itself joins it this way
+        when the first coded message of the window arrives.
+        """
+        return cls(
+            k=message.num_coefficients,
+            payload_bits=message.num_payload_symbols * field_bits(message.field_order),
+            field_order=message.field_order,
+            generation_id=message.generation,
+        )
 
     @property
     def field(self) -> GF:

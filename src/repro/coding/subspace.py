@@ -21,9 +21,11 @@ array-based API only packs/unpacks at its boundary (through
 :mod:`repro.bits`).  For general prime ``q`` it keeps an
 echelon basis of numpy vectors.
 
-Coefficient-block ranks (``coefficient_rank`` / ``can_decode``) are cached
-per projection width and updated incrementally on insertion instead of
-rebuilding a throwaway projection basis on every call.
+Coefficient-block ranks (``coefficient_rank`` / ``can_decode``) never
+rebuild a throwaway projection basis: over GF(2)
+:class:`~repro.gf.gf2.GF2Basis` keeps an incremental projection per queried
+width, and for general ``q`` the rank is the number of pivot columns below
+the width, since every echelon row's first non-zero column is its pivot.
 
 Two further hot-path shortcuts: once a span *saturates* (``rank == length``)
 ``insert`` returns False without running any elimination (every vector is
@@ -74,9 +76,6 @@ class Subspace:
         self._gf2: GF2Basis | None = GF2Basis(length) if field.q == 2 else None
         # For general q: echelon rows keyed by pivot (first non-zero) column.
         self._rows: dict[int, np.ndarray] = {}
-        # General-q incremental coefficient-rank cache: projection width ->
-        # projection subspace, fed one row per successful insert.
-        self._projections: dict[int, "Subspace"] = {}
         # Buffered random pick bits (GF(2) compose fast path).
         self._pick_buffer = 0
         self._pick_bits = 0
@@ -91,7 +90,6 @@ class Subspace:
             clone._gf2 = self._gf2.copy()
         else:
             clone._rows = {col: row.copy() for col, row in self._rows.items()}
-            clone._projections = {k: p.copy() for k, p in self._projections.items()}
         clone._pick_buffer = self._pick_buffer
         clone._pick_bits = self._pick_bits
         return clone
@@ -159,9 +157,6 @@ class Subspace:
             if coeff != 0:
                 self._rows[col] = self.field.sub_arrays(row, self.field.scale(v, coeff))
         self._rows[pivot] = v
-        # The span grew by exactly v: feed its image to cached projections.
-        for k, projection in self._projections.items():
-            projection.insert(np.asarray(v).ravel()[:k])
         return True
 
     def extend(self, vectors: Iterable[int | Sequence[int] | np.ndarray]) -> int:
@@ -352,23 +347,16 @@ class Subspace:
     def coefficient_rank(self, k: int) -> int:
         """Rank of the span projected onto the first ``k`` coordinates.
 
-        Maintained incrementally: the projection for each queried ``k`` is
-        cached and fed one row per subsequent insertion instead of being
-        rebuilt from scratch on every call.
+        For general ``q`` this is the number of pivot columns below ``k``:
+        every echelon row is zero before its pivot and no two rows share
+        one, so the rows pivoting below ``k`` project to independent
+        vectors and the rest project to zero.
         """
         if self.rank == 0 or k <= 0:
             return 0
         if self._gf2 is not None:
             return self._gf2.coefficient_rank(k)
-        if k >= self.length:
-            return self.rank
-        projection = self._projections.get(k)
-        if projection is None:
-            projection = Subspace(self.field, k)
-            for row in self._rows.values():
-                projection.insert(np.asarray(row).ravel()[:k])
-            self._projections[k] = projection
-        return projection.rank
+        return sum(1 for col in self._rows if col < k)
 
     def can_decode(self, k: int) -> bool:
         """True iff the first ``k`` coefficient dimensions are fully spanned."""

@@ -5,10 +5,12 @@ All keys are optional; dashes and underscores are interchangeable::
     [tool.repro-lint]
     select = []                          # empty = every registered rule
     ignore = []                          # ids or slugs to disable
-    kernel-modules = ["kernels.py", "coded_kernels.py"]
-    packed-modules = ["packed.py", "kernels.py", "coded_kernels.py",
-                      "topology.py", "stability.py"]
+    kernel-modules = [...]               # default: DEFAULT_KERNEL_MODULES
+    packed-modules = [...]               # default: DEFAULT_PACKED_MODULES
     exclude = ["**/lint_fixtures/**"]    # glob patterns, posix-relative
+
+The module lists have one home, the defaults below; the repository's own
+pyproject sets neither, so ``--no-config`` lints with the same lists.
 
 ``load_config`` walks upward from the first linted path to find the
 project root; ``--no-config`` on the CLI skips the file entirely and
@@ -37,6 +39,8 @@ DEFAULT_PACKED_MODULES = (
     "coded_kernels.py",
     "topology.py",
     "stability.py",
+    "dynamics.py",
+    "bits.py",
 )
 
 

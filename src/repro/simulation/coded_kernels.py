@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..algorithms.blocks import decode_block
+from ..algorithms.blocks import decode_block, token_dimension
 from ..algorithms.indexed_broadcast import IndexedBroadcastNode
 from ..gf import GF2Basis, GF2BasisBatch, masks_to_packed, packed_to_masks
 from ..network.adversary import NodeStateView
@@ -123,11 +123,7 @@ class IndexedBroadcastKernel(RoundKernel):
         # dimensions 0..k-1 bijectively.  That is what makes "decoded" mean
         # "knows every placement token" (and what caps every basis at rank k);
         # exotic index_of mappings fall back to the mask engine.
-        index_of = config.extra.get("index_of")
-        indexes = [
-            int(index_of[t.token_id]) if index_of is not None else t.token_id.origin % self.gen_k
-            for t in self.tokens
-        ]
+        indexes = [token_dimension(config, t, self.gen_k) for t in self.tokens]
         if self.k != self.gen_k or sorted(indexes) != list(range(self.gen_k)):
             raise KernelUnsupported(
                 "IndexedBroadcastKernel requires the canonical instance: "

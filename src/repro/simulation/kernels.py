@@ -61,6 +61,7 @@ import numpy as np
 from ..algorithms.base import ProtocolConfig, ProtocolNode
 from ..algorithms.token_forwarding import TokenForwardingNode, tokens_per_message
 from ..bits import (
+    has_bit,
     iter_bits,
     masks_to_packed,
     pack_bools,
@@ -659,7 +660,7 @@ class TokenForwardingKernel(RoundKernel):
         bit = self.token_index.get(token_id)
         if bit is None:
             return False
-        return bool((int(self.known[uid, bit >> 6]) >> (bit & 63)) & 1)
+        return has_bit(self.known[uid], bit)
 
     def _known_ids(self, uid: int) -> list:
         (known,) = packed_to_masks(self.known[uid : uid + 1])

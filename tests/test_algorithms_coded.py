@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.algorithms import (
+    BlockBroadcast,
     CentralizedCodedNode,
     GreedyForwardNode,
     IndexedBroadcastNode,
@@ -19,6 +20,7 @@ from repro.algorithms import (
     token_slot_bits,
 )
 from repro.analysis import indexed_broadcast_rounds
+from repro.coding import Generation
 from repro.network import (
     BottleneckAdversary,
     PathShuffleAdversary,
@@ -77,6 +79,41 @@ class TestBlockPacking:
         config = make_config(8)
         with pytest.raises(ValueError):
             block_bits(config, 0)
+
+
+class TestBlockBroadcast:
+    """The coded window naive-coded, greedy-forward and priority-forward share."""
+
+    @staticmethod
+    def _message(config, rng, tokens):
+        """A coded message of a generation with one dimension per token."""
+        generation = Generation(k=len(tokens), payload_bits=block_bits(config, 1), generation_id=1)
+        state = generation.new_state()
+        for index, token in enumerate(tokens):
+            state.add_source(index, encode_block(config, [token], 1))
+        return state.compose(1, rng)
+
+    def test_receive_skips_messages_of_another_dimension_count(self, rng):
+        config = make_config(4, d=8, b=48)
+        owner = NaiveCodedNode(0, config, rng)
+        window = BlockBroadcast(owner, tokens_per_block=1, delivered=owner.delivered)
+        tokens = make_tokens(3, 8, rng)
+        window.begin(1, [[tokens[0]], []])
+        window.receive([self._message(config, rng, tokens)])
+        assert window.rank == 1
+        window.receive([self._message(config, rng, tokens[1:])])
+        assert window.rank == 2
+
+    def test_receive_joins_the_first_generation_heard(self, rng):
+        config = make_config(4, d=8, b=48)
+        owner = NaiveCodedNode(0, config, rng)
+        window = BlockBroadcast(owner, tokens_per_block=1, delivered=owner.delivered)
+        tokens = make_tokens(3, 8, rng)
+        window.receive(
+            [self._message(config, rng, tokens), self._message(config, rng, tokens[:2])]
+        )
+        assert window.state.generation.k == 3
+        assert window.rank == 1
 
 
 class TestIndexedBroadcast:
@@ -165,6 +202,20 @@ class TestGreedyForward:
         config = make_config(n, k=k, d=8, b=48)
         result = run_dissemination(GreedyForwardNode, config, placement, BottleneckAdversary())
         assert result.completed and result.correct
+
+    def test_leader_retires_its_broadcast_tokens_without_decoding(self, rng, monkeypatch):
+        # The leader takes its blocks out of consideration whatever any
+        # window decodes, its own included.
+        extra = {"gather_rounds": 1, "elect_rounds": 1, "broadcast_rounds": 1}
+        config = make_config(4, k=3, d=8, b=160, extra=extra)
+        node = GreedyForwardNode(0, config, rng)
+        tokens = make_tokens(3, 8, rng, origins=[0, 0, 0])
+        node.setup(tokens)
+        monkeypatch.setattr(node.broadcast, "finish", lambda: None)
+        for round_index in range(3):
+            node.compose(round_index)
+            node.deliver(round_index, [])
+        assert node.delivered == {token.token_id for token in tokens}
 
     def test_beats_forwarding_with_large_messages(self, rng):
         # With b >> d, greedy-forward should need clearly fewer rounds than

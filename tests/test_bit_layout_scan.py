@@ -5,6 +5,7 @@ masks at the per-node boundary) has one home, :mod:`repro.bits`. This scan
 parses every module under ``src/`` except ``bits.py`` and flags:
 
 * a word count written as ``(x + 63) // 64``;
+* a bit's word index or offset written as ``x >> 6`` or ``x & 63``;
 * a call of ``.from_bytes`` or ``.to_bytes`` (``int.from_bytes``,
   ``mask.to_bytes``);
 * a call of ``packbits`` or ``unpackbits`` (``np.packbits``, ...).
@@ -37,6 +38,11 @@ ALLOWED: dict[str, str] = {
     "repro/gf/field.py::GF.random_elements::from_bytes": "an rng byte draw of a big-field element, not the layout",
     "repro/network/faults.py::SpanGuard.sample_outside::from_bytes": "an rng byte draw of a malformed vector, not the layout",
     "repro/coding/deterministic.py::DeterministicSchedule.coefficient::from_bytes": "a sha256 digest read as a big-endian integer, not the layout",
+    "repro/gf/packed.py::GF2BasisBatch._truncated::bit_offset": "GF(2)-core pass: masks the last word of a k-bit projection; the non-pivot row layout will rewrite it",
+    "repro/gf/packed.py::GF2BasisBatch._eliminate_step::word_index": "GF(2)-core in-loop pass: the word of each new pivot bit, vectorised over the batch; the non-pivot row layout will rewrite it",
+    "repro/gf/packed.py::GF2BasisBatch._eliminate_step::bit_offset": "GF(2)-core in-loop pass: the offset of each new pivot bit, vectorised over the batch; the non-pivot row layout will rewrite it",
+    "repro/gf/packed.py::GF2BasisBatch.decode_payload_masks_batch::word_index": "GF(2)-core pass of the decode sweep: the word of each new pivot bit, one per rank level",
+    "repro/gf/packed.py::GF2BasisBatch.decode_payload_masks_batch::bit_offset": "GF(2)-core pass of the decode sweep: the offset of each new pivot bit, one per rank level",
 }
 
 _CALLS = frozenset({"from_bytes", "to_bytes", "packbits", "unpackbits"})
@@ -54,6 +60,23 @@ def _is_word_count(node: ast.AST) -> bool:
         and isinstance(node.left.right, ast.Constant)
         and node.left.right.value == 63
     )
+
+
+def _split_kind(node: ast.AST) -> str | None:
+    """``x >> 6`` (a bit's word) or ``x & 63`` / ``63 & x`` (its offset in the word)."""
+    if not isinstance(node, ast.BinOp):
+        return None
+    if isinstance(node.op, ast.RShift) and _is_constant(node.right, 6):
+        return "word_index"
+    if isinstance(node.op, ast.BitAnd) and (
+        _is_constant(node.left, 63) or _is_constant(node.right, 63)
+    ):
+        return "bit_offset"
+    return None
+
+
+def _is_constant(node: ast.AST, value: int) -> bool:
+    return isinstance(node, ast.Constant) and node.value == value
 
 
 def _call_kind(node: ast.AST) -> str | None:
@@ -78,7 +101,7 @@ class _Sites(ast.NodeVisitor):
     visit_FunctionDef = visit_AsyncFunctionDef = visit_ClassDef = _enter
 
     def generic_visit(self, node):
-        kind = "word_count" if _is_word_count(node) else _call_kind(node)
+        kind = "word_count" if _is_word_count(node) else _split_kind(node) or _call_kind(node)
         if kind is not None:
             where = ".".join(self.scope) or "<module>"
             self.found[f"{self.path}::{where}::{kind}"] += 1
@@ -125,6 +148,10 @@ def test_scan_flags_every_kind_outside_bits(tmp_path):
             return max(1, (n + 63) // 64)
 
 
+        def bit(row, i):
+            return (int(row[i >> 6]) >> (i & 63)) & 1
+
+
         class Rows:
             def masks(self, data, stride, u):
                 return int.from_bytes(data[u * stride : (u + 1) * stride], "little")
@@ -141,6 +168,8 @@ def test_scan_flags_every_kind_outside_bits(tmp_path):
     assert layout_sites(tmp_path) == Counter(
         {
             "repro/mod.py::words::word_count": 1,
+            "repro/mod.py::bit::word_index": 1,
+            "repro/mod.py::bit::bit_offset": 1,
             "repro/mod.py::Rows.masks::from_bytes": 1,
             "repro/mod.py::Rows.pack::to_bytes": 1,
             "repro/mod.py::<module>::packbits": 1,

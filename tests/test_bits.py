@@ -2,7 +2,7 @@
 
 One property drives every conversion of the layout from one set of rows:
 Python-int masks, ``(m, words)`` uint64 rows, bool arrays, bit positions,
-0/1 vectors and the ``(u, v)`` pair scatter.  The expected bools are built
+single-bit reads, 0/1 vectors and the ``(u, v)`` pair scatter.  The expected bools are built
 from the masks with Python shifts, so the check shares no code with the
 module.  Square symmetric inputs are adjacency matrices and also go
 through :class:`~repro.network.topology.Topology`, whose masks and packed
@@ -16,6 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.bits import (
+    has_bit,
     iter_bits,
     masks_to_packed,
     pack_bits,
@@ -75,6 +76,8 @@ def test_rows_ints_and_bools_agree(case):
     set_bits(scattered, (np.concatenate([u, u]),), np.concatenate([v, v]))
     assert np.array_equal(scattered, rows)  # repeated pairs are an OR
 
+    for packed, row in zip(rows, bools):
+        assert [has_bit(packed, i) for i in range(width)] == row.tolist()
     for mask, row in zip(masks, bools):
         assert list(iter_bits(mask)) == np.flatnonzero(row).tolist()
         assert unpack_bits(mask, width).tolist() == row.astype(int).tolist()

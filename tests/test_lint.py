@@ -349,6 +349,13 @@ def test_repo_pyproject_configures_the_gate():
     assert "packed.py" in config.packed_modules
 
 
+def test_module_lists_are_the_same_with_or_without_pyproject():
+    with_pyproject = load_config(REPO_ROOT)
+    built_in = load_config(REPO_ROOT, use_pyproject=False)
+    assert with_pyproject.kernel_modules == built_in.kernel_modules
+    assert with_pyproject.packed_modules == built_in.packed_modules
+
+
 def test_json_report_shape(tmp_path):
     target = tmp_path / "mod.py"
     target.write_text("def f(v):\n    assert v\n    return v\n")
