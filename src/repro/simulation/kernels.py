@@ -523,10 +523,15 @@ def run_rounds(
                 round_index, indices, indptr, sending, counts
             )
 
-        metrics.deliveries += int(counts.sum()) + discarded
-        useless = (counts > 0) & ~changed
-        if useless.any():
-            metrics.useless_deliveries += int(counts[useless].sum())
+        delivered = int(counts.sum())
+        metrics.deliveries += delivered + discarded
+        if not changed.any():
+            # Nobody learned anything: every delivery was useless.
+            metrics.useless_deliveries += delivered
+        else:
+            useless = (counts > 0) & ~changed
+            if useless.any():
+                metrics.useless_deliveries += int(counts[useless].sum())
 
         metrics.rounds_executed = round_index + 1
 
@@ -582,6 +587,22 @@ class TokenForwardingKernel(RoundKernel):
     selection is cached row-wise and recomputed for *dirty* rows only
     (knowledge grew, or a phase commit touched the node) — the array twin
     of the node-level memoised ``compose``.
+
+    **Saturated rounds skip delivery.**  Let U be the OR of every node's
+    send row and I the AND of every node's known row.  Every inbox is an
+    OR of some send rows, so it is a subset of U — whatever the topology,
+    and whatever a fault edit does to the CSR: lost edges and crashed
+    endpoints remove rows from the OR, duplicated edges repeat rows
+    already in it, and a collision keeps at most one of them.  If
+    U ⊆ I, every inbox is already known by its receiver and no row of
+    ``known`` can change, so :meth:`deliver_all` returns all-False
+    ``changed`` without the gather; ``known``, the cached counts and the
+    cached :meth:`all_complete` result stay valid, and the phase commit
+    still runs.  ``known`` and the send rows change only on dirty rows,
+    so :meth:`compose_all` recomputes the flag (two ``(n, words)``
+    reductions) exactly when it recomputes dirty rows.  In a flooding
+    phase the batch reaches every node within the dynamic diameter, so
+    most of an ``n``-round phase is saturated.
     """
 
     message_name = "TokenForwardMessage"
@@ -604,6 +625,9 @@ class TokenForwardingKernel(RoundKernel):
         self._active = np.zeros(self.n, dtype=bool)
         self._send = np.zeros_like(self.known)
         self._dirty = np.ones(self.n, dtype=bool)
+        #: True when no inbox can teach its receiver anything (see above).
+        self._saturated = False
+        self._complete: bool | None = None
         self._canonical_indptr: np.ndarray | None = None
 
     def on_topology(self, round_index, topology):
@@ -621,6 +645,9 @@ class TokenForwardingKernel(RoundKernel):
             self._sizes[rows] = sizes
             self._active[rows] = pending.any(axis=1)
             self._dirty[rows] = False
+            union = np.bitwise_or.reduce(self._send, axis=0)
+            common = np.bitwise_and.reduce(self.known, axis=0)
+            self._saturated = not (union & ~common).any()
         return self._active, self._sizes
 
     def wire_message(self, uid, round_index):
@@ -632,15 +659,20 @@ class TokenForwardingKernel(RoundKernel):
         )
 
     def deliver_all(self, round_index, indices, indptr, active, counts):
-        inbox = _neighbor_or(
-            self._send, indices, indptr,
-            full_segments=indptr is self._canonical_indptr,
-        )
-        new = self.known | inbox
-        changed = (new != self.known).any(axis=1)
-        self.known = new
-        self._counts_cache = None
-        self._dirty |= changed
+        if self._saturated:
+            # Every inbox lies inside U ⊆ I (class docstring): nothing to learn.
+            changed = np.zeros(self.n, dtype=bool)
+        else:
+            inbox = _neighbor_or(
+                self._send, indices, indptr,
+                full_segments=indptr is self._canonical_indptr,
+            )
+            new = self.known | inbox
+            changed = (new != self.known).any(axis=1)
+            self.known = new
+            self._counts_cache = None
+            self._complete = None
+            self._dirty |= changed
         if (round_index + 1) % self.phase_length == 0:
             commit, _ = _select_lowest_bits(
                 self.known & ~self.delivered, self.batch, None
@@ -654,7 +686,9 @@ class TokenForwardingKernel(RoundKernel):
         return _popcount_rows(self.known)
 
     def all_complete(self) -> bool:
-        return bool((self.known == self.full).all())
+        if self._complete is None:
+            self._complete = bool((self.known == self.full).all())
+        return self._complete
 
     def _knows(self, uid: int, token_id) -> bool:
         bit = self.token_index.get(token_id)

@@ -29,7 +29,7 @@ from repro.network import (
     StaticAdversary,
     TokenIsolationAdversary,
 )
-from repro.simulation import run_dissemination
+from repro.simulation import run_dissemination, standard_instance
 from repro.tokens import MessageBudget, make_tokens, one_token_per_node, place_tokens
 from tests.conftest import make_config
 
@@ -248,6 +248,24 @@ class TestNaiveCoded:
         placement = one_token_per_node(n, 8, rng)
         result = run_dissemination(NaiveCodedNode, config, placement, BottleneckAdversary())
         assert result.completed and result.correct
+
+    def test_short_flood_mixes_generations_of_different_dimension_counts(self):
+        # A one-round flood on a shuffled path leaves nodes with different
+        # selections, so windows of different dimension counts meet in one
+        # run; each must skip the other's messages rather than insert them.
+        n = 12
+        config = make_config(n, k=n, d=8, b=64, extra={"flood_rounds": 1})
+        result = run_dissemination(
+            NaiveCodedNode,
+            config,
+            standard_instance(n, n, 8, seed=0),
+            PathShuffleAdversary(seed=1),
+            seed=0,
+            engine="mask",
+            max_rounds=40,
+        )
+        assert result.metrics.rounds_executed == 40
+        assert not result.completed
 
 
 class TestPriorityForward:

@@ -5,8 +5,9 @@ compose/deliver array ops — see :mod:`repro.simulation.kernels`) implements
 the identical round semantics as the mask engine; these tests pin metric
 and knowledge equivalence across protocol/adversary pairs, the ``auto``
 selection rules (kernel > mask), the packed-adjacency / CSR
-representations on :class:`~repro.network.topology.Topology`, and the
-``to_nodes`` materialisation that keeps ``RunResult.nodes`` usable.
+representations on :class:`~repro.network.topology.Topology`, the
+``to_nodes`` materialisation that keeps ``RunResult.nodes`` usable, and
+the forwarding kernel's saturated-round skip against a full delivery.
 """
 
 from __future__ import annotations
@@ -30,15 +31,24 @@ from repro.algorithms import (
 from repro.coding.rlnc import GenerationState
 from repro.network import (
     BottleneckAdversary,
+    CollisionModel,
+    FaultModel,
     OmniscientBottleneckAdversary,
     PathShuffleAdversary,
     RandomConnectedAdversary,
     StaticAdversary,
     TStableAdversary,
     Topology,
+    random_connected_topology,
     ring_topology,
 )
-from repro.simulation import kernel_for, run_dissemination, standard_instance
+from repro.simulation import (
+    build_nodes,
+    kernel_for,
+    kernels,
+    run_dissemination,
+    standard_instance,
+)
 from repro.simulation.kernels import (
     KERNEL_REGISTRY,
     IndexedBroadcastKernel,
@@ -366,3 +376,125 @@ class TestPackedAdjacency:
         topology = Topology.from_packed(8, source)
         source[0, 0] = 0  # caller's array stays writable...
         assert topology.packed_adjacency()[0, 0] != 0  # ...and is not aliased
+
+
+class _FullDeliveryKernel(TokenForwardingKernel):
+    """The forwarding kernel with the saturated-round skip turned off."""
+
+    def compose_all(self, round_index):
+        composed = super().compose_all(round_index)
+        self._saturated = False
+        return composed
+
+
+def _drive_forwarding_pair(config, faults, *, rounds, seed):
+    """Run the forwarding kernel and its full-delivery twin side by side.
+
+    Both kernels see the same topologies and the same fault-edited CSR
+    each round; after every delivery their ``changed`` flags, knowledge,
+    counts, completion and committed tokens must agree.  Returns the
+    number of rounds the skipping kernel found saturated.
+    """
+    placement = standard_instance(config.n, config.k, config.token_bits, seed=seed)
+    nodes = build_nodes(TokenForwardingNode, config, placement, np.random.default_rng(seed))
+    token_index = {tid: i for i, tid in enumerate(sorted(placement.all_ids()))}
+    for node in nodes:
+        node.enable_mask_tracking(token_index)
+    fast = TokenForwardingKernel(config, placement, token_index, nodes)
+    full = _FullDeliveryKernel(config, placement, token_index, nodes)
+    bound = faults.bind(config.n, np.random.default_rng(seed + 1)) if faults.active else None
+    topologies = np.random.default_rng(seed + 2)
+    saturated = 0
+    for round_index in range(rounds):
+        plan = bound.begin_round(round_index) if bound is not None else None
+        topology = random_connected_topology(config.n, topologies, 0.2)
+        fast.on_topology(round_index, topology)
+        full.on_topology(round_index, topology)
+        active, sizes = fast.compose_all(round_index)
+        full_active, full_sizes = full.compose_all(round_index)
+        assert np.array_equal(active, full_active)
+        assert np.array_equal(sizes, full_sizes)
+        saturated += fast._saturated
+        indices, indptr = topology.csr_adjacency()
+        receivers = topology.csr_receivers()
+        sending = active
+        if plan is not None:
+            indices, indptr = plan.bind_edges(
+                indices, indptr, active=active, receivers=receivers
+            )
+            receivers = plan.receivers
+            sending = active & ~plan.down
+            plan.account(sending)
+        counts = np.bincount(receivers[sending[indices]], minlength=config.n)
+        changed = fast.deliver_all(round_index, indices, indptr, sending, counts)
+        full_changed = full.deliver_all(round_index, indices, indptr, sending, counts)
+        assert np.array_equal(changed, full_changed), round_index
+        assert np.array_equal(fast.known, full.known), round_index
+        assert np.array_equal(fast.delivered, full.delivered), round_index
+        # Counts and completion against fresh reads of the twin's rows,
+        # not its caches, which share the code under test.
+        counts_now = np.bitwise_count(full.known).sum(axis=1)
+        assert np.array_equal(fast.known_counts(), counts_now), round_index
+        assert fast.all_complete() == bool((full.known == full.full).all()), round_index
+    return saturated
+
+
+class TestSaturatedDelivery:
+    """A round that can teach no node anything skips delivery, exactly.
+
+    The skip's premise is that every inbox is a subset of the OR of all
+    send rows however a fault edit drops, repeats or collides the CSR
+    entries, so it is checked against a full ``_neighbor_or`` delivery
+    under every such edit.
+    """
+
+    @given(
+        n=st.integers(min_value=2, max_value=10),
+        k=st.integers(min_value=1, max_value=12),
+        b=st.sampled_from([24, 40, 64, 96]),
+        phase_length=st.integers(min_value=1, max_value=12),
+        loss=st.sampled_from([0.0, 0.3]),
+        duplication=st.sampled_from([0.0, 0.3]),
+        collisions=st.sampled_from([None, CollisionModel(0.5), CollisionModel(0.5, capture=True)]),
+        crashes=st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=9),
+                st.integers(min_value=0, max_value=20),
+                st.integers(min_value=1, max_value=20),
+            ),
+            max_size=3,
+            unique_by=lambda entry: entry[0],
+        ),
+        seed=st.integers(min_value=0, max_value=2**16),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_skip_matches_full_delivery(
+        self, n, k, b, phase_length, loss, duplication, collisions, crashes, seed
+    ):
+        config = make_config(n, k=min(k, n), d=8, b=b, extra={"phase_length": phase_length})
+        faults = FaultModel(
+            loss=loss,
+            duplication=duplication,
+            collisions=collisions,
+            crashes=tuple(
+                (uid, down, down + length) for uid, down, length in crashes if uid < n
+            ),
+        )
+        _drive_forwarding_pair(config, faults, rounds=40, seed=seed)
+
+    def test_saturated_rounds_make_no_neighbour_gather(self, monkeypatch):
+        gathers = []
+        real = kernels._neighbor_or
+
+        def counting(*args, **kwargs):
+            gathers.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(kernels, "_neighbor_or", counting)
+        config = make_config(8, k=8, d=8, b=64)
+        rounds = 40
+        saturated = _drive_forwarding_pair(config, FaultModel(), rounds=rounds, seed=3)
+        assert saturated > 0
+        # The full-delivery twin gathers every round, the skipping kernel
+        # only in rounds that were not saturated.
+        assert len(gathers) == 2 * rounds - saturated

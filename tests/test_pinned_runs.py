@@ -7,9 +7,10 @@ T-stable patches, the counting reduction's attempts and centralized
 coding) run on the mask engine over a few scenarios.  The paper's
 Section 7 and T-stable baselines (greedy-forward, naive coded, random
 forward, pipelined forwarding) run on the mask engine over the object
-scenarios and a healing partition.  The omniscient cases pin the Section 6
-round order -- state snapshot, compose, then the adversary reads the
-composed messages -- with a content-sensitive
+scenarios and a healing partition; greedy-forward and priority-forward
+also run at a budget whose blocks carry several tokens.  The omniscient
+cases pin the Section 6 round order -- state snapshot, compose, then the
+adversary reads the composed messages -- with a content-sensitive
 :class:`OmniscientBottleneckAdversary` under a few fault models.  Each run must
 reproduce the full ``RunMetrics.to_dict()``, the correctness verdict and
 the trace ``content_digest()`` pinned in ``tests/golden/pinned_runs.json``
@@ -35,6 +36,7 @@ from repro.algorithms import (
     make_tstable_factory,
 )
 from repro.algorithms.base import ProtocolConfig
+from repro.algorithms.blocks import block_layout
 from repro.network import OmniscientBottleneckAdversary
 from repro.obs import TraceRecorder
 from repro.scenarios import fault_model_for, list_scenarios, make_scenario
@@ -76,6 +78,17 @@ PROTOCOL_CONFIGS = {
     "NaiveCodedNode": make_config(N, K, b=96),
 }
 PROTOCOL_SCENARIOS = OBJECT_SCENARIOS + ("partition_heal_waypoint",)
+#: Greedy-forward and priority-forward at a budget where a block carries
+#: several tokens, so Section 7's b/2 payload vs header split shows in the
+#: pins (at b=64 a block holds one token under any split).  A forwarding
+#: window of one or two rounds leaves tokens for the coded broadcast, which
+#: a longer window at this budget would finish without.
+WIDE_BLOCK_FACTORIES = {f.__name__: f for f in (GreedyForwardNode, PriorityForwardNode)}
+WIDE_BLOCK_CONFIGS = {
+    "GreedyForwardNode": make_config(N, K, b=128, extra={"gather_rounds": 2}),
+    "PriorityForwardNode": make_config(N, K, b=128, extra={"spread_rounds": 1}),
+}
+WIDE_BLOCK_SCENARIOS = ("edge_markov", "lossy_edge_markov")
 
 
 def _useful_crossing(sender: int, receiver: int, message) -> bool:
@@ -153,6 +166,11 @@ def _cases() -> list[tuple[str, str]]:
         for faults in OMNISCIENT_FAULTS
         for name in PROTOCOL_FACTORIES
     ]
+    cases += [
+        (f"wide_blocks/{scenario}/{name}", "mask")
+        for scenario in WIDE_BLOCK_SCENARIOS
+        for name in WIDE_BLOCK_FACTORIES
+    ]
     return cases
 
 
@@ -167,6 +185,8 @@ def _run(key: str, engine: str) -> dict:
             or PROTOCOL_FACTORIES[name]
         )
         config = PROTOCOL_CONFIGS.get(name) or make_config(N, K)
+    elif family == "wide_blocks":
+        factory, config = WIDE_BLOCK_FACTORIES[name], WIDE_BLOCK_CONFIGS[name]
     else:
         build, config = _object_cases()[name]
         factory = build()
@@ -199,6 +219,12 @@ def _run(key: str, engine: str) -> dict:
 @pytest.mark.parametrize("key,engine", _cases(), ids=lambda value: value)
 def test_run_matches_pin(key, engine):
     golden.check("pinned_runs", key, _run(key, engine))
+
+
+@pytest.mark.parametrize("name", sorted(WIDE_BLOCK_CONFIGS))
+def test_wide_block_configs_carry_several_tokens_per_block(name):
+    tokens_per_block, _ = block_layout(WIDE_BLOCK_CONFIGS[name])
+    assert tokens_per_block >= 2
 
 
 def test_fixture_covers_exactly_the_pinned_cases():
