@@ -525,13 +525,8 @@ def run_rounds(
 
         delivered = int(counts.sum())
         metrics.deliveries += delivered + discarded
-        if not changed.any():
-            # Nobody learned anything: every delivery was useless.
-            metrics.useless_deliveries += delivered
-        else:
-            useless = (counts > 0) & ~changed
-            if useless.any():
-                metrics.useless_deliveries += int(counts[useless].sum())
+        # A delivery is useless unless its receiver learned something.
+        metrics.useless_deliveries += delivered - int(counts[changed].sum())
 
         metrics.rounds_executed = round_index + 1
 
@@ -611,7 +606,6 @@ class TokenForwardingKernel(RoundKernel):
         super().__init__(config, placement, token_index, nodes)
         self.batch = tokens_per_message(config)
         self.width = word_count(self.k)
-        self.full = masks_to_packed([(1 << self.k) - 1], self.width)[0]
         #: Wire cost of each token by bit index (id bits + payload bits).
         self.costs = np.array(
             [t.token_id.bits + t.size_bits for t in self.tokens], dtype=np.int64
@@ -686,8 +680,11 @@ class TokenForwardingKernel(RoundKernel):
         return _popcount_rows(self.known)
 
     def all_complete(self) -> bool:
+        # ``known`` holds placement bits only, so a row is full exactly
+        # when its popcount reaches k.  The result is cached too, so
+        # saturated rounds skip the compare as well as the gather.
         if self._complete is None:
-            self._complete = bool((self.known == self.full).all())
+            self._complete = bool(self.completed_flags().all())
         return self._complete
 
     def _knows(self, uid: int, token_id) -> bool:

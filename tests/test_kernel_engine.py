@@ -28,6 +28,7 @@ from repro.algorithms import (
     RandomForwardNode,
     TokenForwardingNode,
 )
+from repro.bits import masks_to_packed
 from repro.coding.rlnc import GenerationState
 from repro.network import (
     BottleneckAdversary,
@@ -404,6 +405,7 @@ def _drive_forwarding_pair(config, faults, *, rounds, seed):
     full = _FullDeliveryKernel(config, placement, token_index, nodes)
     bound = faults.bind(config.n, np.random.default_rng(seed + 1)) if faults.active else None
     topologies = np.random.default_rng(seed + 2)
+    full_row = masks_to_packed([(1 << fast.k) - 1], fast.width)[0]
     saturated = 0
     for round_index in range(rounds):
         plan = bound.begin_round(round_index) if bound is not None else None
@@ -435,7 +437,7 @@ def _drive_forwarding_pair(config, faults, *, rounds, seed):
         # not its caches, which share the code under test.
         counts_now = np.bitwise_count(full.known).sum(axis=1)
         assert np.array_equal(fast.known_counts(), counts_now), round_index
-        assert fast.all_complete() == bool((full.known == full.full).all()), round_index
+        assert fast.all_complete() == bool((full.known == full_row).all()), round_index
     return saturated
 
 
