@@ -40,7 +40,8 @@ at a time: the only per-round Python left is the edge-Markov chain step
 (one ``rng.random`` draw per round, which fixes the schedule's draw order)
 and the construction of each round's :class:`Topology` view.  The chain's
 set-bit positions travel with the packed batch through the patcher into
-the CSR build, so the batch is never unpacked.
+the CSR build, so the batch is never unpacked, and its edge pairs feed the
+patcher's component labelling, which hooks every edge once.
 
 The named scenario catalog built on top of these pieces lives in
 :mod:`repro.scenarios`.
@@ -84,28 +85,30 @@ __all__ = [
 # ----------------------------------------------------------------------
 
 
-def batch_component_labels(edges: np.ndarray, rounds: int, n: int) -> np.ndarray:
+def batch_component_labels(
+    first: np.ndarray, second: np.ndarray, rounds: int, n: int
+) -> np.ndarray:
     """Connected-component labels of every round of a batch, in one pass.
 
-    ``edges`` are the ascending flat positions ``(r * n + u) * n + v`` of a
-    symmetric batch's adjacency bits — ``np.flatnonzero`` of
-    :func:`~repro.bits.unpack_bools`.  Returns a
-    ``(rounds, n)`` ``int64`` array holding, for each node, the lowest
-    member of its component in that round — so the component
-    representatives are exactly the nodes labelled with themselves, in
-    ascending order.
+    Nodes are numbered globally as ``r * n + u``.  ``first`` and ``second``
+    hold every undirected edge of the batch once, as the global ids
+    ``(r * n + u, r * n + v)`` of its endpoints with ``u < v``
+    (:func:`_pairs_from_positions` derives them from a batch's set-bit
+    positions).  Returns a ``(rounds, n)`` ``int64`` array holding, for
+    each node, the lowest member of its component in that round — so the
+    component representatives are exactly the nodes labelled with
+    themselves, in ascending order.
 
-    Nodes are numbered globally as ``r * n + u`` and the whole batch is
-    labelled at once by hooking and pointer jumping: each pass hooks the
-    larger of two roots joined by an edge under the smaller one
-    (``np.minimum.at``), then jumps ``parent = parent[parent]`` until every
-    node points at its root.  Parents only ever decrease, so a root is the
-    minimum of its tree, and the passes stop once no edge joins two roots.
-    Both directions of every edge are kept, so the first pass, where every
-    node is still a root, needs no root lookup.
+    The whole batch is labelled at once by hooking and pointer jumping:
+    each pass hooks the larger of two roots joined by an edge under the
+    smaller one (``np.minimum.at``), then jumps ``parent = parent[parent]``
+    until every node points at its root.  Parents only ever decrease, so a
+    root is the minimum of its tree, and the passes stop once no edge joins
+    two roots.  In the first pass every node is still a root and
+    ``first < second``, so it hooks ``second`` under ``first`` with no root
+    lookup.
     """
-    src = edges // n
-    dst = edges - src * n + (src - src % n)  # node v of the same round
+    src, dst = first, second
     parent = np.arange(rounds * n, dtype=np.int64)
     np.minimum.at(parent, dst, src)
     while True:
@@ -124,6 +127,19 @@ def batch_component_labels(edges: np.ndarray, rounds: int, n: int) -> np.ndarray
             parent, np.maximum(root_src, root_dst), np.minimum(root_src, root_dst)
         )
     return parent.reshape(rounds, n) - (np.arange(rounds, dtype=np.int64) * n)[:, None]
+
+
+def _pairs_from_positions(edges: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ``(first, second)`` edge pairs of :func:`batch_component_labels`
+    from a symmetric batch's ascending set-bit positions ``(r * n + u) * n + v``.
+
+    Keeps the upper bit (``u < v``) of every edge.
+    """
+    rows, cols = np.divmod(edges, n)  # rows: global node r * n + u
+    offset = rows % n
+    upper = cols > offset
+    first = rows[upper]
+    return first, first + (cols[upper] - offset[upper])
 
 
 def spanning_structure(packed: np.ndarray, n: int) -> np.ndarray:
@@ -217,11 +233,24 @@ class DynamicsProcess(abc.ABC):
         ``np.flatnonzero(unpack_bools(batch, n))``, which is what this
         default computes.  A process that produces the positions anyway
         overrides it to hand them over instead, and a transformer that needs
-        them consumes its inner process through this method.  Advances the
-        schedule by ``rounds`` like :meth:`next_batch`.
+        them consumes its inner process through this method (or through
+        :meth:`_next_batch_with_pairs`, which adds the edge pairs).
+        Advances the schedule by ``rounds`` like :meth:`next_batch`.
         """
         batch = self.next_batch(rounds)
         return batch, np.flatnonzero(unpack_bools(batch, self.n))
+
+    def _next_batch_with_pairs(
+        self, rounds: int
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """:meth:`next_batch_with_edges` plus every edge once, as the
+        ``(first, second)`` pairs :func:`batch_component_labels` reads.
+
+        This default derives the pairs from the positions; a process that
+        computes them anyway overrides it.
+        """
+        batch, edges = self.next_batch_with_edges(rounds)
+        return (batch, edges, *_pairs_from_positions(edges, self.n))
 
     def topologies(self, rounds: int) -> list[Topology]:
         """Materialise the next ``rounds`` rounds as :class:`Topology` objects.
@@ -261,12 +290,16 @@ class EdgeMarkovProcess(DynamicsProcess):
     ``n (n - 1) / 2`` pair slots (ordered like ``np.triu_indices(n, 1)``).
     Per round, one ``rng.random`` draw over every slot advances all chains
     at once, and the round's present slots are kept as an index array.
-    Then the set slots of the whole batch are mapped to the flat positions
-    of both bits of their ``(u, v)`` pairs, which are sorted once.  Those
-    positions are scattered into a ``(rounds, n, n)`` bool array, which is
-    packed, and :meth:`next_batch_with_edges` returns them with the packed
-    batch, so no consumer unpacks the batch to find them again.  Between
-    batches the process holds only the present slots and ``n`` row offsets.
+    Then two lookup tables map the set slots of the whole batch to their
+    ``(u, v)`` pairs, which give the global edge pairs
+    ``(r * n + u, r * n + v)`` and the flat positions of both bits of each
+    pair, sorted once.  Those positions are scattered into a
+    ``(rounds, n, n)`` bool array, which is packed, and
+    :meth:`next_batch_with_edges` returns them with the packed batch, so no
+    consumer unpacks the batch to find them again;
+    :meth:`_next_batch_with_pairs` hands over the edge pairs as well.
+    Between batches the process holds only the present slots and the two
+    tables.
     """
 
     def __init__(
@@ -291,10 +324,12 @@ class EdgeMarkovProcess(DynamicsProcess):
             raise ValueError(f"initial_density must be in [0, 1], got {initial_density}")
         self.initial_density = float(initial_density)
         self.seed = seed
-        row = np.arange(self.n, dtype=np.int64)
-        #: Slot of pair ``(u, u + 1)``: row ``u``'s first slot.
-        self._row_start = row * self.n - row * (row + 1) // 2
-        self._slots = self.n * (self.n - 1) // 2
+        #: Endpoints ``u < v`` of every pair slot, in the narrowest unsigned dtype.
+        node = np.min_scalar_type(max(self.n - 1, 0))
+        self._slot_u, self._slot_v = (
+            ends.astype(node) for ends in np.triu_indices(self.n, 1)
+        )
+        self._slots = self._slot_u.size
         self.reset()
 
     def reset(self) -> None:
@@ -302,52 +337,58 @@ class EdgeMarkovProcess(DynamicsProcess):
         self._present = np.flatnonzero(self._rng.random(self._slots) < self.initial_density)
 
     def next_batch(self, rounds: int) -> np.ndarray:
-        return self.next_batch_with_edges(rounds)[0]
+        return self._next_batch_with_pairs(rounds)[0]
 
     def next_batch_with_edges(self, rounds: int) -> tuple[np.ndarray, np.ndarray]:
+        return self._next_batch_with_pairs(rounds)[:2]
+
+    def _next_batch_with_pairs(self, rounds):
         n = self.n
-        edges = self._advance(rounds)
+        edges, first, second = self._advance(rounds)
         # Dense on purpose: freeing it lifts glibc's mmap threshold (see ROADMAP item 1).
         dense = np.zeros(rounds * n * n, dtype=bool)
         dense[edges] = True
-        return pack_bools(dense.reshape(rounds, n, n)), edges
+        return pack_bools(dense.reshape(rounds, n, n)), edges, first, second
 
-    def _advance(self, rounds: int) -> np.ndarray:
-        """Step every chain ``rounds`` times; return the ascending flat
-        positions, in a ``(rounds, n, n)`` array, of both bits of every set
-        pair.
+    def _advance(self, rounds: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Step every chain ``rounds`` times.
 
-        A separate method so that its temporaries are freed before the
-        caller allocates the dense batch.
+        Returns the ascending flat positions, in a ``(rounds, n, n)`` array,
+        of both bits of every set pair, and the pairs themselves as global
+        node ids ``(r * n + u, r * n + v)``.  A separate method so that its
+        temporaries are freed before the caller allocates the dense batch.
         """
         n, slots = self.n, self._slots
         draw = np.empty(slots)
         alive = np.empty(slots, dtype=bool)
         present = self._present
-        per_round = [np.empty(0, dtype=np.intp)]  # keeps rounds == 0 concatenable
-        for r in range(rounds):
+        per_round = []
+        for _ in range(rounds):
             self._rng.random(out=draw)
             # repro: allow[REP401] one chain step per round; the draw order is the schedule
             np.less(draw, self.p_birth, out=alive)
             alive[present] = draw[present] >= self.p_death
             # repro: allow[REP401] one chain step per round; the draw order is the schedule
             present = np.flatnonzero(alive)
-            per_round.append(present + r * slots)
+            per_round.append(present)
         self._present = present
-        round_index, slot = np.divmod(np.concatenate(per_round), slots)
-        u = np.searchsorted(self._row_start, slot, side="right") - 1
-        v = slot - self._row_start[u] + u + 1
+        slot = np.concatenate(per_round) if rounds else np.empty(0, dtype=np.intp)
+        offset = np.repeat(
+            np.arange(rounds, dtype=np.intp) * n, [each.size for each in per_round]
+        )
+        u, v = self._slot_u[slot], self._slot_v[slot]
+        first, second = offset + u, offset + v
         # Both bits of every pair written into one array: no separate upper
         # and lower arrays alive beside it, which lowers the peak RSS.
-        pairs = u.size
+        pairs = slot.size
         edges = np.empty(2 * pairs, dtype=np.intp)
         upper, lower = edges[:pairs], edges[pairs:]
-        np.multiply(round_index, n * n, out=upper)
-        lower[:] = upper
-        upper += u * n + v
-        lower += v * n + u
+        np.multiply(first, n, out=upper)
+        upper += v
+        np.multiply(second, n, out=lower)
+        lower += u
         edges.sort()
-        return edges
+        return edges, first, second
 
 
 class RandomWaypointProcess(DynamicsProcess):
@@ -641,9 +682,9 @@ class ConnectivityPatcher(DynamicsProcess):
     bit-identical.
 
     A batch is repaired as a whole.  The inner batch comes with its set-bit
-    positions (:meth:`DynamicsProcess.next_batch_with_edges`), one
-    :func:`batch_component_labels` pass over them labels every round's
-    components, and the repair edges of all rounds are written into the
+    positions and its edge pairs (:meth:`DynamicsProcess._next_batch_with_pairs`),
+    one :func:`batch_component_labels` pass over the pairs labels every
+    round's components, and the repair edges of all rounds are written into the
     packed batch with two fancy-indexed ORs (one per edge direction).  The
     patched batch's positions are the inner ones plus the repair edges, so
     :meth:`topologies` builds the engines' CSR arrays without unpacking the
@@ -664,8 +705,8 @@ class ConnectivityPatcher(DynamicsProcess):
 
     def next_batch_with_edges(self, rounds: int) -> tuple[np.ndarray, np.ndarray]:
         n = self.n
-        batch, edges = self.inner.next_batch_with_edges(rounds)
-        labels = batch_component_labels(edges, batch.shape[0], n)
+        batch, edges, first, second = self.inner._next_batch_with_pairs(rounds)
+        labels = batch_component_labels(first, second, batch.shape[0], n)
         # Representatives as global ids r * n + u, ascending; consecutive
         # representatives of the same round are joined by a repair edge.
         representatives = np.flatnonzero(labels == np.arange(n))

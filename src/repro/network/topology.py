@@ -340,10 +340,10 @@ class Topology:
 
         Entry ``i`` lies in row ``u`` (``indptr[u] <= i < indptr[u + 1]``)
         and this array holds that ``u``: the receiver of the delivery from
-        neighbour ``indices[i]``.  It lets the engines count each node's
-        sending neighbours with one ``np.bincount``.  The ids are stored in
-        the narrowest unsigned dtype that holds ``n - 1``; the array is
-        cached with the CSR and read-only.
+        neighbour ``indices[i]``.  It lets the round loop tell each entry's
+        delivery useful or useless with one gather of the receivers' change
+        flags.  The ids are stored in the narrowest unsigned dtype that
+        holds ``n - 1``; the array is cached with the CSR and read-only.
         """
         if self._receivers is None:
             self.csr_adjacency()

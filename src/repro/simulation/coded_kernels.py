@@ -193,7 +193,7 @@ class IndexedBroadcastKernel(RoundKernel):
         mask = packed_to_masks(self._wire_rows()[uid : uid + 1])[0]
         return self.nodes[uid].generation.message_from_mask(uid, mask)
 
-    def deliver_all(self, round_index, indices, indptr, active, counts):
+    def deliver_all(self, round_index, indices, indptr, active):
         innovative = np.zeros(self.n, dtype=bool)
         receivers, senders = _delivery_pairs(indices, indptr, self._send_active)
         if receivers.size:

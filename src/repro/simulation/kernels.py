@@ -254,16 +254,14 @@ class RoundKernel(abc.ABC):
         indices: np.ndarray,
         indptr: np.ndarray,
         active: np.ndarray,
-        counts: np.ndarray,
     ) -> np.ndarray:
         """Deliver the round over CSR adjacency; return per-node change flags.
 
         ``indices`` / ``indptr`` are the round's effective CSR neighbour
-        arrays (ascending neighbour uid per node — the delivery order),
-        ``active`` the sending flags and ``counts`` the per-node number of
-        sending neighbours.  The returned boolean array must be True
-        exactly where the node's ``(len(known), coded_rank)`` fingerprint
-        changed — the useless-delivery criterion.
+        arrays (ascending neighbour uid per node — the delivery order) and
+        ``active`` the sending flags.  The returned boolean array must be
+        True exactly where the node's ``(len(known), coded_rank)``
+        fingerprint changed — the useless-delivery criterion.
         """
 
     @abc.abstractmethod
@@ -401,6 +399,21 @@ def kernel_for(factory, config: ProtocolConfig) -> type[RoundKernel] | None:
 # ----------------------------------------------------------------------
 
 
+def _delivery_counts(
+    sending: np.ndarray, indices: np.ndarray, receivers: np.ndarray, changed: np.ndarray
+) -> tuple[int, int]:
+    """A round's deliveries and useless deliveries, from its CSR entries.
+
+    Every entry whose sender transmits is one delivery, repeated entries
+    included, and it is useless unless its receiver (``receivers``, one
+    per entry) learned something.  The effective CSR's receivers come from
+    the fault plan, so benign and faulted rounds count alike.
+    """
+    live = sending[indices]
+    delivered = int(np.count_nonzero(live))
+    return delivered, delivered - int(np.count_nonzero(live & changed[receivers]))
+
+
 def run_rounds(
     kernel: RoundKernel,
     config: ProtocolConfig,
@@ -419,8 +432,10 @@ def run_rounds(
     (Section 4.1): the adversary fixes ``G(t)`` from lazy state views, the
     topology is validated (identity-cached) and handed to
     :meth:`RoundKernel.on_topology`, ``compose_all`` runs, then budget and
-    broadcast accounting, CSR delivery through ``deliver_all`` and the
-    useless-delivery, progress, trace and completion bookkeeping.  An
+    broadcast accounting, CSR delivery through ``deliver_all``, delivery
+    and useless-delivery counting straight from the CSR entries
+    (:func:`_delivery_counts`), and the progress, trace and completion
+    bookkeeping.  An
     omniscient (``sees_messages``) adversary instead chooses after
     ``compose_all`` and is shown the composed messages (Section 6); its
     state views are built *before* composing, because a kernel may change
@@ -487,7 +502,7 @@ def run_rounds(
         # A crashed node's radio is off: it still composes (identical rng
         # consumption on every kernel) but transmits nothing.
         sending = active if plan is None else active & ~plan.down
-        broadcasts = int(sending.sum())
+        broadcasts = int(np.count_nonzero(sending))
         metrics.silent_rounds += n - broadcasts
         if broadcasts:
             sent_sizes = sizes if plan is None else np.where(sending, sizes, 0)
@@ -512,21 +527,12 @@ def run_rounds(
             metrics.corrupted_deliveries += stats.corrupted
             metrics.collided_deliveries += stats.collided
             discarded = stats.discarded
-        # Each node's count of sending neighbours: one bincount over the
-        # receivers of the entries whose sender transmits.  The effective
-        # CSR's receivers come from the fault plan, so benign and faulted
-        # rounds count alike, empty segments included.
-        counts = np.bincount(receivers[sending[indices]], minlength=n)
-
         with profiler.span("deliver"):
-            changed = kernel.deliver_all(
-                round_index, indices, indptr, sending, counts
-            )
+            changed = kernel.deliver_all(round_index, indices, indptr, sending)
 
-        delivered = int(counts.sum())
+        delivered, useless = _delivery_counts(sending, indices, receivers, changed)
         metrics.deliveries += delivered + discarded
-        # A delivery is useless unless its receiver learned something.
-        metrics.useless_deliveries += delivered - int(counts[changed].sum())
+        metrics.useless_deliveries += useless
 
         metrics.rounds_executed = round_index + 1
 
@@ -598,6 +604,11 @@ class TokenForwardingKernel(RoundKernel):
     reductions) exactly when it recomputes dirty rows.  In a flooding
     phase the batch reaches every node within the dynamic diameter, so
     most of an ``n``-round phase is saturated.
+
+    **Quiet rounds compose nothing.**  Rows turn dirty only in a delivery
+    that was not skipped and in a phase commit, and both also set the
+    Python flag ``_recompose``, so a round after one that did neither
+    returns the cached ``_active`` and ``_sizes`` without a numpy call.
     """
 
     message_name = "TokenForwardMessage"
@@ -619,6 +630,9 @@ class TokenForwardingKernel(RoundKernel):
         self._active = np.zeros(self.n, dtype=bool)
         self._send = np.zeros_like(self.known)
         self._dirty = np.ones(self.n, dtype=bool)
+        #: Set wherever ``_dirty`` is OR-ed; while False, compose_all has
+        #: nothing to redo.
+        self._recompose = True
         #: True when no inbox can teach its receiver anything (see above).
         self._saturated = False
         self._complete: bool | None = None
@@ -631,6 +645,9 @@ class TokenForwardingKernel(RoundKernel):
         self._canonical_indptr = topology.csr_adjacency()[1]
 
     def compose_all(self, round_index):
+        if not self._recompose:
+            return self._active, self._sizes
+        self._recompose = False
         rows = np.flatnonzero(self._dirty)
         if rows.size:
             pending = self.known[rows] & ~self.delivered[rows]
@@ -652,7 +669,7 @@ class TokenForwardingKernel(RoundKernel):
             sender=uid, tokens=tuple(self.tokens[i] for i in iter_bits(send))
         )
 
-    def deliver_all(self, round_index, indices, indptr, active, counts):
+    def deliver_all(self, round_index, indices, indptr, active):
         if self._saturated:
             # Every inbox lies inside U ⊆ I (class docstring): nothing to learn.
             changed = np.zeros(self.n, dtype=bool)
@@ -667,12 +684,14 @@ class TokenForwardingKernel(RoundKernel):
             self._counts_cache = None
             self._complete = None
             self._dirty |= changed
+            self._recompose = True
         if (round_index + 1) % self.phase_length == 0:
             commit, _ = _select_lowest_bits(
                 self.known & ~self.delivered, self.batch, None
             )
             self.delivered |= commit
             self._dirty |= commit.any(axis=1)
+            self._recompose = True
         return changed
 
     # ------------------------------------------------------------------
@@ -708,18 +727,26 @@ class TokenForwardingKernel(RoundKernel):
         )
 
     def to_nodes(self, nodes):
-        known_masks = packed_to_masks(self.known)
-        delivered_masks = packed_to_masks(self.delivered)
+        # Rows as bit-index lists from one unpack; a full row (the common
+        # end state) copies one shared dict instead of rebuilding it.
+        tokens = self.tokens
+        ids = [token.token_id for token in tokens]
+        everything = dict(zip(ids, tokens))
+        known_bits = unpack_bools(self.known, self.k)
+        full = known_bits.all(axis=1).tolist()
+        delivered_bits = unpack_bools(self.delivered, self.k)
+        pending_bits = known_bits & ~delivered_bits
         for uid, node in enumerate(nodes):
-            known = {
-                self.tokens[i].token_id: self.tokens[i] for i in iter_bits(known_masks[uid])
-            }
-            delivered = {self.tokens[i].token_id for i in iter_bits(delivered_masks[uid])}
             node.known.clear()
-            node.known.update(known)
-            node.delivered = delivered
+            if full[uid]:
+                node.known.update(everything)
+            else:
+                node.known.update(
+                    (ids[i], tokens[i]) for i in np.flatnonzero(known_bits[uid]).tolist()
+                )
+            node.delivered = {ids[i] for i in np.flatnonzero(delivered_bits[uid]).tolist()}
             node._sorted_known = [
-                token for token in known.values() if token.token_id not in delivered
+                tokens[i] for i in np.flatnonzero(pending_bits[uid]).tolist()
             ]
             node._invalidate_compose_cache()
 

@@ -244,7 +244,7 @@ class ObjectKernel(kernels.RoundKernel):
     def message_name_of(self, uid):
         return type(self._outgoing[uid]).__name__
 
-    def deliver_all(self, round_index, indices, indptr, active, counts):
+    def deliver_all(self, round_index, indices, indptr, active):
         """Deliver each inbox in ascending sender-uid order, empty ones too."""
         changed = np.zeros(self.n, dtype=bool)
         outgoing = self._outgoing

@@ -19,6 +19,7 @@ from repro.algorithms import (
     max_tokens_per_block,
     token_slot_bits,
 )
+from repro.algorithms.blocks import block_layout
 from repro.analysis import indexed_broadcast_rounds
 from repro.coding import Generation
 from repro.network import (
@@ -30,7 +31,14 @@ from repro.network import (
     TokenIsolationAdversary,
 )
 from repro.simulation import run_dissemination, standard_instance
-from repro.tokens import MessageBudget, make_tokens, one_token_per_node, place_tokens
+from repro.tokens import (
+    MessageBudget,
+    Token,
+    TokenId,
+    make_tokens,
+    one_token_per_node,
+    place_tokens,
+)
 from tests.conftest import make_config
 
 
@@ -63,6 +71,30 @@ class TestBlockPacking:
         tokens = make_tokens(3, 8, rng)
         with pytest.raises(ValueError):
             encode_block(config, tokens, tokens_per_block=2)
+
+    def test_count_field_overflows_at_two_to_the_sixteen(self):
+        # The count field is 16 bits wide: 2^16 tokens fit no block, even
+        # one whose capacity admits them.
+        config = make_config(8)
+        token = Token(token_id=TokenId(origin=1, sequence=0), payload=0, size_bits=8)
+        capacity = 1 << 16
+        with pytest.raises(ValueError, match="block count field overflow"):
+            encode_block(config, [token] * capacity, tokens_per_block=capacity)
+
+    def test_roundtrip_keeps_odd_sequence_numbers(self):
+        config = make_config(16)  # 4-bit ids: sequences 0..15
+        tokens = [
+            Token(token_id=TokenId(origin=origin, sequence=sequence), payload=0xA5, size_bits=8)
+            for origin, sequence in ((0, 1), (3, 7), (9, 15), (15, 14))
+        ]
+        value = encode_block(config, tokens, tokens_per_block=4)
+        assert decode_block(config, value, tokens_per_block=4) == tokens
+
+    def test_layout_at_one_config(self):
+        # n=16 (4-bit ids), d=8: a slot is 16 bits.  Half of b=128 holds a
+        # 16-bit count and 3 slots, a 64-bit block; the header gets
+        # 128 - 64 - 32 (reserve) = 32 one-bit GF(2) coefficients.
+        assert block_layout(make_config(16, d=8, b=128)) == (3, 32)
 
     def test_wrong_token_size_raises(self, rng):
         config = make_config(8, d=16)

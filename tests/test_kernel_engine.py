@@ -7,7 +7,8 @@ and knowledge equivalence across protocol/adversary pairs, the ``auto``
 selection rules (kernel > mask), the packed-adjacency / CSR
 representations on :class:`~repro.network.topology.Topology`, the
 ``to_nodes`` materialisation that keeps ``RunResult.nodes`` usable, and
-the forwarding kernel's saturated-round skip against a full delivery.
+the forwarding kernel's saturated-round skip and quiet-round compose
+against twins that take neither shortcut.
 """
 
 from __future__ import annotations
@@ -388,13 +389,23 @@ class _FullDeliveryKernel(TokenForwardingKernel):
         return composed
 
 
-def _drive_forwarding_pair(config, faults, *, rounds, seed):
-    """Run the forwarding kernel and its full-delivery twin side by side.
+class _AlwaysComposeKernel(TokenForwardingKernel):
+    """The forwarding kernel with its recompose flag forced on every round."""
+
+    def compose_all(self, round_index):
+        self._recompose = True
+        return super().compose_all(round_index)
+
+
+def _drive_forwarding_pair(config, faults, *, rounds, seed, twin_cls=_FullDeliveryKernel):
+    """Run the forwarding kernel and a twin with one shortcut off side by side.
 
     Both kernels see the same topologies and the same fault-edited CSR
-    each round; after every delivery their ``changed`` flags, knowledge,
-    counts, completion and committed tokens must agree.  Returns the
-    number of rounds the skipping kernel found saturated.
+    each round; their composed broadcasts must agree, and after every
+    delivery so must their ``changed`` flags, knowledge, counts,
+    completion and committed tokens.  Returns the number of rounds the
+    kernel under test found saturated and the number in which it had
+    nothing to recompose.
     """
     placement = standard_instance(config.n, config.k, config.token_bits, seed=seed)
     nodes = build_nodes(TokenForwardingNode, config, placement, np.random.default_rng(seed))
@@ -402,43 +413,77 @@ def _drive_forwarding_pair(config, faults, *, rounds, seed):
     for node in nodes:
         node.enable_mask_tracking(token_index)
     fast = TokenForwardingKernel(config, placement, token_index, nodes)
-    full = _FullDeliveryKernel(config, placement, token_index, nodes)
+    twin = twin_cls(config, placement, token_index, nodes)
     bound = faults.bind(config.n, np.random.default_rng(seed + 1)) if faults.active else None
     topologies = np.random.default_rng(seed + 2)
     full_row = masks_to_packed([(1 << fast.k) - 1], fast.width)[0]
-    saturated = 0
+    saturated = quiet = 0
     for round_index in range(rounds):
         plan = bound.begin_round(round_index) if bound is not None else None
         topology = random_connected_topology(config.n, topologies, 0.2)
         fast.on_topology(round_index, topology)
-        full.on_topology(round_index, topology)
+        twin.on_topology(round_index, topology)
+        quiet += not fast._recompose
         active, sizes = fast.compose_all(round_index)
-        full_active, full_sizes = full.compose_all(round_index)
-        assert np.array_equal(active, full_active)
-        assert np.array_equal(sizes, full_sizes)
+        twin_active, twin_sizes = twin.compose_all(round_index)
+        assert np.array_equal(active, twin_active), round_index
+        assert np.array_equal(sizes, twin_sizes), round_index
+        assert np.array_equal(fast._send, twin._send), round_index
         saturated += fast._saturated
         indices, indptr = topology.csr_adjacency()
-        receivers = topology.csr_receivers()
         sending = active
         if plan is not None:
             indices, indptr = plan.bind_edges(
-                indices, indptr, active=active, receivers=receivers
+                indices, indptr, active=active, receivers=topology.csr_receivers()
             )
-            receivers = plan.receivers
             sending = active & ~plan.down
             plan.account(sending)
-        counts = np.bincount(receivers[sending[indices]], minlength=config.n)
-        changed = fast.deliver_all(round_index, indices, indptr, sending, counts)
-        full_changed = full.deliver_all(round_index, indices, indptr, sending, counts)
-        assert np.array_equal(changed, full_changed), round_index
-        assert np.array_equal(fast.known, full.known), round_index
-        assert np.array_equal(fast.delivered, full.delivered), round_index
+        changed = fast.deliver_all(round_index, indices, indptr, sending)
+        twin_changed = twin.deliver_all(round_index, indices, indptr, sending)
+        assert np.array_equal(changed, twin_changed), round_index
+        assert np.array_equal(fast.known, twin.known), round_index
+        assert np.array_equal(fast.delivered, twin.delivered), round_index
         # Counts and completion against fresh reads of the twin's rows,
         # not its caches, which share the code under test.
-        counts_now = np.bitwise_count(full.known).sum(axis=1)
+        counts_now = np.bitwise_count(twin.known).sum(axis=1)
         assert np.array_equal(fast.known_counts(), counts_now), round_index
-        assert fast.all_complete() == bool((full.known == full_row).all()), round_index
-    return saturated
+        assert fast.all_complete() == bool((twin.known == full_row).all()), round_index
+    return saturated, quiet
+
+
+#: Forwarding configurations and fault edits for the twin-kernel tests:
+#: loss, duplication, collisions (with and without capture) and
+#: crash-recovery intervals, at phase lengths that put commits anywhere.
+_FORWARDING_CASES = dict(
+    n=st.integers(min_value=2, max_value=10),
+    k=st.integers(min_value=1, max_value=12),
+    b=st.sampled_from([24, 40, 64, 96]),
+    phase_length=st.integers(min_value=1, max_value=12),
+    loss=st.sampled_from([0.0, 0.3]),
+    duplication=st.sampled_from([0.0, 0.3]),
+    collisions=st.sampled_from([None, CollisionModel(0.5), CollisionModel(0.5, capture=True)]),
+    crashes=st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=9),
+            st.integers(min_value=0, max_value=20),
+            st.integers(min_value=1, max_value=20),
+        ),
+        max_size=3,
+        unique_by=lambda entry: entry[0],
+    ),
+    seed=st.integers(min_value=0, max_value=2**16),
+)
+
+
+def _forwarding_case(n, k, b, phase_length, loss, duplication, collisions, crashes):
+    config = make_config(n, k=min(k, n), d=8, b=b, extra={"phase_length": phase_length})
+    faults = FaultModel(
+        loss=loss,
+        duplication=duplication,
+        collisions=collisions,
+        crashes=tuple((uid, down, down + length) for uid, down, length in crashes if uid < n),
+    )
+    return config, faults
 
 
 class TestSaturatedDelivery:
@@ -450,38 +495,10 @@ class TestSaturatedDelivery:
     under every such edit.
     """
 
-    @given(
-        n=st.integers(min_value=2, max_value=10),
-        k=st.integers(min_value=1, max_value=12),
-        b=st.sampled_from([24, 40, 64, 96]),
-        phase_length=st.integers(min_value=1, max_value=12),
-        loss=st.sampled_from([0.0, 0.3]),
-        duplication=st.sampled_from([0.0, 0.3]),
-        collisions=st.sampled_from([None, CollisionModel(0.5), CollisionModel(0.5, capture=True)]),
-        crashes=st.lists(
-            st.tuples(
-                st.integers(min_value=0, max_value=9),
-                st.integers(min_value=0, max_value=20),
-                st.integers(min_value=1, max_value=20),
-            ),
-            max_size=3,
-            unique_by=lambda entry: entry[0],
-        ),
-        seed=st.integers(min_value=0, max_value=2**16),
-    )
+    @given(**_FORWARDING_CASES)
     @settings(max_examples=80, deadline=None)
-    def test_skip_matches_full_delivery(
-        self, n, k, b, phase_length, loss, duplication, collisions, crashes, seed
-    ):
-        config = make_config(n, k=min(k, n), d=8, b=b, extra={"phase_length": phase_length})
-        faults = FaultModel(
-            loss=loss,
-            duplication=duplication,
-            collisions=collisions,
-            crashes=tuple(
-                (uid, down, down + length) for uid, down, length in crashes if uid < n
-            ),
-        )
+    def test_skip_matches_full_delivery(self, seed, **case):
+        config, faults = _forwarding_case(**case)
         _drive_forwarding_pair(config, faults, rounds=40, seed=seed)
 
     def test_saturated_rounds_make_no_neighbour_gather(self, monkeypatch):
@@ -495,8 +512,32 @@ class TestSaturatedDelivery:
         monkeypatch.setattr(kernels, "_neighbor_or", counting)
         config = make_config(8, k=8, d=8, b=64)
         rounds = 40
-        saturated = _drive_forwarding_pair(config, FaultModel(), rounds=rounds, seed=3)
+        saturated, _ = _drive_forwarding_pair(config, FaultModel(), rounds=rounds, seed=3)
         assert saturated > 0
         # The full-delivery twin gathers every round, the skipping kernel
         # only in rounds that were not saturated.
         assert len(gathers) == 2 * rounds - saturated
+
+
+class TestQuietCompose:
+    """A round after one that touched no row reuses the cached broadcast.
+
+    The recompose flag must be set wherever a row can turn dirty (a
+    delivery that was not skipped, a phase commit), so the kernel is
+    checked against a twin that recomputes its dirty rows every round.
+    """
+
+    @given(**_FORWARDING_CASES)
+    @settings(max_examples=80, deadline=None)
+    def test_flag_matches_always_compose(self, seed, **case):
+        config, faults = _forwarding_case(**case)
+        _drive_forwarding_pair(
+            config, faults, rounds=40, seed=seed, twin_cls=_AlwaysComposeKernel
+        )
+
+    def test_quiet_rounds_happen(self):
+        config = make_config(8, k=8, d=8, b=64)
+        _, quiet = _drive_forwarding_pair(
+            config, FaultModel(), rounds=40, seed=3, twin_cls=_AlwaysComposeKernel
+        )
+        assert quiet > 0

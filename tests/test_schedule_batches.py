@@ -3,18 +3,23 @@
 A schedule batch reaches the engines ready-made: the packed batch travels
 with its set-bit positions (:meth:`DynamicsProcess.next_batch_with_edges`),
 each round's :class:`Topology` is a view into one frozen batch with its CSR
-arrays and per-entry receiver ids filled in, and the round loop counts each
-node's sending neighbours with one ``np.bincount`` over those receivers.
-Each shortcut is checked here against the slower formula it replaces:
+arrays and per-entry receiver ids filled in, the round loop counts a
+round's deliveries and useless deliveries straight from the CSR entries
+and those receivers, and the connectivity patcher labels components from
+the edge pairs the edge-Markov chain hands over.  Each shortcut is checked
+here against the slower formula it replaces:
 
 * the positions equal ``np.flatnonzero(unpack_bools(next_batch(r)))``
   for every process a catalog entry builds, wrapped inner processes
   included, and the batch itself is unchanged;
 * :meth:`Topology.csr_receivers` equals the ``np.repeat`` of the row ids
   over the CSR offsets, on batch-built and hand-built topologies;
-* the bincount delivery counts equal the cumsum-difference formula over
-  effective CSRs with empty segments, removed and duplicated edges, and
-  the receivers a fault plan leaves behind match the CSR it returned;
+* the delivery and useless-delivery counts equal sums of the
+  cumsum-difference per-node counts over effective CSRs with empty
+  segments, removed and duplicated edges, and the receivers a fault plan
+  leaves behind match the CSR it returned;
+* the component labels from every catalog process's edge pairs equal the
+  scalar mask BFS of ``tests/oracles/components.py``;
 * a batch-built topology equals and hashes like its
   :meth:`Topology.from_packed` twin, and its packed matrix is read-only.
 """
@@ -34,8 +39,11 @@ from repro.network import (
     Topology,
     random_connected_topology,
 )
+from repro.network.dynamics import batch_component_labels
 from repro.scenarios import list_scenarios, make_scenario
 from repro.scenarios.catalog import SCENARIOS
+from repro.simulation.kernels import _delivery_counts
+from tests.oracles.components import packed_components
 
 SIZES = (24, 65, 128)
 
@@ -132,7 +140,7 @@ class TestDeliveryCounts:
         collisions=st.sampled_from([None, False, True]),
         seed=st.integers(0, 10_000),
     )
-    def test_bincount_matches_segment_sums(
+    def test_entry_counts_match_segment_sums(
         self, n, loss, duplication, crashed, collisions, seed
     ):
         model = FaultModel(
@@ -150,9 +158,15 @@ class TestDeliveryCounts:
         rng = np.random.default_rng(seed + 1)
         sending = rng.random(n) < 0.6
         active = sending | (rng.random(n) < 0.5)
+        changed = rng.random(n) < 0.4
+
+        def assert_counts(sending, indices, indptr, receivers):
+            counts = _reference_counts(sending, indices, indptr)
+            expected = (int(counts.sum()), int(counts[~changed].sum()))
+            assert _delivery_counts(sending, indices, receivers, changed) == expected
+
         # Benign round: the canonical CSR and its receivers.
-        counts = np.bincount(receivers[sending[indices]], minlength=n)
-        assert np.array_equal(counts, _reference_counts(sending, indices, indptr))
+        assert_counts(sending, indices, indptr, receivers)
         # Faulted round: the effective CSR and the plan's receivers, which
         # must not depend on the dtype of the canonical receivers passed in.
         plans, results = [], []
@@ -167,11 +181,28 @@ class TestDeliveryCounts:
         assert np.array_equal(eff_indptr, ref_indptr)
         assert np.array_equal(plans[0].receivers, plans[1].receivers)
         assert np.array_equal(plans[0].receivers, _row_ids(eff_indptr))
-        eff_sending = sending & ~plans[0].down
-        counts = np.bincount(plans[0].receivers[eff_sending[eff_indices]], minlength=n)
-        assert np.array_equal(
-            counts, _reference_counts(eff_sending, eff_indices, eff_indptr)
-        )
+        assert_counts(sending & ~plans[0].down, eff_indices, eff_indptr, plans[0].receivers)
+
+
+class TestPairLabels:
+    @pytest.mark.parametrize("n", SIZES)
+    @pytest.mark.parametrize("name", _distinct_builders())
+    def test_labels_from_pairs_match_the_oracle(self, name, n):
+        """Every process of every catalog schedule hands the patcher's
+        labeller pairs that give the mask-BFS components of its batch."""
+        rounds = 24
+        for process in _process_chain(name, n, seed=n):
+            batch, _, first, second = process._next_batch_with_pairs(rounds)
+            round_index, low, high = np.nonzero(np.triu(unpack_bools(batch, n), 1))
+            assert np.array_equal(first, round_index * n + low)
+            assert np.array_equal(second, round_index * n + high)
+            labels = batch_component_labels(first, second, rounds, n)
+            for packed, round_labels in zip(batch, labels):
+                expected = np.empty(n, dtype=np.int64)
+                for component in packed_components(packed, n):
+                    members = [u for u in range(n) if (component >> u) & 1]
+                    expected[members] = members[0]
+                assert round_labels.tolist() == expected.tolist()
 
 
 class TestBatchViews:

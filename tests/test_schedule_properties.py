@@ -137,8 +137,10 @@ class TestBatchLabellerOracle:
     @settings(max_examples=60, deadline=None)
     def test_labels_match_scalar_components(self, case):
         n, batch = case
-        edges = np.flatnonzero(unpack_bools(batch, n))
-        labels = batch_component_labels(edges, batch.shape[0], n)
+        round_index, low, high = np.nonzero(np.triu(unpack_bools(batch, n), 1))
+        labels = batch_component_labels(
+            round_index * n + low, round_index * n + high, batch.shape[0], n
+        )
         assert labels.shape == (batch.shape[0], n)
         for packed, round_labels in zip(batch, labels):
             expected = np.empty(n, dtype=np.int64)
