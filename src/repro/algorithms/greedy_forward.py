@@ -30,7 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..tokens.message import Message, TokenForwardMessage
+from ..tokens.message import Message
 from ..tokens.token import TokenId
 from .base import ProtocolConfig, ProtocolNode
 from .blocks import BlockBroadcast, block_layout
@@ -160,10 +160,8 @@ class GreedyForwardNode(ProtocolNode):
             self._ensure_gather().deliver(offset, messages)
             return
         self.broadcast.receive(messages)
-        for message in messages:
-            if isinstance(message, TokenForwardMessage):
-                # A straggler from a neighbour still in its gather window.
-                self._learn_message(message)
+        # Stragglers from neighbours still in their gather window.
+        self._learn_messages(messages)
         if offset == self.broadcast_rounds - 1:
             self._finish_broadcast()
 

@@ -180,9 +180,7 @@ class PriorityForwardNode(ProtocolNode):
     def deliver(self, round_index: int, messages: Sequence[Message]) -> None:
         phase, offset, _iteration = self._phase(round_index)
         if phase == "spread":
-            for message in messages:
-                if isinstance(message, TokenForwardMessage):
-                    self._learn_message(message)
+            self._learn_messages(messages)
             return
         if phase == "flood":
             for message in messages:

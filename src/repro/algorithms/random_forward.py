@@ -59,9 +59,7 @@ class RandomForwardNode(ProtocolNode):
         return TokenForwardMessage(sender=self.uid, tokens=tuple(chosen))
 
     def deliver(self, round_index: int, messages: Sequence[Message]) -> None:
-        for message in messages:
-            if isinstance(message, TokenForwardMessage):
-                self._learn_message(message)
+        self._learn_messages(messages)
 
 
 @dataclass

@@ -129,9 +129,7 @@ class TokenForwardingNode(ProtocolNode):
         return False
 
     def deliver(self, round_index: int, messages: Sequence[Message]) -> None:
-        for message in messages:
-            if isinstance(message, TokenForwardMessage):
-                self._learn_message(message)
+        self._learn_messages(messages)
         # At a phase boundary, commit the smallest pending tokens as delivered.
         # All nodes see the same global minimum set after a full flooding
         # phase, so the delivered sets stay consistent across nodes.
@@ -215,6 +213,4 @@ class PipelinedTokenForwardingNode(ProtocolNode):
         return False
 
     def deliver(self, round_index: int, messages: Sequence[Message]) -> None:
-        for message in messages:
-            if isinstance(message, TokenForwardMessage):
-                self._learn_message(message)
+        self._learn_messages(messages)

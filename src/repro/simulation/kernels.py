@@ -30,8 +30,8 @@ A packed kernel is a second implementation of its protocol, with its own
 parity tests, wire messages, state views and ``to_nodes``.  The rule for
 keeping one: **a packed kernel stays only if it is ≥2× faster than mask on
 a run of ≥1 s at a size some bench or test uses.**  The run length is the
-mask engine's wall time.  Both kernels above clear it by more than 5× on
-the perfbench workloads they serve; every other protocol (greedy-forward,
+mask engine's wall time.  Both kernels above clear it by more than 3.5×
+on the perfbench workloads they serve; every other protocol (greedy-forward,
 naive coded, random forward, pipelined forwarding, ...) runs on the object
 kernel alone.
 
@@ -245,6 +245,15 @@ class RoundKernel(abc.ABC):
         broadcast (False = silence) and the per-node message sizes in bits
         (zero for silent nodes).  The composed payloads stay inside the
         kernel for :meth:`deliver_all`.
+
+        **Identity contract.**  Returning the very ``active`` and ``sizes``
+        objects of the previous call promises that their contents are what
+        they were when that round's accounting read them; :func:`run_rounds`
+        then reuses that round's broadcast count, maximum and total bits
+        (unless a node is down or a wire is substituted this round).  A
+        kernel that changes either array must return new objects, and one
+        whose :meth:`set_wire_overrides` wrote into ``sizes`` must not hand
+        it back the next round.
         """
 
     @abc.abstractmethod
@@ -467,6 +476,8 @@ def run_rounds(
             kernel.set_wire_overrides(plan.substitute)
         return active, sizes
 
+    last_active = last_sizes = None
+    broadcasts = max_bits = total_bits = 0
     for round_index in range(max_rounds):
         plan = faults.begin_round(round_index) if faults is not None else None
         if adversary.sees_messages:
@@ -501,23 +512,32 @@ def run_rounds(
 
         # A crashed node's radio is off: it still composes (identical rng
         # consumption on every kernel) but transmits nothing.
-        sending = active if plan is None else active & ~plan.down
-        broadcasts = int(np.count_nonzero(sending))
+        down = plan is not None and bool(plan.down.any())
+        sending = active & ~plan.down if down else active
+        edited = down or (plan is not None and bool(plan.substitute))
+        if edited or active is not last_active or sizes is not last_sizes:
+            broadcasts = int(np.count_nonzero(sending))
+            max_bits = total_bits = 0
+            if broadcasts:
+                sent_sizes = np.where(sending, sizes, 0) if down else sizes
+                max_bits = int(sent_sizes.max())
+                if max_bits > limit:
+                    name = kernel.message_name_of(int(np.argmax(sent_sizes)))
+                    raise MessageSizeExceeded(
+                        f"{name} is {max_bits} bits, exceeding the "
+                        f"budget of {limit} bits (b={config.budget.b}, "
+                        f"slack={config.budget.slack})"
+                    )
+                total_bits = int(sent_sizes.sum())
+            # The identity contract of compose_all: the very same arrays
+            # next round, with no node down and no substitution, carry
+            # these sums again.
+            last_active, last_sizes = (None, None) if edited else (active, sizes)
         metrics.silent_rounds += n - broadcasts
-        if broadcasts:
-            sent_sizes = sizes if plan is None else np.where(sending, sizes, 0)
-            max_bits = int(sent_sizes.max())
-            if max_bits > limit:
-                name = kernel.message_name_of(int(np.argmax(sent_sizes)))
-                raise MessageSizeExceeded(
-                    f"{name} is {max_bits} bits, exceeding the "
-                    f"budget of {limit} bits (b={config.budget.b}, "
-                    f"slack={config.budget.slack})"
-                )
-            metrics.broadcasts += broadcasts
-            metrics.total_message_bits += int(sent_sizes.sum())
-            if max_bits > metrics.max_message_bits:
-                metrics.max_message_bits = max_bits
+        metrics.broadcasts += broadcasts
+        metrics.total_message_bits += total_bits
+        if max_bits > metrics.max_message_bits:
+            metrics.max_message_bits = max_bits
 
         discarded = 0
         if plan is not None:
@@ -608,7 +628,10 @@ class TokenForwardingKernel(RoundKernel):
     **Quiet rounds compose nothing.**  Rows turn dirty only in a delivery
     that was not skipped and in a phase commit, and both also set the
     Python flag ``_recompose``, so a round after one that did neither
-    returns the cached ``_active`` and ``_sizes`` without a numpy call.
+    returns the cached ``_active`` and ``_sizes`` objects without a numpy
+    call, and :func:`run_rounds` reuses their budget accounting (the
+    identity contract of :meth:`RoundKernel.compose_all`).  A recompose
+    that changes rows writes them into new arrays.
     """
 
     message_name = "TokenForwardMessage"
@@ -653,7 +676,10 @@ class TokenForwardingKernel(RoundKernel):
             pending = self.known[rows] & ~self.delivered[rows]
             selection, sizes = _select_lowest_bits(pending, self.batch, self.costs)
             self._send[rows] = selection
+            # New arrays, not edits in place (compose_all's identity contract).
+            self._sizes = self._sizes.copy()
             self._sizes[rows] = sizes
+            self._active = self._active.copy()
             self._active[rows] = pending.any(axis=1)
             self._dirty[rows] = False
             union = np.bitwise_or.reduce(self._send, axis=0)

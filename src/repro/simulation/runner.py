@@ -25,12 +25,15 @@ runner then verifies payload correctness.  Two kernel families exist:
   the nodes at the end;
 * **mask** — :class:`ObjectKernel` over the per-node protocol objects,
   which runs every protocol.  Each node's knowledge is an incrementally
-  maintained integer ``knowledge_mask``, so the completion check is one
-  O(k/64) mask comparison per still-incomplete node, and the per-node and
+  maintained integer ``knowledge_mask``, and the per-node and
   whole-network completion read-outs share one shrinking set of
-  incomplete nodes.  A forwarding message gets a token mask once per
-  broadcast, so a node skips a message that brings nothing new in O(1)
-  instead of looking up each carried token.
+  incomplete nodes; a refresh re-tests only the nodes whose
+  ``len(known)`` moved since their last test.  A forwarding message gets
+  a token mask once per broadcast, and a node ORs its inbox's masks
+  (:meth:`~repro.algorithms.base.ProtocolNode._learn_messages`), so an
+  inbox that brings nothing new costs one mask test, with no per-message
+  learn call.  A round in which every node composes the very same message
+  object as the round before reuses its ``active``/``sizes`` arrays.
 
 Under ``engine="auto"`` the packed kernel runs when the factory is a
 registered node class, the configuration is supported and the kernel
@@ -45,6 +48,7 @@ rejected before round 0.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -196,6 +200,16 @@ class ObjectKernel(kernels.RoundKernel):
     ``shared_coordinator`` (see :mod:`repro.algorithms.tstable`) sees each
     round's base topology before compose and updates the nodes after
     delivery.
+
+    Per-node costs are kept to what a round can change.  ``compose_all``
+    hands back last round's ``active``/``sizes`` arrays when every node
+    composed the very same message object that was on last round's wire
+    (so no override ran there), and
+    :func:`~repro.simulation.kernels.run_rounds` then reuses its budget
+    accounting.  The change flags skip ``coded_rank()`` for classes that do
+    not override it.  The completion refresh re-tests only the nodes whose
+    ``len(known)`` moved since their last test, wherever they learned:
+    in ``compose``, in ``deliver`` or through the coordinator.
     """
 
     def __init__(self, config, placement, token_index, nodes):
@@ -207,10 +221,17 @@ class ObjectKernel(kernels.RoundKernel):
         self._incomplete = {
             uid for uid, node in enumerate(nodes) if node.knowledge_mask() != self.full_mask
         }
+        #: ``len(known)`` of every node at its last completion test.
+        self._tested = [len(node.known) for node in nodes]
         self._incomplete_stale = False
+        #: Whether each node's class has a coded rank worth fingerprinting.
+        self._ranked = [
+            type(node).coded_rank is not ProtocolNode.coded_rank for node in nodes
+        ]
         self._coordinator = getattr(nodes[0], "shared_coordinator", None) if nodes else None
         self._topology = None
         self._outgoing: list = []
+        self._active: np.ndarray | None = None
         self._sizes: np.ndarray | None = None
 
     def on_topology(self, round_index, topology):
@@ -219,17 +240,24 @@ class ObjectKernel(kernels.RoundKernel):
             self._coordinator.on_topology(round_index, topology, self.nodes)
 
     def compose_all(self, round_index):
-        self._outgoing = outgoing = [node.compose(round_index) for node in self.nodes]
+        composed = [node.compose(round_index) for node in self.nodes]
+        previous, self._outgoing = self._outgoing, composed
+        # The same message objects as last round's wire: the same arrays
+        # describe them.  An override put a new object on that wire, so the
+        # round after one never matches.
+        if self._sizes is not None and all(map(operator.is_, composed, previous)):
+            return self._active, self._sizes
         active = [False] * self.n
         sizes = [0] * self.n
-        for uid, message in enumerate(outgoing):
+        for uid, message in enumerate(composed):
             if message is not None:
                 if not isinstance(message, Message):
                     raise TypeError(f"protocol composed a non-Message object: {type(message)!r}")
                 active[uid] = True
                 sizes[uid] = message.size_bits
+        self._active = np.array(active, dtype=bool)
         self._sizes = np.array(sizes, dtype=np.int64)
-        return np.array(active, dtype=bool), self._sizes
+        return self._active, self._sizes
 
     def set_wire_overrides(self, overrides):
         for uid, mask in overrides.items():
@@ -246,21 +274,24 @@ class ObjectKernel(kernels.RoundKernel):
 
     def deliver_all(self, round_index, indices, indptr, active):
         """Deliver each inbox in ascending sender-uid order, empty ones too."""
-        changed = np.zeros(self.n, dtype=bool)
-        outgoing = self._outgoing
-        flat, bounds = indices.tolist(), indptr.tolist()
+        wire = list(map(self._outgoing.__getitem__, indices.tolist()))
+        bounds = indptr.tolist()
+        silent, ranked = not self._active.all(), self._ranked
+        grown = []
         for uid, node in enumerate(self.nodes):
-            inbox = [
-                message
-                for message in map(outgoing.__getitem__, flat[bounds[uid] : bounds[uid + 1]])
-                if message is not None
-            ]
-            before = (len(node.known), node.coded_rank())
+            inbox = wire[bounds[uid] : bounds[uid + 1]]
+            if silent:
+                inbox = [message for message in inbox if message is not None]
+            size = len(node.known)
+            rank = node.coded_rank() if ranked[uid] else 0
             node.deliver(round_index, inbox)
-            changed[uid] = (len(node.known), node.coded_rank()) != before
+            if len(node.known) != size or (ranked[uid] and node.coded_rank() != rank):
+                grown.append(uid)
         if self._coordinator is not None:
             self._coordinator.after_round(round_index, self._topology, self.nodes)
         self._incomplete_stale = True
+        changed = np.zeros(self.n, dtype=bool)
+        changed[grown] = True
         return changed
 
     def _known_counts_now(self):
@@ -275,13 +306,20 @@ class ObjectKernel(kernels.RoundKernel):
         return np.fromiter(ranks, dtype=np.int64, count=self.n)
 
     def _still_incomplete(self):
-        # Incremental: only nodes still missing tokens are re-examined, at
-        # most once per delivery however many read-outs follow it.
+        # Incremental: at most once per delivery however many read-outs
+        # follow it, and only for incomplete nodes whose ``len(known)``
+        # moved since their last test -- a node's mask moves only with it.
         if self._incomplete_stale:
-            nodes, full = self.nodes, self.full_mask
-            self._incomplete = {
-                uid for uid in self._incomplete if nodes[uid].knowledge_mask() != full
-            }
+            nodes, tested, full = self.nodes, self._tested, self.full_mask
+            done = []
+            for uid in self._incomplete:
+                node = nodes[uid]
+                size = len(node.known)
+                if size != tested[uid]:
+                    tested[uid] = size
+                    if node.knowledge_mask() == full:
+                        done.append(uid)
+            self._incomplete.difference_update(done)
             self._incomplete_stale = False
         return self._incomplete
 

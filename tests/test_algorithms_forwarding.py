@@ -23,7 +23,14 @@ from repro.network import (
     path_topology,
 )
 from repro.simulation import build_nodes, run_dissemination, standard_instance
-from repro.tokens import MessageBudget, Token, TokenForwardMessage, TokenId, one_token_per_node
+from repro.tokens import (
+    ControlMessage,
+    MessageBudget,
+    Token,
+    TokenForwardMessage,
+    TokenId,
+    one_token_per_node,
+)
 from repro.analysis import token_forwarding_rounds
 from tests.conftest import make_config
 
@@ -293,3 +300,106 @@ class TestMessageSkip:
         assert message.token_mask(reversed_index) == 0b10100000
         assert message.token_mask(self.INDEX) == 0b101
         assert message.token_mask({tokens[0].token_id: 0}) is None
+
+
+def _learn_state(node) -> dict:
+    """The node's knowledge record, in order, with its mask bookkeeping."""
+    state = {
+        "known": list(node.known.items()),
+        "mask": node._knowledge_mask,
+        "synced": node._mask_synced,
+    }
+    if isinstance(node, TokenForwardingNode):
+        state["sorted_known"] = list(node._sorted_known)
+    if isinstance(node, PipelinedTokenForwardingNode):
+        state["buckets"] = {count: list(bucket) for count, bucket in node._buckets.items()}
+    return state
+
+
+class TestLearnMessages:
+    """``_learn_messages`` tests the inbox's OR against the knowledge mask
+    once; it must leave a node exactly as the per-message loop it replaced
+    (``_learn_message`` on every forwarding message, in inbox order) does."""
+
+    PLACEMENT = TestMessageSkip.PLACEMENT
+    INDEX = TestMessageSkip.INDEX
+
+    @pytest.mark.parametrize(
+        "node_class", [TokenForwardingNode, PipelinedTokenForwardingNode, RandomForwardNode]
+    )
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_matches_per_message_loop(self, node_class, data):
+        tokens = self.PLACEMENT.tokens
+        # Tokens outside the run's index: their messages have no mask.
+        foreign = [
+            Token(TokenId(origin=99, sequence=s), payload=s, size_bits=8) for s in range(2)
+        ]
+        pool = list(tokens) + foreign
+        config = make_config(6, k=8, b=64)
+        batched, reference = (
+            node_class(0, config, np.random.default_rng(0)) for _ in range(2)
+        )
+        initial = data.draw(st.lists(st.sampled_from(tokens), unique=True))
+        sync = data.draw(st.booleans())
+        for node in (batched, reference):
+            node.setup(initial)
+            assert node.enable_mask_tracking(self.INDEX)
+            if sync:
+                node.knowledge_mask()
+        sent: list = []
+        for _ in range(data.draw(st.integers(1, 6))):
+            if data.draw(st.booleans()):
+                # Out of band: ``known`` grows without the mask, which is
+                # then out of sync until the next knowledge_mask() call.
+                token = data.draw(st.sampled_from(pool))
+                for node in (batched, reference):
+                    node.known.setdefault(token.token_id, token)
+            if data.draw(st.booleans()):
+                for node in (batched, reference):
+                    node.knowledge_mask()
+            inbox: list = []
+            for _ in range(data.draw(st.integers(0, 5))):
+                kind = data.draw(st.sampled_from(["new", "resent", "control"]))
+                if kind == "control":
+                    inbox.append(ControlMessage(sender=2, fields={"count": 1}))
+                elif kind == "resent" and sent:
+                    inbox.append(data.draw(st.sampled_from(sent)))
+                else:
+                    carried = data.draw(st.lists(st.sampled_from(pool), max_size=4))
+                    inbox.append(TokenForwardMessage(sender=1, tokens=tuple(carried)))
+            sent.extend(m for m in inbox if isinstance(m, TokenForwardMessage))
+            batched._learn_messages(inbox)
+            for message in inbox:
+                if isinstance(message, TokenForwardMessage):
+                    reference._learn_message(message)
+            assert _learn_state(batched) == _learn_state(reference)
+        assert batched.knowledge_mask() == reference.knowledge_mask()
+
+    def test_known_inbox_calls_no_per_message_learn(self, monkeypatch):
+        tokens = self.PLACEMENT.tokens
+        config = make_config(6, k=8, b=64)
+        node = TokenForwardingNode(0, config, np.random.default_rng(0))
+        node.setup(tokens[:4])
+        assert node.enable_mask_tracking(self.INDEX)
+        node.knowledge_mask()
+        calls: list = []
+        original = TokenForwardingNode._learn_message
+        monkeypatch.setattr(
+            TokenForwardingNode,
+            "_learn_message",
+            lambda self, message: calls.append(message) or original(self, message),
+        )
+        known = [
+            TokenForwardMessage(sender=1, tokens=tuple(tokens[0:2])),
+            ControlMessage(sender=2, fields={"count": 1}),
+            TokenForwardMessage(sender=3, tokens=tuple(tokens[2:4])),
+        ]
+        node._learn_messages(known)
+        assert calls == []
+        # One unknown token anywhere sends every forwarding message through
+        # the per-message path, in inbox order.
+        partly_new = TokenForwardMessage(sender=4, tokens=(tokens[3], tokens[4]))
+        node._learn_messages(known + [partly_new])
+        assert calls == [known[0], known[2], partly_new]
+        assert tokens[4].token_id in node.known

@@ -8,7 +8,8 @@ selection rules (kernel > mask), the packed-adjacency / CSR
 representations on :class:`~repro.network.topology.Topology`, the
 ``to_nodes`` materialisation that keeps ``RunResult.nodes`` usable, and
 the forwarding kernel's saturated-round skip and quiet-round compose
-against twins that take neither shortcut.
+against twins that take neither shortcut, and the round loop's reuse of
+its broadcast accounting against a kernel that never allows it.
 """
 
 from __future__ import annotations
@@ -57,6 +58,8 @@ from repro.simulation.kernels import (
     RoundKernel,
     TokenForwardingKernel,
 )
+from repro.scenarios import make_scenario
+from repro.simulation.metrics import RunMetrics
 from tests.conftest import RecordingAdversary, make_config
 
 
@@ -418,6 +421,7 @@ def _drive_forwarding_pair(config, faults, *, rounds, seed, twin_cls=_FullDelive
     topologies = np.random.default_rng(seed + 2)
     full_row = masks_to_packed([(1 << fast.k) - 1], fast.width)[0]
     saturated = quiet = 0
+    last = None
     for round_index in range(rounds):
         plan = bound.begin_round(round_index) if bound is not None else None
         topology = random_connected_topology(config.n, topologies, 0.2)
@@ -426,6 +430,13 @@ def _drive_forwarding_pair(config, faults, *, rounds, seed, twin_cls=_FullDelive
         quiet += not fast._recompose
         active, sizes = fast.compose_all(round_index)
         twin_active, twin_sizes = twin.compose_all(round_index)
+        # compose_all's identity contract: arrays handed back again are
+        # unchanged since last round.
+        if last is not None and active is last[0]:
+            assert sizes is last[1], round_index
+            assert np.array_equal(active, last[2]), round_index
+            assert np.array_equal(sizes, last[3]), round_index
+        last = (active, sizes, active.copy(), sizes.copy())
         assert np.array_equal(active, twin_active), round_index
         assert np.array_equal(sizes, twin_sizes), round_index
         assert np.array_equal(fast._send, twin._send), round_index
@@ -541,3 +552,82 @@ class TestQuietCompose:
             config, FaultModel(), rounds=40, seed=3, twin_cls=_AlwaysComposeKernel
         )
         assert quiet > 0
+
+
+class _CopyingKernel(TokenForwardingKernel):
+    """Hands back fresh copies every round, so run_rounds never reuses."""
+
+    def compose_all(self, round_index):
+        active, sizes = super().compose_all(round_index)
+        return active.copy(), sizes.copy()
+
+
+def _run_rounds_with(kernel_cls, config, faults, *, seed, rounds):
+    placement = standard_instance(config.n, config.k, config.token_bits, seed=seed)
+    nodes = build_nodes(TokenForwardingNode, config, placement, np.random.default_rng(seed))
+    token_index = {tid: i for i, tid in enumerate(sorted(placement.all_ids()))}
+    for node in nodes:
+        node.enable_mask_tracking(token_index)
+    kernel = kernel_cls(config, placement, token_index, nodes)
+    bound = faults.bind(config.n, np.random.default_rng(seed + 1)) if faults.active else None
+    metrics = RunMetrics()
+    kernels.run_rounds(
+        kernel,
+        config,
+        RandomConnectedAdversary(seed=seed),
+        metrics,
+        max_rounds=rounds,
+        stop_at_completion=False,
+        track_progress=True,
+        faults=bound,
+    )
+    return metrics
+
+
+class TestBroadcastAccountingReuse:
+    """run_rounds reuses last round's broadcast count and bit totals when
+    compose_all hands back the very same arrays and no node is down; the
+    metrics must equal a run whose kernel never allows the reuse."""
+
+    @pytest.mark.parametrize(
+        "faults",
+        [
+            FaultModel(),
+            FaultModel(loss=0.2, duplication=0.1),
+            FaultModel(loss=0.2, crashes=((1, 5, 30), (4, 12))),
+        ],
+        ids=["benign", "loss-dup", "crashes"],
+    )
+    def test_reuse_matches_fresh_accounting(self, faults):
+        config = make_config(8, k=8, d=8, b=40)
+        reused = _run_rounds_with(TokenForwardingKernel, config, faults, seed=5, rounds=60)
+        fresh = _run_rounds_with(_CopyingKernel, config, faults, seed=5, rounds=60)
+        assert dataclasses.asdict(reused) == dataclasses.asdict(fresh)
+        assert reused.broadcasts > 0
+
+
+class TestCrashRecoveryStall:
+    """Token forwarding under crash-recovery: a node that was down while a
+    batch flooded misses it, every other node commits the batch as
+    delivered and never sends it again, so the recovered survivor never
+    completes and the run spins to its round limit.  Strict: a fix flips
+    this test."""
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="forwarding never re-sends a committed batch to a node that was down",
+    )
+    def test_survivors_complete_after_recovery(self):
+        n = k = 32
+        config = make_config(n, k=k, d=8)
+        placement = standard_instance(n, k, 8, seed=0)
+        result = run_dissemination(
+            TokenForwardingNode,
+            config,
+            placement,
+            make_scenario("edge_markov", n, seed=3),
+            engine="kernel",
+            faults=FaultModel(loss=0.2, crashes=((3, 20, 90), (11, 50, 200))),
+            max_rounds=2000,
+        )
+        assert result.metrics.survivor_completion_round is not None

@@ -8,7 +8,9 @@ protocol/adversary pairs, check the mask engine's bookkeeping against an
 independent rebuild from each node's ``known`` dict, and cover the auto
 engine selection rules, the opaque-protocol rejection, the
 once-per-topology validation cache, and the ``rng.spawn`` node-seeding
-scheme.
+scheme.  The mask engine's per-round shortcuts (completion re-tests
+only for grown nodes, reused compose arrays) are checked against runs
+whose answer is known in closed form.
 """
 
 from __future__ import annotations
@@ -38,12 +40,16 @@ from repro.network import (
     Topology,
     ring_topology,
 )
+from repro.algorithms.base import ProtocolNode
+from repro.network import FaultModel
 from repro.network.adversary import Adversary
 from repro.network.stability import is_t_stable
 from repro.scenarios import fault_model_for, make_scenario
-from repro.simulation import run_dissemination, standard_instance
+from repro.simulation import kernels, run_dissemination, standard_instance
 from repro.simulation import runner
+from repro.simulation.metrics import RunMetrics
 from repro.simulation.runner import ObjectKernel, build_nodes
+from repro.tokens import ControlMessage
 from tests.conftest import RecordingAdversary, make_config, nx_graph
 
 
@@ -369,3 +375,149 @@ class TestNodeSeeding:
         first = _run(IndexedBroadcastNode, config, BottleneckAdversary(), engine="auto")
         second = _run(IndexedBroadcastNode, config, BottleneckAdversary(), engine="auto")
         assert dataclasses.asdict(first.metrics) == dataclasses.asdict(second.metrics)
+
+
+class _Teacher:
+    """Teaches node ``uid`` the placement in one hook: half at round ``uid``,
+    the rest at round ``uid + 1``.  As a ``shared_coordinator`` it does so
+    in ``after_round``."""
+
+    def __init__(self, tokens, hook):
+        self.tokens = list(tokens)
+        self.hook = hook
+
+    def teach(self, node, round_index, hook):
+        if hook != self.hook:
+            return
+        half = len(self.tokens) // 2
+        lesson = {node.uid: self.tokens[:half], node.uid + 1: self.tokens[half:]}
+        for token in lesson.get(round_index, ()):
+            node._learn_token(token)
+
+    def on_topology(self, round_index, topology, nodes):
+        pass
+
+    def after_round(self, round_index, topology, nodes):
+        for node in nodes:
+            self.teach(node, round_index, "after_round")
+
+
+class _TaughtNode(ProtocolNode):
+    """A silent node that learns only from its :class:`_Teacher`."""
+
+    def __init__(self, uid, config, rng, teacher):
+        super().__init__(uid, config, rng)
+        self.teacher = teacher
+        if teacher.hook == "after_round":
+            self.shared_coordinator = teacher
+
+    def compose(self, round_index):
+        self.teacher.teach(self, round_index, "compose")
+        return None
+
+    def deliver(self, round_index, messages):
+        self.teacher.teach(self, round_index, "deliver")
+
+
+class TestCompletionRefresh:
+    """The mask engine re-tests completion only for nodes whose ``len(known)``
+    moved; growth must be caught wherever it happens, in the same round."""
+
+    @pytest.mark.parametrize("faults", [None, FaultModel(loss=0.1)], ids=["benign", "lossy"])
+    @pytest.mark.parametrize("hook", ["deliver", "compose", "after_round"])
+    def test_completion_round_wherever_nodes_learn(self, hook, faults):
+        n, k = 6, 6
+        config = make_config(n, k)
+        placement = standard_instance(n, k, config.token_bits, seed=1)
+        teacher = _Teacher(placement.tokens, hook)
+        result = run_dissemination(
+            lambda uid, node_config, rng: _TaughtNode(uid, node_config, rng, teacher),
+            config,
+            placement,
+            StaticAdversary(ring_topology),
+            engine="mask",
+            faults=faults,
+            max_rounds=3 * n,
+        )
+        # Node n - 1 learns its last tokens in round n: complete after n + 1.
+        assert result.metrics.completion_round == n + 1
+        if faults is not None:
+            assert result.metrics.survivor_completion_round == n + 1
+        assert result.correct
+
+
+class _FixedControlNode(IndexedBroadcastNode):
+    """Indexed broadcast that composes one fixed ControlMessage object.
+
+    Every round is then a quiet round for the mask engine, and the message
+    differs in size from a replayed coded vector.
+    """
+
+    def compose(self, round_index):
+        if not hasattr(self, "fixed"):
+            self.fixed = ControlMessage(sender=self.uid, fields={"hello": self.uid})
+        return self.fixed
+
+
+class _RecordingObjectKernel(ObjectKernel):
+    def compose_all(self, round_index):
+        arrays = super().compose_all(round_index)
+        self.returned.append(arrays)
+        return arrays
+
+
+class TestQuietRoundAfterOverride:
+    """A Byzantine-replay override writes the substitute's size into the
+    round's ``sizes``; the next quiet round must account honest sizes."""
+
+    def test_sizes_recomputed_after_override(self):
+        n, k, byzantine, rounds = 8, 6, 3, 9
+        config = make_config(n, k)
+        placement = standard_instance(n, k, config.token_bits, seed=2)
+        nodes = build_nodes(_FixedControlNode, config, placement, np.random.default_rng(0))
+        token_index = {tid: i for i, tid in enumerate(sorted(placement.all_ids()))}
+        for node in nodes:
+            assert node.enable_mask_tracking(token_index)
+        kernel = _RecordingObjectKernel(config, placement, token_index, nodes)
+        kernel.returned = []
+        bound = FaultModel(byzantine=(byzantine,), byzantine_mode="replay").bind(
+            n, np.random.default_rng(1)
+        )
+        bound.attach_guard(runner._coded_span_guard(nodes))
+        assert bound.guard is not None
+        begin_round = bound.begin_round
+
+        def every_other_round(round_index):
+            # Substitute in even rounds only, so each override round is
+            # followed by a quiet round without one.
+            plan = begin_round(round_index)
+            if round_index % 2:
+                plan.substitute = {}
+            return plan
+
+        bound.begin_round = every_other_round
+        metrics = RunMetrics()
+        kernels.run_rounds(
+            kernel,
+            config,
+            StaticAdversary(ring_topology),
+            metrics,
+            max_rounds=rounds,
+            stop_at_completion=False,
+            track_progress=False,
+            faults=bound,
+        )
+        honest = [node.fixed.size_bits for node in nodes]
+        replayed = nodes[byzantine].generation.message_from_mask(
+            byzantine, bound.guard.replay_mask
+        ).size_bits
+        assert replayed != honest[byzantine]
+        overrides = (rounds + 1) // 2
+        assert metrics.total_message_bits == rounds * sum(honest) + overrides * (
+            replayed - honest[byzantine]
+        )
+        assert metrics.max_message_bits == max(max(honest), replayed)
+        assert metrics.broadcasts == rounds * n
+        # The quiet rounds did hand back last round's arrays.
+        returned = kernel.returned
+        assert any(a[1] is b[1] for a, b in zip(returned, returned[1:]))
