@@ -60,6 +60,7 @@ class IndexedBroadcastNode(ProtocolNode):
 
     def __init__(self, uid: int, config: ProtocolConfig, rng: np.random.Generator):
         super().__init__(uid, config, rng)
+        # repro: allow[REP304] the one static single-token generation every single-generation coder inherits
         self.generation = Generation(
             k=max(1, config.k),
             payload_bits=block_bits(config, tokens_per_block=1),

@@ -41,6 +41,7 @@ def random_batch(rng: np.random.Generator, items: list, batch: int) -> list:
     """
     if len(items) <= batch:
         return items
+    # repro: allow[REP304] the one b/d random draw of Lemma 7.2 that every forwarding phase calls
     indices = rng.choice(len(items), size=batch, replace=False)
     return [items[int(i)] for i in indices]
 

@@ -140,6 +140,7 @@ class DeterministicSchedule:
         digest = hashlib.sha256(material).digest()
         # 256 bits of digest reduced mod q; the bias is at most 2^-200 for the
         # field sizes used here, far below any probability we reason about.
+        # repro: allow[REP404] a sha256 digest read as a big-endian integer, not the layout
         value = int.from_bytes(digest, "big")
         return value % self.field_order
 

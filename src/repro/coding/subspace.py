@@ -243,6 +243,7 @@ class Subspace:
         low = (1 << rank) - 1
         while True:
             while self._pick_bits < rank:
+                # repro: allow[REP404] an rng byte draw (the pick-bit refill), not the layout
                 refill = int.from_bytes(rng.bytes(self.PICK_REFILL_BYTES), "little")
                 self._pick_buffer |= refill << self._pick_bits
                 self._pick_bits += 8 * self.PICK_REFILL_BYTES

@@ -264,6 +264,7 @@ class GF:
             values = []
             while len(values) < flat_count:
                 # Rejection sampling from [0, 2^bits) to stay uniform.
+                # repro: allow[REP404] an rng byte draw of a big-field element, not the layout
                 candidate = int.from_bytes(rng.bytes((bits + 7) // 8), "big")
                 candidate &= (1 << bits) - 1
                 if candidate < self.q:

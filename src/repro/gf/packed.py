@@ -194,6 +194,7 @@ class GF2BasisBatch:
         """The low-``k``-bit projection of packed rows, in ``ceil(k/64)`` words."""
         words_k = word_count(k)
         out = vectors[:, :words_k].copy()
+        # repro: allow[REP404] GF(2)-core pass: masks the last word of a k-bit projection; the non-pivot row layout will rewrite it
         rem = k & 63
         if rem:
             out[:, words_k - 1] &= np.uint64((1 << rem) - 1)
@@ -298,6 +299,7 @@ class GF2BasisBatch:
         # basis' pivot positions (mutually-reduced rows carry no foreign
         # pivot bit, so there is no reduction chain).  Unused columns hold
         # zero rows, so their lead entries select nothing.
+        # repro: allow[REP404] GF(2)-core in-loop pass: reads the pivot bits of each step's vectors; the non-pivot row layout will rewrite it
         bits = np.unpackbits(v.view(np.uint8), axis=1, bitorder="little")
         # A flat take: cheaper than take_along_axis's two-array index.
         row_start = np.arange(v.shape[0])[:, None] * bits.shape[1]
@@ -310,7 +312,9 @@ class GF2BasisBatch:
         # Back-eliminate: clear each new pivot bit from the rows of its basis
         # that carry it, one masked XOR over the whole slice.
         safe = np.maximum(lead, 0)
+        # repro: allow[REP404] GF(2)-core in-loop pass: the word of each new pivot bit, vectorised over the batch; the non-pivot row layout will rewrite it
         carrier_word = rows[np.arange(lead.size), safe >> 6]
+        # repro: allow[REP404] GF(2)-core in-loop pass: the offset of each new pivot bit, vectorised over the batch; the non-pivot row layout will rewrite it
         shift = (safe & 63).astype(np.uint64)
         # ``& grown`` isolates the pivot bit for grown bases, 0 elsewhere.
         carrier = (carrier_word >> shift[:, None]) & grown[:, None]
@@ -419,6 +423,7 @@ class GF2BasisBatch:
             low = (1 << r) - 1
             while True:
                 while bits < r:
+                    # repro: allow[REP404] an rng byte draw (the pick-bit refill), not the layout
                     refill = int.from_bytes(rngs[uid].bytes(PICK_REFILL_BYTES), "little")
                     buffer |= refill << bits
                     bits += refill_bits
@@ -430,9 +435,11 @@ class GF2BasisBatch:
             buffers[uid] = buffer
             counts[uid] = bits
             drawn_uids.append(uid)
+            # repro: allow[REP404] GF(2)-core pass: the pick bits replay the per-node rng stream byte for byte
             drawn.append(pick.to_bytes(width_bytes, "little"))
             active[uid] = True
         if drawn_uids:
+            # repro: allow[REP404] GF(2)-core pass: the pick bits replay the per-node rng stream byte for byte
             rows = np.unpackbits(
                 np.frombuffer(b"".join(drawn), dtype=np.uint8).reshape(
                     len(drawn), width_bytes
@@ -520,11 +527,13 @@ class GF2BasisBatch:
                 continue
             act, vec, pivot = act[good], vec[good], pivot[good]
             # Back-eliminate: clear the new pivot bit from existing pivot rows.
+            # repro: allow[REP404] GF(2)-core pass of the decode sweep: the word of each new pivot bit, one per rank level
             word = (pivot >> 6)[:, None, None]
+            # repro: allow[REP404] GF(2)-core pass of the decode sweep: the offset of each new pivot bit, one per rank level
             shift = (pivot & 63).astype(np.uint64)[:, None]
             carrier = (
                 np.take_along_axis(pivot_rows[act], word, axis=2)[:, :, 0] >> shift  # repro: allow[REP401] one whole-batch pass per rank level
-            ) & np.uint64(1)
+            ) & np.uint64(1)  # repro: allow[REP401] one whole-batch pass per rank level
             # repro: allow[REP401] one whole-batch pass per rank level
             hit_rows, hit_cols = np.nonzero(carrier.astype(bool) & pivot_exists[act])
             if hit_rows.size:
@@ -540,6 +549,7 @@ class GF2BasisBatch:
         """The low ``k`` bits of each packed row as a boolean ``(m, k)`` matrix."""
         m = vectors.shape[0]
         words_k = word_count(k)
+        # repro: allow[REP404] GF(2)-core in-loop pass of the decode sweep, one call per rank level
         bits = np.unpackbits(
             np.ascontiguousarray(vectors[:, :words_k]).view(np.uint8).reshape(m, -1),
             axis=1,

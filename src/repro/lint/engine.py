@@ -1,12 +1,14 @@
-"""Orchestration: discover files, run rules, apply suppressions.
+"""Orchestration: discover files, run rules, apply suppressions, report.
 
 The pipeline per file is
 
 1. parse (a ``SyntaxError`` becomes a non-suppressible ``REP000``),
 2. one shared-visitor walk into a :class:`~repro.lint.visitor.FileIndex`,
-3. every applicable registered rule filters the index,
+3. every registered rule that applies to the file's category filters the
+   index,
 4. ``# repro: allow[...]`` directives drop matching findings (malformed
-   directives and unknown rule ids become ``REP001``).
+   directives and unknown rule ids become ``REP001``; an allow that
+   silenced nothing becomes ``REP002``).
 
 Whatever survives is a gate failure (exit code 1 from the CLI).
 """
@@ -14,14 +16,42 @@ Whatever survives is a gate failure (exit code 1 from the CLI).
 from __future__ import annotations
 
 import ast
+import json
+from collections import Counter
 from dataclasses import dataclass, field
-from pathlib import Path, PurePosixPath
+from pathlib import Path
 
-from .config import LintConfig
-from .findings import BAD_SUPPRESSION_ID, SYNTAX_ERROR_ID, Finding
-from .rules import RULE_REGISTRY, all_rules, resolve_rule_ids
+from .findings import (
+    BAD_SUPPRESSION_ID,
+    SYNTAX_ERROR_ID,
+    UNUSED_SUPPRESSION_ID,
+    Finding,
+)
+from .rules import RULE_REGISTRY, all_rules
 from .suppress import find_suppression, parse_suppressions
 from .visitor import build_index
+
+#: What the gate lints, relative to the repository root: the package, the
+#: benches, and the test oracles (references that share no code with the
+#: engines, so a seedless rng or a wall-clock read there would make the
+#: differential tests flaky without any engine fault).
+DEFAULT_PATHS = ("src", "benchmarks", "tests/oracles")
+
+#: Modules holding RoundKernel implementations: the per-node-object ban
+#: (REP302) and hot-path rules apply here.
+KERNEL_MODULES = ("kernels.py", "coded_kernels.py")
+
+#: Modules whose arrays are packed uint64 words: upcast hazards (REP402)
+#: and per-element-loop checks (REP401) apply here.
+PACKED_MODULES = (
+    "packed.py",
+    "kernels.py",
+    "coded_kernels.py",
+    "topology.py",
+    "stability.py",
+    "dynamics.py",
+    "bits.py",
+)
 
 
 @dataclass
@@ -36,27 +66,51 @@ class LintResult:
     def exit_code(self) -> int:
         return 1 if self.findings else 0
 
+    def to_text(self) -> str:
+        """The console report: one line per finding plus a summary."""
+        lines = [
+            f"{finding.location()}: {finding.rule}[{finding.name}] {finding.message}"
+            for finding in self.findings
+        ]
+        lines.append(
+            f"{len(self.findings)} finding(s) in {self.files_checked} file(s)"
+            f" ({len(self.suppressed)} suppressed inline)"
+        )
+        return "\n".join(lines)
+
+    def to_json(self) -> dict:
+        """The machine report, uploaded as a CI artifact."""
+        counts = Counter(finding.rule for finding in self.findings)
+        return {
+            "version": 1,
+            "files_checked": self.files_checked,
+            "findings": [finding.to_dict() for finding in self.findings],
+            "suppressed": [finding.to_dict() for finding in self.suppressed],
+            "counts_by_rule": dict(sorted(counts.items())),
+            "exit_code": self.exit_code,
+        }
+
+    def write_json(self, path: Path) -> None:
+        path.write_text(json.dumps(self.to_json(), indent=2) + "\n")
+
 
 def categorize(path: Path) -> str:
-    """``src`` / ``bench`` / ``test`` from the path shape."""
-    parts = {part.lower() for part in path.parts}
+    """``src`` / ``bench`` / ``test`` from the path shape.
+
+    The test oracles (``tests/oracles/``) are ``src``: they are held to the
+    same determinism rules as the engines they check.
+    """
+    parts = [part.lower() for part in path.parts]
     if "benchmarks" in parts:
         return "bench"
+    if ("tests", "oracles") in zip(parts, parts[1:]):
+        return "src"
     if "tests" in parts or path.name.startswith("test_"):
         return "test"
     return "src"
 
 
-def _excluded(path: Path, config: LintConfig) -> bool:
-    try:
-        rel = path.resolve().relative_to(config.root.resolve())
-    except ValueError:
-        rel = path
-    posix = PurePosixPath(rel)
-    return any(posix.match(pattern) for pattern in config.exclude)
-
-
-def iter_python_files(paths: list[Path], config: LintConfig) -> list[Path]:
+def iter_python_files(paths: list[Path]) -> list[Path]:
     """Expand the CLI path arguments into a sorted, de-duplicated file list."""
     files: list[Path] = []
     seen: set[Path] = set()
@@ -69,31 +123,14 @@ def iter_python_files(paths: list[Path], config: LintConfig) -> list[Path]:
             candidates = []
         for candidate in candidates:
             resolved = candidate.resolve()
-            if resolved in seen or _excluded(candidate, config):
-                continue
-            seen.add(resolved)
-            files.append(candidate)
+            if resolved not in seen:
+                seen.add(resolved)
+                files.append(candidate)
     return files
 
 
-def active_rules(config: LintConfig):
-    """The registered rules this run enables (select minus ignore)."""
-    rules = all_rules()
-    if config.select:
-        selected = resolve_rule_ids(config.select)
-        rules = [rule for rule in rules if rule.id in selected]
-    if config.ignore:
-        ignored = resolve_rule_ids(config.ignore)
-        rules = [rule for rule in rules if rule.id not in ignored]
-    return rules
-
-
 def lint_source(
-    path: Path,
-    source: str,
-    config: LintConfig,
-    *,
-    category: str | None = None,
+    path: Path, source: str, *, category: str | None = None
 ) -> tuple[list[Finding], list[Finding]]:
     """Lint one file's text; return ``(active, suppressed)`` findings.
 
@@ -104,105 +141,68 @@ def lint_source(
     try:
         tree = ast.parse(source, filename=str(path))
     except SyntaxError as exc:
-        line = exc.lineno or 1
-        return (
-            [
-                Finding(
-                    path=str(path),
-                    line=line,
-                    col=(exc.offset or 1) - 1,
-                    rule=SYNTAX_ERROR_ID,
-                    name="syntax-error",
-                    message=f"file does not parse: {exc.msg}",
-                )
-            ],
-            [],
-        )
+        line, col = exc.lineno or 1, (exc.offset or 1) - 1
+        message = f"file does not parse: {exc.msg}"
+        return [Finding(str(path), line, col, SYNTAX_ERROR_ID, "syntax-error", message)], []
     index = build_index(
         str(path),
         source,
         tree,
         category=category,
-        is_kernel_module=path.name in config.kernel_modules,
-        is_packed_module=path.name in config.packed_modules,
+        is_kernel_module=path.name in KERNEL_MODULES,
+        is_packed_module=path.name in PACKED_MODULES,
         in_algorithms="algorithms" in {part.lower() for part in path.parts},
     )
-    raw: list[Finding] = []
-    for rule in active_rules(config):
-        if category not in rule.categories:
-            continue
-        raw.extend(rule.check(index))
+    raw = [
+        finding
+        for rule in all_rules()
+        if category in rule.categories
+        for finding in rule.check(index)
+    ]
 
     suppressions, problems = parse_suppressions(source)
-    for line, col, message in problems:
-        raw.append(
-            Finding(
-                path=str(path),
-                line=line,
-                col=col,
-                rule=BAD_SUPPRESSION_ID,
-                name="bad-suppression",
-                message=message,
-            )
-        )
-    known_ids = set(RULE_REGISTRY) | {
-        rule.name for rule in RULE_REGISTRY.values()
-    }
-    for suppression in suppressions.values():
-        for unknown in sorted(suppression.rules - known_ids):
-            raw.append(
-                Finding(
-                    path=str(path),
-                    line=suppression.line,
-                    col=0,
-                    rule=BAD_SUPPRESSION_ID,
-                    name="bad-suppression",
-                    message=f"allow[...] names unknown rule {unknown!r}",
-                )
-            )
+    problems += [
+        (suppression.line, 0, f"allow[...] names unknown rule {unknown!r}")
+        for suppression in suppressions.values()
+        for unknown in sorted(suppression.rules - set(RULE_REGISTRY))
+    ]
+    active = [
+        Finding(str(path), line, col, BAD_SUPPRESSION_ID, "bad-suppression", message)
+        for line, col, message in problems
+    ]
 
-    active: list[Finding] = []
     suppressed: list[Finding] = []
     for finding in raw:
-        if finding.rule in (SYNTAX_ERROR_ID, BAD_SUPPRESSION_ID):
+        match = find_suppression(suppressions, finding.line, finding.rule)
+        if match is None:
             active.append(finding)
-            continue
-        match = find_suppression(
-            suppressions, finding.line, finding.rule, finding.name
-        )
-        if match is not None:
-            match.used = True
-            suppressed.append(finding)
         else:
-            active.append(finding)
+            match.used.add(finding.rule)
+            suppressed.append(finding)
+    for suppression in suppressions.values():
+        for unused in sorted((suppression.rules & set(RULE_REGISTRY)) - suppression.used):
+            message = f"allow[{unused}] silences nothing on the lines it covers; drop it"
+            active.append(
+                Finding(
+                    str(path), suppression.line, 0,
+                    UNUSED_SUPPRESSION_ID, "unused-suppression", message,
+                )
+            )
     return sorted(active), sorted(suppressed)
 
 
-def run_lint(
-    paths: list[Path],
-    config: LintConfig,
-    *,
-    category: str | None = None,
-) -> LintResult:
+def run_lint(paths: list[Path]) -> LintResult:
     """Lint ``paths`` end to end."""
     result = LintResult()
-    for path in iter_python_files(paths, config):
+    for path in iter_python_files(paths):
         result.files_checked += 1
         try:
             source = path.read_text()
         except OSError as exc:
-            result.findings.append(
-                Finding(
-                    path=str(path),
-                    line=1,
-                    col=0,
-                    rule=SYNTAX_ERROR_ID,
-                    name="unreadable",
-                    message=f"cannot read file: {exc}",
-                )
-            )
+            message = f"cannot read file: {exc}"
+            result.findings.append(Finding(str(path), 1, 0, SYNTAX_ERROR_ID, "unreadable", message))
             continue
-        active, suppressed = lint_source(path, source, config, category=category)
+        active, suppressed = lint_source(path, source)
         result.findings.extend(active)
         result.suppressed.extend(suppressed)
     result.findings.sort()

@@ -4,13 +4,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-#: Pseudo-rule id for files the linter cannot parse.  Not a registered
-#: rule: it can be neither selected away nor suppressed.
+#: Pseudo-rule ids, emitted by the engine rather than a registered rule,
+#: so no allow can silence them: files the linter cannot parse, malformed
+#: or unknown suppression directives, and allows that silenced nothing.
 SYNTAX_ERROR_ID = "REP000"
-
-#: Pseudo-rule id for malformed or unknown suppression directives
-#: (emitted by the engine, not by a registered rule).
 BAD_SUPPRESSION_ID = "REP001"
+UNUSED_SUPPRESSION_ID = "REP002"
 
 
 @dataclass(frozen=True, order=True)

@@ -1,44 +1,32 @@
-"""The rule protocol and registry.
+"""The rule base class and registry.
 
-A rule is an object with ``id`` (``"REP102"``), ``name`` (a kebab slug),
-``description``, the file ``categories`` it applies to, and a
-``check(index)`` generator yielding :class:`~repro.lint.findings.Finding`
-records from a prebuilt :class:`~repro.lint.visitor.FileIndex`.  Register
-with the :func:`register_rule` class decorator; the engine instantiates
-one singleton per rule class.
+A rule subclasses :class:`BaseRule`, sets ``id`` (``"REP102"``), ``name``
+(a kebab slug), ``description`` and the file ``categories`` it applies to,
+and implements ``check(index)``, a generator yielding
+:class:`~repro.lint.findings.Finding` records from a prebuilt
+:class:`~repro.lint.visitor.FileIndex`.  Register with the
+:func:`register_rule` class decorator; the engine instantiates one
+singleton per rule class.
 
 Rule id ranges mirror the contract families:
 
 * ``REP1xx`` — determinism (seeded RNG streams only)
 * ``REP2xx`` — picklability (sweep-worker factory contract)
-* ``REP3xx`` — engine matrix / GF(2) representation contracts
-* ``REP4xx`` — hot-path hygiene
+* ``REP3xx`` — engine matrix, GF(2) representation and coded-window contracts
+* ``REP4xx`` — hot-path hygiene and the packed bit-row layout's one home
 
-``REP000`` (syntax error) and ``REP001`` (bad suppression) are engine
-pseudo-rules, deliberately outside the registry: they can be neither
-disabled nor suppressed.
+``REP000`` (syntax error), ``REP001`` (bad suppression) and ``REP002``
+(unused suppression) are engine pseudo-rules, deliberately outside the
+registry: no allow can silence them.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Iterator, Protocol, runtime_checkable
+from typing import Iterator
 
 from ..findings import Finding
 from ..visitor import FileIndex
-
-#: File categories a rule may opt into.
-CATEGORIES = ("src", "bench", "test")
-
-
-@runtime_checkable
-class Rule(Protocol):
-    id: str
-    name: str
-    description: str
-    categories: frozenset[str]
-
-    def check(self, index: FileIndex) -> Iterator[Finding]: ...
 
 
 class BaseRule:
@@ -82,18 +70,6 @@ def register_rule(cls: type[BaseRule]) -> type[BaseRule]:
 def all_rules() -> list[BaseRule]:
     """Every registered rule, in id order."""
     return [RULE_REGISTRY[rule_id] for rule_id in sorted(RULE_REGISTRY)]
-
-
-def resolve_rule_ids(tokens: tuple[str, ...]) -> frozenset[str]:
-    """Map a mix of ids and slugs to the matching registered ids."""
-    ids = set()
-    by_name = {rule.name: rule.id for rule in RULE_REGISTRY.values()}
-    for token in tokens:
-        if token in RULE_REGISTRY:
-            ids.add(token)
-        elif token in by_name:
-            ids.add(by_name[token])
-    return frozenset(ids)
 
 
 # Populate the registry.  Imported last so the submodules can import the

@@ -7,11 +7,13 @@ per-node message/subspace objects *off* the hot path (whole-network state
 lives in packed arrays, scalar objects exist only inside ``to_nodes``);
 and per-node protocol code in ``algorithms/`` never reaches for the
 whole-network :class:`GF2BasisBatch` (ROADMAP "GF(2) representation
-rule": int masks per node, stacked batches per network).
+rule": int masks per node, stacked batches per network), nor runs a coded
+window of its own outside ``algorithms/blocks.py``.
 """
 
 from __future__ import annotations
 
+from pathlib import PurePath
 from typing import Iterator
 
 from ..findings import Finding
@@ -27,6 +29,13 @@ REQUIRED_KERNEL_METHODS = ("supports", "to_nodes")
 #: paths (only inside ``to_nodes`` materialisation).
 PER_NODE_CLASSES = frozenset(
     {"Subspace", "GF2Basis", "CodedMessage", "Message", "GenerationState"}
+)
+
+
+#: Calls that open, draw for or decode a coded window (Section 7): only
+#: ``algorithms/blocks.py`` makes them.
+CODED_WINDOW_CALLS = frozenset(
+    {"decode_block", "decode_payloads", "choice", "Generation", "for_message"}
 )
 
 
@@ -148,4 +157,29 @@ class BatchLeakRule(BaseRule):
                     "GF2BasisBatch used inside algorithms/: per-node "
                     "protocol logic must stay in int-mask form (the GF(2) "
                     "representation rule)",
+                )
+
+
+@register_rule
+class CodedWindowRule(BaseRule):
+    id = "REP304"
+    name = "coded-window-outside-blocks"
+    description = (
+        "decodes, b/d random draws and coding generations in algorithms/ "
+        "belong to blocks.py"
+    )
+    categories = frozenset({"src"})
+
+    def check(self, index: FileIndex) -> Iterator[Finding]:
+        if not index.in_algorithms or PurePath(index.path).name == "blocks.py":
+            return
+        for call in index.calls:
+            if call.name in CODED_WINDOW_CALLS:
+                yield self.finding(
+                    index,
+                    call.node,
+                    f"`{call.name}(...)` outside algorithms/blocks.py: a "
+                    "coding protocol is its indexing rule plus the shared "
+                    "coded window — use BlockBroadcast, decoded_tokens, "
+                    "random_batch or IndexedBroadcastNode",
                 )

@@ -7,11 +7,15 @@ dispatch pays numpy overhead n times), float literals or true division
 leaking ``float64`` into ``uint64`` word arrays (silent upcast, then a
 cast back that may truncate), and invariants guarded by ``assert``
 (stripped wholesale under ``python -O``, so the "impossible" state ships
-instead of raising).
+instead of raising).  And the packed bit-row layout (little-endian
+``uint64`` words, lowest bit first) has one home, ``repro/bits.py``: a
+word count, word index or bit offset written out anywhere else, or a
+byte-level conversion, is a second copy of the layout.
 """
 
 from __future__ import annotations
 
+from pathlib import PurePath
 from typing import Iterator
 
 from ..findings import Finding
@@ -26,6 +30,16 @@ LOOP_EXEMPT_FUNCTIONS = frozenset({"to_nodes", "__init__"})
 #: round with whole-network array ops inside is the engine's design; the
 #: rule hunts per-element (n- or k-sized) loops.
 ROUND_LOOP_TARGETS = ("round", "iteration", "epoch")
+
+#: Byte-level conversions of a bit row, matched by the called name.
+LAYOUT_CALLS = frozenset({"from_bytes", "to_bytes", "packbits", "unpackbits"})
+
+#: The layout arithmetic :func:`~repro.lint.visitor.build_index` records.
+LAYOUT_BINOPS = {
+    "word-count": "`(x + 63) // 64` word count",
+    "word-index": "`x >> 6` word index",
+    "bit-offset": "`x & 63` bit offset",
+}
 
 
 def _is_round_loop(targets: tuple[str, ...]) -> bool:
@@ -91,7 +105,7 @@ class Uint64UpcastRule(BaseRule):
                     "uint64 word arrays lose exactness above 2**53; use // "
                     "(or an explicit float() if a ratio is intended)",
                 )
-            else:
+            elif record.kind == "float-literal":
                 yield self.finding(
                     index,
                     record.node,
@@ -121,3 +135,36 @@ class LoadBearingAssertRule(BaseRule):
                 "RuntimeError/ValueError explicitly (tests may keep "
                 "asserts — this rule only covers src/)",
             )
+
+
+@register_rule
+class LayoutOutsideBitsRule(BaseRule):
+    id = "REP404"
+    name = "layout-outside-bits"
+    description = (
+        "packed bit-row layout arithmetic and byte conversions belong to "
+        "repro/bits.py"
+    )
+    categories = frozenset({"src"})
+
+    def check(self, index: FileIndex) -> Iterator[Finding]:
+        if PurePath(index.path).name == "bits.py":
+            return
+        for record in index.binops:
+            if record.kind in LAYOUT_BINOPS:
+                yield self.finding(
+                    index,
+                    record.node,
+                    f"{LAYOUT_BINOPS[record.kind]} outside repro/bits.py: "
+                    "call repro.bits (word_count, has_bit, iter_bits, ...) "
+                    "so the layout keeps one home",
+                )
+        for call in index.calls:
+            if call.name in LAYOUT_CALLS:
+                yield self.finding(
+                    index,
+                    call.node,
+                    f"`{call.name}(...)` outside repro/bits.py: convert "
+                    "bit rows with repro.bits (masks_to_packed, pack_bits, "
+                    "...) so the layout keeps one home",
+                )

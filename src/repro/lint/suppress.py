@@ -1,13 +1,13 @@
 """Per-line suppressions: ``# repro: allow[rule-id] reason``.
 
-A suppression silences a finding on the *same* physical line or on the
-line directly below the comment (so long lines can carry the directive
-above themselves).  The reason is mandatory — an allow without one is
-itself reported (``REP001``), because the whole point of the directive is
-to record *why* a contract is deliberately waived.  Multiple ids separate
-with commas: ``# repro: allow[REP401, REP402] per-insert loop is the
-algorithm``.  Rules may be named by id (``REP403``) or slug
-(``load-bearing-assert``).
+A trailing directive silences a finding on its own line; a directive on a
+line of its own also covers the line directly below (so long lines can
+carry the directive above themselves).  The reason is mandatory — an allow
+without one is itself reported (``REP001``), because the whole point of
+the directive is to record *why* a contract is deliberately waived.
+Multiple ids separate with commas: ``# repro: allow[REP401, REP402]
+per-insert loop is the algorithm``.  An allow naming a rule that fired on
+none of its lines is reported too (``REP002``), so no stale waiver stays.
 
 Directives are parsed from real COMMENT tokens (via :mod:`tokenize`), so
 the syntax may safely appear inside strings and docstrings — e.g. in this
@@ -31,10 +31,10 @@ class Suppression:
     line: int
     rules: frozenset[str]
     reason: str
-    used: bool = field(default=False, compare=False)
-
-    def matches(self, rule_id: str, rule_name: str) -> bool:
-        return rule_id in self.rules or rule_name in self.rules
+    #: The directive is the whole line, so it also covers the next one.
+    own_line: bool = False
+    #: Rule ids this directive silenced at least once.
+    used: set[str] = field(default_factory=set, compare=False)
 
 
 def parse_suppressions(
@@ -74,16 +74,19 @@ def parse_suppressions(
                 (line, col, "suppression without a reason; write '# repro: allow[rule-id] why'")
             )
         else:
-            suppressions[line] = Suppression(line, ids, reason)
+            own_line = not tok.line[:col].strip()
+            suppressions[line] = Suppression(line, ids, reason, own_line)
     return suppressions, problems
 
 
 def find_suppression(
-    suppressions: dict[int, Suppression], line: int, rule_id: str, rule_name: str
+    suppressions: dict[int, Suppression], line: int, rule_id: str
 ) -> Suppression | None:
     """The suppression covering ``line`` for this rule, if any."""
-    for candidate_line in (line, line - 1):
-        suppression = suppressions.get(candidate_line)
-        if suppression is not None and suppression.matches(rule_id, rule_name):
-            return suppression
+    same = suppressions.get(line)
+    if same is not None and rule_id in same.rules:
+        return same
+    above = suppressions.get(line - 1)
+    if above is not None and above.own_line and rule_id in above.rules:
+        return above
     return None

@@ -4,10 +4,10 @@ Rules never walk the tree themselves.  :func:`build_index` runs a single
 :class:`ast.NodeVisitor` over the module and collects typed records —
 imports with their resolved targets, calls with the full scope/loop
 context, class bodies with decorators and members, asserts, returns,
-binary-operation hazards — into a :class:`FileIndex`.  A rule is then a
-cheap filter over those records, which keeps the per-file cost one walk
-no matter how many rules are enabled and gives every rule the same
-name-resolution semantics.
+binary operations (upcast hazards and bit-layout arithmetic) — into a
+:class:`FileIndex`.  A rule is then a cheap filter over those records,
+which keeps the per-file cost one walk no matter how many rules there
+are and gives every rule the same name-resolution semantics.
 
 Name resolution is intentionally static and module-local: ``import numpy
 as np`` makes ``np.random.default_rng`` resolve to
@@ -61,6 +61,15 @@ class CallRecord:
     #: while loops (whose target names are empty).
     loops: tuple[tuple[str, tuple[str, ...]], ...]
 
+    @property
+    def name(self) -> str | None:
+        """The called attribute or bare name, whatever the receiver
+        (``to_bytes`` for ``mask.to_bytes(8, "little")``)."""
+        func = self.node.func
+        if isinstance(func, ast.Attribute):
+            return func.attr
+        return func.id if isinstance(func, ast.Name) else None
+
 
 @dataclass(frozen=True)
 class AssertRecord:
@@ -98,8 +107,10 @@ class FunctionRecord:
 @dataclass(frozen=True)
 class BinOpRecord:
     node: ast.BinOp
-    #: ``"division"`` (true division on non-constant operands) or
-    #: ``"float-literal"`` (float constant mixed into arithmetic).
+    #: ``"division"`` (true division on non-constant operands),
+    #: ``"float-literal"`` (float constant mixed into arithmetic), or a
+    #: packed bit-row layout conversion: ``"word-count"`` (``(x + 63) //
+    #: 64``), ``"word-index"`` (``x >> 6``), ``"bit-offset"`` (``x & 63``).
     kind: str
     func_names: tuple[str, ...]
 
@@ -111,9 +122,9 @@ class FileIndex:
     path: str
     #: ``"src"`` | ``"bench"`` | ``"test"`` — decides which rules apply.
     category: str
-    #: Basename matches the configured kernel-module list.
+    #: Basename is in the engine's kernel-module list.
     is_kernel_module: bool = False
-    #: Basename matches the configured packed-module list.
+    #: Basename is in the engine's packed-module list.
     is_packed_module: bool = False
     #: File lives under an ``algorithms`` package directory.
     in_algorithms: bool = False
@@ -289,20 +300,41 @@ class _IndexBuilder(ast.NodeVisitor):
         self.generic_visit(node)
 
     def visit_BinOp(self, node: ast.BinOp) -> None:
-        left, right = node.left, node.right
-        both_const = isinstance(left, ast.Constant) and isinstance(right, ast.Constant)
-        if isinstance(node.op, ast.Div) and not both_const:
-            self.index.binops.append(
-                BinOpRecord(node, "division", tuple(self._funcs))
-            )
-        elif isinstance(node.op, (ast.Add, ast.Sub, ast.Mult, ast.Pow)):
-            left_float = isinstance(left, ast.Constant) and isinstance(left.value, float)
-            right_float = isinstance(right, ast.Constant) and isinstance(right.value, float)
-            if (left_float or right_float) and not both_const:
-                self.index.binops.append(
-                    BinOpRecord(node, "float-literal", tuple(self._funcs))
-                )
+        kind = _binop_kind(node)
+        if kind is not None:
+            self.index.binops.append(BinOpRecord(node, kind, tuple(self._funcs)))
         self.generic_visit(node)
+
+
+def _is_constant(node: ast.AST, value) -> bool:
+    return isinstance(node, ast.Constant) and node.value == value
+
+
+def _binop_kind(node: ast.BinOp) -> str | None:
+    """The :attr:`BinOpRecord.kind` of ``node``, or ``None`` for none."""
+    left, right, op = node.left, node.right, node.op
+    both_const = isinstance(left, ast.Constant) and isinstance(right, ast.Constant)
+    if isinstance(op, ast.Div):
+        return None if both_const else "division"
+    if isinstance(op, (ast.Add, ast.Sub, ast.Mult, ast.Pow)):
+        floats = any(
+            isinstance(side, ast.Constant) and isinstance(side.value, float)
+            for side in (left, right)
+        )
+        return "float-literal" if floats and not both_const else None
+    if (
+        isinstance(op, ast.FloorDiv)
+        and _is_constant(right, 64)
+        and isinstance(left, ast.BinOp)
+        and isinstance(left.op, ast.Add)
+        and _is_constant(left.right, 63)
+    ):
+        return "word-count"
+    if isinstance(op, ast.RShift) and _is_constant(right, 6):
+        return "word-index"
+    if isinstance(op, ast.BitAnd) and (_is_constant(left, 63) or _is_constant(right, 63)):
+        return "bit-offset"
+    return None
 
 
 def build_index(

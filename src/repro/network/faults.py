@@ -830,6 +830,7 @@ class SpanGuard:
         nbytes = (self.length + 7) // 8
         top = (1 << self.length) - 1
         while True:
+            # repro: allow[REP404] an rng byte draw of a malformed vector, not the layout
             mask = int.from_bytes(rng.bytes(nbytes), "little") & top
             if not self._basis.contains(mask):
                 return mask
@@ -898,20 +899,20 @@ class BoundFaults:
         #: Fake quorum members (never honest survivors).
         self.fake = fake
         self.guard: SpanGuard | None = None
+        #: Nodes never permanently crashed — the population completion and
+        #: correctness are measured over.  Recovering nodes *are* survivors
+        #: (they are expected to reconverge after rejoining), Byzantine nodes
+        #: are survivors (their receive path is honest), fake quorum members
+        #: are *not* (the honest quorum is the population that counts), and
+        #: the set shrinks in the round an adaptive strategy claims a victim
+        #: (``RoundFaultPlan.bind_edges`` rebuilds it), so read it per round.
+        self.survivor_indices = self._survivors()
 
-    @property
-    def survivor_indices(self) -> np.ndarray:
-        """Nodes never permanently crashed — the population completion and
-        correctness are measured over.  Recovering nodes *are* survivors
-        (they are expected to reconverge after rejoining), Byzantine nodes
-        are survivors (their receive path is honest), fake quorum members
-        are *not* (the honest quorum is the population that counts), and
-        the set shrinks when an adaptive strategy claims a victim — query
-        it per round.
-        """
-        return np.flatnonzero(
-            ~self.permanent & ~self.strategy_crashed & ~self.fake
-        )
+    def _survivors(self) -> np.ndarray:
+        """The survivor uids, ascending, as a read-only array."""
+        survivors = np.flatnonzero(~self.permanent & ~self.strategy_crashed & ~self.fake)
+        survivors.setflags(write=False)
+        return survivors
 
     @property
     def wants_state(self) -> bool:
@@ -1087,6 +1088,8 @@ class RoundFaultPlan:
             for uid in crashed:
                 self.bound.strategy_crashed[uid] = True
                 self.down[uid] = True
+            if crashed:
+                self.bound.survivor_indices = self.bound._survivors()
             if targeted is not None:
                 lost = targeted if lost is None else lost | targeted
         down = self.down

@@ -17,6 +17,7 @@ def packed_components(packed: np.ndarray, n: int) -> list[int]:
     """The components as int bitmasks, ordered by their lowest member."""
     stride = packed.shape[1] * 8
     data = np.ascontiguousarray(packed).astype("<u8", copy=False).tobytes()
+    # repro: allow[REP404] an oracle imports nothing from repro, so it reads the row layout itself
     masks = [int.from_bytes(data[u * stride : (u + 1) * stride], "little") for u in range(n)]
     full = (1 << n) - 1
     seen = 0

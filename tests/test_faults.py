@@ -22,6 +22,7 @@ engines; these tests pin
 from __future__ import annotations
 
 import dataclasses
+import math
 from collections import Counter
 
 import numpy as np
@@ -37,18 +38,24 @@ from repro.algorithms import (
 )
 from repro.gf import GF2Basis, GF2BasisBatch, masks_to_packed
 from repro.network import (
+    BridgeLossStrategy,
     BudgetedLossStrategy,
     ChurnProcess,
+    CollisionModel,
     EdgeMarkovProcess,
     FaultModel,
+    FrontierLossStrategy,
     OmniscientBottleneckAdversary,
     PartitionModel,
+    QuorumModel,
     SpanGuard,
+    StragglerIsolationStrategy,
     TargetedCrashStrategy,
     complete_topology,
     crash_schedule_from_churn,
     random_connected_topology,
 )
+from repro.obs import TraceRecorder
 from repro.scenarios import fault_model_for, hostile_scenarios, make_scenario
 from repro.simulation import (
     RunMetrics,
@@ -112,6 +119,50 @@ class TestFaultModelValidation:
     def test_invalid_models_rejected(self, kwargs):
         with pytest.raises(ValueError):
             FaultModel(**kwargs)
+
+    @pytest.mark.parametrize("build", [
+        lambda p: FaultModel(loss=p),
+        lambda p: FaultModel(duplication=p),
+        lambda p: CollisionModel(probability=p),
+        lambda p: BridgeLossStrategy(probability=p),
+        lambda p: StragglerIsolationStrategy(probability=p),
+        lambda p: FrontierLossStrategy(probability=p),
+    ], ids=["loss", "duplication", "collision", "bridge", "straggler", "frontier"])
+    def test_probabilities_accept_zero_and_one_exactly(self, build):
+        build(0.0)
+        build(1.0)
+        with pytest.raises(ValueError, match=r"in \[0, 1\]"):
+            build(math.nextafter(0.0, -1.0))
+        with pytest.raises(ValueError, match=r"in \[0, 1\]"):
+            build(math.nextafter(1.0, 2.0))
+
+    @pytest.mark.parametrize("build, edge", [
+        (lambda v: TargetedCrashStrategy(start=v), 0),
+        (lambda v: TargetedCrashStrategy(period=v), 1),
+        (lambda v: TargetedCrashStrategy(limit=v), 0),
+        (lambda v: BudgetedLossStrategy(budget=v), 0),
+        (lambda v: BudgetedLossStrategy(per_round=v), 1),
+        (lambda v: PartitionModel(windows=((v, v + 1),)), 0),
+        (lambda v: FaultModel(crashes=((v, 0),)), 0),
+        (lambda v: FaultModel(crashes=((0, v),)), 0),
+    ], ids=["start", "period", "limit", "budget", "per_round", "window_start",
+            "crash_uid", "crash_down"])
+    def test_integer_lower_bounds_are_exact(self, build, edge):
+        build(edge)
+        with pytest.raises(ValueError, match=">= "):
+            build(edge - 1)
+
+    @pytest.mark.parametrize("model", [
+        lambda uid: FaultModel(crashes=((uid, 0),)),
+        lambda uid: FaultModel(byzantine=(uid,)),
+        lambda uid: FaultModel(quorum=QuorumModel(fake=(uid,))),
+    ], ids=["crash", "byzantine", "fake"])
+    def test_bind_accepts_the_last_uid_and_rejects_n(self, model):
+        n = 8
+        rng = np.random.default_rng(0)
+        model(n - 1).bind(n, rng)
+        with pytest.raises(ValueError, match="out of range"):
+            model(n).bind(n, rng)
 
     def test_schedules_are_normalised_sorted(self):
         model = FaultModel(crashes=((7, 2), (1, 5)), byzantine=(9, 3))
@@ -680,6 +731,25 @@ class TestAdaptiveStrategyInvariants:
         assert int(bound.strategy_crashed.sum()) == 2
         # Strategy victims leave the surviving population.
         assert bound.survivor_indices.size == n - 2
+
+
+    @pytest.mark.parametrize("engine", ["kernel", "mask"])
+    def test_targeted_crash_victim_leaves_the_survivors_in_its_round(self, engine):
+        n, k, start = 12, 8, 3
+        config = make_config(n=n, k=k)
+        placement = standard_instance(n, k, config.token_bits, seed=3)
+        recorder = TraceRecorder()
+        result = run_dissemination(
+            TokenForwardingNode, config, placement,
+            make_scenario("edge_markov", n, seed=5),
+            seed=3, engine=engine, trace=recorder,
+            faults=FaultModel(strategy=TargetedCrashStrategy(start=start, limit=1)),
+        )
+        honest = recorder.to_trace().arrays["honest_survivors"]
+        assert honest.size > start + 1
+        assert (honest[:start] == n).all()
+        assert (honest[start:] == n - 1).all()
+        assert result.metrics.survivors == n - 1
 
 
 class TestCrashSchedulesFromChurn:

@@ -3,8 +3,8 @@
 Every shipped rule gets at least one fixture proving it fires and one
 proving the ``# repro: allow[...]`` suppression silences it (the
 acceptance contract for the lint gate), plus engine-level coverage:
-directive validation, config loading, reporters, CLI exit codes, and the standing requirement
-that the repository's own tree lints clean.
+directive validation, unused allows, reporters, CLI exit codes, and the
+standing requirement that the repository's own tree lints clean.
 """
 
 from __future__ import annotations
@@ -12,24 +12,21 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from repro.lint import (
-    LintConfig,
-    load_config,
-    run_lint,
-    to_json,
-)
+import pytest
+
+from repro.lint import DEFAULT_PATHS, run_lint
 from repro.lint.__main__ import main as lint_main
 from repro.lint.engine import categorize, lint_source
 from repro.lint.rules import RULE_REGISTRY, all_rules
+from repro.lint.suppress import ALLOW_RE, parse_suppressions
 
 FIXTURES = Path(__file__).resolve().parent / "lint_fixtures"
 REPO_ROOT = Path(__file__).resolve().parent.parent
-CONFIG = LintConfig(root=FIXTURES)
 
 
 def lint_fixture(name: str, category: str = "src"):
     path = FIXTURES / name
-    return lint_source(path, path.read_text(), CONFIG, category=category)
+    return lint_source(path, path.read_text(), category=category)
 
 
 def line_of(name: str, needle: str, occurrence: int = 0) -> int:
@@ -61,9 +58,11 @@ def test_rule_registry_shape():
         "REP301",
         "REP302",
         "REP303",
+        "REP304",
         "REP401",
         "REP402",
         "REP403",
+        "REP404",
     ]
     slugs = {rule.name for rule in all_rules()}
     assert len(slugs) == len(ids), "rule slugs must be unique"
@@ -226,20 +225,52 @@ def test_rep302_bans_per_node_objects_outside_to_nodes():
 
 def test_rep302_only_in_kernel_modules():
     source = (FIXTURES / "kernels.py").read_text()
-    active, _ = lint_source(FIXTURES / "not_a_kernel.py", source, CONFIG, category="src")
+    active, _ = lint_source(FIXTURES / "not_a_kernel.py", source, category="src")
     assert not rule_lines(active, "REP302")
 
 
 def test_rep303_rejects_batch_import_in_algorithms():
     path = FIXTURES / "algorithms" / "coded.py"
-    active, _ = lint_source(path, path.read_text(), CONFIG, category="src")
+    active, _ = lint_source(path, path.read_text(), category="src")
     lines = rule_lines(active, "REP303")
     assert len(lines) == 2  # the import and the instantiation
     # identical code outside algorithms/ is fine
-    outside, _ = lint_source(
-        FIXTURES / "coded.py", path.read_text(), CONFIG, category="src"
-    )
+    outside, _ = lint_source(FIXTURES / "coded.py", path.read_text(), category="src")
     assert not rule_lines(outside, "REP303")
+
+
+def test_rep304_confines_the_coded_window_to_blocks():
+    path = FIXTURES / "algorithms" / "window_bad.py"
+    active, suppressed = lint_source(path, path.read_text(), category="src")
+    fixture = "algorithms/window_bad.py"
+    assert [f.message.split("(")[0] for f in active if f.rule == "REP304"] == [
+        "`for_message",
+        "`Generation",
+        "`decode_block",
+        "`decode_payloads",
+        "`choice",
+    ]
+    assert rule_lines(active, "REP304") == {
+        line_of(fixture, "Generation.for_message(message)"),
+        line_of(fixture, "return Generation(k=k"),
+        line_of(fixture, "decode_block(config"),
+        line_of(fixture, "self.rng.choice", occurrence=0),
+    }
+    allowed = line_of(fixture, "allow[REP304]")
+    assert rule_lines(suppressed, "REP304") == {allowed}
+    # blocks.py is the window's home, and outside algorithms/ the rule is off
+    for home in (path.with_name("blocks.py"), FIXTURES / "window_bad.py"):
+        quiet, _ = lint_source(home, path.read_text(), category="src")
+        assert not rule_lines(quiet, "REP304")
+
+
+def test_rep304_fires_on_a_stray_choice_in_greedy_forward(tmp_path):
+    real = (REPO_ROOT / "src" / "repro" / "algorithms" / "greedy_forward.py").read_text()
+    target = tmp_path / "algorithms" / "greedy_forward.py"
+    assert not lint_source(target, real)[0]
+    injected = real + "\n\ndef _stray(rng, items):\n    return rng.choice(items)\n"
+    after = lint_source(target, injected)[0]
+    assert [(f.rule, f.line) for f in after] == [("REP304", len(injected.splitlines()))]
 
 
 # ----------------------------------------------------------------------
@@ -277,8 +308,45 @@ def test_rep403_fires_in_src_only():
     assert not rule_lines(test_active, "REP403"), "tests may assert freely"
 
 
+def test_rep404_confines_the_layout_to_bits():
+    active, suppressed = lint_fixture("layout_bad.py")
+    findings = [f for f in active if f.rule == "REP404"]
+    by_line = {}
+    for finding in findings:
+        by_line.setdefault(finding.line, []).append(finding.message.split(" outside")[0])
+    assert by_line == {
+        line_of("layout_bad.py", "(n + 63) // 64", occurrence=0): ["`(x + 63) // 64` word count"],
+        line_of("layout_bad.py", "row[i >> 6]"): ["`x >> 6` word index", "`x & 63` bit offset"],
+        line_of("layout_bad.py", "return 63 & i"): ["`x & 63` bit offset"],
+        line_of("layout_bad.py", "int.from_bytes"): ["`from_bytes(...)`"],
+        line_of("layout_bad.py", "mask.to_bytes"): ["`to_bytes(...)`"],
+        line_of("layout_bad.py", "np.unpackbits"): ["`unpackbits(...)`", "`packbits(...)`"],
+    }
+    allowed = line_of("layout_bad.py", "allow[REP404]")
+    assert rule_lines(suppressed, "REP404") == {allowed}
+    source = (FIXTURES / "layout_bad.py").read_text()
+    home, _ = lint_source(FIXTURES / "repro" / "bits.py", source, category="src")
+    assert not rule_lines(home, "REP404")
+    bench, _ = lint_fixture("layout_bad.py", category="bench")
+    assert not rule_lines(bench, "REP404"), "the layout rule covers src/ only"
+
+
+def test_rep404_fires_on_a_reinlined_byte_loop_in_topology_masks(tmp_path):
+    real = (REPO_ROOT / "src" / "repro" / "network" / "topology.py").read_text()
+    target = tmp_path / "topology.py"
+    assert not lint_source(target, real)[0]
+    call = "tuple(packed_to_masks(self._packed))"
+    assert real.count(call) == 1
+    inlined = real.replace(
+        call, 'tuple(int.from_bytes(row.tobytes(), "little") for row in self._packed)'
+    )
+    after = lint_source(target, inlined)[0]
+    line = next(i for i, text in enumerate(inlined.splitlines(), 1) if "int.from_bytes" in text)
+    assert [(f.rule, f.line) for f in after] == [("REP404", line)]
+
+
 # ----------------------------------------------------------------------
-# directives (REP001) and engine behaviour
+# directives (REP001, REP002) and engine behaviour
 # ----------------------------------------------------------------------
 
 
@@ -293,14 +361,55 @@ def test_bad_directives_are_reported():
     assert line_of("asserts_bad.py", "allowing everything forever") in lines
 
 
+def test_unused_allows_are_reported():
+    active, suppressed = lint_fixture("unused_allow.py")
+    unused = {(f.line, f.message.split("]")[0]) for f in active if f.rule == "REP002"}
+    assert unused == {
+        (line_of("unused_allow.py", "no clock is read"), "allow[REP103"),
+        (line_of("unused_allow.py", "does not reach the next line"), "allow[REP103"),
+        (line_of("unused_allow.py", "only the assert fires"), "allow[REP103"),
+    }
+    # a trailing allow does not cover the next line; one on a line of its own does
+    assert rule_lines(active, "REP103") == {line_of("unused_allow.py", "perf_counter() - start")}
+    assert rule_lines(suppressed, "REP103") == {
+        line_of("unused_allow.py", "perf_counter()", occurrence=1)
+    }
+    assert rule_lines(suppressed, "REP403") == {line_of("unused_allow.py", "assert value")}
+
+
+def test_engine_findings_cannot_be_allowed():
+    source = "x = 1  # repro: allow[REP002] try to silence the unused check\n"
+    active, _ = lint_source(FIXTURES / "mod.py", source, category="src")
+    assert [f.rule for f in active] == ["REP001"]
+    slug = "assert x  # repro: allow[load-bearing-assert] slugs are not rule ids\n"
+    active, _ = lint_source(FIXTURES / "mod.py", slug, category="src")
+    assert sorted(f.rule for f in active) == ["REP001", "REP403"]
+
+
+def test_every_allow_in_the_tree_is_load_bearing():
+    """Deleting any allow comment makes the rule it names fire on its site."""
+    checked = 0
+    for directory in DEFAULT_PATHS:
+        for path in sorted((REPO_ROOT / directory).rglob("*.py")):
+            lines = path.read_text().splitlines(keepends=True)
+            for number, suppression in parse_suppressions("".join(lines))[0].items():
+                text = lines[number - 1]
+                code = text[: ALLOW_RE.search(text).start()].rstrip()
+                edited = lines[:number - 1] + [code + "\n" if code else ""] + lines[number:]
+                active, _ = lint_source(path, "".join(edited))
+                assert suppression.rules <= {f.rule for f in active}, f"{path}:{number}"
+                checked += 1
+    assert checked >= 30
+
+
 def test_directive_text_inside_strings_is_ignored():
     source = '"""docstring mentioning # repro: allow[REP403] syntax."""\n'
-    active, suppressed = lint_source(FIXTURES / "doc.py", source, CONFIG, category="src")
+    active, suppressed = lint_source(FIXTURES / "doc.py", source, category="src")
     assert not active and not suppressed
 
 
 def test_syntax_error_becomes_rep000():
-    active, _ = lint_source(FIXTURES / "broken.py", "def broken(:\n", CONFIG, category="src")
+    active, _ = lint_source(FIXTURES / "broken.py", "def broken(:\n", category="src")
     assert [f.rule for f in active] == ["REP000"]
 
 
@@ -308,59 +417,34 @@ def test_categorize():
     assert categorize(Path("src/repro/gf/packed.py")) == "src"
     assert categorize(Path("benchmarks/common.py")) == "bench"
     assert categorize(Path("tests/test_lint.py")) == "test"
+    assert categorize(Path("tests/oracles/fault_edit.py")) == "src"
 
 
-def test_select_and_ignore():
-    path = FIXTURES / "determinism_bad.py"
-    source = path.read_text()
-    only_101 = LintConfig(root=FIXTURES, select=("REP101",))
-    active, _ = lint_source(path, source, only_101, category="src")
-    assert {f.rule for f in active} == {"REP101"}
-    by_slug = LintConfig(root=FIXTURES, select=("stdlib-random",))
-    active_slug, _ = lint_source(path, source, by_slug, category="src")
-    assert {f.rule for f in active_slug} == {"REP101"}
-    without = LintConfig(root=FIXTURES, ignore=("REP101", "REP102", "REP103"))
-    active2, _ = lint_source(path, source, without, category="src")
-    assert not active2
+@pytest.mark.parametrize(
+    "stray, rule",
+    [("np.random.default_rng()", "REP102"), ("time.time()", "REP103")],
+    ids=["seedless-rng", "wall-clock"],
+)
+def test_oracles_are_held_to_the_src_rules(tmp_path, stray, rule):
+    real = (REPO_ROOT / "tests" / "oracles" / "fault_edit.py").read_text()
+    oracles = tmp_path / "tests" / "oracles"
+    oracles.mkdir(parents=True)
+    target = oracles / "fault_edit.py"
+    target.write_text(real)
+    assert run_lint([oracles]).findings == []
+    target.write_text(real + f"\nimport time\n\nimport numpy as np\n\n_STRAY = {stray}\n")
+    assert [f.rule for f in run_lint([oracles]).findings] == [rule]
 
 
 # ----------------------------------------------------------------------
-# config, reporters, CLI
+# reporters, CLI
 # ----------------------------------------------------------------------
-
-
-def test_load_config_reads_pyproject(tmp_path):
-    (tmp_path / "pyproject.toml").write_text(
-        "[tool.repro-lint]\n"
-        'ignore = ["REP403"]\n'
-        'kernel-modules = ["mykernels.py"]\n'
-        'exclude = ["generated/**"]\n'
-    )
-    config = load_config(tmp_path)
-    assert config.root == tmp_path
-    assert config.ignore == ("REP403",)
-    assert config.kernel_modules == ("mykernels.py",)
-    assert config.exclude == ("generated/**",)
-
-
-def test_repo_pyproject_configures_the_gate():
-    config = load_config(REPO_ROOT)
-    assert "coded_kernels.py" in config.kernel_modules
-    assert "packed.py" in config.packed_modules
-
-
-def test_module_lists_are_the_same_with_or_without_pyproject():
-    with_pyproject = load_config(REPO_ROOT)
-    built_in = load_config(REPO_ROOT, use_pyproject=False)
-    assert with_pyproject.kernel_modules == built_in.kernel_modules
-    assert with_pyproject.packed_modules == built_in.packed_modules
 
 
 def test_json_report_shape(tmp_path):
     target = tmp_path / "mod.py"
     target.write_text("def f(v):\n    assert v\n    return v\n")
-    result = run_lint([target], LintConfig(root=tmp_path), category="src")
-    payload = to_json(result)
+    payload = run_lint([target]).to_json()
     assert payload["exit_code"] == 1
     assert payload["counts_by_rule"] == {"REP403": 1}
     (finding,) = payload["findings"]
@@ -368,33 +452,19 @@ def test_json_report_shape(tmp_path):
     assert finding["line"] == 2
 
 
-def test_cli_exit_codes_and_output(tmp_path, capsys, monkeypatch):
-    monkeypatch.chdir(tmp_path)
+def test_cli_exit_codes_and_output(tmp_path, capsys):
     clean = tmp_path / "clean.py"
     clean.write_text("def f():\n    return 1\n")
     dirty = tmp_path / "dirty.py"
     dirty.write_text("def f(v):\n    assert v\n    return v\n")
 
-    assert lint_main([str(clean), "--no-config"]) == 0
+    assert lint_main([str(clean)]) == 0
     report = tmp_path / "report.json"
-    assert lint_main([str(dirty), "--no-config", "--output", str(report)]) == 1
-    capsys.readouterr()
+    assert lint_main([str(dirty), "--output", str(report)]) == 1
+    assert "REP403[load-bearing-assert]" in capsys.readouterr().out
     payload = json.loads(report.read_text())
     assert payload["counts_by_rule"] == {"REP403": 1}
-
-    assert lint_main([str(dirty), "--no-config", "--ignore", "REP403"]) == 0
-    assert lint_main(["does-not-exist", "--no-config"]) == 2
-    assert lint_main(["--list-rules"]) == 0
-    out = capsys.readouterr().out
-    assert "REP403" in out
-
-
-def test_cli_json_format(tmp_path, capsys):
-    dirty = tmp_path / "dirty.py"
-    dirty.write_text("def f(v):\n    assert v\n    return v\n")
-    assert lint_main([str(dirty), "--no-config", "--format", "json"]) == 1
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["exit_code"] == 1
+    assert lint_main(["does-not-exist"]) == 2
 
 
 # ----------------------------------------------------------------------
@@ -402,24 +472,25 @@ def test_cli_json_format(tmp_path, capsys):
 # ----------------------------------------------------------------------
 
 
-def test_repository_tree_lints_clean():
-    """The CI gate, enforced from tier-1 as well: src + benchmarks are clean."""
-    config = load_config(REPO_ROOT)
-    result = run_lint([REPO_ROOT / "src", REPO_ROOT / "benchmarks"], config)
-    assert result.findings == []
-    assert result.files_checked > 50
+def test_repository_tree_lints_clean(tmp_path, monkeypatch):
+    """The CI gate, enforced from tier-1 as well: the CLI's default paths
+    (src, benchmarks, tests/oracles) are clean."""
+    monkeypatch.chdir(REPO_ROOT)
+    report = tmp_path / "lint-report.json"
+    exit_code = lint_main(["--output", str(report)])
+    payload = json.loads(report.read_text())
+    assert payload["findings"] == []
+    assert exit_code == 0
+    assert payload["files_checked"] > 50
+    assert any(f["path"].startswith("tests/oracles/") for f in payload["suppressed"])
 
 
 def test_injected_seedless_rng_fails_the_gate(tmp_path):
     """The acceptance scenario: a seedless default_rng() in kernels.py trips CI."""
     real = (REPO_ROOT / "src" / "repro" / "simulation" / "kernels.py").read_text()
     target = tmp_path / "kernels.py"
-    target.write_text(real)
-    config = load_config(REPO_ROOT)
-    before = lint_source(target, real, config, category="src")[0]
-    assert not before
+    assert not lint_source(target, real, category="src")[0]
     injected = real + "\n_UNSEEDED = np.random.default_rng()\n"
-    target.write_text(injected)
-    after = lint_source(target, injected, config, category="src")[0]
+    after = lint_source(target, injected, category="src")[0]
     assert [f.rule for f in after] == ["REP102"]
     assert after[0].line == len(injected.splitlines())

@@ -14,6 +14,11 @@ Matching is by bare name, so a common word (``rank``) used as any
 attribute counts as a use; the scan can miss dead code, never invent it.
 Run it standalone to print the names without a caller:
 ``python tests/test_src_callers.py``.
+
+This is the one structural check that is a scan rather than a
+``repro.lint`` rule: whether a name has a caller is a fact about other
+files, and the lint checks one file at a time. So its exceptions live in
+``KEPT`` here, not in inline ``# repro: allow[...]`` comments.
 """
 
 from __future__ import annotations
