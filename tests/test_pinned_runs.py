@@ -11,7 +11,12 @@ scenarios and a healing partition; greedy-forward and priority-forward
 also run at a budget whose blocks carry several tokens.  The omniscient
 cases pin the Section 6 round order -- state snapshot, compose, then the
 adversary reads the composed messages -- with a content-sensitive
-:class:`OmniscientBottleneckAdversary` under a few fault models.  Each run must
+:class:`OmniscientBottleneckAdversary` under a few fault models, two of them
+with a state-aware fault strategy, so one round holds both snapshots: the
+adversary's before compose and the strategy's after it.  The adaptive
+cases pin the non-omniscient adversaries that read node state (the
+bottleneck's knowledge/rank split and the isolation of one token's
+holders).  Each run must
 reproduce the full ``RunMetrics.to_dict()``, the correctness verdict and
 the trace ``content_digest()`` pinned in ``tests/golden/pinned_runs.json``
 (see :mod:`tests.golden`); both engines must reproduce the one pin.
@@ -37,7 +42,11 @@ from repro.algorithms import (
 )
 from repro.algorithms.base import ProtocolConfig
 from repro.algorithms.blocks import block_layout
-from repro.network import OmniscientBottleneckAdversary
+from repro.network import (
+    BottleneckAdversary,
+    OmniscientBottleneckAdversary,
+    TokenIsolationAdversary,
+)
 from repro.obs import TraceRecorder
 from repro.scenarios import fault_model_for, list_scenarios, make_scenario
 from repro.simulation import run_dissemination, standard_instance
@@ -59,6 +68,15 @@ COUNTING_GUESSES = (2, 4, 8, 16)
 #: omniscient adversary runs under; ``benign`` is no fault model at all.
 OMNISCIENT_FAULTS = ("benign", "lossy_edge_markov", "byzantine_replay_t4")
 OMNISCIENT_MASK_ONLY = {"PriorityForwardNode": PriorityForwardNode}
+#: Fault models with a state-aware strategy the omniscient adversary runs
+#: under, for the catalog protocols on both engines and naive coding on mask.
+STATE_AWARE_FAULTS = ("frontier_adaptive_mix", "straggler_capture_radio")
+STATE_AWARE_MASK_ONLY = ("NaiveCodedNode",)
+#: Non-omniscient adversaries that read node state, built per placement.
+ADAPTIVE_ADVERSARIES = {
+    "bottleneck2": lambda placement: BottleneckAdversary(bridge_pairs=2),
+    "token_isolation": lambda placement: TokenIsolationAdversary(min(placement.all_ids())),
+}
 #: The Section 7 and T-stable baselines, pinned over ``PROTOCOL_SCENARIOS``
 #: and every omniscient fault model, on the mask engine (they have no packed
 #: kernel).  Greedy-forward gathers for only 4 rounds and both coded
@@ -167,6 +185,23 @@ def _cases() -> list[tuple[str, str]]:
         for name in PROTOCOL_FACTORIES
     ]
     cases += [
+        (f"omniscient/{faults}/{name}", engine)
+        for faults in STATE_AWARE_FAULTS
+        for name in CATALOG_FACTORIES
+        for engine in ("kernel", "mask")
+    ]
+    cases += [
+        (f"omniscient/{faults}/{name}", "mask")
+        for faults in STATE_AWARE_FAULTS
+        for name in STATE_AWARE_MASK_ONLY
+    ]
+    cases += [
+        (f"adaptive/{adversary}/{name}", engine)
+        for adversary in ADAPTIVE_ADVERSARIES
+        for name in CATALOG_FACTORIES
+        for engine in ("kernel", "mask")
+    ]
+    cases += [
         (f"wide_blocks/{scenario}/{name}", "mask")
         for scenario in WIDE_BLOCK_SCENARIOS
         for name in WIDE_BLOCK_FACTORIES
@@ -176,7 +211,7 @@ def _cases() -> list[tuple[str, str]]:
 
 def _run(key: str, engine: str) -> dict:
     family, scenario, name = key.split("/")
-    if family == "catalog":
+    if family in ("catalog", "adaptive"):
         factory, config = CATALOG_FACTORIES[name], make_config(N, K)
     elif family in ("omniscient", "protocol"):
         factory = (
@@ -190,9 +225,12 @@ def _run(key: str, engine: str) -> dict:
     else:
         build, config = _object_cases()[name]
         factory = build()
+    placement = standard_instance(N, K, config.token_bits, seed=SEED)
     if family == "omniscient":
         adversary = OmniscientBottleneckAdversary(usefulness_fn=_useful_crossing)
         faults = None if scenario == "benign" else fault_model_for(scenario, N, seed=SEED)
+    elif family == "adaptive":
+        adversary, faults = ADAPTIVE_ADVERSARIES[scenario](placement), None
     else:
         adversary = make_scenario(scenario, N, seed=SEED)
         faults = fault_model_for(scenario, N, seed=SEED)
@@ -200,7 +238,7 @@ def _run(key: str, engine: str) -> dict:
     result = run_dissemination(
         factory,
         config,
-        standard_instance(N, K, config.token_bits, seed=SEED),
+        placement,
         adversary,
         seed=SEED,
         engine=engine,
