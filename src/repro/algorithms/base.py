@@ -14,9 +14,10 @@ Everything a node may legitimately know is provided through
 
 Protocols signal what they have learned through :meth:`ProtocolNode.known_token_ids`
 and :meth:`ProtocolNode.decoded_tokens`; the simulator uses these for
-completion detection and correctness checking, and exposes a sanitised
-:class:`~repro.network.adversary.NodeStateView` of them to adaptive
-adversaries.
+completion detection and correctness checking.  Adaptive adversaries see
+the ``known`` dicts (and :meth:`ProtocolNode.coded_rank`) only through
+the round kernel's whole-network
+:class:`~repro.network.adversary.RoundState`.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from ..network.adversary import NodeStateView
 from ..tokens.message import Message, MessageBudget, TokenForwardMessage, uid_bits
 from ..tokens.token import Token, TokenId
 
@@ -183,23 +183,6 @@ class ProtocolNode(abc.ABC):
     def finished(self) -> bool:
         """True when the node has locally terminated (optional; default False)."""
         return False
-
-    def state_view(self) -> NodeStateView:
-        """The sanitised (lazy) view handed to adaptive adversaries.
-
-        The frozenset of known ids is only materialised if the adversary
-        reads ``known_token_ids``; the count and membership accessors the
-        in-repo adversaries use are O(1) suppliers over ``known``, the
-        authoritative knowledge record (the runner rejects node classes
-        that override :meth:`known_token_ids`).
-        """
-        return NodeStateView(
-            uid=self.uid,
-            rank=self.coded_rank(),
-            known_supplier=self.known_token_ids,
-            known_count=len(self.known),
-            membership=self.known.__contains__,
-        )
 
     # ------------------------------------------------------------------
     # incremental knowledge-mask tracking (the runner's fast-path contract)

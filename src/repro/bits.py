@@ -28,7 +28,6 @@ from typing import Iterator, Sequence
 import numpy as np
 
 __all__ = [
-    "has_bit",
     "iter_bits",
     "masks_to_packed",
     "pack_bits",
@@ -65,11 +64,6 @@ def packed_to_masks(rows: np.ndarray) -> list[int]:
         int.from_bytes(data[i * stride : (i + 1) * stride], "little")
         for i in range(rows.shape[0])
     ]
-
-
-def has_bit(row: np.ndarray, bit: int) -> bool:
-    """Whether bit ``bit`` of one packed ``(words,)`` row is set."""
-    return bool((int(row[bit >> 6]) >> (bit & 63)) & 1)
 
 
 def iter_bits(mask: int) -> Iterator[int]:

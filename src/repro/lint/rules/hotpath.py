@@ -156,7 +156,7 @@ class LayoutOutsideBitsRule(BaseRule):
                     index,
                     record.node,
                     f"{LAYOUT_BINOPS[record.kind]} outside repro/bits.py: "
-                    "call repro.bits (word_count, has_bit, iter_bits, ...) "
+                    "call repro.bits (word_count, set_bits, iter_bits, ...) "
                     "so the layout keeps one home",
                 )
         for call in index.calls:

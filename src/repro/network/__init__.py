@@ -19,13 +19,13 @@ scenario catalog built on the dynamics layer lives in
 from .adversary import (
     Adversary,
     BottleneckAdversary,
-    NodeStateView,
     ObliviousSequenceAdversary,
     OmniscientBottleneckAdversary,
     PathShuffleAdversary,
     RandomConnectedAdversary,
     RandomTreeAdversary,
     RotatingStarAdversary,
+    RoundState,
     ShiftedRingAdversary,
     StaticAdversary,
     TokenIsolationAdversary,
@@ -44,7 +44,6 @@ from .faults import (
     RoundFaultPlan,
     RoundFaultStats,
     SpanGuard,
-    StateView,
     StragglerIsolationStrategy,
     TargetedCrashStrategy,
     crash_schedule_from_churn,
@@ -100,7 +99,6 @@ __all__ = [
     "RoundFaultPlan",
     "RoundFaultStats",
     "SpanGuard",
-    "StateView",
     "StragglerIsolationStrategy",
     "TargetedCrashStrategy",
     "crash_schedule_from_churn",
@@ -125,7 +123,6 @@ __all__ = [
     "split_topology",
     "star_topology",
     "MisResult",
-    "NodeStateView",
     "ObliviousSequenceAdversary",
     "OmniscientBottleneckAdversary",
     "Patch",
@@ -134,6 +131,7 @@ __all__ = [
     "RandomConnectedAdversary",
     "RandomTreeAdversary",
     "RotatingStarAdversary",
+    "RoundState",
     "ShiftedRingAdversary",
     "StaticAdversary",
     "TStableAdversary",

@@ -12,9 +12,10 @@ it may pick the topology after seeing the round's messages.
 The adversary API reflects this distinction:
 
 * every adversary implements :meth:`Adversary.choose_topology`, called before
-  messages are fixed, receiving a read-only :class:`NodeStateView` per node;
+  messages are fixed, receiving the round's read-only :class:`RoundState`;
 * adversaries with ``sees_messages = True`` are instead called *after* the
-  messages for the round have been committed and also receive them.
+  messages for the round have been committed and also receive them, with
+  the state frozen before the messages were composed.
 
 Concrete adversaries include the oblivious random/periodic families, the
 worst-case adaptive "bottleneck" adversaries used in the KLO lower-bound
@@ -23,8 +24,7 @@ constructions, and wrappers adding T-stability.
 Every adversary returns a mask-native
 :class:`~repro.network.topology.Topology` (per-node neighbour bitmasks) —
 the bottleneck/split cliques are two mask fills instead of O(n^2) edge
-insertions — and reads the cheap ``known_count`` / ``knows`` accessors of
-the (lazy) state views.  Custom adversaries build their topologies with the
+insertions — and reads the state's whole-network columns.  Custom adversaries build their topologies with the
 builders of :mod:`repro.network.topology` or
 :meth:`~repro.network.topology.Topology.from_edges`; the runner rejects any
 other return type through :func:`~repro.network.topology.as_topology`.
@@ -33,7 +33,7 @@ other return type through :func:`~repro.network.topology.as_topology`.
 from __future__ import annotations
 
 import abc
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -52,7 +52,7 @@ from .topology import (
 )
 
 __all__ = [
-    "NodeStateView",
+    "RoundState",
     "Adversary",
     "StaticAdversary",
     "ObliviousSequenceAdversary",
@@ -68,91 +68,56 @@ __all__ = [
 ]
 
 
-class NodeStateView:
-    """Read-only view of a node's knowledge, exposed to adaptive adversaries.
+class RoundState:
+    """Read-only protocol state of one round, for adversaries and fault strategies.
 
-    The view is *lazy*: the runner constructs it from O(1) suppliers, and the
-    ``known_token_ids`` frozenset — the expensive part of the old eager
-    snapshot — is only materialised if an adversary actually reads it.  The
-    in-repo adversaries use :attr:`known_count` (number of decodable tokens)
-    and :meth:`knows` (membership test), both O(1); custom adversaries can
-    keep reading ``known_token_ids`` unchanged.
-
-    Contract: a view is valid for the round it was issued (nodes do not
-    learn between snapshot and ``choose_topology``, so all accessors agree
-    there).  It is *not* a durable snapshot — a lazy view retained across
-    rounds reads through to the node's then-current knowledge on first
-    access.  An adversary that wants cross-round deltas must copy
-    ``known_token_ids`` during ``choose_topology``.
-
-    Attributes
-    ----------
-    uid:
-        The node's unique identifier (its index in ``0..n-1``).
-    known_token_ids:
-        Identifiers of tokens the node can currently decode (built on first
-        access when the view is lazy).
-    rank:
-        Dimension of the node's received coded subspace (0 for non-coding
-        protocols).
-    extra:
-        Protocol-specific scalars (e.g. phase counters) useful for adaptive
-        scheduling; adversaries must not rely on specific keys existing.
+    One object serves every reader of node state: the adaptive adversary
+    choosing ``G(t)`` and the state-aware fault strategies.  ``source`` is
+    the round kernel; the two int64 columns -- per-node decodable-token
+    counts and coded ranks -- are read from it on first access and cached
+    for the round, and :meth:`knows` asks it for one token's column.  A
+    state is valid for the round it was issued in.  :meth:`freeze` copies
+    both columns at once, which is how the Section 6 omniscient adversary
+    keeps the pre-compose snapshot while reading the composed messages.
+    Readers must treat the arrays as read-only.
     """
 
-    __slots__ = ("uid", "rank", "extra", "_known", "_supplier", "_count", "_membership")
+    __slots__ = ("_source", "_counts", "_ranks")
 
-    def __init__(
-        self,
-        uid: int,
-        known_token_ids: Iterable | None = None,
-        rank: int = 0,
-        extra: Mapping[str, int] | None = None,
-        *,
-        known_supplier: Callable[[], Iterable] | None = None,
-        known_count: int | None = None,
-        membership: Callable[[object], bool] | None = None,
-    ):
-        self.uid = uid
-        self.rank = rank
-        self.extra: Mapping[str, int] = extra if extra is not None else {}
-        self._known: frozenset | None = (
-            frozenset(known_token_ids) if known_token_ids is not None else None
-        )
-        self._supplier = known_supplier
-        self._count = known_count
-        self._membership = membership
-        if self._known is None and self._supplier is None:
-            self._known = frozenset()
+    def __init__(self, source):
+        self._source = source
+        self._counts: np.ndarray | None = None
+        self._ranks: np.ndarray | None = None
 
     @property
-    def known_token_ids(self) -> frozenset:
-        if self._known is None:
-            if self._supplier is None:
-                raise RuntimeError(
-                    "NodeStateView invariant violated: neither a known set "
-                    "nor a supplier was provided"
-                )
-            self._known = frozenset(self._supplier())
-        return self._known
+    def known_counts(self) -> np.ndarray:
+        """Per-node number of decodable tokens."""
+        if self._counts is None:
+            self._counts = np.asarray(self._source.known_counts(), dtype=np.int64)
+        return self._counts
 
     @property
-    def known_count(self) -> int:
-        """Number of decodable tokens, without materialising the frozenset."""
-        if self._count is not None:
-            return self._count
-        return len(self.known_token_ids)
+    def coded_ranks(self) -> np.ndarray:
+        """Per-node dimension of the received coded subspace (0 when uncoded)."""
+        if self._ranks is None:
+            self._ranks = np.asarray(self._source.coded_ranks(), dtype=np.int64)
+        return self._ranks
 
-    def knows(self, token_id: object) -> bool:
-        """O(1) membership test for a single token identifier."""
-        if self._known is not None:
-            return token_id in self._known
-        if self._membership is not None:
-            return bool(self._membership(token_id))
-        return token_id in self.known_token_ids
+    def knows(self, token_id: object) -> np.ndarray:
+        """Per-node bool column: which nodes can decode ``token_id``."""
+        return self._source.knows(token_id)
 
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"NodeStateView(uid={self.uid}, known={self.known_count}, rank={self.rank})"
+    def progress(self) -> np.ndarray:
+        """Per-node progress score: tokens known or coded rank, whichever
+        is larger (a broadcasting node's knowledge rides in its rank)."""
+        return np.maximum(self.known_counts, self.coded_ranks)
+
+    def freeze(self) -> "RoundState":
+        """A copy holding both columns as read now."""
+        frozen = RoundState(self._source)
+        frozen._counts = self.known_counts.copy()
+        frozen._ranks = self.coded_ranks.copy()
+        return frozen
 
 
 class Adversary(abc.ABC):
@@ -167,7 +132,7 @@ class Adversary(abc.ABC):
         self,
         round_index: int,
         n: int,
-        states: Sequence[NodeStateView],
+        state: RoundState,
         messages: Sequence[object] | None = None,
     ) -> Topology:
         """Return the connected round-``round_index`` communication graph.
@@ -189,7 +154,7 @@ class StaticAdversary(Adversary):
         self._factory = graph_factory
         self._cached: Topology | None = None
 
-    def choose_topology(self, round_index, n, states, messages=None) -> Topology:
+    def choose_topology(self, round_index, n, state, messages=None) -> Topology:
         if self._cached is None:
             if isinstance(self._factory, Topology):
                 graph = self._factory
@@ -215,7 +180,7 @@ class ObliviousSequenceAdversary(Adversary):
     def __init__(self, topology_fn: Callable[[int, int], Topology]):
         self._topology_fn = topology_fn
 
-    def choose_topology(self, round_index, n, states, messages=None) -> Topology:
+    def choose_topology(self, round_index, n, state, messages=None) -> Topology:
         topology = as_topology(self._topology_fn(n, round_index))
         topology.validate(n)
         return topology
@@ -229,7 +194,7 @@ class RandomConnectedAdversary(Adversary):
         self._extra_edge_prob = extra_edge_prob
         self._rng = np.random.default_rng(seed)
 
-    def choose_topology(self, round_index, n, states, messages=None) -> Topology:
+    def choose_topology(self, round_index, n, state, messages=None) -> Topology:
         return random_connected_topology(n, self._rng, self._extra_edge_prob)
 
     def reset(self) -> None:
@@ -243,7 +208,7 @@ class RandomTreeAdversary(Adversary):
         self._seed = seed
         self._rng = np.random.default_rng(seed)
 
-    def choose_topology(self, round_index, n, states, messages=None) -> Topology:
+    def choose_topology(self, round_index, n, state, messages=None) -> Topology:
         return random_tree_topology(n, self._rng)
 
     def reset(self) -> None:
@@ -253,14 +218,14 @@ class RandomTreeAdversary(Adversary):
 class RotatingStarAdversary(Adversary):
     """Star topology whose center moves every round."""
 
-    def choose_topology(self, round_index, n, states, messages=None) -> Topology:
+    def choose_topology(self, round_index, n, state, messages=None) -> Topology:
         return star_topology(n, center=round_index % n)
 
 
 class ShiftedRingAdversary(Adversary):
     """Ring topology whose labelling is permuted every round."""
 
-    def choose_topology(self, round_index, n, states, messages=None) -> Topology:
+    def choose_topology(self, round_index, n, state, messages=None) -> Topology:
         return shifted_ring_topology(n, round_index)
 
 
@@ -275,7 +240,7 @@ class PathShuffleAdversary(Adversary):
         self._seed = seed
         self._rng = np.random.default_rng(seed)
 
-    def choose_topology(self, round_index, n, states, messages=None) -> Topology:
+    def choose_topology(self, round_index, n, state, messages=None) -> Topology:
         order = list(self._rng.permutation(n))
         return path_topology(n, order)
 
@@ -283,13 +248,11 @@ class PathShuffleAdversary(Adversary):
         self._rng = np.random.default_rng(self._seed)
 
 
-def _rich_poor_split(states: Sequence[NodeStateView], n: int) -> tuple[list[int], list[int]]:
-    """Sort nodes by (known tokens, rank) and split into poor/rich halves."""
-    ordered = sorted(states, key=lambda s: (s.known_count, s.rank))
+def _rich_poor_split(state: RoundState, n: int) -> tuple[list[int], list[int]]:
+    """Sort nodes by (known tokens, rank, uid) and split into poor/rich halves."""
+    ordered = np.lexsort((state.coded_ranks, state.known_counts)).tolist()
     half = n // 2
-    poor = [s.uid for s in ordered[:half]]
-    rich = [s.uid for s in ordered[half:]]
-    return poor, rich
+    return ordered[:half], ordered[half:]
 
 
 class BottleneckAdversary(Adversary):
@@ -309,10 +272,10 @@ class BottleneckAdversary(Adversary):
             raise ValueError("bridge_pairs must be at least 1")
         self._bridge_pairs = bridge_pairs
 
-    def choose_topology(self, round_index, n, states, messages=None) -> Topology:
+    def choose_topology(self, round_index, n, state, messages=None) -> Topology:
         if n <= 2:
             return complete_topology(n)
-        poor, rich = _rich_poor_split(states, n)
+        poor, rich = _rich_poor_split(state, n)
         # Bridge: least-informed rich node to most-informed poor node — the
         # crossing that transfers the least new knowledge.
         bridges = [
@@ -336,8 +299,8 @@ class TokenIsolationAdversary(Adversary):
     def __init__(self, target_token_id: object):
         self._target = target_token_id
 
-    def choose_topology(self, round_index, n, states, messages=None) -> Topology:
-        informed = {s.uid for s in states if s.knows(self._target)}
+    def choose_topology(self, round_index, n, state, messages=None) -> Topology:
+        informed = np.flatnonzero(state.knows(self._target)).tolist()
         if not informed or len(informed) == n:
             return complete_topology(n)
         return split_topology(n, informed, bridge_pairs=1)
@@ -365,10 +328,10 @@ class OmniscientBottleneckAdversary(Adversary):
         self._usefulness_fn = usefulness_fn
         self._fallback = BottleneckAdversary()
 
-    def choose_topology(self, round_index, n, states, messages=None) -> Topology:
+    def choose_topology(self, round_index, n, state, messages=None) -> Topology:
         if messages is None or self._usefulness_fn is None or n <= 2:
-            return self._fallback.choose_topology(round_index, n, states, messages)
-        poor, rich = _rich_poor_split(states, n)
+            return self._fallback.choose_topology(round_index, n, state, messages)
+        poor, rich = _rich_poor_split(state, n)
         # Search for a bridge whose rich->poor message is NOT useful.
         best_edge = None
         for sender in rich:
@@ -406,10 +369,10 @@ class TStableAdversary(Adversary):
     def sees_messages(self) -> bool:  # type: ignore[override]
         return self.inner.sees_messages
 
-    def choose_topology(self, round_index, n, states, messages=None):
+    def choose_topology(self, round_index, n, state, messages=None):
         block = round_index // self.stability
         if block != self._current_block or self._current is None:
-            self._current = self.inner.choose_topology(round_index, n, states, messages)
+            self._current = self.inner.choose_topology(round_index, n, state, messages)
             self._current_block = block
         return self._current
 

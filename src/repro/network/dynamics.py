@@ -842,7 +842,7 @@ class ScheduleAdversary(Adversary):
         self._offset += 1
         return topology
 
-    def choose_topology(self, round_index, n, states, messages=None) -> Topology:
+    def choose_topology(self, round_index, n, state, messages=None) -> Topology:
         if n != self.process.n:
             raise ValueError(
                 f"schedule generates n={self.process.n} topologies, run has n={n}"

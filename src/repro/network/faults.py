@@ -37,10 +37,10 @@ The adversary axis controls *topology*; this module adds the orthogonal
   among ``n >= 2f + 1`` (the ByzQuorum membership shape): fake nodes run
   the protocol but are not honest quorum members, never originate honest
   tokens, and are excluded from survivor metrics and stop rules;
-* **state-aware strategies** — strategies with ``wants_state = True``
-  additionally receive a read-only :class:`StateView` of protocol progress
-  (per-node knowledge counts and coded ranks) and can target the
-  least-knowledgeable node (:class:`StragglerIsolationStrategy`) or the
+* **state-aware strategies** — every strategy also receives the round's
+  read-only :class:`~repro.network.adversary.RoundState` of protocol
+  progress (per-node knowledge counts and coded ranks), so one can target
+  the least-knowledgeable node (:class:`StragglerIsolationStrategy`) or the
   knowledge frontier (:class:`FrontierLossStrategy`).
 
 A :class:`FaultModel` is a frozen, picklable description.  The runner binds
@@ -72,6 +72,7 @@ import numpy as np
 
 from ..bits import iter_bits, packed_to_masks, set_bits, word_count
 from ..gf import GF2Basis
+from .adversary import RoundState
 from .dynamics import spanning_structure
 
 __all__ = [
@@ -87,7 +88,6 @@ __all__ = [
     "RoundFaultPlan",
     "RoundFaultStats",
     "SpanGuard",
-    "StateView",
     "StragglerIsolationStrategy",
     "TargetedCrashStrategy",
     "crash_schedule_from_churn",
@@ -100,28 +100,6 @@ _NEVER = np.iinfo(np.int64).max
 # ----------------------------------------------------------------------
 # adaptive strategies (the FaultStrategy seam)
 # ----------------------------------------------------------------------
-class StateView:
-    """Read-only protocol-progress snapshot for state-aware strategies.
-
-    The engines expose exactly the two vectorized columns the trace layer
-    already extracts — per-node knowledge counts and coded generation ranks
-    — snapshotted after compose and before delivery, so the view is
-    engine-invariant by the same parity contract that pins trace content.
-    Strategies must treat the arrays as read-only.
-    """
-
-    __slots__ = ("known_counts", "coded_ranks")
-
-    def __init__(self, known_counts, coded_ranks):
-        self.known_counts = np.asarray(known_counts, dtype=np.int64)
-        self.coded_ranks = np.asarray(coded_ranks, dtype=np.int64)
-
-    def progress(self) -> np.ndarray:
-        """Per-node progress score: tokens known or coded rank, whichever
-        is larger (a broadcasting node's knowledge rides in its rank)."""
-        return np.maximum(self.known_counts, self.coded_ranks)
-
-
 class FaultStrategy:
     """Declarative adaptive fault adversary behind :class:`FaultModel`.
 
@@ -142,15 +120,12 @@ class FaultStrategy:
     fault stream) — strategies drawing from global numpy state break the
     3-engine byte-identity contract (and trip lint rule REP102).
 
-    Strategies that target protocol *progress* instead of topology set the
-    class attribute ``wants_state = True``; their bound ``plan_round`` then
-    receives an extra read-only :class:`StateView` argument.  Every round
-    kernel supplies both of its columns, so such strategies run on either
-    engine.
+    ``plan_round`` also receives the round's read-only
+    :class:`~repro.network.adversary.RoundState`, taken after compose;
+    strategies that target protocol *progress* instead of topology read
+    it, and its columns are computed only when one does.  Every round
+    kernel supplies it, so every strategy runs on either engine.
     """
-
-    #: Whether plan_round needs a StateView of protocol progress.
-    wants_state = False
 
     def bind(self, n: int) -> "BoundStrategy":
         """Create the per-run mutable state for a network of ``n`` nodes."""
@@ -168,6 +143,7 @@ class BoundStrategy:
         indptr: np.ndarray,
         down: np.ndarray,
         rng: np.random.Generator,
+        state: RoundState,
     ) -> tuple[np.ndarray | None, tuple[int, ...]]:
         raise NotImplementedError
 
@@ -325,7 +301,7 @@ class _BoundBridgeLoss(BoundStrategy):
         self.strategy = strategy
         self.n = n
 
-    def plan_round(self, round_index, senders, receivers, indptr, down, rng):
+    def plan_round(self, round_index, senders, receivers, indptr, down, rng, state):
         n = self.n
         bridges = _bridges(senders, indptr, down, n)
         if not bridges:
@@ -370,7 +346,7 @@ class _BoundTargetedCrash(BoundStrategy):
         self.n = n
         self.victims = 0
 
-    def plan_round(self, round_index, senders, receivers, indptr, down, rng):
+    def plan_round(self, round_index, senders, receivers, indptr, down, rng, state):
         s = self.strategy
         if (
             self.victims >= s.limit
@@ -420,7 +396,7 @@ class _BoundBudgetedLoss(BoundStrategy):
         self.n = n
         self.spent = 0
 
-    def plan_round(self, round_index, senders, receivers, indptr, down, rng):
+    def plan_round(self, round_index, senders, receivers, indptr, down, rng, state):
         s = self.strategy
         remaining = s.budget - self.spent
         if remaining <= 0:
@@ -461,7 +437,8 @@ def _bernoulli_subset(
 class StragglerIsolationStrategy(FaultStrategy):
     """Isolate the least-knowledgeable node: each round, every live edge
     incident to the straggler (the live node with the smallest
-    :meth:`StateView.progress` score, lowest uid on ties) is independently
+    :meth:`~repro.network.adversary.RoundState.progress` score, lowest uid
+    on ties) is independently
     lost with ``probability``.
 
     This is the protocol-state-aware worst case for gossip: the adversary
@@ -470,7 +447,6 @@ class StragglerIsolationStrategy(FaultStrategy):
     """
 
     probability: float = 1.0
-    wants_state = True
 
     def __post_init__(self):
         if not 0.0 <= self.probability <= 1.0:
@@ -505,7 +481,8 @@ class _BoundStragglerIsolation(BoundStrategy):
 @dataclass(frozen=True)
 class FrontierLossStrategy(FaultStrategy):
     """Drop edges crossing the knowledge frontier: each round, every live
-    edge whose sender's :meth:`StateView.progress` score strictly exceeds
+    edge whose sender's
+    :meth:`~repro.network.adversary.RoundState.progress` score strictly exceeds
     its receiver's is independently lost with ``probability``.
 
     Frontier edges are exactly the ones over which knowledge can flow
@@ -514,7 +491,6 @@ class FrontierLossStrategy(FaultStrategy):
     """
 
     probability: float = 1.0
-    wants_state = True
 
     def __post_init__(self):
         if not 0.0 <= self.probability <= 1.0:
@@ -674,8 +650,8 @@ class FaultModel:
         scheduled windows.
     strategy:
         Optional :class:`FaultStrategy` — an adaptive adversary consulted
-        every round with the round's topology (and, for ``wants_state``
-        strategies, a :class:`StateView` of protocol progress).
+        every round with the round's topology and a
+        :class:`~repro.network.adversary.RoundState` of protocol progress.
     collisions:
         Optional :class:`CollisionModel` applying the radio reception rule
         to each collision round's deliveries.
@@ -914,11 +890,6 @@ class BoundFaults:
         survivors.setflags(write=False)
         return survivors
 
-    @property
-    def wants_state(self) -> bool:
-        """Whether the bound strategy needs a per-round StateView."""
-        return self.model.strategy is not None and self.model.strategy.wants_state
-
     def down_at(self, round_index: int) -> np.ndarray:
         """Boolean node vector: who is crashed during ``round_index``."""
         down = np.zeros(self.n, dtype=bool)
@@ -1028,7 +999,7 @@ class RoundFaultPlan:
         *,
         active: np.ndarray,
         receivers: np.ndarray,
-        state: StateView | None = None,
+        state: RoundState | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Draw per-edge faults over the canonical CSR; return the effective CSR.
 
@@ -1052,8 +1023,10 @@ class RoundFaultPlan:
 
         ``active`` is the engines' compose-time transmission mask (who
         composed a message this round); collisions only count transmitting
-        senders as occupying air.  ``state`` is the read-only
-        :class:`StateView` a ``wants_state`` strategy requires.
+        senders as occupying air.  ``state`` is the round's read-only
+        :class:`~repro.network.adversary.RoundState`, handed to the strategy
+        (the engines always pass it; a caller whose strategy reads no state
+        may omit it).
         ``receivers`` is the canonical CSR's
         :meth:`~repro.network.topology.Topology.csr_receivers`; the
         effective CSR's receivers are left in :attr:`receivers`.
@@ -1071,20 +1044,9 @@ class RoundFaultPlan:
         )
         strategy = self.bound.strategy_state
         if strategy is not None:
-            if self.bound.wants_state:
-                if state is None:
-                    raise RuntimeError(
-                        f"{type(model.strategy).__name__} wants protocol state "
-                        "but the engine supplied no StateView to bind_edges"
-                    )
-                targeted, crashed = strategy.plan_round(
-                    self.round_index, senders, receivers, indptr, self.down,
-                    rng, state,
-                )
-            else:
-                targeted, crashed = strategy.plan_round(
-                    self.round_index, senders, receivers, indptr, self.down, rng
-                )
+            targeted, crashed = strategy.plan_round(
+                self.round_index, senders, receivers, indptr, self.down, rng, state
+            )
             for uid in crashed:
                 self.bound.strategy_crashed[uid] = True
                 self.down[uid] = True

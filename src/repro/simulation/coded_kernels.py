@@ -32,7 +32,6 @@ import numpy as np
 from ..algorithms.blocks import decode_block, token_dimension
 from ..algorithms.indexed_broadcast import IndexedBroadcastNode
 from ..gf import GF2Basis, GF2BasisBatch, masks_to_packed, packed_to_masks
-from ..network.adversary import NodeStateView
 from .kernels import KernelUnsupported, RoundKernel, register_kernel
 
 __all__ = ["IndexedBroadcastKernel"]
@@ -239,25 +238,15 @@ class IndexedBroadcastKernel(RoundKernel):
     def finished_all(self) -> bool:
         return bool(self.decoded.all())
 
-    def state_view(self, uid: int) -> NodeStateView:
-        node = self.nodes[uid]
-        rank = int(self.core.ranks[uid])
-        if self.decoded[uid]:
-            all_ids = sorted(self.token_index)
-            return NodeStateView(
-                uid=uid,
-                rank=rank,
-                known_supplier=lambda: all_ids,
-                known_count=self.k,
-                membership=self.token_index.__contains__,
-            )
-        return NodeStateView(
-            uid=uid,
-            rank=rank,
-            known_supplier=lambda: list(node.known),
-            known_count=len(node.known),
-            membership=node.known.__contains__,
-        )
+    def knows(self, token_id):
+        # A decoded node knows every placement token; until then, exactly
+        # its initial tokens (the node objects are written back only at the
+        # end of the run).
+        initial = (token_id in node.known for node in self.nodes)
+        column = np.fromiter(initial, dtype=bool, count=self.n)
+        if token_id in self.token_index:
+            column |= self.decoded
+        return column
 
     def to_nodes(self, nodes):
         decoded_tokens: list | None = None

@@ -27,7 +27,7 @@ Two kernel families run through that loop:
     (:class:`~repro.gf.packed.GF2BasisBatch`).
 
 A packed kernel is a second implementation of its protocol, with its own
-parity tests, wire messages, state views and ``to_nodes``.  The rule for
+parity tests, wire messages, ``knows`` column and ``to_nodes``.  The rule for
 keeping one: **a packed kernel stays only if it is ≥2× faster than mask on
 a run of ≥1 s at a size some bench or test uses.**  The run length is the
 mask engine's wall time.  Both kernels above clear it by more than 3.5×
@@ -46,8 +46,8 @@ the correctness check work unchanged.
 Custom protocols can register their own kernels with
 :func:`register_kernel`; ``run_dissemination(engine="auto")`` picks the
 packed kernel whenever the factory is a registered node class, the
-configuration is supported and the kernel offers the message and state
-views the adversary and fault strategy need.
+configuration is supported and the kernel offers the message views an
+omniscient adversary needs.
 """
 
 from __future__ import annotations
@@ -61,7 +61,6 @@ import numpy as np
 from ..algorithms.base import ProtocolConfig, ProtocolNode
 from ..algorithms.token_forwarding import TokenForwardingNode, tokens_per_message
 from ..bits import (
-    has_bit,
     iter_bits,
     masks_to_packed,
     pack_bools,
@@ -69,8 +68,7 @@ from ..bits import (
     unpack_bools,
     word_count,
 )
-from ..network.adversary import Adversary, NodeStateView
-from ..network.faults import StateView
+from ..network.adversary import Adversary, RoundState
 from ..network.topology import TopologyValidationCache
 from ..obs.profiler import NULL_PROFILER
 from ..tokens.message import MessageSizeExceeded, TokenForwardMessage
@@ -168,9 +166,8 @@ def _neighbor_or(
 class _LazySequence(_SequenceABC):
     """A length-``n`` read-only sequence whose items are built on access.
 
-    The adversary's per-round state and message views: an oblivious
-    adversary never reads them, so they cost no per-node work, and one
-    that inspects a handful of nodes pays for a handful of items.
+    The omniscient adversary's per-round message views: one that inspects
+    a handful of nodes pays for a handful of messages.
     """
 
     __slots__ = ("_n", "_item")
@@ -314,12 +311,12 @@ class RoundKernel(abc.ABC):
         return False
 
     @abc.abstractmethod
-    def state_view(self, uid: int) -> NodeStateView:
-        """The sanitised adversary view of one node (built on demand)."""
+    def knows(self, token_id: TokenId) -> np.ndarray:
+        """Per-node bool column: which nodes can decode ``token_id`` now."""
 
-    def state_views(self) -> Sequence[NodeStateView]:
-        """Lazy sequence of this round's state views."""
-        return _LazySequence(self.n, self.state_view)
+    def round_state(self) -> RoundState:
+        """The current round's state for the adversary and fault strategy."""
+        return RoundState(self)
 
     def wire_message(self, uid: int, round_index: int):
         """Materialise node ``uid``'s wire message for the *current* round.
@@ -438,7 +435,8 @@ def run_rounds(
     """Execute the synchronous rounds of one run on ``kernel``.
 
     The one round loop, for packed and object kernels alike.  Per round
-    (Section 4.1): the adversary fixes ``G(t)`` from lazy state views, the
+    (Section 4.1): the adversary fixes ``G(t)`` from the kernel's
+    :class:`~repro.network.adversary.RoundState`, the
     topology is validated (identity-cached) and handed to
     :meth:`RoundKernel.on_topology`, ``compose_all`` runs, then budget and
     broadcast accounting, CSR delivery through ``deliver_all``, delivery
@@ -447,9 +445,10 @@ def run_rounds(
     bookkeeping.  An
     omniscient (``sees_messages``) adversary instead chooses after
     ``compose_all`` and is shown the composed messages (Section 6); its
-    state views are built *before* composing, because a kernel may change
-    node state inside ``compose_all`` (a multi-phase coded node's flood ->
-    broadcast transition) and the adversary must not see that.
+    state is frozen *before* composing, because a kernel may change node
+    state inside ``compose_all`` (a multi-phase coded node's flood ->
+    broadcast transition) and the adversary must not see that.  The fault
+    strategy gets a state of its own, read after composing.
 
     ``faults`` (a :class:`~repro.network.faults.BoundFaults`) edits the
     round's CSR into its effective form — crashed endpoints and lost edges
@@ -481,12 +480,12 @@ def run_rounds(
     for round_index in range(max_rounds):
         plan = faults.begin_round(round_index) if faults is not None else None
         if adversary.sees_messages:
-            states = [kernel.state_view(uid) for uid in range(n)]
+            state = kernel.round_state().freeze()
             active, sizes = compose(round_index, plan)
             messages = kernel.message_views(round_index, active)
-            graph = adversary.choose_topology(round_index, n, states, messages)
+            graph = adversary.choose_topology(round_index, n, state, messages)
         else:
-            graph = adversary.choose_topology(round_index, n, kernel.state_views())
+            graph = adversary.choose_topology(round_index, n, kernel.round_state())
         topology = cache.validated(graph, n)
         kernel.on_topology(round_index, topology)
         if not adversary.sees_messages:
@@ -498,15 +497,12 @@ def run_rounds(
             # The adaptive strategy is consulted in here and may crash
             # nodes mid-round: ``plan.down`` is final only afterwards, so
             # the sending mask must be computed below, not before.  The
-            # compose-time ``active`` mask feeds the collision rule, and a
-            # wants_state strategy sees the post-compose count/rank
-            # snapshot the trace layer extracts.
-            state = None
-            if faults.wants_state:
-                state = StateView(kernel.known_counts(), kernel.coded_ranks())
+            # compose-time ``active`` mask feeds the collision rule, and the
+            # strategy's state is a fresh one, read after compose.
             with profiler.span("faults"):
                 indices, indptr = plan.bind_edges(
-                    indices, indptr, active=active, state=state, receivers=receivers
+                    indices, indptr, active=active, receivers=receivers,
+                    state=kernel.round_state(),
                 )
             receivers = plan.receivers
 
@@ -732,25 +728,11 @@ class TokenForwardingKernel(RoundKernel):
             self._complete = bool(self.completed_flags().all())
         return self._complete
 
-    def _knows(self, uid: int, token_id) -> bool:
+    def knows(self, token_id):
         bit = self.token_index.get(token_id)
         if bit is None:
-            return False
-        return has_bit(self.known[uid], bit)
-
-    def _known_ids(self, uid: int) -> list:
-        (known,) = packed_to_masks(self.known[uid : uid + 1])
-        return [self.tokens[i].token_id for i in iter_bits(known)]
-
-    def state_view(self, uid: int) -> NodeStateView:
-        counts = self.known_counts()
-        return NodeStateView(
-            uid=uid,
-            rank=0,
-            known_supplier=lambda: self._known_ids(uid),
-            known_count=int(counts[uid]),
-            membership=lambda token_id: self._knows(uid, token_id),
-        )
+            return np.zeros(self.n, dtype=bool)
+        return unpack_bools(self.known, bit + 1)[:, bit]
 
     def to_nodes(self, nodes):
         # Rows as bit-index lists from one unpack; a full row (the common

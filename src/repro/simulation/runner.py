@@ -2,11 +2,12 @@
 
 One round (Section 4.1), for an adaptive adversary:
 
-1. each node's sanitised state is snapshotted;
-2. the adversary fixes the connected topology ``G(t)`` from the snapshot;
-3. each node composes its O(b)-bit broadcast message *without knowing its
+1. the adversary fixes the connected topology ``G(t)`` from the round's
+   :class:`~repro.network.adversary.RoundState` (per-node knowledge counts,
+   coded ranks and token columns, read on demand);
+2. each node composes its O(b)-bit broadcast message *without knowing its
    neighbours*;
-4. every node receives the messages of its ``G(t)``-neighbours.
+3. every node receives the messages of its ``G(t)``-neighbours.
 
 Omniscient adversaries (``sees_messages``) are instead shown the composed
 messages before choosing the topology, which models "knowing all the
@@ -37,7 +38,7 @@ runner then verifies payload correctness.  Two kernel families exist:
 
 Under ``engine="auto"`` the packed kernel runs when the factory is a
 registered node class, the configuration is supported and the kernel
-offers the views the adversary and fault strategy need; otherwise the
+offers the message views an omniscient adversary needs; otherwise the
 object kernel runs.  Both deliver each node's inbox in ascending
 neighbour-uid order and produce identical metrics and trace content for
 identical seeds (pinned by tests).  Both rely on the ``known`` dict being
@@ -334,8 +335,9 @@ class ObjectKernel(kernels.RoundKernel):
     def finished_all(self):
         return all(node.finished() for node in self.nodes)
 
-    def state_view(self, uid):
-        return self.nodes[uid].state_view()
+    def knows(self, token_id):
+        known = (token_id in node.known for node in self.nodes)
+        return np.fromiter(known, dtype=bool, count=self.n)
 
 
 def run_dissemination(
@@ -379,8 +381,8 @@ def run_dissemination(
         ``"auto"`` (kernel when applicable, else mask), ``"kernel"``
         (require a registered packed
         :class:`~repro.simulation.kernels.RoundKernel`; raises if the
-        protocol has none, or if the adversary or fault strategy needs
-        message or state views the kernel does not offer) or ``"mask"``
+        protocol has none, or if an omniscient adversary needs message
+        views the kernel does not offer) or ``"mask"``
         (the :class:`ObjectKernel` over per-node objects, which runs every
         protocol).  Every
         engine raises ``ValueError`` before round 0 for a node class that
@@ -390,8 +392,8 @@ def run_dissemination(
         axis orthogonal to ``adversary``: per-edge loss/duplication,
         crash–recovery intervals and permanent crashes, scheduled
         partitions, adaptive :class:`~repro.network.faults.FaultStrategy`
-        adversaries (including protocol-state-aware ``wants_state``
-        strategies), Byzantine coded senders, radio-collision rounds and
+        adversaries (which may read the round's protocol state), Byzantine
+        coded senders, radio-collision rounds and
         fake quorum membership.  Fault randomness comes from one
         ``rng.spawn``-ed stream drawn after node construction, so a benign
         model leaves the run bit-identical to ``faults=None``.  Under

@@ -13,6 +13,7 @@ from repro.network import (
     RandomConnectedAdversary,
     RandomTreeAdversary,
     RotatingStarAdversary,
+    RoundState,
     ShiftedRingAdversary,
     StaticAdversary,
     complete_topology,
@@ -60,6 +61,36 @@ def nx_graph(topology) -> nx.Graph:
     return graph
 
 
+class _FixedColumns:
+    """A :class:`RoundState` source with fixed columns (see :func:`fixed_state`)."""
+
+    def __init__(self, counts, ranks, holders):
+        self.counts, self.ranks, self.holders = counts, ranks, holders
+
+    def known_counts(self):
+        return self.counts
+
+    def coded_ranks(self):
+        return self.ranks
+
+    def knows(self, token_id):
+        column = np.zeros(len(self.counts), dtype=bool)
+        column[list(self.holders.get(token_id, ()))] = True
+        return column
+
+
+def fixed_state(counts, ranks=None, holders=None) -> RoundState:
+    """A round state with fixed columns, for adversary and strategy tests.
+
+    ``counts`` are the per-node known-token counts, ``ranks`` the coded
+    ranks (zeros when omitted) and ``holders`` maps a token id to the uids
+    that know it.
+    """
+    counts = np.asarray(counts, dtype=np.int64)
+    ranks = np.zeros_like(counts) if ranks is None else np.asarray(ranks, dtype=np.int64)
+    return RoundState(_FixedColumns(counts, ranks, holders or {}))
+
+
 #: The ten named adversary constructions, each built from a seed.
 NAMED_ADVERSARIES = {
     "bottleneck": lambda seed: BottleneckAdversary(),
@@ -95,8 +126,8 @@ class RecordingAdversary:
         self.inner.reset()
         self.topologies = []
 
-    def choose_topology(self, round_index, n, states, messages=None):
-        topology = self.inner.choose_topology(round_index, n, states, messages)
+    def choose_topology(self, round_index, n, state, messages=None):
+        topology = self.inner.choose_topology(round_index, n, state, messages)
         self.topologies.append(topology)
         return topology
 

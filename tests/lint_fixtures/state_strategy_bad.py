@@ -1,6 +1,6 @@
 """Fixture: seedless randomness inside a state-aware FaultStrategy (REP102).
 
-State-aware strategies receive a read-only ``StateView`` of per-node
+Every strategy receives the round's read-only ``RoundState`` of per-node
 knowledge counts and coded ranks alongside the bound model's seeded
 generator.  The view is for *targeting*; every random decision must still
 come from the ``rng`` argument — a strategy that keys a private unseeded
@@ -12,16 +12,14 @@ import numpy as np
 
 
 class FaultStrategy:
-    wants_state = True
-
     def bind(self, n, rng):
         return self
 
 
 class SneakyFrontierStrategy(FaultStrategy):
-    """Reads the StateView but draws from a private, unseeded stream."""
+    """Reads the RoundState but draws from a private, unseeded stream."""
 
-    def plan_round(self, round_index, csr, down, rng, state):
+    def plan_round(self, round_index, senders, receivers, indptr, down, rng, state):
         frontier = state.progress().argmax()
         hidden = np.random.default_rng()
         if np.random.random() < 0.5:
@@ -32,7 +30,7 @@ class SneakyFrontierStrategy(FaultStrategy):
 class HonestFrontierStrategy(FaultStrategy):
     """Targets by state, draws only from the generator the layer passes in."""
 
-    def plan_round(self, round_index, csr, down, rng, state):
+    def plan_round(self, round_index, senders, receivers, indptr, down, rng, state):
         frontier = state.progress().argmax()
         if rng.random() < 0.5:
             return None, rng.integers(0, frontier + 1, size=1)
@@ -42,7 +40,7 @@ class HonestFrontierStrategy(FaultStrategy):
 class WaivedFrontierStrategy(FaultStrategy):
     """A deliberate waiver still needs the inline allow directive."""
 
-    def plan_round(self, round_index, csr, down, rng, state):
+    def plan_round(self, round_index, senders, receivers, indptr, down, rng, state):
         # repro: allow[REP102] fixture exercising the suppression path
         extra = np.random.default_rng()
         return None, extra.integers(0, 4, size=1)

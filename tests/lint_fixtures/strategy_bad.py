@@ -16,7 +16,7 @@ class FaultStrategy:
 class SneakyLossStrategy(FaultStrategy):
     """Draws from a private, unseeded stream instead of the bound rng."""
 
-    def plan_round(self, round_index, csr, down, rng):
+    def plan_round(self, round_index, senders, receivers, indptr, down, rng, state):
         hidden = np.random.default_rng()
         if np.random.random() < 0.5:
             return None, hidden.integers(0, 4, size=1)
@@ -26,7 +26,7 @@ class SneakyLossStrategy(FaultStrategy):
 class HonestLossStrategy(FaultStrategy):
     """Uses only the generator the fault layer passes in."""
 
-    def plan_round(self, round_index, csr, down, rng):
+    def plan_round(self, round_index, senders, receivers, indptr, down, rng, state):
         if rng.random() < 0.5:
             return None, rng.integers(0, 4, size=1)
         return None, ()
@@ -35,7 +35,7 @@ class HonestLossStrategy(FaultStrategy):
 class WaivedReplayStrategy(FaultStrategy):
     """A deliberate waiver still needs the inline allow directive."""
 
-    def plan_round(self, round_index, csr, down, rng):
+    def plan_round(self, round_index, senders, receivers, indptr, down, rng, state):
         # repro: allow[REP102] fixture exercising the suppression path
         extra = np.random.default_rng()
         return None, extra.integers(0, 4, size=1)

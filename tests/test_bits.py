@@ -16,7 +16,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.bits import (
-    has_bit,
     iter_bits,
     masks_to_packed,
     pack_bits,
@@ -76,8 +75,6 @@ def test_rows_ints_and_bools_agree(case):
     set_bits(scattered, (np.concatenate([u, u]),), np.concatenate([v, v]))
     assert np.array_equal(scattered, rows)  # repeated pairs are an OR
 
-    for packed, row in zip(rows, bools):
-        assert [has_bit(packed, i) for i in range(width)] == row.tolist()
     for mask, row in zip(masks, bools):
         assert list(iter_bits(mask)) == np.flatnonzero(row).tolist()
         assert unpack_bits(mask, width).tolist() == row.astype(int).tolist()

@@ -54,7 +54,7 @@ class _BoundFixedTargets(BoundStrategy):
     def __init__(self, strategy):
         self.strategy = strategy
 
-    def plan_round(self, round_index, senders, receivers, indptr, down, rng):
+    def plan_round(self, round_index, senders, receivers, indptr, down, rng, state):
         s = self.strategy
         rng.random(s.draws)
         targeted = None if s.targeted is None else np.array(s.targeted, dtype=bool)

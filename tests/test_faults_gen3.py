@@ -13,10 +13,11 @@ What this module pins, on top of the first/second-generation coverage in
 * :class:`QuorumModel` semantics — the ``n >= 2f + 1`` bind-time bound,
   placement rejection for token-holding fake members, honest-only
   survivor metrics and the honest-quorum stop rule;
-* the read-only :class:`StateView` seam — ``progress()``, the
-  missing-view ``RuntimeError``, and the exact edge sets the shipped
-  state-aware strategies erase at ``probability=1.0``;
-* kernel eligibility — a ``wants_state`` strategy runs on the kernel
+* the read-only :class:`~repro.network.RoundState` every strategy
+  receives — ``progress()``, the post-compose columns the engines hand
+  in, and the exact edge sets the shipped state-aware strategies erase at
+  ``probability=1.0``;
+* kernel eligibility — a state-aware strategy runs on the kernel
   engine bit-identically to the mask engine, and every registered kernel
   builds its own wire messages for omniscient adversaries;
 * per-round trace columns — ``collided_deliveries`` sums to the final
@@ -42,7 +43,6 @@ from repro.network import (
     FrontierLossStrategy,
     OmniscientBottleneckAdversary,
     QuorumModel,
-    StateView,
     StragglerIsolationStrategy,
     random_connected_topology,
 )
@@ -51,7 +51,8 @@ from repro.obs.trace import CONTENT_ARRAYS
 from repro.scenarios import fault_model_for, make_scenario
 from repro.simulation import RunMetrics, run_dissemination, standard_instance
 from repro.simulation.kernels import KERNEL_REGISTRY, RoundKernel
-from tests.conftest import bind_every_sender, make_config
+from repro.network.faults import BoundStrategy, FaultStrategy
+from tests.conftest import bind_every_sender, fixed_state, make_config
 
 ENGINES = ("kernel", "mask")
 
@@ -276,33 +277,71 @@ class TestQuorumSemantics:
         assert (trace.arrays["honest_survivors"] == n - 3).all()
 
 
+class _CountRecorder(FaultStrategy):
+    """Erases nothing; keeps the known counts of every state it is shown.
+
+    One instance per run: the list is shared with its bound state.
+    """
+
+    def __init__(self):
+        self.seen: list[list[int]] = []
+
+    def bind(self, n):
+        return _BoundCountRecorder(self.seen)
+
+
+class _BoundCountRecorder(BoundStrategy):
+    def __init__(self, seen):
+        self.seen = seen
+
+    def plan_round(self, round_index, senders, receivers, indptr, down, rng, state):
+        self.seen.append(state.known_counts.tolist())
+        return None, ()
+
+
 # ----------------------------------------------------------------------
-# the StateView seam and the shipped state-aware strategies
+# the RoundState seam and the shipped state-aware strategies
 # ----------------------------------------------------------------------
 
 
 class TestStateAwareStrategies:
     def test_progress_is_the_elementwise_maximum(self):
-        view = StateView([3, 0, 2], [1, 4, 2])
+        view = fixed_state([3, 0, 2], [1, 4, 2])
         assert view.progress().tolist() == [3, 4, 2]
         assert view.known_counts.dtype == np.int64
         assert view.coded_ranks.dtype == np.int64
 
-    def test_missing_state_view_is_an_engine_bug_not_a_silent_skip(self):
-        n = 6
-        topology = random_connected_topology(n, np.random.default_rng(0))
-        indices, indptr = topology.csr_adjacency()
-        model = FaultModel(strategy=FrontierLossStrategy())
-        assert model.bind(n, np.random.default_rng(0)).wants_state
-        plan = model.bind(n, np.random.default_rng(0)).begin_round(0)
-        with pytest.raises(RuntimeError, match="StateView"):
-            bind_every_sender(plan, indices, indptr)
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_every_strategy_reads_the_post_compose_state(self, engine):
+        # A state-blind strategy gets the round's state too, and its
+        # columns are the nodes' knowledge as the previous round left it.
+        n, k = 12, 10
+        config = make_config(n=n, k=k)
+        placement = standard_instance(n, k, config.token_bits, seed=3)
+        strategy = _CountRecorder()
+        recorder = TraceRecorder()
+        result = run_dissemination(
+            TokenForwardingNode,
+            config,
+            placement,
+            make_scenario("edge_markov", n, seed=5),
+            seed=3,
+            engine=engine,
+            faults=FaultModel(strategy=strategy),
+            trace=recorder,
+        )
+        assert result.engine == engine
+        seen = np.array(strategy.seen)
+        counts = recorder.to_trace().arrays["knowledge_counts"]
+        initial = [len(placement.tokens_at(uid)) for uid in range(n)]
+        assert seen[0].tolist() == initial
+        assert np.array_equal(seen[1:], counts[:-1])
 
     def test_straggler_isolation_erases_every_edge_at_the_straggler(self):
         n = 8
         topology = random_connected_topology(n, np.random.default_rng(2))
         indices, indptr = topology.csr_adjacency()
-        state = StateView(np.arange(n), np.zeros(n, dtype=np.int64))
+        state = fixed_state(np.arange(n))
         eff_i, eff_p, _ = _effective(
             FaultModel(strategy=StragglerIsolationStrategy(probability=1.0)),
             n, indices, indptr, 0, state=state,
@@ -321,7 +360,7 @@ class TestStateAwareStrategies:
         indices, indptr = topology.csr_adjacency()
         # Distinct ascending scores: an edge is a frontier edge iff the
         # sender's uid exceeds the receiver's.
-        state = StateView(np.arange(n), np.zeros(n, dtype=np.int64))
+        state = fixed_state(np.arange(n))
         eff_i, eff_p, _ = _effective(
             FaultModel(strategy=FrontierLossStrategy(probability=1.0)),
             n, indices, indptr, 0, state=state,

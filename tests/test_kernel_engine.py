@@ -147,6 +147,45 @@ class TestKernelEquivalence:
         )
 
 
+class StateProbe(BottleneckAdversary):
+    """The bottleneck adversary, recording every round's state as it reads it:
+    the count and rank columns and the ``knows`` column of each placement
+    token and of one id outside the placement."""
+
+    def __init__(self, ids):
+        super().__init__()
+        self.ids = sorted(ids) + [("not", "placed")]
+        self.rounds: list = []
+
+    def choose_topology(self, round_index, n, state, messages=None):
+        knows = np.array([state.knows(tid) for tid in self.ids])
+        self.rounds.append((state.known_counts.tolist(), state.coded_ranks.tolist(), knows))
+        return super().choose_topology(round_index, n, state, messages)
+
+
+class TestRoundStateParity:
+    @pytest.mark.parametrize("factory", [TokenForwardingNode, IndexedBroadcastNode])
+    def test_engines_hand_the_adversary_the_same_state(self, factory):
+        config = make_config(10)
+        placement = standard_instance(config.n, config.k, config.token_bits, seed=3)
+        probes = {}
+        for engine in ("kernel", "mask"):
+            probes[engine] = StateProbe(placement.all_ids())
+            run = run_dissemination(
+                factory, config, placement, probes[engine], seed=3, engine=engine
+            )
+            assert run.engine == engine and run.completed
+        kernel, mask = probes["kernel"].rounds, probes["mask"].rounds
+        assert len(kernel) == len(mask) > 1
+        for (k_counts, k_ranks, k_knows), (m_counts, m_ranks, m_knows) in zip(kernel, mask):
+            assert k_counts == m_counts and k_ranks == m_ranks
+            assert np.array_equal(k_knows, m_knows)
+            # A node's count is the number of placement tokens it knows.
+            assert k_knows[:-1].sum(axis=0).tolist() == k_counts
+            assert not k_knows[-1].any()
+        assert kernel[0][2][:-1].sum() == config.k  # round 0: the placement
+
+
 class TestToNodesParity:
     def test_forwarding_node_state_materialised(self):
         config = make_config(10)

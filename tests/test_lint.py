@@ -112,7 +112,7 @@ def test_rep102_fires_inside_adaptive_fault_strategies():
 def test_rep102_fires_inside_state_aware_fault_strategies():
     """A state-aware plan_round drawing outside the bound rng trips CI.
 
-    The read-only StateView is for targeting only; randomness must still
+    The read-only RoundState is for targeting only; randomness must still
     flow from the ``rng`` argument even when the draw is keyed off live
     protocol state.
     """

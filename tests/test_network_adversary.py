@@ -3,17 +3,18 @@
 from __future__ import annotations
 
 import networkx as nx
+import numpy as np
 import pytest
 
 from repro.network import (
     BottleneckAdversary,
-    NodeStateView,
     ObliviousSequenceAdversary,
     OmniscientBottleneckAdversary,
     PathShuffleAdversary,
     RandomConnectedAdversary,
     RandomTreeAdversary,
     RotatingStarAdversary,
+    RoundState,
     ShiftedRingAdversary,
     StaticAdversary,
     TStableAdversary,
@@ -21,8 +22,9 @@ from repro.network import (
     Topology,
     path_topology,
 )
+from repro.network.adversary import _rich_poor_split
 from repro.network.stability import is_t_stable
-from tests.conftest import NAMED_ADVERSARIES, nx_graph
+from tests.conftest import NAMED_ADVERSARIES, fixed_state, nx_graph
 
 
 def assert_legal(topology, n):
@@ -36,11 +38,61 @@ def assert_legal(topology, n):
 
 
 def make_states(n, informed=None, informed_ids=frozenset({("t", 0)})):
+    """``informed`` nodes know every id of ``informed_ids``, the rest nothing."""
     informed = informed or set()
-    return [
-        NodeStateView(uid=i, known_token_ids=informed_ids if i in informed else frozenset())
-        for i in range(n)
-    ]
+    counts = [len(informed_ids) if i in informed else 0 for i in range(n)]
+    return fixed_state(counts, holders={tid: informed for tid in informed_ids})
+
+
+class _CountingSource:
+    """Round-state columns that count how often they are read."""
+
+    def __init__(self, counts, ranks):
+        self.counts = np.array(counts, dtype=np.int64)
+        self.ranks = np.array(ranks, dtype=np.int64)
+        self.reads = 0
+
+    def known_counts(self):
+        self.reads += 1
+        return self.counts
+
+    def coded_ranks(self):
+        self.reads += 1
+        return self.ranks
+
+    def knows(self, token_id):
+        return self.counts > token_id
+
+
+class TestRoundState:
+    def test_columns_are_read_on_first_use_then_cached(self):
+        source = _CountingSource([2, 0, 1], [0, 3, 1])
+        state = RoundState(source)
+        assert source.reads == 0
+        assert state.progress().tolist() == [2, 3, 1]
+        assert state.progress().tolist() == [2, 3, 1]
+        assert state.known_counts.dtype == state.coded_ranks.dtype == np.int64
+        assert source.reads == 2
+
+    def test_freeze_copies_both_columns(self):
+        source = _CountingSource([2, 0, 1], [0, 3, 1])
+        frozen = RoundState(source).freeze()
+        source.counts[:] = 7
+        source.ranks[:] = 7
+        assert frozen.known_counts.tolist() == [2, 0, 1]
+        assert frozen.coded_ranks.tolist() == [0, 3, 1]
+        assert RoundState(source).progress().tolist() == [7, 7, 7]
+
+    def test_knows_is_the_sources_column(self):
+        state = RoundState(_CountingSource([2, 0, 1], [0, 0, 0]))
+        assert state.knows(0).tolist() == [True, False, True]
+        assert state.knows(1).tolist() == [True, False, False]
+
+    def test_rich_poor_split_orders_by_count_then_rank_then_uid(self):
+        counts, ranks = [1, 0, 1, 0, 1, 0, 1], [2, 0, 1, 0, 1, 5, 1]
+        poor, rich = _rich_poor_split(fixed_state(counts, ranks), 7)
+        assert poor + rich == sorted(range(7), key=lambda u: (counts[u], ranks[u], u))
+        assert len(poor) == 3
 
 
 class TestStaticAndOblivious:
@@ -110,10 +162,7 @@ class TestAdaptiveAdversaries:
 
     def test_token_isolation_splits_holders(self):
         target = ("token", 7)
-        states = [
-            NodeStateView(uid=i, known_token_ids=frozenset({target}) if i < 3 else frozenset())
-            for i in range(9)
-        ]
+        states = make_states(9, informed={0, 1, 2}, informed_ids={target})
         adv = TokenIsolationAdversary(target)
         g = adv.choose_topology(0, 9, states)
         assert_legal(g, 9)
@@ -123,7 +172,7 @@ class TestAdaptiveAdversaries:
 
     def test_token_isolation_complete_when_all_informed(self):
         target = ("token", 1)
-        states = [NodeStateView(uid=i, known_token_ids=frozenset({target})) for i in range(5)]
+        states = make_states(5, informed=set(range(5)), informed_ids={target})
         g = TokenIsolationAdversary(target).choose_topology(0, 5, states)
         assert g.number_of_edges() == 10
 

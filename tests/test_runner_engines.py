@@ -118,9 +118,9 @@ class NetworkxAdversary(BottleneckAdversary):
         super().__init__()
         self.rounds: list[int] = []
 
-    def choose_topology(self, round_index, n, states, messages=None):
+    def choose_topology(self, round_index, n, state, messages=None):
         self.rounds.append(round_index)
-        return nx_graph(super().choose_topology(round_index, n, states, messages))
+        return nx_graph(super().choose_topology(round_index, n, state, messages))
 
 
 class TestTopologyTypeGate:
@@ -150,7 +150,7 @@ class ReusedThenDisconnectedAdversary(Adversary):
     def __init__(self):
         self._path: Topology | None = None
 
-    def choose_topology(self, round_index, n, states, messages=None):
+    def choose_topology(self, round_index, n, state, messages=None):
         if round_index >= 3:
             return Topology.from_edges(n, [(u, u + 1) for u in range(n - 2)])
         if self._path is None:
@@ -197,9 +197,9 @@ class ProbingAdversary(Adversary):
         assert self.kernel.completed_flags().tolist() == complete
         self.all_complete.append(all(complete))
 
-    def choose_topology(self, round_index, n, states, *messages):
+    def choose_topology(self, round_index, n, state, *messages):
         self.check()
-        return self.inner.choose_topology(round_index, n, states, *messages)
+        return self.inner.choose_topology(round_index, n, state, *messages)
 
 
 PROBED = [
@@ -269,7 +269,7 @@ class OpaqueKnowledgeNode(TokenForwardingNode):
 
 
 class NeverAskedAdversary(BottleneckAdversary):
-    def choose_topology(self, round_index, n, states, messages=None):
+    def choose_topology(self, round_index, n, state, messages=None):
         raise AssertionError("the run reached round 0")
 
 
