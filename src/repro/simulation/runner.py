@@ -200,7 +200,8 @@ class ObjectKernel(kernels.RoundKernel):
     kernel runs any protocol and has nothing to materialise.  A T-stable
     ``shared_coordinator`` (see :mod:`repro.algorithms.tstable`) sees each
     round's base topology before compose and updates the nodes after
-    delivery.
+    delivery; a node's change flag then spans both, so what it learns
+    through the coordinator is not counted as a useless delivery.
 
     Per-node costs are kept to what a round can change.  ``compose_all``
     hands back last round's ``active``/``sizes`` arrays when every node
@@ -278,7 +279,8 @@ class ObjectKernel(kernels.RoundKernel):
         wire = list(map(self._outgoing.__getitem__, indices.tolist()))
         bounds = indptr.tolist()
         silent, ranked = not self._active.all(), self._ranked
-        grown = []
+        coordinator = self._coordinator
+        grown, before = [], []
         for uid, node in enumerate(self.nodes):
             inbox = wire[bounds[uid] : bounds[uid + 1]]
             if silent:
@@ -286,10 +288,19 @@ class ObjectKernel(kernels.RoundKernel):
             size = len(node.known)
             rank = node.coded_rank() if ranked[uid] else 0
             node.deliver(round_index, inbox)
-            if len(node.known) != size or (ranked[uid] and node.coded_rank() != rank):
+            if coordinator is not None:
+                before.append((uid, node, size, rank))
+            elif len(node.known) != size or (ranked[uid] and node.coded_rank() != rank):
                 grown.append(uid)
-        if self._coordinator is not None:
-            self._coordinator.after_round(round_index, self._topology, self.nodes)
+        if coordinator is not None:
+            # Coordinated nodes may learn only in after_round, so their
+            # fingerprints are compared across it.
+            coordinator.after_round(round_index, self._topology, self.nodes)
+            grown = [
+                uid
+                for uid, node, size, rank in before
+                if len(node.known) != size or (ranked[uid] and node.coded_rank() != rank)
+            ]
         self._incomplete_stale = True
         changed = np.zeros(self.n, dtype=bool)
         changed[grown] = True

@@ -23,7 +23,8 @@ from repro.network import (
     RandomConnectedAdversary,
     TStableAdversary,
 )
-from repro.simulation import run_dissemination
+from repro.scenarios import make_scenario
+from repro.simulation import run_dissemination, standard_instance
 from repro.tokens import MessageBudget, make_tokens, one_token_per_node, place_tokens
 from tests.conftest import make_config
 
@@ -51,6 +52,22 @@ class TestTStablePatchProtocol:
         adversary = TStableAdversary(PathShuffleAdversary(seed=4), stability)
         result = run_dissemination(factory, config, placement, adversary)
         assert result.completed and result.correct
+
+    def test_learning_through_the_coordinator_is_not_useless(self):
+        # Patch nodes learn in the coordinator's after_round, not in their
+        # own deliver; change flags taken between the two called every
+        # delivery of this run useless (3512 of 3512).
+        n, stability = 16, 8
+        config = make_config(n, b=n + 32, stability=stability)
+        result = run_dissemination(
+            make_tstable_factory(config, seed=0),
+            config,
+            standard_instance(n, n, 8, seed=0),
+            make_scenario("edge_markov_stable4", n, seed=0),
+            seed=0,
+        )
+        assert result.completed and result.correct
+        assert 0 < result.metrics.useless_deliveries < result.metrics.deliveries
 
     def test_coordinator_shared_across_nodes(self):
         config = make_config(8, stability=4)
