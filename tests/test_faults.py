@@ -63,7 +63,7 @@ from repro.simulation import (
     standard_instance,
 )
 from repro.simulation.kernels import _neighbor_or
-from tests.conftest import bind_every_sender, make_config
+from tests.conftest import bind_every_sender, fixed_state, make_config
 
 ENGINES = ("kernel", "mask")
 
@@ -334,6 +334,29 @@ class TestSpanGuard:
     def test_guard_requires_a_nonzero_source(self):
         with pytest.raises(ValueError, match="non-zero"):
             SpanGuard(8, [0, 0])
+
+    @pytest.mark.parametrize("length,rank", [(5, 4), (8, 7), (13, 12), (32, 31), (64, 1)])
+    def test_sample_outside_is_a_rejection_loop_over_little_endian_bytes(
+        self, length, rank
+    ):
+        # The source span is the first ``rank`` unit vectors, so a vector is
+        # outside it exactly when a bit at or above ``rank`` is set.
+        # ``Generator.bytes`` draws whole 32-bit words, so only a length
+        # that is a multiple of 32 shows one byte too many in the stream.
+        guard = SpanGuard(length, [1 << i for i in range(rank)])
+        rng, twin = np.random.default_rng(7), np.random.default_rng(7)
+
+        def reference():
+            while True:
+                raw = twin.bytes(math.ceil(length / 8))
+                mask = int.from_bytes(raw, "little") & (2**length - 1)
+                if mask >> rank:
+                    return mask
+
+        assert [guard.sample_outside(rng) for _ in range(12)] == [
+            reference() for _ in range(12)
+        ]
+        assert rng.bit_generator.state == twin.bit_generator.state
 
 
 class TestHostileCatalogParity:
@@ -750,6 +773,30 @@ class TestAdaptiveStrategyInvariants:
         assert (honest[:start] == n).all()
         assert (honest[start:] == n - 1).all()
         assert result.metrics.survivors == n - 1
+
+    def test_targeted_crash_takes_the_top_uid_when_it_is_the_only_live_node(self):
+        # Its (degree, lowest uid) key is 0: the smallest a live node has.
+        n = 4
+        model = FaultModel(
+            crashes=tuple((uid, 0) for uid in range(n - 1)),
+            strategy=TargetedCrashStrategy(start=0, limit=1),
+        )
+        bound = model.bind(n, np.random.default_rng(0))
+        indices, indptr = complete_topology(n).csr_adjacency()
+        bind_every_sender(bound.begin_round(0), indices, indptr)
+        assert bound.strategy_crashed.tolist() == [False, False, False, True]
+
+    @pytest.mark.parametrize("strategy", [StragglerIsolationStrategy, FrontierLossStrategy])
+    def test_certain_state_aware_loss_draws_nothing(self, strategy):
+        n = 8
+        indices, indptr = random_connected_topology(
+            n, np.random.default_rng(2)
+        ).csr_adjacency()
+        rng = np.random.default_rng(0)
+        plan = FaultModel(strategy=strategy(probability=1.0)).bind(n, rng).begin_round(0)
+        eff_indices, _ = bind_every_sender(plan, indices, indptr, state=fixed_state(np.arange(n)))
+        assert eff_indices.size < indices.size  # some edge was targeted
+        assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
 
 
 class TestCrashSchedulesFromChurn:
