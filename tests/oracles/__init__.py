@@ -6,6 +6,8 @@ representations, kept out of ``src/`` so no run path reaches it:
 * ``fault_edit``: the per-edge fault edit and its counters (plain Python,
   imports nothing from ``repro``);
 * ``components``: connected components by scalar mask BFS (numpy only);
+* ``radio``: the radio reception rule a collision round applies (plain
+  Python);
 * ``mis``: the maximal-independent-set check (reads a topology's masks);
 * ``nx_patches``: Section 8.1 patching on networkx (shares only the result
   containers);

@@ -53,6 +53,7 @@ from repro.simulation import RunMetrics, run_dissemination, standard_instance
 from repro.simulation.kernels import KERNEL_REGISTRY, RoundKernel
 from repro.network.faults import BoundStrategy, FaultStrategy
 from tests.conftest import bind_every_sender, fixed_state, make_config
+from tests.oracles import radio
 
 ENGINES = ("kernel", "mask")
 
@@ -127,6 +128,31 @@ class TestCollisionInvariants:
         assert base_stats.collided == 0
         assert stats.collided == base_i.size - coll_i.size
         assert stats.dropped == base_stats.dropped
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        n=st.integers(2, 12),
+        seed=st.integers(0, 10_000),
+        bits=st.integers(0, 2**12 - 1),
+        capture=st.booleans(),
+    )
+    def test_collision_rounds_match_the_radio_reference(self, n, seed, bits, capture):
+        topology = random_connected_topology(n, np.random.default_rng(seed))
+        indices, indptr = topology.csr_adjacency()
+        active = np.array([(bits >> uid) & 1 for uid in range(n)], dtype=bool)
+        model = FaultModel(collisions=CollisionModel(probability=1.0, capture=capture))
+        plan = model.bind(n, np.random.default_rng(seed)).begin_round(0)
+        eff_i, eff_p = plan.bind_edges(
+            indices, indptr, active=active, receivers=topology.csr_receivers()
+        )
+        # Silent senders stay in the effective CSR and deliver nothing.
+        got = [
+            [u for u in eff_i[eff_p[v] : eff_p[v + 1]].tolist() if active[u]]
+            for v in range(n)
+        ]
+        neighbours = [indices[indptr[v] : indptr[v + 1]].tolist() for v in range(n)]
+        expected = radio.heard(neighbours, active.tolist(), capture)
+        assert got == [[] if u is None else [u] for u in expected]
 
     def test_certain_probabilities_spend_no_draw_and_half_spends_one(self):
         n = 8
