@@ -96,11 +96,6 @@ class ProtocolConfig:
         return self.budget.b
 
     @property
-    def d(self) -> int:
-        """The token size in bits."""
-        return self.token_bits
-
-    @property
     def log_n(self) -> int:
         """``ceil(log2 n)``, the id/identifier size scale."""
         return log2_ceil(self.n)

@@ -134,11 +134,6 @@ class GF:
     # basic properties
     # ------------------------------------------------------------------
     @property
-    def order(self) -> int:
-        """The number of elements in the field."""
-        return self.q
-
-    @property
     def bits_per_symbol(self) -> int:
         """Bits required to transmit one field element."""
         return field_bits(self.q)
@@ -178,14 +173,6 @@ class GF:
     def mul(self, a: int, b: int) -> int:
         """Field multiplication."""
         return (int(a) * int(b)) % self.q
-
-    def pow(self, a: int, e: int) -> int:
-        """Field exponentiation ``a**e``; negative exponents invert first."""
-        a = self.normalize(a)
-        if e < 0:
-            a = self.inv(a)
-            e = -e
-        return pow(a, e, self.q)
 
     def inv(self, a: int) -> int:
         """Multiplicative inverse of ``a``.

@@ -349,50 +349,6 @@ class Topology:
             self.csr_adjacency()
         return self._receivers
 
-    # ------------------------------------------------------------------
-    # packed set algebra (whole-graph bitwise ops)
-    # ------------------------------------------------------------------
-    def union(self, other: "Topology") -> "Topology":
-        """The edge-union of two topologies on the same node set.
-
-        One elementwise OR over the packed adjacency matrices.  When both
-        operands are known-valid round topologies the union is too
-        (symmetry and loop-freeness are preserved bitwise, and a connected
-        subgraph stays connected under edge addition), so the result skips
-        re-validation.
-        """
-        if self.n != other.n:
-            raise ValueError(f"node-count mismatch: {self.n} != {other.n}")
-        return Topology.from_packed(
-            self.n,
-            self.packed_adjacency() | other.packed_adjacency(),
-            pre_validated=self._valid and other._valid,
-        )
-
-    def intersection(self, other: "Topology") -> "Topology":
-        """The edge-intersection of two topologies on the same node set.
-
-        One elementwise AND over the packed adjacency matrices.  The result
-        is *not* marked pre-validated: intersecting two connected graphs can
-        disconnect (that is the whole point of T-interval connectivity), so
-        callers probing the common structure should use
-        :meth:`is_connected` rather than :meth:`validate`.
-        """
-        if self.n != other.n:
-            raise ValueError(f"node-count mismatch: {self.n} != {other.n}")
-        return Topology.from_packed(
-            self.n, self.packed_adjacency() & other.packed_adjacency()
-        )
-
-    def degrees(self) -> np.ndarray:
-        """Per-node degrees as one popcount pass over the packed rows.
-
-        Returns an ``int64`` array of length ``n``.  A self-loop bit (only
-        possible on unvalidated hand-built inputs) counts once; legal round
-        topologies have none.
-        """
-        return np.bitwise_count(self.packed_adjacency()).sum(axis=1, dtype=np.int64)
-
     def number_of_edges(self) -> int:
         total = sum(mask.bit_count() for mask in self.masks)
         loops = sum((mask >> u) & 1 for u, mask in enumerate(self.masks))

@@ -140,34 +140,3 @@ class RunMetrics:
         data["waste_fraction"] = self.waste_fraction
         data["surviving_completion_rate"] = self.surviving_completion_rate
         return data
-
-    def summary(self) -> dict:
-        """A plain-dict summary convenient for printing in benchmarks."""
-        data = self.to_dict()
-        summary = {
-            "rounds": data["rounds_executed"],
-            "completion_round": data["completion_round"],
-            "completed": data["completed"],
-            "broadcasts": data["broadcasts"],
-            "avg_message_bits": round(data["average_message_bits"], 1),
-            "max_message_bits": data["max_message_bits"],
-            "waste_fraction": round(data["waste_fraction"], 3),
-        }
-        if data["survivors"] is not None:
-            rate = data["surviving_completion_rate"]
-            summary.update(
-                {
-                    "survivors": data["survivors"],
-                    "survivor_completion_round": data["survivor_completion_round"],
-                    "surviving_completion_rate": round(rate, 3) if rate is not None else None,
-                    "dropped": data["dropped_deliveries"],
-                    "duplicated": data["duplicated_deliveries"],
-                    "corrupted": data["corrupted_deliveries"],
-                    "collided": data["collided_deliveries"],
-                    "recoveries": data["recoveries"],
-                    "reconvergence_rounds": data["reconvergence_rounds"],
-                }
-            )
-        if data["fake_nodes"] is not None:
-            summary["fake_nodes"] = data["fake_nodes"]
-        return summary

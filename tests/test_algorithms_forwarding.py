@@ -181,7 +181,7 @@ class TestRandomForward:
             max_rounds=n, stop_at_completion=False,
         )
         best = max(len(node.known_token_ids()) for node in result.nodes)
-        bound = np.sqrt(config.b * config.k / config.d)
+        bound = np.sqrt(config.b * config.k / config.token_bits)
         assert best >= min(config.k, int(bound))
 
     def test_gather_state_leader_election(self, rng):

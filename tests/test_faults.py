@@ -197,7 +197,6 @@ class TestFaultModelValidation:
         )
         assert runs[False].metrics.survivors is None
         assert runs[False].metrics.surviving_completion_rate is None
-        assert "survivors" not in runs[False].metrics.summary()
 
 
 class TestEffectiveCsrInvariants:
@@ -379,7 +378,6 @@ class TestHostileCatalogParity:
         fake = set(model.quorum.fake) if model.quorum is not None else set()
         assert metrics.survivors == n - len(permanent | fake)
         assert metrics.surviving_completion_rate is not None
-        assert "survivors" in metrics.summary()
 
     @pytest.mark.parametrize(
         "name", [s for s in hostile_scenarios() if fault_model_for(s, 16).byzantine]
@@ -456,7 +454,6 @@ class TestCodingFamilyHostileParity:
         if kernel.metrics.survivor_completion_round is not None:
             assert kernel.metrics.reconvergence_rounds is not None
             assert kernel.metrics.reconvergence_rounds >= 0
-        assert "recoveries" in kernel.metrics.summary()
 
 
 class TestTrailingEmptySegmentRegressions:
@@ -537,7 +534,7 @@ class TestSurvivorRate:
         # from "no survivor completed".
         metrics = RunMetrics(survivors=0, completed_survivors=0)
         assert metrics.surviving_completion_rate is None
-        assert metrics.summary()["surviving_completion_rate"] is None
+        assert metrics.to_dict()["surviving_completion_rate"] is None
 
     def test_partial_survivor_rate(self):
         metrics = RunMetrics(survivors=4, completed_survivors=3)

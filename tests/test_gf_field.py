@@ -116,11 +116,6 @@ class TestScalarArithmetic:
         with pytest.raises(ZeroDivisionError):
             f7.inv(0)
 
-    def test_pow(self, f7):
-        assert f7.pow(3, 0) == 1
-        assert f7.pow(3, 6) == 1  # Fermat
-        assert f7.pow(3, -1) == f7.inv(3)
-
     def test_normalize(self, f7):
         assert f7.normalize(-1) == 6
         assert f7.normalize(14) == 0

@@ -175,7 +175,8 @@ class TestRawProcesses:
             assert degrees.sum() == 2 * n  # edge count invariant: |E| = n (the ring's)
 
     def test_precomputed_schedule_cycles_and_rejects_bad_shapes(self):
-        topologies = [ring_topology(8), ring_topology(8).union(Topology.from_edges(8, [(0, 4)]))]
+        chord = Topology.from_edges(8, ring_topology(8).edges + [(0, 4)])
+        topologies = [ring_topology(8), chord]
         process = PrecomputedSchedule.from_topologies(topologies)
         assert process.guarantees_connected
         batch = process.next_batch(5)

@@ -330,54 +330,6 @@ class TestStructuralIdentity:
         assert cache[ring_topology(7)] == "ring"
 
 
-class TestPackedSetAlgebra:
-    @pytest.mark.parametrize("n", [7, 70])
-    def test_union_matches_nx(self, n):
-        a = random_connected_topology(n, np.random.default_rng(0))
-        b = random_connected_topology(n, np.random.default_rng(1))
-        expected = _edge_set(a) | _edge_set(b)
-        union = a.union(b)
-        assert union.n == n
-        assert _edge_set(union) == expected
-
-    @pytest.mark.parametrize("n", [7, 70])
-    def test_intersection_matches_nx(self, n):
-        a = random_connected_topology(n, np.random.default_rng(0), extra_edge_prob=0.3)
-        b = random_connected_topology(n, np.random.default_rng(1), extra_edge_prob=0.3)
-        expected = _edge_set(a) & _edge_set(b)
-        intersection = a.intersection(b)
-        assert intersection.n == n
-        assert _edge_set(intersection) == expected
-
-    def test_union_of_validated_operands_is_pre_validated(self):
-        union = ring_topology(9).union(star_topology(9))
-        union.validate(9)  # must not raise, and must be free (flag test)
-        assert _edge_set(union) == _edge_set(ring_topology(9)) | _edge_set(star_topology(9))
-
-    def test_intersection_can_be_probed_when_disconnected(self):
-        a = path_topology(4, order=[0, 1, 2, 3])
-        b = path_topology(4, order=[1, 3, 0, 2])
-        common = a.intersection(b)
-        assert not common.is_connected()
-        with pytest.raises(ValueError):
-            common.validate(4)
-
-    def test_mismatched_node_counts_rejected(self):
-        with pytest.raises(ValueError):
-            ring_topology(5).union(ring_topology(6))
-        with pytest.raises(ValueError):
-            ring_topology(5).intersection(ring_topology(6))
-
-    @pytest.mark.parametrize("n", [1, 7, 70])
-    def test_degrees_matches_nx(self, n):
-        topology = random_connected_topology(n, np.random.default_rng(3), extra_edge_prob=0.2)
-        degrees = topology.degrees()
-        assert degrees.shape == (n,)
-        assert degrees.dtype == np.int64
-        expected = dict(nx_graph(topology).degree())
-        assert [expected[u] for u in range(n)] == degrees.tolist()
-
-
 class TestCsrAdjacency:
     @staticmethod
     def _batch(n: int, rounds: int, seed: int) -> np.ndarray:

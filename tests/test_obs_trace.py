@@ -421,6 +421,3 @@ def test_metrics_to_dict_covers_every_field():
     ):
         assert derived in data, derived
     assert data["progress"] == [list(entry) for entry in metrics.progress]
-    summary = metrics.summary()
-    assert summary["rounds"] == data["rounds_executed"]
-    assert summary["completed"] == data["completed"]

@@ -178,8 +178,7 @@ class TestRunner:
         assert m.max_message_bits <= config.budget.limit_bits
         assert 0 <= m.waste_fraction <= 1
         assert m.average_message_bits > 0
-        summary = m.summary()
-        assert summary["completed"] is True
+        assert m.to_dict()["completed"] is True
 
 
 class TestRecordingAdversary:

@@ -1,16 +1,17 @@
 """Every public name in ``src/repro`` is used by code that runs, or says why not.
 
 A public name is a name in a ``src/repro`` module's ``__all__``, or a
-public method of such a class (``module.Class.method``). It counts as used
-when it appears as an identifier (a loaded ``Name``, an ``Attribute`` or an
-imported alias) somewhere in ``src/``, ``benchmarks/``, ``examples/`` or
-``perfbench/``. Not counted: the name's own definition (its ``def`` or
+public method of such a class (``module.Class.method``). A name counts as
+used when it appears as an identifier (a loaded ``Name``, an ``Attribute`` or
+an imported alias) somewhere in ``src/``, ``benchmarks/``, ``examples/`` or
+``perfbench/``; a method only when something reads it as an attribute
+(``obj.method``), since a local variable of the same name is no call. Not counted: the name's own definition (its ``def`` or
 ``class`` body, or the assignment that binds it), ``__all__`` lists,
 re-exports in ``__init__`` modules, docstrings and comments. A method's
 uses inside its own class do count. Tests are not callers: a name only
 tests reach belongs in ``tests/`` or in ``KEPT``.
 
-Matching is by bare name, so a common word (``rank``) used as any
+Matching is by bare name, so a common word (``rank``) read as any
 attribute counts as a use; the scan can miss dead code, never invent it.
 Run it standalone to print the names without a caller:
 ``python tests/test_src_callers.py``.
@@ -54,6 +55,9 @@ KEPT: dict[str, str] = {
     "repro.network.adversary.RotatingStarAdversary": "an oblivious adversary family exported from repro",
     "repro.simulation.kernels.TokenForwardingKernel": "registered by @register_kernel; run_dissemination reaches it through KERNEL_REGISTRY",
     "repro.gf.field.GF.mul": "scalar GF(q) product; the dense GF(q) reference tests/oracles/gf_matrix.py reads it",
+    "repro.gf.field.GF.neg": "scalar GF(q) additive inverse; the dense GF(q) reference tests/oracles/gf_matrix.py reads it",
+    "repro.network.patches.PatchDecomposition.leaders": "the Section 8.1 leader set (the power graph's MIS); the patch pins and the networkx patch oracle compare by it",
+    "repro.network.topology.Topology.edges": "the documented (u, v) edge list of a topology; tests.conftest.nx_graph builds every networkx oracle graph from it",
     "repro.network.topology.Topology.from_edges": "the documented way to build a custom topology from an edge list",
     "repro.network.topology.Topology.from_packed_batch": "the documented way to build custom topologies from a packed adjacency batch",
 }
@@ -93,25 +97,35 @@ def _public_methods(statement: ast.stmt) -> list[str]:
     ]
 
 
-def _identifiers(node: ast.AST) -> set[str]:
-    """Identifiers ``node`` reads: loaded names, attributes and imported aliases."""
+def _identifiers(node: ast.AST) -> tuple[set[str], set[str]]:
+    """``(every identifier node reads, the ones it reads as attributes)``.
+
+    Identifiers are loaded names, attributes and imported aliases.
+    """
     found: set[str] = set()
+    attributes: set[str] = set()
     for sub in ast.walk(node):
         if isinstance(sub, ast.Name) and not isinstance(sub.ctx, ast.Store):
             found.add(sub.id)
         elif isinstance(sub, ast.Attribute) and not isinstance(sub.ctx, ast.Store):
-            found.add(sub.attr)
+            attributes.add(sub.attr)
         elif isinstance(sub, ast.alias):
             found.add(sub.name.rsplit(".", 1)[-1])
-    return found
+    return found | attributes, attributes
 
 
 @cache
-def scan(root: Path = ROOT) -> tuple[dict[str, str], set[str]]:
-    """Return ``({qualified name: bare name} of public definitions, used bare names)``."""
+def scan(root: Path = ROOT) -> tuple[dict[str, str], set[str], set[str]]:
+    """Return ``(public, used, attributes)``.
+
+    ``public`` maps each public definition's qualified name to its bare
+    name; ``used`` holds the bare names read anywhere and ``attributes``
+    those read as an attribute.
+    """
     package = root / "src" / "repro"
     public: dict[str, str] = {}
     used: set[str] = set()
+    attributes: set[str] = set()
     for directory in CALLER_DIRS:
         if not (root / directory).is_dir():
             continue
@@ -139,18 +153,29 @@ def scan(root: Path = ROOT) -> tuple[dict[str, str], set[str]]:
                     value = statement.value
                     if defined == ["__all__"] or value is None:
                         continue
-                    used |= _identifiers(value) - set(defined)
+                    found, read = _identifiers(value)
+                    used |= found - set(defined)
+                    attributes |= read
                     continue
-                found = _identifiers(statement)
+                found, read = _identifiers(statement)
                 if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                     found.discard(statement.name)  # its own body is not a caller
                 used |= found
-    return public, used
+                attributes |= read
+    return public, used, attributes
+
+
+def _called(qualified: str, root: Path) -> bool:
+    """Whether the public ``qualified`` name has a caller (a method: an attribute read)."""
+    public, used, attributes = scan(root)
+    module_or_class, _, name = qualified.rpartition(".")
+    is_method = module_or_class in public
+    return name in (attributes if is_method else used)
 
 
 def uncalled(root: Path = ROOT) -> list[str]:
-    public, used = scan(root)
-    return sorted(q for q, name in public.items() if name not in used)
+    public = scan(root)[0]
+    return sorted(q for q in public if not _called(q, root))
 
 
 def test_every_public_name_has_a_caller_or_a_kept_reason():
@@ -163,9 +188,9 @@ def test_every_public_name_has_a_caller_or_a_kept_reason():
 
 def stale_kept(kept: dict[str, str], root: Path = ROOT) -> tuple[list[str], list[str]]:
     """``(kept names that no longer exist, kept names that now have a caller)``."""
-    public, used = scan(root)
+    public = scan(root)[0]
     gone = sorted(q for q in kept if q not in public)
-    called = sorted(q for q in kept if q in public and public[q] in used)
+    called = sorted(q for q in kept if q in public and _called(q, root))
     return gone, called
 
 
@@ -266,6 +291,36 @@ def test_scan_flags_a_public_method_without_a_caller(tmp_path):
         },
     )
     assert uncalled(root) == ["repro.shapes.Square.perimeter"]
+
+
+def test_a_local_variable_named_like_a_method_is_not_a_caller(tmp_path):
+    shapes = """
+        __all__ = ["Square"]
+
+
+        class Square:
+            def area(self):
+                return 1
+
+            def edges(self):
+                return 4
+    """
+    use = (
+        "from repro.shapes import Square\n"
+        "area = Square().area()\n"
+        "edges = [area] * 4\n"
+        "print(edges)\n"
+    )
+    root = _tree(
+        tmp_path,
+        {
+            "src/repro/__init__.py": "",
+            "src/repro/shapes.py": shapes,
+            "examples/use.py": use,
+        },
+    )
+    # ``edges`` is read only as a variable, ``area`` also as an attribute.
+    assert uncalled(root) == ["repro.shapes.Square.edges"]
 
 
 def test_scan_reports_kept_names_that_are_gone_or_now_called(tmp_path):
