@@ -24,8 +24,9 @@ constructions, and wrappers adding T-stability.
 Every adversary returns a mask-native
 :class:`~repro.network.topology.Topology` (per-node neighbour bitmasks) —
 the bottleneck/split cliques are two mask fills instead of O(n^2) edge
-insertions — and reads the state's whole-network columns.  Custom adversaries build their topologies with the
-builders of :mod:`repro.network.topology` or
+insertions — and reads the state's whole-network columns.  Custom
+adversaries build their topologies with the builders of
+:mod:`repro.network.topology` or
 :meth:`~repro.network.topology.Topology.from_edges`; the runner rejects any
 other return type through :func:`~repro.network.topology.as_topology`.
 """

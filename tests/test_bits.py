@@ -2,7 +2,7 @@
 
 One property drives every conversion of the layout from one set of rows:
 Python-int masks, ``(m, words)`` uint64 rows, bool arrays, bit positions,
-single-bit reads, 0/1 vectors and the ``(u, v)`` pair scatter.  The expected bools are built
+0/1 vectors and the ``(u, v)`` pair scatter.  The expected bools are built
 from the masks with Python shifts, so the check shares no code with the
 module.  Square symmetric inputs are adjacency matrices and also go
 through :class:`~repro.network.topology.Topology`, whose masks and packed
