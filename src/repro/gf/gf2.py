@@ -171,8 +171,32 @@ class GF2Basis:
                 raise ValueError("rows are not valid echelon rows")
             rows[lead] = mask
             pivot_mask |= 1 << lead
+        # Mutual reduction: a row's pivot bits are its own lead alone.
+        for lead, mask in rows.items():
+            if mask & pivot_mask != 1 << lead:
+                raise ValueError("rows are not mutually reduced echelon rows")
         basis._pivot_mask = pivot_mask
         basis._sorted_leads_neg = sorted(-lead for lead in rows)
+        return basis
+
+    def reordered(self, leads: Sequence[int]) -> "GF2Basis":
+        """This basis' span, its rows inserted in the order of their ``leads``.
+
+        The new basis holds this basis' very row ints (a span shared by many
+        nodes is then stored once), keyed in the given order, which must list
+        every row's lead exactly once.  Its row dict and lead list are its
+        own, so inserting into either basis leaves the other unchanged.
+        """
+        source = self._rows
+        try:
+            rows = {lead: source[lead] for lead in leads}
+        except KeyError:
+            raise ValueError("leads must be this basis' row leads") from None
+        if len(leads) != len(source) or len(rows) != len(source):
+            raise ValueError("leads must list each row lead once")
+        basis = GF2Basis(self.length, rows)
+        basis._pivot_mask = self._pivot_mask
+        basis._sorted_leads_neg = list(self._sorted_leads_neg)
         return basis
 
     def basis_matrix(self) -> np.ndarray:

@@ -7,7 +7,12 @@ random-combination compose, slot-lockstep XOR elimination of the delivered
 vectors, and vectorised decode-readiness.  No live
 :class:`~repro.coding.subspace.Subspace` objects exist on the hot path;
 :meth:`RoundKernel.to_nodes` materialises them (and the decoded tokens) back
-into the protocol nodes at the end of the run.
+into the protocol nodes at the end of the run.  Every decoded node then
+holds the one ``k``-dimensional source span, whose mutually-reduced rows are
+unique, so that span is decoded once and converted to row ints once, and
+every decoded node's basis shares those ints in its own insertion order.
+Each decoded node's packed rows are still compared with the shared rows, and
+a mismatch raises rather than handing the node a span it does not hold.
 
 :class:`IndexedBroadcastKernel` covers pure RLNC indexed broadcast (Lemma
 5.3), both the randomized protocol and the deterministic pre-committed
@@ -37,35 +42,9 @@ from .kernels import KernelUnsupported, RoundKernel, register_kernel
 __all__ = ["IndexedBroadcastKernel"]
 
 
-def _delivery_pairs(
-    indices: np.ndarray, indptr: np.ndarray, active: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """All (receiver, active sender) pairs of one round, slot-major.
-
-    Slot ``j`` pairs every node of degree ``> j`` with its ``j``-th CSR
-    neighbour; concatenating the slots in ascending order lists each node's
-    inbox in exactly the ascending-neighbour order the object engines use,
-    which is the per-basis insert order
-    :meth:`~repro.gf.packed.GF2BasisBatch.insert_batch` honours for repeated
-    node ids — so one round's whole delivery is a single fused call.
-    """
-    empty = np.zeros(0, dtype=np.int64)
-    if indices.size == 0:
-        return empty, empty
-    degrees = np.diff(indptr)
-    receiver_parts: list[np.ndarray] = []
-    sender_parts: list[np.ndarray] = []
-    for slot in range(int(degrees.max())):
-        # repro: allow[REP401] loop is per neighbour slot (<= max degree), batched over all receivers
-        receivers = np.flatnonzero(degrees > slot)
-        senders = indices[indptr[receivers] + slot]
-        keep = active[senders]
-        if keep.any():
-            receiver_parts.append(receivers[keep])
-            sender_parts.append(senders[keep])
-    if not receiver_parts:
-        return empty, empty
-    return np.concatenate(receiver_parts), np.concatenate(sender_parts)
+#: Decoded nodes whose core rows one pass of the shared-span check compares
+#: (bounds its ``(chunk, words, k)`` temporaries).
+_CHECK_CHUNK = 64
 
 
 # ----------------------------------------------------------------------
@@ -194,13 +173,15 @@ class IndexedBroadcastKernel(RoundKernel):
 
     def deliver_all(self, round_index, indices, indptr, active):
         innovative = np.zeros(self.n, dtype=bool)
-        receivers, senders = _delivery_pairs(indices, indptr, self._send_active)
-        if receivers.size:
-            # Saturated receivers short-circuit inside the core anyway; the
-            # early filter means the combine below only materialises the
-            # messages someone still needs.
-            open_receiver = self.core.ranks[receivers] < self.gen_k
-            receivers, senders = receivers[open_receiver], senders[open_receiver]
+        # The CSR is receiver-major with each inbox in ascending sender
+        # order: the per-basis insert order insert_batch honours, so the
+        # round's whole delivery is one fused call.  Saturated receivers
+        # short-circuit inside the core anyway; filtering them out early
+        # means the combine below only materialises the messages someone
+        # still needs.
+        receivers = np.repeat(np.arange(self.n), np.diff(indptr))
+        keep = self._send_active[indices] & (self.core.ranks[receivers] < self.gen_k)
+        receivers, senders = receivers[keep], indices[keep]
         if receivers.size:
             if self._wire is not None:
                 # Message views (or an override pass) already materialised
@@ -249,11 +230,22 @@ class IndexedBroadcastKernel(RoundKernel):
         return column
 
     def to_nodes(self, nodes):
-        decoded_tokens: list | None = None
+        """Write the core's bases, pick buffers and decoded tokens back.
+
+        Every decoded node's span is the one ``k``-dimensional source span,
+        whose mutually-reduced rows are unique: they are decoded once and
+        converted to ints once, and each decoded node's basis holds those
+        same row ints keyed in its own insertion order
+        (:meth:`~repro.gf.gf2.GF2Basis.reordered`).  Each node's packed rows
+        are still compared with the shared rows (:meth:`_check_shared_span`),
+        so a node whose rows differ raises instead of inheriting the span.
+        Undecoded nodes get their own rows.
+        """
         decoded_uids = np.flatnonzero(self.decoded)
+        shared: GF2Basis | None = None
+        leads_of: dict[int, list[int]] = {}
+        decoded_known: dict = {}
         if decoded_uids.size:
-            # Canonical instance: every decoded span is the same k-dimensional
-            # source span, so one vectorised Gauss-Jordan serves all nodes.
             with self.profiler.span("decode"):
                 ok, payloads = self.core.decode_payload_masks_batch(
                     self.gen_k, decoded_uids[:1]
@@ -263,20 +255,62 @@ class IndexedBroadcastKernel(RoundKernel):
                     "canonical decode failed for a node whose span reached "
                     "full rank"
                 )
-            decoded_tokens = []
-            for payload in packed_to_masks(payloads[0]):
-                decoded_tokens.extend(
-                    decode_block(self.config, payload, tokens_per_block=1)
-                )
+            decoded_known = self._decoded_known(payloads[0])
+            self._check_shared_span(decoded_uids)
+            shared = GF2Basis.from_rows(
+                self.length, self.core.row_masks(int(decoded_uids[0]))
+            )
+            leads = self.core._lead[decoded_uids, : self.gen_k].tolist()
+            leads_of = dict(zip(decoded_uids.tolist(), leads))
         for uid, node in enumerate(nodes):
             subspace = node.state.subspace
-            subspace._gf2 = GF2Basis.from_rows(self.length, self.core.row_masks(uid))
+            leads = leads_of.get(uid)
+            if leads is None:
+                subspace._gf2 = GF2Basis.from_rows(self.length, self.core.row_masks(uid))
+            else:
+                subspace._gf2 = shared.reordered(leads)
             subspace._pick_buffer = self.core._pick_buffer[uid]
             subspace._pick_bits = self.core._pick_bits[uid]
-            if self.decoded[uid] and not node._decoded:
+            if leads is not None and not node._decoded:
+                # Own tokens keep their place and value; the rest follow in
+                # decode order.
                 known = node.known
-                for token in decoded_tokens:
-                    if token.token_id not in known:
-                        known[token.token_id] = token
+                own = known.copy()
+                known.update(decoded_known)
+                known.update(own)
                 node._decoded = True
             node._span_dirty = False
+
+    def _decoded_known(self, payloads: np.ndarray) -> dict:
+        """The decoded tokens in decode order, keyed by the run's own token ids."""
+        run_ids = {tid: tid for tid in self.token_index}
+        decoded: dict = {}
+        for payload in packed_to_masks(payloads):
+            for token in decode_block(self.config, payload, tokens_per_block=1):
+                decoded.setdefault(run_ids.get(token.token_id, token.token_id), token)
+        return decoded
+
+    def _check_shared_span(self, uids: np.ndarray) -> None:
+        """Raise unless every listed node holds the first one's rows.
+
+        Each node's rows, gathered by lead, must equal the first node's row
+        with the same lead; nodes are compared :data:`_CHECK_CHUNK` at a time.
+        """
+        k = self.gen_k
+        rows, lead = self.core.rows, self.core._lead
+        first = int(uids[0])
+        shared = rows[first, :, :k]
+        position = np.full(self.length, -1, dtype=np.int64)
+        position[lead[first, :k]] = np.arange(k)
+        for start in range(0, uids.size, _CHECK_CHUNK):
+            chunk = uids[start : start + _CHECK_CHUNK]
+            at = position[lead[chunk, :k]]
+            # repro: allow[REP401] one pass per chunk of decoded nodes, batched within it
+            same = (at >= 0).all() and np.array_equal(
+                rows[chunk, :, :k], shared[:, at].transpose(1, 0, 2)
+            )
+            if not same:
+                raise RuntimeError(
+                    "decoded nodes hold different spans; the canonical "
+                    "instance gives every decoded node the same source span"
+                )

@@ -14,6 +14,7 @@ number)``, which every node can create locally with ``O(log n)`` bits.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -136,8 +137,17 @@ class TokenPlacement:
         return len(self.tokens)
 
     def tokens_at(self, node: int) -> list[Token]:
-        """Tokens initially held by ``node``."""
-        return [t for t in self.tokens if node in self.holders[t.token_id]]
+        """Tokens initially held by ``node``, in placement order."""
+        return list(self._tokens_by_holder.get(node, ()))
+
+    @cached_property
+    def _tokens_by_holder(self) -> dict[int, list[Token]]:
+        """Holder -> its tokens in placement order, built in one pass."""
+        by_holder: dict[int, list[Token]] = {}
+        for token in self.tokens:
+            for node in self.holders[token.token_id]:
+                by_holder.setdefault(node, []).append(token)
+        return by_holder
 
     def by_id(self) -> dict[TokenId, Token]:
         """Map token id -> token."""

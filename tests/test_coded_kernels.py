@@ -7,13 +7,16 @@ kernel and mask engines for indexed broadcast — randomized *and*
 deterministic-schedule — over the whole dynamic-scenario catalog and the
 hand-written adversaries, plus the coded engine-selection rules (the other
 coded protocols run on the mask engine) and the ``to_nodes``
-materialisation guarantees (post-run compose stream parity).
+materialisation guarantees: post-run compose stream parity, node state
+parity on completed and cut-off runs, decoded nodes sharing row ints but not
+bases, and the per-node row check.
 """
 
 from __future__ import annotations
 
 import dataclasses
 
+import numpy as np
 import pytest
 
 from repro.algorithms import (
@@ -31,7 +34,9 @@ from repro.network import (
 )
 from repro.scenarios import SCENARIOS, scenario_for
 from repro.simulation import kernel_for, run_dissemination, standard_instance
-from repro.simulation.kernels import IndexedBroadcastKernel
+from repro.simulation.kernels import IndexedBroadcastKernel, run_rounds
+from repro.simulation.metrics import RunMetrics
+from repro.simulation.runner import build_nodes
 from tests.conftest import make_config
 
 ENGINES = ("kernel", "mask")
@@ -142,6 +147,98 @@ class TestIndexedBroadcastAcrossScenarios:
             max_rounds=60,
         )
         _assert_identical(results)
+
+
+def _materialised_runs(max_rounds=None):
+    config = make_config(12)
+    placement = standard_instance(12, 12, 8, seed=3)
+    runs = {
+        engine: run_dissemination(
+            IndexedBroadcastNode,
+            config,
+            placement,
+            RandomConnectedAdversary(seed=7),
+            seed=3,
+            engine=engine,
+            max_rounds=max_rounds,
+        )
+        for engine in ENGINES
+    }
+    return placement, runs
+
+
+class TestMaterialisation:
+    """``to_nodes``: one shared span for the decoded nodes, own rows for the rest."""
+
+    @pytest.mark.parametrize(
+        "max_rounds,decoded",
+        [(None, 12), (7, 5)],
+        ids=["completed", "cut-off"],
+    )
+    def test_node_state_matches_the_mask_engine(self, max_rounds, decoded):
+        placement, runs = _materialised_runs(max_rounds)
+        assert runs["kernel"].engine == "kernel"
+        assert sum(node._decoded for node in runs["kernel"].nodes) == decoded
+        run_ids = {tid: tid for tid in placement.all_ids()}
+        for kernel_node, mask_node in zip(runs["kernel"].nodes, runs["mask"].nodes):
+            kernel_sub, mask_sub = kernel_node.state.subspace, mask_node.state.subspace
+            assert kernel_node._decoded == mask_node._decoded
+            assert (
+                kernel_sub._gf2.rows_in_insertion_order()
+                == mask_sub._gf2.rows_in_insertion_order()
+            )
+            assert kernel_sub._gf2.basis_masks() == mask_sub._gf2.basis_masks()
+            assert kernel_sub._pick_buffer == mask_sub._pick_buffer
+            assert kernel_sub._pick_bits == mask_sub._pick_bits
+            assert list(kernel_node.known.items()) == list(mask_node.known.items())
+            # Keyed by the run's own token ids, which correctness looks up.
+            assert all(tid is run_ids[tid] for tid in kernel_node.known)
+
+    def test_decoded_nodes_share_row_ints_but_not_bases(self):
+        _, runs = _materialised_runs()
+        bases = [node.state.subspace._gf2 for node in runs["kernel"].nodes]
+        first, *others = bases
+        for basis in others:
+            assert basis._rows is not first._rows
+            assert all(basis._rows[lead] is row for lead, row in first._rows.items())
+        before = [
+            (basis.rows_in_insertion_order(), basis.basis_masks()) for basis in others
+        ]
+        outside = next(
+            1 << bit for bit in range(first.length) if not first.contains(1 << bit)
+        )
+        assert first.insert(outside)
+        assert first.rank == 13
+        after = [
+            (basis.rows_in_insertion_order(), basis.basis_masks()) for basis in others
+        ]
+        assert after == before
+        assert all(basis.rank == 12 and not basis.contains(outside) for basis in others)
+
+    def test_a_decoded_node_with_different_rows_raises(self):
+        config = make_config(12)
+        placement = standard_instance(12, 12, 8, seed=3)
+        nodes = build_nodes(IndexedBroadcastNode, config, placement, np.random.default_rng(3))
+        token_index = {tid: i for i, tid in enumerate(sorted(placement.all_ids()))}
+        for node in nodes:
+            node.enable_mask_tracking(token_index)
+        kernel = IndexedBroadcastKernel(config, placement, token_index, nodes)
+        run_rounds(
+            kernel,
+            config,
+            RandomConnectedAdversary(seed=7),
+            RunMetrics(),
+            max_rounds=100,
+            stop_at_completion=True,
+            track_progress=False,
+        )
+        assert kernel.decoded.all()
+        # Flip bit 0 of one of the last node's rows: its lead is unchanged,
+        # so only the row comparison can notice.
+        column = int(np.flatnonzero(kernel.core._lead[11, :12] > 0)[0])
+        kernel.core.rows[11, 0, column] ^= np.uint64(1)
+        with pytest.raises(RuntimeError, match="different spans"):
+            kernel.to_nodes(nodes)
 
 
 class TestCodedEngineSelection:

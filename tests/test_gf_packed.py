@@ -297,6 +297,28 @@ class TestScalarFastPaths:
             GF2Basis.from_rows(8, [0b11, 0b10])
         with pytest.raises(ValueError, match="echelon"):
             GF2Basis.from_rows(2, [0b100])
+        # Distinct leads, but 0b110 carries 0b011's lead: 0b101 is in the
+        # span, yet a single reduction pass would leave 0b11.
+        with pytest.raises(ValueError, match="mutually reduced"):
+            GF2Basis.from_rows(8, [0b110, 0b011])
+        with pytest.raises(ValueError, match="mutually reduced"):
+            GF2Basis.from_rows(8, [0b001, 0b101])
+
+    def test_reordered_shares_rows_in_the_given_order(self, rng):
+        basis = GF2Basis(30)
+        for _ in range(20):
+            basis.insert(int(rng.integers(0, 1 << 30)))
+        leads = list(basis._rows)[::-1]
+        twin = basis.reordered(leads)
+        assert list(twin._rows) == leads
+        assert all(twin._rows[lead] is basis._rows[lead] for lead in leads)
+        assert twin.basis_masks() == basis.basis_masks()
+        assert twin._pivot_mask == basis._pivot_mask
+        rebuilt = GF2Basis.from_rows(30, twin.rows_in_insertion_order())
+        assert rebuilt._rows == twin._rows
+        for bad in (leads[1:], leads + leads[:1], leads[:-1] + leads[:1], leads[:-1] + [31]):
+            with pytest.raises(ValueError, match="row lead"):
+                basis.reordered(bad)
 
 
 class TestPackedHelpers:

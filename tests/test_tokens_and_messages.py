@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.gf import symbols_needed
 from repro.tokens import (
@@ -86,6 +88,28 @@ class TestTokenFactories:
         assert len(placement.all_ids()) == 6
         assert len(placement.tokens_at(3)) == 1
         assert placement.by_id()[placement.tokens[0].token_id] == placement.tokens[0]
+
+    @given(
+        n=st.integers(1, 12),
+        k=st.integers(0, 16),
+        copies=st.integers(1, 5),
+        at_origin=st.booleans(),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_tokens_at_matches_the_holder_scan(self, n, k, copies, at_origin, seed):
+        # The per-holder index is built once per placement; every node's
+        # list must be the full scan over the tokens, in placement order.
+        rng = np.random.default_rng(seed)
+        origins = rng.integers(0, n + 2, size=k).tolist()
+        tokens = make_tokens(k, 8, rng, origins=origins)
+        placement = place_tokens(tokens, n, rng, copies=copies, at_origin=at_origin)
+        for node in range(n + 2):
+            scan = [t for t in placement.tokens if node in placement.holders[t.token_id]]
+            assert placement.tokens_at(node) == scan
+        # Each call hands out a fresh list.
+        placement.tokens_at(0).append(None)
+        assert None not in placement.tokens_at(0)
 
 
 class TestMessageSizes:
