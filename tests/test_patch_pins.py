@@ -2,11 +2,11 @@
 
 Each case decomposes one seeded ``random_connected_topology`` and hashes
 every field of the result (leaders, each patch's members, tree parents and
-depths, the MIS phase count) together with the next draw of the rng the
+depths, the Luby phase count) together with the next draw of the rng the
 decomposition consumed, so a change to the power graph, the MIS draw order
-or the BFS tie-breaking moves a digest.  The cases span n = 2..40, radii
-1-4 and both MIS variants; ``n18-r1`` and ``n18-r4`` are inputs on which
-Luby's per-phase draws do not visit the active nodes in ascending order.
+or the BFS tie-breaking moves a digest.  The cases span n = 2..40 and radii
+1-4; ``n18-r1`` and ``n18-r4`` are inputs on which Luby's per-phase draws
+do not visit the active nodes in ascending order.
 
 E14's printed rows and ``examples/stable_network_patches.py``'s stdout are
 pinned the same way.  The digests, kept in ``tests/golden/patch_pins.json``
@@ -30,28 +30,25 @@ from tests import golden
 ROOT = Path(__file__).resolve().parent.parent
 BENCHMARKS = ROOT / "benchmarks"
 
-#: name -> (n, radius, topology seed, extra_edge_prob, deterministic)
+#: name -> (n, radius, topology seed, extra_edge_prob)
 _PATCH_CASES = {
-    "n2-r1": (2, 1, 0, 0.0, False),
-    "n5-r2": (5, 2, 1, 0.2, False),
-    "n9-r1": (9, 1, 2, 0.03, False),
-    "n12-r3": (12, 3, 3, 0.0, False),
-    "n18-r1": (18, 1, 3, 0.0, False),
-    "n18-r4": (18, 4, 0, 0.0, False),
-    "n23-r2": (23, 2, 4, 0.2, False),
-    "n33-r3": (33, 3, 5, 0.03, False),
-    "n40-r2": (40, 2, 6, 0.03, False),
-    "det-n7-r2": (7, 2, 7, 0.2, True),
-    "det-n26-r3": (26, 3, 8, 0.03, True),
-    "det-n40-r1": (40, 1, 9, 0.0, True),
+    "n2-r1": (2, 1, 0, 0.0),
+    "n5-r2": (5, 2, 1, 0.2),
+    "n9-r1": (9, 1, 2, 0.03),
+    "n12-r3": (12, 3, 3, 0.0),
+    "n18-r1": (18, 1, 3, 0.0),
+    "n18-r4": (18, 4, 0, 0.0),
+    "n23-r2": (23, 2, 4, 0.2),
+    "n33-r3": (33, 3, 5, 0.03),
+    "n40-r2": (40, 2, 6, 0.03),
 }
 
 
 def _patch_case(name: str) -> str:
-    n, radius, seed, extra, deterministic = _PATCH_CASES[name]
+    n, radius, seed, extra = _PATCH_CASES[name]
     topology = random_connected_topology(n, np.random.default_rng(seed), extra_edge_prob=extra)
     rng = np.random.default_rng(seed + 100)
-    decomposition = compute_patches(topology, radius=radius, rng=rng, deterministic=deterministic)
+    decomposition = compute_patches(topology, radius=radius, rng=rng)
     record = {
         "leaders": sorted(decomposition.leaders),
         "patches": [
