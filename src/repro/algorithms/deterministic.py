@@ -1,4 +1,4 @@
-"""Deterministic network-coding dissemination (Theorem 2.5 / Corollary 6.2).
+"""Deterministic network-coded indexed broadcast (Theorem 6.1 / Corollary 6.2).
 
 The deterministic algorithms replace the per-round fresh randomness of RLNC
 by a pre-committed coefficient schedule over a large field (Section 6).
@@ -11,11 +11,11 @@ computing the lexicographically-first provably-good matrix.
 This module provides convenience constructors that wire a
 :class:`~repro.coding.deterministic.DeterministicSchedule` into the indexed
 broadcast protocol and compute the field/overhead parameters Corollary 6.2
-prescribes.  The full Theorem 2.5 dissemination pipeline (deterministic MIS
-gathering + deterministic patch broadcast) is evaluated analytically in
-:mod:`repro.analysis.bounds`; the executable piece here is the deterministic
-k-indexed broadcast, which is the component Theorem 6.1 / Corollary 6.2 are
-about.
+prescribes: the deterministic k-indexed broadcast, which is the component
+Theorem 6.1 / Corollary 6.2 are about.  Theorem 2.5's deterministic T-stable
+dissemination (deterministic MIS gathering + deterministic patch broadcast)
+is out of scope: it needs a deterministic distributed MIS of ``G^D``, which
+no run here executes.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Closed-form predicted round complexities for every theorem in the paper.
+"""Closed-form predicted round complexities for the paper's theorems.
 
 These are the "expected curves" the benchmarks plot measurements against.
 All formulas return plain floats of the *leading-order* expression with unit
@@ -6,6 +6,9 @@ constants (the paper's bounds are big-O; the benchmarks compare shapes and
 ratios, not absolute values).
 
 Every public function cites the theorem / corollary / lemma it encodes.
+Theorem 2.5 (deterministic dissemination in a T-stable network) has no
+formula here: it needs a deterministic distributed MIS of ``G^D``, and no
+run executes one.
 """
 
 from __future__ import annotations
@@ -24,8 +27,6 @@ __all__ = [
     "coded_dissemination_rounds",
     "tstable_coded_rounds",
     "tstable_patch_broadcast_rounds",
-    "deterministic_dissemination_rounds",
-    "deterministic_mis_rounds",
     "centralized_coded_rounds",
     "coding_speedup_over_forwarding",
     "linear_time_message_size_coded",
@@ -100,18 +101,6 @@ def tstable_coded_rounds(n: int, k: int, d: int, b: int, T: int) -> float:
     option_priority = (log_n * log_n / (b * T * T)) * (n * k * d) / b + n * T * log_n * log_n
     option_pipeline = (log_n * log_n / (b * T * T)) * n * n + n * log_n
     return min(option_greedy, option_priority, option_pipeline)
-
-
-def deterministic_mis_rounds(n: int) -> float:
-    """Panconesi–Srinivasan deterministic MIS: ``2^{O(sqrt(log n))}`` rounds."""
-    return 2.0 ** math.sqrt(log2c(n))
-
-
-def deterministic_dissemination_rounds(n: int, k: int, b: int, T: int) -> float:
-    """Theorem 2.5: deterministic coded dissemination in a T-stable network."""
-    return (
-        (1.0 / math.sqrt(b * T)) * n * min(k, n / T) + n
-    ) * deterministic_mis_rounds(n)
 
 
 def centralized_coded_rounds(n: int) -> float:

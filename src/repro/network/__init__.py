@@ -60,7 +60,7 @@ from .dynamics import (
     TIntervalEnforcer,
     spanning_structure,
 )
-from .mis import MisResult, greedy_mis, luby_mis
+from .mis import MisResult, luby_mis
 from .topology import (
     Topology,
     as_topology,
@@ -137,7 +137,6 @@ __all__ = [
     "TStableAdversary",
     "TokenIsolationAdversary",
     "compute_patches",
-    "greedy_mis",
     "is_t_interval_connected",
     "is_t_stable",
     "luby_mis",

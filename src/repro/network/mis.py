@@ -1,23 +1,19 @@
-"""Maximal independent set algorithms used for graph patching (Section 8.1).
+"""The maximal independent set used for graph patching (Section 8.1).
 
 The T-stable patch-sharing algorithm partitions the (temporarily static)
 graph into patches around a maximal independent set of the ``D``-th power
-graph.  The paper uses Luby's randomized MIS [11] (simulated over the
-dynamic-network broadcast primitive) for the randomized algorithms and the
-Panconesi–Srinivasan deterministic MIS [13] for the deterministic variants.
-An MIS of ``G^D`` is a ``(D+1, D)``-ruling set of ``G``.
+graph.  An MIS of ``G^D`` is a ``(D+1, D)``-ruling set of ``G``.
 
-Every function reads a :class:`~repro.network.topology.Topology` (in
-practice the power graph from :func:`repro.network.patches.power_graph`):
+:func:`luby_mis` is Luby's randomized permutation/priority algorithm [11]
+(the paper simulates it over the dynamic-network broadcast primitive),
+run phase by phase the way a distributed system would run it, so the
+number of phases it takes is observable and can be charged ``D log n`` as
+in the paper.  It reads a :class:`~repro.network.topology.Topology`, in
+practice the power graph from :func:`repro.network.patches.power_graph`.
 
-* :func:`luby_mis` — Luby's permutation/priority algorithm, implemented
-  round-by-round the way a distributed system would run it, so the number of
-  *rounds* it takes is observable and can be charged ``D log n`` as in the
-  paper;
-* :func:`greedy_mis` — a deterministic MIS by lowest-identifier greedy,
-  substituted for the Panconesi–Srinivasan algorithm: only the MIS
-  *output* affects dissemination correctness, and the deterministic
-  running time is accounted symbolically in ``analysis.bounds``.
+The paper's deterministic variants (Theorem 2.5) use the
+Panconesi–Srinivasan deterministic MIS [13] instead.  No run here executes
+a deterministic MIS, so none is provided.
 """
 
 from __future__ import annotations
@@ -28,7 +24,7 @@ import numpy as np
 
 from .topology import Topology
 
-__all__ = ["MisResult", "luby_mis", "greedy_mis"]
+__all__ = ["MisResult", "luby_mis"]
 
 
 @dataclass(frozen=True)
@@ -40,9 +36,8 @@ class MisResult:
     members:
         The nodes selected into the maximal independent set.
     rounds:
-        Number of synchronous phases the distributed algorithm used.  For the
-        greedy deterministic algorithm this counts sequential passes and is
-        reported for bookkeeping only.
+        Number of synchronous phases Luby's algorithm used (each phase is
+        ``O(D)`` rounds on the base graph).
     """
 
     members: frozenset
@@ -94,20 +89,3 @@ def luby_mis(topology: Topology, rng: np.random.Generator) -> MisResult:
             deactivated.update(v for v in neighbours(node) if v in active)
         active -= deactivated
     return MisResult(members=frozenset(mis), rounds=rounds)
-
-
-def greedy_mis(topology: Topology) -> MisResult:
-    """Deterministic MIS by greedy selection in ascending node id.
-
-    Stands in for the Panconesi–Srinivasan ``2^{O(sqrt(log n))}``-round
-    deterministic distributed MIS: the *set* it outputs has the same
-    guarantees (maximal, independent); the deterministic round complexity is
-    charged symbolically by ``repro.analysis.bounds.deterministic_mis_rounds``.
-    """
-    blocked = 0
-    mis = []
-    for node, mask in enumerate(topology.masks):
-        if not (blocked >> node) & 1:
-            mis.append(node)
-            blocked |= mask
-    return MisResult(members=frozenset(mis), rounds=topology.n)

@@ -4,7 +4,8 @@ The patch-sharing algorithm partitions the (static for ``T`` rounds) graph
 into connected *patches* of size ``Omega(D)`` and diameter ``O(D)``:
 
 1. form the ``D``-th power ``G^D`` of the connectivity graph,
-2. compute a maximal independent set ``S`` of ``G^D`` (the patch *leaders*),
+2. compute a maximal independent set ``S`` of ``G^D`` with Luby's
+   randomized algorithm (the patch *leaders*),
 3. assign every vertex to its closest leader (ties by smallest leader id),
 
 which yields patches that are connected (via shortest-path trees), have
@@ -13,7 +14,7 @@ the size bound degrades gracefully when fewer than ``D/2`` nodes exist).
 
 Everything runs on :class:`~repro.network.topology.Topology`: the power
 graph is ``D`` rounds of OR over packed reach rows along the topology's
-cached CSR, the MIS reads the power graph's rows, and the leader
+cached CSR, Luby's MIS reads the power graph's rows, and the leader
 assignment is a multi-source BFS over the topology's neighbour tuples.  The module exposes both the patch
 decomposition itself and the per-patch shortest-path trees (rooted at the
 leaders) that the share step's pipelined aggregation runs over.
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..bits import set_bits, word_count
-from .mis import MisResult, greedy_mis, luby_mis
+from .mis import luby_mis
 from .topology import Topology
 
 __all__ = [
@@ -114,8 +115,7 @@ def power_graph(topology: Topology, distance: int) -> Topology:
 def compute_patches(
     topology: Topology,
     radius: int,
-    rng: np.random.Generator | None = None,
-    deterministic: bool = False,
+    rng: np.random.Generator,
 ) -> PatchDecomposition:
     """Partition ``topology`` into patches of radius ``radius`` (the paper's ``D``).
 
@@ -126,9 +126,7 @@ def compute_patches(
     radius:
         The target patch radius ``D``; the paper sets ``D = O(T / log n)``.
     rng:
-        Randomness source for Luby's MIS; required unless ``deterministic``.
-    deterministic:
-        Use the deterministic greedy MIS instead of Luby's.
+        Randomness source for Luby's MIS.
     """
     if topology.n == 0:
         raise ValueError("cannot patch an empty graph")
@@ -137,12 +135,7 @@ def compute_patches(
     radius = max(1, radius)
 
     powered = power_graph(topology, radius)
-    if deterministic:
-        mis_result: MisResult = greedy_mis(powered)
-    else:
-        if rng is None:
-            raise ValueError("rng is required for the randomized (Luby) MIS")
-        mis_result = luby_mis(powered, rng)
+    mis_result = luby_mis(powered, rng)
     leaders = sorted(mis_result.members)
 
     # Multi-source BFS from all leaders simultaneously; each node is claimed

@@ -2,8 +2,7 @@
 
 ``tests/test_patches_oracle.py`` holds this check against networkx's
 ``is_dominating_set`` and an induced-subgraph edge count, and the MIS tests
-apply it to every set that ``repro.network.luby_mis`` and ``greedy_mis``
-return. It reads only a topology's node list and adjacency bit masks.
+apply it to every set that ``repro.network.luby_mis`` returns. It reads only a topology's node list and adjacency bit masks.
 """
 
 from __future__ import annotations

@@ -1,6 +1,6 @@
 """The networkx implementation of Section 8.1 patching, kept as an oracle.
 
-This is the power graph, Luby and greedy MIS and patch decomposition that
+This is the power graph, Luby MIS and patch decomposition that
 ``repro.network`` ran on ``networkx.Graph`` objects before patching moved
 onto :class:`~repro.network.Topology`.  ``tests/test_patches_oracle.py``
 checks the packed versions against it field by field, including the state
@@ -45,20 +45,6 @@ def luby_mis(graph: nx.Graph, rng: np.random.Generator) -> MisResult:
     return MisResult(members=frozenset(mis), rounds=rounds)
 
 
-def greedy_mis(graph: nx.Graph, key=None) -> MisResult:
-    """Deterministic MIS by greedy selection in ``key`` order (default: node id)."""
-    ordering = sorted(graph.nodes, key=key)
-    blocked: set = set()
-    mis: set = set()
-    for node in ordering:
-        if node in blocked:
-            continue
-        mis.add(node)
-        blocked.add(node)
-        blocked |= set(graph.neighbors(node))
-    return MisResult(members=frozenset(mis), rounds=len(graph.nodes))
-
-
 def power_graph(graph: nx.Graph, distance: int) -> nx.Graph:
     """The ``distance``-th power of ``graph``: connect nodes within that distance."""
     if distance < 1:
@@ -76,8 +62,7 @@ def power_graph(graph: nx.Graph, distance: int) -> nx.Graph:
 def compute_patches(
     graph: nx.Graph,
     radius: int,
-    rng: np.random.Generator | None = None,
-    deterministic: bool = False,
+    rng: np.random.Generator,
 ) -> PatchDecomposition:
     """Partition ``graph`` into patches of radius ``radius`` (the paper's ``D``)."""
     if graph.number_of_nodes() == 0:
@@ -87,12 +72,7 @@ def compute_patches(
     radius = max(1, radius)
 
     powered = power_graph(graph, radius)
-    if deterministic:
-        mis_result: MisResult = greedy_mis(powered)
-    else:
-        if rng is None:
-            raise ValueError("rng is required for the randomized (Luby) MIS")
-        mis_result = luby_mis(powered, rng)
+    mis_result = luby_mis(powered, rng)
     leaders = sorted(mis_result.members)
 
     assignment: dict = {leader: leader for leader in leaders}

@@ -17,8 +17,6 @@ from repro.analysis import (
     coded_dissemination_rounds,
     coding_speedup_over_forwarding,
     compare_end_phase,
-    deterministic_dissemination_rounds,
-    deterministic_mis_rounds,
     greedy_forward_rounds,
     indexed_broadcast_message_bits,
     indexed_broadcast_rounds,
@@ -100,14 +98,6 @@ class TestBoundFormulas:
         assert tstable_patch_broadcast_rounds(1000, 10, 5) == pytest.approx(
             (1000 + 10 * 25) * math.log2(1000)
         )
-
-    def test_deterministic_bounds_positive_and_ordered(self):
-        n, k, b, T = 10**4, 10**4, 256, 16
-        det = deterministic_dissemination_rounds(n, k, b, T)
-        rand = tstable_coded_rounds(n, k, 14, b, T)
-        assert det > 0
-        assert det > rand  # derandomization costs something
-        assert deterministic_mis_rounds(n) > 1
 
     def test_centralized_bounds(self):
         assert centralized_coded_rounds(500) == 500

@@ -10,7 +10,6 @@ from repro.network import (
     Topology,
     complete_topology,
     compute_patches,
-    greedy_mis,
     is_t_interval_connected,
     is_t_stable,
     luby_mis,
@@ -110,21 +109,6 @@ class TestMis:
         result = luby_mis(g, rng)
         assert result.rounds <= 30
 
-    def test_greedy_mis_maximal_independent(self):
-        for seed in range(3):
-            g = random_connected_topology(25, np.random.default_rng(seed))
-            result = greedy_mis(g)
-            assert is_maximal_independent_set(g, result.members)
-
-    def test_greedy_mis_deterministic(self):
-        g = random_connected_topology(15, np.random.default_rng(5))
-        assert greedy_mis(g).members == greedy_mis(g).members
-
-    def test_greedy_mis_on_star_prefers_low_id(self):
-        g = star_topology(6, center=0)
-        result = greedy_mis(g)
-        assert result.members == frozenset({0})
-
     def test_is_maximal_independent_set_detects_violations(self):
         g = path_topology(4)
         assert not is_maximal_independent_set(g, {0, 1})     # not independent
@@ -198,15 +182,9 @@ class TestPowerGraphAndPatches:
         assert sorted(owner) == list(range(15))
         assert set(owner.values()) == decomposition.leaders
 
-    def test_deterministic_patching_needs_no_rng(self):
-        g = random_connected_topology(20, np.random.default_rng(11))
-        decomposition = compute_patches(g, radius=2, deterministic=True)
-        seen = sorted(v for p in decomposition.patches for v in p.members)
-        assert seen == list(range(20))
-
     def test_randomized_patching_requires_rng(self):
         g = path_topology(6)
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError, match="rng"):
             compute_patches(g, radius=1)
 
     def test_patching_rejects_disconnected(self, rng):

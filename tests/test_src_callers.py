@@ -41,7 +41,6 @@ CALLER_DIRS = ("src", "benchmarks", "examples", "perfbench")
 KEPT: dict[str, str] = {
     "repro.__version__": "the package version; obs/trace.py reads it with getattr for run manifests",
     "repro.analysis.bounds.coding_speedup_over_forwarding": "Section 2.3's predicted coding speedup; ROADMAP item 3(a) checks runs against it",
-    "repro.analysis.bounds.deterministic_dissemination_rounds": "Theorem 2.5's statement; ROADMAP item 3(a) checks runs against it",
     "repro.analysis.bounds.tstable_patch_broadcast_rounds": "Lemma 8.1's statement; ROADMAP item 3(a) checks runs against it",
     "repro.network.stability.is_t_interval_connected": "the paper's definition of T-interval connectivity",
     "repro.network.stability.is_t_stable": "the paper's definition of a T-stable network",
