@@ -13,7 +13,7 @@ Two measurements:
    forwarding to completion on the kernel engine (``RunResult.engine ==
    "kernel"``), recording completion rounds and executed rounds/s.  This is
    the gate that keeps the whole catalog engine-eligible (a scenario that
-   silently dropped to the mask engine would betray a ``sees_messages`` or
+   silently dropped to the mask engine would betray a kernel-selection or
    validation regression).
 2. **Generation throughput** — producing engine-ready (packed) topologies
    from a T-interval-enforced edge-Markov schedule at n = 512, against the

@@ -84,11 +84,6 @@ class IndexedBroadcastKernel(RoundKernel):
     def __init__(self, config, placement, token_index, nodes):
         super().__init__(config, placement, token_index, nodes)
         self.nodes = list(nodes)
-        if not all(node.state._mask_native for node in self.nodes):
-            raise KernelUnsupported(
-                "IndexedBroadcastKernel requires every node's GenerationState "
-                "to be on the mask-native GF(2) pipeline"
-            )
         generation = self.nodes[0].generation
         self.gen_k = generation.k
         self.length = generation.vector_length

@@ -45,9 +45,10 @@ the correctness check work unchanged.
 
 Custom protocols can register their own kernels with
 :func:`register_kernel`; ``run_dissemination(engine="auto")`` picks the
-packed kernel whenever the factory is a registered node class, the
-configuration is supported and the kernel offers the message views an
-omniscient adversary needs.
+packed kernel whenever the factory is a registered node class and the
+configuration is supported.  Every kernel builds the per-node wire messages
+an omniscient adversary reads (:meth:`RoundKernel.wire_message` is
+abstract).
 """
 
 from __future__ import annotations
@@ -90,11 +91,11 @@ __all__ = [
 class KernelUnsupported(Exception):
     """Raised by a kernel constructor when the built nodes cannot be lifted.
 
-    ``kernel_for`` screens on the *configuration*; some preconditions are
-    only visible on the constructed node objects (e.g. a coding state forced
-    off the mask-native pipeline).  Under ``engine="auto"`` the runner
-    catches this and falls back to the mask engine; an explicit
-    ``engine="kernel"`` surfaces it as a ``ValueError``.
+    ``kernel_for`` screens on the *configuration*; some preconditions
+    depend on the placement and the built nodes (e.g. the coded kernel
+    needs placement tokens indexed bijectively ``0..k-1``).  Under
+    ``engine="auto"`` the runner catches this and falls back to the mask
+    engine; an explicit ``engine="kernel"`` surfaces it as a ``ValueError``.
     """
 
 
@@ -318,19 +319,17 @@ class RoundKernel(abc.ABC):
         """The current round's state for the adversary and fault strategy."""
         return RoundState(self)
 
+    @abc.abstractmethod
     def wire_message(self, uid: int, round_index: int):
         """Materialise node ``uid``'s wire message for the *current* round.
 
         Only called between ``compose_all`` and ``deliver_all``, and only for
-        active nodes.  A kernel that overrides it stays eligible under
-        omniscient (``sees_messages``) adversaries.  Must rebuild exactly
-        the Message object the node class would have composed (same
-        content, same ordering), so omniscient adversaries see identical
-        messages on every engine.
+        active nodes; omniscient (``sees_messages``) adversaries read the
+        round's messages through it.  Must rebuild exactly the Message
+        object the node class would have composed (same content, same
+        ordering), so omniscient adversaries see identical messages on every
+        engine.
         """
-        raise RuntimeError(
-            f"{type(self).__name__} does not build per-node message views"
-        )
 
     def message_views(self, round_index: int, active: np.ndarray) -> Sequence:
         """Lazy sequence of this round's wire messages (None = silent)."""

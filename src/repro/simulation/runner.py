@@ -37,8 +37,7 @@ runner then verifies payload correctness.  Two kernel families exist:
   object as the round before reuses its ``active``/``sizes`` arrays.
 
 Under ``engine="auto"`` the packed kernel runs when the factory is a
-registered node class, the configuration is supported and the kernel
-offers the message views an omniscient adversary needs; otherwise the
+registered node class and the configuration is supported; otherwise the
 object kernel runs.  Both deliver each node's inbox in ascending
 neighbour-uid order and produce identical metrics and trace content for
 identical seeds (pinned by tests).  Both rely on the ``known`` dict being
@@ -464,39 +463,24 @@ def run_dissemination(
         )
 
     # Packed-kernel dispatch: the factory must *be* a registered node class
-    # (exact identity, so subclasses never inherit a kernel), the kernel
-    # must support this configuration, and an omniscient adversary needs
-    # the kernel's own wire_message to read the round's messages.
+    # (exact identity, so subclasses never inherit a kernel) and the kernel
+    # must support this configuration.
     kernel_cls = kernels.kernel_for(factory, config)
-    message_views = (
-        kernel_cls is not None
-        and kernel_cls.wire_message is not kernels.RoundKernel.wire_message
-    )
-    if engine == "kernel":
-        if kernel_cls is None:
-            raise ValueError(
-                "engine='kernel' requires the protocol factory to be a node "
-                "class with a registered RoundKernel (see "
-                "repro.simulation.kernels.register_kernel)"
-            )
-        if adversary.sees_messages and not message_views:
-            raise ValueError(
-                f"{kernel_cls.__name__} does not build per-node message "
-                "views, so omniscient (sees_messages) adversaries are not "
-                "supported; use engine='mask'"
-            )
-    use_kernel = engine == "kernel" or (
-        engine == "auto"
-        and kernel_cls is not None
-        and (not adversary.sees_messages or message_views)
-    )
+    if engine == "kernel" and kernel_cls is None:
+        raise ValueError(
+            "engine='kernel' requires the protocol factory to be a node "
+            "class with a registered RoundKernel (see "
+            "repro.simulation.kernels.register_kernel)"
+        )
+    use_kernel = engine == "kernel" or (engine == "auto" and kernel_cls is not None)
     kernel = None
     if use_kernel:
         try:
             kernel = kernel_cls(config, placement, token_index, nodes)
         except kernels.KernelUnsupported as exc:
-            # Node-level preconditions can only be checked post-construction;
-            # auto falls back to the object kernel, an explicit request fails.
+            # Placement- and node-level preconditions are checked on
+            # construction; auto falls back to the object kernel, an explicit
+            # request fails.
             if engine == "kernel":
                 raise ValueError(str(exc)) from exc
     run_engine = "mask" if kernel is None else "kernel"

@@ -14,8 +14,8 @@ engines; these tests pin
 * byte-identical :class:`~repro.simulation.metrics.RunMetrics` across both
   engines for every hostile scenario-catalog entry, with the kernel
   engine actually selected (no mask fallback),
-* the ``wire_message`` kernel hook keeping message-inspecting (omniscient)
-  adversaries kernel-eligible, alone and combined with faults,
+* message-inspecting (omniscient) adversaries running on the kernel
+  engine through its ``wire_message`` hook, alone and combined with faults,
 * ``lifeline=False`` churn monotonicity and the derived crash schedules.
 """
 

@@ -31,7 +31,6 @@ from repro.algorithms import (
     TokenForwardingNode,
 )
 from repro.bits import masks_to_packed
-from repro.coding.rlnc import GenerationState
 from repro.network import (
     BottleneckAdversary,
     CollisionModel,
@@ -243,26 +242,6 @@ class TestEngineSelection:
         with pytest.raises(ValueError, match="RoundKernel"):
             _run(PriorityForwardNode, config, BottleneckAdversary(), engine="kernel")
 
-    def test_kernel_engine_rejects_omniscient_without_message_views(
-        self, monkeypatch
-    ):
-        # Every in-repo kernel ships wire_message; exercise the gate by
-        # withdrawing it, as a third-party kernel without the hook would
-        # present itself.
-        monkeypatch.delattr(IndexedBroadcastKernel, "wire_message")
-        config = make_config(8)
-        with pytest.raises(ValueError, match="sees_messages"):
-            _run(
-                IndexedBroadcastNode,
-                config,
-                OmniscientBottleneckAdversary(),
-                engine="kernel",
-            )
-        fallback = _run(
-            IndexedBroadcastNode, config, OmniscientBottleneckAdversary(), engine="auto"
-        )
-        assert fallback.engine == "mask"
-
     def test_auto_with_omniscient_adversary_uses_message_views(self):
         # Kernels with wire_message stay kernel-eligible under omniscient
         # adversaries — including the coded kernel, which rebuilds its wire
@@ -322,22 +301,6 @@ class TestEngineSelection:
             with pytest.raises(ValueError, match="RoundKernel"):
                 _run(factory, config, BottleneckAdversary(), engine="kernel")
 
-    def test_node_level_precondition_falls_back_under_auto(self, monkeypatch):
-        # Forcing GenerationState off the mask-native pipeline is only
-        # visible on the built nodes: auto must fall back to the mask
-        # engine, an explicit engine="kernel" must fail loudly.
-        original_init = GenerationState.__init__
-
-        def array_pipeline_init(self, generation):
-            original_init(self, generation)
-            self._mask_native = False
-
-        monkeypatch.setattr(GenerationState, "__init__", array_pipeline_init)
-        config = make_config(8)
-        result = _run(IndexedBroadcastNode, config, RandomConnectedAdversary(seed=1), engine="auto")
-        assert result.engine == "mask"
-        with pytest.raises(ValueError, match="mask-native"):
-            _run(IndexedBroadcastNode, config, RandomConnectedAdversary(seed=1), engine="kernel")
 
 
 class TestPackedAdjacency:
