@@ -78,7 +78,8 @@ class PatchShareCoordinator:
         log_n = log2_ceil(config.n)
         #: Patch radius D = O(T / log n), at least 1.
         self.radius = max(1, self.stability // max(1, log_n))
-        #: Rounds charged for the distributed MIS + tree construction.
+        #: Rounds charged for the distributed MIS + tree construction
+        #: (at least 1, since the radius is).
         self.setup_rounds = min(
             max(1, self.stability // 2), self.radius * log_n + self.radius
         )
@@ -114,9 +115,7 @@ class PatchShareCoordinator:
         if self.decomposition is None:
             return
         offset = round_index % self.stability
-        if offset == self.setup_rounds - 1 or (
-            self.setup_rounds == 0 and offset == 0
-        ):
+        if offset == self.setup_rounds - 1:
             # End of setup: first share step.
             self._share(nodes)
         if offset == self.stability - 1:
@@ -137,11 +136,6 @@ class PatchShareCoordinator:
         (mask-native over GF(2)) draw the combination — a uniform draw over
         the union span, never the information-free zero vector.
         """
-        if self.decomposition is None:
-            raise RuntimeError(
-                "patch decomposition not initialised; start_block() must "
-                "run before sharing"
-            )
         for patch in self.decomposition.patches:
             members = sorted(patch.members)
             generation = nodes[members[0]].generation
