@@ -1,11 +1,25 @@
-"""E6 (Theorem 2.4 / Lemma 8.1): stability helps coding more than forwarding.
+"""E6 (Theorem 2.4 / Lemma 8.1): the T-stable patch-sharing protocol under a T sweep.
 
-Sweeps the stability parameter T with everything else fixed and compares the
-T-stable patch-sharing coded protocol against pipelined token forwarding.
-The paper predicts a T^2-shaped benefit for coding versus a T-shaped (and no
-better) benefit for knowledge-based forwarding; at laptop scale we check the
-direction: coding's relative gain from increasing T is at least as large as
-forwarding's, and the patch protocol's absolute rounds shrink as T grows.
+Sweeps the stability parameter T over 2, 8 and 24 at n = k = 24, d = 8, and
+runs the T-stable patch-sharing coded protocol and pipelined token
+forwarding against the same T-stable path-shuffle adversary.  The table
+prints only what the runs produce: each protocol's completion rounds and
+the coded protocol's share-pass-share meta-rounds (rounds / T).
+
+The bench asserts two things:
+
+* the meta-rounds stay flat as T grows (the largest is at most twice the
+  smallest): each topology change costs the coded protocol a bounded
+  amount of work;
+* at T = 2 the coded protocol completes in fewer rounds than pipelined
+  forwarding.
+
+The paper's headline, a T^2-shaped benefit for coding against a T-shaped
+one for forwarding, has no run here.  It needs Section 8.3's (bT)-bit
+super-block packing, which is not implemented (the coded generation keeps
+one dimension per token).  The separation is checked as a formula only, by
+``test_tstable_t_squared_speedup`` in
+``tests/test_analysis_and_integration.py``.
 """
 
 from __future__ import annotations
@@ -13,7 +27,6 @@ from __future__ import annotations
 from functools import partial
 
 from repro.algorithms import PipelinedTokenForwardingNode, make_tstable_factory
-from repro.analysis import token_forwarding_rounds, tstable_coded_rounds
 from repro.network import PathShuffleAdversary, TStableAdversary
 from repro.simulation import run_dissemination, standard_instance
 
@@ -53,7 +66,6 @@ def _run_patch(n: int, stability: int, seed: int = 0) -> int:
 
 
 def test_e06_stability_sweep(benchmark):
-    n = 24
     # Both sweeps ride measure_sweep (per-point factories and adversaries are
     # picklable: TStablePatchFactory and a partial of a module-level builder),
     # with base_seed=0 reproducing the pre-harness run seeds exactly.
@@ -88,21 +100,13 @@ def test_e06_stability_sweep(benchmark):
                 "patch_coding_rounds": coded,
                 "coding_meta_rounds (rounds/T)": round(coded / stability, 1),
                 "pipelined_forwarding_rounds": forwarding,
-                "predicted_coded~": round(tstable_coded_rounds(n, n, 8, n + 32, stability), 1),
-                "predicted_forwarding~": round(token_forwarding_rounds(n, n, 8, 24, stability), 1),
             }
         )
     print_rows("E6 — T-stability sweep (n=k=24, d=8)", rows)
-    # What the executable (structured) reproduction demonstrates at laptop
-    # scale: the patch-sharing protocol is correct under every stability
-    # level, the number of share-pass-share meta-rounds it needs stays flat
-    # as T grows (each topology change costs it a bounded amount of work),
-    # and at comparable stability it beats pipelined token forwarding.  The
-    # full T^2-vs-T round separation additionally requires the (bT)-bit
-    # super-block packing of Section 8.3, which this bench reports through
-    # the predicted columns and which is checked as a formula-level property
-    # in tests/test_analysis_and_integration.py
-    # (``test_tstable_t_squared_speedup``).
+    # What the runs show: the patch-sharing protocol completes correctly at
+    # every stability level, its meta-rounds stay flat as T grows, and at
+    # T=2 it beats pipelined token forwarding.  The T^2-vs-T separation is
+    # not measured: Section 8.3's super-block packing is not implemented.
     meta_rounds = [r["coding_meta_rounds (rounds/T)"] for r in rows]
     print(f"meta-rounds per topology change: {meta_rounds}")
     assert max(meta_rounds) <= 2 * min(meta_rounds)
