@@ -92,8 +92,8 @@ class KernelUnsupported(Exception):
     """Raised by a kernel constructor when the built nodes cannot be lifted.
 
     ``kernel_for`` screens on the *configuration*; some preconditions
-    depend on the placement and the built nodes (e.g. the coded kernel
-    needs placement tokens indexed bijectively ``0..k-1``).  Under
+    depend on the placement (the coded kernel needs placement tokens
+    indexed bijectively ``0..k-1``).  Under
     ``engine="auto"`` the runner catches this and falls back to the mask
     engine; an explicit ``engine="kernel"`` surfaces it as a ``ValueError``.
     """

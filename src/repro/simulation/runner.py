@@ -478,9 +478,8 @@ def run_dissemination(
         try:
             kernel = kernel_cls(config, placement, token_index, nodes)
         except kernels.KernelUnsupported as exc:
-            # Placement- and node-level preconditions are checked on
-            # construction; auto falls back to the object kernel, an explicit
-            # request fails.
+            # Placement-level preconditions are checked on construction;
+            # auto falls back to the object kernel, an explicit request fails.
             if engine == "kernel":
                 raise ValueError(str(exc)) from exc
     run_engine = "mask" if kernel is None else "kernel"

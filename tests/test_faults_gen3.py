@@ -436,6 +436,8 @@ def _forwarded_something(sender, receiver, message):
 class TestRegistryWideViewSupport:
     def test_every_registered_kernel_builds_wire_messages(self):
         assert KERNEL_REGISTRY, "the kernel registry went missing"
+        # A kernel without the hook cannot be constructed at all.
+        assert "wire_message" in RoundKernel.__abstractmethods__
         for node_cls, kernel_cls in KERNEL_REGISTRY.items():
             assert kernel_cls.wire_message is not RoundKernel.wire_message, node_cls.__name__
 
