@@ -110,6 +110,13 @@ class TestBoundFormulas:
         # Stability thresholds: sqrt(n) (randomized) vs n^(2/3) (deterministic).
         assert stability_for_near_linear_time(n) < stability_for_near_linear_time(n, deterministic=True)
 
+    def test_near_linear_stability_thresholds(self):
+        # Section 2.3: T = sqrt(n) for randomized coding, n^(2/3) for
+        # deterministic coding.
+        n = 10**6
+        assert stability_for_near_linear_time(n) == pytest.approx(1000)
+        assert stability_for_near_linear_time(n, deterministic=True) == pytest.approx(10**4)
+
     def test_speedup_counting_case(self):
         # b = d = log n, k = n: coding wins by ~log n (first bullet of §2.3).
         n = 2**12

@@ -31,6 +31,7 @@ from repro.algorithms import (
     TokenForwardingNode,
 )
 from repro.bits import masks_to_packed
+from repro.coding.rlnc import GenerationState
 from repro.network import (
     BottleneckAdversary,
     CollisionModel,
@@ -260,6 +261,52 @@ class TestEngineSelection:
             assert dataclasses.asdict(result.metrics) == dataclasses.asdict(
                 mask.metrics
             )
+
+    def test_kernel_without_wire_message_cannot_be_built(self):
+        # Omniscient adversaries read every kernel's messages, so a kernel
+        # that leaves out the hook fails at construction, not mid-run.
+        class NoWireMessage(RoundKernel):
+            def compose_all(self, round_index):
+                raise NotImplementedError
+
+            def deliver_all(self, round_index, indices, indptr, active):
+                raise NotImplementedError
+
+            def _known_counts_now(self):
+                raise NotImplementedError
+
+            def all_complete(self):
+                raise NotImplementedError
+
+            def knows(self, token_id):
+                raise NotImplementedError
+
+        with pytest.raises(TypeError, match="wire_message"):
+            NoWireMessage(None, None, None, None)
+
+    def test_array_pipeline_nodes_run_on_the_kernel_engine(self, monkeypatch):
+        # The coded kernel lifts the nodes' GF(2) subspace rows, which both
+        # GenerationState pipelines fill identically: nodes kept off the
+        # mask-native pipeline stay kernel-eligible and reproduce the mask
+        # engine's metrics.
+        config = make_config(8)
+        native = _run(IndexedBroadcastNode, config, RandomConnectedAdversary(seed=1), engine="mask")
+        original_init = GenerationState.__init__
+
+        def array_pipeline_init(self, generation):
+            original_init(self, generation)
+            self._mask_native = False
+
+        monkeypatch.setattr(GenerationState, "__init__", array_pipeline_init)
+        runs = {
+            engine: _run(IndexedBroadcastNode, config, RandomConnectedAdversary(seed=1), engine=engine)
+            for engine in ("auto", "mask")
+        }
+        assert runs["auto"].engine == "kernel"
+        assert runs["auto"].completed and runs["auto"].correct
+        expected = dataclasses.asdict(native.metrics)
+        assert dataclasses.asdict(runs["auto"].metrics) == expected
+        assert dataclasses.asdict(runs["mask"].metrics) == expected
 
     def test_unknown_engine_rejected(self):
         config = make_config(8)

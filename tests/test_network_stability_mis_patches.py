@@ -109,6 +109,32 @@ class TestMis:
         result = luby_mis(g, rng)
         assert result.rounds <= 30
 
+    def test_luby_same_seed_same_result(self):
+        g = random_connected_topology(15, np.random.default_rng(5))
+        first = luby_mis(g, np.random.default_rng(9))
+        assert luby_mis(g, np.random.default_rng(9)) == first
+        assert is_maximal_independent_set(g, first.members)
+
+    def test_luby_on_star_takes_centre_or_every_leaf(self):
+        # The centre joins iff it draws the top priority.  Otherwise it drops
+        # out in phase 1, and the leaves that lost to it join in phase 2.
+        g = star_topology(6, center=0)
+        outcomes = set()
+        for seed in range(20):
+            result = luby_mis(g, np.random.default_rng(seed))
+            assert result.members in (frozenset({0}), frozenset(range(1, 6)))
+            assert result.rounds in (1, 2)
+            outcomes.add(result.members)
+        assert len(outcomes) == 2
+
+    def test_luby_isolated_nodes_join_without_a_phase(self, rng):
+        g = Topology.from_edges(4, [(0, 1)])
+        result = luby_mis(g, rng)
+        assert {2, 3} <= result.members
+        assert len(result.members & {0, 1}) == 1
+        assert result.rounds == 1
+        assert luby_mis(Topology.from_edges(3, []), rng).rounds == 0
+
     def test_is_maximal_independent_set_detects_violations(self):
         g = path_topology(4)
         assert not is_maximal_independent_set(g, {0, 1})     # not independent
@@ -181,6 +207,13 @@ class TestPowerGraphAndPatches:
                 owner[node] = patch.leader
         assert sorted(owner) == list(range(15))
         assert set(owner.values()) == decomposition.leaders
+
+    def test_same_seed_same_decomposition(self):
+        g = random_connected_topology(20, np.random.default_rng(11))
+        first = compute_patches(g, radius=2, rng=np.random.default_rng(3))
+        assert compute_patches(g, radius=2, rng=np.random.default_rng(3)) == first
+        seen = sorted(v for p in first.patches for v in p.members)
+        assert seen == list(range(20))
 
     def test_randomized_patching_requires_rng(self):
         g = path_topology(6)

@@ -41,6 +41,9 @@ _PATCH_CASES = {
     "n23-r2": (23, 2, 4, 0.2),
     "n33-r3": (33, 3, 5, 0.03),
     "n40-r2": (40, 2, 6, 0.03),
+    "n7-r2": (7, 2, 7, 0.2),
+    "n26-r3": (26, 3, 8, 0.03),
+    "n40-r1": (40, 1, 9, 0.0),
 }
 
 

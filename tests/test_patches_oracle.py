@@ -62,6 +62,17 @@ class TestMis:
         assert rng.bit_generator.state == oracle_rng.bit_generator.state
         assert is_maximal_independent_set(powered, result.members)
 
+    @settings(deadline=None, max_examples=80)
+    @given(topology=_topologies(), distance=st.integers(1, 4), seed=st.integers(0, 2**16))
+    def test_luby_on_power_graph_is_a_ruling_set(self, topology, distance, seed):
+        # An MIS of G^D is a (D+1, D)-ruling set of G: members lie more than
+        # D hops apart, and every node lies within D hops of a member.
+        members = luby_mis(power_graph(topology, distance), np.random.default_rng(seed)).members
+        hops = dict(nx.all_pairs_shortest_path_length(nx_graph(topology)))
+        for u in members:
+            assert all(hops[u][v] > distance for v in members if v != u)
+        assert all(min(hops[v][u] for u in members) <= distance for v in range(topology.n))
+
     @settings(deadline=None, max_examples=150)
     @given(topology=_topologies(max_n=20), data=st.data())
     def test_checker_matches_networkx(self, topology, data):
