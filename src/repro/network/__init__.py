@@ -45,7 +45,6 @@ from .faults import (
     RoundFaultStats,
     SpanGuard,
     StragglerIsolationStrategy,
-    TargetedCrashStrategy,
     crash_schedule_from_churn,
 )
 from .dynamics import (
@@ -100,7 +99,6 @@ __all__ = [
     "RoundFaultStats",
     "SpanGuard",
     "StragglerIsolationStrategy",
-    "TargetedCrashStrategy",
     "crash_schedule_from_churn",
     "ConnectivityPatcher",
     "DegreeBoundedRewiringProcess",

@@ -354,8 +354,8 @@ class TStableAdversary(Adversary):
     This is the paper's T-stability requirement (Section 8): the entire
     network is static within each block of ``T`` consecutive rounds.  The
     cached block topology is returned as the *same object* every round of
-    the block, so the runner's identity-keyed validation cache checks it
-    once per block instead of once per round.
+    the block, and a topology remembers that it validated, so the runner
+    checks it once per block instead of once per round.
     """
 
     def __init__(self, inner: Adversary, stability: int):

@@ -18,9 +18,8 @@ The adversary axis controls *topology*; this module adds the orthogonal
   groups for scheduled round windows: cross-group edges simply do not
   exist while a window is open, and the network heals when it closes;
 * **adaptive strategies** — a :class:`FaultStrategy` targets structure
-  instead of flipping coins: bridge/cut-edge loss
-  (:class:`BridgeLossStrategy`), highest-degree crash targeting
-  (:class:`TargetedCrashStrategy`), and budgeted adversaries that spend a
+  instead of flipping coins and erases the edges it picks: bridge/cut-edge
+  loss (:class:`BridgeLossStrategy`) and budgeted adversaries that spend a
   global loss budget on spanning-structure edges
   (:class:`BudgetedLossStrategy`);
 * **Byzantine coded senders** — nodes whose coded wire traffic is replaced
@@ -50,18 +49,16 @@ stream, and each round proceeds through a :class:`RoundFaultPlan`:
 1. ``begin_round`` — draws the Byzantine wire vectors (topology-independent,
    ascending uid) and snapshots which nodes are down this round from the
    crash intervals;
-2. ``bind_edges`` — consults the adaptive strategy (which sees the round's
-   canonical CSR and may target edges or crash nodes), draws per-edge
-   loss/duplication, applies the radio collision rule to what would have
-   been delivered, and edits everything into the *effective* CSR: crashed
+2. ``bind_edges`` — draws per-edge loss/duplication, consults the
+   adaptive strategy (which sees the round's canonical CSR and may target
+   edges), applies the radio collision rule to what would have been
+   delivered, and edits everything into the *effective* CSR: crashed
    endpoints, partition-crossing edges, lost edges and collided edges
    removed, duplicated edges repeated adjacently.
 
 Both engines consume the same effective CSR (and the identical draw
 order), which is what keeps faulted :class:`~repro.simulation.metrics.RunMetrics`
-byte-identical across kernel and mask.  Because strategies may crash
-nodes mid-`bind_edges`, engines must read ``plan.down`` only *after*
-``bind_edges`` has run.
+byte-identical across kernel and mask.
 """
 
 from __future__ import annotations
@@ -89,12 +86,17 @@ __all__ = [
     "RoundFaultStats",
     "SpanGuard",
     "StragglerIsolationStrategy",
-    "TargetedCrashStrategy",
     "crash_schedule_from_churn",
 ]
 
 _BYZANTINE_MODES = ("malformed", "replay")
 _NEVER = np.iinfo(np.int64).max
+
+
+def _check_probability(name: str, value: float) -> None:
+    """Reject a probability outside ``[0, 1]``, naming the field."""
+    if not 0.0 <= value <= 1.0:
+        raise ValueError(f"{name} must be in [0, 1], got {value}")
 
 
 # ----------------------------------------------------------------------
@@ -104,17 +106,13 @@ class FaultStrategy:
     """Declarative adaptive fault adversary behind :class:`FaultModel`.
 
     A strategy is frozen plain data (so scenario fault factories pickle into
-    sweep workers, REP201) and is *bound* once per run.  The bound state's
-    ``plan_round`` is consulted inside :meth:`RoundFaultPlan.bind_edges`,
-    after the i.i.d. loss/duplication draws but before viability is
-    computed, and returns ``(extra_lost, crashed)``:
-
-    * ``extra_lost`` — per-edge boolean over the round's canonical CSR (or
-      ``None``): additional targeted erasures, OR-ed into the Bernoulli
-      losses and counted as dropped deliveries;
-    * ``crashed`` — uids the strategy crashes permanently *this round*
-      (effective immediately: the node neither sends nor receives from the
-      current round on, and leaves the survivor population).
+    sweep workers, REP201).  Its ``plan_round`` is consulted inside
+    :meth:`RoundFaultPlan.bind_edges`, after the i.i.d. loss/duplication
+    draws but before viability is computed, and returns a per-edge boolean
+    over the round's canonical CSR (or ``None``): targeted erasures, OR-ed
+    into the Bernoulli losses and counted as dropped deliveries.  A
+    strategy only erases edges; ``down`` is the round's crash snapshot,
+    read-only.
 
     Any randomness must come from the ``rng`` handed in (the run's dedicated
     fault stream) — strategies drawing from global numpy state break the
@@ -124,16 +122,11 @@ class FaultStrategy:
     :class:`~repro.network.adversary.RoundState`, taken after compose;
     strategies that target protocol *progress* instead of topology read
     it, and its columns are computed only when one does.  Every round
-    kernel supplies it, so every strategy runs on either engine.
+    kernel supplies it, so every strategy runs on either engine.  Its last
+    argument, ``erased``, is the number of canonical CSR entries the
+    strategy's masks have marked so far in the run, which is all the
+    cross-round state a strategy needs.
     """
-
-    def bind(self, n: int) -> "BoundStrategy":
-        """Create the per-run mutable state for a network of ``n`` nodes."""
-        raise NotImplementedError
-
-
-class BoundStrategy:
-    """Per-run mutable state of a :class:`FaultStrategy`."""
 
     def plan_round(
         self,
@@ -144,7 +137,8 @@ class BoundStrategy:
         down: np.ndarray,
         rng: np.random.Generator,
         state: RoundState,
-    ) -> tuple[np.ndarray | None, tuple[int, ...]]:
+        erased: int,
+    ) -> np.ndarray | None:
         raise NotImplementedError
 
 
@@ -287,83 +281,18 @@ class BridgeLossStrategy(FaultStrategy):
     probability: float = 1.0
 
     def __post_init__(self):
-        if not 0.0 <= self.probability <= 1.0:
-            raise ValueError(
-                f"probability must be in [0, 1], got {self.probability}"
-            )
+        _check_probability("probability", self.probability)
 
-    def bind(self, n: int) -> "BoundStrategy":
-        return _BoundBridgeLoss(self, n)
-
-
-class _BoundBridgeLoss(BoundStrategy):
-    def __init__(self, strategy: BridgeLossStrategy, n: int):
-        self.strategy = strategy
-        self.n = n
-
-    def plan_round(self, round_index, senders, receivers, indptr, down, rng, state):
-        n = self.n
+    def plan_round(self, round_index, senders, receivers, indptr, down, rng, state, erased):
+        n = down.size
         bridges = _bridges(senders, indptr, down, n)
         if not bridges:
-            return None, ()
-        hit = rng.random(len(bridges)) < self.strategy.probability
+            return None
+        hit = rng.random(len(bridges)) < self.probability
         chosen = [edge for edge, h in zip(bridges, hit.tolist()) if h]
         if not chosen:
-            return None, ()
-        return _edge_positions_lost(senders, receivers, n, chosen), ()
-
-
-@dataclass(frozen=True)
-class TargetedCrashStrategy(FaultStrategy):
-    """Permanently crash the highest-degree live node on a schedule.
-
-    Starting at round ``start`` and every ``period`` rounds after, the node
-    with the most live neighbours (lowest uid on ties) is crashed, up to
-    ``limit`` victims total.  Deterministic — no randomness is consumed, so
-    the strategy composes with any stochastic axis without perturbing its
-    draws.
-    """
-
-    start: int = 0
-    period: int = 1
-    limit: int = 1
-
-    def __post_init__(self):
-        if self.start < 0:
-            raise ValueError(f"start must be >= 0, got {self.start}")
-        if self.period < 1:
-            raise ValueError(f"period must be >= 1, got {self.period}")
-        if self.limit < 0:
-            raise ValueError(f"limit must be >= 0, got {self.limit}")
-
-    def bind(self, n: int) -> "BoundStrategy":
-        return _BoundTargetedCrash(self, n)
-
-
-class _BoundTargetedCrash(BoundStrategy):
-    def __init__(self, strategy: TargetedCrashStrategy, n: int):
-        self.strategy = strategy
-        self.n = n
-        self.victims = 0
-
-    def plan_round(self, round_index, senders, receivers, indptr, down, rng, state):
-        s = self.strategy
-        if (
-            self.victims >= s.limit
-            or round_index < s.start
-            or (round_index - s.start) % s.period
-        ):
-            return None, ()
-        live = ~down[senders] & ~down[receivers]
-        degree = np.bincount(receivers[live], minlength=self.n).astype(np.int64)
-        # (degree, lowest uid) priority over live nodes only.
-        key = degree * self.n + (self.n - 1 - np.arange(self.n, dtype=np.int64))
-        key[down] = -1
-        uid = int(np.argmax(key))
-        if key[uid] < 0:
-            return None, ()
-        self.victims += 1
-        return None, (uid,)
+            return None
+        return _edge_positions_lost(senders, receivers, n, chosen)
 
 
 @dataclass(frozen=True)
@@ -373,8 +302,10 @@ class BudgetedLossStrategy(FaultStrategy):
     Each round the adversary erases up to ``per_round`` spanning-forest
     links of the live subgraph (both directions each), lowest ``(u, v)``
     first, until the run-wide ``budget`` of link erasures is exhausted.
-    Deterministic, so the hypothesis invariant "total targeted erasures
-    never exceed the budget" is exact rather than probabilistic.
+    The budget spent so far is ``erased // 2``: every link it erased is two
+    CSR entries.  Deterministic, so the hypothesis invariant "total
+    targeted erasures never exceed the budget" is exact rather than
+    probabilistic.
     """
 
     budget: int = 8
@@ -386,28 +317,17 @@ class BudgetedLossStrategy(FaultStrategy):
         if self.per_round < 1:
             raise ValueError(f"per_round must be >= 1, got {self.per_round}")
 
-    def bind(self, n: int) -> "BoundStrategy":
-        return _BoundBudgetedLoss(self, n)
-
-
-class _BoundBudgetedLoss(BoundStrategy):
-    def __init__(self, strategy: BudgetedLossStrategy, n: int):
-        self.strategy = strategy
-        self.n = n
-        self.spent = 0
-
-    def plan_round(self, round_index, senders, receivers, indptr, down, rng, state):
-        s = self.strategy
-        remaining = s.budget - self.spent
+    def plan_round(self, round_index, senders, receivers, indptr, down, rng, state, erased):
+        n = down.size
+        remaining = self.budget - erased // 2
         if remaining <= 0:
-            return None, ()
-        packed, rows = _live_edge_row_ints(senders, receivers, down, self.n)
-        targets = sorted(_forest_edges(packed, rows, self.n))
-        targets = targets[: min(s.per_round, remaining)]
+            return None
+        packed, rows = _live_edge_row_ints(senders, receivers, down, n)
+        targets = sorted(_forest_edges(packed, rows, n))
+        targets = targets[: min(self.per_round, remaining)]
         if not targets:
-            return None, ()
-        self.spent += len(targets)
-        return _edge_positions_lost(senders, receivers, self.n, targets), ()
+            return None
+        return _edge_positions_lost(senders, receivers, n, targets)
 
 
 def _bernoulli_subset(
@@ -449,24 +369,12 @@ class StragglerIsolationStrategy(FaultStrategy):
     probability: float = 1.0
 
     def __post_init__(self):
-        if not 0.0 <= self.probability <= 1.0:
-            raise ValueError(
-                f"probability must be in [0, 1], got {self.probability}"
-            )
+        _check_probability("probability", self.probability)
 
-    def bind(self, n: int) -> "BoundStrategy":
-        return _BoundStragglerIsolation(self, n)
-
-
-class _BoundStragglerIsolation(BoundStrategy):
-    def __init__(self, strategy: StragglerIsolationStrategy, n: int):
-        self.strategy = strategy
-        self.n = n
-
-    def plan_round(self, round_index, senders, receivers, indptr, down, rng, state):
+    def plan_round(self, round_index, senders, receivers, indptr, down, rng, state, erased):
         live = ~down
         if not live.any():
-            return None, ()
+            return None
         score = np.where(live, state.progress(), _NEVER)
         straggler = int(np.argmin(score))
         incident = (
@@ -474,8 +382,7 @@ class _BoundStragglerIsolation(BoundStrategy):
             & ~down[senders]
             & ~down[receivers]
         )
-        lost = _bernoulli_subset(incident, self.strategy.probability, rng)
-        return lost, ()
+        return _bernoulli_subset(incident, self.probability, rng)
 
 
 @dataclass(frozen=True)
@@ -493,29 +400,16 @@ class FrontierLossStrategy(FaultStrategy):
     probability: float = 1.0
 
     def __post_init__(self):
-        if not 0.0 <= self.probability <= 1.0:
-            raise ValueError(
-                f"probability must be in [0, 1], got {self.probability}"
-            )
+        _check_probability("probability", self.probability)
 
-    def bind(self, n: int) -> "BoundStrategy":
-        return _BoundFrontierLoss(self, n)
-
-
-class _BoundFrontierLoss(BoundStrategy):
-    def __init__(self, strategy: FrontierLossStrategy, n: int):
-        self.strategy = strategy
-        self.n = n
-
-    def plan_round(self, round_index, senders, receivers, indptr, down, rng, state):
+    def plan_round(self, round_index, senders, receivers, indptr, down, rng, state, erased):
         score = state.progress()
         frontier = (
             ~down[senders]
             & ~down[receivers]
             & (score[senders] > score[receivers])
         )
-        lost = _bernoulli_subset(frontier, self.strategy.probability, rng)
-        return lost, ()
+        return _bernoulli_subset(frontier, self.probability, rng)
 
 
 # ----------------------------------------------------------------------
@@ -582,10 +476,7 @@ class CollisionModel:
     capture: bool = False
 
     def __post_init__(self):
-        if not 0.0 <= self.probability <= 1.0:
-            raise ValueError(
-                f"probability must be in [0, 1], got {self.probability}"
-            )
+        _check_probability("probability", self.probability)
 
 
 @dataclass(frozen=True)
@@ -674,10 +565,8 @@ class FaultModel:
     quorum: QuorumModel | None = None
 
     def __post_init__(self):
-        if not 0.0 <= self.loss <= 1.0:
-            raise ValueError(f"loss must be in [0, 1], got {self.loss}")
-        if not 0.0 <= self.duplication <= 1.0:
-            raise ValueError(f"duplication must be in [0, 1], got {self.duplication}")
+        _check_probability("loss", self.loss)
+        _check_probability("duplication", self.duplication)
         if self.byzantine_mode not in _BYZANTINE_MODES:
             raise ValueError(
                 f"byzantine_mode must be one of {_BYZANTINE_MODES}, "
@@ -863,32 +752,20 @@ class BoundFaults:
         self.iv_uid = np.asarray(iv_uid, dtype=np.int64)
         self.iv_down = np.asarray(iv_down, dtype=np.int64)
         self.iv_up = np.asarray(iv_up, dtype=np.int64)
-        self.permanent = permanent
-        #: Nodes the adaptive strategy crashed mid-run (grows monotonically).
-        self.strategy_crashed = np.zeros(n, dtype=bool)
-        self.strategy_state: BoundStrategy | None = (
-            model.strategy.bind(n) if model.strategy is not None else None
-        )
+        #: Canonical CSR entries the adaptive strategy has erased so far.
+        self.strategy_erased = 0
         self.byz = np.zeros(n, dtype=bool)
         if model.byzantine:
             self.byz[list(model.byzantine)] = True
-        #: Fake quorum members (never honest survivors).
-        self.fake = fake
         self.guard: SpanGuard | None = None
         #: Nodes never permanently crashed — the population completion and
         #: correctness are measured over.  Recovering nodes *are* survivors
         #: (they are expected to reconverge after rejoining), Byzantine nodes
         #: are survivors (their receive path is honest), fake quorum members
-        #: are *not* (the honest quorum is the population that counts), and
-        #: the set shrinks in the round an adaptive strategy claims a victim
-        #: (``RoundFaultPlan.bind_edges`` rebuilds it), so read it per round.
-        self.survivor_indices = self._survivors()
-
-    def _survivors(self) -> np.ndarray:
-        """The survivor uids, ascending, as a read-only array."""
-        survivors = np.flatnonzero(~self.permanent & ~self.strategy_crashed & ~self.fake)
-        survivors.setflags(write=False)
-        return survivors
+        #: are *not* (the honest quorum is the population that counts).
+        #: Ascending and read-only.
+        self.survivor_indices = np.flatnonzero(~permanent & ~fake)
+        self.survivor_indices.setflags(write=False)
 
     def down_at(self, round_index: int) -> np.ndarray:
         """Boolean node vector: who is crashed during ``round_index``."""
@@ -896,7 +773,6 @@ class BoundFaults:
         if self.iv_uid.size:
             hits = (self.iv_down <= round_index) & (round_index < self.iv_up)
             down[self.iv_uid[hits]] = True
-        down |= self.strategy_crashed
         return down
 
     def recovery_metrics(
@@ -1013,9 +889,7 @@ class RoundFaultPlan:
         adaptive strategy is consulted after both, and the collision
         round's single Bernoulli (drawn only when ``0 < probability < 1``)
         comes last, so benign axes consume no rng and existing stochastic
-        axes keep their draw order.  Strategy crashes take effect
-        immediately: ``self.down`` is final only after this method returns,
-        so engines must compute their sending mask afterwards.
+        axes keep their draw order.
 
         Only the axes that are on this round build a per-edge mask, and
         :meth:`account` counts only those.  A round that removes and
@@ -1042,17 +916,14 @@ class RoundFaultPlan:
         extra = (
             rng.random(edges) < model.duplication if model.duplication > 0.0 else None
         )
-        strategy = self.bound.strategy_state
+        strategy = model.strategy
         if strategy is not None:
-            targeted, crashed = strategy.plan_round(
-                self.round_index, senders, receivers, indptr, self.down, rng, state
+            targeted = strategy.plan_round(
+                self.round_index, senders, receivers, indptr, self.down, rng,
+                state, self.bound.strategy_erased,
             )
-            for uid in crashed:
-                self.bound.strategy_crashed[uid] = True
-                self.down[uid] = True
-            if crashed:
-                self.bound.survivor_indices = self.bound._survivors()
             if targeted is not None:
+                self.bound.strategy_erased += int(np.count_nonzero(targeted))
                 lost = targeted if lost is None else lost | targeted
         down = self.down
         viable = ~down[senders] & ~down[receivers] if down.any() else None

@@ -16,9 +16,9 @@ representing a round graph as ``n`` integer bitmasks: bit ``v`` of
 
 :class:`Topology` is immutable and hashable (structural hash over the mask
 rows), which is what lets the runner validate each *distinct* topology once
-instead of once per round (:class:`TopologyValidationCache` packages that
-single-slot identity cache for every engine).  It is the only type an
-adversary may return for a round (:func:`as_topology` enforces that).  It
+instead of once per round (:meth:`Topology.validate` remembers its
+success on the object).  It is the only type an adversary may return for
+a round (:func:`as_topology` enforces that).  It
 offers the small read surface the rest of the code base needs (``nodes``,
 ``edges``, ``neighbors_tuple``, ``number_of_edges``), and
 every graph algorithm in the package runs on it directly, the Section 8.1
@@ -60,7 +60,6 @@ from ..bits import (
 
 __all__ = [
     "Topology",
-    "TopologyValidationCache",
     "as_topology",
     "path_topology",
     "ring_topology",
@@ -430,9 +429,8 @@ def as_topology(graph: object, n: int | None = None) -> Topology:
     """Check that a round graph is a :class:`Topology` (the adversary gate).
 
     Adversaries return ``Topology`` objects; anything else raises
-    ``TypeError``.  The input is returned unchanged (its identity is what
-    the runner's validation cache keys on).  ``n``, when given, is checked
-    against the node count.
+    ``TypeError``.  The input is returned unchanged.  ``n``, when given, is
+    checked against the node count.
     """
     if not isinstance(graph, Topology):
         raise TypeError(
@@ -442,32 +440,6 @@ def as_topology(graph: object, n: int | None = None) -> Topology:
     if n is not None and graph.n != n:
         raise ValueError(f"topology must have node set 0..{n - 1}, got 0..{graph.n - 1}")
     return graph
-
-
-class TopologyValidationCache:
-    """Single-slot identity-keyed round-topology validation cache.
-
-    Static and T-stable adversaries return the same topology object round
-    after round, so remembering only the most recent one already gives the
-    once-per-topology (instead of once-per-round) validation win without
-    pinning every per-round topology of a long run.  Topologies are
-    immutable, so caching by identity is sound.  Shared by the mask and
-    kernel engines.
-    """
-
-    __slots__ = ("_last",)
-
-    def __init__(self) -> None:
-        self._last: Topology | None = None
-
-    def validated(self, graph: object, n: int) -> Topology:
-        """Check that ``graph`` is a :class:`Topology` legal for ``n`` nodes."""
-        if graph is self._last:
-            return graph
-        topology = as_topology(graph, n)
-        topology.validate(n)
-        self._last = topology
-        return topology
 
 
 # ----------------------------------------------------------------------

@@ -70,7 +70,7 @@ from ..bits import (
     word_count,
 )
 from ..network.adversary import Adversary, RoundState
-from ..network.topology import TopologyValidationCache
+from ..network.topology import as_topology
 from ..obs.profiler import NULL_PROFILER
 from ..tokens.message import MessageSizeExceeded, TokenForwardMessage
 from ..tokens.token import TokenId, TokenPlacement
@@ -463,7 +463,6 @@ def run_rounds(
     """
     n = config.n
     limit = config.budget.limit_bits
-    cache = TopologyValidationCache()
     profiler = NULL_PROFILER if trace is None else trace.profiler
     kernel.profiler = profiler
 
@@ -485,7 +484,10 @@ def run_rounds(
             graph = adversary.choose_topology(round_index, n, state, messages)
         else:
             graph = adversary.choose_topology(round_index, n, kernel.round_state())
-        topology = cache.validated(graph, n)
+        # A topology remembers that it validated (batch views arrive
+        # pre-validated), so a reused one costs a flag test.
+        topology = as_topology(graph)
+        topology.validate(n)
         kernel.on_topology(round_index, topology)
         if not adversary.sees_messages:
             active, sizes = compose(round_index, plan)
@@ -493,11 +495,8 @@ def run_rounds(
         indices, indptr = topology.csr_adjacency()
         receivers = topology.csr_receivers()
         if plan is not None:
-            # The adaptive strategy is consulted in here and may crash
-            # nodes mid-round: ``plan.down`` is final only afterwards, so
-            # the sending mask must be computed below, not before.  The
-            # compose-time ``active`` mask feeds the collision rule, and the
-            # strategy's state is a fresh one, read after compose.
+            # The compose-time ``active`` mask feeds the collision rule,
+            # and the strategy's state is a fresh one, read after compose.
             with profiler.span("faults"):
                 indices, indptr = plan.bind_edges(
                     indices, indptr, active=active, receivers=receivers,
@@ -573,7 +572,6 @@ def run_rounds(
         else:
             if metrics.survivor_completion_round is None:
                 complete = kernel.completed_flags()
-                # Queried per round: adaptive strategies shrink the set.
                 if bool(complete[faults.survivor_indices].all()):
                     metrics.survivor_completion_round = round_index + 1
             done = metrics.survivor_completion_round is not None

@@ -410,8 +410,7 @@ def run_dissemination(
         faults the stop rule, the reported correctness and the survivor
         metrics are computed over the never-permanently-crashed honest
         population (recovering nodes included, fake quorum members
-        excluded), queried per round because adaptive strategies may claim
-        victims mid-run.  A :class:`~repro.network.faults.QuorumModel`
+        excluded).  A :class:`~repro.network.faults.QuorumModel`
         additionally requires its fake nodes to hold no placement tokens.
     trace:
         Optional :class:`~repro.obs.trace.TraceRecorder` collecting one

@@ -12,35 +12,34 @@ import numpy as np
 
 
 class FaultStrategy:
-    def bind(self, n, rng):
-        return self
+    """Stand-in for the real seam: ``plan_round`` returns an edge mask."""
 
 
 class SneakyFrontierStrategy(FaultStrategy):
     """Reads the RoundState but draws from a private, unseeded stream."""
 
-    def plan_round(self, round_index, senders, receivers, indptr, down, rng, state):
+    def plan_round(self, round_index, senders, receivers, indptr, down, rng, state, erased):
         frontier = state.progress().argmax()
         hidden = np.random.default_rng()
         if np.random.random() < 0.5:
-            return None, hidden.integers(0, frontier + 1, size=1)
-        return None, ()
+            return senders == hidden.integers(0, frontier + 1, size=1)
+        return None
 
 
 class HonestFrontierStrategy(FaultStrategy):
     """Targets by state, draws only from the generator the layer passes in."""
 
-    def plan_round(self, round_index, senders, receivers, indptr, down, rng, state):
+    def plan_round(self, round_index, senders, receivers, indptr, down, rng, state, erased):
         frontier = state.progress().argmax()
         if rng.random() < 0.5:
-            return None, rng.integers(0, frontier + 1, size=1)
-        return None, ()
+            return senders == rng.integers(0, frontier + 1, size=1)
+        return None
 
 
 class WaivedFrontierStrategy(FaultStrategy):
     """A deliberate waiver still needs the inline allow directive."""
 
-    def plan_round(self, round_index, senders, receivers, indptr, down, rng, state):
+    def plan_round(self, round_index, senders, receivers, indptr, down, rng, state, erased):
         # repro: allow[REP102] fixture exercising the suppression path
         extra = np.random.default_rng()
-        return None, extra.integers(0, 4, size=1)
+        return senders == extra.integers(0, 4, size=1)

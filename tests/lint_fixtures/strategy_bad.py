@@ -9,33 +9,32 @@ import numpy as np
 
 
 class FaultStrategy:
-    def bind(self, n, rng):
-        return self
+    """Stand-in for the real seam: ``plan_round`` returns an edge mask."""
 
 
 class SneakyLossStrategy(FaultStrategy):
     """Draws from a private, unseeded stream instead of the bound rng."""
 
-    def plan_round(self, round_index, senders, receivers, indptr, down, rng, state):
+    def plan_round(self, round_index, senders, receivers, indptr, down, rng, state, erased):
         hidden = np.random.default_rng()
         if np.random.random() < 0.5:
-            return None, hidden.integers(0, 4, size=1)
-        return None, ()
+            return senders == hidden.integers(0, 4, size=1)
+        return None
 
 
 class HonestLossStrategy(FaultStrategy):
     """Uses only the generator the fault layer passes in."""
 
-    def plan_round(self, round_index, senders, receivers, indptr, down, rng, state):
+    def plan_round(self, round_index, senders, receivers, indptr, down, rng, state, erased):
         if rng.random() < 0.5:
-            return None, rng.integers(0, 4, size=1)
-        return None, ()
+            return senders == rng.integers(0, 4, size=1)
+        return None
 
 
 class WaivedReplayStrategy(FaultStrategy):
     """A deliberate waiver still needs the inline allow directive."""
 
-    def plan_round(self, round_index, senders, receivers, indptr, down, rng, state):
+    def plan_round(self, round_index, senders, receivers, indptr, down, rng, state, erased):
         # repro: allow[REP102] fixture exercising the suppression path
         extra = np.random.default_rng()
-        return None, extra.integers(0, 4, size=1)
+        return senders == extra.integers(0, 4, size=1)

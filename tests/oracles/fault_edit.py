@@ -11,9 +11,8 @@ and imports nothing from ``repro``:
   when the probability is non-zero), then one per edge for duplication
   (likewise), then whatever the adaptive strategy draws, then the collision
   round's single Bernoulli (only when ``0 < p < 1``);
-* an edge is *viable* when neither endpoint is down (strategy crashes
-  included) and, while a partition window is open, both endpoints share
-  ``uid % groups``;
+* an edge is *viable* when neither endpoint is down and, while a
+  partition window is open, both endpoints share ``uid % groups``;
 * a Byzantine sender's copy is *rejected* unless replayed traffic is
   substituted for it;
 * on a collision round a receiver with two or more *delivering* edges
@@ -58,7 +57,6 @@ def edit(
     duplication=0.0,
     strategy_draws=0,
     targeted=None,
-    crashed=(),
     groups=None,
     byzantine=(),
     replay=False,
@@ -66,9 +64,9 @@ def edit(
 ):
     """Apply one round's faults to the canonical CSR ``(indices, indptr)``.
 
-    ``down`` and ``active`` are per-node booleans, ``targeted`` a per-edge
-    boolean (or None) and ``crashed`` the uids a strategy crashes this
-    round; the strategy draws ``strategy_draws`` uniforms it does not use.
+    ``down`` and ``active`` are per-node booleans and ``targeted`` a
+    per-edge boolean (or None); the strategy draws ``strategy_draws``
+    uniforms it does not use.
     ``groups`` is the partition's group count while a window is open, else
     None.  ``collision`` is ``(probability, capture)`` or None.
     """
@@ -88,8 +86,6 @@ def edit(
     if targeted is not None:
         lost = [a or bool(b) for a, b in zip(lost, targeted)]
     down = [bool(d) for d in down]
-    for uid in crashed:
-        down[uid] = True
     viable = []
     for s, r in zip(indices, receivers):
         ok = not down[s] and not down[r]

@@ -7,11 +7,10 @@ example draws a random canonical CSR and a random mix of every axis the
 edit handles — crashed nodes, the compose-time ``active`` mask, loss,
 duplication, an open or closed partition window, malformed and replayed
 Byzantine senders, a collision round with and without capture, and a
-strategy that targets a fixed edge mask, crashes fixed nodes and spends
-some draws — then runs ``begin_round``/``bind_edges``/``account`` from a
+strategy that targets a fixed edge mask and spends some draws — then runs ``begin_round``/``bind_edges``/``account`` from a
 seeded :class:`~repro.network.faults.BoundFaults` and the reference from
 an identically seeded generator.  The effective ``indices``, ``indptr``
-and ``receivers``, the final down set and all five counters must agree.
+and ``receivers``, the round's down set and all five counters must agree.
 """
 
 from __future__ import annotations
@@ -30,35 +29,23 @@ from repro.network import (
     SpanGuard,
     Topology,
 )
-from repro.network.faults import BoundStrategy
 from tests.oracles import fault_edit
 
 
 @dataclass(frozen=True)
 class FixedTargets(FaultStrategy):
-    """Test double: the same targeted mask and crashes every round.
+    """Test double: the same targeted mask every round.
 
     It also draws ``draws`` uniforms it ignores, so a strategy's place in
     the fault stream's draw order is observable.
     """
 
     targeted: tuple[bool, ...] | None = None
-    crashed: tuple[int, ...] = ()
     draws: int = 0
 
-    def bind(self, n):
-        return _BoundFixedTargets(self)
-
-
-class _BoundFixedTargets(BoundStrategy):
-    def __init__(self, strategy):
-        self.strategy = strategy
-
-    def plan_round(self, round_index, senders, receivers, indptr, down, rng, state):
-        s = self.strategy
-        rng.random(s.draws)
-        targeted = None if s.targeted is None else np.array(s.targeted, dtype=bool)
-        return targeted, s.crashed
+    def plan_round(self, round_index, senders, receivers, indptr, down, rng, state, erased):
+        rng.random(self.draws)
+        return None if self.targeted is None else np.array(self.targeted, dtype=bool)
 
 
 PROBABILITIES = st.sampled_from([0.0, 0.3, 0.7, 1.0])
@@ -95,7 +82,6 @@ def rounds(draw):
             st.none() | st.tuples(st.sampled_from([0.0, 0.5, 1.0]), st.booleans())
         ),
         targeted=targeted,
-        crashed=tuple(draw(st.sets(st.integers(0, n - 1), max_size=2))),
         strategy_draws=draw(st.integers(0, 3)),
         seed=draw(st.integers(0, 2**32 - 1)),
     )
@@ -111,7 +97,6 @@ def _plan_and_reference(case, *, with_strategy=True, canonical_receivers=True):
     if with_strategy:
         strategy = FixedTargets(
             targeted=None if case["targeted"] is None else tuple(case["targeted"]),
-            crashed=case["crashed"],
             draws=case["strategy_draws"],
         )
     window = case["window"]
@@ -166,7 +151,6 @@ def _plan_and_reference(case, *, with_strategy=True, canonical_receivers=True):
         duplication=case["duplication"],
         strategy_draws=case["strategy_draws"] if with_strategy else 0,
         targeted=case["targeted"] if with_strategy else None,
-        crashed=case["crashed"] if with_strategy else (),
         groups=case["groups"] if open_window else None,
         byzantine=byzantine,
         replay=case["replay"] and bool(byzantine),
@@ -224,7 +208,6 @@ def test_the_reference_replays_the_draw_order():
         replay=False,
         collision=(0.5, False),
         targeted=None,
-        crashed=(),
         strategy_draws=2,
         seed=11,
     )

@@ -48,14 +48,13 @@ from repro.network import (
     OmniscientBottleneckAdversary,
     PartitionModel,
     QuorumModel,
+    RoundFaultPlan,
     SpanGuard,
     StragglerIsolationStrategy,
-    TargetedCrashStrategy,
     complete_topology,
     crash_schedule_from_churn,
     random_connected_topology,
 )
-from repro.obs import TraceRecorder
 from repro.scenarios import fault_model_for, hostile_scenarios, make_scenario
 from repro.simulation import (
     RunMetrics,
@@ -137,16 +136,12 @@ class TestFaultModelValidation:
             build(math.nextafter(1.0, 2.0))
 
     @pytest.mark.parametrize("build, edge", [
-        (lambda v: TargetedCrashStrategy(start=v), 0),
-        (lambda v: TargetedCrashStrategy(period=v), 1),
-        (lambda v: TargetedCrashStrategy(limit=v), 0),
         (lambda v: BudgetedLossStrategy(budget=v), 0),
         (lambda v: BudgetedLossStrategy(per_round=v), 1),
         (lambda v: PartitionModel(windows=((v, v + 1),)), 0),
         (lambda v: FaultModel(crashes=((v, 0),)), 0),
         (lambda v: FaultModel(crashes=((0, v),)), 0),
-    ], ids=["start", "period", "limit", "budget", "per_round", "window_start",
-            "crash_uid", "crash_down"])
+    ], ids=["budget", "per_round", "window_start", "crash_uid", "crash_down"])
     def test_integer_lower_bounds_are_exact(self, build, edge):
         build(edge)
         with pytest.raises(ValueError, match=">= "):
@@ -730,58 +725,45 @@ class TestAdaptiveStrategyInvariants:
             assert links <= per_round
             total_links_lost += links
         assert total_links_lost <= budget
-        assert bound.strategy_state.spent == total_links_lost
+        assert bound.strategy_erased == 2 * total_links_lost
 
-    def test_targeted_crash_removes_highest_degree_and_respects_limit(self):
-        n = 8
-        model = FaultModel(strategy=TargetedCrashStrategy(start=1, period=2, limit=2))
-        bound = model.bind(n, np.random.default_rng(0))
-        star_indices, star_indptr = random_connected_topology(
-            n, np.random.default_rng(3)
-        ).csr_adjacency()
-        degrees = np.diff(star_indptr)
-        expected_first = int(np.argmax(degrees))
-        for r in range(6):
-            plan = bound.begin_round(r)
-            bind_every_sender(plan, star_indices, star_indptr)
-            if r == 0:
-                assert not bound.strategy_crashed.any()
-            if r == 1:
-                assert bound.strategy_crashed[expected_first]
-        assert int(bound.strategy_crashed.sum()) == 2
-        # Strategy victims leave the surviving population.
-        assert bound.survivor_indices.size == n - 2
+    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize(
+        "name", [s for s in hostile_scenarios() if fault_model_for(s, 16).strategy]
+    )
+    def test_bind_edges_leaves_the_down_set_and_the_survivors_alone(
+        self, monkeypatch, name, engine
+    ):
+        # A strategy only erases edges: the crash snapshot begin_round took
+        # is the round's final down set, and the survivor population is the
+        # array built at bind.
+        original = RoundFaultPlan.bind_edges
+        checked = []
 
+        def checking_bind_edges(plan, *args, **kwargs):
+            down = plan.down.copy()
+            survivors = plan.bound.survivor_indices
+            effective = original(plan, *args, **kwargs)
+            assert np.array_equal(plan.down, down)
+            assert plan.bound.survivor_indices is survivors
+            checked.append(plan.round_index)
+            return effective
 
-    @pytest.mark.parametrize("engine", ["kernel", "mask"])
-    def test_targeted_crash_victim_leaves_the_survivors_in_its_round(self, engine):
-        n, k, start = 12, 8, 3
+        monkeypatch.setattr(RoundFaultPlan, "bind_edges", checking_bind_edges)
+        n, k = 16, 12
         config = make_config(n=n, k=k)
-        placement = standard_instance(n, k, config.token_bits, seed=3)
-        recorder = TraceRecorder()
         result = run_dissemination(
-            TokenForwardingNode, config, placement,
-            make_scenario("edge_markov", n, seed=5),
-            seed=3, engine=engine, trace=recorder,
-            faults=FaultModel(strategy=TargetedCrashStrategy(start=start, limit=1)),
+            TokenForwardingNode,
+            config,
+            standard_instance(n, k, config.token_bits, seed=3),
+            make_scenario(name, n, seed=5),
+            seed=3,
+            engine=engine,
+            faults=fault_model_for(name, n, seed=5),
+            max_rounds=6 * n,
         )
-        honest = recorder.to_trace().arrays["honest_survivors"]
-        assert honest.size > start + 1
-        assert (honest[:start] == n).all()
-        assert (honest[start:] == n - 1).all()
-        assert result.metrics.survivors == n - 1
-
-    def test_targeted_crash_takes_the_top_uid_when_it_is_the_only_live_node(self):
-        # Its (degree, lowest uid) key is 0: the smallest a live node has.
-        n = 4
-        model = FaultModel(
-            crashes=tuple((uid, 0) for uid in range(n - 1)),
-            strategy=TargetedCrashStrategy(start=0, limit=1),
-        )
-        bound = model.bind(n, np.random.default_rng(0))
-        indices, indptr = complete_topology(n).csr_adjacency()
-        bind_every_sender(bound.begin_round(0), indices, indptr)
-        assert bound.strategy_crashed.tolist() == [False, False, False, True]
+        assert result.engine == engine
+        assert checked == list(range(result.metrics.rounds_executed))
 
     @pytest.mark.parametrize("strategy", [StragglerIsolationStrategy, FrontierLossStrategy])
     def test_certain_state_aware_loss_draws_nothing(self, strategy):

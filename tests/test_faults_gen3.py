@@ -51,7 +51,7 @@ from repro.obs.trace import CONTENT_ARRAYS
 from repro.scenarios import fault_model_for, make_scenario
 from repro.simulation import RunMetrics, run_dissemination, standard_instance
 from repro.simulation.kernels import KERNEL_REGISTRY, RoundKernel
-from repro.network.faults import BoundStrategy, FaultStrategy
+from repro.network.faults import FaultStrategy
 from tests.conftest import bind_every_sender, fixed_state, make_config
 from tests.oracles import radio
 
@@ -304,23 +304,15 @@ class TestQuorumSemantics:
 class _CountRecorder(FaultStrategy):
     """Erases nothing; keeps the known counts of every state it is shown.
 
-    One instance per run: the list is shared with its bound state.
+    One instance per run.
     """
 
     def __init__(self):
         self.seen: list[list[int]] = []
 
-    def bind(self, n):
-        return _BoundCountRecorder(self.seen)
-
-
-class _BoundCountRecorder(BoundStrategy):
-    def __init__(self, seen):
-        self.seen = seen
-
-    def plan_round(self, round_index, senders, receivers, indptr, down, rng, state):
+    def plan_round(self, round_index, senders, receivers, indptr, down, rng, state, erased):
         self.seen.append(state.known_counts.tolist())
-        return None, ()
+        return None
 
 
 # ----------------------------------------------------------------------

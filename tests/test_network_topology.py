@@ -8,7 +8,6 @@ import pytest
 
 from repro.network.topology import (
     Topology,
-    TopologyValidationCache,
     as_topology,
     clique_pair_topology,
     complete_topology,
@@ -230,39 +229,6 @@ class TestNetworkxGenerators:
     @pytest.mark.parametrize("n", [1, 2, 6])
     def test_complete_matches_nx_complete_graph(self, n):
         assert _edge_set(complete_topology(n)) == _edge_set(nx.complete_graph(n))
-
-
-class TestValidationCache:
-    def test_repeated_object_validated_once(self, monkeypatch):
-        calls = []
-        original = Topology.validate
-
-        def counting(self, n=None):
-            calls.append(self)
-            return original(self, n)
-
-        monkeypatch.setattr(Topology, "validate", counting)
-        cache = TopologyValidationCache()
-        first = Topology.from_edges(4, [(0, 1), (1, 2), (2, 3)])
-        for _ in range(3):
-            assert cache.validated(first, 4) is first
-        assert calls == [first]
-        second = Topology.from_edges(4, [(0, 1), (1, 2), (2, 3)])
-        assert cache.validated(second, 4) is second
-        assert calls == [first, second]
-
-    def test_new_disconnected_object_rejected_after_cached_one(self):
-        cache = TopologyValidationCache()
-        cache.validated(ring_topology(6), 6)
-        disconnected = Topology.from_edges(6, [(0, 1), (1, 2), (3, 4), (4, 5)])
-        with pytest.raises(ValueError, match="connected"):
-            cache.validated(disconnected, 6)
-
-    def test_non_topology_rejected_after_cached_one(self):
-        cache = TopologyValidationCache()
-        cache.validated(ring_topology(6), 6)
-        with pytest.raises(TypeError, match="expected Topology"):
-            cache.validated(nx.cycle_graph(6), 6)
 
 
 def _edge_digest(topology) -> str:

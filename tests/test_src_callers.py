@@ -7,7 +7,8 @@ an imported alias) somewhere in ``src/``, ``benchmarks/``, ``examples/`` or
 ``perfbench/``; a method only when something reads it as an attribute
 (``obj.method``), since a local variable of the same name is no call. Not counted: the name's own definition (its ``def`` or
 ``class`` body, or the assignment that binds it), ``__all__`` lists,
-re-exports in ``__init__`` modules, docstrings and comments. A method's
+re-exports in ``__init__`` modules, docstrings, comments and type
+annotations (an annotation names a type, it does not use it). A method's
 uses inside its own class do count. Tests are not callers: a name only
 tests reach belongs in ``tests/`` or in ``KEPT``.
 
@@ -96,14 +97,34 @@ def _public_methods(statement: ast.stmt) -> list[str]:
     ]
 
 
+def _annotations(node: ast.AST):
+    """The annotation expressions of every argument, return and annotated
+    assignment inside ``node``."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.arg):
+            annotation = sub.annotation
+        elif isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            annotation = sub.returns
+        elif isinstance(sub, ast.AnnAssign):
+            annotation = sub.annotation
+        else:
+            continue
+        if annotation is not None:
+            yield annotation
+
+
 def _identifiers(node: ast.AST) -> tuple[set[str], set[str]]:
     """``(every identifier node reads, the ones it reads as attributes)``.
 
-    Identifiers are loaded names, attributes and imported aliases.
+    Identifiers are loaded names, attributes and imported aliases, outside
+    type annotations.
     """
+    skipped = {id(sub) for annotation in _annotations(node) for sub in ast.walk(annotation)}
     found: set[str] = set()
     attributes: set[str] = set()
     for sub in ast.walk(node):
+        if id(sub) in skipped:
+            continue
         if isinstance(sub, ast.Name) and not isinstance(sub.ctx, ast.Store):
             found.add(sub.id)
         elif isinstance(sub, ast.Attribute) and not isinstance(sub.ctx, ast.Store):
@@ -320,6 +341,40 @@ def test_a_local_variable_named_like_a_method_is_not_a_caller(tmp_path):
     )
     # ``edges`` is read only as a variable, ``area`` also as an attribute.
     assert uncalled(root) == ["repro.shapes.Square.edges"]
+
+
+def test_a_name_used_only_in_annotations_is_not_called(tmp_path):
+    shapes = """
+        __all__ = ["Shape", "Square"]
+
+
+        class Shape:
+            pass
+
+
+        class Square:
+            side: Shape | None = None
+
+            def grow(self, other: Shape) -> "Shape":
+                return other
+    """
+    use = (
+        "from repro.shapes import Square\n"
+        "def build(template: Shape) -> Shape:\n"
+        "    square: Shape = Square()\n"
+        "    return square.grow(template)\n"
+    )
+    root = _tree(
+        tmp_path,
+        {
+            "src/repro/__init__.py": "",
+            "src/repro/shapes.py": shapes,
+            "examples/use.py": use,
+        },
+    )
+    # Every mention of ``Shape`` is an annotation: a field's, an
+    # argument's, a return's or a local's.
+    assert uncalled(root) == ["repro.shapes.Shape"]
 
 
 def test_scan_reports_kept_names_that_are_gone_or_now_called(tmp_path):
