@@ -727,6 +727,25 @@ class TestAdaptiveStrategyInvariants:
         assert total_links_lost <= budget
         assert bound.strategy_erased == 2 * total_links_lost
 
+    @pytest.mark.parametrize("erased, links", [
+        (0, 2), (2, 2), (3, 2), (4, 1), (5, 1), (6, 0), (9, 0),
+    ])
+    def test_budgeted_loss_spends_what_erased_leaves(self, erased, links):
+        # ``erased`` counts CSR entries, two per link: the remaining budget
+        # is ``budget - erased // 2``, capped by ``per_round``.
+        strategy = BudgetedLossStrategy(budget=3, per_round=2)
+        topology = complete_topology(6)
+        indices, indptr = topology.csr_adjacency()
+        targeted = strategy.plan_round(
+            0, indices, topology.csr_receivers(), indptr,
+            np.zeros(6, dtype=bool), np.random.default_rng(0),
+            fixed_state([0] * 6), erased,
+        )
+        if links == 0:
+            assert targeted is None
+        else:
+            assert int(np.count_nonzero(targeted)) == 2 * links
+
     @pytest.mark.parametrize("engine", ENGINES)
     @pytest.mark.parametrize(
         "name", [s for s in hostile_scenarios() if fault_model_for(s, 16).strategy]
